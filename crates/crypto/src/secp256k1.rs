@@ -8,10 +8,28 @@
 //! *simulate* Ethereum's signature scheme, never to protect production key
 //! material.
 //!
-//! Numbers are 256-bit little-endian limb arrays (`[u64; 4]`). Both moduli
-//! have the Solinas shape `2^256 − c`, so wide products reduce by folding
-//! the high half with `hi·2^256 ≡ hi·c (mod m)` until the value fits 256
-//! bits.
+//! Numbers are 256-bit little-endian limb arrays (`[u64; 4]`), kept fully
+//! reduced. Both moduli have the Solinas shape `2^256 − c`, so a wide
+//! product reduces by folding the high half with `hi·2^256 ≡ hi·c (mod m)`:
+//!
+//! - The field `p` has a one-limb `c`, and a kernel of its own: `fmul` is
+//!   the 16-product `mul_wide`, `fsqr` the 10-product `sqr_wide`, each
+//!   followed by `reduce_p`, whose fold is 4 products and whose second fold
+//!   is one. `fadd` / `fsub` are branch-free.
+//! - The scalar field `n` has a 129-bit `c` and keeps the generic
+//!   `mul_mod` / `reduce_wide`; they run a handful of times per signature
+//!   (`u1`, `u2`, `s`, the GLV split).
+//! - Both share one inverse, the binary extended GCD `inv_mod`. The only
+//!   exponentiation left is `fsqrt`'s fixed addition chain.
+//!
+//! With `M` = `fmul` and `S` = `fsqr`, `double` is 3M + 4S, `add_affine`
+//! 8M + 3S and `add` 12M + 4S, and the two entry points cost:
+//!
+//! - `sign`: `mul_g` (≤ 64 mixed additions from a comb table, no
+//!   doublings), one `to_affine` inversion and `k⁻¹`.
+//! - `recover`: one `fsqrt` (254S + 13M), `r⁻¹`, one `double_mul`
+//!   (~128 doublings, ~28 mixed and ~50 general additions, see there) and
+//!   one `to_affine` inversion.
 
 /// 256-bit value as little-endian 64-bit limbs.
 pub type U256L = [u64; 4];
@@ -115,24 +133,61 @@ pub fn sub_mod(a: &U256L, b: &U256L, m: &U256L) -> U256L {
     }
 }
 
+/// `a + b·c + carry` as `(low, high)`; cannot overflow 128 bits.
+#[inline(always)]
+fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 * c as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `a + b + carry` as `(low, high)`.
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// The 512-bit product, schoolbook by rows: row `i`'s carry lands in the
+/// still-untouched limb `i + 4`, so no carry tail is needed.
+#[inline(always)]
 fn mul_wide(a: &U256L, b: &U256L) -> [u64; 8] {
     let mut out = [0u64; 8];
     for i in 0..4 {
-        let mut carry: u128 = 0;
+        let mut carry = 0;
         for j in 0..4 {
-            let acc = out[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry;
-            out[i + j] = acc as u64;
-            carry = acc >> 64;
+            (out[i + j], carry) = mac(out[i + j], a[i], b[j], carry);
         }
-        let mut k = i + 4;
-        while carry != 0 {
-            let acc = out[k] as u128 + carry;
-            out[k] = acc as u64;
-            carry = acc >> 64;
-            k += 1;
-        }
+        out[i + 4] = carry;
     }
     out
+}
+
+/// The 512-bit square in 10 products: the 6 cross products once, doubled,
+/// plus the 4 diagonal squares.
+#[inline(always)]
+fn sqr_wide(a: &U256L) -> [u64; 8] {
+    let (w1, c) = mac(0, a[0], a[1], 0);
+    let (w2, c) = mac(0, a[0], a[2], c);
+    let (w3, w4) = mac(0, a[0], a[3], c);
+    let (w3, c) = mac(w3, a[1], a[2], 0);
+    let (w4, w5) = mac(w4, a[1], a[3], c);
+    let (w5, w6) = mac(w5, a[2], a[3], 0);
+    let w7 = w6 >> 63;
+    let w6 = (w6 << 1) | (w5 >> 63);
+    let w5 = (w5 << 1) | (w4 >> 63);
+    let w4 = (w4 << 1) | (w3 >> 63);
+    let w3 = (w3 << 1) | (w2 >> 63);
+    let w2 = (w2 << 1) | (w1 >> 63);
+    let w1 = w1 << 1;
+    let (w0, c) = mac(0, a[0], a[0], 0);
+    let (w1, c) = adc(w1, c, 0);
+    let (w2, hi) = mac(w2, a[1], a[1], c);
+    let (w3, c) = adc(w3, hi, 0);
+    let (w4, hi) = mac(w4, a[2], a[2], c);
+    let (w5, c) = adc(w5, hi, 0);
+    let (w6, hi) = mac(w6, a[3], a[3], c);
+    let (w7, _) = adc(w7, hi, 0);
+    [w0, w1, w2, w3, w4, w5, w6, w7]
 }
 
 fn reduce_wide(mut w: [u64; 8], m: &U256L, c: &U256L) -> U256L {
@@ -171,35 +226,56 @@ pub fn mul_mod(a: &U256L, b: &U256L, m: &U256L, c: &U256L) -> U256L {
     reduce_wide(mul_wide(a, b), m, c)
 }
 
-/// `a^e (mod m)` by square-and-multiply.
-pub fn pow_mod(a: &U256L, e: &U256L, m: &U256L, c: &U256L) -> U256L {
-    let mut result = ONE;
-    let mut started = false;
-    for i in (0..256).rev() {
-        if started {
-            result = mul_mod(&result, &result, m, c);
-        }
-        if (e[i / 64] >> (i % 64)) & 1 == 1 {
-            if started {
-                result = mul_mod(&result, a, m, c);
-            } else {
-                result = *a;
-                started = true;
-            }
-        }
-    }
-    if started {
-        result
-    } else {
-        ONE
-    }
+/// `x / 2^t (mod m)` for odd `m` and `1 ≤ t ≤ 63`: add the multiple `q·m`
+/// that clears the low `t` bits (`q = −x·m⁻¹ mod 2^t`), then shift.
+fn div_pow2_mod(x: &U256L, t: u32, m: &U256L, neg_m_inv: u64) -> U256L {
+    let q = x[0].wrapping_mul(neg_m_inv) & ((1 << t) - 1);
+    let (r0, c) = mac(x[0], q, m[0], 0);
+    let (r1, c) = mac(x[1], q, m[1], c);
+    let (r2, c) = mac(x[2], q, m[2], c);
+    let (r3, r4) = mac(x[3], q, m[3], c);
+    shr(&[r0, r1, r2, r3, r4], t)
 }
 
-/// Modular inverse via Fermat (`m` prime, `a` non-zero).
-pub fn inv_mod(a: &U256L, m: &U256L, c: &U256L) -> U256L {
-    let two = [2, 0, 0, 0];
-    let e = sub_raw(m, &two).0;
-    pow_mod(a, &e, m, c)
+/// The low 256 bits of `x >> t`, `1 ≤ t ≤ 63`.
+fn shr(x: &[u64; 5], t: u32) -> U256L {
+    std::array::from_fn(|i| x[i] >> t | x[i + 1] << (64 - t))
+}
+
+/// Modular inverse for an odd prime `m` and `a < m`, by the variable-time
+/// binary extended GCD; zero maps to zero. The invariants `x1·a ≡ u` and
+/// `x2·a ≡ v (mod m)` hold while `u` shrinks to 0, which leaves
+/// `v = gcd(a, m) = 1`. `v` stays odd; each round strips `u`'s trailing
+/// zeros (dividing `x1` to match) and subtracts the smaller from the
+/// larger.
+fn inv_mod(a: &U256L, m: &U256L) -> U256L {
+    // −m⁻¹ mod 2^64 by Newton iteration; `m` is its own inverse mod 8.
+    let neg_m_inv = (0..5)
+        .fold(m[0], |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(x)))
+        })
+        .wrapping_neg();
+    let (mut u, mut v) = (*a, *m);
+    let (mut x1, mut x2) = (ONE, ZERO);
+    while !is_zero(&u) {
+        let t = u[0].trailing_zeros().min(63);
+        if t > 0 {
+            u = shr(&[u[0], u[1], u[2], u[3], 0], t);
+            x1 = div_pow2_mod(&x1, t, m, neg_m_inv);
+            if u[0] & 1 == 0 {
+                continue;
+            }
+        }
+        let (d, borrow) = sub_raw(&u, &v);
+        if borrow {
+            (u, v) = (sub_raw(&v, &u).0, u);
+            (x1, x2) = (sub_mod(&x2, &x1, m), x1);
+        } else {
+            u = d;
+            x1 = sub_mod(&x1, &x2, m);
+        }
+    }
+    x2
 }
 
 /// Parse 32 big-endian bytes.
@@ -222,8 +298,7 @@ pub fn to_be_bytes(a: &U256L) -> [u8; 32] {
 
 /// Reduce an arbitrary 256-bit value modulo `m` (single conditional
 /// subtraction suffices because `m > 2^255`).
-pub fn reduce_bytes(bytes: &[u8; 32], m: &U256L) -> U256L {
-    let v = from_be_bytes(bytes);
+fn reduce_once(v: U256L, m: &U256L) -> U256L {
     if cmp(&v, m) != std::cmp::Ordering::Less {
         sub_raw(&v, m).0
     } else {
@@ -231,38 +306,112 @@ pub fn reduce_bytes(bytes: &[u8; 32], m: &U256L) -> U256L {
     }
 }
 
+/// [`reduce_once`] of 32 big-endian bytes.
+pub fn reduce_bytes(bytes: &[u8; 32], m: &U256L) -> U256L {
+    reduce_once(from_be_bytes(bytes), m)
+}
+
 // ---- field shorthand ----
 
+/// Reduce a 512-bit value mod `p = 2^256 − c` with the one-limb
+/// `c = 0x1000003D1`: fold `hi·c` into the low half (4 products), fold the
+/// ≤ 34-bit overflow limb the same way, then subtract `p` at most once.
+#[inline(always)]
+fn reduce_p(w: [u64; 8]) -> U256L {
+    const C: u64 = C_P[0];
+    let (r0, c) = mac(w[0], w[4], C, 0);
+    let (r1, c) = mac(w[1], w[5], C, c);
+    let (r2, c) = mac(w[2], w[6], C, c);
+    let (r3, c) = mac(w[3], w[7], C, c);
+    let (r0, c) = mac(r0, c, C, 0);
+    let (r1, c) = adc(r1, c, 0);
+    let (r2, c) = adc(r2, c, 0);
+    let (r3, c) = adc(r3, c, 0);
+    // A carry out of 2^256 leaves a value below 2^68: one more `+ c`
+    // cannot carry again and lands below `p`.
+    let (r0, c) = adc(r0, c * C, 0);
+    let (r1, c) = adc(r1, c, 0);
+    let (r2, c) = adc(r2, c, 0);
+    let r3 = r3 + c;
+    let r = [r0, r1, r2, r3];
+    if ge_p(&r) {
+        // The top three limbs are all ones, so r − p is one limb.
+        [r0 - P[0], 0, 0, 0]
+    } else {
+        r
+    }
+}
+
+/// `r ≥ p`: only when the top three limbs are all ones.
+#[inline(always)]
+fn ge_p(r: &U256L) -> bool {
+    r[3] & r[2] & r[1] == u64::MAX && r[0] >= P[0]
+}
+
+// Forced inline: left to itself the compiler keeps `fmul` / `fsqr` as
+// calls that pass operands through memory, which measured 31 ns against
+// 19.5 ns per chained product.
+#[inline(always)]
 fn fmul(a: &U256L, b: &U256L) -> U256L {
-    mul_mod(a, b, &P, &C_P)
+    reduce_p(mul_wide(a, b))
 }
 
+#[inline(always)]
 fn fsqr(a: &U256L) -> U256L {
-    fmul(a, a)
+    reduce_p(sqr_wide(a))
 }
 
+/// `a + b (mod p)` for reduced inputs, branch-free: a sum that carried out
+/// or reached `p` is `≥ p`, and `− p` is `+ c (mod 2^256)`.
 fn fadd(a: &U256L, b: &U256L) -> U256L {
-    add_mod(a, b, &P)
+    let (sum, carry) = add_raw(a, b);
+    let over = carry | ge_p(&sum);
+    add_raw(&sum, &[over as u64 * C_P[0], 0, 0, 0]).0
 }
 
+/// `a − b (mod p)` for reduced inputs, branch-free: a difference that
+/// borrowed gets `+ p`, which is `− c (mod 2^256)`.
 fn fsub(a: &U256L, b: &U256L) -> U256L {
-    sub_mod(a, b, &P)
+    let (diff, borrow) = sub_raw(a, b);
+    sub_raw(&diff, &[borrow as u64 * C_P[0], 0, 0, 0]).0
+}
+
+fn fneg(a: &U256L) -> U256L {
+    fsub(&ZERO, a)
+}
+
+/// Square `a` `n` times.
+fn fsqr_n(a: &U256L, n: u32) -> U256L {
+    let mut r = *a;
+    for _ in 0..n {
+        r = fsqr(&r);
+    }
+    r
 }
 
 fn finv(a: &U256L) -> U256L {
-    inv_mod(a, &P, &C_P)
+    inv_mod(a, &P)
 }
 
-/// Square root mod p (p ≡ 3 mod 4): `a^((p+1)/4)`; verify before use.
+/// Square root mod p (p ≡ 3 mod 4): `a^((p+1)/4)` by a fixed addition
+/// chain of 254 squarings and 13 products; verify before use. The
+/// exponent is 223 one bits, a zero, 22 ones, then `00001100`; `x_k`
+/// below is `a^(2^k − 1)`.
 fn fsqrt(a: &U256L) -> U256L {
-    // (p+1)/4, precomputed.
-    const E: U256L = [
-        0xFFFF_FFFF_BFFF_FF0C,
-        0xFFFF_FFFF_FFFF_FFFF,
-        0xFFFF_FFFF_FFFF_FFFF,
-        0x3FFF_FFFF_FFFF_FFFF,
-    ];
-    pow_mod(a, &E, &P, &C_P)
+    let x2 = fmul(&fsqr(a), a);
+    let x3 = fmul(&fsqr(&x2), a);
+    let x6 = fmul(&fsqr_n(&x3, 3), &x3);
+    let x9 = fmul(&fsqr_n(&x6, 3), &x3);
+    let x11 = fmul(&fsqr_n(&x9, 2), &x2);
+    let x22 = fmul(&fsqr_n(&x11, 11), &x11);
+    let x44 = fmul(&fsqr_n(&x22, 22), &x22);
+    let x88 = fmul(&fsqr_n(&x44, 44), &x44);
+    let x176 = fmul(&fsqr_n(&x88, 88), &x88);
+    let x220 = fmul(&fsqr_n(&x176, 44), &x44);
+    let x223 = fmul(&fsqr_n(&x220, 3), &x3);
+    let t = fmul(&fsqr_n(&x223, 23), &x22);
+    let t = fmul(&fsqr_n(&t, 6), &x2);
+    fsqr_n(&t, 2)
 }
 
 // ---- points ----
@@ -404,62 +553,27 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication for an arbitrary base point, via a width-5
-    /// wNAF ladder over precomputed odd multiples (`P, 3P, …, 15P`,
-    /// batch-normalized to affine with one inversion).
-    ///
-    /// Versus the old double-and-add this trades ~128 general Jacobian
-    /// additions for ~43 mixed additions plus a tiny precompute — the
-    /// dominant cost of `recover` (on-chain `ecrecover` simulation and
-    /// the TS's request-signature checks), cutting it by roughly half.
+    /// Scalar multiplication for an arbitrary base point of order `n`
+    /// (every finite point on the curve): [`double_mul`] with no generator
+    /// part, so ~128 doublings and ~50 general additions (see there).
     pub fn mul(&self, scalar: &U256L) -> Point {
-        if is_zero(scalar) || self.is_infinity() {
-            return Point::INFINITY;
-        }
-        // Odd multiples 1P, 3P, …, 15P. On secp256k1 (prime order,
-        // cofactor 1) none of these can be infinity for a finite on-curve
-        // base; the guard below keeps garbage inputs on the slow path
-        // rather than corrupting the batch normalization.
-        let two = self.double();
-        let mut jac = [Point::INFINITY; 8];
-        let mut cur = *self;
-        for slot in &mut jac {
-            if cur.is_infinity() || two.is_infinity() {
-                return self.mul_binary(scalar);
-            }
-            *slot = cur;
-            cur = cur.add(&two);
-        }
-        let table = batch_to_affine(&jac);
-
-        let (digits, len) = wnaf5(scalar);
-        let mut acc = Point::INFINITY;
-        for i in (0..len).rev() {
-            acc = acc.double();
-            let d = digits[i];
-            if d != 0 {
-                let mut entry = table[(d.unsigned_abs() as usize - 1) / 2];
-                if d < 0 {
-                    entry.y = sub_mod(&ZERO, &entry.y, &P);
-                }
-                acc = acc.add_affine(&entry);
-            }
-        }
-        acc
+        double_mul(&ZERO, self, scalar)
     }
 
-    /// The plain double-and-add ladder (MSB first) — fallback for
-    /// degenerate bases and the reference the wNAF path is tested
-    /// against.
-    fn mul_binary(&self, scalar: &U256L) -> Point {
-        let mut acc = Point::INFINITY;
-        for i in (0..256).rev() {
-            acc = acc.double();
-            if (scalar[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-            }
+    /// `λ·self` for a point of order `n`: `(β·x, y)`.
+    fn endo(&self) -> Point {
+        Point {
+            x: fmul(&self.x, &BETA),
+            ..*self
         }
-        acc
+    }
+
+    /// `−self`.
+    fn neg(&self) -> Point {
+        Point {
+            y: fneg(&self.y),
+            ..*self
+        }
     }
 
     /// Mixed addition: `self + other` with `other` affine (z = 1). Saves
@@ -495,77 +609,196 @@ impl Point {
     }
 }
 
+// ---- GLV endomorphism ----
+//
+// secp256k1 has the endomorphism `φ(x, y) = (β·x, y)`, which acts on the
+// order-`n` group as multiplication by `λ`, where `β³ ≡ 1 (mod p)` and
+// `λ³ ≡ 1 (mod n)` are the matching non-trivial cube roots of unity
+// (`λ² + λ + 1 ≡ 0`, `β² + β + 1 ≡ 0`). A scalar `k` splits as
+// `k ≡ k1 + k2·λ (mod n)` with `|k1|, |k2| < 2^128`, so `k·P` becomes
+// `k1·P + k2·φ(P)` over half as many doublings.
+//
+// The split rounds `k` onto the lattice `{(x, y) : x + y·λ ≡ 0 (mod n)}`,
+// which has the short basis
+//
+//   (a1, b1) = ( 0x3086d221a7d46bcde86c90e49284eb15, −0xe4437ed6010e88286f547fa90abfe4c3)
+//   (a2, b2) = (0x114ca50f7a8e2f3f657c1108d9d44cfd8,  0x3086d221a7d46bcde86c90e49284eb15)
+//
+// with `a1·b2 − a2·b1 = n`: `c1 = ⌊b2·k/n⌉`, `c2 = ⌊−b1·k/n⌉`,
+// `k2 = −c1·b1 − c2·b2`, `k1 = k − k2·λ`. The divisions by `n` are
+// multiplications by `G1 = ⌊2^384·b2/n⌉` and `G2 = ⌊2^384·(−b1)/n⌉`
+// followed by a rounding shift. The unit tests prove every identity
+// quoted here rather than trusting the constants.
+
+const LAMBDA: U256L = [
+    0xDF02_967C_1B23_BD72,
+    0x122E_22EA_2081_6678,
+    0xA526_1C02_8812_645A,
+    0x5363_AD4C_C05C_30E0,
+];
+const BETA: U256L = [
+    0xC139_6C28_7195_01EE,
+    0x9CF0_4975_12F5_8995,
+    0x6E64_479E_AC34_34E9,
+    0x7AE9_6A2B_657C_0710,
+];
+const MINUS_B1: U256L = [0x6F54_7FA9_0ABF_E4C3, 0xE443_7ED6_010E_8828, 0, 0];
+const B2: U256L = [0xE86C_90E4_9284_EB15, 0x3086_D221_A7D4_6BCD, 0, 0];
+const G1: U256L = [
+    0xE893_209A_45DB_B031,
+    0x3DAA_8A14_71E8_CA7F,
+    0xE86C_90E4_9284_EB15,
+    0x3086_D221_A7D4_6BCD,
+];
+const G2: U256L = [
+    0x1571_B4AE_8AC4_7F71,
+    0x2212_08AC_9DF5_06C6,
+    0x6F54_7FA9_0ABF_E4C4,
+    0xE443_7ED6_010E_8828,
+];
+
+/// Split `k` (any 256-bit value, taken mod `n`) into `[k1, k2]` with
+/// `k ≡ k1 + k2·λ (mod n)`, each as a magnitude below `2^128` and a
+/// "negative" flag.
+fn glv_split(k: &U256L) -> [(U256L, bool); 2] {
+    let k = reduce_once(*k, &N);
+    // ⌊k·g / 2^384⌉
+    let mul_shift = |g: &U256L| {
+        let w = mul_wide(&k, g);
+        add_raw(&[w[6], w[7], 0, 0], &[w[5] >> 63, 0, 0, 0]).0
+    };
+    let (c1, c2) = (mul_shift(&G1), mul_shift(&G2));
+    let k2 = sub_mod(&nmul(&c1, &MINUS_B1), &nmul(&c2, &B2), &N);
+    let k1 = sub_mod(&k, &nmul(&k2, &LAMBDA), &N);
+    [k1, k2].map(|k| {
+        if cmp(&k, &n_half()) == std::cmp::Ordering::Greater {
+            (sub_raw(&N, &k).0, true)
+        } else {
+            (k, false)
+        }
+    })
+}
+
 // ---- wNAF recoding ----
 
-/// Decompose a 256-bit scalar into width-5 NAF digits, least significant
-/// first: each digit is odd with `|d| ≤ 15` (or zero), and any two
-/// non-zero digits are at least 5 positions apart, so a 256-bit scalar
-/// averages ~43 point additions instead of ~128.
+/// Decompose `±scalar` into width-`w` NAF digits, least significant
+/// first: each digit is odd with `|d| < 2^(w−1)` (or zero), and any two
+/// non-zero digits are at least `w` positions apart, so an `L`-bit scalar
+/// averages `L/(w+1)` point additions.
 ///
-/// Returns the digit buffer and its length (≤ 257: borrowing into the
-/// top window can carry one position past the input width).
-fn wnaf5(scalar: &U256L) -> ([i8; 257], usize) {
-    // A fifth limb absorbs the transient carry past 2^256.
-    let mut k = [scalar[0], scalar[1], scalar[2], scalar[3], 0u64];
+/// Returns the digit buffer and its length (≤ 257: rounding the top
+/// window up can carry one position past the input width).
+fn wnaf(scalar: &U256L, w: u32, negate: bool) -> ([i8; 257], usize) {
+    debug_assert!((2..=8).contains(&w));
+    let k = [scalar[0], scalar[1], scalar[2], scalar[3], 0, 0];
     let mut digits = [0i8; 257];
     let mut len = 0;
-    while k.iter().any(|&limb| limb != 0) {
-        if k[0] & 1 == 1 {
-            let t = (k[0] & 31) as i8; // odd, 1..=31
-            let d = if t >= 16 { t - 32 } else { t };
-            digits[len] = d;
-            if d >= 0 {
-                sub_small(&mut k, d as u64);
-            } else {
-                add_small(&mut k, (-d) as u64);
-            }
+    let mut carry = 0;
+    let mut bit = 0;
+    while bit <= 256 {
+        let (limb, shift) = (bit / 64, bit % 64);
+        if (k[limb] >> shift) & 1 == carry {
+            bit += 1;
+            continue;
         }
-        shr1(&mut k);
-        len += 1;
+        // The `w` bits from `bit` up, plus the carry: odd, in 1..2^w.
+        let mut word = k[limb] >> shift;
+        if shift + w as usize > 64 {
+            word |= k[limb + 1] << (64 - shift);
+        }
+        let word = (word & ((1 << w) - 1)) + carry;
+        carry = word >> (w - 1);
+        let d = word as i32 - ((carry as i32) << w);
+        digits[bit] = (if negate { -d } else { d }) as i8;
+        len = bit + 1;
+        bit += w as usize;
     }
     (digits, len)
 }
 
-fn sub_small(k: &mut [u64; 5], v: u64) {
-    let (d, mut borrow) = k[0].overflowing_sub(v);
-    k[0] = d;
-    let mut i = 1;
-    while borrow && i < 5 {
-        let (d, b) = k[i].overflowing_sub(1);
-        k[i] = d;
-        borrow = b;
-        i += 1;
-    }
+// ---- the ladder: u1·G + u2·R on one doubling chain ----
+
+/// Window of the generator's wNAF streams in [`double_mul`]: the tables
+/// are static, so a wide window costs nothing per call.
+const G_WINDOW: u32 = 8;
+
+/// Odd multiples `G, 3G, …, 127G` and `λ` times each, affine.
+fn g_tables() -> &'static [Vec<Affine>; 2] {
+    use std::sync::OnceLock;
+    static TABLES: OnceLock<[Vec<Affine>; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = Point::generator();
+        let two = g.double();
+        let mut jac = vec![g];
+        for i in 1..1 << (G_WINDOW - 2) {
+            jac.push(jac[i - 1].add(&two));
+        }
+        let odd = batch_to_affine(&jac);
+        let lambda_odd = odd
+            .iter()
+            .map(|a| Affine {
+                x: fmul(&a.x, &BETA),
+                y: a.y,
+            })
+            .collect();
+        [odd, lambda_odd]
+    })
 }
 
-fn add_small(k: &mut [u64; 5], v: u64) {
-    let (s, mut carry) = k[0].overflowing_add(v);
-    k[0] = s;
-    let mut i = 1;
-    while carry && i < 5 {
-        let (s, c) = k[i].overflowing_add(1);
-        k[i] = s;
-        carry = c;
-        i += 1;
+/// `u1·G + u2·R` for `R` of order `n` (or infinity), Strauss–Shamir over
+/// the GLV split: `u1 = g1 + g2·λ` and `u2 = r1 + r2·λ` give four
+/// ~128-bit wNAF streams over `G`, `λG`, `R` and `λR = (β·x, y)`, all
+/// added into a **single** chain of ~128 doublings.
+///
+/// The two generator streams use width 8 over static affine tables
+/// (~14 mixed additions each); the two `R` streams use width 5 over `R`'s
+/// eight odd multiples (~21 general additions each, plus 7 and a doubling
+/// to build the table, and 8 products for `λ` times it). That table stays
+/// Jacobian: normalizing it would cost an inversion to save ~215
+/// products. The equal-, opposite- and infinite-operand branches live in
+/// [`Point::add`] / [`Point::add_affine`], so `R = ±G`, `R = ±λG` and an
+/// infinite `R` need no care here.
+fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
+    let g_streams = glv_split(u1).map(|(k, neg)| wnaf(&k, G_WINDOW, neg));
+    let r_streams = glv_split(u2).map(|(k, neg)| wnaf(&k, 5, neg));
+    let g_tables = g_tables();
+    let two = r.double();
+    let mut odd = [*r; 8];
+    for i in 1..8 {
+        odd[i] = odd[i - 1].add(&two);
     }
-}
+    let r_tables = [odd, odd.map(|p| p.endo())];
 
-fn shr1(k: &mut [u64; 5]) {
-    for i in 0..5 {
-        k[i] >>= 1;
-        if i + 1 < 5 {
-            k[i] |= (k[i + 1] & 1) << 63;
+    let len = g_streams.iter().chain(&r_streams).map(|s| s.1).max();
+    let mut acc = Point::INFINITY;
+    for i in (0..len.expect("four streams")).rev() {
+        acc = acc.double();
+        for ((digits, _), table) in g_streams.iter().zip(g_tables) {
+            let d = digits[i];
+            if d != 0 {
+                let entry = table[d.unsigned_abs() as usize / 2];
+                acc = acc.add_affine(&if d < 0 { entry.neg() } else { entry });
+            }
+        }
+        for ((digits, _), table) in r_streams.iter().zip(&r_tables) {
+            let d = digits[i];
+            if d != 0 {
+                let entry = table[d.unsigned_abs() as usize / 2];
+                acc = acc.add(&if d < 0 { entry.neg() } else { entry });
+            }
         }
     }
+    acc
 }
 
 // ---- fixed-base generator multiplication ----
 //
-// Every ECDSA sign and half of every recover multiplies the *generator* by
-// a scalar. A one-time table of `j·16^i·G` (i < 64 windows, j in 1..=15)
-// turns that from 256 doubles + ~128 general adds into at most 64 mixed
-// additions — the ~4-8x issuance speedup the ROADMAP called out. The table
-// is ~60 KB, built lazily on first use (a few ms, amortized forever).
+// Every ECDSA sign and every key derivation multiplies the *generator* by
+// a scalar (`recover` does not come here: its generator part rides on
+// `double_mul`'s doubling chain). A one-time table of `j·16^i·G` (i < 64
+// windows, j in 1..=15) turns that from 256 doubles + ~128 general adds
+// into at most 64 mixed additions. The table is ~60 KB, built lazily on
+// first use (under a millisecond, amortized forever).
 
 const FB_WINDOWS: usize = 64; // 256 bits / 4-bit windows
 const FB_ENTRIES: usize = 15; // non-zero digits per window
@@ -611,8 +844,8 @@ fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
     out
 }
 
-/// `k·G` via the fixed-base window table: ≤ 64 mixed additions, no
-/// doublings.
+/// `k·G` via the fixed-base window table: ≤ 64 mixed additions (60 on
+/// average, 8M + 3S each), no doublings.
 pub fn mul_g(k: &U256L) -> Point {
     let table = fb_table();
     let mut acc = Point::INFINITY;
@@ -626,6 +859,14 @@ pub fn mul_g(k: &U256L) -> Point {
 }
 
 impl Affine {
+    /// `−self`.
+    fn neg(&self) -> Affine {
+        Affine {
+            x: self.x,
+            y: fneg(&self.y),
+        }
+    }
+
     /// Whether `y² = x³ + 7` holds.
     pub fn is_on_curve(&self) -> bool {
         let y2 = fsqr(&self.y);
@@ -647,7 +888,7 @@ impl Affine {
         let y = if (y[0] & 1 == 1) == y_is_odd {
             y
         } else {
-            sub_mod(&ZERO, &y, &P)
+            fneg(&y)
         };
         Some(Affine { x: *x, y })
     }
@@ -716,7 +957,7 @@ pub fn sign(z: &U256L, d: &U256L, mut nonce: impl FnMut(u32) -> [u8; 32]) -> Raw
         if is_zero(&r) {
             continue;
         }
-        let kinv = inv_mod(&k, &N, &C_N);
+        let kinv = inv_mod(&k, &N);
         let s = nmul(&kinv, &add_mod(z, &nmul(&r, d), &N));
         if is_zero(&s) {
             continue;
@@ -733,18 +974,18 @@ pub fn sign(z: &U256L, d: &U256L, mut nonce: impl FnMut(u32) -> [u8; 32]) -> Raw
     unreachable!("nonce search always terminates")
 }
 
+/// `⌊n / 2⌋`.
 fn n_half() -> U256L {
-    // n >> 1
-    let mut out = ZERO;
-    let mut carry = 0u64;
-    for i in (0..4).rev() {
-        out[i] = (N[i] >> 1) | (carry << 63);
-        carry = N[i] & 1;
-    }
-    out
+    shr(&[N[0], N[1], N[2], N[3], 0], 1)
 }
 
-/// Recover the public key from a digest and a recoverable signature.
+/// Recover the public key `r⁻¹·(s·R − z·G)` from a digest and a
+/// recoverable signature, where `R` is the point with x-coordinate `r` and
+/// the given y-parity. `None` for `r` or `s` outside `[1, n)`, an `r` that
+/// is no x-coordinate, and an infinite result.
+///
+/// Costs one `fsqrt` (`lift_x`), one scalar inversion, one [`double_mul`]
+/// and one field inversion (`to_affine`).
 pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
     if is_zero(r) || is_zero(s) {
         return None;
@@ -753,16 +994,146 @@ pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
         return None;
     }
     let rp = Affine::lift_x(r, y_odd)?;
-    let rinv = inv_mod(r, &N, &C_N);
+    let rinv = inv_mod(r, &N);
     let u1 = nmul(&sub_mod(&ZERO, z, &N), &rinv);
     let u2 = nmul(s, &rinv);
-    let q = mul_g(&u1).add(&Point::from_affine(&rp).mul(&u2));
-    q.to_affine()
+    double_mul(&u1, &Point::from_affine(&rp), &u2).to_affine()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // ---- slow references ----
+
+    /// `a · b (mod m)` one bit at a time, through `add_mod` alone: shares
+    /// no code with `mul_wide`, either reduction or the squaring.
+    fn mul_ref(a: &U256L, b: &U256L, m: &U256L) -> U256L {
+        let (a, b) = (reduce_once(*a, m), reduce_once(*b, m));
+        let mut acc = ZERO;
+        for i in (0..256).rev() {
+            acc = add_mod(&acc, &acc, m);
+            if (b[i / 64] >> (i % 64)) & 1 == 1 {
+                acc = add_mod(&acc, &a, m);
+            }
+        }
+        acc
+    }
+
+    /// `a^e (mod m)` by square-and-multiply over the generic `mul_mod`.
+    fn pow_mod(a: &U256L, e: &U256L, m: &U256L, c: &U256L) -> U256L {
+        let mut result = ONE;
+        for i in (0..256).rev() {
+            result = mul_mod(&result, &result, m, c);
+            if (e[i / 64] >> (i % 64)) & 1 == 1 {
+                result = mul_mod(&result, a, m, c);
+            }
+        }
+        result
+    }
+
+    /// The plain double-and-add ladder (MSB first).
+    fn mul_binary(base: &Point, scalar: &U256L) -> Point {
+        let mut acc = Point::INFINITY;
+        for i in (0..256).rev() {
+            acc = acc.double();
+            if (scalar[i / 64] >> (i % 64)) & 1 == 1 {
+                acc = acc.add(base);
+            }
+        }
+        acc
+    }
+
+    // ---- seeded inputs ----
+
+    /// Cases per differential pair. A debug build spends ~2 ms in each
+    /// `mul_binary`, so the full count runs in release (CI has a step).
+    const CASES: usize = if cfg!(debug_assertions) { 300 } else { 10_000 };
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Uniform limbs, with one limb in four forced to all zeros or
+        /// all ones so that carries and borrows run the full width.
+        fn u256(&mut self) -> U256L {
+            std::array::from_fn(|_| match self.next() % 8 {
+                0 => 0,
+                1 => u64::MAX,
+                _ => self.next(),
+            })
+        }
+    }
+
+    fn n_minus(v: u64) -> U256L {
+        sub_raw(&N, &[v, 0, 0, 0]).0
+    }
+
+    /// 0, 1, p − 1, p, 2^256 − 1 − p, 2^256 − 1 and neighbours: values
+    /// that make both fold carries and the final subtract fire.
+    fn field_edges() -> Vec<U256L> {
+        let all_ones = [u64::MAX; 4];
+        vec![
+            ZERO,
+            ONE,
+            sub_raw(&P, &ONE).0,
+            P,
+            sub_raw(&all_ones, &P).0,
+            all_ones,
+            [0, u64::MAX, u64::MAX, u64::MAX],
+            [u64::MAX, 0, 0, u64::MAX],
+            [P[0] + 1, u64::MAX, u64::MAX, u64::MAX],
+            [0, 0, 0, 1 << 63],
+        ]
+    }
+
+    /// 0, 1, n − 1, n, 2^128 and 2^128 ± 1.
+    fn scalar_edges() -> Vec<U256L> {
+        vec![
+            ZERO,
+            ONE,
+            n_minus(1),
+            N,
+            [u64::MAX, u64::MAX, 0, 0],
+            [0, 0, 1, 0],
+            [1, 0, 1, 0],
+        ]
+    }
+
+    /// Edge operands crossed with each other, then seeded random pairs up
+    /// to `CASES`.
+    fn pairs(edges: &[U256L], seed: u64) -> Vec<(U256L, U256L)> {
+        let mut rng = XorShift(seed);
+        let mut out = Vec::new();
+        for a in edges {
+            for b in edges {
+                out.push((*a, *b));
+            }
+        }
+        while out.len() < CASES {
+            out.push((rng.u256(), rng.u256()));
+        }
+        out
+    }
+
+    /// `G`, `−G`, `λG`, `−λG`, then seeded random points.
+    fn bases(count: usize, seed: u64) -> Vec<Point> {
+        let g = Point::generator();
+        let mut rng = XorShift(seed);
+        let mut out = vec![g, g.neg(), g.endo(), g.endo().neg()];
+        while out.len() < count {
+            out.push(mul_g(&rng.u256()));
+        }
+        out
+    }
+
+    // ---- curve constants ----
 
     #[test]
     fn generator_is_on_curve() {
@@ -773,6 +1144,64 @@ mod tests {
     #[test]
     fn generator_has_order_n() {
         assert!(Point::generator().mul(&N).is_infinity());
+        assert!(mul_binary(&Point::generator(), &N).is_infinity());
+    }
+
+    #[test]
+    fn glv_constants_satisfy_their_defining_equations() {
+        // λ and β are non-trivial cube roots of unity.
+        assert_ne!(LAMBDA, ONE);
+        assert_eq!(nmul(&nmul(&LAMBDA, &LAMBDA), &LAMBDA), ONE);
+        assert_eq!(mul_ref(&mul_ref(&LAMBDA, &LAMBDA, &N), &LAMBDA, &N), ONE);
+        assert_ne!(BETA, ONE);
+        assert_eq!(fmul(&fsqr(&BETA), &BETA), ONE);
+        assert_eq!(mul_ref(&mul_ref(&BETA, &BETA, &P), &BETA, &P), ONE);
+        // They are the *matching* pair: λ·G = (β·Gx, Gy).
+        let lambda_g = mul_binary(&Point::generator(), &LAMBDA).to_affine();
+        assert_eq!(Point::generator().endo().to_affine(), lambda_g);
+        assert_eq!(
+            lambda_g,
+            Some(Affine {
+                x: mul_ref(&BETA, &GX, &P),
+                y: GY
+            })
+        );
+        // Both basis vectors lie on the lattice a + b·λ ≡ 0 (mod n), with
+        // a1 = b2.
+        const A2: U256L = [0x57C1_108D_9D44_CFD8, 0x14CA_50F7_A8E2_F3F6, 1, 0];
+        assert_eq!(mul_ref(&MINUS_B1, &LAMBDA, &N), B2);
+        assert_eq!(add_mod(&A2, &mul_ref(&B2, &LAMBDA, &N), &N), ZERO);
+        // … and span a cell of area a1·b2 − a2·b1 = n.
+        let (sq, cross) = (mul_wide(&B2, &B2), mul_wide(&A2, &MINUS_B1));
+        let mut det = [0u64; 8];
+        let mut carry = 0;
+        for i in 0..8 {
+            (det[i], carry) = adc(sq[i], cross[i], carry);
+        }
+        assert_eq!(det, [N[0], N[1], N[2], N[3], 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn glv_split_recombines_with_short_halves() {
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        let mut scalars = scalar_edges();
+        scalars.extend([n_minus(2), n_half(), [u64::MAX; 4], LAMBDA]);
+        while scalars.len() < CASES.max(10_000) {
+            scalars.push(rng.u256());
+        }
+        for k in scalars {
+            let [(k1, neg1), (k2, neg2)] = glv_split(&k);
+            // |k1|, |k2| < 2^129 (in fact < 2^128).
+            assert!(k1[2] < 2 && k1[3] == 0, "k1 of {k:x?}");
+            assert!(k2[2] < 2 && k2[3] == 0, "k2 of {k:x?}");
+            let signed = |v: U256L, neg| if neg { sub_mod(&ZERO, &v, &N) } else { v };
+            let sum = add_mod(
+                &signed(k1, neg1),
+                &mul_ref(&signed(k2, neg2), &LAMBDA, &N),
+                &N,
+            );
+            assert_eq!(sum, reduce_once(k, &N), "k {k:x?}");
+        }
     }
 
     #[test]
@@ -780,13 +1209,8 @@ mod tests {
         // 2G.x from the standard secp256k1 tables.
         let two_g = Point::generator().double().to_affine().unwrap();
         assert_eq!(
-            to_be_bytes(&two_g.x),
-            *<&[u8; 32]>::try_from(
-                hex::decode("c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5")
-                    .unwrap()
-                    .as_slice()
-            )
-            .unwrap()
+            hex::encode(to_be_bytes(&two_g.x)),
+            "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5"
         );
         // G + 2G == 3G == G·3.
         let three_g = Point::generator().add(&Point::generator().double());
@@ -794,20 +1218,106 @@ mod tests {
         assert_eq!(three_g.to_affine(), three_g2.to_affine());
     }
 
+    // ---- every fast path against its slow reference ----
+
     #[test]
-    fn fixed_base_mul_matches_generic_ladder() {
-        let n_minus_1 = sub_raw(&N, &ONE).0;
-        for scalar in [
-            ONE,
-            [0xF, 0, 0, 0],
-            [0xDEAD_BEEF_0BAD_CAFE, 0x1234, 0, 1],
-            [u64::MAX, u64::MAX, u64::MAX, 0x7FFF_FFFF_FFFF_FFFF],
-            n_minus_1,
-        ] {
+    fn field_kernel_matches_generic_and_bit_serial_products() {
+        for (a, b) in pairs(&field_edges(), 1) {
+            let want = mul_mod(&a, &b, &P, &C_P);
+            assert_eq!(fmul(&a, &b), want, "fmul {a:x?} {b:x?}");
+            assert_eq!(mul_ref(&a, &b, &P), want, "mul_mod {a:x?} {b:x?}");
+            assert_eq!(fsqr(&a), mul_mod(&a, &a, &P, &C_P), "fsqr {a:x?}");
+            // fadd / fsub take reduced operands.
+            let (a, b) = (reduce_once(a, &P), reduce_once(b, &P));
+            assert_eq!(fadd(&a, &b), add_mod(&a, &b, &P), "fadd {a:x?} {b:x?}");
+            assert_eq!(fsub(&a, &b), sub_mod(&a, &b, &P), "fsub {a:x?} {b:x?}");
+        }
+    }
+
+    #[test]
+    fn scalar_product_matches_bit_serial_product() {
+        let mut edges = scalar_edges();
+        edges.extend([[u64::MAX; 4], n_half(), C_N]);
+        for (a, b) in pairs(&edges, 2) {
+            assert_eq!(nmul(&a, &b), mul_ref(&a, &b, &N), "{a:x?} {b:x?}");
+        }
+    }
+
+    #[test]
+    fn inverses_and_sqrt_match_pow_mod() {
+        const SQRT_EXP: U256L = [
+            0xFFFF_FFFF_BFFF_FF0C,
+            0xFFFF_FFFF_FFFF_FFFF,
+            0xFFFF_FFFF_FFFF_FFFF,
+            0x3FFF_FFFF_FFFF_FFFF,
+        ];
+        let p_minus_2 = sub_raw(&P, &[2, 0, 0, 0]).0;
+        for (a, b) in pairs(&field_edges(), 3) {
+            for x in [reduce_once(a, &P), reduce_once(b, &P)] {
+                assert_eq!(finv(&x), pow_mod(&x, &p_minus_2, &P, &C_P), "{x:x?}");
+                assert_eq!(fsqrt(&x), pow_mod(&x, &SQRT_EXP, &P, &C_P), "{x:x?}");
+            }
+        }
+        let mut edges = scalar_edges();
+        edges.extend([n_minus(2), n_half(), [0, 0, 0, 1 << 62], [0, 1, 0, 0]]);
+        for (a, b) in pairs(&edges, 4) {
+            for x in [reduce_once(a, &N), reduce_once(b, &N)] {
+                let want = pow_mod(&x, &n_minus(2), &N, &C_N);
+                assert_eq!(inv_mod(&x, &N), want, "{x:x?}");
+                if !is_zero(&x) {
+                    assert_eq!(nmul(&x, &want), ONE);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wnaf_digits_reconstruct_the_scalar() {
+        let mut rng = XorShift(5);
+        let mut scalars = scalar_edges();
+        scalars.extend([[31, 0, 0, 0], [u64::MAX; 4], [u64::MAX, 0, 0, 0]]);
+        scalars.extend((0..200).map(|_| rng.u256()));
+        for scalar in scalars {
+            for (w, negate) in [(5, false), (5, true), (G_WINDOW, false), (2, true)] {
+                let (digits, len) = wnaf(&scalar, w, negate);
+                // Non-zero digits are odd, |d| < 2^(w−1), and ≥ w apart.
+                let mut last_nonzero: Option<usize> = None;
+                for (i, &d) in digits[..len].iter().enumerate() {
+                    if d == 0 {
+                        continue;
+                    }
+                    assert!(d % 2 != 0 && (d as i32).abs() < 1 << (w - 1), "{d} at {i}");
+                    if let Some(prev) = last_nonzero {
+                        assert!(i - prev >= w as usize, "{prev} and {i} too close");
+                    }
+                    last_nonzero = Some(i);
+                }
+                assert!(digits[len..].iter().all(|&d| d == 0));
+                // Σ dᵢ·2ⁱ == ±scalar, evaluated mod n (which is odd, so
+                // the doubling loses nothing).
+                let mut acc = ZERO;
+                for &d in digits[..len].iter().rev() {
+                    acc = add_mod(&acc, &acc, &N);
+                    let mag = [d.unsigned_abs() as u64, 0, 0, 0];
+                    acc = if (d < 0) != negate {
+                        sub_mod(&acc, &mag, &N)
+                    } else {
+                        add_mod(&acc, &mag, &N)
+                    };
+                }
+                assert_eq!(acc, reduce_once(scalar, &N), "w {w} of {scalar:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_mul_matches_binary_ladder() {
+        let g = Point::generator();
+        for (k, _) in pairs(&scalar_edges(), 6) {
             assert_eq!(
-                mul_g(&scalar).to_affine(),
-                Point::generator().mul(&scalar).to_affine(),
-                "scalar {scalar:x?}"
+                mul_g(&k).to_affine(),
+                mul_binary(&g, &k).to_affine(),
+                "k {k:x?}"
             );
         }
         assert!(mul_g(&N).is_infinity());
@@ -815,96 +1325,54 @@ mod tests {
     }
 
     #[test]
-    fn wnaf_digits_reconstruct_the_scalar() {
-        for scalar in [
-            ONE,
-            [31, 0, 0, 0],
-            [0xFFFF_FFFF_FFFF_FFFF, 0, 0, 0],
-            [0xDEAD_BEEF_0BAD_CAFE, 0x1234, 0xFFFF_0000_FFFF_0000, 1],
-            [u64::MAX; 4],
-            N,
-        ] {
-            let (digits, len) = wnaf5(&scalar);
-            assert!(len <= 257);
-            // Non-zero digits are odd, |d| ≤ 15, and ≥ 5 apart.
-            let mut last_nonzero: Option<usize> = None;
-            for (i, &d) in digits[..len].iter().enumerate() {
-                if d == 0 {
-                    continue;
-                }
-                assert!(d % 2 != 0 && d.abs() <= 15, "digit {d} at {i}");
-                if let Some(prev) = last_nonzero {
-                    assert!(i - prev >= 5, "digits at {prev} and {i} too close");
-                }
-                last_nonzero = Some(i);
-            }
-            // Σ dᵢ·2ⁱ == scalar (evaluated in 320-bit arithmetic).
-            let mut acc = [0u64; 5];
-            for (i, &d) in digits[..len].iter().enumerate().rev() {
-                // acc = acc*2 + d
-                let mut carry = 0u64;
-                for limb in acc.iter_mut() {
-                    let high = *limb >> 63;
-                    *limb = (*limb << 1) | carry;
-                    carry = high;
-                }
-                let _ = i;
-                if d >= 0 {
-                    add_small(&mut acc, d as u64);
-                } else {
-                    sub_small(&mut acc, (-d) as u64);
-                }
-            }
-            assert_eq!(&acc[..4], &scalar[..], "reconstruction mismatch");
-            assert_eq!(acc[4], 0);
+    fn point_mul_matches_binary_ladder() {
+        let scalars = pairs(&scalar_edges(), 7);
+        let bases = bases(scalars.len(), 8);
+        for ((k, _), base) in scalars.iter().zip(&bases) {
+            assert_eq!(
+                base.mul(k).to_affine(),
+                mul_binary(base, k).to_affine(),
+                "k {k:x?} base {base:x?}"
+            );
         }
-    }
-
-    #[test]
-    fn wnaf_mul_matches_binary_ladder() {
-        let bases = [
-            Point::generator(),
-            Point::generator().double(),
-            Point::generator().mul_binary(&[0xABCD, 7, 0, 0]),
-        ];
-        let n_minus_1 = sub_raw(&N, &ONE).0;
-        for base in bases {
-            for scalar in [
-                ONE,
-                [2, 0, 0, 0],
-                [15, 0, 0, 0],
-                [16, 0, 0, 0],
-                [17, 0, 0, 0],
-                [0xDEAD_BEEF_0BAD_CAFE, 0x1234, 0, 1],
-                [u64::MAX, u64::MAX, u64::MAX, 0x7FFF_FFFF_FFFF_FFFF],
-                n_minus_1,
-            ] {
-                assert_eq!(
-                    base.mul(&scalar).to_affine(),
-                    base.mul_binary(&scalar).to_affine(),
-                    "scalar {scalar:x?}"
-                );
+        // Every edge scalar on every edge base.
+        for base in &bases[..4] {
+            for k in scalar_edges() {
+                assert_eq!(base.mul(&k).to_affine(), mul_binary(base, &k).to_affine());
             }
-            assert!(base.mul(&N).is_infinity());
-            assert!(base.mul(&ZERO).is_infinity());
         }
         assert!(Point::INFINITY.mul(&[5, 0, 0, 0]).is_infinity());
     }
 
     #[test]
-    fn field_inverse_round_trips() {
-        let a = [0x1234_5678, 42, 7, 9];
-        assert_eq!(fmul(&a, &finv(&a)), ONE);
-        let b = [99, 0, 0, 0];
-        assert_eq!(nmul(&b, &inv_mod(&b, &N, &C_N)), ONE);
-    }
-
-    #[test]
-    fn sqrt_round_trips() {
-        let a = [1234, 5, 6, 7];
-        let sq = fsqr(&a);
-        let root = fsqrt(&sq);
-        assert!(root == a || root == sub_mod(&ZERO, &a, &P));
+    fn double_mul_matches_two_binary_ladders() {
+        let g = Point::generator();
+        let check = |u1: &U256L, r: &Point, u2: &U256L| {
+            assert_eq!(
+                double_mul(u1, r, u2).to_affine(),
+                mul_binary(&g, u1).add(&mul_binary(r, u2)).to_affine(),
+                "u1 {u1:x?} u2 {u2:x?} r {r:x?}"
+            );
+        };
+        // R ∈ {G, −G, λG, −λG, ∞} under every pair of edge scalars: equal
+        // and opposite operands meet inside the loop (u1 = u2 on R = −G
+        // cancels to infinity), and u1 = 0 is a digest ≡ 0 (mod n).
+        let mut edge_bases = bases(4, 0);
+        edge_bases.push(Point::INFINITY);
+        for r in &edge_bases {
+            for u1 in scalar_edges() {
+                for u2 in scalar_edges() {
+                    check(&u1, r, &u2);
+                }
+            }
+        }
+        assert!(double_mul(&LAMBDA, &g.neg(), &LAMBDA).is_infinity());
+        assert!(double_mul(&LAMBDA, &g.endo().neg(), &ONE).is_infinity());
+        let scalars = pairs(&[], 9);
+        let bases = bases(scalars.len(), 10);
+        for ((u1, u2), r) in scalars.iter().zip(&bases) {
+            check(u1, r, u2);
+        }
     }
 
     #[test]
