@@ -1,25 +1,19 @@
-//! # smacs-bench — the experiment harness
+//! # smacs-bench — the paper's evaluation, reproduced
 //!
-//! One module per table/figure of the paper's §VI, each exposing a
-//! `measure()` returning structured results and a `report()` rendering the
-//! same rows the paper prints, side by side with the paper's published
-//! numbers. Binaries under `src/bin/` wrap these for the command line;
-//! integration tests assert the qualitative shapes (orderings, linearity,
-//! crossovers) hold.
+//! One module per table/figure of the paper's §VII (Tables II–IV,
+//! Figs. 8–9, the runtime-tool timings, the §II motivation anchors and
+//! the design ablations), each exposing a `measure()` returning
+//! structured results and a `report()` rendering the same rows the paper
+//! prints, side by side with the paper's published numbers. Binaries
+//! under `src/bin/` wrap these for the command line. `tests/shapes.rs`
+//! asserts the qualitative shapes (orderings, linearity, crossovers) and
+//! pins the six deterministic gas reports byte-for-byte against
+//! `tests/paper_reports.golden.txt`.
+//!
+//! Performance is not measured here: that is `benchmark/` +
+//! `BENCHMARK.json` at the repo root.
 
 pub mod experiments;
-pub mod openloop;
-pub mod perf;
 pub mod setup;
 
 pub use experiments::{ablation, fig8, fig9, motivation, runtime_tools, table2, table3, table4};
-
-/// Render a line of a two-way comparison: measured vs paper.
-pub fn compare_line(label: &str, measured: f64, paper: f64, unit: &str) -> String {
-    let ratio = if paper != 0.0 {
-        measured / paper
-    } else {
-        f64::NAN
-    };
-    format!("{label:<34} measured {measured:>14.3} {unit:<6} paper {paper:>14.3} {unit:<6} ratio {ratio:>6.2}")
-}

@@ -1,6 +1,7 @@
 //! Qualitative shape assertions for every experiment: the orderings,
 //! growth laws, and crossovers the paper's tables and figures exhibit must
-//! hold in the reproduction regardless of absolute calibration.
+//! hold in the reproduction regardless of absolute calibration — plus one
+//! golden pinning the deterministic gas reports exactly.
 
 use smacs_bench::{ablation, fig8, fig9, motivation, runtime_tools, table2, table3, table4};
 use smacs_token::TokenType;
@@ -217,242 +218,26 @@ fn ablation_access_control_trade_off_shape() {
     assert!(trade.onchain_update_gas > 20_000);
 }
 
+/// The six gas reports are deterministic, so "the paper's gas tables must
+/// not move" is an equality: the concatenation of what `table2`, `table3`,
+/// `table4`, `fig8`, `motivation` and `ablation` print with default
+/// arguments, in that order. After an intended gas change, regenerate the
+/// golden by running those six bins in that order into the file.
 #[test]
-fn journaled_snapshot_beats_clone_baseline_by_10x() {
-    // Acceptance gate for the journaled-state work: checkpoint + 1-slot
-    // write + revert on a 100k-slot world must be at least 10x faster than
-    // the clone-the-world baseline. The real gap is orders of magnitude
-    // (O(1) journal push vs. a 100k-entry map clone), so 10x leaves a wide
-    // margin for noisy CI machines even in debug builds.
-    const SLOTS: u64 = 100_000;
-    let journaled = smacs_bench::perf::journaled_snapshot_revert_ns(SLOTS, 50);
-    let clone = smacs_bench::perf::clone_snapshot_revert_ns(SLOTS, 5);
-    let speedup = clone / journaled.max(1.0);
-    assert!(
-        speedup >= 10.0,
-        "journaled {journaled:.0} ns vs clone {clone:.0} ns: only {speedup:.1}x"
-    );
-}
-
-#[test]
-fn fork_cost_is_independent_of_world_size() {
-    // Forking a committed world must not scale with the number of slots:
-    // a 100x bigger world may not make forks more than ~10x slower (the
-    // slack absorbs allocator noise; the clone baseline scales ~100x).
-    let small = smacs_bench::perf::journaled_fork_ns(1_000, 200).max(1.0);
-    let large = smacs_bench::perf::journaled_fork_ns(100_000, 200);
-    assert!(
-        large / small < 10.0,
-        "fork scaled with world size: {small:.0} ns -> {large:.0} ns"
-    );
-}
-
-#[test]
-fn ts_concurrent_signing_scales_with_workers() {
-    // Acceptance gate for the worker-pool fan-out: batch-of-256 signing
-    // throughput must scale ≥ 2.5x from a 1-thread to a 4-thread pool.
-    // The gate is only meaningful where 4 workers can actually run — on
-    // fewer than 4 cores the sweep still executes (correctness +
-    // recording) but the ratio assertion is skipped, because no software
-    // can conjure cores the machine does not have.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (batch, rounds) = if cfg!(debug_assertions) {
-        (32, 1)
-    } else {
-        (256, 2)
-    };
-    let points = smacs_bench::perf::concurrent_signing_scaling(batch, &[1, 4], rounds);
-    let at = |w: usize| {
-        points
-            .iter()
-            .find(|p| p.workers == w)
-            .expect("axis point measured")
-            .tokens_per_sec
-    };
-    assert!(at(1) > 0.0 && at(4) > 0.0);
-    // Ratio gates, tiered by how much hardware is really there.
-    // `available_parallelism` counts SMT threads, and shared CI runners
-    // add tenancy noise, so the full ≥ 2.5x bar only arms with headroom
-    // (≥ 8 hardware threads ⇒ ≥ 4 physical cores in practice); a
-    // 4–7-thread box gets a looser sanity bar, and below 4 the sweep is
-    // recorded but unjudged — no software can conjure cores the machine
-    // does not have.
-    if !cfg!(debug_assertions) {
-        let speedup = at(4) / at(1);
-        let floor = match cores {
-            0..=3 => None,
-            4..=7 => Some(1.4),
-            _ => Some(2.5),
-        };
-        if let Some(floor) = floor {
-            assert!(
-                speedup >= floor,
-                "1→4 workers only {speedup:.2}x ({:.0} → {:.0} tokens/s) on {cores} hardware threads (floor {floor}x)",
-                at(1),
-                at(4)
-            );
-        }
-    }
-}
-
-#[test]
-fn connection_scaling_holds_many_connections_with_bounded_threads() {
-    // Acceptance gate for the reactor-backed HTTP server: concurrent
-    // keep-alive connections must not translate into threads, and idle
-    // parked connections must not translate into CPU. 200 connections
-    // keep the test quick; the full 50k-target run lives in
-    // `all_experiments`.
-    let probe = smacs_bench::perf::connection_scaling_probe_with_window(
-        200,
-        std::time::Duration::from_secs(1),
-    );
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    assert!(
-        probe.pool_workers <= (2 * cores).max(2),
-        "default pool too large: {} workers on {cores} cores",
-        probe.pool_workers
-    );
-    assert_eq!(
-        probe.parked_connections, probe.connections,
-        "every idle connection must end up parked in the epoll set"
-    );
-    if probe.os_threads > 0 {
-        // Whole process: pool + reactor + test harness + the 200 client
-        // sockets' owning threads... clients here are synchronous (no
-        // thread each), so the ceiling is a small constant far below the
-        // thread-per-connection model's 201.
-        assert!(
-            probe.os_threads < probe.connections / 2,
-            "{} process threads for {} connections — pooling is not bounding threads",
-            probe.os_threads,
-            probe.connections
-        );
-    }
-    // The readiness claim: with every connection parked and nobody
-    // talking, the process burns (near) zero CPU. The poller-era server
-    // swept all 200 connections every 1 ms here. 5% leaves room for CI
-    // jitter; the reactor itself sits in epoll_wait.
-    assert!(
-        probe.idle_cpu_pct_x100 >= 0,
-        "CPU accounting unreadable on this platform"
-    );
-    assert!(
-        probe.idle_cpu_pct_x100 < 500,
-        "idle CPU {:.2}% with {} parked connections — something is sweeping",
-        probe.idle_cpu_pct_x100 as f64 / 100.0,
-        probe.parked_connections
-    );
-}
-
-#[test]
-fn connection_scaling_storm_keeps_serving_batches() {
-    // Acceptance gate for the two-priority lanes: an accept flood must
-    // not starve batch signing, and every storm request must be served.
-    let (parked, batches, batch) = if cfg!(debug_assertions) {
-        (64, 6, 4)
-    } else {
-        (300, 12, 8)
-    };
-    let probe = smacs_bench::perf::connection_storm_probe(parked, batches, batch);
-    assert_eq!(probe.storm_errors, 0, "storm requests were dropped");
-    assert!(probe.storm_connections > 0, "storm never stormed");
-    // Generous absolute ceiling — the claim is "signing kept flowing",
-    // not a microbenchmark (debug builds sign ~100× slower).
-    let bound_ns: u64 = if cfg!(debug_assertions) {
-        10_000_000_000
-    } else {
-        1_000_000_000
-    };
-    assert!(
-        probe.storm_batch_p99_ns < bound_ns,
-        "batch p99 {} ns collapsed under the accept storm (calm {} ns)",
-        probe.storm_batch_p99_ns,
-        probe.calm_batch_p99_ns
-    );
-}
-
-#[test]
-fn parallel_block_execution_scales_on_multicore() {
-    // Acceptance gate for optimistic parallel block execution: a
-    // low-conflict block (disjoint transfers, every speculation commits
-    // from its delta) must run ≥ 2x faster through a 4-thread pool than
-    // sequentially. Same self-arming scheme as the signing gate: the
-    // sweep always runs (correctness + recording), but the ratio is only
-    // judged where the cores exist — the full 2x bar needs ≥ 8 hardware
-    // threads (≥ 4 physical cores in practice), a 4–7-thread box gets a
-    // looser sanity bar, and the 1-CPU reference container records the
-    // numbers unjudged. Debug builds only smoke-run: unoptimized ECDSA
-    // recovery dominates so heavily there that the ratio says nothing.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (blocks, txs) = if cfg!(debug_assertions) {
-        (2, 16)
-    } else {
-        (6, 64)
-    };
-    let points = smacs_bench::perf::parallel_block_execution(blocks, txs, &[4], &[0]);
-    let point = &points[0];
-    assert!(point.sequential_txs_per_sec > 0.0);
-    let (threads, t4) = point.by_threads[0];
-    assert_eq!(threads, 4);
-    assert!(t4 > 0.0);
-    if !cfg!(debug_assertions) {
-        let speedup = t4 / point.sequential_txs_per_sec;
-        let floor = match cores {
-            0..=3 => None,
-            4..=7 => Some(1.2),
-            _ => Some(2.0),
-        };
-        if let Some(floor) = floor {
-            assert!(
-                speedup >= floor,
-                "seq → 4-thread parallel only {speedup:.2}x ({:.0} → {t4:.0} tx/s) on {cores} hardware threads (floor {floor}x)",
-                point.sequential_txs_per_sec
-            );
-        }
-    }
-}
-
-#[test]
-fn touchset_recording_overhead_is_bounded() {
-    // Read/write-set recording is a few hash-set inserts per overlay
-    // operation; it must stay the same order of magnitude as the
-    // unrecorded path, not multiply it. The bar is deliberately loose
-    // (10x + 1µs absolute slack) — it exists to catch recording becoming
-    // accidentally O(overlay) or allocating per op, not to police noise.
-    let o = smacs_bench::perf::touchset_overhead_ns(10_000, 8);
-    assert!(o.plain_op_ns > 0.0 && o.recorded_op_ns > 0.0);
-    assert!(
-        o.recorded_op_ns < o.plain_op_ns * 10.0 + 1_000.0,
-        "recording {:.1} ns/op vs plain {:.1} ns/op",
-        o.recorded_op_ns,
-        o.plain_op_ns
-    );
-}
-
-#[test]
-fn ts_batch_issuance_outpaces_sequential_v1() {
-    // Acceptance gate for the v2 wire protocol: a batch of 64 tokens per
-    // round trip must beat 64 sequential v1 single-issue round trips. In
-    // release the measured gap is well over 2x (connection setup, thread
-    // spawn, and HTTP/JSON overhead are paid once per batch instead of
-    // once per token); the CI gate asserts 1.5x to absorb shared-runner
-    // noise. Debug builds only smoke-run both paths — unoptimized signing
-    // dominates so heavily there that the ratio says nothing.
-    let wire = smacs_bench::perf::ts_wire_throughput(64, 2);
-    assert!(wire.batch_tokens_per_sec > 0.0);
-    assert!(wire.v1_sequential_tokens_per_sec > 0.0);
-    #[cfg(not(debug_assertions))]
-    assert!(
-        wire.speedup() >= 1.5,
-        "batch {:.0} tok/s vs v1 {:.0} tok/s: only {:.2}x",
-        wire.batch_tokens_per_sec,
-        wire.v1_sequential_tokens_per_sec,
-        wire.speedup()
-    );
+fn gas_reports_match_golden_byte_for_byte() {
+    let (ten_k, bluzelle) = motivation::measure();
+    let reports = [
+        table2::report(&table2::measure()),
+        table3::report(&table3::measure()),
+        table4::report(&table4::measure()),
+        fig8::report(&fig8::measure()),
+        motivation::report(&ten_k, &bluzelle),
+        ablation::report(
+            &ablation::measure_one_time(200),
+            &ablation::measure_shield_overhead(),
+            &ablation::measure_access_control_trade(),
+        ),
+    ]
+    .concat();
+    assert_eq!(reports, include_str!("paper_reports.golden.txt"));
 }

@@ -157,34 +157,18 @@ enum JournalEntry {
 }
 
 /// The replicated world state of the simulated chain.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WorldState {
     base: Arc<StateData>,
     overlay_accounts: HashMap<Address, AccountInfo>,
     /// May contain zero values: tombstones masking non-zero base entries.
     overlay_storage: HashMap<(Address, H256), H256>,
     journal: Vec<JournalEntry>,
-    /// Overlay size at which `commit` rebuilds a fork-shared base; see
-    /// [`WorldState::SHARED_BASE_REBUILD_THRESHOLD`].
-    rebuild_threshold: usize,
     /// Active read/write-set recorder (`None` = recording off, the normal
     /// sequential-execution mode — recording costs one null check when
     /// off). Boxed to keep the idle `WorldState` small; a `fork()` always
     /// starts with recording off.
     touch: Option<Box<TouchSet>>,
-}
-
-impl Default for WorldState {
-    fn default() -> Self {
-        WorldState {
-            base: Arc::default(),
-            overlay_accounts: HashMap::new(),
-            overlay_storage: HashMap::new(),
-            journal: Vec::new(),
-            rebuild_threshold: Self::SHARED_BASE_REBUILD_THRESHOLD,
-            touch: None,
-        }
-    }
 }
 
 /// A snapshot handle from [`WorldState::snapshot`].
@@ -437,27 +421,20 @@ impl WorldState {
         }
     }
 
-    /// Default overlay size at which a shared base is rebuilt rather than
-    /// letting the overlay keep growing (see [`WorldState::commit`]).
+    /// Overlay size at which a shared base is rebuilt rather than letting
+    /// the overlay keep growing (see [`WorldState::commit`]).
     ///
-    /// Measured by the `commit_threshold_sweep` experiment in `smacs-bench`
-    /// (256 blocks × 64 fresh writes committed while a live fork pins a
-    /// 100k-slot base, release build, reference container): small
-    /// thresholds pay the O(world) rebuild repeatedly (up to ~4× per-block
-    /// commit cost at 1024 in quiet runs; noisier under load), while at
-    /// 65536 the overlay never flattens, so every later `fork()` — the
-    /// Token Service's per-request validation path — re-clones ~16k
-    /// accumulated entries (~200–400 µs vs ~30 ns; the robust signal in
-    /// every run). 4096–16384 sit on the flat floor of both axes, so the
-    /// original 8192 stands as a measured value; the sweep re-checks it
-    /// whenever commit/fork internals change.
+    /// Measured over thresholds 1024–65536 (256 blocks × 64 fresh writes
+    /// committed while a live fork pins a 100k-slot base, release build,
+    /// reference container): small thresholds pay the O(world) rebuild
+    /// repeatedly (up to ~4× per-block commit cost at 1024 in quiet runs;
+    /// noisier under load), while at 65536 the overlay never flattens, so
+    /// every later `fork()` — the Token Service's per-request validation
+    /// path — re-clones ~16k accumulated entries (~200–400 µs vs ~30 ns;
+    /// the robust signal in every run). 4096–16384 sit on the flat floor
+    /// of both axes, so 8192 stands as a measured value; re-measure if
+    /// commit/fork internals change.
     pub const SHARED_BASE_REBUILD_THRESHOLD: usize = 8_192;
-
-    /// Override the shared-base rebuild threshold (bench/diagnostic knob;
-    /// the default is [`Self::SHARED_BASE_REBUILD_THRESHOLD`]).
-    pub fn set_rebuild_threshold(&mut self, overlay_entries: usize) {
-        self.rebuild_threshold = overlay_entries.max(1);
-    }
 
     /// Discard journal history (e.g. after a block commits) and flatten the
     /// overlay into the frozen base. Snapshots taken before this call must
@@ -479,7 +456,7 @@ impl WorldState {
             // Base shared by live forks. Small overlays just keep
             // accumulating; past the threshold, pay one O(world) copy for a
             // private base (forks keep the old Arc untouched).
-            if self.overlay_len() < self.rebuild_threshold {
+            if self.overlay_len() < Self::SHARED_BASE_REBUILD_THRESHOLD {
                 return;
             }
             self.base = Arc::new((*self.base).clone());
@@ -511,7 +488,6 @@ impl WorldState {
             overlay_accounts: self.overlay_accounts.clone(),
             overlay_storage: self.overlay_storage.clone(),
             journal: Vec::new(),
-            rebuild_threshold: self.rebuild_threshold,
             touch: None,
         }
     }

@@ -2,10 +2,10 @@
 //! The corpus workload for *one-time tokens at scale* (§IV-F): the TS
 //! issues `claim` method tokens with a one-time index, the shield's
 //! bitmap burns each index on use, and under replication the indexes come
-//! from the majority-quorum `CounterCluster` — so the load generator can
-//! drive thousands of single-use issuances through the replicated
-//! counter. The contract adds its own belt-and-braces `claimed` mapping
-//! (defense in depth; the SMACS layer alone already blocks replays).
+//! from the majority-quorum `CounterCluster` — so a workload can drive
+//! thousands of single-use issuances through the replicated counter. The
+//! contract adds its own belt-and-braces `claimed` mapping (defense in
+//! depth; the SMACS layer alone already blocks replays).
 
 use smacs_chain::abi::{self, AbiType};
 use smacs_chain::{CallContext, Contract, VmError};

@@ -15,8 +15,8 @@
 //! - [`bench_target`] — the minimal application contract the gas tables
 //!   are measured against.
 //!
-//! The scenario corpus (PR 7) adds untested rule shapes for the driver and
-//! load generator in `smacs-driver`:
+//! The scenario corpus (PR 7) adds untested rule shapes for the driver in
+//! `smacs-driver`:
 //!
 //! - [`amm`] — a constant-product AMM ([`SmacsAmm`], argument-token price
 //!   bounds on `swap(amountIn, minOut)`) plus a [`LendingPool`] composing

@@ -1,14 +1,12 @@
 //! # smacs-driver — the scenario subsystem
 //!
-//! Three layers over the contract corpus in `smacs-contracts`:
+//! Two layers over the contract corpus in `smacs-contracts`:
 //!
 //! 1. **[`scenario`]** — named, reproducible worlds (chain + shielded
 //!    corpus contracts + funded wallets + Access Control Rules + issuance
-//!    templates), shared by the REPL and the load generator;
+//!    templates);
 //! 2. **[`repl`]** — the `smacs-repl` interactive driver, the repo's
-//!    first interactive surface;
-//! 3. **[`loadgen`]** — an open-loop, target-rate load generator
-//!    reporting p50/p99/p999 latency.
+//!    first interactive surface.
 //!
 //! ## `smacs-repl` command reference
 //!
@@ -41,35 +39,9 @@
 //! A fresh session starts with a **deny-all** rule book — the first
 //! `mint` fails until rules are granted, which makes the TS's
 //! deny-by-default posture visible interactively.
-//!
-//! ## Load-generator knobs ([`loadgen::LoadConfig`])
-//!
-//! - `offered_rps` — target arrival rate (events/second);
-//! - `events` — run length;
-//! - `senders` — dedicated sender threads (events dealt round-robin);
-//! - `arrivals` — `Uniform` (evenly spaced) or `Poisson` (memoryless,
-//!   bursty — the realistic default);
-//! - `seed` — schedule determinism for Poisson.
-//!
-//! ## Why open-loop
-//!
-//! A closed-loop driver waits for each response before sending the next
-//! request, so offered load *adapts to* service degradation: a saturated
-//! server simply slows the benchmark down and latency looks flat. Real
-//! clients don't coordinate like that — arrivals keep coming. The
-//! open-loop generator fixes the arrival schedule in advance and measures
-//! end-to-end latency **from the scheduled arrival**, so time a request
-//! spends waiting behind a lagging sender is *charged to the service*,
-//! not silently dropped (the coordinated-omission trap). While the TS
-//! keeps up, `achieved_per_sec ≈ offered_rps` and end-to-end ≈ issue
-//! latency; past saturation the e2e tail grows without bound — which is
-//! precisely the signal `perf_regression` gates on via the `*_p99_ns`
-//! keys.
 
-pub mod loadgen;
 pub mod repl;
 pub mod scenario;
 
-pub use loadgen::{run_open_loop, Arrivals, LoadConfig, LoadReport};
 pub use repl::{parse, Command, Repl};
 pub use scenario::{ScenarioWorld, SCENARIOS};

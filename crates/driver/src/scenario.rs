@@ -1,14 +1,13 @@
 //! The scenario registry: named, reproducible worlds over the contract
 //! corpus in `smacs-contracts`, shared by the REPL (`scenario <name>`) and
-//! the open-loop load generator.
+//! the attack suite.
 //!
 //! Each scenario deploys its contracts behind shields, funds a set of
 //! client wallets, builds the Access Control Rules the Token Service
 //! should enforce, and yields a list of *issuance templates*
-//! ([`TokenRequest`]s) that the load generator cycles through. The
-//! template senders/contracts match the rules, so every template is
-//! issuable — denied paths are exercised by the REPL and the attack
-//! suite, not the load generator.
+//! ([`TokenRequest`]s). The template senders/contracts match the rules,
+//! so every template is issuable — denied paths are exercised by the REPL
+//! and the attack suite, not the templates.
 
 use smacs_chain::Chain;
 use smacs_contracts::{Airdrop, LendingPool, PriceOracle, SessionGame, SmacsAmm};
@@ -65,8 +64,7 @@ pub struct ScenarioWorld {
     pub rules: RuleBook,
     /// TS config (the game scenario shortens token lifetime).
     pub ts_config: TokenServiceConfig,
-    /// Issuance templates for the load generator (all permitted by
-    /// `rules`; the generator cycles through them).
+    /// Issuance templates (all permitted by `rules`).
     pub requests: Vec<TokenRequest>,
 }
 

@@ -1,10 +1,9 @@
 //! In-repo shim for the `libc` crate: the build environment has no
 //! registry access, and SMACS only needs a sliver of the real crate —
 //! the readiness syscalls behind the HTTP reactor (`epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`, `eventfd` for wakeups) plus the odd
-//! resource probe (`getrlimit`/`setrlimit`, `sysconf`). Declarations
-//! are plain `extern "C"` against the system libc that `std` already
-//! links, so no build script or registry dependency is required.
+//! `epoll_ctl` / `epoll_wait`, `eventfd` for wakeups). Declarations are
+//! plain `extern "C"` against the system libc that `std` already links,
+//! so no build script or registry dependency is required.
 //!
 //! Linux-only by design (CI runs ubuntu; ROADMAP direction 2 names
 //! epoll explicitly). On other targets the functions are compiled as
@@ -19,7 +18,6 @@ pub type c_ulong = u64;
 pub type c_void = core::ffi::c_void;
 pub type size_t = usize;
 pub type ssize_t = isize;
-pub type rlim_t = u64;
 
 /// `EPOLL_EVENTS` bits and `epoll_ctl` ops (values from the Linux ABI).
 pub const EPOLLIN: u32 = 0x001;
@@ -37,9 +35,6 @@ pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 pub const EFD_CLOEXEC: c_int = 0o2000000;
 pub const EFD_NONBLOCK: c_int = 0o4000;
 
-pub const RLIMIT_NOFILE: c_int = 7;
-pub const _SC_CLK_TCK: c_int = 2;
-
 /// One epoll registration/notification. The kernel ABI packs this
 /// struct on x86 so the 64-bit user datum straddles the usual
 /// alignment — mirror the real crate's layout exactly.
@@ -49,13 +44,6 @@ pub const _SC_CLK_TCK: c_int = 2;
 pub struct epoll_event {
     pub events: u32,
     pub u64: u64,
-}
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct rlimit {
-    pub rlim_cur: rlim_t,
-    pub rlim_max: rlim_t,
 }
 
 #[cfg(target_os = "linux")]
@@ -73,9 +61,6 @@ extern "C" {
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     pub fn close(fd: c_int) -> c_int;
     pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
-    pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
-    pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
-    pub fn sysconf(name: c_int) -> c_long;
 }
 
 // Non-Linux stubs: every call fails, callers see it as an io::Error.
@@ -104,15 +89,6 @@ mod stubs {
         -1
     }
     pub unsafe fn listen(_sockfd: c_int, _backlog: c_int) -> c_int {
-        -1
-    }
-    pub unsafe fn getrlimit(_resource: c_int, _rlim: *mut rlimit) -> c_int {
-        -1
-    }
-    pub unsafe fn setrlimit(_resource: c_int, _rlim: *const rlimit) -> c_int {
-        -1
-    }
-    pub unsafe fn sysconf(_name: c_int) -> c_long {
         -1
     }
 }
@@ -161,19 +137,6 @@ mod tests {
 
             close(efd);
             close(ep);
-        }
-    }
-
-    #[test]
-    fn rlimit_and_sysconf_answer() {
-        unsafe {
-            let mut lim = rlimit {
-                rlim_cur: 0,
-                rlim_max: 0,
-            };
-            assert_eq!(getrlimit(RLIMIT_NOFILE, &mut lim), 0);
-            assert!(lim.rlim_cur > 0 && lim.rlim_cur <= lim.rlim_max);
-            assert!(sysconf(_SC_CLK_TCK) > 0);
         }
     }
 }

@@ -103,8 +103,7 @@ const FAULTED_BODY: &str =
 
 /// Tuning knobs for [`HttpServer::start_with`].
 ///
-/// Prefer [`HttpServerConfig::builder`]; the struct-literal form (with
-/// `..Default::default()`) remains supported for poller-era callers.
+/// Prefer [`HttpServerConfig::builder`].
 #[derive(Clone)]
 pub struct HttpServerConfig {
     /// Connection/signing worker threads. Defaults to
@@ -117,10 +116,6 @@ pub struct HttpServerConfig {
     /// retry backlog — their bytes sit in the socket; nothing is lost.
     /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub queue_capacity: usize,
-    /// **Ignored.** The poller-era sweep cadence; the reactor is
-    /// readiness-driven (epoll) and never sweeps. Kept so poller-era
-    /// struct literals keep compiling unchanged.
-    pub poll_interval: Duration,
     /// How long a worker waits for the next pipelined request before
     /// parking a connection. Loopback turnarounds are microseconds, so a
     /// short grace keeps hot connections on their worker.
@@ -166,7 +161,6 @@ impl Default for HttpServerConfig {
         HttpServerConfig {
             workers: (2 * cores).max(2),
             queue_capacity: 1024,
-            poll_interval: Duration::from_millis(1),
             keepalive_grace: Duration::from_millis(1),
             idle_timeout: None,
             pool: None,
@@ -1347,39 +1341,6 @@ mod tests {
         assert_eq!(config.keepalive_grace, Duration::from_millis(2));
         assert_eq!(config.idle_timeout, Some(Duration::from_millis(17)));
         assert_eq!(config.scope, EndpointScope::Vote);
-    }
-
-    #[test]
-    fn poller_era_struct_literal_still_serves_with_poll_interval_ignored() {
-        // The poller-era struct-literal configuration path must keep
-        // compiling and serving; `poll_interval` is accepted but ignored
-        // (the reactor never sweeps).
-        let server = HttpServer::start_with(
-            front(),
-            HttpServerConfig {
-                workers: 2,
-                poll_interval: Duration::from_millis(250),
-                ..HttpServerConfig::default()
-            },
-        )
-        .unwrap();
-        let client = HttpClient::connect(server.addr());
-        client.ping().unwrap();
-        // A parked connection answers far faster than the configured
-        // 250 ms "sweep" would allow — proof the knob is dead.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.parked_connections() == 0 {
-            assert!(Instant::now() < deadline, "connection never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let start = Instant::now();
-        client.ping().unwrap();
-        assert!(
-            start.elapsed() < Duration::from_millis(200),
-            "parked wake took {:?} — is something sweeping?",
-            start.elapsed()
-        );
-        server.shutdown();
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! A tour of the scenario subsystem: drive every corpus scenario through
-//! the REPL engine, then put one under open-loop load.
+//! the REPL engine.
 //!
 //! Run with: `cargo run --example scenario_tour`
 
-use smacs::ts::InProcessClient;
-use smacs_driver::loadgen::{run_open_loop, Arrivals, LoadConfig};
-use smacs_driver::scenario::{self, OWNER_SECRET, SCENARIOS};
+use smacs_driver::scenario::SCENARIOS;
 use smacs_driver::Repl;
 
 fn run(repl: &mut Repl, line: &str) {
@@ -30,37 +28,4 @@ fn main() {
     // A bounded swap is authorized; minOut=0 is blacklisted by the ACR.
     run(&mut repl, "call w0 amm \"swap(uint256,uint256)\" (100, 90)");
     run(&mut repl, "call w0 amm \"swap(uint256,uint256)\" (100, 0)");
-
-    // ---- open-loop load over the oracle scenario ----------------------
-    println!("\n=== oracle under open-loop load ===");
-    let world = scenario::build("oracle", 5).unwrap();
-    let requests = world.requests.clone();
-    let api = InProcessClient::new(world.token_service(), OWNER_SECRET, world.now());
-    let report = run_open_loop(
-        &api,
-        &requests,
-        &LoadConfig {
-            offered_rps: 2_000,
-            events: 400,
-            senders: 2,
-            arrivals: Arrivals::Poisson,
-            seed: 42,
-        },
-    );
-    println!(
-        "offered {} rps, achieved {}/s over {} events ({} errors)",
-        report.offered_rps, report.achieved_per_sec, report.completed, report.errors
-    );
-    println!(
-        "issue latency p50={} µs p99={} µs p999={} µs",
-        report.issue.p50_ns / 1_000,
-        report.issue.p99_ns / 1_000,
-        report.issue.p999_ns / 1_000
-    );
-    println!(
-        "end-to-end   p50={} µs p99={} µs p999={} µs (from scheduled arrival)",
-        report.e2e.p50_ns / 1_000,
-        report.e2e.p99_ns / 1_000,
-        report.e2e.p999_ns / 1_000
-    );
 }
