@@ -53,6 +53,17 @@
 //! failure *after* the request was sent is only retried for idempotent
 //! ops. The v1-era one-shot helper [`post_json`] remains for legacy
 //! single-request clients (and the back-compat tests).
+//!
+//! # Wire cost
+//!
+//! One HTTP message is one `write`: every request and response is
+//! assembled in memory and handed to the socket in a single `write_all`
+//! (`write_message` is the only place bytes reach a socket). Sockets run
+//! `TCP_NODELAY`, so every `write` is a TCP segment and a peer wake-up —
+//! and `write!` onto a bare stream issues one `write` per format fragment
+//! (14 segments for a request, 10 for a response, where 1 + 1 suffice).
+//! The read side makes no such assumption: requests that *arrive*
+//! fragmented, or several to a segment, are served all the same.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,6 +91,11 @@ use crate::rules::RuleBook;
 /// Request bodies above this size are refused (HTTP 413). Generous: a
 /// full 256-request argument-token batch with kilobyte calldata fits.
 const MAX_BODY_BYTES: usize = 8 << 20;
+
+/// Ceiling on a message head (request/status line plus every header line,
+/// which bounds the header count with it). Over it the server answers 431
+/// and closes; the client fails the round trip with `InvalidData`.
+const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// Ceiling on requests one worker serves on a single connection before
 /// parking it anyway — keeps one firehose client from starving the queue.
@@ -628,24 +644,38 @@ struct Headers {
     close: bool,
 }
 
-/// Read header lines up to the blank separator. One parser for the server
-/// and the client so the two ends can never disagree on framing.
-fn read_headers(reader: &mut BufReader<TcpStream>) -> std::io::Result<Headers> {
+/// Read one message head — the request/status line and the header lines
+/// up to the blank separator — or `None` on a clean EOF before its first
+/// byte. One parser for the server and the client so the two ends can
+/// never disagree on framing. The whole head is read through one
+/// [`MAX_HEAD_BYTES`] budget: a peer streaming bytes with no `\n` gets
+/// `InvalidData`, not server memory.
+fn read_head(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Headers)>> {
+    let mut head = reader.take(MAX_HEAD_BYTES as u64);
+    let mut start_line = None;
     let mut headers = Headers {
         content_length: None,
         close: false,
     };
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
+        if head.read_line(&mut line)? == 0 && start_line.is_none() {
+            return Ok(None);
+        }
+        if !line.ends_with('\n') {
+            return Err(if head.limit() == 0 {
+                std::io::Error::new(ErrorKind::InvalidData, "message head too large")
+            } else {
+                std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-head")
+            });
+        }
+        if start_line.is_none() {
+            start_line = Some(line);
+            continue;
         }
         let line = line.trim_end().to_ascii_lowercase();
         if line.is_empty() {
-            return Ok(headers);
+            return Ok(start_line.map(|start_line| (start_line, headers)));
         }
         if let Some(value) = line.strip_prefix("content-length:") {
             headers.content_length = value.trim().parse().ok();
@@ -654,6 +684,21 @@ fn read_headers(reader: &mut BufReader<TcpStream>) -> std::io::Result<Headers> {
             headers.close = value.trim() == "close";
         }
     }
+}
+
+/// Read a `content_length`-byte body (already checked against
+/// [`MAX_BODY_BYTES`]). The buffer grows with the bytes that actually
+/// arrive, not with what the peer declared — a declaration costs nothing.
+fn read_body(reader: &mut impl Read, content_length: usize) -> std::io::Result<String> {
+    let mut body = Vec::with_capacity(content_length.min(64 << 10));
+    if reader.take(content_length as u64).read_to_end(&mut body)? < content_length {
+        return Err(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
+    Ok(String::from_utf8(body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
 }
 
 /// Serve exactly one `POST` request off `conn`. `Ok(close)` reports
@@ -665,16 +710,23 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     // a bounded window so a stalling client can't pin this worker.
     conn.stream().set_read_timeout(Some(REQUEST_IO_TIMEOUT))?;
 
-    // Request line; 0 bytes = client closed the connection.
-    let mut request_line = String::new();
-    if conn.reader.read_line(&mut request_line)? == 0 {
-        return Ok(true);
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let _path = parts.next().unwrap_or("/");
-
-    let headers = read_headers(&mut conn.reader)?;
+    let (request_line, headers) = match read_head(&mut conn.reader) {
+        Ok(Some(head)) => head,
+        Ok(None) => return Ok(true), // client closed the connection
+        Err(e) if e.kind() == ErrorKind::InvalidData => {
+            // Over the head cap (or not UTF-8): the stream cannot be
+            // framed any further, so refuse and close.
+            write_response(
+                conn.stream(),
+                431,
+                true,
+                r#"{"status":"error","message":"request head too large"}"#,
+            )?;
+            return Ok(true);
+        }
+        Err(e) => return Err(e),
+    };
+    let method = request_line.split_whitespace().next().unwrap_or("");
     let client_close = headers.close;
 
     if method != "POST" {
@@ -709,9 +761,7 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
         )?;
         return Ok(true);
     }
-    let mut body = vec![0u8; content_length];
-    conn.reader.read_exact(&mut body)?;
-    let body = String::from_utf8_lossy(&body);
+    let body = read_body(&mut conn.reader, content_length)?;
 
     // Pre-dispatch faults: the request is fully read but *never* reaches
     // the service — what a crash between receive and dispatch looks like.
@@ -743,53 +793,57 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     Ok(client_close)
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    code: u16,
-    close: bool,
-    body: &str,
-) -> std::io::Result<()> {
+/// The only place bytes reach a socket (see "Wire cost" in the module
+/// doc): `head` and `body` leave in exactly one `write_all`.
+fn write_message(out: &mut impl Write, head: String, body: &[u8]) -> std::io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    out.write_all(&message)
+}
+
+fn write_request(out: &mut impl Write, head_prefix: &str, body: &str) -> std::io::Result<()> {
+    let head = format!("{head_prefix}{}\r\n\r\n", body.len());
+    write_message(out, head, body.as_bytes())
+}
+
+fn response_head(code: u16, close: bool, content_length: usize) -> String {
     let reason = match code {
         200 => "OK",
         400 => "Bad Request",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Method Not Allowed",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        stream,
-        "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    format!(
+        "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {content_length}\r\nConnection: {connection}\r\n\r\n"
+    )
 }
 
-/// A response truncated mid-body, connection closed: the client's
-/// `read_exact` hits EOF and must treat the whole exchange as a transport
-/// failure *after* the request was dispatched.
-fn write_truncated_response(stream: &mut TcpStream, body: &str) -> std::io::Result<()> {
-    let half = body.len() / 2;
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        &body[..half]
-    )?;
-    stream.flush()
+fn write_response(out: &mut impl Write, code: u16, close: bool, body: &str) -> std::io::Result<()> {
+    write_message(out, response_head(code, close, body.len()), body.as_bytes())
+}
+
+/// A response truncated mid-body, connection closed: the client's body
+/// read hits EOF and must treat the whole exchange as a transport failure
+/// *after* the request was dispatched. Still a single write — the fault is
+/// "response cut mid-body", not "response dribbled".
+fn write_truncated_response(out: &mut impl Write, body: &str) -> std::io::Result<()> {
+    let sent = &body.as_bytes()[..body.len() / 2];
+    write_message(out, response_head(200, true, body.len()), sent)
 }
 
 /// Read one HTTP response (status line, headers, content-length body) off
 /// `reader`, returning the status code and body.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
-    let mut status = String::new();
-    if reader.read_line(&mut status)? == 0 {
-        return Err(std::io::Error::new(
+fn read_response(reader: &mut impl BufRead) -> std::io::Result<(u16, String)> {
+    let (status, headers) = read_head(reader)?.ok_or_else(|| {
+        std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed before response",
-        ));
-    }
+        )
+    })?;
     let code: u16 = status
         .split_whitespace()
         .nth(1)
@@ -803,7 +857,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Str
     // An unframeable response poisons the whole persistent connection, so
     // surface it as an io::Error — round_trip drops the connection on any
     // io::Error, forcing a clean reconnect.
-    let Some(content_length) = read_headers(reader)?.content_length else {
+    let Some(content_length) = headers.content_length else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "response missing a parseable Content-Length",
@@ -815,9 +869,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Str
             "response body too large",
         ));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((code, String::from_utf8_lossy(&body).into_owned()))
+    Ok((code, read_body(reader, content_length)?))
 }
 
 /// Socket tuning for [`HttpClient`]: every phase of a round trip is
@@ -932,6 +984,9 @@ impl IoFailure {
 /// [`ErrorCode::Transport`] error instead of blocking forever.
 pub struct HttpClient {
     addr: SocketAddr,
+    /// Everything of a request head that precedes the body length,
+    /// formatted once (`SocketAddr`'s `Display` alone is 9 fragments).
+    request_head: String,
     config: HttpClientConfig,
     conn: parking_lot::Mutex<Option<BufReader<TcpStream>>>,
 }
@@ -947,6 +1002,9 @@ impl HttpClient {
     pub fn connect_with(addr: SocketAddr, config: HttpClientConfig) -> HttpClient {
         HttpClient {
             addr,
+            request_head: format!(
+                "POST / HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: "
+            ),
             config,
             conn: parking_lot::Mutex::new(None),
         }
@@ -981,17 +1039,7 @@ impl HttpClient {
             *conn = Some(BufReader::new(stream));
         }
         let reader = conn.as_mut().expect("connection just ensured");
-        let stream = reader.get_mut();
-        (|| {
-            write!(
-                stream,
-                "POST / HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                self.addr,
-                body.len()
-            )?;
-            stream.flush()
-        })()
-        .map_err(IoFailure::AfterSend)?;
+        write_request(reader.get_mut(), &self.request_head, body).map_err(IoFailure::AfterSend)?;
         read_response(reader).map_err(IoFailure::AfterSend)
     }
 
@@ -1159,12 +1207,10 @@ impl TsApi for HttpClient {
 pub fn post_json(addr: SocketAddr, body: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    write!(
-        stream,
-        "POST / HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
+    let head_prefix = format!(
+        "POST / HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nConnection: close\r\nContent-Length: "
+    );
+    write_request(&mut stream, &head_prefix, body)?;
     let mut response = String::new();
     BufReader::new(stream).read_to_string(&mut response)?;
     let body_start = response
@@ -1200,6 +1246,217 @@ mod tests {
 
     fn request(low: u64) -> TokenRequest {
         TokenRequest::super_token(Address::from_low_u64(1), Address::from_low_u64(low))
+    }
+
+    /// Accepts everything, counts `write` calls, keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn v2(op: &str, body: Option<Json>) -> String {
+        json::to_string(&RequestEnvelope {
+            v: PROTOCOL_VERSION,
+            op: op.into(),
+            body,
+        })
+    }
+
+    /// A raw keep-alive connection to `server`: the write half and a
+    /// buffered read half, reads bounded so a hung server fails the test.
+    fn raw_connection(server: &HttpServer) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    #[test]
+    fn every_message_leaves_in_exactly_one_write() {
+        let client = HttpClient::connect("127.0.0.1:8080".parse().unwrap());
+        for size in [0, 200, 64 << 10] {
+            let body = "x".repeat(size);
+
+            let mut request = CountingWriter::default();
+            write_request(&mut request, &client.request_head, &body).unwrap();
+            assert_eq!(request.writes, 1, "request, {size} B body");
+            let mut wire = &request.bytes[..];
+            let (request_line, headers) = read_head(&mut wire).unwrap().unwrap();
+            assert_eq!(request_line, "POST / HTTP/1.1\r\n");
+            assert_eq!(headers.content_length, Some(size));
+            assert_eq!(read_body(&mut wire, size).unwrap(), body);
+
+            let mut ok = CountingWriter::default();
+            write_response(&mut ok, 200, false, &body).unwrap();
+            assert_eq!(ok.writes, 1, "200, {size} B body");
+            let (code, echoed) = read_response(&mut &ok.bytes[..]).unwrap();
+            assert_eq!((code, echoed), (200, body.clone()));
+
+            // Cut mid-body, but still one write: the full length is
+            // declared, half the body follows, the reader hits EOF.
+            let mut cut = CountingWriter::default();
+            write_truncated_response(&mut cut, &body).unwrap();
+            assert_eq!(cut.writes, 1, "truncated response, {size} B body");
+            assert_eq!(
+                cut.bytes.len(),
+                response_head(200, true, size).len() + size / 2
+            );
+            if size > 0 {
+                let err = read_response(&mut &cut.bytes[..]).unwrap_err();
+                assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+            }
+        }
+
+        let mut overloaded = CountingWriter::default();
+        write_response(&mut overloaded, 503, true, OVERLOADED_BODY).unwrap();
+        assert_eq!(overloaded.writes, 1, "503");
+        let (code, body) = read_response(&mut &overloaded.bytes[..]).unwrap();
+        assert_eq!((code, body.as_str()), (503, OVERLOADED_BODY));
+    }
+
+    #[test]
+    fn oversized_or_unterminated_heads_are_invalid_data_not_memory() {
+        // The client side of the head cap: a status line that never ends
+        // and a header section that never ends both stop at the cap.
+        let endless_line = vec![b'a'; 1 << 20];
+        let err = read_response(&mut &endless_line[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let endless_headers = format!("HTTP/1.1 200 OK\r\n{}", "x: y\r\n".repeat(1 << 16));
+        let err = read_response(&mut endless_headers.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        // A head that fits the cap exactly is still served.
+        let mut fits = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n".to_string();
+        fits.push_str(&format!(
+            "x: {}\r\n",
+            "y".repeat(MAX_HEAD_BYTES - fits.len() - 7)
+        ));
+        fits.push_str("\r\nok");
+        assert_eq!(fits.len(), MAX_HEAD_BYTES + 2);
+        let (code, body) = read_response(&mut fits.as_bytes()).unwrap();
+        assert_eq!((code, body.as_str()), (200, "ok"));
+    }
+
+    #[test]
+    fn body_shorter_than_declared_is_eof_without_the_declared_allocation() {
+        let mut wire = &b"only ten b"[..];
+        let err = read_body(&mut wire, MAX_BODY_BYTES).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn request_dribbled_one_byte_per_write_is_served_and_kept_alive() {
+        let server = running_server();
+        let (mut stream, mut reader) = raw_connection(&server);
+        let mut request = Vec::new();
+        write_request(
+            &mut request,
+            "POST / HTTP/1.1\r\nContent-Length: ",
+            &v2("ping", None),
+        )
+        .unwrap();
+        for byte in &request {
+            stream.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        let (status, headers) = read_head(&mut reader).unwrap().unwrap();
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(!headers.close, "server must keep the connection alive");
+        let body = read_body(&mut reader, headers.content_length.unwrap()).unwrap();
+        assert!(body.contains(r#""ok":true"#), "{body}");
+        // …and the same connection serves the next, unfragmented, request.
+        stream.write_all(&request).unwrap();
+        let (code, body) = read_response(&mut reader).unwrap();
+        assert_eq!(code, 200);
+        assert!(body.contains(r#""ok":true"#), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn requests_sharing_a_segment_are_answered_in_order() {
+        // One write carries an issue followed by more pings than a serve
+        // turn's quota: the worker must serve the buffered requests without
+        // waiting on the (silent) socket, and the quota hand-back through
+        // the reactor must carry the still-buffered tail with it.
+        let server = running_server();
+        let (mut stream, mut reader) = raw_connection(&server);
+        let head_prefix = "POST / HTTP/1.1\r\nContent-Length: ";
+        let mut segment = Vec::new();
+        write_request(
+            &mut segment,
+            head_prefix,
+            &v2("issue", Some(request(2).to_json())),
+        )
+        .unwrap();
+        for _ in 0..=TURN_QUOTA {
+            write_request(&mut segment, head_prefix, &v2("ping", None)).unwrap();
+        }
+        stream.write_all(&segment).unwrap();
+        let (code, first) = read_response(&mut reader).unwrap();
+        assert_eq!(code, 200);
+        assert!(first.contains("token_hex"), "issue answered first: {first}");
+        for _ in 0..=TURN_QUOTA {
+            let (code, body) = read_response(&mut reader).unwrap();
+            assert_eq!(code, 200);
+            assert!(
+                body.contains(r#""ok":true"#) && !body.contains("token_hex"),
+                "{body}"
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn newline_free_head_is_refused_at_the_cap_and_the_socket_closed() {
+        let server = running_server();
+        let bystander = HttpClient::connect(server.addr());
+        bystander.ping().unwrap();
+
+        // Exactly the cap, no newline: the server has read every byte sent,
+        // so the close is an orderly FIN and the refusal is readable.
+        let (mut stream, mut reader) = raw_connection(&server);
+        stream.write_all(&vec![b'a'; MAX_HEAD_BYTES]).unwrap();
+        let (status, headers) = read_head(&mut reader).unwrap().unwrap();
+        assert!(status.starts_with("HTTP/1.1 431"), "{status}");
+        assert!(headers.close, "the refusal must announce the close");
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap(); // EOF, not a read timeout
+        bystander.ping().unwrap();
+
+        // A 1 MiB newline-free head: the server stops reading at the cap
+        // and hangs up on the unread rest, so the peer sees the refusal or
+        // a reset — never a server that keeps buffering.
+        let (mut stream, mut reader) = raw_connection(&server);
+        let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+        let mut response = Vec::new();
+        match reader.read_to_end(&mut response) {
+            Ok(_) => {}
+            Err(e) => assert!(
+                !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "server kept the connection open: {e}"
+            ),
+        }
+        assert!(
+            response.is_empty() || response.starts_with(b"HTTP/1.1 431"),
+            "{}",
+            String::from_utf8_lossy(&response)
+        );
+        bystander.ping().unwrap();
+        server.shutdown();
     }
 
     #[test]
