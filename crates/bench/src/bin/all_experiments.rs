@@ -1,5 +1,5 @@
 //! Run every paper experiment in sequence. Pass the Fig. 9 batching
-//! exponent as argv[1] (default 5, the paper's 10^5).
+//! exponent as `argv[1]` (default 5, the paper's 10^5).
 fn main() {
     println!("== Table II ==");
     print!(

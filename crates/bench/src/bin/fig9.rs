@@ -1,4 +1,4 @@
-//! Regenerate Fig. 9. Pass a smaller exponent as argv[1] for quick runs
+//! Regenerate Fig. 9. Pass a smaller exponent as `argv[1]` for quick runs
 //! (default 5, the paper's 10^5).
 fn main() {
     let max_exponent = std::env::args()

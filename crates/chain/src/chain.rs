@@ -514,7 +514,7 @@ impl Chain {
     ///
     /// Phase 1 (parallel): every transaction runs speculatively on its own
     /// [`WorldState::fork`] of the pre-block state, with touch recording
-    /// on; its net effect is harvested as a [`TxDelta`].
+    /// on; its net effect is harvested as a `TxDelta`.
     ///
     /// Phase 2 (sequential, in transaction order): a speculation is valid
     /// iff its read set does not overlap the writes of any earlier

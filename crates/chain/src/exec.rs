@@ -25,13 +25,13 @@
 //! - Every effectful or state-dependent [`CallContext`] operation (gas
 //!   charges, `sload`/`sstore`, hashing, `ecrecover`, balance reads, log
 //!   emission, gas-section markers, `gas_remaining`, nested calls) records
-//!   its result as an [`Effect`] in the current frame's log the first time
+//!   its result as an `Effect` in the current frame's log the first time
 //!   it runs.
 //! - When a contract makes a nested call in fresh territory, the context
 //!   stores the request in `Frame::pending` and returns the sentinel error
 //!   [`VmError::Suspended`]. The driver loop pushes a child frame and runs
 //!   it to completion; the child's result is appended to the parent's log
-//!   as [`Effect::Call`].
+//!   as `Effect::Call`.
 //! - The parent's `execute` is then invoked again from the top. Logged
 //!   effects replay from the log — returning the recorded results without
 //!   re-charging gas, re-writing storage, re-emitting logs, or re-recording

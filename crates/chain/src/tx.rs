@@ -202,7 +202,7 @@ impl SignedTransaction {
 
     /// The transaction hash (id): keccak over the RLP body plus signature.
     ///
-    /// Memoized under a [`TxFingerprint`] of the fields, so repeated access
+    /// Memoized under a `TxFingerprint` of the fields, so repeated access
     /// (every `sender()` call, receipts, logging) skips the RLP encode and
     /// keccak while the transaction is unchanged.
     pub fn hash(&self) -> H256 {

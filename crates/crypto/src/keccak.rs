@@ -1,6 +1,6 @@
 //! keccak256 — Ethereum's ubiquitous hash function.
 //!
-//! Implemented from scratch (keccak-f[1600] sponge, rate 1088, the original
+//! Implemented from scratch (keccak-f\[1600\] sponge, rate 1088, the original
 //! Keccak `0x01` domain padding — *not* NIST SHA-3's `0x06`), since the
 //! build environment has no access to external crates. Verified against the
 //! well-known empty-string / `"abc"` / ERC-20-selector vectors below.

@@ -306,7 +306,7 @@ fn reduce_once(v: U256L, m: &U256L) -> U256L {
     }
 }
 
-/// [`reduce_once`] of 32 big-endian bytes.
+/// `reduce_once` of 32 big-endian bytes.
 pub fn reduce_bytes(bytes: &[u8; 32], m: &U256L) -> U256L {
     reduce_once(from_be_bytes(bytes), m)
 }
@@ -554,7 +554,7 @@ impl Point {
     }
 
     /// Scalar multiplication for an arbitrary base point of order `n`
-    /// (every finite point on the curve): [`double_mul`] with no generator
+    /// (every finite point on the curve): `double_mul` with no generator
     /// part, so ~128 doublings and ~50 general additions (see there).
     pub fn mul(&self, scalar: &U256L) -> Point {
         double_mul(&ZERO, self, scalar)
@@ -984,7 +984,7 @@ fn n_half() -> U256L {
 /// the given y-parity. `None` for `r` or `s` outside `[1, n)`, an `r` that
 /// is no x-coordinate, and an infinite result.
 ///
-/// Costs one `fsqrt` (`lift_x`), one scalar inversion, one [`double_mul`]
+/// Costs one `fsqrt` (`lift_x`), one scalar inversion, one `double_mul`
 /// and one field inversion (`to_affine`).
 pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
     if is_zero(r) || is_zero(s) {

@@ -175,11 +175,13 @@ impl Json {
 
     // ---- parsing ----
 
-    /// Parse a complete JSON document.
+    /// Parse a complete JSON document. Nesting deeper than `MAX_DEPTH`
+    /// (64) levels is an error, not a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -215,9 +217,20 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a network body of nested `[`
+/// overflows the parsing thread's stack and aborts the whole process (at
+/// ≈ 9,300 levels on a 2 MiB worker stack). The deepest document any TS op
+/// accepts is a `set_rules` envelope with per-method or per-argument
+/// lists: 8 levels (envelope → body → rules → types → type → method →
+/// policy → list).
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,8 +272,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => err(format!(
                 "unexpected character {:?} at offset {}",
@@ -435,7 +462,7 @@ pub trait FromJson: Sized {
     /// Parse the member `key` of object `obj`. The default requires the
     /// member to be present; `Option<T>` overrides it so that an absent
     /// member reads as `None` (matching what serde's `Option` derive
-    /// accepted). [`json_codec!`]-generated codecs go through this hook.
+    /// accepted). [`json_codec!`](crate::json_codec)-generated codecs go through this hook.
     fn from_json_field(obj: &Json, key: &str) -> Result<Self, JsonError> {
         Self::from_json(obj.want(key)?)
     }
@@ -775,6 +802,19 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let open_arrays = "[".repeat(1 << 20);
+        assert!(Json::parse(&open_arrays).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(1 << 16), "}".repeat(1 << 16));
+        assert!(Json::parse(&objects).is_err());
+        // The cap itself still parses; one level more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(Json::parse(&over).unwrap_err().0.contains("nesting"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! `scope_map` borrows non-`'static` data (the closure and result slots
 //! live on the caller's stack). Helper jobs reach that state through raw
-//! pointers guarded by a [`Gate`]: a helper must `enter` the gate before
+//! pointers guarded by a `Gate`: a helper must `enter` the gate before
 //! touching anything, and `scope_map` cancels the gate and waits for active
 //! helpers to exit before returning — a helper that dequeues late finds the
 //! gate closed and returns without touching freed memory.

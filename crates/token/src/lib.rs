@@ -14,7 +14,7 @@
 //!   one usage context — see [`payload`];
 //! - the **call-chain token array** (§IV-D): `SC_A: tk_A ‖ SC_B: tk_B ‖ …`
 //!   embedded in calldata so every contract on the chain can extract its
-//!   own token — see [`array`].
+//!   own token — see [`array`](mod@array).
 
 pub mod array;
 pub mod payload;

@@ -7,7 +7,7 @@
 //!   directly, no serialization; what examples, tests, and co-located
 //!   services use;
 //! - [`crate::http::HttpClient`] — speaks protocol v2 over a keep-alive
-//!   HTTP connection to a [`crate::http::HttpServer`].
+//!   HTTP connection to a [`crate::http::Endpoint`].
 //!
 //! Both run the exact same dispatch ([`FrontEnd::handle_api`]), so the wire
 //! path is exercised by construction wherever the in-process path is.
@@ -49,12 +49,11 @@
 //! semantics), so one denied request never costs the round trip.
 //!
 //! Error codes ([`ErrorCode`]) are machine-readable and mirror
-//! [`IssueError`]'s variants one-to-one; messages stay as coarse as v1's
-//! free-text reasons, because rules are private to the TS (§VII-A d).
+//! [`IssueError`]'s variants one-to-one; messages stay coarse, because
+//! rules are private to the TS (§VII-A d).
 //!
-//! The unversioned v1 protocol (`{"op": "issue_token", …}`, one request
-//! per connection) still parses and is answered in its original shape —
-//! see [`FrontEnd::handle_json`].
+//! A request without `v` (the unversioned v1 shape) is answered
+//! `unsupported_version` — see [`FrontEnd::handle_json`].
 
 use smacs_primitives::json::Json;
 use smacs_primitives::{json_codec, Address};
@@ -183,7 +182,7 @@ impl From<IssueError> for ApiError {
             IssueError::ToolRejected { .. } => ErrorCode::ToolRejected,
             IssueError::CounterUnavailable => ErrorCode::CounterUnavailable,
         };
-        // The Display string is the same coarse reason v1 sent.
+        // The Display string is a coarse reason: no rule contents.
         ApiError::new(code, e.to_string())
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! "A TS service can be easily replicated as all its replicas can share
 //! the same service key pair" — a [`ReplicaSet`] runs `n` full
-//! [`TokenService`] instances, each behind its own [`HttpServer`] on its
+//! [`TokenService`] instances, each behind its own [`Endpoint`] on its
 //! own port, wired so the set behaves as one logical service:
 //!
 //! - **one signing identity**: every replica holds the same `sk_TS`, so a
@@ -25,12 +25,12 @@
 //!
 //! ## The counter quorum is on the wire
 //!
-//! By default ([`CounterMode::Wire`]) counter votes are real protocol-v2
-//! messages: each replica serves the `counter_prepare` / `counter_commit`
-//! / `counter_catchup` op family on a **dedicated vote endpoint** (its
-//! own `HttpServer` with a small private pool, so issuance load can never
-//! starve vote processing into a distributed deadlock). The vote op
-//! family is served *only* there: the client-facing listeners run with
+//! Counter votes are real protocol-v2 messages: each replica serves the
+//! `counter_prepare` / `counter_commit` / `counter_catchup` op family on a
+//! **dedicated vote endpoint** (its own [`Endpoint`] with a small private
+//! pool, so issuance load can never starve vote processing into a
+//! distributed deadlock). The vote op family is served *only* there: the
+//! client-facing listeners run with
 //! [`crate::front::EndpointScope::Public`] and refuse `counter_*` with
 //! `counter_unavailable`, so a hostile client cannot vote indexes burned
 //! or skipped. Each replica's coordinator reaches its peers through a wire
@@ -39,8 +39,9 @@
 //! logs its commits ([`crate::wal::Wal`], fsync before ack), so
 //! [`ReplicaSet::recover`] rebuilds a crashed replica's vote state from
 //! its WAL (RAM is explicitly discarded) and then catches it up past any
-//! indexes it missed via `counter_catchup`. [`CounterMode::InProcess`]
-//! keeps the PR-4 shared-memory cluster for comparison and unit tests.
+//! indexes it missed via `counter_catchup`. (The shared-memory
+//! [`LocalTransport`] cluster, [`CounterCluster::new`], is the unit-test
+//! seam; a `ReplicaSet` always votes over the wire.)
 //!
 //! The *sending* side of every wire transport consults its replica's
 //! [`FaultPlan`] per peer address, which is how the chaos suite drives
@@ -57,10 +58,10 @@
 //! node — the replica keeps serving, modelling a network partition
 //! between the consensus group and one member.
 //!
-//! Replicas live in one process here (this is a simulator), but in wire
-//! mode nothing crosses between their counter nodes except TCP — the
-//! shared `Arc`s are limited to the signing key and rule shards a real
-//! deployment would distribute out of band.
+//! Replicas live in one process here (this is a simulator), but nothing
+//! crosses between their counter nodes except TCP — the shared `Arc`s are
+//! limited to the signing key and rule shards a real deployment would
+//! distribute out of band.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -75,10 +76,9 @@ use smacs_primitives::Address;
 
 use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
 use crate::discovery::ContractMetadata;
-use crate::endpoint::Endpoint;
 use crate::fault::FaultPlan;
 use crate::front::{EndpointScope, FrontEnd};
-use crate::http::{HttpClient, HttpClientConfig, HttpServerConfig};
+use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 use crate::replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 use crate::rules::RuleBook;
 use crate::service::{ShardedRules, TokenService, TokenServiceConfig};
@@ -87,16 +87,16 @@ use crate::service::{ShardedRules, TokenService, TokenServiceConfig};
 /// process (the test suite starts many).
 static SET_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// How one-time counter votes travel between replicas.
+/// How one-time counter votes travel between replicas. There is one way:
+/// the type and [`ReplicaSetConfig::counter_mode`] remain only because
+/// the benchmark's `onetime_quorum` workload names `CounterMode::Wire`,
+/// and both go once that workload stops naming it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CounterMode {
     /// Votes are protocol-v2 `counter_*` ops over TCP against each
-    /// replica's dedicated vote endpoint; commits are WAL-durable. The
-    /// default — the distributed protocol the chaos suite certifies.
+    /// replica's dedicated vote endpoint; commits are WAL-durable — the
+    /// distributed protocol the chaos suite certifies.
     Wire,
-    /// Votes go through shared memory (the PR-4 form). No vote endpoints,
-    /// no WAL unless [`ReplicaSetConfig::wal_dir`] is set.
-    InProcess,
 }
 
 /// Tuning for [`ReplicaSet::start`].
@@ -115,20 +115,20 @@ pub struct ReplicaSetConfig {
     pub owner_secret: String,
     /// Per-replica service tuning.
     pub service: TokenServiceConfig,
-    /// Per-replica HTTP server tuning. `bind` and `faults` are managed by
-    /// the set and must be left `None`; `scope` must stay
-    /// [`EndpointScope::Public`] (these are the client-facing listeners —
-    /// the set builds its own vote endpoints).
+    /// Per-replica tuning of the client-facing listeners (the set builds
+    /// its own vote endpoints). `bind` and `faults` are managed by the set
+    /// and must be left `None`.
     pub http: HttpServerConfig,
     /// Initial TS-local clock.
     pub now: u64,
-    /// How counter votes travel (default: [`CounterMode::Wire`]).
+    /// How counter votes travel: always [`CounterMode::Wire`], and not
+    /// read. Kept only for the benchmark, which sets it (see
+    /// [`CounterMode`]).
     pub counter_mode: CounterMode,
     /// Directory for per-replica counter WALs (`counter-{id}.wal`).
-    /// `None`: wire mode logs into a fresh per-set temp directory that is
-    /// removed on [`ReplicaSet::shutdown`]; in-process mode runs
-    /// memory-only. `Some(dir)`: logs persist there across sets (the
-    /// caller owns cleanup), in either mode.
+    /// `None`: a fresh per-set temp directory that is removed on
+    /// [`ReplicaSet::shutdown`]. `Some(dir)`: logs persist there across
+    /// sets (the caller owns cleanup).
     pub wal_dir: Option<PathBuf>,
 }
 
@@ -164,13 +164,13 @@ fn vote_client_config() -> HttpClientConfig {
 /// issuance. The [`EndpointScope::Vote`] these bind under is what admits
 /// the `counter_*` op family: the client-facing listeners stay
 /// [`EndpointScope::Public`] and refuse those ops, so outsiders cannot
-/// burn index ranges. (The scope itself is pinned by [`Endpoint::bind`],
-/// not this config.)
+/// burn index ranges.
 fn vote_server_config() -> HttpServerConfig {
-    HttpServerConfig::builder()
-        .workers(2)
-        .queue_capacity(64)
-        .build()
+    HttpServerConfig {
+        workers: 2,
+        queue_capacity: 64,
+        ..HttpServerConfig::default()
+    }
 }
 
 /// The wire [`CounterTransport`]: speaks the `counter_*` op family to one
@@ -260,14 +260,12 @@ struct Replica {
     faults: Arc<FaultPlan>,
     /// This replica's counter node (vote state machine).
     node: Arc<CounterNode>,
-    /// Wire mode: the dedicated vote endpoint (`None` while killed, and
-    /// always `None` in in-process mode).
+    /// The dedicated vote endpoint (`None` while killed).
     counter_server: Option<Endpoint>,
-    /// Wire mode: the vote endpoint's address — stable across
-    /// kill/recover.
-    counter_addr: Option<SocketAddr>,
+    /// The vote endpoint's address — stable across kill/recover.
+    counter_addr: SocketAddr,
     /// This replica's coordinator view of the quorum (self local, peers
-    /// wired in wire mode; the one shared cluster in in-process mode).
+    /// over the wire).
     cluster: CounterCluster,
 }
 
@@ -280,8 +278,7 @@ pub struct ReplicaSet {
     signer: Keypair,
     config: ReplicaSetConfig,
     /// A WAL temp directory this set created and owns (removed on
-    /// shutdown); `None` when the caller supplied `wal_dir` or no WAL is
-    /// in play.
+    /// shutdown); `None` when the caller supplied `wal_dir`.
     owned_wal_dir: Option<PathBuf>,
 }
 
@@ -298,66 +295,51 @@ impl ReplicaSet {
     ) -> std::io::Result<ReplicaSet> {
         assert!(config.replicas > 0, "need at least one replica");
 
-        // WAL placement: wire mode always logs (own temp dir if the
-        // caller didn't name one); in-process mode logs only on request.
+        // WAL placement: the caller's directory, else an owned temp dir.
         let mut owned_wal_dir = None;
-        let wal_dir = match (&config.wal_dir, config.counter_mode) {
-            (Some(dir), _) => {
-                std::fs::create_dir_all(dir)?;
-                Some(dir.clone())
-            }
-            (None, CounterMode::Wire) => {
-                let mut dir = std::env::temp_dir();
-                dir.push(format!(
+        let wal_dir = match &config.wal_dir {
+            Some(dir) => dir.clone(),
+            None => {
+                let dir = std::env::temp_dir().join(format!(
                     "smacs-replica-wal-{}-{}",
                     std::process::id(),
                     SET_SEQ.fetch_add(1, Ordering::Relaxed)
                 ));
-                std::fs::create_dir_all(&dir)?;
                 owned_wal_dir = Some(dir.clone());
-                Some(dir)
+                dir
             }
-            (None, CounterMode::InProcess) => None,
         };
+        std::fs::create_dir_all(&wal_dir)?;
 
         let mut nodes = Vec::with_capacity(config.replicas);
         for id in 0..config.replicas {
-            nodes.push(match &wal_dir {
-                Some(dir) => CounterNode::with_wal(&dir.join(format!("counter-{id}.wal")))?.0,
-                None => CounterNode::new(),
-            });
+            nodes.push(CounterNode::with_wal(&wal_dir.join(format!("counter-{id}.wal")))?.0);
         }
         let diag = CounterCluster::from_nodes(nodes.clone());
 
         let shards = ShardedRules::new(config.rule_shards, rules);
         let faults: Vec<Arc<FaultPlan>> = (0..config.replicas).map(|_| FaultPlan::new()).collect();
 
-        // Per-replica coordinator clusters. In wire mode replica `i`
-        // reaches itself locally and each peer `j` through a wire
-        // transport whose target is filled in once the vote endpoints are
-        // bound below.
-        let mut wires: Vec<Vec<(usize, Arc<WireCounterTransport>)>> = Vec::new();
-        let clusters: Vec<CounterCluster> = match config.counter_mode {
-            CounterMode::InProcess => (0..config.replicas).map(|_| diag.clone()).collect(),
-            CounterMode::Wire => (0..config.replicas)
-                .map(|i| {
-                    let mut outgoing = Vec::new();
-                    let members = (0..config.replicas)
-                        .map(|j| -> Arc<dyn CounterTransport> {
-                            if i == j {
-                                Arc::new(LocalTransport(nodes[i].clone()))
-                            } else {
-                                let wire = WireCounterTransport::new(faults[i].clone());
-                                outgoing.push((j, wire.clone()));
-                                wire
-                            }
-                        })
-                        .collect();
-                    wires.push(outgoing);
-                    CounterCluster::from_transports(members)
-                })
-                .collect(),
-        };
+        // Per-replica coordinator clusters. Replica `i` reaches itself
+        // locally and each peer `j` through a wire transport whose target
+        // is filled in once the vote endpoints are bound below.
+        let mut wires: Vec<(usize, Arc<WireCounterTransport>)> = Vec::new();
+        let clusters: Vec<CounterCluster> = (0..config.replicas)
+            .map(|i| {
+                let members = (0..config.replicas)
+                    .map(|j| -> Arc<dyn CounterTransport> {
+                        if i == j {
+                            Arc::new(LocalTransport(nodes[i].clone()))
+                        } else {
+                            let wire = WireCounterTransport::new(faults[i].clone());
+                            wires.push((j, wire.clone()));
+                            wire
+                        }
+                    })
+                    .collect();
+                CounterCluster::from_transports(members)
+            })
+            .collect();
 
         let mut replicas = Vec::with_capacity(config.replicas);
         for (id, cluster) in clusters.into_iter().enumerate() {
@@ -376,15 +358,9 @@ impl ReplicaSet {
                 )
                 .with_counter(nodes[id].clone()),
             );
-            let counter_server = match config.counter_mode {
-                CounterMode::Wire => Some(Endpoint::bind(
-                    front.clone(),
-                    EndpointScope::Vote,
-                    vote_server_config(),
-                )?),
-                CounterMode::InProcess => None,
-            };
-            let counter_addr = counter_server.as_ref().map(Endpoint::addr);
+            let counter_server =
+                Endpoint::bind(front.clone(), EndpointScope::Vote, vote_server_config())?;
+            let counter_addr = counter_server.addr();
             let server = Endpoint::bind(
                 front.clone(),
                 EndpointScope::Public,
@@ -400,7 +376,7 @@ impl ReplicaSet {
                 addr,
                 faults: faults[id].clone(),
                 node: nodes[id].clone(),
-                counter_server,
+                counter_server: Some(counter_server),
                 counter_addr,
                 cluster,
             });
@@ -408,15 +384,8 @@ impl ReplicaSet {
 
         // Vote endpoints are all bound now — aim every wire transport at
         // its peer.
-        for (i, outgoing) in wires.into_iter().enumerate() {
-            let _ = i;
-            for (j, wire) in outgoing {
-                wire.set_target(
-                    replicas[j]
-                        .counter_addr
-                        .expect("wire mode binds a vote endpoint per replica"),
-                );
-            }
+        for (j, wire) in wires {
+            wire.set_target(replicas[j].counter_addr);
         }
 
         Ok(ReplicaSet {
@@ -453,10 +422,9 @@ impl ReplicaSet {
             .collect()
     }
 
-    /// Replica `id`'s vote-endpoint address (wire mode; `None` in
-    /// in-process mode). Chaos tests scope partition/delay faults to
-    /// these addresses.
-    pub fn counter_addr(&self, id: usize) -> Option<SocketAddr> {
+    /// Replica `id`'s vote-endpoint address. Chaos tests scope
+    /// partition/delay faults to these addresses.
+    pub fn counter_addr(&self, id: usize) -> SocketAddr {
         self.replicas[id].counter_addr
     }
 
@@ -505,7 +473,7 @@ impl ReplicaSet {
     }
 
     /// The quorum counter's set-level diagnostics view (committed index
-    /// count, quorum state). In wire mode this reads node state directly
+    /// count, quorum state). It reads node state directly
     /// — the authoritative view an operator's metrics would aggregate.
     pub fn counter(&self) -> &CounterCluster {
         &self.counter
@@ -546,7 +514,7 @@ impl ReplicaSet {
     /// node's in-memory frontier is **discarded** and replayed from its
     /// WAL (torn tail truncated), then caught up past any indexes it
     /// missed via `counter_catchup` through this replica's own transports
-    /// — over the wire in wire mode. Only then do the listeners come
+    /// — over the wire. Only then do the listeners come
     /// back. The listener ports were freed by [`ReplicaSet::kill`];
     /// rebinding retries briefly in case the OS is slow to release them.
     pub fn recover(&mut self, id: usize) -> std::io::Result<()> {
@@ -558,12 +526,12 @@ impl ReplicaSet {
         let frontier = replica.cluster.committed();
         replica.node.adopt(frontier)?;
 
-        if let (None, Some(addr)) = (&replica.counter_server, replica.counter_addr) {
+        if replica.counter_server.is_none() {
             let server = Endpoint::bind_retry(
                 replica.front.clone(),
                 EndpointScope::Vote,
                 HttpServerConfig {
-                    bind: Some(addr),
+                    bind: Some(replica.counter_addr),
                     ..vote_server_config()
                 },
             )?;
@@ -813,7 +781,7 @@ mod tests {
     #[test]
     fn vote_endpoints_answer_the_counter_op_family() {
         let set = small_set(3);
-        let vote_addr = set.counter_addr(1).expect("wire mode has vote endpoints");
+        let vote_addr = set.counter_addr(1);
         let client = HttpClient::connect(vote_addr);
         // Phase-1 read.
         let body = client
@@ -866,26 +834,6 @@ mod tests {
         assert_eq!(set.counter().committed(), 0);
         let token = client.issue(&request(1).one_time()).unwrap();
         assert_eq!(token.index, 0);
-        set.shutdown();
-    }
-
-    #[test]
-    fn in_process_mode_still_serves_one_time_issuance() {
-        let set = ReplicaSet::start(
-            Keypair::from_seed(901),
-            RuleBook::permissive(),
-            ReplicaSetConfig {
-                counter_mode: CounterMode::InProcess,
-                ..ReplicaSetConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(set.counter_addr(0), None, "no vote endpoints in-process");
-        let client = HttpClient::connect(set.addrs()[2]);
-        let a = client.issue(&request(1).one_time()).unwrap();
-        let b = client.issue(&request(2).one_time()).unwrap();
-        assert_ne!(a.index, b.index);
-        assert_eq!(set.counter().committed(), 2);
         set.shutdown();
     }
 

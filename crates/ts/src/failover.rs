@@ -12,7 +12,7 @@
 //!   [`RetryPolicy::attempts`] attempts and a per-call
 //!   [`RetryPolicy::deadline`];
 //! - **at-most-once issuance**: whether a failure is retried depends on
-//!   how far the round trip got ([`CallError`]) and whether the operation
+//!   how far the round trip got (`CallError`) and whether the operation
 //!   is idempotent. A connect-phase failure transmitted nothing and is
 //!   always safe to replay. After the request may have gone out, only
 //!   idempotent operations — `ping`, `discover`, `set_rules` (replaying a

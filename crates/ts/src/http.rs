@@ -1,11 +1,18 @@
-//! A pooled HTTP/1.1 server and keep-alive client for the [`crate::front`]
-//! protocols over TCP — the prototype's stand-in for the paper's
-//! "HTTPS-enabled web interface".
+//! The TS's one listener type, [`Endpoint`], and its keep-alive client,
+//! [`HttpClient`]: protocol v2 ([`crate::front`]) over pooled HTTP/1.1 —
+//! the prototype's stand-in for the paper's "HTTPS-enabled web interface".
+//!
+//! Every listener binds through [`Endpoint::bind`] under an
+//! [`EndpointScope`]: the client-facing listener is
+//! [`EndpointScope::Public`], each replica's vote endpoint
+//! [`EndpointScope::Vote`] (see [`crate::cluster`]). The scope is a bind
+//! argument, not a config field, so no config literal can downgrade a
+//! vote endpoint or open a public one to the vote ops.
 //!
 //! # Threading model
 //!
 //! The server is **readiness-driven**: one reactor thread
-//! ([`crate::reactor`], epoll via the in-repo `libc` shim) multiplexes
+//! (`reactor.rs`, epoll via the in-repo `libc` shim) multiplexes
 //! the accept listener and *every* parked keep-alive socket, and a
 //! **fixed worker pool** ([`smacs_primitives::pool`]) does all the actual
 //! serving — so concurrent keep-alive clients cost `O(workers)` threads
@@ -20,12 +27,12 @@
 //!   holds. A full high lane keeps the ready connection in the reactor's
 //!   retry backlog (the bytes wait in the socket; nothing is dropped).
 //! - **pool workers** serve a connection's requests back-to-back while
-//!   data keeps arriving (a short [`HttpServerConfig::keepalive_grace`]
-//!   covers the client's turnaround), then *park* the idle connection in
-//!   the reactor and move on — a worker is only ever occupied by a
-//!   connection that is actually talking. The **lifecycle of a parked
-//!   connection** is: park (epoll-register, one-shot) → readable event →
-//!   high-lane job → served back-to-back → re-park; or reaped on peer
+//!   data keeps arriving (a short `KEEPALIVE_GRACE` covers the client's
+//!   turnaround), then *park* the idle connection in the reactor and move
+//!   on — a worker is only ever occupied by a connection that is actually
+//!   talking. The **lifecycle of a parked connection** is: park
+//!   (epoll-register, one-shot) → readable event → high-lane job → served
+//!   back-to-back → re-park; or reaped on peer
 //!   close / [`HttpServerConfig::idle_timeout`] expiry, both detected by
 //!   the same readiness event, never by polling.
 //! - the **accept-drain job** (low lane) accepts until the backlog is
@@ -40,7 +47,7 @@
 //! workers — the fan-out's caller-participation makes that safe even when
 //! every worker is busy.
 //!
-//! [`HttpServer::shutdown`] is deterministic: it wakes the reactor
+//! [`Endpoint::shutdown`] is deterministic: it wakes the reactor
 //! through its eventfd (no self-connect hack), which closes the listener
 //! and every parked connection and exits; in-flight requests finish and
 //! their workers observe the flag; every thread is joined.
@@ -51,8 +58,7 @@
 //! close) and transparently reconnects once, so non-idempotent calls
 //! never burn a round on a connection the server already abandoned; a
 //! failure *after* the request was sent is only retried for idempotent
-//! ops. The v1-era one-shot helper [`post_json`] remains for legacy
-//! single-request clients (and the back-compat tests).
+//! ops.
 //!
 //! # Wire cost
 //!
@@ -117,9 +123,32 @@ const OVERLOADED_BODY: &str =
 const FAULTED_BODY: &str =
     r#"{"v":2,"ok":false,"error":{"code":"internal","message":"injected service fault"}}"#;
 
-/// Tuning knobs for [`HttpServer::start_with`].
-///
-/// Prefer [`HttpServerConfig::builder`].
+/// The server's own refusals, each answered with `Connection: close`
+/// because the stream cannot be framed any further: v2 error envelopes,
+/// so a [`HttpClient`] decodes them into [`ErrorCode::BadEnvelope`].
+const HEAD_TOO_LARGE_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"request head too large"}}"#;
+const NOT_POST_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"POST only"}}"#;
+const NO_LENGTH_BODY: &str = r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"missing or invalid Content-Length"}}"#;
+const BODY_TOO_LARGE_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"body too large"}}"#;
+
+/// How long a worker waits for the next pipelined request before parking
+/// a connection. Loopback turnarounds are microseconds, so a short grace
+/// keeps hot connections on their worker.
+const KEEPALIVE_GRACE: Duration = Duration::from_millis(1);
+
+/// Kernel listen backlog. A connection storm queues here (absorbed at
+/// kernel cost, drained at low priority) instead of seeing resets.
+const ACCEPT_BACKLOG: libc::c_int = 1_024;
+
+/// Bound on the pool's **low-priority lane** (accept-drain jobs) of a
+/// server-owned pool.
+const ACCEPT_QUEUE_CAPACITY: usize = 64;
+
+/// Tuning knobs for [`Endpoint::bind`]: public fields over
+/// [`Default`].
 #[derive(Clone)]
 pub struct HttpServerConfig {
     /// Connection/signing worker threads. Defaults to
@@ -132,10 +161,6 @@ pub struct HttpServerConfig {
     /// retry backlog — their bytes sit in the socket; nothing is lost.
     /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub queue_capacity: usize,
-    /// How long a worker waits for the next pipelined request before
-    /// parking a connection. Loopback turnarounds are microseconds, so a
-    /// short grace keeps hot connections on their worker.
-    pub keepalive_grace: Duration,
     /// Parked connections idle longer than this are closed (`None`: kept
     /// forever). Enforced by the reactor on a coarse timer (a quarter of
     /// the limit), not per-connection polling.
@@ -151,22 +176,10 @@ pub struct HttpServerConfig {
     /// Transport/service fault injection for availability tests. `None`
     /// (the default) serves faithfully.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Which op families this listener dispatches. The default
-    /// ([`EndpointScope::Public`]) refuses the replica-internal
-    /// `counter_*` vote ops; only a dedicated vote endpoint
-    /// ([`crate::cluster::ReplicaSet`]'s counter listeners) runs with
-    /// [`EndpointScope::Vote`].
-    pub scope: EndpointScope,
     /// Ceiling on concurrently open (parked + in-flight) connections.
     /// Beyond it, new accepts are answered with a fast 503 and closed —
     /// bounding fds and memory instead of growing without limit.
     pub max_connections: usize,
-    /// Kernel listen backlog. A connection storm queues here (absorbed at
-    /// kernel cost, drained at low priority) instead of seeing resets.
-    pub accept_backlog: usize,
-    /// Bound on the pool's **low-priority lane** (accept-drain jobs).
-    /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
-    pub accept_queue_capacity: usize,
 }
 
 impl Default for HttpServerConfig {
@@ -177,105 +190,12 @@ impl Default for HttpServerConfig {
         HttpServerConfig {
             workers: (2 * cores).max(2),
             queue_capacity: 1024,
-            keepalive_grace: Duration::from_millis(1),
             idle_timeout: None,
             pool: None,
             bind: None,
             faults: None,
-            scope: EndpointScope::Public,
             max_connections: 65_536,
-            accept_backlog: 1_024,
-            accept_queue_capacity: 64,
         }
-    }
-}
-
-impl HttpServerConfig {
-    /// Fluent construction with reactor-native knobs:
-    /// `HttpServerConfig::builder().workers(4).max_connections(10_000).build()`.
-    pub fn builder() -> HttpServerConfigBuilder {
-        HttpServerConfigBuilder {
-            config: HttpServerConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`HttpServerConfig`] — see the field docs there.
-#[derive(Clone)]
-pub struct HttpServerConfigBuilder {
-    config: HttpServerConfig,
-}
-
-impl HttpServerConfigBuilder {
-    /// Worker threads (ignored when a shared [`Self::pool`] is supplied).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
-    /// High-priority (request/signing) lane capacity.
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.config.queue_capacity = n;
-        self
-    }
-
-    /// Low-priority (accept-drain) lane capacity.
-    pub fn accept_queue_capacity(mut self, n: usize) -> Self {
-        self.config.accept_queue_capacity = n;
-        self
-    }
-
-    /// Ceiling on concurrently open connections (503 beyond it).
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.config.max_connections = n;
-        self
-    }
-
-    /// Kernel listen backlog depth.
-    pub fn accept_backlog(mut self, n: usize) -> Self {
-        self.config.accept_backlog = n;
-        self
-    }
-
-    /// Grace a worker waits for the next pipelined request before parking.
-    pub fn keepalive_grace(mut self, grace: Duration) -> Self {
-        self.config.keepalive_grace = grace;
-        self
-    }
-
-    /// Close parked connections idle longer than `limit`.
-    pub fn idle_timeout(mut self, limit: Duration) -> Self {
-        self.config.idle_timeout = Some(limit);
-        self
-    }
-
-    /// Serve connections on an existing shared pool.
-    pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.config.pool = Some(pool);
-        self
-    }
-
-    /// Bind to this exact address.
-    pub fn bind(mut self, addr: SocketAddr) -> Self {
-        self.config.bind = Some(addr);
-        self
-    }
-
-    /// Arm transport/service fault injection.
-    pub fn faults(mut self, faults: Arc<FaultPlan>) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Which op families this listener dispatches.
-    pub fn scope(mut self, scope: EndpointScope) -> Self {
-        self.config.scope = scope;
-        self
-    }
-
-    /// Finish into an [`HttpServerConfig`].
-    pub fn build(self) -> HttpServerConfig {
-        self.config
     }
 }
 
@@ -337,7 +257,6 @@ struct ServerShared {
     pool: Arc<WorkerPool>,
     reactor: Arc<Reactor<Conn>>,
     shutdown: AtomicBool,
-    keepalive_grace: Duration,
     faults: Option<Arc<FaultPlan>>,
     scope: EndpointScope,
     max_connections: usize,
@@ -392,26 +311,24 @@ impl ReactorClient<Conn> for ServerShared {
     }
 }
 
-/// A running HTTP front-end server.
-pub struct HttpServer {
+/// A bound, serving listener: `front` behind the reactor, the worker
+/// pool and the [`FaultPlan`] injection points. Dropping an `Endpoint`
+/// shuts it down; prefer [`Endpoint::shutdown`] for a deterministic join.
+pub struct Endpoint {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
     owns_pool: bool,
     reactor_handle: Option<JoinHandle<()>>,
 }
 
-impl HttpServer {
-    /// Start serving `front` on an OS-assigned loopback port with default
-    /// pooling.
-    pub fn start(front: Arc<FrontEnd>) -> std::io::Result<HttpServer> {
-        HttpServer::start_with(front, HttpServerConfig::default())
-    }
-
-    /// Start serving `front` with explicit reactor/pool tuning.
-    pub fn start_with(
+impl Endpoint {
+    /// Serve `front` under `scope` on `config.bind` (or an OS-assigned
+    /// loopback port).
+    pub fn bind(
         front: Arc<FrontEnd>,
+        scope: EndpointScope,
         config: HttpServerConfig,
-    ) -> std::io::Result<HttpServer> {
+    ) -> std::io::Result<Endpoint> {
         let listener = match config.bind {
             Some(addr) => TcpListener::bind(addr)?,
             None => TcpListener::bind("127.0.0.1:0")?,
@@ -421,19 +338,14 @@ impl HttpServer {
         // connection storm queues (drained at low priority) instead of
         // seeing resets. Re-calling listen(2) on a listening socket only
         // updates the backlog.
+        // SAFETY: a plain syscall on a descriptor `listener` owns and keeps
+        // open across the call; no memory is passed.
         unsafe {
-            libc::listen(
-                listener.as_raw_fd(),
-                config.accept_backlog.min(i32::MAX as usize) as libc::c_int,
-            );
+            libc::listen(listener.as_raw_fd(), ACCEPT_BACKLOG);
         }
         let owns_pool = config.pool.is_none();
         let pool = config.pool.unwrap_or_else(|| {
-            WorkerPool::with_lanes(
-                config.workers,
-                config.queue_capacity,
-                config.accept_queue_capacity,
-            )
+            WorkerPool::with_lanes(config.workers, config.queue_capacity, ACCEPT_QUEUE_CAPACITY)
         });
         let reactor = Arc::new(Reactor::new(listener, config.idle_timeout)?);
         let shared = Arc::new_cyclic(|me| ServerShared {
@@ -441,9 +353,8 @@ impl HttpServer {
             pool,
             reactor,
             shutdown: AtomicBool::new(false),
-            keepalive_grace: config.keepalive_grace,
             faults: config.faults,
-            scope: config.scope,
+            scope,
             max_connections: config.max_connections.max(1),
             open_connections: Arc::new(AtomicUsize::new(0)),
             me: me.clone(),
@@ -454,12 +365,33 @@ impl HttpServer {
             .name("smacs-http-reactor".into())
             .spawn(move || run_shared.reactor.run(&*run_shared))?;
 
-        Ok(HttpServer {
+        Ok(Endpoint {
             addr,
             shared,
             owns_pool,
             reactor_handle: Some(reactor_handle),
         })
+    }
+
+    /// [`Endpoint::bind`], retrying briefly on failure — the recovery
+    /// path rebinds an address the kernel may be slow to release after
+    /// the previous listener closed.
+    pub fn bind_retry(
+        front: Arc<FrontEnd>,
+        scope: EndpointScope,
+        config: HttpServerConfig,
+    ) -> std::io::Result<Endpoint> {
+        let mut last_err = None;
+        for _ in 0..50 {
+            match Endpoint::bind(front.clone(), scope, config.clone()) {
+                Ok(endpoint) => return Ok(endpoint),
+                Err(e) => {
+                    last_err = Some(e);
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+        Err(last_err.expect("retry loop ran"))
     }
 
     /// The bound address (`127.0.0.1:port`).
@@ -470,12 +402,6 @@ impl HttpServer {
     /// The service URL for [`crate::discovery`] metadata.
     pub fn url(&self) -> String {
         format!("http://{}", self.addr)
-    }
-
-    /// The worker pool serving connections (shared with batch signing
-    /// when configured so).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.shared.pool
     }
 
     /// Connections currently parked idle (diagnostics for probes/tests).
@@ -514,7 +440,7 @@ impl HttpServer {
     }
 }
 
-impl Drop for HttpServer {
+impl Drop for Endpoint {
     fn drop(&mut self) {
         self.stop();
     }
@@ -600,7 +526,7 @@ fn serve_turn(shared: &Arc<ServerShared>, mut conn: Conn) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return; // drop: shutdown closes keep-alive connections
         }
-        match await_data(&mut conn, shared.keepalive_grace) {
+        match await_data(&mut conn, KEEPALIVE_GRACE) {
             Readiness::Ready => {}
             Readiness::Idle => {
                 park(shared, conn);
@@ -713,16 +639,10 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     let (request_line, headers) = match read_head(&mut conn.reader) {
         Ok(Some(head)) => head,
         Ok(None) => return Ok(true), // client closed the connection
+        // Over the head cap (or not UTF-8): the stream cannot be framed
+        // any further, so refuse and close.
         Err(e) if e.kind() == ErrorKind::InvalidData => {
-            // Over the head cap (or not UTF-8): the stream cannot be
-            // framed any further, so refuse and close.
-            write_response(
-                conn.stream(),
-                431,
-                true,
-                r#"{"status":"error","message":"request head too large"}"#,
-            )?;
-            return Ok(true);
+            return refuse(conn, 431, HEAD_TOO_LARGE_BODY)
         }
         Err(e) => return Err(e),
     };
@@ -730,36 +650,18 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     let client_close = headers.close;
 
     if method != "POST" {
-        write_response(
-            conn.stream(),
-            405,
-            true,
-            r#"{"status":"error","message":"POST only"}"#,
-        )?;
-        return Ok(true);
+        return refuse(conn, 405, NOT_POST_BODY);
     }
     // A POST without a parseable Content-Length cannot be framed: refuse
     // and close rather than guess (guessing would leave body bytes in the
     // stream and desynchronize later keep-alive requests).
     let Some(content_length) = headers.content_length else {
-        write_response(
-            conn.stream(),
-            400,
-            true,
-            r#"{"status":"error","message":"missing or invalid Content-Length"}"#,
-        )?;
-        return Ok(true);
+        return refuse(conn, 400, NO_LENGTH_BODY);
     };
     // Oversized bodies are refused with the connection closed, for the
     // same framing reason.
     if content_length > MAX_BODY_BYTES {
-        write_response(
-            conn.stream(),
-            413,
-            true,
-            r#"{"status":"error","message":"body too large"}"#,
-        )?;
-        return Ok(true);
+        return refuse(conn, 413, BODY_TOO_LARGE_BODY);
     }
     let body = read_body(&mut conn.reader, content_length)?;
 
@@ -791,6 +693,13 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
 
     write_response(conn.stream(), 200, client_close, &response)?;
     Ok(client_close)
+}
+
+/// Answer `code` with `body` and close: the connection cannot be framed
+/// any further.
+fn refuse(conn: &mut Conn, code: u16, body: &str) -> std::io::Result<bool> {
+    write_response(conn.stream(), code, true, body)?;
+    Ok(true)
 }
 
 /// The only place bytes reach a socket (see "Wire cost" in the module
@@ -1202,28 +1111,9 @@ impl TsApi for HttpClient {
     }
 }
 
-/// A tiny blocking one-shot client (v1 era): one `POST /` per connection,
-/// `Connection: close`. Kept for legacy clients and the back-compat tests.
-pub fn post_json(addr: SocketAddr, body: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let head_prefix = format!(
-        "POST / HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nConnection: close\r\nContent-Length: "
-    );
-    write_request(&mut stream, &head_prefix, body)?;
-    let mut response = String::new();
-    BufReader::new(stream).read_to_string(&mut response)?;
-    let body_start = response
-        .find("\r\n\r\n")
-        .map(|i| i + 4)
-        .unwrap_or(response.len());
-    Ok(response[body_start..].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{decode_token_hex, FrontRequest, FrontResponse};
     use crate::rules::RuleBook;
     use crate::service::{TokenService, TokenServiceConfig};
     use smacs_crypto::Keypair;
@@ -1240,8 +1130,12 @@ mod tests {
         Arc::new(FrontEnd::new(service, "secret", 0))
     }
 
-    fn running_server() -> HttpServer {
-        HttpServer::start(front()).unwrap()
+    fn serve(config: HttpServerConfig) -> Endpoint {
+        Endpoint::bind(front(), EndpointScope::Public, config).unwrap()
+    }
+
+    fn running_server() -> Endpoint {
+        serve(HttpServerConfig::default())
     }
 
     fn request(low: u64) -> TokenRequest {
@@ -1277,7 +1171,7 @@ mod tests {
 
     /// A raw keep-alive connection to `server`: the write half and a
     /// buffered read half, reads bounded so a hung server fails the test.
-    fn raw_connection(server: &HttpServer) -> (TcpStream, BufReader<TcpStream>) {
+    fn raw_connection(server: &Endpoint) -> (TcpStream, BufReader<TcpStream>) {
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
         stream
@@ -1285,6 +1179,25 @@ mod tests {
             .unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         (stream, reader)
+    }
+
+    fn assert_bad_envelope(body: &str) {
+        let envelope: ResponseEnvelope = json::from_str(body).expect("a v2 envelope");
+        assert!(!envelope.ok, "{body}");
+        assert_eq!(envelope.error.unwrap().code, "bad_envelope", "{body}");
+    }
+
+    /// Send `raw` on a fresh connection; the server must refuse it with a
+    /// v2 `bad_envelope` body and hang up. Returns the status code.
+    fn refusal(server: &Endpoint, raw: &[u8]) -> u16 {
+        let (mut stream, mut reader) = raw_connection(server);
+        stream.write_all(raw).unwrap();
+        let (status, headers) = read_head(&mut reader).unwrap().unwrap();
+        assert!(headers.close, "the refusal must announce the close");
+        assert_bad_envelope(&read_body(&mut reader, headers.content_length.unwrap()).unwrap());
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap(); // EOF, not a read timeout
+        status.split_whitespace().nth(1).unwrap().parse().unwrap()
     }
 
     #[test]
@@ -1328,6 +1241,19 @@ mod tests {
         assert_eq!(overloaded.writes, 1, "503");
         let (code, body) = read_response(&mut &overloaded.bytes[..]).unwrap();
         assert_eq!((code, body.as_str()), (503, OVERLOADED_BODY));
+
+        // Every body the server writes on its own is a v2 error envelope.
+        for body in [OVERLOADED_BODY, FAULTED_BODY] {
+            let envelope: ResponseEnvelope = json::from_str(body).unwrap();
+            assert_eq!(envelope.error.unwrap().code, "internal");
+        }
+        let refusals = [
+            HEAD_TOO_LARGE_BODY,
+            NOT_POST_BODY,
+            NO_LENGTH_BODY,
+            BODY_TOO_LARGE_BODY,
+        ];
+        refusals.into_iter().for_each(assert_bad_envelope);
     }
 
     #[test]
@@ -1428,13 +1354,7 @@ mod tests {
 
         // Exactly the cap, no newline: the server has read every byte sent,
         // so the close is an orderly FIN and the refusal is readable.
-        let (mut stream, mut reader) = raw_connection(&server);
-        stream.write_all(&vec![b'a'; MAX_HEAD_BYTES]).unwrap();
-        let (status, headers) = read_head(&mut reader).unwrap().unwrap();
-        assert!(status.starts_with("HTTP/1.1 431"), "{status}");
-        assert!(headers.close, "the refusal must announce the close");
-        let mut rest = Vec::new();
-        reader.read_to_end(&mut rest).unwrap(); // EOF, not a read timeout
+        assert_eq!(refusal(&server, &vec![b'a'; MAX_HEAD_BYTES]), 431);
         bystander.ping().unwrap();
 
         // A 1 MiB newline-free head: the server stops reading at the cap
@@ -1460,18 +1380,18 @@ mod tests {
     }
 
     #[test]
-    fn token_issuance_over_http_v1() {
+    fn deeply_nested_body_is_a_bad_envelope_not_a_crash() {
         let server = running_server();
-        let request = FrontRequest::IssueToken {
-            request: request(2),
-        };
-        let body = smacs_primitives::json::to_string(&request);
-        let response = post_json(server.addr(), &body).unwrap();
-        let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-        let FrontResponse::Token { token_hex } = parsed else {
-            panic!("expected token, got {parsed:?}");
-        };
-        assert!(decode_token_hex(&token_hex).is_some());
+        let bystander = HttpClient::connect(server.addr());
+        for depth in [100_000, 1 << 20] {
+            let (mut stream, mut reader) = raw_connection(&server);
+            let body = "[".repeat(depth);
+            write_request(&mut stream, "POST / HTTP/1.1\r\nContent-Length: ", &body).unwrap();
+            let (code, body) = read_response(&mut reader).unwrap();
+            assert_eq!(code, 200);
+            assert_bad_envelope(&body);
+            bystander.ping().unwrap();
+        }
         server.shutdown();
     }
 
@@ -1513,13 +1433,10 @@ mod tests {
         // connection goes stale, and the next call — *including* the
         // non-idempotent issue — must succeed via the preflight reconnect
         // instead of surfacing a transport error.
-        let server = HttpServer::start_with(
-            front(),
-            HttpServerConfig::builder()
-                .idle_timeout(Duration::from_millis(40))
-                .build(),
-        )
-        .unwrap();
+        let server = serve(HttpServerConfig {
+            idle_timeout: Some(Duration::from_millis(40)),
+            ..HttpServerConfig::default()
+        });
         let client = HttpClient::connect(server.addr());
         client.ping().unwrap();
         std::thread::sleep(Duration::from_millis(150));
@@ -1536,11 +1453,10 @@ mod tests {
         // max_connections(2) server: the third accept must be answered
         // with a fast, decodable 503 and closed — the bounded-overload
         // path — while the established two keep being served.
-        let server = HttpServer::start_with(
-            front(),
-            HttpServerConfig::builder().max_connections(2).build(),
-        )
-        .unwrap();
+        let server = serve(HttpServerConfig {
+            max_connections: 2,
+            ..HttpServerConfig::default()
+        });
         let held: Vec<HttpClient> = (0..2).map(|_| HttpClient::connect(server.addr())).collect();
         for client in &held {
             client.ping().unwrap(); // establish (and count) both
@@ -1579,28 +1495,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_reactor_native_knobs() {
-        let config = HttpServerConfig::builder()
-            .workers(3)
-            .queue_capacity(7)
-            .accept_queue_capacity(5)
-            .max_connections(11)
-            .accept_backlog(13)
-            .keepalive_grace(Duration::from_millis(2))
-            .idle_timeout(Duration::from_millis(17))
-            .scope(EndpointScope::Vote)
-            .build();
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.queue_capacity, 7);
-        assert_eq!(config.accept_queue_capacity, 5);
-        assert_eq!(config.max_connections, 11);
-        assert_eq!(config.accept_backlog, 13);
-        assert_eq!(config.keepalive_grace, Duration::from_millis(2));
-        assert_eq!(config.idle_timeout, Some(Duration::from_millis(17)));
-        assert_eq!(config.scope, EndpointScope::Vote);
-    }
-
-    #[test]
     fn concurrent_clients() {
         let server = running_server();
         let addr = server.addr();
@@ -1621,13 +1515,18 @@ mod tests {
     #[test]
     fn non_post_is_rejected() {
         let server = running_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write!(stream, "GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        BufReader::new(stream)
-            .read_to_string(&mut response)
-            .unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"));
+        assert_eq!(refusal(&server, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"), 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_content_length_is_refused_with_413_and_close() {
+        // Head only: the declared 9 MiB never arrives, and is never
+        // waited for.
+        let server = running_server();
+        let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 9 << 20);
+        assert_eq!(refusal(&server, head.as_bytes()), 413);
+        HttpClient::connect(server.addr()).ping().unwrap();
         server.shutdown();
     }
 
@@ -1645,9 +1544,10 @@ mod tests {
 
     #[test]
     fn idle_connections_park_instead_of_pinning_workers() {
-        let server =
-            HttpServer::start_with(front(), HttpServerConfig::builder().workers(2).build())
-                .unwrap();
+        let server = serve(HttpServerConfig {
+            workers: 2,
+            ..HttpServerConfig::default()
+        });
         // More idle keep-alive clients than workers: all must get served
         // (so none is starved by a pinned worker) and then sit parked.
         let clients: Vec<HttpClient> = (0..6).map(|_| HttpClient::connect(server.addr())).collect();
@@ -1670,5 +1570,24 @@ mod tests {
             client.ping().unwrap();
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn bind_retry_recovers_a_just_freed_address() {
+        let first = running_server();
+        let addr = first.addr();
+        first.shutdown();
+        let again = Endpoint::bind_retry(
+            front(),
+            EndpointScope::Public,
+            HttpServerConfig {
+                bind: Some(addr),
+                ..HttpServerConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(again.addr(), addr);
+        HttpClient::connect(again.addr()).ping().unwrap();
+        again.shutdown();
     }
 }

@@ -11,9 +11,9 @@
 //!   keep-alive connection — batch issuance amortizes per-request wire
 //!   overhead, and error codes mirror [`IssueError`] without leaking rule
 //!   detail (§VII-A d);
-//! - the **front end** ([`front`] for the JSON protocols — v2 envelopes
-//!   plus the legacy v1 shapes — and [`http`] for the threaded TCP/HTTP
-//!   server) through which owners and clients interact;
+//! - the **front end** ([`front`] for the protocol-v2 JSON envelopes and
+//!   [`http`] for the one listener type, [`Endpoint`]) through which
+//!   owners and clients interact;
 //! - the **access granting** module ([`service`]) that checks rule
 //!   compliance ([`rules`] — Fig. 6's white/blacklists, dynamically
 //!   updatable by the owner without touching the deployed contract) and
@@ -57,12 +57,11 @@
 //!   in the reactor's epoll set, where 50 000+ idle keep-alive
 //!   connections cost zero steady-state CPU — the reactor blocks in
 //!   `epoll_wait` until one becomes readable, closes, or idles out
-//!   ([`http::HttpServerConfig::builder`] exposes `workers`,
-//!   `queue_capacity`, `accept_queue_capacity`, `max_connections`,
-//!   `accept_backlog`, `keepalive_grace`, `idle_timeout`, and an
-//!   optional shared `pool`).
-//! - **Endpoint bring-up is one API**: the public listener and every
-//!   vote endpoint bind through [`endpoint::Endpoint`] /
+//!   ([`HttpServerConfig`] is public fields over `Default`: `workers`,
+//!   `queue_capacity`, `idle_timeout`, an optional shared `pool`, `bind`,
+//!   `faults` and `max_connections`).
+//! - **One listener type**: the public listener and every vote endpoint
+//!   bind through [`Endpoint::bind`] with an
 //!   [`EndpointScope`](front::EndpointScope), so they ride the same
 //!   reactor machinery and the same [`fault::FaultPlan`] injection
 //!   points.
@@ -89,14 +88,13 @@
 //!   binds all of them), and a majority-quorum one-time counter
 //!   ([`replica::CounterCluster`]).
 //!
-//! - **How the counter quorum votes.** By default the counter is a real
-//!   distributed protocol ([`cluster::CounterMode::Wire`]): each replica
-//!   serves the protocol-v2 `counter_*` op family on a dedicated vote
-//!   endpoint — and *only* there: the client-facing listener runs with
-//!   [`front::EndpointScope::Public`] and refuses vote ops with
-//!   `counter_unavailable`, so a hostile client cannot burn or skip
-//!   index ranges. Allocating one index is two wire rounds driven by the
-//!   issuing replica as coordinator:
+//! - **How the counter quorum votes.** The counter is a real distributed
+//!   protocol: each replica serves the protocol-v2 `counter_*` op family
+//!   on a dedicated vote endpoint — and *only* there: the client-facing
+//!   listener runs with [`front::EndpointScope::Public`] and refuses vote
+//!   ops with `counter_unavailable`, so a hostile client cannot burn or
+//!   skip index ranges. Allocating one index is two wire rounds driven by
+//!   the issuing replica as coordinator:
 //!
 //!   ```text
 //!   coordinator ──counter_prepare──▶ every node     (read frontiers,
@@ -166,7 +164,6 @@
 pub mod api;
 pub mod cluster;
 pub mod discovery;
-pub mod endpoint;
 pub mod failover;
 pub mod fault;
 pub mod front;
@@ -182,12 +179,9 @@ pub mod wal;
 pub use api::{ApiError, ErrorCode, InProcessClient, TsApi, MAX_BATCH, PROTOCOL_VERSION};
 pub use cluster::{CounterMode, ReplicaSet, ReplicaSetConfig};
 pub use discovery::ServiceDirectory;
-pub use endpoint::Endpoint;
 pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;
-pub use http::{
-    HttpClient, HttpClientConfig, HttpServer, HttpServerConfig, HttpServerConfigBuilder,
-};
+pub use http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
 pub use service::{IssueError, ShardedRules, TokenService, TokenServiceConfig};

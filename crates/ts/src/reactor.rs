@@ -1,4 +1,4 @@
-//! The readiness reactor behind [`crate::http::HttpServer`]: one thread
+//! The readiness reactor behind [`crate::http::Endpoint`]: one thread
 //! multiplexing *all* parked keep-alive sockets and the accept listener
 //! through epoll (via the in-repo `libc` shim), so an idle connection
 //! costs one registered fd and **zero CPU** until its next byte arrives —

@@ -341,7 +341,7 @@ fn asymmetric_vote_partition_fails_closed_only_where_votes_cannot_flow() {
     assert!(indexes.insert(r0.issue(&request(1).one_time()).unwrap().index));
 
     // Cut replica 0's *outgoing* vote links only.
-    let vote_addr = |id| set.counter_addr(id).expect("wire mode");
+    let vote_addr = |id| set.counter_addr(id);
     set.faults(0).partition_addr(vote_addr(1));
     set.faults(0).partition_addr(vote_addr(2));
 
@@ -374,7 +374,7 @@ fn asymmetric_vote_partition_fails_closed_only_where_votes_cannot_flow() {
 #[test]
 fn delayed_and_duplicated_votes_never_duplicate_an_index() {
     let set = set();
-    let vote_addr = |id| set.counter_addr(id).expect("wire mode");
+    let vote_addr = |id| set.counter_addr(id);
     // Replica 0's votes to replica 1 lag behind its votes to replica 2,
     // and both coordinators double-send a budget of votes.
     set.faults(0)

@@ -1,5 +1,5 @@
 //! Concurrency stress: many client threads hammering one pooled
-//! [`HttpServer`] with `issue` and `issue_batch`, checking the three
+//! [`Endpoint`] with `issue` and `issue_batch`, checking the three
 //! properties the worker-pool refactor must preserve:
 //!
 //! 1. every request gets exactly one response (no lost or duplicated
@@ -11,9 +11,10 @@
 use smacs_crypto::Keypair;
 use smacs_primitives::{Address, WorkerPool};
 use smacs_token::TokenRequest;
-use smacs_ts::front::FrontEnd;
-use smacs_ts::http::{HttpClient, HttpServer, HttpServerConfig};
-use smacs_ts::{RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs_ts::front::{EndpointScope, FrontEnd};
+use smacs_ts::{
+    Endpoint, HttpClient, HttpServerConfig, RuleBook, TokenService, TokenServiceConfig, TsApi,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +25,17 @@ fn front(seed: u64) -> Arc<FrontEnd> {
         TokenServiceConfig::default(),
     );
     Arc::new(FrontEnd::new(service, "stress-owner", 0))
+}
+
+fn serve(front: Arc<FrontEnd>, config: HttpServerConfig) -> Endpoint {
+    Endpoint::bind(front, EndpointScope::Public, config).unwrap()
+}
+
+fn four_workers() -> HttpServerConfig {
+    HttpServerConfig {
+        workers: 4,
+        ..HttpServerConfig::default()
+    }
 }
 
 fn one_time_request(sender: u64) -> TokenRequest {
@@ -37,8 +49,7 @@ fn hammering_clients_get_unique_indexes_and_clean_shutdown() {
     const BATCHES: usize = 3;
     const BATCH: usize = 16;
 
-    let server =
-        HttpServer::start_with(front(77), HttpServerConfig::builder().workers(4).build()).unwrap();
+    let server = serve(front(77), four_workers());
     let addr = server.addr();
 
     let handles: Vec<_> = (0..CLIENTS as u64)
@@ -107,11 +118,13 @@ fn one_pool_can_serve_connections_and_fan_out_signing() {
     )
     .with_pool(pool.clone());
     let front = Arc::new(FrontEnd::new(service, "stress-owner", 0));
-    let server = HttpServer::start_with(
+    let server = serve(
         front,
-        HttpServerConfig::builder().pool(pool.clone()).build(),
-    )
-    .unwrap();
+        HttpServerConfig {
+            pool: Some(pool.clone()),
+            ..HttpServerConfig::default()
+        },
+    );
 
     let client = HttpClient::connect(server.addr());
     let requests: Vec<TokenRequest> = (0..64).map(|i| one_time_request(500 + i)).collect();
@@ -142,7 +155,7 @@ fn rule_swaps_during_concurrent_issuance_are_atomic() {
     // either the old book or the new one — never a torn mix, never a
     // deadlock. The old book permits supers, the new one denies all.
     let front = front(79);
-    let server = HttpServer::start(front.clone()).unwrap();
+    let server = serve(front.clone(), HttpServerConfig::default());
     let addr = server.addr();
 
     // Thread 0 signals after its tenth response; the flip happens then,
@@ -208,8 +221,7 @@ fn connection_storm_does_not_stall_batch_signing() {
     const BATCHES: usize = 24;
     const BATCH: usize = 8;
 
-    let server =
-        HttpServer::start_with(front(80), HttpServerConfig::builder().workers(4).build()).unwrap();
+    let server = serve(front(80), four_workers());
     let addr = server.addr();
 
     // Fill the epoll set: hundreds of established, idle connections.

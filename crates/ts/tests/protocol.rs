@@ -1,4 +1,4 @@
-//! Front-end protocol coverage: v1↔v2 coexistence, malformed-envelope
+//! Front-end protocol coverage: the removed v1 shape, malformed-envelope
 //! rejection, batch partial-failure semantics, and keep-alive connection
 //! reuse.
 
@@ -6,11 +6,11 @@ use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
-use smacs_ts::front::{decode_token_hex, FrontEnd, FrontRequest, FrontResponse};
-use smacs_ts::http::{post_json, HttpClient, HttpServer};
+use smacs_ts::api::ResponseEnvelope;
+use smacs_ts::front::{decode_token_hex, EndpointScope, FrontEnd};
 use smacs_ts::{
-    ErrorCode, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi, MAX_BATCH,
-    PROTOCOL_VERSION,
+    Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy, RuleBook, TokenService,
+    TokenServiceConfig, TsApi, MAX_BATCH, PROTOCOL_VERSION,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -26,6 +26,10 @@ fn front() -> Arc<FrontEnd> {
         "owner-secret",
         1_000,
     ))
+}
+
+fn serve(front: Arc<FrontEnd>) -> Endpoint {
+    Endpoint::bind(front, EndpointScope::Public, HttpServerConfig::default()).unwrap()
 }
 
 fn request(low: u64) -> TokenRequest {
@@ -53,63 +57,35 @@ fn error_code(response: &Json) -> &str {
         .expect("error code")
 }
 
-// ---- v1 ↔ v2 round trips ----
+// ---- the removed v1 protocol ----
+
+/// The unversioned v1 bodies, byte for byte what the seed's clients sent:
+/// a one-time `issue_token` for `request(1)`, a deny-all `set_rules` with
+/// the right owner secret, and `ping`.
+const V1_BODIES: [&str; 3] = [
+    r#"{"op":"issue_token","request":{"ttype":"super","contract":"0x00000000000000000000000000000000000000c0","sender":"0x0000000000000000000000000000000000000001","method":null,"args":[],"calldata":null,"one_time":true}}"#,
+    r#"{"op":"set_rules","owner_secret":"owner-secret","rules":{"types":{}}}"#,
+    r#"{"op":"ping"}"#,
+];
 
 #[test]
-fn same_front_end_answers_both_protocol_generations() {
+fn v1_bodies_answer_unsupported_version_and_change_nothing() {
     let front = front();
-
-    // v1: unversioned envelope, v1 response vocabulary.
-    let v1_body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-        request: request(1),
-    });
-    let v1_response: FrontResponse =
-        smacs_primitives::json::from_str(&front.handle_json(&v1_body)).unwrap();
-    let FrontResponse::Token { token_hex } = v1_response else {
-        panic!("v1 expected token, got {v1_response:?}");
-    };
-    let v1_token = decode_token_hex(&token_hex).unwrap();
-
-    // v2: versioned envelope, enveloped response.
-    let v2_response = parse(&front.handle_json(&v2("issue", request(1).to_json())));
-    assert_eq!(v2_response.get("v").and_then(Json::as_int), Some(2));
-    assert_eq!(v2_response.get("ok").and_then(Json::as_bool), Some(true));
-    let token_hex = v2_response
+    for body in V1_BODIES {
+        let response = parse(&front.handle_json(body));
+        assert_eq!(response.get("v").and_then(Json::as_int), Some(2));
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(error_code(&response), "unsupported_version", "{body}");
+    }
+    // Nothing was minted (the first one-time index is still free) and the
+    // deny-all rules were not applied (the request is granted).
+    let response = parse(&front.handle_json(&v2("issue", request(1).one_time().to_json())));
+    let token_hex = response
         .get("body")
         .and_then(|b| b.get("token_hex"))
         .and_then(Json::as_str)
-        .unwrap();
-    let v2_token = decode_token_hex(token_hex).unwrap();
-
-    // Same service, same clock, same request → identical tokens.
-    assert_eq!(v1_token, v2_token);
-}
-
-#[test]
-fn v1_and_v2_report_the_same_denial_with_different_vocabulary() {
-    let front = front();
-    front.service().set_rules(RuleBook::deny_all());
-
-    let v1_body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-        request: request(1),
-    });
-    let v1: FrontResponse = smacs_primitives::json::from_str(&front.handle_json(&v1_body)).unwrap();
-    let FrontResponse::Denied { reason } = v1 else {
-        panic!("expected v1 denial, got {v1:?}");
-    };
-
-    let v2_response = parse(&front.handle_json(&v2("issue", request(1).to_json())));
-    assert_eq!(v2_response.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(error_code(&v2_response), "rule_violation");
-    let message = v2_response
-        .get("error")
-        .and_then(|e| e.get("message"))
-        .and_then(Json::as_str)
-        .unwrap();
-    // The coarse human-readable reason is shared between generations, and
-    // leaks no rule contents (§VII-A d).
-    assert_eq!(message, reason);
-    assert!(!message.contains("0x"), "leaked rule detail: {message}");
+        .expect("granted");
+    assert_eq!(decode_token_hex(token_hex).unwrap().index, 0);
 }
 
 // ---- malformed envelopes ----
@@ -153,11 +129,11 @@ fn malformed_envelopes_are_rejected_with_machine_readable_codes() {
     let response = parse(&front.handle_json(&v2("issue", bad.to_json())));
     assert_eq!(error_code(&response), "invalid_request");
 
-    // Unparseable JSON still answers in the legacy (v1) error shape —
-    // there is no way to tell which generation the client speaks.
-    let response: FrontResponse =
-        smacs_primitives::json::from_str(&front.handle_json("{not json")).unwrap();
-    assert!(matches!(response, FrontResponse::Error { .. }));
+    // Unparseable JSON is a bad envelope too, and so is a JSON value that
+    // is not an object.
+    for body in ["{not json", "[1,2]", &"[".repeat(1 << 20)] {
+        assert_eq!(error_code(&parse(&front.handle_json(body))), "bad_envelope");
+    }
 }
 
 // ---- batch partial failure ----
@@ -204,7 +180,7 @@ fn batch_partial_failure_keeps_per_item_outcomes_in_order() {
 
 #[test]
 fn batch_partial_failure_over_the_http_client() {
-    let server = HttpServer::start(front()).unwrap();
+    let server = serve(front());
     let client = HttpClient::connect(server.addr());
     let mut bad = request(2);
     bad.args.push(smacs_token::request::ArgBinding {
@@ -257,7 +233,7 @@ fn counter_unavailable_round_trips_the_v2_wire() {
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
 
     // And through the typed HTTP client the code arrives as the enum.
-    let server = HttpServer::start(front).unwrap();
+    let server = serve(front);
     let client = HttpClient::connect(server.addr());
     let err = client.issue(&request(2).one_time()).unwrap_err();
     assert_eq!(err.code, ErrorCode::CounterUnavailable);
@@ -270,7 +246,7 @@ fn batch_partial_failure_with_counter_unavailable() {
     // A quorum-lost batch degrades per item: one-time slots answer
     // `counter_unavailable`, plain slots still mint — one coordination
     // outage never poisons the whole batch.
-    let server = HttpServer::start(quorumless_front()).unwrap();
+    let server = serve(quorumless_front());
     let client = HttpClient::connect(server.addr());
     let results = client
         .issue_batch(&[
@@ -298,7 +274,7 @@ fn batch_partial_failure_with_counter_unavailable() {
 
 #[test]
 fn one_connection_serves_many_requests() {
-    let server = HttpServer::start(front()).unwrap();
+    let server = serve(front());
     let addr = server.addr();
 
     // Raw socket: three requests down the same connection, three distinct
@@ -357,7 +333,7 @@ fn one_connection_serves_many_requests() {
 fn post_without_content_length_is_rejected_with_400_and_close() {
     // Guessing a length would desynchronize the keep-alive stream, so the
     // server must refuse to frame such a request and hang up.
-    let server = HttpServer::start(front()).unwrap();
+    let server = serve(front());
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     write!(stream, "POST / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
     stream.flush().unwrap();
@@ -367,22 +343,11 @@ fn post_without_content_length_is_rejected_with_400_and_close() {
         .unwrap();
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
     assert!(response.to_ascii_lowercase().contains("connection: close"));
-    server.shutdown();
-}
-
-#[test]
-fn v1_close_semantics_still_honored_per_request() {
-    // post_json sends `Connection: close`; the server must answer and hang
-    // up, and a second call must open a fresh connection successfully.
-    let server = HttpServer::start(front()).unwrap();
-    for i in 0..3 {
-        let body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-            request: request(30 + i),
-        });
-        let response = post_json(server.addr(), &body).unwrap();
-        let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-        assert!(matches!(parsed, FrontResponse::Token { .. }), "{parsed:?}");
-    }
+    // The refusal is a v2 error envelope the typed client can decode.
+    let body = &response[response.find("\r\n\r\n").unwrap() + 4..];
+    let envelope = ResponseEnvelope::from_json(&parse(body)).unwrap();
+    assert!(!envelope.ok);
+    assert_eq!(envelope.error.unwrap().code, "bad_envelope");
     server.shutdown();
 }
 
@@ -390,7 +355,7 @@ fn v1_close_semantics_still_honored_per_request() {
 
 #[test]
 fn envelope_types_round_trip_through_their_codecs() {
-    use smacs_ts::api::{RequestEnvelope, ResponseEnvelope, WireError};
+    use smacs_ts::api::{RequestEnvelope, WireError};
 
     let req = RequestEnvelope {
         v: PROTOCOL_VERSION,

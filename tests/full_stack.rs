@@ -8,14 +8,17 @@ use smacs::core::client::ClientWallet;
 use smacs::core::fetcher::TokenFetcher;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::crypto::Keypair;
+use smacs::primitives::Address;
 use smacs::token::{TokenRequest, TokenType};
+use smacs::ts::api::ResponseEnvelope;
 use smacs::ts::discovery::ContractMetadata;
-use smacs::ts::front::{decode_token_hex, FrontEnd, FrontRequest, FrontResponse};
-use smacs::ts::http::{post_json, HttpClient, HttpServer};
+use smacs::ts::front::{EndpointScope, FrontEnd};
 use smacs::ts::{
-    CounterCluster, ErrorCode, InProcessClient, ListPolicy, RuleBook, TokenService,
-    TokenServiceConfig, TsApi,
+    CounterCluster, Endpoint, ErrorCode, HttpClient, HttpServerConfig, InProcessClient, ListPolicy,
+    RuleBook, TokenService, TokenServiceConfig, TsApi,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn small_shield() -> ShieldParams {
@@ -52,7 +55,12 @@ fn discovery_http_issuance_and_onchain_spend() {
     );
     let now = chain.pending_env().timestamp;
     let front = Arc::new(FrontEnd::new(service, "owner-secret", now));
-    let server = HttpServer::start(front.clone()).unwrap();
+    let server = Endpoint::bind(
+        front.clone(),
+        EndpointScope::Public,
+        HttpServerConfig::default(),
+    )
+    .unwrap();
 
     // Service discovery (§VII-B): the TS itself publishes the contract
     // metadata, and the client reads it over the wire via `discover`.
@@ -108,60 +116,45 @@ fn discovery_http_issuance_and_onchain_spend() {
     server.shutdown();
 }
 
-/// Back-compat: a v1-format `POST /token`-era request (unversioned
-/// envelope, one request per connection) is still accepted end-to-end —
-/// the token it returns spends on-chain.
+/// Protocol v1 is gone: the unversioned bodies the seed's clients sent,
+/// byte for byte and one request per `Connection: close` connection as
+/// they sent them, each get a v2 `unsupported_version` envelope from a live
+/// endpoint — and change nothing: no index is burned, no rule is replaced.
 #[test]
-fn v1_post_token_request_still_accepted() {
-    let mut chain = Chain::default_chain();
-    let owner = chain.funded_keypair(1, 10u128.pow(24));
-    let alice = ClientWallet::new(chain.funded_keypair(2, 10u128.pow(24)));
-    let toolkit = OwnerToolkit::new(owner, Keypair::from_seed(5_002));
-    let (target, _) = toolkit
-        .deploy_shielded(&mut chain, Arc::new(BenchTarget), &small_shield())
-        .unwrap();
+fn v1_bodies_get_unsupported_version_over_http() {
     let service = TokenService::new(
-        toolkit.ts_keypair().clone(),
+        Keypair::from_seed(5_002),
         RuleBook::permissive(),
         TokenServiceConfig::default(),
     );
-    let now = chain.pending_env().timestamp;
-    let server = HttpServer::start(Arc::new(FrontEnd::new(service, "owner-secret", now))).unwrap();
+    let front = Arc::new(FrontEnd::new(service, "owner-secret", 0));
+    let server = Endpoint::bind(front, EndpointScope::Public, HttpServerConfig::default()).unwrap();
 
-    // The v1 wire shape, byte-for-byte what the seed's clients sent.
-    let request = FrontRequest::IssueToken {
-        request: TokenRequest::method_token(target.address, alice.address(), BenchTarget::PING_SIG),
-    };
-    let body = smacs_primitives::json::to_string(&request);
-    let response = post_json(server.addr(), &body).unwrap();
-    let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-    let FrontResponse::Token { token_hex } = parsed else {
-        panic!("expected a token, got {parsed:?}");
-    };
-    let token = decode_token_hex(&token_hex).expect("valid wire token");
-
-    let payload = BenchTarget::ping_payload(19, 23);
-    let receipt = alice
-        .call_with_token(&mut chain, target.address, 0, &payload, token)
+    let issue =
+        TokenRequest::super_token(Address::from_low_u64(0xC0), Address::from_low_u64(1)).one_time();
+    for body in [
+        r#"{"op":"issue_token","request":{"ttype":"super","contract":"0x00000000000000000000000000000000000000c0","sender":"0x0000000000000000000000000000000000000001","method":null,"args":[],"calldata":null,"one_time":true}}"#,
+        r#"{"op":"set_rules","owner_secret":"owner-secret","rules":{"types":{}}}"#,
+        r#"{"op":"ping"}"#,
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write!(
+            stream,
+            "POST / HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
         .unwrap();
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap(); // the server hangs up
+        let json = &response[response.find("\r\n\r\n").unwrap() + 4..];
+        let envelope: ResponseEnvelope = smacs::primitives::json::from_str(json).unwrap();
+        assert!(!envelope.ok, "{response}");
+        assert_eq!(envelope.error.unwrap().code, "unsupported_version");
+    }
 
-    // v1 rule rotation still answers in the v1 vocabulary.
-    let update = FrontRequest::SetRules {
-        owner_secret: "owner-secret".into(),
-        rules: RuleBook::deny_all(),
-    };
-    let response = post_json(server.addr(), &smacs_primitives::json::to_string(&update)).unwrap();
-    assert!(matches!(
-        smacs_primitives::json::from_str::<FrontResponse>(&response).unwrap(),
-        FrontResponse::RulesUpdated
-    ));
-    let response = post_json(server.addr(), &body).unwrap();
-    assert!(matches!(
-        smacs_primitives::json::from_str::<FrontResponse>(&response).unwrap(),
-        FrontResponse::Denied { .. }
-    ));
-
+    // The v1 issue burned no index and the v1 deny-all changed no rule.
+    let token = HttpClient::connect(server.addr()).issue(&issue).unwrap();
+    assert_eq!(token.index, 0);
     server.shutdown();
 }
 
