@@ -290,7 +290,6 @@ fn build_game(seed: u64) -> ScenarioWorld {
         rules,
         ts_config: TokenServiceConfig {
             token_lifetime_secs: 120,
-            ..TokenServiceConfig::default()
         },
         requests,
     }

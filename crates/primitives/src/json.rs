@@ -1,14 +1,27 @@
-//! A small JSON value tree, parser, and printer.
+//! A small JSON layer: one encoder, a value tree, and its parser.
 //!
-//! The build environment has no access to serde/serde_json, so the workspace
-//! carries its own JSON layer: [`Json`] is the value tree, [`ToJson`] /
-//! [`FromJson`] are the codec traits the TS wire types implement by hand.
-//! Object key order is preserved (insertion order), integers are `i128`
-//! (no floats — nothing in the SMACS protocol uses them), and strings
-//! support the full escape set including `\uXXXX` surrogate pairs.
+//! The build environment has no serde, so the workspace carries its own.
+//! Object key order is preserved, integers are `i128` (the SMACS protocol
+//! uses no floats), and strings support the full escape set including
+//! `\uXXXX` surrogate pairs.
+//!
+//! **Encoding has one path**: [`ToJson::write_json`] appends a value's
+//! compact text to a `String` — on the wire, the envelope a sender is
+//! writing — so no tree is built on the way out.
+//! [`json_codec!`](crate::json_codec) generates it from a struct's field
+//! list, and every object encoder goes through [`ObjectWriter`].
+//! [`ToJson::to_json`] (the tree, parsed back from that text) and
+//! [`to_string`] are for tests and tools.
+//!
+//! **Decoding keeps a tree**: [`Json::parse`] builds a [`Json`] and
+//! [`FromJson`] walks it. The tree caps nesting depth before any domain
+//! code runs and lets a decoder look members up by name, in any order,
+//! reading absent ones as defaults; a streaming decoder has not been
+//! measured to pay for its extra code. Large members, such as an
+//! envelope's body, are moved out with [`Json::take`], never cloned.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,77 +113,22 @@ impl Json {
             .ok_or_else(|| JsonError(format!("missing field `{key}`")))
     }
 
-    // ---- printing ----
-
-    /// Compact rendering.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
-    /// Pretty rendering with 2-space indentation.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        let (nl, pad, pad_close, colon) = match indent {
-            Some(step) => (
-                "\n",
-                " ".repeat(step * (level + 1)),
-                " ".repeat(step * level),
-                ": ",
-            ),
-            None => ("", String::new(), String::new(), ":"),
+    /// Move member `key` out of this object, leaving `null` in its place:
+    /// how a decoder takes a large member without cloning it. `null` when
+    /// the member is absent or this is not an object.
+    pub fn take(&mut self, key: &str) -> Json {
+        let Json::Obj(members) = self else {
+            return Json::Null;
         };
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad);
-                    item.write(out, indent, level + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad_close);
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad);
-                    write_escaped(out, key);
-                    out.push_str(colon);
-                    value.write(out, indent, level + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad_close);
-                out.push('}');
-            }
-        }
+        members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map_or(Json::Null, |(_, v)| std::mem::replace(v, Json::Null))
+    }
+
+    /// Compact rendering: [`to_string`] of the tree.
+    pub fn render(&self) -> String {
+        to_string(self)
     }
 
     // ---- parsing ----
@@ -193,28 +151,82 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal. Only `"`, `\` and control
+/// characters are escaped; they are ASCII, so they never occur inside a
+/// multi-byte character and every run between them is copied whole.
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
+}
+
+/// Append `[item,item,…]`.
+fn write_seq<'a, T: ToJson + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Writes one JSON object into a `String`, member by member: the encoder
+/// [`json_codec!`](crate::json_codec) generates, and what hand codecs call.
+///
+/// ```
+/// use smacs_primitives::json::ObjectWriter;
+///
+/// let mut out = String::new();
+/// ObjectWriter::new(&mut out).member("v", &2).member("op", "ping").end();
+/// assert_eq!(out, r#"{"v":2,"op":"ping"}"#);
+/// ```
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Append the member `key: value`.
+    pub fn member<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        write_str(self.out, key);
+        self.out.push(':');
+        value.write_json(self.out);
+        self
+    }
+
+    /// Close the object.
+    pub fn end(&mut self) {
+        self.out.push('}');
+    }
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
@@ -448,10 +460,19 @@ impl Parser<'_> {
     }
 }
 
-/// Types that render to JSON.
+/// Types that encode to JSON.
 pub trait ToJson {
-    /// Build the JSON value.
-    fn to_json(&self) -> Json;
+    /// Append this value's compact JSON text to `out` — the one encoder.
+    fn write_json(&self, out: &mut String);
+
+    /// The value as a tree, parsed back from [`ToJson::write_json`]'s
+    /// text. For tests and tools: nothing that sends JSON builds one.
+    ///
+    /// # Panics
+    /// Panics if the value nests deeper than [`Json::parse`] accepts.
+    fn to_json(&self) -> Json {
+        Json::parse(&to_string(self)).expect("write_json emits JSON Json::parse accepts")
+    }
 }
 
 /// Types that parse from JSON.
@@ -468,14 +489,11 @@ pub trait FromJson: Sized {
     }
 }
 
-/// Serialize to a compact JSON string.
-pub fn to_string<T: ToJson>(value: &T) -> String {
-    value.to_json().render()
-}
-
-/// Serialize to a pretty JSON string.
-pub fn to_string_pretty<T: ToJson>(value: &T) -> String {
-    value.to_json().render_pretty()
+/// Compact JSON text of `value`: [`ToJson::write_json`] into a new string.
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Parse a JSON string into `T`.
@@ -486,8 +504,21 @@ pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
 // ---- blanket/basic impls ----
 
 impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Int(v) => v.write_json(out),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, items),
+            Json::Obj(members) => {
+                let mut object = ObjectWriter::new(out);
+                for (key, value) in members {
+                    object.member(key, value);
+                }
+                object.end();
+            }
+        }
     }
 }
 
@@ -497,9 +528,15 @@ impl FromJson for Json {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -509,9 +546,15 @@ impl FromJson for bool {
     }
 }
 
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
@@ -523,17 +566,11 @@ impl FromJson for String {
     }
 }
 
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
 macro_rules! int_to_json {
     ($($t:ty),+ $(,)?) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i128)
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
         }
         impl FromJson for $t {
@@ -548,10 +585,10 @@ macro_rules! int_to_json {
 int_to_json!(u8, u16, u32, u64, usize, i8, i16, i32, i64, i128);
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -573,8 +610,8 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -589,8 +626,12 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    fn write_json(&self, out: &mut String) {
+        let mut object = ObjectWriter::new(out);
+        for (key, value) in self {
+            object.member(key, value);
+        }
+        object.end();
     }
 }
 
@@ -605,8 +646,8 @@ impl<V: FromJson> FromJson for BTreeMap<String, V> {
 }
 
 impl ToJson for BTreeSet<String> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(|s| Json::Str(s.clone())).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -655,6 +696,7 @@ impl FromJson for BTreeSet<String> {
 ///
 /// let pin = Pin { label: "a".into(), x: 3, note: None, tags: vec!["t".into()] };
 /// let text = smacs_primitives::json::to_string(&pin);
+/// assert_eq!(text, r#"{"label":"a","x":3,"note":null,"tags":["t"]}"#);
 /// let back: Pin = smacs_primitives::json::from_str(&text).unwrap();
 /// assert_eq!(back, pin);
 /// // Absent Option members parse as None; absent `= default` members
@@ -674,10 +716,10 @@ macro_rules! json_codec {
         }
 
         impl $crate::json::ToJson for $name {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((stringify!($field).into(), $crate::json::ToJson::to_json(&self.$field)),)*
-                ])
+            fn write_json(&self, out: &mut String) {
+                $crate::json::ObjectWriter::new(out)
+                    $(.member(stringify!($field), &self.$field))*
+                    .end();
             }
         }
 
@@ -703,8 +745,8 @@ macro_rules! json_codec {
 }
 
 impl ToJson for crate::Address {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_hex())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, &self.to_hex());
     }
 }
 
@@ -715,22 +757,9 @@ impl FromJson for crate::Address {
     }
 }
 
-impl ToJson for crate::H256 {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_hex())
-    }
-}
-
-impl FromJson for crate::H256 {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let s = json.as_str().ok_or(JsonError("expected hash".into()))?;
-        crate::H256::from_hex(s).ok_or(JsonError(format!("bad hash {s:?}")))
-    }
-}
-
 impl ToJson for crate::U256 {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_dec_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, &self.to_dec_string());
     }
 }
 
@@ -769,6 +798,17 @@ mod tests {
     }
 
     #[test]
+    fn string_escapes_are_exactly_the_minimal_set() {
+        // Quote, backslash and the five short forms by name, other control
+        // characters as lower-case `\u00xx`, everything else verbatim
+        // (DEL and non-ASCII included).
+        let text = to_string("a\"b\\c\n\r\t\u{0}\u{8}\u{1f}\u{7f}/é€😀");
+        let expected = concat!(r#""a\"b\\c\n\r\t\u0000\u0008\u001f"#, "\u{7f}", r#"/é€😀""#);
+        assert_eq!(text, expected);
+        assert_eq!(to_string(""), r#""""#);
+    }
+
+    #[test]
     fn surrogate_pair_parsing() {
         assert_eq!(
             Json::parse(r#""😀""#).unwrap(),
@@ -783,9 +823,21 @@ mod tests {
         let v = Json::parse(text).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("c").unwrap().get("d").unwrap().as_str(), Some("e"));
-        // Round trip through both renderings.
-        assert_eq!(Json::parse(&v.render()).unwrap(), v);
-        assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
+        assert_eq!(
+            v.render(),
+            r#"{"a":[1,2,{"b":null}],"c":{"d":"e"},"empty":[],"eo":{}}"#
+        );
+        assert_eq!(v.to_json(), v);
+    }
+
+    #[test]
+    fn take_moves_a_member_out_and_leaves_null() {
+        let mut v = Json::parse(r#"{"v":2,"body":{"big":[1,2,3]}}"#).unwrap();
+        let body = v.take("body");
+        assert_eq!(body.render(), r#"{"big":[1,2,3]}"#);
+        assert_eq!(v.render(), r#"{"v":2,"body":null}"#);
+        assert_eq!(v.take("absent"), Json::Null);
+        assert_eq!(Json::Int(1).take("body"), Json::Null);
     }
 
     #[test]
@@ -841,6 +893,7 @@ mod tests {
             items: vec![1, 2],
         };
         let text = super::to_string(&full);
+        assert_eq!(text, r#"{"name":"x","count":7,"tag":"t","items":[1,2]}"#);
         assert_eq!(super::from_str::<Sample>(&text).unwrap(), full);
         // Absent option → None; absent required field → error naming it.
         let sparse: Sample = super::from_str(r#"{"name":"y","count":1,"items":[]}"#).unwrap();
@@ -859,5 +912,7 @@ mod tests {
         assert_eq!(Vec::<u64>::from_json(&xs.to_json()).unwrap(), xs);
         let none: Option<String> = None;
         assert_eq!(Option::<String>::from_json(&none.to_json()).unwrap(), none);
+        assert_eq!(to_string(&i128::MIN), i128::MIN.to_string());
+        assert_eq!(to_string(&u64::MAX), u64::MAX.to_string());
     }
 }

@@ -14,7 +14,7 @@
 
 use smacs_chain::abi::{selector, Selector};
 use smacs_primitives::hexutil;
-use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
+use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use smacs_primitives::Address;
 use std::fmt;
 
@@ -243,57 +243,41 @@ impl TokenRequest {
 // hex string (`"0x…"`), not a JSON byte array, so the field needs a custom
 // encoding the macro doesn't model.
 impl ToJson for TokenRequest {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("ttype".into(), self.ttype.to_json()),
-            ("contract".into(), self.contract.to_json()),
-            ("sender".into(), self.sender.to_json()),
-            ("method".into(), self.method.to_json()),
-            ("args".into(), self.args.to_json()),
-            (
-                "calldata".into(),
-                match &self.calldata {
-                    Some(data) => Json::Str(hexutil::encode_prefixed(data)),
-                    None => Json::Null,
-                },
-            ),
-            ("one_time".into(), Json::Bool(self.one_time)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .member("ttype", &self.ttype)
+            .member("contract", &self.contract)
+            .member("sender", &self.sender)
+            .member("method", &self.method)
+            .member("args", &self.args)
+            .member(
+                "calldata",
+                &self.calldata.as_deref().map(hexutil::encode_prefixed),
+            )
+            .member("one_time", &self.one_time)
+            .end();
     }
 }
 
 impl FromJson for TokenRequest {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let calldata = match json.get("calldata") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(
-                hexutil::decode_flexible(s)
-                    .ok_or_else(|| JsonError(format!("bad calldata hex {s:?}")))?,
-            ),
-            Some(other) => {
-                return Err(JsonError(format!("bad calldata value {other}")));
-            }
-        };
         // Optional fields tolerate absence (not just explicit null), matching
         // the serde-derived codec this replaces: a super-token request may
         // simply omit "method", "args", "calldata", and "one_time".
+        let calldata = Option::<String>::from_json_field(json, "calldata")?
+            .map(|s| {
+                hexutil::decode_flexible(&s)
+                    .ok_or_else(|| JsonError(format!("bad calldata hex {s:?}")))
+            })
+            .transpose()?;
         Ok(TokenRequest {
-            ttype: TokenType::from_json(json.want("ttype")?)?,
-            contract: Address::from_json(json.want("contract")?)?,
-            sender: Address::from_json(json.want("sender")?)?,
-            method: match json.get("method") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(String::from_json(v)?),
-            },
-            args: match json.get("args") {
-                None | Some(Json::Null) => Vec::new(),
-                Some(v) => Vec::<ArgBinding>::from_json(v)?,
-            },
+            ttype: FromJson::from_json_field(json, "ttype")?,
+            contract: FromJson::from_json_field(json, "contract")?,
+            sender: FromJson::from_json_field(json, "sender")?,
+            method: FromJson::from_json_field(json, "method")?,
+            args: Option::from_json_field(json, "args")?.unwrap_or_default(),
             calldata,
-            one_time: match json.get("one_time") {
-                None | Some(Json::Null) => false,
-                Some(v) => bool::from_json(v)?,
-            },
+            one_time: Option::from_json_field(json, "one_time")?.unwrap_or(false),
         })
     }
 }
@@ -509,5 +493,32 @@ mod tests {
         fn prop_from_wire_never_panics(data in prop::collection::vec(any::<u8>(), 0..128)) {
             let _ = TokenRequest::from_wire(&data);
         }
+
+        #[test]
+        fn prop_json_round_trip(
+            type_idx in 0usize..3,
+            addrs in any::<[[u8; 20]; 2]>(),
+            method in prop::collection::vec(TRICKY, 0..2),
+            args in prop::collection::vec((TRICKY, TRICKY), 0..4),
+            calldata in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 0..2),
+            one_time in any::<bool>(),
+        ) {
+            let req = TokenRequest {
+                ttype: TokenType::ALL[type_idx],
+                contract: Address(addrs[0]),
+                sender: Address(addrs[1]),
+                method: method.into_iter().next(),
+                args: args.into_iter().map(|(name, value)| ArgBinding { name, value }).collect(),
+                calldata: calldata.into_iter().next(),
+                one_time,
+            };
+            let mut text = String::new();
+            req.write_json(&mut text);
+            prop_assert_eq!(smacs_primitives::json::from_str::<TokenRequest>(&text).unwrap(), req);
+        }
     }
+
+    /// Strings that need every kind of JSON escaping: quotes, backslashes,
+    /// control characters, and non-ASCII up to the astral plane.
+    const TRICKY: &str = "[a-z0-9 \"\\\\/\u{0}\u{1}\u{8}\u{c}\n\r\t\u{1f}\u{7f}é€😀]{0,12}";
 }

@@ -57,8 +57,9 @@ impl fmt::Display for TokenType {
 }
 
 impl smacs_primitives::json::ToJson for TokenType {
-    fn to_json(&self) -> smacs_primitives::json::Json {
-        smacs_primitives::json::Json::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "\"{self}\"");
     }
 }
 

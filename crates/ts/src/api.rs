@@ -188,6 +188,8 @@ impl From<IssueError> for ApiError {
 }
 
 // ---- wire envelope types (codecs generated by `json_codec!`) ----
+// Envelopes are only decoded into these: senders write the members straight
+// into the message, and decoders `Json::take` the body out first.
 
 json_codec! {
     /// A v2 request envelope.
@@ -265,6 +267,21 @@ json_codec! {
     pub struct BatchResponseBody {
         /// Per-request outcomes, in request order.
         pub results: Vec<BatchItem>,
+    }
+}
+
+json_codec! {
+    /// `set_rules` success body: `{}`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct RulesSetBody {}
+}
+
+json_codec! {
+    /// `ping` success body.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct PongBody {
+        /// Always `true`.
+        pub pong: bool,
     }
 }
 

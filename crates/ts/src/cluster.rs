@@ -181,20 +181,20 @@ fn vote_server_config() -> HttpServerConfig {
 /// The target starts unset (peer endpoints aren't known until every vote
 /// server is bound) and is filled in once by `ReplicaSet::start`; an
 /// unset transport reports the peer unreachable, which fails closed.
-struct WireCounterTransport {
+pub(crate) struct WireCounterTransport {
     target: Mutex<Option<Arc<HttpClient>>>,
     faults: Arc<FaultPlan>,
 }
 
 impl WireCounterTransport {
-    fn new(faults: Arc<FaultPlan>) -> Arc<WireCounterTransport> {
+    pub(crate) fn new(faults: Arc<FaultPlan>) -> Arc<WireCounterTransport> {
         Arc::new(WireCounterTransport {
             target: Mutex::new(None),
             faults,
         })
     }
 
-    fn set_target(&self, addr: SocketAddr) {
+    pub(crate) fn set_target(&self, addr: SocketAddr) {
         *self.target.lock() = Some(Arc::new(HttpClient::connect_with(
             addr,
             vote_client_config(),
@@ -205,7 +205,7 @@ impl WireCounterTransport {
     /// gates the transport's replay-on-reconnect: reads are; `commit` is
     /// not (a lost commit ack must surface as "unreachable", not be
     /// silently re-sent and come back `accepted: false`).
-    fn call(&self, op: &str, body: Option<Json>, idempotent: bool) -> Option<Json> {
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, idempotent: bool) -> Option<Json> {
         let client = self.target.lock().clone()?;
         let addr = client.addr();
         if self.faults.is_partitioned(addr) {
@@ -215,7 +215,7 @@ impl WireCounterTransport {
             std::thread::sleep(delay);
         }
         let duplicate = self.faults.take_duplicate_vote();
-        let reply = client.call_detailed(op, body.clone(), idempotent).ok();
+        let reply = client.call_detailed(op, body, idempotent).ok();
         if duplicate {
             // Duplicate delivery: the echo reaches the node, its reply is
             // discarded — the vote state machine must treat it as a no-op.
@@ -232,11 +232,7 @@ impl CounterTransport for WireCounterTransport {
     }
 
     fn commit(&self, value: u64) -> Option<CommitReply> {
-        let body = self.call(
-            "counter_commit",
-            Some(CounterCommitBody { value }.to_json()),
-            false,
-        )?;
+        let body = self.call("counter_commit", Some(&CounterCommitBody { value }), false)?;
         let vote = CounterVoteBody::from_json(&body).ok()?;
         Some(CommitReply {
             accepted: vote.accepted,
@@ -791,11 +787,7 @@ mod tests {
         // An external commit at the frontier is accepted; its echo is not.
         let commit = |value: u64| {
             let body = client
-                .call_detailed(
-                    "counter_commit",
-                    Some(CounterCommitBody { value }.to_json()),
-                    false,
-                )
+                .call_detailed("counter_commit", Some(&CounterCommitBody { value }), false)
                 .expect("commit answers");
             CounterVoteBody::from_json(&body).unwrap()
         };
@@ -816,7 +808,7 @@ mod tests {
         let err = client
             .call_detailed(
                 "counter_commit",
-                Some(CounterCommitBody { value: 0 }.to_json()),
+                Some(&CounterCommitBody { value: 0 }),
                 false,
             )
             .expect_err("public endpoint must refuse vote ops")

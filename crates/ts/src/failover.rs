@@ -2,8 +2,8 @@
 //! (§VII-B availability, the client half).
 //!
 //! [`FailoverClient`] holds one [`HttpClient`] per replica (typically the
-//! directory from [`ContractMetadata::all_service_urls`]) and rotates
-//! through them:
+//! directory from [`crate::discovery::ContractMetadata::all_service_urls`])
+//! and rotates through them:
 //!
 //! - **load balancing**: calls start from a round-robin cursor, so a fleet
 //!   of wallets spreads across the replicas;
@@ -38,18 +38,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use smacs_primitives::json::{FromJson, Json, ToJson};
+use smacs_primitives::json::{Json, ToJson};
 use smacs_primitives::Address;
-use smacs_token::{Token, TokenRequest};
 
-use crate::api::{
-    ApiError, BatchRequestBody, BatchResponseBody, DiscoverBody, DiscoverResponseBody, ErrorCode,
-    IssueBody, SetRulesBody, TsApi,
-};
-use crate::discovery::ContractMetadata;
-use crate::front::decode_token_hex;
-use crate::http::{CallError, HttpClient, HttpClientConfig};
-use crate::rules::RuleBook;
+use crate::api::{ApiError, ErrorCode, TsApi};
+use crate::http::{CallError, HttpClient, HttpClientConfig, WireCall};
 
 /// Retry/backoff tuning for [`FailoverClient`].
 #[derive(Clone, Debug)]
@@ -191,8 +184,8 @@ impl FailoverClient {
     }
 
     /// A client from discovery URLs (`http://ip:port`, the
-    /// [`ContractMetadata::all_service_urls`] shape). Unparseable URLs are
-    /// skipped; `None` iff none parse.
+    /// [`crate::discovery::ContractMetadata::all_service_urls`] shape).
+    /// Unparseable URLs are skipped; `None` iff none parse.
     pub fn from_urls<S: AsRef<str>>(urls: &[S]) -> Option<FailoverClient> {
         let addrs: Vec<SocketAddr> = urls
             .iter()
@@ -282,11 +275,17 @@ impl FailoverClient {
             CallError::Api(_) => false,
         }
     }
+}
 
+impl WireCall for FailoverClient {
     /// One v2 op with failover: rotate through replicas until an attempt
     /// yields a definitive answer, the attempt/deadline budget runs out,
-    /// or a failure is unsafe to replay.
-    fn call(&self, op: &str, body: Option<Json>, idempotent: bool) -> Result<Json, ApiError> {
+    /// or a failure is unsafe to replay. All but one-time issuance is
+    /// replayable: reads, a whole-book `set_rules` (it converges), and
+    /// expiry-token issuance (a re-mint is byte-identical — same expire,
+    /// `NO_INDEX`, same payload, same signature).
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError> {
+        let idempotent = !one_time;
         let start = self.cursor.fetch_add(1, Ordering::Relaxed) % self.endpoints.len();
         let deadline = Instant::now() + self.policy.deadline;
         let attempts = self.policy.attempts.max(1);
@@ -300,7 +299,7 @@ impl FailoverClient {
                 std::thread::sleep(pause);
             }
             let endpoint = self.pick(start, attempt);
-            match endpoint.client.call_detailed(op, body.clone(), idempotent) {
+            match endpoint.client.call_detailed(op, body, idempotent) {
                 Ok(response) => {
                     endpoint.record_success();
                     return Ok(response);
@@ -322,67 +321,6 @@ impl FailoverClient {
         Err(last
             .map(CallError::into_api)
             .unwrap_or_else(|| ApiError::new(ErrorCode::Transport, "no attempt made")))
-    }
-}
-
-impl TsApi for FailoverClient {
-    fn issue(&self, request: &TokenRequest) -> Result<Token, ApiError> {
-        // Re-minting an expiry-only token is byte-identical (same expire,
-        // NO_INDEX, same payload → same signature); a one-time token burns
-        // a fresh counter index per mint, so it must not be replayed once
-        // the request may have gone out.
-        let idempotent = !request.one_time;
-        let body =
-            IssueBody::from_json(&self.call("issue", Some(request.to_json()), idempotent)?)
-                .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad issue body: {e}")))?;
-        decode_token_hex(&body.token_hex)
-            .ok_or_else(|| ApiError::new(ErrorCode::Internal, "undecodable token_hex"))
-    }
-
-    fn issue_batch(
-        &self,
-        requests: &[TokenRequest],
-    ) -> Result<Vec<Result<Token, ApiError>>, ApiError> {
-        // One one-time request poisons the whole batch's replayability.
-        let idempotent = requests.iter().all(|r| !r.one_time);
-        let body = BatchRequestBody {
-            requests: requests.to_vec(),
-        };
-        let response = BatchResponseBody::from_json(&self.call(
-            "issue_batch",
-            Some(body.to_json()),
-            idempotent,
-        )?)
-        .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad batch body: {e}")))?;
-        Ok(response
-            .results
-            .into_iter()
-            .map(|item| item.into_result())
-            .collect())
-    }
-
-    fn set_rules(&self, owner_secret: &str, rules: RuleBook) -> Result<(), ApiError> {
-        let body = SetRulesBody {
-            owner_secret: owner_secret.into(),
-            rules,
-        };
-        // Replaying a whole-book replacement converges to the same state.
-        self.call("set_rules", Some(body.to_json()), true)
-            .map(|_| ())
-    }
-
-    fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
-        let body = DiscoverResponseBody::from_json(&self.call(
-            "discover",
-            Some(DiscoverBody { contract }.to_json()),
-            true,
-        )?)
-        .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad discover body: {e}")))?;
-        Ok(body.metadata)
-    }
-
-    fn ping(&self) -> Result<(), ApiError> {
-        self.call("ping", None, true).map(|_| ())
     }
 }
 

@@ -13,14 +13,14 @@
 //! path the in-process client exercises too.
 
 use parking_lot::RwLock;
-use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
+use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{Token, TokenRequest};
 
 use crate::api::{
     ApiError, BatchItem, BatchRequestBody, BatchResponseBody, CounterCommitBody, CounterStateBody,
-    CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, RequestEnvelope,
-    ResponseEnvelope, SetRulesBody, WireError, MAX_BATCH, PROTOCOL_VERSION,
+    CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, PongBody,
+    RequestEnvelope, RulesSetBody, SetRulesBody, WireError, MAX_BATCH, PROTOCOL_VERSION,
 };
 use crate::discovery::{ContractMetadata, ServiceDirectory};
 use crate::replica::CounterNode;
@@ -259,7 +259,7 @@ impl FrontEnd {
                 self.handle_api(req)
             }
         });
-        encode_response(&result).render()
+        encode_response(&result)
     }
 }
 
@@ -275,13 +275,15 @@ fn is_counter_op(request: &ApiRequest) -> bool {
 fn decode_request(body: &str) -> Result<ApiRequest, ApiError> {
     let bad_envelope =
         |e: JsonError| ApiError::new(ErrorCode::BadEnvelope, format!("bad envelope: {e}"));
-    let json = Json::parse(body).map_err(bad_envelope)?;
+    let mut json = Json::parse(body).map_err(bad_envelope)?;
     if matches!(json, Json::Obj(_)) && json.get("v").is_none() {
         return Err(ApiError::new(
             ErrorCode::UnsupportedVersion,
             "protocol v1 (no `v` member) was removed: send a v2 envelope",
         ));
     }
+    // The body moves out of the tree; the envelope is read from the rest.
+    let body = json.take("body");
     let envelope = RequestEnvelope::from_json(&json).map_err(bad_envelope)?;
     if envelope.v != PROTOCOL_VERSION {
         return Err(ApiError::new(
@@ -289,7 +291,6 @@ fn decode_request(body: &str) -> Result<ApiRequest, ApiError> {
             format!("unsupported protocol version {}", envelope.v),
         ));
     }
-    let body = envelope.body.unwrap_or(Json::Null);
     let bad_body = |e: JsonError| ApiError::new(ErrorCode::BadEnvelope, format!("bad body: {e}"));
     match envelope.op.as_str() {
         "issue" => Ok(ApiRequest::Issue(
@@ -329,78 +330,61 @@ fn counter_refusing() -> ApiError {
     ApiError::new(ErrorCode::CounterUnavailable, "counter node not answering")
 }
 
-/// Encode an API outcome as a v2 response envelope.
-fn encode_response(result: &Result<ApiOk, ApiError>) -> Json {
-    let envelope = match result {
-        Ok(ok) => ResponseEnvelope {
-            v: PROTOCOL_VERSION,
-            ok: true,
-            body: Some(match ok {
-                ApiOk::Token(token) => IssueBody {
-                    token_hex: encode_token_hex(token),
-                }
-                .to_json(),
-                ApiOk::Batch(results) => BatchResponseBody {
-                    results: results.iter().map(BatchItem::from_result).collect(),
-                }
-                .to_json(),
-                ApiOk::RulesSet => Json::Obj(vec![]),
-                ApiOk::Discovered(metadata) => DiscoverResponseBody {
-                    metadata: metadata.clone(),
-                }
-                .to_json(),
-                ApiOk::Pong => Json::Obj(vec![("pong".into(), Json::Bool(true))]),
-                ApiOk::CounterState { committed } => CounterStateBody {
-                    committed: *committed,
-                }
-                .to_json(),
-                ApiOk::CounterVote {
-                    accepted,
-                    committed,
-                } => CounterVoteBody {
-                    accepted: *accepted,
-                    committed: *committed,
-                }
-                .to_json(),
-            }),
-            error: None,
+/// Write an API outcome as a v2 response envelope: the members of a
+/// [`crate::api::ResponseEnvelope`], with the body encoding itself in place.
+fn encode_response(result: &Result<ApiOk, ApiError>) -> String {
+    let envelope = |body: Option<&dyn ToJson>, error: Option<&WireError>| {
+        let mut out = String::new();
+        ObjectWriter::new(&mut out)
+            .member("v", &PROTOCOL_VERSION)
+            .member("ok", &error.is_none())
+            .member("body", &body)
+            .member("error", &error)
+            .end();
+        out
+    };
+    let body: &dyn ToJson = match result {
+        Err(e) => return envelope(None, Some(&WireError::from(e))),
+        Ok(ApiOk::Token(token)) => &IssueBody {
+            token_hex: encode_token_hex(token),
         },
-        Err(e) => ResponseEnvelope {
-            v: PROTOCOL_VERSION,
-            ok: false,
-            body: None,
-            error: Some(WireError::from(e)),
+        Ok(ApiOk::Batch(results)) => &BatchResponseBody {
+            results: results.iter().map(BatchItem::from_result).collect(),
+        },
+        Ok(ApiOk::RulesSet) => &RulesSetBody {},
+        Ok(ApiOk::Discovered(metadata)) => &DiscoverResponseBody {
+            metadata: metadata.clone(),
+        },
+        Ok(ApiOk::Pong) => &PongBody { pong: true },
+        Ok(ApiOk::CounterState { committed }) => &CounterStateBody {
+            committed: *committed,
+        },
+        Ok(ApiOk::CounterVote {
+            accepted,
+            committed,
+        }) => &CounterVoteBody {
+            accepted: *accepted,
+            committed: *committed,
         },
     };
-    envelope.to_json()
+    envelope(Some(body), None)
 }
 
 /// Hex-encode a token's 86-byte wire image (the `token_hex` response
 /// fields).
 pub fn encode_token_hex(token: &Token) -> String {
-    let bytes = token.to_bytes();
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
+    hex::encode(token.to_bytes())
 }
 
 /// Decode a hex token string returned by the front end.
 pub fn decode_token_hex(s: &str) -> Option<Token> {
-    if s.len() != Token::SIZE * 2 {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(Token::SIZE);
-    for i in (0..s.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(&s[i..i + 2], 16).ok()?);
-    }
-    Token::from_bytes(&bytes).ok()
+    Token::from_bytes(&hex::decode(s).ok()?).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ResponseEnvelope;
     use crate::service::TokenServiceConfig;
     use smacs_crypto::Keypair;
     use smacs_primitives::Address;

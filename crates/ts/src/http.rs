@@ -79,14 +79,14 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use smacs_primitives::json::{self, FromJson, Json, ToJson};
+use smacs_primitives::json::{FromJson, Json, ObjectWriter, ToJson};
 use smacs_primitives::pool::Priority;
 use smacs_primitives::{Address, WorkerPool};
 use smacs_token::{Token, TokenRequest};
 
 use crate::api::{
-    ApiError, BatchRequestBody, BatchResponseBody, DiscoverBody, DiscoverResponseBody, ErrorCode,
-    IssueBody, RequestEnvelope, ResponseEnvelope, SetRulesBody, TsApi, PROTOCOL_VERSION,
+    ApiError, BatchItem, BatchRequestBody, BatchResponseBody, DiscoverBody, DiscoverResponseBody,
+    ErrorCode, IssueBody, ResponseEnvelope, SetRulesBody, TsApi, PROTOCOL_VERSION,
 };
 use crate::discovery::ContractMetadata;
 use crate::fault::FaultPlan;
@@ -989,18 +989,25 @@ impl HttpClient {
     pub(crate) fn call_detailed(
         &self,
         op: &str,
-        body: Option<Json>,
+        body: Option<&dyn ToJson>,
         idempotent: bool,
     ) -> Result<Json, CallError> {
-        let envelope = RequestEnvelope {
-            v: PROTOCOL_VERSION,
-            op: op.into(),
-            body,
-        };
-        let (status, text) = self.round_trip(&json::to_string(&envelope), idempotent)?;
-        let decoded = Json::parse(&text)
-            .ok()
-            .and_then(|json| ResponseEnvelope::from_json(&json).ok());
+        // The members of a `RequestEnvelope`, the body encoding itself in
+        // place; on the way back the body moves out of the parsed tree.
+        let mut envelope = String::new();
+        ObjectWriter::new(&mut envelope)
+            .member("v", &PROTOCOL_VERSION)
+            .member("op", op)
+            .member("body", &body)
+            .end();
+        let (status, text) = self.round_trip(&envelope, idempotent)?;
+        let decoded = Json::parse(&text).ok().and_then(|mut json| {
+            let body = Some(json.take("body"));
+            Some(ResponseEnvelope {
+                body,
+                ..ResponseEnvelope::from_json(&json).ok()?
+            })
+        });
         if status >= 500 {
             // Overload (503) or injected fault (500): surface the decoded
             // envelope error when one came along, but tagged as a server
@@ -1030,15 +1037,6 @@ impl HttpClient {
             ))
         }
     }
-
-    /// Send one v2 op and return the success body (or the decoded error).
-    fn call(&self, op: &str, body: Option<Json>) -> Result<Json, ApiError> {
-        // Replaying `set_rules` re-applies the same whole-book replacement;
-        // `discover`/`ping` are reads. Issuance is the non-idempotent pair.
-        let idempotent = matches!(op, "ping" | "discover" | "set_rules");
-        self.call_detailed(op, body, idempotent)
-            .map_err(CallError::into_api)
-    }
 }
 
 /// Whether a pooled client connection can no longer carry a request:
@@ -1065,10 +1063,33 @@ fn connection_is_stale(reader: &mut BufReader<TcpStream>) -> bool {
     stale
 }
 
-impl TsApi for HttpClient {
+/// How one v2 op reaches a server: all that tells the two wire clients,
+/// [`HttpClient`] and [`crate::FailoverClient`], apart. Both get [`TsApi`]
+/// from it, so each op is encoded and decoded in one place.
+pub(crate) trait WireCall: Send + Sync {
+    /// Send `op` with `body` and return the success body (or the decoded
+    /// error). `one_time`: the op may burn a one-time counter index, so it
+    /// must not be replayed once the request may have gone out.
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError>;
+}
+
+impl WireCall for HttpClient {
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, _: bool) -> Result<Json, ApiError> {
+        // Replaying `set_rules` re-applies the same whole-book replacement;
+        // `discover`/`ping` are reads. Issuance, one-time or not, is never
+        // replayed by a single-endpoint client.
+        let idempotent = matches!(op, "ping" | "discover" | "set_rules");
+        self.call_detailed(op, body, idempotent)
+            .map_err(CallError::into_api)
+    }
+}
+
+impl<C: WireCall> TsApi for C {
     fn issue(&self, request: &TokenRequest) -> Result<Token, ApiError> {
-        let body = IssueBody::from_json(&self.call("issue", Some(request.to_json()))?)
-            .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad issue body: {e}")))?;
+        let body: IssueBody = ok_body(
+            "issue",
+            self.call("issue", Some(request), request.one_time)?,
+        )?;
         decode_token_hex(&body.token_hex)
             .ok_or_else(|| ApiError::new(ErrorCode::Internal, "undecodable token_hex"))
     }
@@ -1080,13 +1101,13 @@ impl TsApi for HttpClient {
         let body = BatchRequestBody {
             requests: requests.to_vec(),
         };
-        let response =
-            BatchResponseBody::from_json(&self.call("issue_batch", Some(body.to_json()))?)
-                .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad batch body: {e}")))?;
+        let one_time = requests.iter().any(|r| r.one_time);
+        let response: BatchResponseBody =
+            ok_body("batch", self.call("issue_batch", Some(&body), one_time)?)?;
         Ok(response
             .results
             .into_iter()
-            .map(|item| item.into_result())
+            .map(BatchItem::into_result)
             .collect())
     }
 
@@ -1095,29 +1116,39 @@ impl TsApi for HttpClient {
             owner_secret: owner_secret.into(),
             rules,
         };
-        self.call("set_rules", Some(body.to_json())).map(|_| ())
+        self.call("set_rules", Some(&body), false).map(|_| ())
     }
 
     fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
-        let body = DiscoverResponseBody::from_json(
-            &self.call("discover", Some(DiscoverBody { contract }.to_json()))?,
-        )
-        .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad discover body: {e}")))?;
-        Ok(body.metadata)
+        let body = DiscoverBody { contract };
+        let response: DiscoverResponseBody =
+            ok_body("discover", self.call("discover", Some(&body), false)?)?;
+        Ok(response.metadata)
     }
 
     fn ping(&self) -> Result<(), ApiError> {
-        self.call("ping", None).map(|_| ())
+        self.call("ping", None, false).map(|_| ())
     }
 }
+
+/// Decode the success body of `op`; a server that answers `ok` with the
+/// wrong shape is an internal error.
+fn ok_body<T: FromJson>(op: &str, body: Json) -> Result<T, ApiError> {
+    T::from_json(&body)
+        .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad {op} body: {e}")))
+}
+
+#[cfg(test)]
+mod wire_codec;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::RequestEnvelope;
     use crate::rules::RuleBook;
     use crate::service::{TokenService, TokenServiceConfig};
     use smacs_crypto::Keypair;
-    use smacs_primitives::Address;
+    use smacs_primitives::{json, Address};
     use smacs_token::TokenRequest;
     use std::time::Instant;
 

@@ -65,7 +65,7 @@
 //!   [`EndpointScope`](front::EndpointScope), so they ride the same
 //!   reactor machinery and the same [`fault::FaultPlan`] injection
 //!   points.
-//! - **Batch signing** fans the ~90 µs per-token `k·G` across the pool
+//! - **Batch signing** fans the ≈ 20 µs per-token `k·G` across the pool
 //!   with caller participation (no pool-within-pool deadlock), preserving
 //!   per-item partial failure and request-order results; one-time indexes
 //!   stay atomic/replicated and globally unique.

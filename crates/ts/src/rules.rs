@@ -15,7 +15,7 @@
 //! for argument tokens". All lists are dynamically updatable by the owner
 //! — no contract change required.
 
-use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
+use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
 use std::collections::{BTreeMap, BTreeSet};
@@ -226,77 +226,100 @@ impl RuleBook {
 }
 
 // Kept hand-written rather than `json_codec!`: ListPolicy is an enum
-// (single-member tag objects), TypeRules uses the Fig. 6 omit-empty shape,
-// and RuleBook keys its map by numeric token type — none of which the
-// struct-shaped macro expresses.
+// (single-member tag objects), TypeRules uses the Fig. 6 omit-empty shape
+// and reads sender lists as addresses, and RuleBook keys its map by token
+// type — none of which the struct-shaped macro expresses.
 impl ToJson for ListPolicy {
-    fn to_json(&self) -> Json {
-        match self {
-            ListPolicy::Whitelist(set) => Json::Obj(vec![("whitelist".into(), set.to_json())]),
-            ListPolicy::Blacklist(set) => Json::Obj(vec![("blacklist".into(), set.to_json())]),
-        }
+    fn write_json(&self, out: &mut String) {
+        let (tag, subjects) = match self {
+            ListPolicy::Whitelist(set) => ("whitelist", set),
+            ListPolicy::Blacklist(set) => ("blacklist", set),
+        };
+        ObjectWriter::new(out).member(tag, subjects).end();
     }
 }
 
-impl FromJson for ListPolicy {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        if let Some(set) = json.get("whitelist") {
-            return Ok(ListPolicy::Whitelist(BTreeSet::from_json(set)?));
+/// How a list's entries are read off the wire.
+type Subject = fn(&Json) -> Result<String, JsonError>;
+
+impl ListPolicy {
+    /// Decode `{"whitelist"|"blacklist": [subject, …]}`.
+    fn decode(json: &Json, subject: Subject) -> Result<Self, JsonError> {
+        let (list, policy): (_, fn(BTreeSet<String>) -> Self) =
+            match (json.get("whitelist"), json.get("blacklist")) {
+                (Some(list), _) => (list, ListPolicy::Whitelist),
+                (None, Some(list)) => (list, ListPolicy::Blacklist),
+                (None, None) => return Err(JsonError("expected whitelist or blacklist".into())),
+            };
+        let subjects = list.as_arr().ok_or(JsonError("expected array".into()))?;
+        Ok(policy(
+            subjects.iter().map(subject).collect::<Result<_, _>>()?,
+        ))
+    }
+}
+
+/// A sender-list entry: any 20-byte hex address, stored in
+/// [`Address::to_hex`] form because that is what [`TypeRules`] looks
+/// senders up by. Anything else could never match a sender and is refused.
+/// An entry already in that form (what every tool writes) is kept as is:
+/// re-encoding a 4,096-sender book would triple its decode time.
+fn sender_subject(json: &Json) -> Result<String, JsonError> {
+    let lower_hex = |b| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+    match json.as_str() {
+        Some(s) if s.len() == 42 && s.starts_with("0x") && s[2..].bytes().all(lower_hex) => {
+            Ok(s.to_string())
         }
-        if let Some(set) = json.get("blacklist") {
-            return Ok(ListPolicy::Blacklist(BTreeSet::from_json(set)?));
-        }
-        Err(JsonError("expected whitelist or blacklist".into()))
+        _ => Address::from_json(json).map(|sender| sender.to_hex()),
     }
 }
 
 impl ToJson for TypeRules {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         // Fig. 6 shape: omit empty sections, as the serde version did.
-        let mut members = Vec::new();
+        let mut object = ObjectWriter::new(out);
         if let Some(sender) = &self.sender {
-            members.push(("sender".into(), sender.to_json()));
+            object.member("sender", sender);
         }
         if !self.method.is_empty() {
-            members.push(("method".into(), self.method.to_json()));
+            object.member("method", &self.method);
         }
         if !self.argument.is_empty() {
-            members.push(("argument".into(), self.argument.to_json()));
+            object.member("argument", &self.argument);
         }
-        Json::Obj(members)
+        object.end();
     }
 }
 
 impl FromJson for TypeRules {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
+        // Per-method lists name senders; argument lists hold values, verbatim.
+        let policies = |key, subject: Subject| match json.get(key) {
+            None => Ok(BTreeMap::new()),
+            Some(map) => (map.as_obj().ok_or(JsonError("expected object".into()))?)
+                .iter()
+                .map(|(name, policy)| Ok((name.clone(), ListPolicy::decode(policy, subject)?)))
+                .collect::<Result<_, JsonError>>(),
+        };
         Ok(TypeRules {
             sender: match json.get("sender") {
                 None | Some(Json::Null) => None,
-                Some(policy) => Some(ListPolicy::from_json(policy)?),
+                Some(policy) => Some(ListPolicy::decode(policy, sender_subject)?),
             },
-            method: match json.get("method") {
-                None => BTreeMap::new(),
-                Some(map) => BTreeMap::from_json(map)?,
-            },
-            argument: match json.get("argument") {
-                None => BTreeMap::new(),
-                Some(map) => BTreeMap::from_json(map)?,
-            },
+            method: policies("method", sender_subject)?,
+            argument: policies("argument", String::from_json)?,
         })
     }
 }
 
 impl ToJson for RuleBook {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![(
-            "types".into(),
-            Json::Obj(
-                self.types
-                    .iter()
-                    .map(|(ttype, rules)| (ttype.to_string(), rules.to_json()))
-                    .collect(),
-            ),
-        )])
+    fn write_json(&self, out: &mut String) {
+        out.push_str(r#"{"types":"#);
+        let mut types = ObjectWriter::new(out);
+        for (ttype, rules) in &self.types {
+            types.member(&ttype.to_string(), rules);
+        }
+        types.end();
+        out.push('}');
     }
 }
 
@@ -316,6 +339,7 @@ impl FromJson for RuleBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smacs_token::request::ArgBinding;
 
     fn addr(n: u64) -> Address {
@@ -464,10 +488,83 @@ mod tests {
         book.rules_mut(TokenType::Argument)
             .argument
             .insert("argA".into(), whitelist(&[addr(0x3540)]));
-        let json = smacs_primitives::json::to_string_pretty(&book);
+        let json = smacs_primitives::json::to_string(&book);
         assert!(json.contains("whitelist"));
         assert!(json.contains("blacklist"));
         let back: RuleBook = smacs_primitives::json::from_str(&json).unwrap();
         assert_eq!(back, book);
+    }
+
+    #[test]
+    fn sender_lists_decode_to_canonical_addresses_and_refuse_non_addresses() {
+        let upper = format!("0x{}", addr(0x18EE_7ABD).to_hex()[2..].to_uppercase());
+        let bare = addr(0xBA7F).to_hex()[2..].to_string();
+        let text = format!(
+            r#"{{"types":{{"method":{{"sender":{{"blacklist":["{upper}"]}},
+               "method":{{"f()":{{"whitelist":["{bare}"]}}}},
+               "argument":{{"to":{{"blacklist":["0xEVIL","{upper}"]}}}}}}}}}}"#
+        );
+        let book: RuleBook = smacs_primitives::json::from_str(&text).unwrap();
+        let rules = &book.types[&TokenType::Method];
+        assert_eq!(rules.sender, Some(blacklist(&[addr(0x18EE_7ABD)])));
+        assert_eq!(rules.method["f()"], whitelist(&[addr(0xBA7F)]));
+        // Argument values stay verbatim.
+        let values = ListPolicy::Blacklist(["0xEVIL".to_string(), upper].into());
+        assert_eq!(rules.argument["to"], values);
+
+        for entry in ["alice", "0x1234", "0xEVIL", ""] {
+            for section in [
+                format!(r#""sender":{{"whitelist":["{entry}"]}}"#),
+                format!(r#""method":{{"f()":{{"blacklist":["{entry}"]}}}}"#),
+            ] {
+                let text = format!(r#"{{"types":{{"super":{{{section}}}}}}}"#);
+                let err = smacs_primitives::json::from_str::<RuleBook>(&text).unwrap_err();
+                assert!(err.0.contains("bad address"), "{text}: {err}");
+            }
+        }
+    }
+
+    /// Strings that need every kind of JSON escaping.
+    const TRICKY: &str = "[a-z0-9 \"\\\\/\u{0}\u{1}\u{8}\u{c}\n\r\t\u{1f}\u{7f}é€😀]{0,8}";
+
+    fn policy(white: bool, subjects: Vec<String>) -> ListPolicy {
+        let subjects = subjects.into_iter().collect();
+        if white {
+            ListPolicy::Whitelist(subjects)
+        } else {
+            ListPolicy::Blacklist(subjects)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_json_round_trip(
+            present in any::<[bool; 3]>(),
+            colours in any::<[bool; 9]>(),
+            senders in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..4), 3..4),
+            methods in prop::collection::vec((TRICKY, prop::collection::vec(any::<[u8; 20]>(), 0..3)), 0..3),
+            arguments in prop::collection::vec((TRICKY, prop::collection::vec(TRICKY, 0..3)), 0..3),
+        ) {
+            let mut book = RuleBook::deny_all();
+            for (i, ttype) in TokenType::ALL.into_iter().enumerate() {
+                if !present[i] {
+                    continue;
+                }
+                let rules = book.rules_mut(ttype);
+                rules.sender = colours[3 * i + 2].then(|| {
+                    policy(colours[3 * i], senders[i].iter().map(|&n| addr(n).to_hex()).collect())
+                });
+                for (name, list) in &methods {
+                    let list = list.iter().map(|bytes| Address(*bytes).to_hex()).collect();
+                    rules.method.insert(name.clone(), policy(colours[3 * i + 1], list));
+                }
+                for (name, values) in &arguments {
+                    rules.argument.insert(name.clone(), policy(colours[3 * i], values.clone()));
+                }
+            }
+            let mut text = String::new();
+            book.write_json(&mut text);
+            prop_assert_eq!(smacs_primitives::json::from_str::<RuleBook>(&text).unwrap(), book);
+        }
     }
 }

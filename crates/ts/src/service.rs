@@ -154,10 +154,6 @@ impl RuleSource {
 pub struct TokenServiceConfig {
     /// Lifetime granted to issued tokens, in seconds.
     pub token_lifetime_secs: u64,
-    /// Batches at least this large fan signature creation across the
-    /// worker pool; smaller ones stay sequential (the fan-out bookkeeping
-    /// would cost more than the ~90 µs signatures it parallelizes).
-    pub parallel_batch_min: usize,
 }
 
 impl Default for TokenServiceConfig {
@@ -165,7 +161,6 @@ impl Default for TokenServiceConfig {
         // The paper's Table IV analysis assumes 1-hour one-time tokens.
         TokenServiceConfig {
             token_lifetime_secs: 3_600,
-            parallel_batch_min: 8,
         }
     }
 }
@@ -356,13 +351,18 @@ impl TokenService {
         })
     }
 
+    /// Batches at least this large fan signature creation across the
+    /// worker pool; smaller ones stay sequential (the fan-out bookkeeping
+    /// would cost more than the ≈ 20 µs signatures it parallelizes).
+    const PARALLEL_BATCH_MIN: usize = 8;
+
     /// Handle a batch of token requests at TS-local time `now`, returning
     /// per-request outcomes in order (partial-failure semantics: one
     /// denial never poisons its neighbours). This is the server half of
     /// the v2 `issue_batch` op — per-request transport, parsing, and
     /// dispatch overhead is paid once per batch, and on a multi-core box
-    /// the signatures themselves (the ~90 µs `k·G` each) are fanned
-    /// across the worker pool.
+    /// the signatures themselves (≈ 20 µs of `k·G` each) are fanned
+    /// across the worker pool from `PARALLEL_BATCH_MIN` requests on.
     ///
     /// Results keep request order regardless of which worker signed what.
     /// One-time indexes stay unique (the counter is atomic/replicated) but
@@ -372,7 +372,7 @@ impl TokenService {
         requests: &[TokenRequest],
         now: u64,
     ) -> Vec<Result<Token, IssueError>> {
-        if requests.len() >= self.config.parallel_batch_min.max(2) && self.pool.threads() > 1 {
+        if requests.len() >= Self::PARALLEL_BATCH_MIN && self.pool.threads() > 1 {
             self.pool
                 .scope_map(requests.len(), |i| self.issue(&requests[i], now))
         } else {

@@ -8,6 +8,7 @@
 //! protection; production deployments would use an HSM.
 
 use smacs_crypto::Keypair;
+use smacs_primitives::json::ToJson;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -41,7 +42,8 @@ impl RuleStore {
 
     /// Persist the rule book.
     pub fn save_rules(&self, rules: &RuleBook) -> io::Result<()> {
-        let json = smacs_primitives::json::to_string_pretty(rules);
+        let mut json = String::new();
+        rules.write_json(&mut json);
         std::fs::write(self.rules_path(), json)
     }
 

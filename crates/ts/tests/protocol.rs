@@ -136,6 +136,45 @@ fn malformed_envelopes_are_rejected_with_machine_readable_codes() {
     }
 }
 
+// ---- rule lists name senders in any hex case ----
+
+#[test]
+fn rule_lists_bind_the_senders_they_name_in_any_hex_case() {
+    let front = front();
+    let sender = 0x18EE_7ABD;
+    let upper = format!(
+        "0x{}",
+        Address::from_low_u64(sender).to_hex()[2..].to_uppercase()
+    );
+    let set_rules = |types: String| {
+        parse(&front.handle_json(&format!(
+            r#"{{"v":2,"op":"set_rules","body":{{"owner_secret":"owner-secret","rules":{{"types":{types}}}}}}}"#
+        )))
+    };
+    let issue = |request: TokenRequest| parse(&front.handle_json(&v2("issue", request.to_json())));
+    let granted = |response: Json| response.get("ok").and_then(Json::as_bool) == Some(true);
+
+    // Blacklisted for one method, in upper case: that method is denied.
+    let blacklist = format!(r#"{{"method":{{"method":{{"f()":{{"blacklist":["{upper}"]}}}}}}}}"#);
+    assert!(granted(set_rules(blacklist)));
+    let method =
+        TokenRequest::method_token(request(sender).contract, request(sender).sender, "f()");
+    assert_eq!(error_code(&issue(method)), "rule_violation");
+
+    // Whitelisted in upper case: granted.
+    assert!(granted(set_rules(format!(
+        r#"{{"super":{{"sender":{{"whitelist":["{upper}"]}}}}}}"#
+    ))));
+    assert!(granted(issue(request(sender))));
+    assert!(!granted(issue(request(sender + 1))));
+
+    // An entry that is no address could never match a sender: the book is
+    // refused, and the one in force stays.
+    let refused = set_rules(r#"{"super":{"sender":{"whitelist":["alice"]}}}"#.into());
+    assert_eq!(error_code(&refused), "bad_envelope");
+    assert!(granted(issue(request(sender))));
+}
+
 // ---- batch partial failure ----
 
 #[test]
