@@ -1,7 +1,7 @@
 //! Chain orchestration: block production, transaction intake, deployment,
 //! dry runs, forking, and reorgs.
 
-use smacs_crypto::{keccak256, Keypair};
+use smacs_crypto::{keccak256, recover_address, Keypair};
 use smacs_primitives::pool::WorkerPool;
 use smacs_primitives::rlp::{self, Item, ToRlp};
 use smacs_primitives::{Address, Bytes, H256};
@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
-use crate::exec::{Executor, MessageCall, VmError};
+use crate::exec::{Executor, MessageCall, Recovery, VmError};
 use crate::gas::{GasBreakdown, GasSchedule};
 use crate::receipt::{ExecStatus, Log, Receipt};
-use crate::state::{AccountInfo, TouchSet, WorldState};
+use crate::state::WorldState;
 use crate::trace::CallTrace;
 use crate::tx::{SignedTransaction, Transaction};
 
@@ -78,9 +78,7 @@ impl fmt::Display for ChainError {
 impl std::error::Error for ChainError {}
 
 /// Everything a transaction execution produces besides its chain-level
-/// bookkeeping (receipt assembly, pending-block membership). Produced by
-/// the core execution routine so it can run identically on the canonical
-/// state and on per-transaction forks.
+/// bookkeeping (receipt assembly, pending-block membership).
 struct TxOutcome {
     status: ExecStatus,
     return_data: Bytes,
@@ -94,57 +92,12 @@ struct TxOutcome {
 pub enum BlockMode<'p> {
     /// One at a time on the canonical state — the reference semantics.
     Sequential,
-    /// Optimistic Block-STM-style parallel execution on the given pool;
-    /// results are bit-identical to [`BlockMode::Sequential`].
+    /// A signature prepass on the given pool, then the sequential loop:
+    /// every transaction's sender and the signatures its contract hints
+    /// at ([`Contract::recover_hints`]) are recovered in parallel, and
+    /// execution serves them from that memo. Results are bit-identical to
+    /// [`BlockMode::Sequential`].
     Parallel(&'p WorkerPool),
-}
-
-/// The net state effect of a validated speculation: the final value of
-/// every account/slot its transaction wrote, read off the transaction's
-/// fork. Applying these to the canonical state reproduces a sequential
-/// execution exactly, because validation guaranteed every value the
-/// speculation *read* matches the canonical state at apply time.
-struct TxDelta {
-    /// `None` means the account ended absent (all its writes reverted and
-    /// it never existed in the pre-state) — nothing to apply.
-    accounts: Vec<(Address, Option<AccountInfo>)>,
-    storage: Vec<(Address, H256, H256)>,
-}
-
-impl TxDelta {
-    fn capture(fork: &WorldState, touch: &TouchSet) -> TxDelta {
-        let mut accounts: Vec<_> = touch
-            .account_writes
-            .iter()
-            .map(|&addr| (addr, fork.account(addr).cloned()))
-            .collect();
-        accounts.sort_by_key(|(addr, _)| *addr);
-        let mut storage: Vec<_> = touch
-            .storage_writes
-            .iter()
-            .map(|&(addr, key)| (addr, key, fork.storage_get(addr, key)))
-            .collect();
-        storage.sort_by_key(|(addr, key, _)| (*addr, *key));
-        TxDelta { accounts, storage }
-    }
-
-    fn apply(self, state: &mut WorldState) {
-        for (addr, info) in self.accounts {
-            if let Some(info) = info {
-                state.apply_account(addr, info);
-            }
-        }
-        for (addr, key, value) in self.storage {
-            state.storage_set(addr, key, value);
-        }
-    }
-}
-
-/// One transaction's parallel-phase result, pending in-order validation.
-struct Speculation {
-    outcome: Result<TxOutcome, ChainError>,
-    touch: TouchSet,
-    delta: TxDelta,
 }
 
 /// The simulated chain: state, contracts, blocks, receipts.
@@ -297,7 +250,7 @@ impl Chain {
         let signed = tx.sign(owner);
         let address = Self::contract_address(sender, nonce);
         self.registry.insert(address, logic.clone());
-        let receipt = self.execute_transaction(&signed)?;
+        let receipt = self.execute_transaction(&signed, &[])?;
         let deployed = DeployedContract { address, logic };
         Ok((deployed, receipt))
     }
@@ -305,7 +258,7 @@ impl Chain {
     /// Submit a signed transaction: validate, execute into the pending
     /// block, and return the receipt.
     pub fn submit(&mut self, signed: SignedTransaction) -> Result<Receipt, ChainError> {
-        self.execute_transaction(&signed)
+        self.execute_transaction(&signed, &[])
     }
 
     /// Build, sign, and submit a call transaction from `from` in one step.
@@ -321,7 +274,14 @@ impl Chain {
         self.submit(tx.sign(from))
     }
 
-    fn execute_transaction(&mut self, signed: &SignedTransaction) -> Result<Receipt, ChainError> {
+    /// Execute one transaction into the pending block. `recovered` is the
+    /// block prepass's memo for this transaction (empty outside
+    /// [`BlockMode::Parallel`]).
+    fn execute_transaction(
+        &mut self,
+        signed: &SignedTransaction,
+        recovered: &[Recovery],
+    ) -> Result<Receipt, ChainError> {
         let env = self.pending_env();
         let outcome = Self::execute_tx_on(
             &mut self.state,
@@ -329,32 +289,24 @@ impl Chain {
             &self.config.schedule,
             env,
             signed,
-            true,
+            recovered,
         )?;
         Ok(self.record_tx(signed, outcome))
     }
 
-    /// The core per-transaction execution routine, usable on the canonical
-    /// state (sequential / conflict re-execution) and on per-transaction
-    /// forks (parallel speculation). `commit` controls whether the state's
-    /// journal is flushed at the usual points — `false` on forks, whose
-    /// net effect is harvested as a [`TxDelta`] instead.
-    ///
-    /// Validation reads (sender nonce/balance) go through the tracked
-    /// accessors so a speculation that failed validation on a stale fork
-    /// still conflicts with the earlier transaction that changed the
-    /// sender's account, and gets re-executed.
+    /// The core per-transaction execution routine: validate, buy gas, run
+    /// the call or creation, refund, and commit the state's journal.
     fn execute_tx_on(
         state: &mut WorldState,
         registry: &ContractRegistry,
         schedule: &GasSchedule,
         env: BlockEnv,
         signed: &SignedTransaction,
-        commit: bool,
+        recovered: &[Recovery],
     ) -> Result<TxOutcome, ChainError> {
         let sender = signed.sender().ok_or(ChainError::InvalidSignature)?;
         let tx = &signed.tx;
-        let expected_nonce = state.nonce_tracked(sender);
+        let expected_nonce = state.nonce(sender);
         if tx.nonce != expected_nonce {
             return Err(ChainError::BadNonce {
                 expected: expected_nonce,
@@ -363,7 +315,7 @@ impl Chain {
         }
         let gas_cost = tx.gas_limit as u128 * tx.gas_price;
         let upfront = gas_cost.saturating_add(tx.value);
-        if state.balance_tracked(sender) < upfront {
+        if state.balance(sender) < upfront {
             return Err(ChainError::InsufficientFunds);
         }
         let is_create = tx.to.is_none();
@@ -375,11 +327,10 @@ impl Chain {
         // Buy gas and bump the nonce (irrevocable even on revert).
         state.debit(sender, gas_cost);
         state.bump_nonce(sender);
-        if commit {
-            state.commit();
-        }
+        state.commit();
 
         let mut executor = Executor::new(state, registry, schedule, env, sender, tx.gas_limit);
+        executor.recovered = recovered;
         executor
             .meter
             .charge(intrinsic)
@@ -449,9 +400,7 @@ impl Chain {
         // Refund unused gas.
         let refund_wei = (tx.gas_limit - gas_used) as u128 * tx.gas_price;
         state.credit(sender, refund_wei);
-        if commit {
-            state.commit();
-        }
+        state.commit();
 
         Ok(TxOutcome {
             status,
@@ -493,7 +442,7 @@ impl Chain {
         match mode {
             BlockMode::Sequential => txs
                 .iter()
-                .map(|signed| self.execute_transaction(signed))
+                .map(|signed| self.execute_transaction(signed, &[]))
                 .collect(),
             BlockMode::Parallel(pool) => self.execute_block_parallel(txs, pool),
         }
@@ -510,73 +459,41 @@ impl Chain {
         (results, self.seal_block())
     }
 
-    /// Optimistic Block-STM-style parallel block execution.
+    /// [`BlockMode::Parallel`]: recover signatures across the pool, then
+    /// run the block exactly as [`BlockMode::Sequential`] does.
     ///
-    /// Phase 1 (parallel): every transaction runs speculatively on its own
-    /// [`WorldState::fork`] of the pre-block state, with touch recording
-    /// on; its net effect is harvested as a `TxDelta`.
-    ///
-    /// Phase 2 (sequential, in transaction order): a speculation is valid
-    /// iff its read set does not overlap the writes of any earlier
-    /// transaction in the block ([`TouchSet::conflicts_with_writes`]) —
-    /// then its delta applies to the canonical state verbatim. Conflicting
-    /// transactions re-execute on the canonical state. Results — receipts,
-    /// traces, logs, gas, final state — are bit-identical to
-    /// [`BlockMode::Sequential`]; the differential suite pins this.
-    pub fn execute_block_parallel(
+    /// The prepass fills each transaction's sender cache and recovers the
+    /// `(digest, signature)` pairs its target contract hints its top-level
+    /// call will check. The chain computes every memo entry from the pair
+    /// itself, so a wrong hint costs one wasted recovery and never changes
+    /// a result; a recovery nobody hinted (a callee reached through a
+    /// nested call) simply runs live.
+    fn execute_block_parallel(
         &mut self,
         txs: &[SignedTransaction],
         pool: &WorkerPool,
     ) -> Vec<Result<Receipt, ChainError>> {
-        if txs.is_empty() {
-            return Vec::new();
-        }
-        let env = self.pending_env();
-        let base = &self.state;
         let registry = &self.registry;
-        let schedule = &self.config.schedule;
-        let speculations: Vec<Speculation> = pool.scope_map(txs.len(), |i| {
-            let mut fork = base.fork();
-            fork.begin_touch_recording();
-            let outcome = Self::execute_tx_on(&mut fork, registry, schedule, env, &txs[i], false);
-            let touch = fork.take_touch_set();
-            let delta = TxDelta::capture(&fork, &touch);
-            Speculation {
-                outcome,
-                touch,
-                delta,
-            }
-        });
-
-        let mut committed = TouchSet::default();
-        let mut results = Vec::with_capacity(txs.len());
-        for (i, spec) in speculations.into_iter().enumerate() {
-            let outcome = if spec.touch.conflicts_with_writes(&committed) {
-                // An earlier transaction wrote something this speculation
-                // read: its fork view was stale. Re-execute on the
-                // canonical state (recording, so its real writes join the
-                // committed set).
-                self.state.begin_touch_recording();
-                let outcome = Self::execute_tx_on(
-                    &mut self.state,
-                    &self.registry,
-                    &self.config.schedule,
-                    env,
-                    &txs[i],
-                    true,
-                );
-                let touch = self.state.take_touch_set();
-                committed.absorb_writes(&touch);
-                outcome
-            } else {
-                spec.delta.apply(&mut self.state);
-                self.state.commit();
-                committed.absorb_writes(&spec.touch);
-                spec.outcome
+        let memos: Vec<Vec<Recovery>> = pool.scope_map(txs.len(), |i| {
+            let signed = &txs[i];
+            let (Some(origin), Some(to)) = (signed.sender(), signed.tx.to) else {
+                return Vec::new();
             };
-            results.push(outcome.map(|o| self.record_tx(&txs[i], o)));
-        }
-        results
+            let Some(logic) = registry.get(to) else {
+                return Vec::new();
+            };
+            logic
+                .recover_hints(origin, to, &signed.tx.data)
+                .into_iter()
+                .map(|(digest, signature)| {
+                    (digest, signature, recover_address(&digest, &signature))
+                })
+                .collect()
+        });
+        txs.iter()
+            .zip(&memos)
+            .map(|(signed, memo)| self.execute_transaction(signed, memo))
+            .collect()
     }
 
     /// Seal the pending block and start a new one.
@@ -708,5 +625,169 @@ fn vm_error_status(err: &VmError) -> ExecStatus {
         VmError::OutOfGas(_) => ExecStatus::OutOfGas,
         VmError::Revert(reason) => ExecStatus::Reverted(reason.clone()),
         other => ExecStatus::Reverted(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::CallContext;
+    use smacs_crypto::Signature;
+
+    /// One `digest (32) ‖ r (32) ‖ s (32) ‖ v (1)` record.
+    const RECORD: usize = 97;
+
+    fn records(calldata: &[u8]) -> Vec<(H256, Signature)> {
+        calldata
+            .get(4..)
+            .unwrap_or_default()
+            .chunks_exact(RECORD)
+            .map(|c| {
+                let digest = H256::from_slice(&c[..32]).expect("32 bytes");
+                let mut signature = Signature {
+                    r: [0; 32],
+                    s: [0; 32],
+                    v: c[96],
+                };
+                signature.r.copy_from_slice(&c[32..64]);
+                signature.s.copy_from_slice(&c[64..96]);
+                (digest, signature)
+            })
+            .collect()
+    }
+
+    /// Recovers every record of its calldata, stores and logs each result —
+    /// and hints lies: the true pairs with a wrong digest or a tampered
+    /// signature (listed first, so a lookup keyed on half the pair would
+    /// serve them), garbage pairs, duplicates, and all but the first true
+    /// pair, which therefore recovers live.
+    struct Liar;
+
+    impl Contract for Liar {
+        fn name(&self) -> &'static str {
+            "Liar"
+        }
+
+        fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
+            let data = ctx.msg_data_bytes();
+            let mut out = Vec::new();
+            for (i, (digest, signature)) in records(&data).into_iter().enumerate() {
+                let mut word = [0u8; 32];
+                if let Some(addr) = ctx.ecrecover(digest, &signature)? {
+                    word[0] = 1;
+                    word[12..].copy_from_slice(addr.as_bytes());
+                }
+                ctx.sstore(H256::from_u256((i as u64).into()), H256(word))?;
+                out.extend_from_slice(&word);
+            }
+            ctx.emit_event("Recovered(bytes)", out.clone())?;
+            Ok(Bytes::from(out))
+        }
+
+        fn recover_hints(
+            &self,
+            _origin: Address,
+            _this: Address,
+            calldata: &[u8],
+        ) -> Vec<(H256, Signature)> {
+            let truth = records(calldata);
+            let mut hints = Vec::new();
+            for &(digest, signature) in &truth {
+                hints.push((keccak256(digest.as_bytes()), signature));
+                let mut tampered = signature;
+                tampered.s[31] ^= 1;
+                hints.push((digest, tampered));
+            }
+            let garbage = Signature {
+                r: [0xFF; 32],
+                s: [0xFF; 32],
+                v: 0,
+            };
+            hints.push((H256::ZERO, garbage));
+            hints.push((H256([7; 32]), garbage));
+            hints.extend(truth.iter().skip(1));
+            hints.extend(truth.iter().skip(1));
+            hints
+        }
+    }
+
+    fn call_data(pairs: &[(H256, Signature)]) -> Vec<u8> {
+        let mut data = vec![0xAB, 0xCD, 0xEF, 0x01];
+        for (digest, signature) in pairs {
+            data.extend_from_slice(digest.as_bytes());
+            data.extend_from_slice(&signature.to_bytes());
+        }
+        data
+    }
+
+    /// A funded world with the liar deployed, and one block against it:
+    /// valid, invalid and duplicate recoveries, a sender whose signature
+    /// does not recover, a bad nonce, and a plain transfer.
+    fn world() -> (Chain, Vec<SignedTransaction>) {
+        let mut chain = Chain::default_chain();
+        let owner = chain.funded_keypair(1, 10u128.pow(24));
+        let (liar, _) = chain.deploy(&owner, Arc::new(Liar)).expect("deploy");
+        let senders: Vec<Keypair> = (0..4)
+            .map(|i| chain.funded_keypair(10 + i, 10u128.pow(24)))
+            .collect();
+        chain.seal_block();
+
+        let signer = Keypair::from_seed(99);
+        let signed_pair = |n: u8| {
+            let digest = keccak256(&[n]);
+            (digest, signer.sign_digest(&digest))
+        };
+        let (digest, good) = signed_pair(1);
+        let mut invalid = good;
+        invalid.v = 0;
+        let bodies = [
+            call_data(&[signed_pair(1), signed_pair(2), signed_pair(3)]),
+            call_data(&[(digest, invalid), (digest, good), (digest, good)]),
+            call_data(&[signed_pair(4)]),
+            call_data(&[]),
+        ];
+        let mut txs: Vec<SignedTransaction> = bodies
+            .iter()
+            .zip(&senders)
+            .map(|(body, kp)| Transaction::call(0, liar.address, 0, body.clone()).sign(kp))
+            .collect();
+        let mut forged = Transaction::call(1, liar.address, 0, bodies[0].clone()).sign(&senders[0]);
+        forged.signature.r = [0xFF; 32];
+        txs.push(forged);
+        txs.push(Transaction::call(7, liar.address, 0, bodies[2].clone()).sign(&senders[1]));
+        txs.push(
+            Transaction::call(1, Address::from_low_u64(0xEE), 5, Vec::new()).sign(&senders[2]),
+        );
+        txs.push(Transaction::call(1, liar.address, 0, bodies[1].clone()).sign(&senders[3]));
+        (chain, txs)
+    }
+
+    #[test]
+    fn lying_hints_change_nothing() {
+        let pool = WorkerPool::new(3, 64);
+        let (mut seq, txs) = world();
+        let (mut par, _) = world();
+        // Cold sender caches, as off the wire.
+        let cold = || -> Vec<SignedTransaction> {
+            txs.iter()
+                .map(|s| SignedTransaction::from_parts(s.tx.clone(), s.signature))
+                .collect()
+        };
+        let seq_results = seq.execute_block_with(&cold(), BlockMode::Sequential);
+        let par_results = par.execute_block_with(&cold(), BlockMode::Parallel(&pool));
+        assert_eq!(seq_results, par_results);
+        assert_eq!(seq.state().state_digest(), par.state().state_digest());
+
+        let successes = seq_results
+            .iter()
+            .filter(|r| matches!(r, Ok(receipt) if receipt.status.is_success()))
+            .count();
+        assert_eq!(successes, 6, "{seq_results:?}");
+        assert_eq!(seq_results[4], Err(ChainError::InvalidSignature));
+        assert!(matches!(seq_results[5], Err(ChainError::BadNonce { .. })));
+        // The true recoveries landed: pair 1 of tx 0 names the signer.
+        let first = &seq_results[0].as_ref().expect("accepted").return_data;
+        assert_eq!(&first[12..32], Keypair::from_seed(99).address().as_bytes());
+        pool.shutdown();
     }
 }

@@ -7,7 +7,8 @@
 //! keeps snapshot/revert, dry runs, and TS-side forking correct without any
 //! per-contract cooperation.
 
-use smacs_primitives::{Address, Bytes};
+use smacs_crypto::Signature;
+use smacs_primitives::{Address, Bytes, H256};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -41,6 +42,21 @@ pub trait Contract: Send + Sync {
     /// attack rides on.
     fn fallback(&self, _ctx: &mut CallContext<'_, '_>) -> Result<(), VmError> {
         Ok(())
+    }
+
+    /// The `(digest, signature)` pairs a top-level call from `origin` to
+    /// this contract at `this` with `calldata` will pass to
+    /// [`CallContext::ecrecover`]. [`crate::BlockMode::Parallel`] recovers
+    /// them across its pool before the block runs. A hint is only ever a
+    /// prediction: the chain recovers each pair itself, so a wrong or
+    /// missing hint costs time, never correctness.
+    fn recover_hints(
+        &self,
+        _origin: Address,
+        _this: Address,
+        _calldata: &[u8],
+    ) -> Vec<(H256, Signature)> {
+        Vec::new()
     }
 }
 

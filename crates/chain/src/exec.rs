@@ -13,9 +13,9 @@
 //!
 //! The executor does **not** recurse one host stack frame per message call.
 //! Instead it drives an explicit `Vec<Frame>` state machine, so a
-//! depth-1024 call chain consumes a bounded amount of host stack and
-//! executors can run on small pool-worker stacks (the parallel block
-//! pipeline in [`crate::chain`] depends on this).
+//! depth-1024 call chain consumes a bounded amount of host stack. An
+//! executor runs only on the thread that executes the transaction; the
+//! parallel block mode fans out signature recovery, never execution.
 //!
 //! Contract logic is arbitrary Rust behind [`crate::contract::Contract`],
 //! so a frame cannot be suspended mid-function the way a bytecode
@@ -205,9 +205,18 @@ pub struct Executor<'a> {
     /// `tx.origin` — the externally owned account that signed the
     /// transaction, constant along the whole call chain.
     pub origin: Address,
+    /// `(digest, signature, recovered)` triples computed ahead of execution
+    /// by the block prepass. [`CallContext::ecrecover`] serves a matching
+    /// pair from here instead of recovering it again; every entry was
+    /// computed from its own pair, so a hit returns exactly what a live
+    /// recovery would.
+    pub(crate) recovered: &'a [Recovery],
     logs: Vec<Log>,
     finished_root: Option<TraceFrame>,
 }
+
+/// One precomputed signature recovery: `(digest, signature, recovered)`.
+pub(crate) type Recovery = (H256, Signature, Option<Address>);
 
 impl<'a> Executor<'a> {
     /// Create an executor for one transaction.
@@ -226,6 +235,7 @@ impl<'a> Executor<'a> {
             block,
             meter: GasMeter::new(gas_limit),
             origin,
+            recovered: &[],
             logs: Vec::new(),
             finished_root: None,
         }
@@ -361,7 +371,7 @@ impl<'a> Executor<'a> {
         });
         let setup: Result<(), VmError> = (|| {
             if value > 0 {
-                if !is_construct && !self.state.exists_tracked(callee) {
+                if !is_construct && !self.state.exists(callee) {
                     self.meter.charge(self.schedule.new_account)?;
                 }
                 if !self.state.debit(caller, value) {
@@ -618,7 +628,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
     pub fn sload(&mut self, slot: H256) -> Result<H256, VmError> {
         self.effectful("sload", Effect::Word, unpack_word, |ctx| {
             ctx.exec.meter.charge(ctx.exec.schedule.sload)?;
-            let value = ctx.exec.state.storage_get_tracked(ctx.frame.callee, slot);
+            let value = ctx.exec.state.storage_get(ctx.frame.callee, slot);
             ctx.frame
                 .trace
                 .events
@@ -631,8 +641,8 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// 5000 otherwise, and crediting the clear refund for nonzero→zero.
     pub fn sstore(&mut self, slot: H256, value: H256) -> Result<(), VmError> {
         self.effectful("sstore", Effect::Unit, unpack_unit, |ctx| {
-            // The previous value is a semantic read: it decides the charge.
-            let prev = ctx.exec.state.storage_get_tracked(ctx.frame.callee, slot);
+            // The previous value decides the charge.
+            let prev = ctx.exec.state.storage_get(ctx.frame.callee, slot);
             let cost = if prev.is_zero() && !value.is_zero() {
                 ctx.exec.schedule.sset
             } else {
@@ -690,7 +700,9 @@ impl<'e, 'a> CallContext<'e, 'a> {
     }
 
     /// The `ecrecover` precompile: 3000 gas, returns the recovered address
-    /// or `None` for invalid signatures (Solidity's zero address).
+    /// or `None` for invalid signatures (Solidity's zero address). A pair
+    /// the block prepass already recovered is served from its memo; gas
+    /// and result are the same either way.
     pub fn ecrecover(
         &mut self,
         digest: H256,
@@ -698,7 +710,15 @@ impl<'e, 'a> CallContext<'e, 'a> {
     ) -> Result<Option<Address>, VmError> {
         self.effectful("ecrecover", Effect::Recovered, unpack_recovered, |ctx| {
             ctx.exec.meter.charge(ctx.exec.schedule.ecrecover)?;
-            Ok(recover_address(&digest, signature))
+            let memo = ctx
+                .exec
+                .recovered
+                .iter()
+                .find(|(d, s, _)| *d == digest && s == signature);
+            Ok(match memo {
+                Some(&(_, _, recovered)) => recovered,
+                None => recover_address(&digest, signature),
+            })
         })
     }
 
@@ -708,7 +728,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
     pub fn balance_of(&mut self, addr: Address) -> Result<u128, VmError> {
         self.effectful("balance_of", Effect::Wei, unpack_wei, |ctx| {
             ctx.exec.meter.charge(20)?; // G_balance (pre-Istanbul)
-            Ok(ctx.exec.state.balance_tracked(addr))
+            Ok(ctx.exec.state.balance(addr))
         })
     }
 
@@ -1050,6 +1070,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Returns what `ecrecover` yields for the `digest ‖ signature` in its
+    /// calldata (after the selector).
+    struct Recoverer;
+
+    impl Contract for Recoverer {
+        fn name(&self) -> &'static str {
+            "Recoverer"
+        }
+        fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
+            let data = ctx.msg_data_bytes();
+            let digest = H256::from_slice(&data[4..36]).unwrap();
+            let signature = Signature::from_bytes(&data[36..101]).unwrap();
+            let who = ctx.ecrecover(digest, &signature)?;
+            Ok(Bytes::from(
+                who.map_or(Vec::new(), |a| a.as_bytes().to_vec()),
+            ))
+        }
+    }
+
+    /// The memo is consulted on an exact `(digest, signature)` match only,
+    /// and a hit is charged like a live recovery. (The chain fills the memo
+    /// from the pairs themselves; this test plants a false answer only to
+    /// make a hit observable.)
+    #[test]
+    fn ecrecover_serves_exact_memo_hits_at_the_same_gas() {
+        let (mut state, mut registry, schedule) = setup();
+        let recoverer = Address::from_low_u64(0xE0);
+        state.set_contract(recoverer, 100);
+        registry.insert(recoverer, Arc::new(Recoverer));
+        let signer = smacs_crypto::Keypair::from_seed(3);
+        let digest = keccak256(b"pair");
+        let signature = signer.sign_digest(&digest);
+        let mut data = abi::selector("recover()").0.to_vec();
+        data.extend_from_slice(digest.as_bytes());
+        data.extend_from_slice(&signature.to_bytes());
+        let planted = Address::from_low_u64(0x77);
+        let mut other = signature;
+        other.s[0] ^= 1;
+
+        let mut run = |memo: &[Recovery]| {
+            let origin = Address::from_low_u64(1);
+            let mut executor = Executor::new(
+                &mut state,
+                &registry,
+                &schedule,
+                BlockEnv::genesis(0),
+                origin,
+                1_000_000,
+            );
+            executor.recovered = memo;
+            let out = executor
+                .call(MessageCall {
+                    caller: origin,
+                    callee: recoverer,
+                    value: 0,
+                    data: Bytes::from(data.clone()),
+                })
+                .unwrap();
+            (out, executor.meter.used())
+        };
+        let (live, live_gas) = run(&[]);
+        assert_eq!(live.as_slice(), signer.address().as_bytes());
+        let (hit, hit_gas) = run(&[(digest, signature, Some(planted))]);
+        assert_eq!(hit.as_slice(), planted.as_bytes());
+        assert_eq!(hit_gas, live_gas);
+        let near_misses = [
+            (digest, other, Some(planted)),
+            (keccak256(b"other"), signature, Some(planted)),
+        ];
+        let (miss, _) = run(&near_misses);
+        assert_eq!(miss.as_slice(), signer.address().as_bytes());
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use contract::{Contract, ContractRegistry, DeployedContract};
 pub use exec::{CallContext, Executor, MessageCall, VmError};
 pub use gas::{GasBreakdown, GasMeter, GasSchedule, OutOfGas};
 pub use receipt::{ExecStatus, Log, Receipt};
-pub use state::{TouchSet, WorldState};
+pub use state::WorldState;
 pub use trace::{CallTrace, TraceFrame};
 pub use tx::{SignedTransaction, Transaction};

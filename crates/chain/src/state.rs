@@ -48,70 +48,8 @@
 
 use smacs_crypto::keccak256;
 use smacs_primitives::{Address, H256, U256};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// The read/write footprint of one transaction, recorded while
-/// [`WorldState::begin_touch_recording`] is active.
-///
-/// Accounts are touched as a unit (nonce, balance, code flags all live in
-/// one [`AccountInfo`]), storage per `(contract, slot)`. The parallel block
-/// pipeline in [`crate::chain`] uses these sets Block-STM-style: a
-/// speculative transaction is valid iff its *reads* don't overlap the
-/// *writes* of any earlier transaction in the block. Every write path here
-/// performs a recorded read first (copy-up reads the current value; `debit`
-/// checks the balance), so read-vs-write overlap subsumes write-write
-/// conflicts.
-#[derive(Clone, Debug, Default)]
-pub struct TouchSet {
-    /// Accounts whose info was read (balance, nonce, existence, copy-up).
-    pub account_reads: HashSet<Address>,
-    /// Accounts whose info was written.
-    pub account_writes: HashSet<Address>,
-    /// Storage slots read.
-    pub storage_reads: HashSet<(Address, H256)>,
-    /// Storage slots written.
-    pub storage_writes: HashSet<(Address, H256)>,
-}
-
-impl TouchSet {
-    /// True iff any of `self`'s reads hits one of `writes`' writes — the
-    /// Block-STM validation rule (would this speculation have observed a
-    /// value the earlier transactions changed?).
-    pub fn conflicts_with_writes(&self, writes: &TouchSet) -> bool {
-        self.account_reads
-            .iter()
-            .any(|a| writes.account_writes.contains(a))
-            || self
-                .storage_reads
-                .iter()
-                .any(|s| writes.storage_writes.contains(s))
-    }
-
-    /// Fold another transaction's writes into this (accumulator) set.
-    pub fn absorb_writes(&mut self, other: &TouchSet) {
-        self.account_writes
-            .extend(other.account_writes.iter().copied());
-        self.storage_writes
-            .extend(other.storage_writes.iter().copied());
-    }
-
-    /// True iff nothing was touched.
-    pub fn is_empty(&self) -> bool {
-        self.account_reads.is_empty()
-            && self.account_writes.is_empty()
-            && self.storage_reads.is_empty()
-            && self.storage_writes.is_empty()
-    }
-
-    /// Total number of recorded touches (diagnostics).
-    pub fn len(&self) -> usize {
-        self.account_reads.len()
-            + self.account_writes.len()
-            + self.storage_reads.len()
-            + self.storage_writes.len()
-    }
-}
 
 /// Per-account data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -164,11 +102,6 @@ pub struct WorldState {
     /// May contain zero values: tombstones masking non-zero base entries.
     overlay_storage: HashMap<(Address, H256), H256>,
     journal: Vec<JournalEntry>,
-    /// Active read/write-set recorder (`None` = recording off, the normal
-    /// sequential-execution mode — recording costs one null check when
-    /// off). Boxed to keep the idle `WorldState` small; a `fork()` always
-    /// starts with recording off.
-    touch: Option<Box<TouchSet>>,
 }
 
 /// A snapshot handle from [`WorldState::snapshot`].
@@ -209,83 +142,10 @@ impl WorldState {
         self.account(addr).map(|a| a.is_contract).unwrap_or(false)
     }
 
-    // ---- Touch recording (parallel block execution support) ----
-
-    /// Start recording this state's read/write footprint into a fresh
-    /// [`TouchSet`] (retrieved with [`Self::take_touch_set`]). Used by the
-    /// parallel block pipeline on per-transaction forks.
-    pub fn begin_touch_recording(&mut self) {
-        self.touch = Some(Box::default());
-    }
-
-    /// Stop recording and return the footprint accumulated since
-    /// [`Self::begin_touch_recording`] (empty set if recording was off).
-    pub fn take_touch_set(&mut self) -> TouchSet {
-        self.touch.take().map(|b| *b).unwrap_or_default()
-    }
-
-    #[inline]
-    fn touch_account_read(&mut self, addr: Address) {
-        if let Some(touch) = &mut self.touch {
-            touch.account_reads.insert(addr);
-        }
-    }
-
-    #[inline]
-    fn touch_account_write(&mut self, addr: Address) {
-        if let Some(touch) = &mut self.touch {
-            touch.account_writes.insert(addr);
-        }
-    }
-
-    #[inline]
-    fn touch_storage_read(&mut self, addr: Address, key: H256) {
-        if let Some(touch) = &mut self.touch {
-            touch.storage_reads.insert((addr, key));
-        }
-    }
-
-    #[inline]
-    fn touch_storage_write(&mut self, addr: Address, key: H256) {
-        if let Some(touch) = &mut self.touch {
-            touch.storage_writes.insert((addr, key));
-        }
-    }
-
-    /// [`Self::balance`] with touch recording — the execution path's read.
-    pub fn balance_tracked(&mut self, addr: Address) -> u128 {
-        self.touch_account_read(addr);
-        self.balance(addr)
-    }
-
-    /// [`Self::nonce`] with touch recording.
-    pub fn nonce_tracked(&mut self, addr: Address) -> u64 {
-        self.touch_account_read(addr);
-        self.nonce(addr)
-    }
-
-    /// [`Self::exists`] with touch recording.
-    pub fn exists_tracked(&mut self, addr: Address) -> bool {
-        self.touch_account_read(addr);
-        self.exists(addr)
-    }
-
-    /// [`Self::storage_get`] with touch recording — the execution path's
-    /// slot read.
-    pub fn storage_get_tracked(&mut self, addr: Address, key: H256) -> H256 {
-        self.touch_storage_read(addr, key);
-        self.storage_get(addr, key)
-    }
-
     /// Journal the current overlay entry for `addr` and return a mutable
     /// overlay slot holding the account's current value (copied up from the
     /// base, or fresh for new accounts).
-    ///
-    /// Records both a touch *read* and *write*: the copy-up observes the
-    /// account's current value, and callers mutate the returned slot.
     fn account_mut(&mut self, addr: Address) -> &mut AccountInfo {
-        self.touch_account_read(addr);
-        self.touch_account_write(addr);
         let prev = self.overlay_accounts.get(&addr).cloned();
         self.journal
             .push(JournalEntry::AccountChanged { addr, prev });
@@ -322,9 +182,6 @@ impl WorldState {
     /// Debit wei from an account; `false` (and no change) on insufficient
     /// funds.
     pub fn debit(&mut self, addr: Address, amount: u128) -> bool {
-        // The balance check is a semantic read even on the refusal path: a
-        // speculation that failed here must conflict with an earlier credit.
-        self.touch_account_read(addr);
         let current = self.balance(addr);
         if current < amount {
             return false;
@@ -349,7 +206,6 @@ impl WorldState {
 
     /// Write a storage slot (journaled). Writing zero clears the slot.
     pub fn storage_set(&mut self, addr: Address, key: H256, value: H256) {
-        self.touch_storage_write(addr, key);
         let slot = (addr, key);
         let prev = self.overlay_storage.get(&slot).copied();
         self.journal
@@ -488,15 +344,7 @@ impl WorldState {
             overlay_accounts: self.overlay_accounts.clone(),
             overlay_storage: self.overlay_storage.clone(),
             journal: Vec::new(),
-            touch: None,
         }
-    }
-
-    /// Overwrite an account's full info (journaled). Used by the parallel
-    /// block pipeline to apply a validated speculation's writes to the
-    /// canonical state.
-    pub fn apply_account(&mut self, addr: Address, info: AccountInfo) {
-        *self.account_mut(addr) = info;
     }
 
     /// A deterministic digest of the complete merged state (accounts +
@@ -711,49 +559,6 @@ mod tests {
         assert_eq!(state.nonce(addr(1)), 0);
         // The copy-up was rolled back entirely: reads go to the base again.
         assert_eq!(state.overlay_len(), 0);
-    }
-
-    #[test]
-    fn touch_recording_captures_reads_and_writes() {
-        let mut state = WorldState::new();
-        state.credit(addr(1), 100);
-        state.storage_set_u256(addr(2), key(5), U256::from_u64(9));
-        state.commit();
-
-        state.begin_touch_recording();
-        let _ = state.balance_tracked(addr(1));
-        let _ = state.storage_get_tracked(addr(2), key(5));
-        state.debit(addr(1), 10); // read (check) + write via account_mut
-        state.storage_set_u256(addr(2), key(6), U256::from_u64(1));
-        let touch = state.take_touch_set();
-
-        assert!(touch.account_reads.contains(&addr(1)));
-        assert!(touch.account_writes.contains(&addr(1)));
-        assert!(touch.storage_reads.contains(&(addr(2), key(5))));
-        assert!(touch.storage_writes.contains(&(addr(2), key(6))));
-        assert!(!touch.storage_writes.contains(&(addr(2), key(5))));
-
-        // Recording stopped: further ops leave no trace.
-        state.credit(addr(3), 1);
-        assert!(state.take_touch_set().is_empty());
-    }
-
-    #[test]
-    fn touch_conflict_rule() {
-        let mut a = TouchSet::default();
-        a.storage_reads.insert((addr(1), key(0)));
-        let mut writes = TouchSet::default();
-        assert!(!a.conflicts_with_writes(&writes));
-        writes.storage_writes.insert((addr(1), key(0)));
-        assert!(a.conflicts_with_writes(&writes));
-
-        let mut b = TouchSet::default();
-        b.account_reads.insert(addr(7));
-        assert!(!b.conflicts_with_writes(&writes));
-        let mut other = TouchSet::default();
-        other.account_writes.insert(addr(7));
-        writes.absorb_writes(&other);
-        assert!(b.conflicts_with_writes(&writes));
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! transformed contract's `internal` methods don't.
 
 use smacs_chain::{CallContext, Contract, VmError};
-use smacs_primitives::{Address, Bytes};
+use smacs_crypto::{keccak256, Signature};
+use smacs_primitives::{Address, Bytes, H256};
+use smacs_token::split_tokens;
 use std::sync::Arc;
 
 use crate::layout;
 use crate::storage_bitmap::StorageBitmap;
-use crate::verify::verify_incoming;
+use crate::verify::{token_signing_payload, verify_incoming};
 
 /// A SMACS-enabled contract: token verification in front of `inner`.
 pub struct SmacsShield {
@@ -91,6 +93,24 @@ impl Contract for SmacsShield {
         // reject in its own fallback.
         self.inner.fallback(ctx)
     }
+
+    fn recover_hints(
+        &self,
+        origin: Address,
+        this: Address,
+        calldata: &[u8],
+    ) -> Vec<(H256, Signature)> {
+        // Alg. 1's one recovery: the TS signature on this contract's token,
+        // over the digest `verify_incoming` will rebuild.
+        let Ok((payload, tokens)) = split_tokens(calldata) else {
+            return Vec::new();
+        };
+        let Some(token) = tokens.token_for(this) else {
+            return Vec::new();
+        };
+        let data = token_signing_payload(token, origin, this, calldata, payload);
+        vec![(keccak256(&data), token.signature)]
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +136,58 @@ mod tests {
         assert_eq!(shield.name(), "Nop");
         assert_eq!(shield.code_len(), 2_000 + 1_536);
         assert_eq!(shield.ts_address(), Address::from_low_u64(1));
+    }
+
+    /// The hint must be the exact pair Alg. 1 recovers; if it drifted, the
+    /// parallel block prepass would silently recover the wrong digest and
+    /// every shield check would fall back to a serial recovery.
+    #[test]
+    fn recover_hint_is_the_pair_alg1_recovers() {
+        use crate::client::build_call_data;
+        use smacs_chain::{abi, AbiValue};
+        use smacs_crypto::{recover_address, Keypair};
+        use smacs_primitives::U256;
+        use smacs_token::TokenRequest;
+        use smacs_ts::{RuleBook, TokenService, TokenServiceConfig};
+
+        let ts = TokenService::new(
+            Keypair::from_seed(7),
+            RuleBook::permissive(),
+            TokenServiceConfig::default(),
+        );
+        let contract = Address::from_low_u64(0xC0);
+        let sender = Address::from_low_u64(0x5E);
+        let shield = SmacsShield::new(Arc::new(Nop), ts.ts_address(), 0);
+        let method = "f(uint256)";
+        let payload = abi::encode_call(method, &[AbiValue::Uint(U256::from_u64(7))]);
+        let requests = [
+            TokenRequest::super_token(contract, sender),
+            TokenRequest::method_token(contract, sender, method),
+            TokenRequest::argument_token(contract, sender, method, Vec::new(), payload.clone()),
+            TokenRequest::method_token(contract, sender, method).one_time(),
+        ];
+        for request in &requests {
+            let token = ts.issue(request, 1_000).expect("permissive rules");
+            let calldata = build_call_data(&payload, contract, token);
+            let hints = shield.recover_hints(sender, contract, &calldata);
+            assert_eq!(hints.len(), 1, "{request:?}");
+            let (digest, signature) = hints[0];
+            assert_eq!(signature, token.signature);
+            assert_eq!(
+                recover_address(&digest, &signature),
+                Some(ts.ts_address()),
+                "{request:?}"
+            );
+            // The digest binds `tx.origin`: another sender's hint misses.
+            let (foreign, _) = shield.recover_hints(contract, contract, &calldata)[0];
+            assert_ne!(recover_address(&foreign, &signature), Some(ts.ts_address()));
+
+            // No token array, or only a token for another contract: no hint.
+            assert!(shield.recover_hints(sender, contract, &payload).is_empty());
+            let elsewhere = build_call_data(&payload, Address::from_low_u64(0xC1), token);
+            assert!(shield
+                .recover_hints(sender, contract, &elsewhere)
+                .is_empty());
+        }
     }
 }

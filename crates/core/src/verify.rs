@@ -25,8 +25,8 @@
 //! `parse` (multi-token array handling, Table III), `verify` (signature
 //! path, Table II), `bitmap` (one-time bookkeeping, Table II).
 
-use smacs_chain::{CallContext, VmError};
-use smacs_primitives::Bytes;
+use smacs_chain::{CallContext, Selector, VmError};
+use smacs_primitives::{Address, Bytes};
 use smacs_token::{split_tokens, PayloadContext, Token, TokenArray, TokenType};
 
 use crate::costs::{
@@ -118,27 +118,21 @@ fn verify_token_inner(
     }
 
     // Reconstruct `data` from the transaction context.
-    let mut payload_ctx = PayloadContext {
-        sender: ctx.tx_origin(),
-        contract: ctx.this_address(),
-        selector: None,
-        calldata: None,
-    };
     match token.ttype {
         TokenType::Super => {}
-        TokenType::Method => {
-            ctx.charge_compute(METHOD_EXTRA_STEPS)?;
-            payload_ctx.selector = ctx.msg_sig();
-        }
+        TokenType::Method => ctx.charge_compute(METHOD_EXTRA_STEPS)?,
         TokenType::Argument => {
             ctx.charge_compute(METHOD_EXTRA_STEPS)?;
             ctx.charge_compute(ARG_PER_PAYLOAD_BYTE_STEPS * payload.len() as u64)?;
-            payload_ctx.selector = ctx.msg_sig();
-            payload_ctx.calldata = Some(payload.to_vec());
         }
     }
-    let signing_payload =
-        smacs_token::signing_payload(token.ttype, token.expire, token.index, &payload_ctx);
+    let signing_payload = token_signing_payload(
+        token,
+        ctx.tx_origin(),
+        ctx.this_address(),
+        ctx.msg_data(),
+        payload,
+    );
     let digest = ctx.keccak(&signing_payload)?;
 
     // SigVerify_pkTS: ecrecover + compare against the stored TS address.
@@ -150,13 +144,34 @@ fn verify_token_inner(
     }
 }
 
+/// Alg. 1's `data` for `token` in a call from `origin` to `this` whose
+/// calldata is `msg_data` (`payload` is `msg_data` without the token
+/// array): `tk.type ‖ tkData ‖ addrData`, then `msg.sig` for method tokens
+/// and `msg.sig ‖ msg.data` for argument tokens. Pure, so the shield's
+/// recovery hint and the on-chain check derive the digest identically.
+pub(crate) fn token_signing_payload(
+    token: &Token,
+    origin: Address,
+    this: Address,
+    msg_data: &[u8],
+    payload: &[u8],
+) -> Vec<u8> {
+    let payload_ctx = PayloadContext {
+        sender: origin,
+        contract: this,
+        selector: Selector::from_calldata(msg_data),
+        calldata: (token.ttype == TokenType::Argument).then(|| payload.to_vec()),
+    };
+    smacs_token::signing_payload(token.ttype, token.expire, token.index, &payload_ctx)
+}
+
 /// Forward a call to the next SMACS-enabled contract on a call chain
 /// (§IV-D): re-attach the *current* transaction's token array to
 /// `payload` and issue the nested message call. The callee extracts its own
 /// token from the same array.
 pub fn forward_call(
     ctx: &mut CallContext<'_, '_>,
-    to: smacs_primitives::Address,
+    to: Address,
     value: u128,
     payload: &[u8],
 ) -> Result<Bytes, VmError> {
