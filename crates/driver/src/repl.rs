@@ -433,7 +433,7 @@ impl Repl {
                 .set_rules(OWNER_SECRET, self.rules.clone())
                 .map_err(|e| format!("set_rules failed: {e:?}")),
             // The REPL is the operator's console; it updates the shared
-            // shards directly rather than picking one replica's derived
+            // rule book directly rather than picking one replica's derived
             // admin credential.
             Backend::Replicated { set, .. } => {
                 set.set_rules(self.rules.clone());
@@ -1020,7 +1020,7 @@ mod tests {
         let ok = run("call alice oracle \"postPrice(uint256)\" (42000) using 1");
         assert!(ok.starts_with("ok gas="), "{ok}");
 
-        // Rule pushes reach every replica through the shared shards.
+        // Rule pushes reach every replica through the shared rule book.
         run("rules deny");
         let denied = repl.eval("mint method alice oracle \"postPrice(uint256)\"");
         assert!(denied.is_err(), "deny-all must bind the whole cluster");

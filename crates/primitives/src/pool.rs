@@ -1,22 +1,16 @@
-//! A shared fixed-size worker pool with a bounded two-priority job queue
-//! and a scoped, deadlock-free fan-out primitive.
+//! A fixed-size worker pool with one bounded job queue and a scoped,
+//! deadlock-free fan-out primitive.
 //!
-//! The Token Service hot path runs entirely through one of these: the HTTP
-//! reactor submits ready connections as jobs (so 10k keep-alive clients cost
-//! a handful of threads instead of 10k), and `issue_batch` fans signature
-//! creation across the same pool. Three design points make that sharing safe:
+//! The Token Service runs on these: each HTTP `Endpoint` submits ready
+//! connections to its own pool as jobs (so 10k keep-alive clients cost a
+//! handful of threads instead of 10k), and `issue_batch` fans signature
+//! creation across a pool. Two design points make that safe:
 //!
-//! - **Bounded queues.** [`WorkerPool::try_execute`] refuses work when its
-//!   lane is full instead of growing without limit — the caller decides
-//!   (the HTTP reactor keeps a ready connection in its retry backlog; the
-//!   [`WorkerPool::scope_map`] helpers are simply skipped because the
-//!   caller does the work itself).
-//! - **Two priority lanes.** Workers drain the [`Priority::High`] lane
-//!   (request serving, signing fan-out) before touching the
-//!   [`Priority::Low`] lane (accepting new connections), so `issue_batch`
-//!   latency holds even while a connection storm floods the listener.
-//!   Each lane has its own capacity; a saturated low lane can never crowd
-//!   out latency-critical work.
+//! - **A bounded queue.** [`WorkerPool::try_execute`] refuses work when the
+//!   queue is full instead of growing without limit — the caller decides
+//!   (an `Endpoint` bounds its queue by its connection limit, so only
+//!   shutdown refuses it; the [`WorkerPool::scope_map`] helpers are simply
+//!   skipped because the caller does the work itself).
 //! - **Caller participation.** [`WorkerPool::scope_map`] never *waits* for
 //!   a worker: the calling thread drives items itself while queued helper
 //!   jobs join in as workers free up. A fan-out submitted from inside a
@@ -42,18 +36,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
-/// Which lane a job enters. Workers always drain `High` before `Low`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Priority {
-    /// Latency-critical work: serving a readable connection, signing.
-    High,
-    /// Deferrable work: draining the accept backlog under a storm.
-    Low,
-}
-
 struct PoolState {
-    high: VecDeque<Job>,
-    low: VecDeque<Job>,
+    queue: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -61,8 +45,7 @@ struct PoolInner {
     state: Mutex<PoolState>,
     /// Signals workers that a job (or shutdown) is available.
     work_ready: Condvar,
-    high_capacity: usize,
-    low_capacity: usize,
+    capacity: usize,
 }
 
 /// A fixed set of worker threads draining a bounded job queue.
@@ -73,29 +56,17 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool of `threads` workers with both lanes bounded at `capacity`.
+    /// A pool of `threads` workers whose queue holds at most `capacity`
+    /// waiting jobs.
     pub fn new(threads: usize, capacity: usize) -> Arc<WorkerPool> {
-        WorkerPool::with_lanes(threads, capacity, capacity)
-    }
-
-    /// A pool of `threads` workers with independently bounded lanes:
-    /// `high_capacity` for latency-critical jobs, `low_capacity` for
-    /// deferrable ones (accept draining).
-    pub fn with_lanes(
-        threads: usize,
-        high_capacity: usize,
-        low_capacity: usize,
-    ) -> Arc<WorkerPool> {
         let threads = threads.max(1);
         let inner = Arc::new(PoolInner {
             state: Mutex::new(PoolState {
-                high: VecDeque::new(),
-                low: VecDeque::new(),
+                queue: VecDeque::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            high_capacity: high_capacity.max(1),
-            low_capacity: low_capacity.max(1),
+            capacity: capacity.max(1),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -131,48 +102,19 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Jobs currently waiting across both lanes (diagnostics).
+    /// Jobs currently waiting (diagnostics).
     pub fn queued(&self) -> usize {
-        let state = self.inner.state.lock().expect("pool lock");
-        state.high.len() + state.low.len()
+        self.inner.state.lock().expect("pool lock").queue.len()
     }
 
-    /// Jobs currently waiting in the low-priority lane (diagnostics).
-    pub fn queued_low(&self) -> usize {
-        self.inner.state.lock().expect("pool lock").low.len()
-    }
-
-    /// Submit a high-priority job, refusing (rather than blocking or
-    /// growing) when the lane is at capacity or the pool is shutting down.
+    /// Submit a job, refusing (rather than blocking or growing) when the
+    /// queue is at capacity or the pool is shutting down.
     pub fn try_execute<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), QueueFull> {
-        self.try_execute_prio(Priority::High, job)
-    }
-
-    /// Submit a job into an explicit lane; same refusal semantics as
-    /// [`WorkerPool::try_execute`], judged against that lane's capacity.
-    pub fn try_execute_prio<F: FnOnce() + Send + 'static>(
-        &self,
-        prio: Priority,
-        job: F,
-    ) -> Result<(), QueueFull> {
         let mut state = self.inner.state.lock().expect("pool lock");
-        if state.shutdown {
+        if state.shutdown || state.queue.len() >= self.inner.capacity {
             return Err(QueueFull);
         }
-        match prio {
-            Priority::High => {
-                if state.high.len() >= self.inner.high_capacity {
-                    return Err(QueueFull);
-                }
-                state.high.push_back(Box::new(job));
-            }
-            Priority::Low => {
-                if state.low.len() >= self.inner.low_capacity {
-                    return Err(QueueFull);
-                }
-                state.low.push_back(Box::new(job));
-            }
-        }
+        state.queue.push_back(Box::new(job));
         drop(state);
         self.inner.work_ready.notify_one();
         Ok(())
@@ -260,8 +202,7 @@ impl WorkerPool {
         {
             let mut state = self.inner.state.lock().expect("pool lock");
             state.shutdown = true;
-            state.high.clear();
-            state.low.clear();
+            state.queue.clear();
         }
         self.inner.work_ready.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("workers lock"));
@@ -282,11 +223,7 @@ fn worker_loop(inner: &PoolInner) {
         let job = {
             let mut state = inner.state.lock().expect("pool lock");
             loop {
-                // High lane first: a queued accept never delays signing.
-                if let Some(job) = state.high.pop_front() {
-                    break job;
-                }
-                if let Some(job) = state.low.pop_front() {
+                if let Some(job) = state.queue.pop_front() {
                     break job;
                 }
                 if state.shutdown {
@@ -462,86 +399,6 @@ mod tests {
         }
         pool.try_execute(|| {}).unwrap(); // fills the queue
         assert_eq!(pool.try_execute(|| {}), Err(QueueFull));
-        let (lock, cv) = &*release;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        pool.shutdown();
-    }
-
-    #[test]
-    fn high_lane_jobs_run_before_queued_low_lane_jobs() {
-        let pool = WorkerPool::with_lanes(1, 16, 16);
-        // Wedge the only worker so subsequent submissions stay queued.
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
-        let r = release.clone();
-        pool.try_execute(move || {
-            let (lock, cv) = &*r;
-            let mut go = lock.lock().unwrap();
-            while !*go {
-                go = cv.wait(go).unwrap();
-            }
-        })
-        .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.queued() > 0 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Queue low first, then high; the worker must run high first.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3 {
-            let order = order.clone();
-            pool.try_execute_prio(Priority::Low, move || {
-                order.lock().unwrap().push(format!("low{i}"));
-            })
-            .unwrap();
-        }
-        for i in 0..3 {
-            let order = order.clone();
-            pool.try_execute_prio(Priority::High, move || {
-                order.lock().unwrap().push(format!("high{i}"));
-            })
-            .unwrap();
-        }
-        let (lock, cv) = &*release;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while order.lock().unwrap().len() < 6 {
-            assert!(std::time::Instant::now() < deadline, "jobs never drained");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let got = order.lock().unwrap().clone();
-        assert_eq!(got, ["high0", "high1", "high2", "low0", "low1", "low2"]);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn lanes_have_independent_capacities() {
-        let pool = WorkerPool::with_lanes(1, 1, 2);
-        // Wedge the worker.
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
-        let r = release.clone();
-        pool.try_execute(move || {
-            let (lock, cv) = &*r;
-            let mut go = lock.lock().unwrap();
-            while !*go {
-                go = cv.wait(go).unwrap();
-            }
-        })
-        .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.queued() > 0 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // High lane holds 1; a full high lane leaves the low lane open.
-        pool.try_execute(|| {}).unwrap();
-        assert_eq!(pool.try_execute(|| {}), Err(QueueFull));
-        pool.try_execute_prio(Priority::Low, || {}).unwrap();
-        pool.try_execute_prio(Priority::Low, || {}).unwrap();
-        assert_eq!(pool.try_execute_prio(Priority::Low, || {}), Err(QueueFull));
-        assert_eq!(pool.queued_low(), 2);
         let (lock, cv) = &*release;
         *lock.lock().unwrap() = true;
         cv.notify_all();

@@ -9,10 +9,10 @@
 //! - **one signing identity**: every replica holds the same `sk_TS`, so a
 //!   token minted anywhere verifies against the one `pk_TS` the shielded
 //!   contract stores;
-//! - **shared, sharded rule books** ([`ShardedRules`]): rules are sharded
-//!   by contract address, each shard an `EpochCell` all replicas hold by
-//!   `Arc` — an owner's `set_rules` through *any* replica propagates to
-//!   all of them without stopping issuance anywhere;
+//! - **one shared rule book**: every replica holds the same
+//!   `Arc<EpochCell<RuleBook>>`, so an owner's `set_rules` through *any*
+//!   replica is one atomic swap that binds all of them without stopping
+//!   issuance anywhere;
 //! - **quorum one-time counters** ([`CounterCluster`]): one-time indexes
 //!   are allocated through a majority-quorum replicated counter with one
 //!   counter node per replica. Lose a minority and issuance continues;
@@ -60,7 +60,7 @@
 //!
 //! Replicas live in one process here (this is a simulator), but nothing
 //! crosses between their counter nodes except TCP — the shared `Arc`s are
-//! limited to the signing key and rule shards a real deployment would
+//! limited to the signing key and rule book a real deployment would
 //! distribute out of band.
 
 use std::net::SocketAddr;
@@ -72,7 +72,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
-use smacs_primitives::Address;
+use smacs_primitives::{Address, EpochCell};
 
 use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
 use crate::discovery::ContractMetadata;
@@ -81,7 +81,7 @@ use crate::front::{EndpointScope, FrontEnd};
 use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 use crate::replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 use crate::rules::RuleBook;
-use crate::service::{ShardedRules, TokenService, TokenServiceConfig};
+use crate::service::{TokenService, TokenServiceConfig};
 
 /// Distinguishes WAL directories of concurrently running sets in one
 /// process (the test suite starts many).
@@ -104,8 +104,6 @@ pub enum CounterMode {
 pub struct ReplicaSetConfig {
     /// Number of replicas (HTTP servers *and* counter nodes).
     pub replicas: usize,
-    /// Number of rule shards (contract address → shard).
-    pub rule_shards: usize,
     /// Base owner bearer secret. Replicas do **not** share it verbatim:
     /// replica `id` accepts only the derived credential
     /// `{owner_secret}-r{id}` (see [`ReplicaSet::owner_secret`]), so a
@@ -136,7 +134,6 @@ impl Default for ReplicaSetConfig {
     fn default() -> Self {
         ReplicaSetConfig {
             replicas: 3,
-            rule_shards: 4,
             owner_secret: "replica-owner".into(),
             service: TokenServiceConfig::default(),
             http: HttpServerConfig::default(),
@@ -168,7 +165,6 @@ fn vote_client_config() -> HttpClientConfig {
 fn vote_server_config() -> HttpServerConfig {
     HttpServerConfig {
         workers: 2,
-        queue_capacity: 64,
         ..HttpServerConfig::default()
     }
 }
@@ -270,7 +266,7 @@ pub struct ReplicaSet {
     replicas: Vec<Replica>,
     /// Set-level diagnostics view: local transports over every node.
     counter: CounterCluster,
-    rules: Arc<ShardedRules>,
+    rules: Arc<EpochCell<RuleBook>>,
     signer: Keypair,
     config: ReplicaSetConfig,
     /// A WAL temp directory this set created and owns (removed on
@@ -280,10 +276,10 @@ pub struct ReplicaSet {
 
 impl ReplicaSet {
     /// Start `config.replicas` issuing nodes sharing `signer`, an initial
-    /// `rules` book, a quorum counter, and sharded rule state.
+    /// `rules` book, and a quorum counter.
     ///
     /// # Panics
-    /// Panics if `config.replicas == 0` or `config.rule_shards == 0`.
+    /// Panics if `config.replicas == 0`.
     pub fn start(
         signer: Keypair,
         rules: RuleBook,
@@ -313,7 +309,7 @@ impl ReplicaSet {
         }
         let diag = CounterCluster::from_nodes(nodes.clone());
 
-        let shards = ShardedRules::new(config.rule_shards, rules);
+        let rules = Arc::new(EpochCell::new(rules));
         let faults: Vec<Arc<FaultPlan>> = (0..config.replicas).map(|_| FaultPlan::new()).collect();
 
         // Per-replica coordinator clusters. Replica `i` reaches itself
@@ -341,10 +337,10 @@ impl ReplicaSet {
         for (id, cluster) in clusters.into_iter().enumerate() {
             let service = TokenService::new(
                 signer.clone(),
-                RuleBook::permissive(), // replaced by the shared shards
+                RuleBook::permissive(), // replaced by the shared book
                 config.service.clone(),
             )
-            .with_shared_rules(shards.clone())
+            .with_shared_rules(rules.clone())
             .with_replicated_counter(cluster.clone());
             let front = Arc::new(
                 FrontEnd::new(
@@ -387,7 +383,7 @@ impl ReplicaSet {
         Ok(ReplicaSet {
             replicas,
             counter: diag,
-            rules: shards,
+            rules,
             signer,
             config,
             owned_wal_dir,
@@ -438,7 +434,7 @@ impl ReplicaSet {
     /// so a leaked credential identifies its source replica and dies with
     /// it ([`ReplicaSet::kill`]) instead of forcing a fleet-wide
     /// rotation. Rule updates made through any one replica still bind all
-    /// of them (shared shards) — the blast radius that shrinks is the
+    /// of them (one shared book) — the blast radius that shrinks is the
     /// *credential's*, not the operation's.
     ///
     /// Owner tooling that drives admin ops through a
@@ -473,11 +469,6 @@ impl ReplicaSet {
     /// — the authoritative view an operator's metrics would aggregate.
     pub fn counter(&self) -> &CounterCluster {
         &self.counter
-    }
-
-    /// The shared rule shards.
-    pub fn rules(&self) -> &Arc<ShardedRules> {
-        &self.rules
     }
 
     /// Whether replica `id` is currently serving.
@@ -572,10 +563,10 @@ impl ReplicaSet {
         self.counter.has_quorum()
     }
 
-    /// Owner-side rule replacement, propagated to every replica through
-    /// the shared shards.
+    /// Owner-side rule replacement: one swap of the book every replica
+    /// shares.
     pub fn set_rules(&self, rules: RuleBook) {
-        self.rules.store_all(rules);
+        self.rules.store(rules);
     }
 
     /// Publish discovery metadata for `contract` to **every** replica's

@@ -13,44 +13,40 @@
 //!
 //! The server is **readiness-driven**: one reactor thread
 //! (`reactor.rs`, epoll via the in-repo `libc` shim) multiplexes
-//! the accept listener and *every* parked keep-alive socket, and a
-//! **fixed worker pool** ([`smacs_primitives::pool`]) does all the actual
-//! serving — so concurrent keep-alive clients cost `O(workers)` threads
-//! and an *idle* connection costs zero CPU (one registered fd, no sweep):
+//! the accept listener and *every* parked keep-alive socket, and each
+//! [`Endpoint`]'s own **fixed worker pool** ([`smacs_primitives::pool`])
+//! does all the actual serving — so concurrent keep-alive clients cost
+//! `O(workers)` threads and an *idle* connection costs zero CPU (one
+//! registered fd, no sweep):
 //!
 //! - the **reactor** (one thread) blocks in `epoll_wait` until a parked
-//!   connection has bytes (or closed) or the listener has a pending
-//!   accept burst. Readable connections are dispatched to the pool's
-//!   **high-priority lane**; the accept burst becomes one **low-priority
-//!   lane** drain job — under a connection storm, signing and request
-//!   serving always cut ahead of new accepts, so `issue_batch` latency
-//!   holds. A full high lane keeps the ready connection in the reactor's
-//!   retry backlog (the bytes wait in the socket; nothing is dropped).
+//!   connection has bytes (or closed) or the listener has pending
+//!   connections. It accepts a burst itself, never waiting for a worker:
+//!   beyond [`HttpServerConfig::max_connections`] it answers a fast `503`
+//!   with a v2 `internal` error and closes; every other new connection is
+//!   parked, so its first request arrives as a readiness event. A
+//!   readable connection becomes one job in the pool's queue.
+//! - the pool's queue is bounded by `max_connections`: a job is one
+//!   connection's turn and no connection has two, so the queue can only
+//!   refuse a job at shutdown — the refused connection is dropped.
 //! - **pool workers** serve a connection's requests back-to-back while
 //!   data keeps arriving (a short `KEEPALIVE_GRACE` covers the client's
 //!   turnaround), then *park* the idle connection in the reactor and move
 //!   on — a worker is only ever occupied by a connection that is actually
 //!   talking. The **lifecycle of a parked connection** is: park
-//!   (epoll-register, one-shot) → readable event → high-lane job → served
+//!   (epoll-register, one-shot) → readable event → queued job → served
 //!   back-to-back → re-park; or reaped on peer
 //!   close / [`HttpServerConfig::idle_timeout`] expiry, both detected by
-//!   the same readiness event, never by polling.
-//! - the **accept-drain job** (low lane) accepts until the backlog is
-//!   empty, parking each new connection so its first request arrives as
-//!   a readiness event; beyond [`HttpServerConfig::max_connections`] it
-//!   answers a fast `503` with a v2 `internal` error instead of growing
-//!   without bound, then re-arms the listener registration.
+//!   the reactor, never by per-connection polling.
 //!
-//! Batch issuance fans its signing across the same pool (see
-//! [`crate::service::TokenService::issue_batch`]); pass a shared pool via
-//! [`HttpServerConfig::pool`] to run connections and signing on one set of
-//! workers — the fan-out's caller-participation makes that safe even when
-//! every worker is busy.
+//! Batch issuance fans its signing across the service's pool (see
+//! [`crate::service::TokenService::issue_batch`]), not the endpoint's.
 //!
 //! [`Endpoint::shutdown`] is deterministic: it wakes the reactor
-//! through its eventfd (no self-connect hack), which closes the listener
-//! and every parked connection and exits; in-flight requests finish and
-//! their workers observe the flag; every thread is joined.
+//! through its eventfd (no self-connect hack), which closes every parked
+//! connection and exits; in-flight requests finish and their workers
+//! observe the flag; every thread is joined, and the listener closes with
+//! the endpoint.
 //!
 //! [`HttpClient`] is the wire implementation of [`TsApi`]: protocol-v2
 //! envelopes over one persistent connection. Before reusing a pooled
@@ -75,12 +71,11 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use smacs_primitives::json::{FromJson, Json, ObjectWriter, ToJson};
-use smacs_primitives::pool::Priority;
 use smacs_primitives::{Address, WorkerPool};
 use smacs_token::{Token, TokenRequest};
 
@@ -140,35 +135,21 @@ const BODY_TOO_LARGE_BODY: &str =
 const KEEPALIVE_GRACE: Duration = Duration::from_millis(1);
 
 /// Kernel listen backlog. A connection storm queues here (absorbed at
-/// kernel cost, drained at low priority) instead of seeing resets.
+/// kernel cost, drained by the reactor) instead of seeing resets.
 const ACCEPT_BACKLOG: libc::c_int = 1_024;
-
-/// Bound on the pool's **low-priority lane** (accept-drain jobs) of a
-/// server-owned pool.
-const ACCEPT_QUEUE_CAPACITY: usize = 64;
 
 /// Tuning knobs for [`Endpoint::bind`]: public fields over
 /// [`Default`].
 #[derive(Clone)]
 pub struct HttpServerConfig {
-    /// Connection/signing worker threads. Defaults to
+    /// Connection worker threads in the endpoint's own pool. Defaults to
     /// `2 × available_parallelism` (min 2): connection turns block on
     /// socket I/O, so running more workers than cores keeps the CPU busy.
-    /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub workers: usize,
-    /// Bound on the pool's **high-priority lane** (request-serving and
-    /// signing jobs). When full, ready connections wait in the reactor's
-    /// retry backlog — their bytes sit in the socket; nothing is lost.
-    /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
-    pub queue_capacity: usize,
     /// Parked connections idle longer than this are closed (`None`: kept
     /// forever). Enforced by the reactor on a coarse timer (a quarter of
     /// the limit), not per-connection polling.
     pub idle_timeout: Option<Duration>,
-    /// Share an existing pool (e.g. the one the wrapped `TokenService`
-    /// fans batch signing across) instead of creating a server-owned one.
-    /// A shared pool is *not* shut down when the server stops.
-    pub pool: Option<Arc<WorkerPool>>,
     /// Bind to this exact address instead of an OS-assigned loopback port.
     /// [`crate::cluster::ReplicaSet`] uses it to restart a recovered
     /// replica on the address clients already know.
@@ -178,7 +159,9 @@ pub struct HttpServerConfig {
     pub faults: Option<Arc<FaultPlan>>,
     /// Ceiling on concurrently open (parked + in-flight) connections.
     /// Beyond it, new accepts are answered with a fast 503 and closed —
-    /// bounding fds and memory instead of growing without limit.
+    /// bounding fds and memory instead of growing without limit. It is
+    /// also the bound of the worker pool's queue, which holds at most one
+    /// job per open connection.
     pub max_connections: usize,
 }
 
@@ -189,9 +172,7 @@ impl Default for HttpServerConfig {
             .unwrap_or(1);
         HttpServerConfig {
             workers: (2 * cores).max(2),
-            queue_capacity: 1024,
             idle_timeout: None,
-            pool: None,
             bind: None,
             faults: None,
             max_connections: 65_536,
@@ -270,44 +251,31 @@ impl ReactorClient<Conn> for ServerShared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// A parked connection became readable (or closed): dispatch a serve
-    /// turn on the pool's high-priority lane. On a full lane the
-    /// connection goes back to the reactor's retry backlog — data waits
-    /// in the socket, no request is dropped.
-    fn on_ready(&self, conn: Conn) -> Result<(), Conn> {
+    /// A parked connection became readable (or closed): queue a serve
+    /// turn. The queue is bounded by `max_connections` and holds at most
+    /// one turn per open connection, so only shutdown refuses one — and
+    /// dropping the refused job closes its connection, as shutdown does.
+    fn on_ready(&self, conn: Conn) {
         if self.shutting_down() {
-            return Ok(()); // drop: shutdown closes keep-alive connections
+            return; // drop: shutdown closes keep-alive connections
         }
         let Some(me) = self.me.upgrade() else {
-            return Ok(());
+            return;
         };
-        // The connection rides in a shared slot so a refused submission
-        // can reclaim it (a consumed closure can't give it back).
-        let slot = Arc::new(Mutex::new(Some(conn)));
-        let job_slot = slot.clone();
-        let submitted = self.pool.try_execute(move || {
-            let conn = job_slot.lock().expect("conn slot").take();
-            if let Some(conn) = conn {
-                serve_turn(&me, conn);
-            }
-        });
-        match submitted {
-            Ok(()) => Ok(()),
-            Err(_) => match slot.lock().expect("conn slot").take() {
-                Some(conn) => Err(conn),
-                None => Ok(()),
-            },
-        }
+        let _ = self.pool.try_execute(move || serve_turn(&me, conn));
     }
 
-    /// The listener has a pending burst: queue one low-priority drain job.
-    fn on_accept_ready(&self) -> bool {
-        let Some(me) = self.me.upgrade() else {
-            return true;
-        };
-        self.pool
-            .try_execute_prio(Priority::Low, move || accept_drain(&me))
-            .is_ok()
+    /// A new connection: beyond `max_connections`, a fast, decodable 503
+    /// and close; otherwise the connection to park.
+    fn on_accept(&self, mut stream: TcpStream) -> Option<Conn> {
+        let count = ConnCount::track(self.open_connections.clone());
+        if count.total_after_increment > self.max_connections {
+            // Dropping `count` (with the stream) keeps the book balanced.
+            let _ = stream.set_write_timeout(Some(REQUEST_IO_TIMEOUT));
+            let _ = write_response(&mut stream, 503, true, OVERLOADED_BODY);
+            return None;
+        }
+        Conn::new(stream, count).ok()
     }
 }
 
@@ -317,7 +285,6 @@ impl ReactorClient<Conn> for ServerShared {
 pub struct Endpoint {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    owns_pool: bool,
     reactor_handle: Option<JoinHandle<()>>,
 }
 
@@ -335,27 +302,23 @@ impl Endpoint {
         };
         let addr = listener.local_addr()?;
         // Deepen the kernel accept backlog past std's default so a
-        // connection storm queues (drained at low priority) instead of
-        // seeing resets. Re-calling listen(2) on a listening socket only
-        // updates the backlog.
+        // connection storm queues instead of seeing resets. Re-calling
+        // listen(2) on a listening socket only updates the backlog.
         // SAFETY: a plain syscall on a descriptor `listener` owns and keeps
         // open across the call; no memory is passed.
         unsafe {
             libc::listen(listener.as_raw_fd(), ACCEPT_BACKLOG);
         }
-        let owns_pool = config.pool.is_none();
-        let pool = config.pool.unwrap_or_else(|| {
-            WorkerPool::with_lanes(config.workers, config.queue_capacity, ACCEPT_QUEUE_CAPACITY)
-        });
+        let max_connections = config.max_connections.max(1);
         let reactor = Arc::new(Reactor::new(listener, config.idle_timeout)?);
         let shared = Arc::new_cyclic(|me| ServerShared {
             front,
-            pool,
+            pool: WorkerPool::new(config.workers, max_connections),
             reactor,
             shutdown: AtomicBool::new(false),
             faults: config.faults,
             scope,
-            max_connections: config.max_connections.max(1),
+            max_connections,
             open_connections: Arc::new(AtomicUsize::new(0)),
             me: me.clone(),
         });
@@ -368,7 +331,6 @@ impl Endpoint {
         Ok(Endpoint {
             addr,
             shared,
-            owns_pool,
             reactor_handle: Some(reactor_handle),
         })
     }
@@ -417,24 +379,21 @@ impl Endpoint {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the (possibly indefinitely blocked) epoll wait through the
-        // reactor's eventfd; it closes the listener and every parked
-        // connection, then exits.
+        // reactor's eventfd; it closes every parked connection, then exits.
         self.shared.reactor.wake();
         if let Some(handle) = self.reactor_handle.take() {
             let _ = handle.join();
         }
-        if self.owns_pool {
-            // In-flight connection turns finish their current request and
-            // observe the shutdown flag; queued-but-unstarted ones are
-            // dropped (their connections close).
-            self.shared.pool.shutdown();
-        }
+        // In-flight connection turns finish their current request and
+        // observe the shutdown flag; queued-but-unstarted ones are dropped
+        // (their connections close).
+        self.shared.pool.shutdown();
     }
 
     /// Graceful shutdown, deterministic: wake the reactor (eventfd), which
-    /// closes the listener and parked (idle) keep-alive connections and
-    /// exits; finish in-flight requests; join the reactor thread and
-    /// (when server-owned) the worker pool.
+    /// closes parked (idle) keep-alive connections and exits; finish
+    /// in-flight requests; join the reactor thread and the worker pool;
+    /// close the listener.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -444,45 +403,6 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// One low-priority pool job: drain the kernel accept backlog, parking
-/// each new connection in the reactor (its first request then arrives as
-/// a readiness event), and re-arm the listener registration when empty.
-/// Running at low priority is the storm defence: queued request/signing
-/// jobs always cut ahead of taking on new connections.
-fn accept_drain(shared: &Arc<ServerShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match shared.reactor.try_accept() {
-            Ok((stream, _)) => {
-                let count = ConnCount::track(shared.open_connections.clone());
-                if count.total_after_increment > shared.max_connections {
-                    // Fast, decodable refusal; dropping `count` (with the
-                    // stream) keeps the book balanced.
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(REQUEST_IO_TIMEOUT));
-                    let _ = write_response(&mut stream, 503, true, OVERLOADED_BODY);
-                    continue;
-                }
-                let Ok(conn) = Conn::new(stream, count) else {
-                    continue;
-                };
-                let _ = shared.reactor.park(conn); // failure drops (closes)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => {
-                // Listener closed (shutdown) or transient failure (EMFILE
-                // etc.): back off briefly so the level-triggered re-arm
-                // below cannot spin a worker hot on a persistent error.
-                std::thread::sleep(Duration::from_millis(10));
-                break;
-            }
-        }
-    }
-    shared.reactor.rearm_accept();
 }
 
 /// What a readiness probe on an idle connection found.
@@ -1600,6 +1520,47 @@ mod tests {
         for client in &clients {
             client.ping().unwrap();
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn accepting_never_waits_for_a_worker() {
+        // A delayed response holds the only worker; fresh connections must
+        // still be accepted and parked long before it frees up.
+        const DELAY: Duration = Duration::from_secs(1);
+        const FRESH: usize = 20;
+        let faults = FaultPlan::new();
+        faults.delay_responses(DELAY);
+        let server = serve(HttpServerConfig {
+            workers: 1,
+            faults: Some(faults),
+            ..HttpServerConfig::default()
+        });
+        let addr = server.addr();
+        let start = Instant::now();
+        let holder = std::thread::spawn(move || HttpClient::connect(addr).ping());
+        // Open and not parked: the worker has the holder's connection.
+        while server.open_connections() == 0 || server.parked_connections() > 0 {
+            assert!(start.elapsed() < DELAY / 2, "the holder was never served");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Give the worker time to enter the delay before the fresh
+        // connections arrive.
+        std::thread::sleep(Duration::from_millis(100));
+        let fresh: Vec<TcpStream> = (0..FRESH)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        while server.open_connections() < FRESH + 1 || server.parked_connections() < FRESH {
+            assert!(
+                start.elapsed() < DELAY / 2,
+                "{} open, {} parked while the worker was busy",
+                server.open_connections(),
+                server.parked_connections()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        holder.join().unwrap().unwrap();
+        drop(fresh);
         server.shutdown();
     }
 

@@ -33,20 +33,22 @@
 //!
 //! # Threading model
 //!
-//! The whole TS hot path scales with cores through one shared
-//! [`smacs_primitives::pool::WorkerPool`] fed by a readiness-driven
-//! reactor (epoll) — no thread ever sweeps or sleeps per connection:
+//! Each [`Endpoint`] serves through one readiness-driven reactor (epoll)
+//! and its own fixed [`smacs_primitives::pool::WorkerPool`] with one
+//! bounded queue — no thread ever sweeps or sleeps per connection, and no
+//! path waits for queue space:
 //!
 //! ```text
-//! reactor (1 thread, epoll_wait) ──readable conn──▶ high-priority lane ─┐
-//!   │  owns: listener + every parked                                    │
-//!   │  keep-alive conn + eventfd wake     worker pool (fixed N threads)─┤
-//!   ├──listener readable──▶ low-priority lane ──▶ accept drain          │
-//!   │       (signing never queues behind accepts)                       │
-//!   ◀──────── park idle conn back / hand back pipelined conn ───────────┘
+//! reactor (1 thread, epoll_wait) ──readable conn──▶ pool queue ─────┐
+//!   │  accepts itself: 503 past      (≤ max_connections jobs,       │
+//!   │  max_connections, else park     one per connection)           │
+//!   │  owns: listener + every parked                                │
+//!   │  keep-alive conn + eventfd wake   worker pool (fixed N) ◀─────┘
+//!   ▲                                        │ serves back to back
+//!   └──── park idle conn / hand back a conn past its turn quota ────┘
 //!
-//! issue_batch ──▶ scope_map fan-out: calling thread + idle workers sign
-//!                 in parallel, results in request order
+//! issue_batch ──▶ scope_map fan-out on the service's pool: calling
+//!                 thread + idle workers sign, results in request order
 //! rules ────────▶ EpochCell<RuleBook>: issuers pin an immutable Arc
 //!                 snapshot per request (lock-free steady state);
 //!                 set_rules swaps the book atomically
@@ -58,15 +60,15 @@
 //!   connections cost zero steady-state CPU — the reactor blocks in
 //!   `epoll_wait` until one becomes readable, closes, or idles out
 //!   ([`HttpServerConfig`] is public fields over `Default`: `workers`,
-//!   `queue_capacity`, `idle_timeout`, an optional shared `pool`, `bind`,
-//!   `faults` and `max_connections`).
+//!   `idle_timeout`, `bind`, `faults` and `max_connections`, which also
+//!   bounds the pool's queue).
 //! - **One listener type**: the public listener and every vote endpoint
 //!   bind through [`Endpoint::bind`] with an
 //!   [`EndpointScope`](front::EndpointScope), so they ride the same
 //!   reactor machinery and the same [`fault::FaultPlan`] injection
 //!   points.
-//! - **Batch signing** fans the ≈ 20 µs per-token `k·G` across the pool
-//!   with caller participation (no pool-within-pool deadlock), preserving
+//! - **Batch signing** fans the ≈ 20 µs per-token `k·G` across the
+//!   service's pool (process-shared by default) with caller participation (no pool-within-pool deadlock), preserving
 //!   per-item partial failure and request-order results; one-time indexes
 //!   stay atomic/replicated and globally unique.
 //! - **Rule reads never lock**: issuance validates against an epoch
@@ -83,9 +85,9 @@
 //!
 //! - **What replicates.** A [`cluster::ReplicaSet`] runs N full service
 //!   instances sharing the signing key (tokens from any replica verify
-//!   against the one on-chain `pk_TS`), the rule shards
-//!   ([`service::ShardedRules`] — an owner update through any replica
-//!   binds all of them), and a majority-quorum one-time counter
+//!   against the one on-chain `pk_TS`), one rule book (an
+//!   `EpochCell` every replica holds — an owner update through any
+//!   replica binds all of them), and a majority-quorum one-time counter
 //!   ([`replica::CounterCluster`]).
 //!
 //! - **How the counter quorum votes.** The counter is a real distributed
@@ -184,7 +186,7 @@ pub use fault::FaultPlan;
 pub use http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
-pub use service::{IssueError, ShardedRules, TokenService, TokenServiceConfig};
+pub use service::{IssueError, TokenService, TokenServiceConfig};
 pub use store::RuleStore;
 pub use validation::{NullTool, ValidationTool};
 pub use wal::Wal;

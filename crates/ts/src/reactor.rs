@@ -1,9 +1,7 @@
 //! The readiness reactor behind [`crate::http::Endpoint`]: one thread
-//! multiplexing *all* parked keep-alive sockets and the accept listener
+//! multiplexing the accept listener and *all* parked keep-alive sockets
 //! through epoll (via the in-repo `libc` shim), so an idle connection
-//! costs one registered fd and **zero CPU** until its next byte arrives —
-//! replacing the poller-era 1 ms sweep whose cost grew O(n) with parked
-//! connections.
+//! costs one registered fd and **zero CPU** until its next byte arrives.
 //!
 //! Mechanics:
 //!
@@ -11,25 +9,26 @@
 //!   the kernel reports each readiness exactly once, and the reactor
 //!   removes the item from its table (plus `EPOLL_CTL_DEL`, so a later
 //!   re-park can `ADD` again) before handing it to the client.
-//! - The listener is also one-shot: an accept burst is a single event,
-//!   answered by queueing one *low-priority* drain job; the job re-arms
-//!   the registration when the backlog is empty. Level-triggered re-arm
-//!   means connections that raced in meanwhile re-fire immediately.
+//! - The listener is also one-shot. The reactor thread accepts the whole
+//!   burst itself, hands each connection to [`ReactorClient::on_accept`]
+//!   and parks what it returns, then re-arms the registration;
+//!   level-triggered re-arm means connections that raced in meanwhile
+//!   re-fire immediately. An accept error other than "would block"
+//!   (EMFILE, …) re-arms only after [`ACCEPT_BACKOFF`], so a persistent
+//!   error cannot spin the loop.
 //! - An `eventfd` wakes the loop for shutdown and for items workers hand
 //!   back (hot connections re-entering the queue after their turn quota)
 //!   — no self-connect hack, no polling.
-//! - When the client's queue refuses a dispatch ([`ReactorClient::
-//!   on_ready`] returns the item), the reactor parks it in a retry
-//!   backlog and polls with a short timeout instead of blocking forever;
-//!   the bytes wait in the socket, nothing is dropped.
+//! - With an idle timeout, expired parked items are reaped at most once
+//!   per tick (a quarter of the limit), however busy the loop is.
 //!
 //! The reactor is generic over the parked item (anything `AsRawFd`) so
 //! its register/re-arm/close races are unit-testable on bare
 //! `TcpStream`s below, independent of HTTP.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,8 +38,8 @@ use std::time::{Duration, Instant};
 const TOKEN_WAKE: u64 = 0;
 const TOKEN_ACCEPT: u64 = 1;
 
-/// Poll timeout while dispatches await queue space (retry backlog).
-const RETRY_DELAY_MS: libc::c_int = 5;
+/// How long the listener stays disarmed after a failed accept.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Events drained per `epoll_wait` call.
 const MAX_EVENTS: usize = 256;
@@ -50,12 +49,11 @@ pub(crate) trait ReactorClient<T>: Send + Sync {
     /// The loop exits (closing everything it owns) once this is true.
     fn shutting_down(&self) -> bool;
     /// A parked item became readable (or closed — the client discovers
-    /// which by reading). Return it to have the reactor retry shortly
-    /// (dispatch queue full); the reactor never drops a ready item.
-    fn on_ready(&self, item: T) -> Result<(), T>;
-    /// The listener has pending connections: queue an accept-drain job.
-    /// `false` means the queue refused and the reactor should retry.
-    fn on_accept_ready(&self) -> bool;
+    /// which by reading), or a worker handed it back: serve it.
+    fn on_ready(&self, item: T);
+    /// A new connection: the item to park, or `None` to refuse it (the
+    /// client has answered or dropped the stream).
+    fn on_accept(&self, stream: TcpStream) -> Option<T>;
 }
 
 struct ParkedItem<T> {
@@ -67,8 +65,9 @@ struct ParkedItem<T> {
 pub(crate) struct Reactor<T> {
     epfd: libc::c_int,
     wake_fd: libc::c_int,
-    listener: Mutex<Option<TcpListener>>,
-    listener_fd: libc::c_int,
+    /// Accepted from only by the reactor thread; closes when the reactor
+    /// drops.
+    listener: TcpListener,
     parked: Mutex<HashMap<u64, ParkedItem<T>>>,
     /// Items workers hand back for immediate re-dispatch (quota-exhausted
     /// hot connections, or parked ones whose buffer still holds bytes).
@@ -88,12 +87,25 @@ fn cvt(ret: libc::c_int) -> io::Result<libc::c_int> {
     }
 }
 
+/// Milliseconds until `deadline`, rounded up so the wait never returns
+/// early and spins; `-1` (block indefinitely) without a deadline.
+fn timeout_ms(deadline: Option<Instant>) -> libc::c_int {
+    match deadline {
+        None => -1,
+        Some(deadline) => {
+            let micros = deadline
+                .saturating_duration_since(Instant::now())
+                .as_micros();
+            micros.div_ceil(1_000).min(libc::c_int::MAX as u128) as libc::c_int
+        }
+    }
+}
+
 impl<T: AsRawFd + Send> Reactor<T> {
     /// Build a reactor owning `listener` (switched to non-blocking and
     /// registered one-shot) plus a fresh epoll instance and wake eventfd.
     pub(crate) fn new(listener: TcpListener, idle_timeout: Option<Duration>) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
-        let listener_fd = listener.as_raw_fd();
         let epfd = cvt(unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) })?;
         let wake_fd = match cvt(unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) })
         {
@@ -106,8 +118,7 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let reactor = Reactor {
             epfd,
             wake_fd,
-            listener: Mutex::new(Some(listener)),
-            listener_fd,
+            listener,
             parked: Mutex::new(HashMap::new()),
             handback: Mutex::new(Vec::new()),
             next_token: AtomicU64::new(2),
@@ -115,18 +126,22 @@ impl<T: AsRawFd + Send> Reactor<T> {
             idle_timeout,
         };
         reactor.ctl(libc::EPOLL_CTL_ADD, wake_fd, libc::EPOLLIN, TOKEN_WAKE)?;
-        reactor.ctl(
-            libc::EPOLL_CTL_ADD,
-            listener_fd,
-            libc::EPOLLIN | libc::EPOLLONESHOT,
-            TOKEN_ACCEPT,
-        )?;
+        reactor.arm_listener(libc::EPOLL_CTL_ADD)?;
         Ok(reactor)
     }
 
     fn ctl(&self, op: libc::c_int, fd: libc::c_int, events: u32, token: u64) -> io::Result<()> {
         let mut ev = libc::epoll_event { events, u64: token };
         cvt(unsafe { libc::epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
+    }
+
+    fn arm_listener(&self, op: libc::c_int) -> io::Result<()> {
+        self.ctl(
+            op,
+            self.listener.as_raw_fd(),
+            libc::EPOLLIN | libc::EPOLLONESHOT,
+            TOKEN_ACCEPT,
+        )
     }
 
     /// Park an idle item: it costs nothing until its fd becomes readable
@@ -175,40 +190,15 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let _ = unsafe { libc::write(self.wake_fd, (&one as *const u64).cast(), 8) };
     }
 
-    /// Non-blocking accept off the owned listener.
-    pub(crate) fn try_accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-        match &*self.listener.lock().expect("listener lock") {
-            Some(listener) => listener.accept(),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "listener closed",
-            )),
-        }
-    }
-
-    /// Re-enable the one-shot listener registration after an accept
-    /// drain. Level-triggered: pending connections re-fire immediately.
-    pub(crate) fn rearm_accept(&self) {
-        if self.listener.lock().expect("listener lock").is_some() {
-            let _ = self.ctl(
-                libc::EPOLL_CTL_MOD,
-                self.listener_fd,
-                libc::EPOLLIN | libc::EPOLLONESHOT,
-                TOKEN_ACCEPT,
-            );
-        }
-    }
-
     /// Items currently parked (diagnostics).
     pub(crate) fn parked_len(&self) -> usize {
         self.parked.lock().expect("parked lock").len()
     }
 
-    /// Close the listener and drop every parked / handed-back item
-    /// (dropping closes their sockets). Idempotent; later `park`s fail.
+    /// Drop every parked / handed-back item (dropping closes their
+    /// sockets). Idempotent; later `park`s fail.
     pub(crate) fn close_all(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        *self.listener.lock().expect("listener lock") = None;
         self.parked.lock().expect("parked lock").clear();
         self.handback.lock().expect("handback lock").clear();
     }
@@ -216,31 +206,30 @@ impl<T: AsRawFd + Send> Reactor<T> {
     /// The reactor loop. Blocks in `epoll_wait` (indefinitely when
     /// nothing needs a timer) until shutdown; returns after `close_all`.
     pub(crate) fn run<C: ReactorClient<T>>(&self, client: &C) {
-        let mut ready: VecDeque<T> = VecDeque::new();
-        let mut accept_pending = false;
+        // Reap expired idlers at a quarter of the limit's granularity;
+        // without a timeout, block indefinitely — that's the "idle
+        // connections cost zero CPU" property.
+        let reap_tick = self
+            .idle_timeout
+            .map(|limit| Duration::from_millis((limit.as_millis() / 4).clamp(1, 500) as u64));
+        let mut last_reap = Instant::now();
+        let mut accept_paused_until: Option<Instant> = None;
         let mut events = [libc::epoll_event { events: 0, u64: 0 }; MAX_EVENTS];
         loop {
             if client.shutting_down() {
                 self.close_all();
                 return;
             }
-            let timeout_ms: libc::c_int = if !ready.is_empty() || accept_pending {
-                RETRY_DELAY_MS
-            } else if self.idle_timeout.is_some() && self.parked_len() > 0 {
-                // Reap expired idlers at a quarter of the limit's
-                // granularity; without a timeout, block indefinitely —
-                // that's the "idle connections cost zero CPU" property.
-                let limit = self.idle_timeout.expect("checked above");
-                (limit.as_millis() / 4).clamp(1, 500) as libc::c_int
-            } else {
-                -1
-            };
+            let reap_due = reap_tick
+                .filter(|_| self.parked_len() > 0)
+                .map(|tick| last_reap + tick);
+            let deadline = [reap_due, accept_paused_until].into_iter().flatten().min();
             let n = unsafe {
                 libc::epoll_wait(
                     self.epfd,
                     events.as_mut_ptr(),
                     MAX_EVENTS as libc::c_int,
-                    timeout_ms,
+                    timeout_ms(deadline),
                 )
             };
             if client.shutting_down() {
@@ -248,10 +237,13 @@ impl<T: AsRawFd + Send> Reactor<T> {
                 return;
             }
             for ev in events.iter().take(n.max(0) as usize) {
-                let token = ev.u64;
-                match token {
+                match ev.u64 {
                     TOKEN_WAKE => self.drain_wake(),
-                    TOKEN_ACCEPT => accept_pending = true,
+                    TOKEN_ACCEPT => {
+                        if !self.accept_burst(client) {
+                            accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                        }
+                    }
                     token => {
                         let taken = self.parked.lock().expect("parked lock").remove(&token);
                         if let Some(parked) = taken {
@@ -265,25 +257,42 @@ impl<T: AsRawFd + Send> Reactor<T> {
                                     std::ptr::null_mut(),
                                 )
                             };
-                            ready.push_back(parked.item);
+                            client.on_ready(parked.item);
                         }
                     }
                 }
             }
-            ready.extend(self.handback.lock().expect("handback lock").drain(..));
-            // Readable connections dispatch ahead of accepts — the
-            // priority inversion the two-lane pool exists to prevent.
-            while let Some(item) = ready.pop_front() {
-                if let Err(item) = client.on_ready(item) {
-                    ready.push_front(item);
-                    break;
+            let handed_back = std::mem::take(&mut *self.handback.lock().expect("handback lock"));
+            for item in handed_back {
+                client.on_ready(item);
+            }
+            if accept_paused_until.is_some_and(|until| Instant::now() >= until) {
+                accept_paused_until = None;
+                let _ = self.arm_listener(libc::EPOLL_CTL_MOD);
+            }
+            if reap_tick.is_some_and(|tick| last_reap.elapsed() >= tick) {
+                last_reap = Instant::now();
+                self.reap_idle();
+            }
+        }
+    }
+
+    /// Accept until the kernel backlog is empty, parking every connection
+    /// the client keeps, then re-arm the listener. `false`: an accept
+    /// failed for another reason and the listener stays disarmed.
+    fn accept_burst<C: ReactorClient<T>>(&self, client: &C) -> bool {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if let Some(item) = client.on_accept(stream) {
+                        let _ = self.park(item); // failure drops (closes)
+                    }
                 }
-            }
-            if accept_pending && client.on_accept_ready() {
-                accept_pending = false;
-            }
-            if let Some(limit) = self.idle_timeout {
-                self.reap_idle(limit);
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let _ = self.arm_listener(libc::EPOLL_CTL_MOD);
+                    return true;
+                }
+                Err(_) => return false,
             }
         }
     }
@@ -294,7 +303,10 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let _ = unsafe { libc::read(self.wake_fd, (&mut buf as *mut u64).cast(), 8) };
     }
 
-    fn reap_idle(&self, limit: Duration) {
+    fn reap_idle(&self) {
+        let Some(limit) = self.idle_timeout else {
+            return;
+        };
         let mut parked = self.parked.lock().expect("parked lock");
         let expired: Vec<u64> = parked
             .iter()
@@ -330,35 +342,26 @@ impl<T> Drop for Reactor<T> {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::sync::atomic::AtomicUsize;
+    use std::net::SocketAddr;
     use std::sync::mpsc::{channel, Sender};
-    use std::sync::{Arc, OnceLock};
+    use std::sync::Arc;
 
     /// Test client: parks every accepted stream, forwards every ready
     /// stream through a channel.
     struct EchoClient {
         shutdown: AtomicBool,
         ready_tx: Mutex<Sender<TcpStream>>,
-        reactor: OnceLock<Arc<Reactor<TcpStream>>>,
-        accept_events: AtomicUsize,
     }
 
     impl ReactorClient<TcpStream> for EchoClient {
         fn shutting_down(&self) -> bool {
             self.shutdown.load(Ordering::SeqCst)
         }
-        fn on_ready(&self, item: TcpStream) -> Result<(), TcpStream> {
+        fn on_ready(&self, item: TcpStream) {
             let _ = self.ready_tx.lock().unwrap().send(item);
-            Ok(())
         }
-        fn on_accept_ready(&self) -> bool {
-            self.accept_events.fetch_add(1, Ordering::SeqCst);
-            let reactor = self.reactor.get().expect("reactor set");
-            while let Ok((stream, _)) = reactor.try_accept() {
-                reactor.park(stream).unwrap();
-            }
-            reactor.rearm_accept();
-            true
+        fn on_accept(&self, stream: TcpStream) -> Option<TcpStream> {
+            Some(stream)
         }
     }
 
@@ -378,10 +381,7 @@ mod tests {
         let client = Arc::new(EchoClient {
             shutdown: AtomicBool::new(false),
             ready_tx: Mutex::new(tx),
-            reactor: OnceLock::new(),
-            accept_events: AtomicUsize::new(0),
         });
-        client.reactor.set(reactor.clone()).ok().unwrap();
         let (r, c) = (reactor.clone(), client.clone());
         let thread = std::thread::spawn(move || r.run(&*c));
         Rig {

@@ -60,95 +60,6 @@ enum IndexSource {
     Replicated(CounterCluster),
 }
 
-/// Rule books sharded by contract address, shared across the replicas of
-/// a [`crate::cluster::ReplicaSet`].
-///
-/// Each shard is its own [`EpochCell`], so a rule update for one
-/// contract's shard never invalidates the epoch snapshots issuers hold
-/// for other shards — and because every replica holds the same
-/// `Arc<ShardedRules>`, an owner update through *any* replica propagates
-/// to all of them in one atomic swap per shard (the paper's "rules can be
-/// updated dynamically" story, now replica-wide).
-pub struct ShardedRules {
-    shards: Vec<EpochCell<RuleBook>>,
-}
-
-impl ShardedRules {
-    /// `shards` rule books, each initially `initial`.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize, initial: RuleBook) -> Arc<ShardedRules> {
-        assert!(shards > 0, "need at least one rule shard");
-        Arc::new(ShardedRules {
-            shards: (0..shards)
-                .map(|_| EpochCell::new(initial.clone()))
-                .collect(),
-        })
-    }
-
-    /// Which shard governs `contract`. Stable across replicas (pure
-    /// function of the address bytes), cheap, and uniform enough for
-    /// shard counts far below 2^16.
-    pub fn shard_index(&self, contract: Address) -> usize {
-        let bytes = contract.as_bytes();
-        let mix = bytes.iter().fold(0usize, |acc, b| {
-            acc.wrapping_mul(31).wrapping_add(*b as usize)
-        });
-        mix % self.shards.len()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pin the current rule snapshot for `contract`'s shard.
-    pub fn load(&self, contract: Address) -> Arc<RuleBook> {
-        self.shards[self.shard_index(contract)].load()
-    }
-
-    /// Replace every shard's book with `rules` (the whole-service
-    /// `set_rules` semantics, propagated to all sharing replicas).
-    pub fn store_all(&self, rules: RuleBook) {
-        for shard in &self.shards {
-            shard.store(rules.clone());
-        }
-    }
-
-    /// Read-copy-update every shard (owner-side targeted edit).
-    pub fn update_all<F: Fn(&mut RuleBook)>(&self, edit: F) {
-        for shard in &self.shards {
-            shard.update(&edit);
-        }
-    }
-
-    /// Read-copy-update only the shard governing `contract` — the cheap
-    /// path when an edit targets one contract's rules.
-    pub fn update_contract<F: FnOnce(&mut RuleBook)>(&self, contract: Address, edit: F) {
-        self.shards[self.shard_index(contract)].update(edit);
-    }
-}
-
-/// Where rule books live: owned by this service, or shared (sharded)
-/// across a replica set.
-enum RuleSource {
-    /// This service's private book.
-    Owned(EpochCell<RuleBook>),
-    /// Shared shards — every replica holding the same `Arc` sees every
-    /// update.
-    Shared(Arc<ShardedRules>),
-}
-
-impl RuleSource {
-    fn load(&self, contract: Address) -> Arc<RuleBook> {
-        match self {
-            RuleSource::Owned(cell) => cell.load(),
-            RuleSource::Shared(shards) => shards.load(contract),
-        }
-    }
-}
-
 /// TS configuration.
 #[derive(Clone, Debug)]
 pub struct TokenServiceConfig {
@@ -171,9 +82,9 @@ pub struct TokenService {
     /// Rules live behind an epoch snapshot: issuance pins an immutable
     /// `Arc<RuleBook>` per request (lock-free in steady state) and
     /// `set_rules` swaps the whole book atomically — concurrent issuers
-    /// never contend with each other or with rule reads. In a replica
-    /// set the source is a shared [`ShardedRules`] instead.
-    rules: RuleSource,
+    /// never contend with each other or with rule reads. Every replica of
+    /// a [`crate::cluster::ReplicaSet`] holds the same cell.
+    rules: Arc<EpochCell<RuleBook>>,
     tools: Vec<Arc<dyn ValidationTool>>,
     testnet: Option<RwLock<Chain>>,
     index_source: IndexSource,
@@ -188,7 +99,7 @@ impl TokenService {
     pub fn new(sk_ts: Keypair, rules: RuleBook, config: TokenServiceConfig) -> Self {
         TokenService {
             sk_ts,
-            rules: RuleSource::Owned(EpochCell::new(rules)),
+            rules: Arc::new(EpochCell::new(rules)),
             tools: Vec::new(),
             testnet: None,
             index_source: IndexSource::Local(AtomicU64::new(0)),
@@ -217,11 +128,11 @@ impl TokenService {
         self
     }
 
-    /// Check rules against shards shared with sibling replicas instead of
+    /// Check rules against a cell shared with sibling replicas instead of
     /// a service-private book — what [`crate::cluster::ReplicaSet`] wires
     /// so one owner update reaches every replica.
-    pub fn with_shared_rules(mut self, shards: Arc<ShardedRules>) -> Self {
-        self.rules = RuleSource::Shared(shards);
+    pub fn with_shared_rules(mut self, rules: Arc<EpochCell<RuleBook>>) -> Self {
+        self.rules = rules;
         self
     }
 
@@ -243,11 +154,6 @@ impl TokenService {
         self
     }
 
-    /// The pool this service fans batch signing across.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
     /// The address form of `pk_TS` — what shielded contracts store.
     pub fn ts_address(&self) -> Address {
         self.sk_ts.address()
@@ -256,37 +162,22 @@ impl TokenService {
     /// Owner-side dynamic rule update ("these rules can be updated
     /// dynamically by the owner", §III-C). Replaces the whole book with
     /// one atomic snapshot swap; in-flight requests finish against the
-    /// generation they pinned. With shared shards, the replacement
-    /// reaches every replica holding the same shards.
+    /// generation they pinned. With a shared cell, the replacement
+    /// reaches every replica holding it.
     pub fn set_rules(&self, rules: RuleBook) {
-        match &self.rules {
-            RuleSource::Owned(cell) => cell.store(rules),
-            RuleSource::Shared(shards) => shards.store_all(rules),
-        }
+        self.rules.store(rules);
     }
 
     /// Owner-side targeted rule edit (read-copy-update; concurrent edits
-    /// are serialized, never lost). With shared shards the edit is
-    /// applied to every shard — use [`ShardedRules::update_contract`]
-    /// directly for a single-contract edit.
-    pub fn update_rules<F: Fn(&mut RuleBook)>(&self, edit: F) {
-        match &self.rules {
-            RuleSource::Owned(cell) => cell.update(edit),
-            RuleSource::Shared(shards) => shards.update_all(edit),
-        }
+    /// are serialized, never lost).
+    pub fn update_rules<F: FnOnce(&mut RuleBook)>(&self, edit: F) {
+        self.rules.update(edit);
     }
 
-    /// Snapshot of the rules governing `contract` (owner diagnostics;
-    /// rules stay private to the TS — clients never see them).
-    pub fn rules_snapshot_for(&self, contract: Address) -> RuleBook {
-        (*self.rules.load(contract)).clone()
-    }
-
-    /// Snapshot of the current rules (owner diagnostics). With shared
-    /// shards this reads the shard governing the zero address; prefer
-    /// [`TokenService::rules_snapshot_for`] in sharded deployments.
+    /// Snapshot of the current rules (owner diagnostics; rules stay
+    /// private to the TS — clients never see them).
     pub fn rules_snapshot(&self) -> RuleBook {
-        self.rules_snapshot_for(Address::default())
+        (*self.rules.load()).clone()
     }
 
     /// Handle one token request at TS-local time `now`.
@@ -297,11 +188,9 @@ impl TokenService {
 
         // 2. ACR compliance, against a pinned immutable snapshot — no lock
         //    is held while the (potentially large) white/blacklists are
-        //    walked, so concurrent issuers never serialize here. In a
-        //    replica set the snapshot comes from the shard governing this
-        //    contract.
+        //    walked, so concurrent issuers never serialize here.
         self.rules
-            .load(req.contract)
+            .load()
             .check(req)
             .map_err(IssueError::RuleViolation)?;
 

@@ -61,8 +61,7 @@ impl RuleStore {
     /// Persist the signing key (`sk_TS`).
     pub fn save_keypair(&self, keypair: &Keypair) -> io::Result<()> {
         // Round-trip through a seed is impossible; store the raw scalar.
-        let secret = keypair_secret_hex(keypair);
-        std::fs::write(self.key_path(), secret)
+        std::fs::write(self.key_path(), hex::encode(keypair.secret_bytes()))
     }
 
     /// Load the signing key; `Ok(None)` if never saved.
@@ -91,25 +90,8 @@ impl RuleStore {
     }
 }
 
-fn keypair_secret_hex(keypair: &Keypair) -> String {
-    keypair
-        .secret_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
-}
-
 fn decode_hex32(s: &str) -> Option<[u8; 32]> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-        let hi = (chunk[0] as char).to_digit(16)?;
-        let lo = (chunk[1] as char).to_digit(16)?;
-        out[i] = (hi * 16 + lo) as u8;
-    }
-    Some(out)
+    hex::decode(s).ok()?.try_into().ok()
 }
 
 #[cfg(test)]
@@ -159,7 +141,10 @@ mod tests {
     #[test]
     fn corrupted_key_is_an_error() {
         let store = temp_store("corrupt");
-        std::fs::write(store.dir().join("sk_ts.hex"), "zz").unwrap();
-        assert!(store.load_keypair().is_err());
+        let non_hex = format!("{}zz", "0".repeat(62));
+        for key in ["zz", non_hex.as_str(), &"1".repeat(66)] {
+            std::fs::write(store.dir().join("sk_ts.hex"), key).unwrap();
+            assert!(store.load_keypair().is_err(), "{key:?} loaded");
+        }
     }
 }

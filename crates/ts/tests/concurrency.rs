@@ -106,31 +106,22 @@ fn hammering_clients_get_unique_indexes_and_clean_shutdown() {
 
 #[test]
 fn one_pool_can_serve_connections_and_fan_out_signing() {
-    // The tentpole wiring: connections and batch signing share one pool.
-    // A batch arriving over HTTP is signed via scope_map *from inside* a
-    // pool worker — caller participation must keep that deadlock-free
-    // even with every worker busy.
-    let pool = WorkerPool::new(2, 256);
+    // A 64-batch arriving over HTTP is signed via scope_map on the
+    // service's own pool from inside an endpoint worker.
     let service = TokenService::new(
         Keypair::from_seed(78),
         RuleBook::permissive(),
         TokenServiceConfig::default(),
     )
-    .with_pool(pool.clone());
+    .with_pool(WorkerPool::new(2, 256));
     let front = Arc::new(FrontEnd::new(service, "stress-owner", 0));
-    let server = serve(
-        front,
-        HttpServerConfig {
-            pool: Some(pool.clone()),
-            ..HttpServerConfig::default()
-        },
-    );
+    let server = serve(front, HttpServerConfig::default());
 
     let client = HttpClient::connect(server.addr());
     let requests: Vec<TokenRequest> = (0..64).map(|i| one_time_request(500 + i)).collect();
     let results = client
         .issue_batch(&requests)
-        .expect("batch over shared pool");
+        .expect("batch over the service pool");
     assert_eq!(results.len(), 64);
     let mut indexes: Vec<i128> = results
         .into_iter()
@@ -139,14 +130,7 @@ fn one_pool_can_serve_connections_and_fan_out_signing() {
     indexes.sort_unstable();
     indexes.dedup();
     assert_eq!(indexes.len(), 64);
-
-    // Shutting the server down must NOT kill the externally owned pool.
     server.shutdown();
-    assert!(
-        pool.try_execute(|| {}).is_ok(),
-        "shared pool must survive server shutdown"
-    );
-    pool.shutdown();
 }
 
 #[test]
@@ -209,12 +193,12 @@ fn rule_swaps_during_concurrent_issuance_are_atomic() {
 
 #[test]
 fn connection_storm_does_not_stall_batch_signing() {
-    // The reactor's priority split under fire: with hundreds of idle
-    // keep-alive connections parked in the epoll set, an accept storm
-    // (a burst of fresh connections, each served once) rides the
-    // low-priority lane while `issue_batch` keeps flowing through the
-    // high-priority lane. Every request — batch and storm — must be
-    // answered (nothing dropped), and batch latency must not collapse.
+    // The serving core under fire: with hundreds of idle keep-alive
+    // connections parked in the epoll set, an accept storm (a burst of
+    // fresh connections, each served once) is accepted by the reactor
+    // while `issue_batch` keeps flowing through the worker pool. Every
+    // request — batch and storm — must be answered (nothing dropped), and
+    // batch latency must not collapse.
     const PARKED: usize = 300;
     const STORM_THREADS: usize = 4;
     const STORM_PER_THREAD: usize = 50;
