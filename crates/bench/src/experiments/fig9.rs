@@ -12,7 +12,7 @@
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
-use smacs_ts::{InProcessClient, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs_ts::{FrontEnd, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::time::Instant;
 
 /// One measured point.
@@ -96,7 +96,7 @@ fn request_for(
 pub fn measure(max_exponent: u32) -> Vec<Series> {
     let client = Keypair::from_seed(77).address();
     let contract = Address::from_low_u64(0xC0);
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             Keypair::from_seed(9_000),
             fig6_rules(client, 1_000),

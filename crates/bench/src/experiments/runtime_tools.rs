@@ -12,7 +12,7 @@ use smacs_chain::Chain;
 use smacs_contracts::{AdderHead, Bank, HydraStyle};
 use smacs_crypto::Keypair;
 use smacs_token::TokenRequest;
-use smacs_ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs_ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use smacs_verifiers::{EcfTool, HydraTool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,7 +55,7 @@ pub fn measure_hydra(n: usize) -> ToolResult {
     )
     .with_testnet(chain.fork())
     .with_tool(Arc::new(HydraTool::new(heads)));
-    let ts = InProcessClient::new(ts, "tools-owner", 0);
+    let ts = FrontEnd::new(ts, "tools-owner", 0);
 
     let client = owner.address();
     let start = Instant::now();
@@ -102,7 +102,7 @@ pub fn measure_ecf(n: usize) -> ToolResult {
     )
     .with_testnet(chain.fork())
     .with_tool(Arc::new(EcfTool::new(bank.address)));
-    let ts = InProcessClient::new(ts, "tools-owner", 0);
+    let ts = FrontEnd::new(ts, "tools-owner", 0);
 
     let client = user.address();
     let start = Instant::now();

@@ -7,7 +7,7 @@ use smacs_core::client::ClientWallet;
 use smacs_core::owner::{OwnerToolkit, ShieldParams};
 use smacs_primitives::Address;
 use smacs_token::{Token, TokenRequest, TokenType};
-use smacs_ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs_ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 
 /// A ready-to-measure world: chain, owner toolkit, TS API client, one
 /// shielded [`BenchTarget`], and a funded client.
@@ -18,7 +18,7 @@ pub struct World {
     pub toolkit: OwnerToolkit,
     /// The Token Service behind the [`TsApi`] surface (permissive rules
     /// unless reconfigured via `api.service()`).
-    pub api: InProcessClient,
+    pub api: FrontEnd,
     /// Address of the shielded benchmark target.
     pub target: Address,
     /// A funded client wallet.
@@ -55,7 +55,7 @@ impl World {
             RuleBook::permissive(),
             TokenServiceConfig::default(),
         );
-        let api = InProcessClient::new(ts, "bench-owner", chain.pending_env().timestamp);
+        let api = FrontEnd::new(ts, "bench-owner", chain.pending_env().timestamp);
         World {
             chain,
             toolkit,

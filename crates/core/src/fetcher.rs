@@ -181,10 +181,10 @@ fn cache_key(request: &TokenRequest) -> CacheKey {
 mod tests {
     use super::*;
     use smacs_crypto::Keypair;
-    use smacs_ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig};
+    use smacs_ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig};
 
-    fn fetcher_at(now: u64) -> (TokenFetcher, InProcessClient) {
-        let api = InProcessClient::new(
+    fn fetcher_at(now: u64) -> (TokenFetcher, Arc<FrontEnd>) {
+        let api = Arc::new(FrontEnd::new(
             TokenService::new(
                 Keypair::from_seed(7),
                 RuleBook::permissive(),
@@ -192,8 +192,8 @@ mod tests {
             ),
             "secret",
             now,
-        );
-        (TokenFetcher::new(Arc::new(api.clone())), api)
+        ));
+        (TokenFetcher::new(api.clone()), api)
     }
 
     fn contract() -> Address {

@@ -3,8 +3,8 @@
 //! Commands are tokenized with the Solidity-subset lexer from
 //! `smacs-lang` (so string literals, hex numbers, parentheses, and `//`
 //! comments come for free) and interpreted against an in-process
-//! [`Chain`] + Token Service ([`InProcessClient`]). See the crate docs
-//! for the full command reference.
+//! [`Chain`] + Token Service (a [`FrontEnd`], called through [`TsApi`]).
+//! See the crate docs for the full command reference.
 
 use crate::scenario::{self, OWNER_SECRET};
 use smacs_chain::abi::{self, AbiValue};
@@ -17,7 +17,7 @@ use smacs_lang::lexer::{tokenize, Token as Lex};
 use smacs_primitives::{Address, H256, U256};
 use smacs_token::{ArgBinding, Token, TokenRequest, TokenType};
 use smacs_ts::{
-    ApiError, FailoverClient, InProcessClient, ListPolicy, ReplicaSet, ReplicaSetConfig, RuleBook,
+    ApiError, FailoverClient, FrontEnd, ListPolicy, ReplicaSet, ReplicaSetConfig, RuleBook,
     TokenService, TokenServiceConfig, TsApi,
 };
 use std::collections::BTreeMap;
@@ -315,7 +315,7 @@ struct Minted {
 /// client — same signing identity either way, so minted tokens verify
 /// against the shields already on the session's chain.
 enum Backend {
-    Local(InProcessClient),
+    Local(Box<FrontEnd>),
     Replicated {
         set: Box<ReplicaSet>,
         client: FailoverClient,
@@ -339,7 +339,8 @@ impl Backend {
 }
 
 /// The interactive session: an in-process chain, shields deployed by one
-/// owner toolkit, and a Token Service reached through [`InProcessClient`].
+/// owner toolkit, and a Token Service called in process through its
+/// [`FrontEnd`] (or a replica set, after `cluster <n>`).
 pub struct Repl {
     chain: Chain,
     toolkit: OwnerToolkit,
@@ -383,7 +384,7 @@ impl Repl {
         let owner = chain.funded_keypair(seed, 10u128.pow(24));
         let toolkit = OwnerToolkit::new(owner, Keypair::from_seed(seed + 9_000));
         let rules = RuleBook::deny_all();
-        let api = InProcessClient::new(
+        let api = FrontEnd::new(
             TokenService::new(
                 toolkit.ts_keypair().clone(),
                 rules.clone(),
@@ -395,7 +396,7 @@ impl Repl {
         Repl {
             chain,
             toolkit,
-            backend: Backend::Local(api),
+            backend: Backend::Local(Box::new(api)),
             rules,
             wallets: BTreeMap::new(),
             contracts: BTreeMap::new(),
@@ -632,10 +633,10 @@ impl Repl {
 
     fn load_scenario(&mut self, name: &str) -> Result<String, String> {
         let world = scenario::build(name, 1)?;
-        let api = InProcessClient::new(world.token_service(), OWNER_SECRET, world.now());
+        let api = FrontEnd::new(world.token_service(), OWNER_SECRET, world.now());
         self.chain = world.chain;
         self.toolkit = world.toolkit;
-        self.install_backend(Backend::Local(api));
+        self.install_backend(Backend::Local(Box::new(api)));
         self.rules = world.rules;
         self.contracts = world.contracts.into_iter().collect();
         self.wallets = world

@@ -340,8 +340,7 @@ mod tests {
         for spec in SCENARIOS {
             let world = build(spec.name, 7).unwrap();
             assert!(!world.requests.is_empty(), "{}: no templates", spec.name);
-            let api =
-                smacs_ts::InProcessClient::new(world.token_service(), OWNER_SECRET, world.now());
+            let api = smacs_ts::FrontEnd::new(world.token_service(), OWNER_SECRET, world.now());
             for req in &world.requests {
                 api.issue(req)
                     .unwrap_or_else(|e| panic!("{}: template rejected: {e:?}", spec.name));

@@ -1,16 +1,19 @@
 //! The transport-agnostic Token Service API and its wire protocol v2.
 //!
 //! Every client-facing operation of the TS goes through one trait,
-//! [`TsApi`], with two first-class implementations:
+//! [`TsApi`]:
 //!
-//! - [`InProcessClient`] — wraps a [`TokenService`] (via [`FrontEnd`])
-//!   directly, no serialization; what examples, tests, and co-located
-//!   services use;
-//! - [`crate::http::HttpClient`] — speaks protocol v2 over a keep-alive
-//!   HTTP connection to a [`crate::http::Endpoint`].
+//! - in process, [`FrontEnd`](crate::front::FrontEnd) implements it over
+//!   its [`crate::service::TokenService`] — no serialization; what
+//!   examples, tests, and co-located services use;
+//! - on the wire, [`crate::http::HttpClient`] (one keep-alive connection to
+//!   a [`crate::http::Endpoint`]) and [`crate::failover::FailoverClient`]
+//!   (a replica list with retries) speak protocol v2, and the endpoint
+//!   answers through the same front end's
+//!   [`handle_json_scoped`](crate::front::FrontEnd::handle_json_scoped).
 //!
-//! Both run the exact same dispatch ([`FrontEnd::handle_api`]), so the wire
-//! path is exercised by construction wherever the in-process path is.
+//! `tests/protocol.rs::in_process_and_wire_answers_agree` pins that both
+//! paths give the same answer to every op.
 //!
 //! # Protocol v2
 //!
@@ -53,18 +56,17 @@
 //! rules are private to the TS (§VII-A d).
 //!
 //! A request without `v` (the unversioned v1 shape) is answered
-//! `unsupported_version` — see [`FrontEnd::handle_json`].
+//! `unsupported_version` — see [`crate::front::FrontEnd::handle_json`].
 
 use smacs_primitives::json::Json;
 use smacs_primitives::{json_codec, Address};
 use smacs_token::{Token, TokenRequest};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::discovery::ContractMetadata;
-use crate::front::{encode_token_hex, ApiOk, ApiRequest, FrontEnd};
+use crate::front::{decode_token_hex, encode_token_hex};
 use crate::rules::RuleBook;
-use crate::service::{IssueError, TokenService};
+use crate::service::IssueError;
 
 /// The wire protocol version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 2;
@@ -383,7 +385,7 @@ impl BatchItem {
             let hex = self
                 .token_hex
                 .ok_or_else(|| ApiError::new(ErrorCode::Internal, "ok item without token_hex"))?;
-            crate::front::decode_token_hex(&hex)
+            decode_token_hex(&hex)
                 .ok_or_else(|| ApiError::new(ErrorCode::Internal, "undecodable token_hex"))
         } else {
             Err(self
@@ -421,120 +423,16 @@ pub trait TsApi: Send + Sync {
     fn ping(&self) -> Result<(), ApiError>;
 }
 
-// ---- the in-process implementation ----
-
-/// [`TsApi`] over a co-located [`FrontEnd`] — no serialization, but the
-/// same [`FrontEnd::handle_api`] dispatch the wire path runs.
-#[derive(Clone)]
-pub struct InProcessClient {
-    front: Arc<FrontEnd>,
-}
-
-impl InProcessClient {
-    /// Wrap a bare [`TokenService`] (the common case for tests, examples,
-    /// and experiments): builds the [`FrontEnd`] internally.
-    pub fn new(
-        service: TokenService,
-        owner_secret: impl Into<String>,
-        now: u64,
-    ) -> InProcessClient {
-        InProcessClient {
-            front: Arc::new(FrontEnd::new(service, owner_secret, now)),
-        }
-    }
-
-    /// Wrap an existing front end (e.g. one also served over HTTP).
-    pub fn from_front(front: Arc<FrontEnd>) -> InProcessClient {
-        InProcessClient { front }
-    }
-
-    /// The wrapped front end.
-    pub fn front(&self) -> &Arc<FrontEnd> {
-        &self.front
-    }
-
-    /// The wrapped service (owner-side escape hatch: attach tools, edit
-    /// rules without the secret, read diagnostics).
-    pub fn service(&self) -> &TokenService {
-        self.front.service()
-    }
-
-    /// Set the TS-local clock (experiments time-travel; production feeds
-    /// wall time).
-    pub fn set_time(&self, now: u64) {
-        self.front.set_time(now);
-    }
-
-    /// Advance the TS-local clock.
-    pub fn advance_time(&self, secs: u64) {
-        self.front.advance_time(secs);
-    }
-
-    /// Publish discovery metadata for a contract this TS protects.
-    pub fn publish(&self, contract: Address, metadata: ContractMetadata) {
-        self.front.publish(contract, metadata);
-    }
-}
-
-impl TsApi for InProcessClient {
-    fn issue(&self, request: &TokenRequest) -> Result<Token, ApiError> {
-        match self.front.handle_api(ApiRequest::Issue(request.clone()))? {
-            ApiOk::Token(token) => Ok(token),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    fn issue_batch(
-        &self,
-        requests: &[TokenRequest],
-    ) -> Result<Vec<Result<Token, ApiError>>, ApiError> {
-        match self
-            .front
-            .handle_api(ApiRequest::IssueBatch(requests.to_vec()))?
-        {
-            ApiOk::Batch(results) => Ok(results),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    fn set_rules(&self, owner_secret: &str, rules: RuleBook) -> Result<(), ApiError> {
-        match self.front.handle_api(ApiRequest::SetRules {
-            owner_secret: owner_secret.into(),
-            rules,
-        })? {
-            ApiOk::RulesSet => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
-        match self.front.handle_api(ApiRequest::Discover { contract })? {
-            ApiOk::Discovered(metadata) => Ok(metadata),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    fn ping(&self) -> Result<(), ApiError> {
-        match self.front.handle_api(ApiRequest::Ping)? {
-            ApiOk::Pong => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-}
-
-fn unexpected(got: &ApiOk) -> ApiError {
-    ApiError::new(ErrorCode::Internal, format!("mismatched response {got:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::TokenServiceConfig;
+    use crate::front::FrontEnd;
+    use crate::service::{TokenService, TokenServiceConfig};
     use smacs_crypto::Keypair;
     use smacs_token::TokenType;
 
-    fn client() -> InProcessClient {
-        InProcessClient::new(
+    fn client() -> FrontEnd {
+        FrontEnd::new(
             TokenService::new(
                 Keypair::from_seed(1),
                 RuleBook::permissive(),
@@ -551,11 +449,12 @@ mod tests {
 
     #[test]
     fn issue_through_the_trait() {
-        let api = client();
+        let front = client();
+        let api: &dyn TsApi = &front;
         let token = api.issue(&request()).unwrap();
         assert_eq!(token.ttype, TokenType::Super);
         assert_eq!(token.expire, 1_000 + 3_600);
-        api.advance_time(50);
+        front.advance_time(50);
         assert_eq!(api.issue(&request()).unwrap().expire, 1_050 + 3_600);
     }
 

@@ -1,31 +1,40 @@
-//! The JSON front-end: what flows over the TS's web interface.
+//! The front end: the TS's web interface and its in-process [`TsApi`].
 //!
 //! Owners and clients "interact with the TS through an HTTPS-enabled web
-//! interface" (§IV). It speaks one protocol, v2: versioned
-//! `{"v": 2, "op": …, "body": …}` envelopes with machine-readable error
-//! codes and batch issuance — the full grammar lives in [`crate::api`].
+//! interface" (§IV). [`FrontEnd`] is that interface over one
+//! [`TokenService`]: it implements [`TsApi`] directly (what co-located
+//! callers, examples and experiments use), and
+//! [`FrontEnd::handle_json_scoped`] serves the same ops as protocol-v2
+//! envelopes, `{"v": 2, "op": …, "body": …}` — the full grammar lives in
+//! [`crate::api`].
+//!
+//! The server dispatch is one `match` on the op name. Each arm decodes its
+//! body, calls the [`TsApi`] method on the front end (or, for the
+//! `counter_*` family, the attached [`CounterNode`]), and writes the success
+//! body into the response envelope. The `counter_*` arms sit behind a scope
+//! guard: an [`EndpointScope::Public`] endpoint refuses them with
+//! `counter_unavailable` before their body is decoded.
+//!
 //! Every byte it answers is a v2 response envelope: a body that is not
 //! JSON gets `bad_envelope`, and an object without `v` (the removed,
 //! unversioned v1 shape) gets `unsupported_version`.
-//!
-//! [`FrontEnd::handle_json`] decodes an envelope into an [`ApiRequest`]
-//! and dispatches it through [`FrontEnd::handle_api`] — the single code
-//! path the in-process client exercises too.
 
 use parking_lot::RwLock;
+use smacs_crypto::keccak256;
 use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
-use smacs_primitives::Address;
+use smacs_primitives::{Address, H256};
 use smacs_token::{Token, TokenRequest};
 
 use crate::api::{
     ApiError, BatchItem, BatchRequestBody, BatchResponseBody, CounterCommitBody, CounterStateBody,
     CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, PongBody,
-    RequestEnvelope, RulesSetBody, SetRulesBody, WireError, MAX_BATCH, PROTOCOL_VERSION,
+    RequestEnvelope, RulesSetBody, SetRulesBody, TsApi, WireError, MAX_BATCH, PROTOCOL_VERSION,
 };
 use crate::discovery::{ContractMetadata, ServiceDirectory};
 use crate::replica::CounterNode;
 use crate::rules::RuleBook;
 use crate::service::TokenService;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which op families a network endpoint dispatches.
@@ -45,74 +54,15 @@ pub enum EndpointScope {
     Vote,
 }
 
-/// A structured v2 API request — the transport-independent form both
-/// [`crate::api::InProcessClient`] and the HTTP server dispatch.
-#[derive(Clone, Debug)]
-pub enum ApiRequest {
-    /// Client: request one token.
-    Issue(TokenRequest),
-    /// Client: request up to [`MAX_BATCH`] tokens in one round trip.
-    IssueBatch(Vec<TokenRequest>),
-    /// Owner: replace the rule book.
-    SetRules {
-        /// Owner authentication secret.
-        owner_secret: String,
-        /// The new rules.
-        rules: RuleBook,
-    },
-    /// Anyone: look up published contract metadata (§VII-B discovery).
-    Discover {
-        /// The contract of interest.
-        contract: Address,
-    },
-    /// Anyone: liveness probe.
-    Ping,
-    /// Peer replica: phase-1 read of this replica's counter frontier.
-    CounterPrepare,
-    /// Peer replica: phase-2 vote to burn one-time index `value`.
-    CounterCommit {
-        /// The proposed index.
-        value: u64,
-    },
-    /// Peer replica: recovery read of this replica's counter frontier.
-    CounterCatchup,
-}
-
-/// A successful v2 API response.
-#[derive(Clone, Debug)]
-pub enum ApiOk {
-    /// One minted token.
-    Token(Token),
-    /// Per-request batch outcomes, in request order.
-    Batch(Vec<Result<Token, ApiError>>),
-    /// Rules replaced.
-    RulesSet,
-    /// Discovery result (`None`: contract unknown to this TS).
-    Discovered(Option<ContractMetadata>),
-    /// Pong.
-    Pong,
-    /// The local counter node's frontier (`counter_prepare` /
-    /// `counter_catchup`).
-    CounterState {
-        /// The node's next free one-time index.
-        committed: u64,
-    },
-    /// The local counter node's `counter_commit` vote.
-    CounterVote {
-        /// True iff the node burned the proposed value.
-        accepted: bool,
-        /// The node's frontier after the vote.
-        committed: u64,
-    },
-}
-
-/// The front end: a service, its owner secret, the TS-local clock, and the
-/// discovery metadata this TS publishes.
+/// The front end: a service, the digest of its owner secret, the TS-local
+/// clock, and the discovery metadata this TS publishes.
 pub struct FrontEnd {
     service: TokenService,
-    owner_secret: String,
+    /// `keccak256` of the owner secret; `set_rules` compares digests, never
+    /// the secret itself.
+    owner_digest: H256,
     /// TS-local clock (seconds); tests and experiments drive it manually.
-    now: std::sync::atomic::AtomicU64,
+    now: AtomicU64,
     directory: RwLock<ServiceDirectory>,
     /// This replica's counter node, when it participates in a wire-level
     /// counter quorum: the `counter_*` ops vote against it — but only
@@ -127,8 +77,8 @@ impl FrontEnd {
     pub fn new(service: TokenService, owner_secret: impl Into<String>, now: u64) -> Self {
         FrontEnd {
             service,
-            owner_secret: owner_secret.into(),
-            now: std::sync::atomic::AtomicU64::new(now),
+            owner_digest: keccak256(owner_secret.into().as_bytes()),
+            now: AtomicU64::new(now),
             directory: RwLock::new(ServiceDirectory::new()),
             counter: None,
         }
@@ -141,25 +91,26 @@ impl FrontEnd {
         self
     }
 
-    /// The wrapped service.
+    /// The wrapped service (owner-side escape hatch: attach tools, edit
+    /// rules without the secret, read diagnostics).
     pub fn service(&self) -> &TokenService {
         &self.service
     }
 
     /// Advance the TS-local clock.
     pub fn advance_time(&self, secs: u64) {
-        self.now
-            .fetch_add(secs, std::sync::atomic::Ordering::SeqCst);
+        self.now.fetch_add(secs, Ordering::SeqCst);
     }
 
-    /// Set the TS-local clock.
+    /// Set the TS-local clock (experiments time-travel; production feeds
+    /// wall time).
     pub fn set_time(&self, now: u64) {
-        self.now.store(now, std::sync::atomic::Ordering::SeqCst);
+        self.now.store(now, Ordering::SeqCst);
     }
 
     /// The TS-local clock.
     pub fn time(&self) -> u64 {
-        self.now.load(std::sync::atomic::Ordering::SeqCst)
+        self.now.load(Ordering::SeqCst)
     }
 
     /// Publish discovery metadata for a contract this TS protects; served
@@ -168,63 +119,17 @@ impl FrontEnd {
         self.directory.write().publish(contract, metadata);
     }
 
-    /// Handle a structured v2 request — the one dispatch every transport
-    /// funnels into.
-    pub fn handle_api(&self, request: ApiRequest) -> Result<ApiOk, ApiError> {
-        match request {
-            ApiRequest::Issue(request) => self
-                .service
-                .issue(&request, self.time())
-                .map(ApiOk::Token)
-                .map_err(ApiError::from),
-            ApiRequest::IssueBatch(requests) => {
-                if requests.len() > MAX_BATCH {
-                    return Err(ApiError::new(
-                        ErrorCode::BadEnvelope,
-                        format!("batch of {} exceeds limit {MAX_BATCH}", requests.len()),
-                    ));
-                }
-                Ok(ApiOk::Batch(
-                    self.service
-                        .issue_batch(&requests, self.time())
-                        .into_iter()
-                        .map(|r| r.map_err(ApiError::from))
-                        .collect(),
-                ))
-            }
-            ApiRequest::SetRules {
-                owner_secret,
-                rules,
-            } => {
-                if owner_secret != self.owner_secret {
-                    return Err(ApiError::new(ErrorCode::Unauthorized, "bad owner secret"));
-                }
-                self.service.set_rules(rules);
-                Ok(ApiOk::RulesSet)
-            }
-            ApiRequest::Discover { contract } => Ok(ApiOk::Discovered(
-                self.directory.read().metadata(contract).cloned(),
-            )),
-            ApiRequest::Ping => Ok(ApiOk::Pong),
-            ApiRequest::CounterPrepare => self
-                .counter_node()?
-                .prepare()
-                .map(|committed| ApiOk::CounterState { committed })
-                .ok_or_else(counter_refusing),
-            ApiRequest::CounterCommit { value } => self
-                .counter_node()?
-                .commit(value)
-                .map(|vote| ApiOk::CounterVote {
-                    accepted: vote.accepted,
-                    committed: vote.committed,
-                })
-                .ok_or_else(counter_refusing),
-            ApiRequest::CounterCatchup => self
-                .counter_node()?
-                .catchup()
-                .map(|committed| ApiOk::CounterState { committed })
-                .ok_or_else(counter_refusing),
-        }
+    /// Whether `secret` is the owner's. Fixed-size digests are compared
+    /// with an XOR fold, so how long the check takes says nothing about
+    /// how much of `secret` was right.
+    fn is_owner(&self, secret: &str) -> bool {
+        let given = keccak256(secret.as_bytes());
+        let diff = given
+            .0
+            .iter()
+            .zip(&self.owner_digest.0)
+            .fold(0u8, |acc, (a, b)| acc | (a ^ b));
+        diff == 0
     }
 
     /// The local counter node, or `counter_unavailable` when this front
@@ -249,33 +154,129 @@ impl FrontEnd {
     /// only [`EndpointScope::Vote`] (the replica-internal vote endpoint)
     /// dispatches the `counter_*` family.
     pub fn handle_json_scoped(&self, body: &str, scope: EndpointScope) -> String {
-        let result = decode_request(body).and_then(|req| {
-            if scope == EndpointScope::Public && is_counter_op(&req) {
+        self.dispatch(body, scope)
+            .unwrap_or_else(|e| envelope(None, Some(&WireError::from(&e))))
+    }
+
+    /// Open the envelope, run its op, and write the success envelope.
+    fn dispatch(&self, text: &str, scope: EndpointScope) -> Result<String, ApiError> {
+        let (op, body) = open_envelope(text)?;
+        match op.as_str() {
+            "issue" => {
+                let token = self.issue(&decode(body)?)?;
+                ok(&IssueBody {
+                    token_hex: encode_token_hex(&token),
+                })
+            }
+            "issue_batch" => {
+                let batch: BatchRequestBody = decode(body)?;
+                let results = self.issue_batch(&batch.requests)?;
+                ok(&BatchResponseBody {
+                    results: results.iter().map(BatchItem::from_result).collect(),
+                })
+            }
+            "set_rules" => {
+                let SetRulesBody {
+                    owner_secret,
+                    rules,
+                } = decode(body)?;
+                self.set_rules(&owner_secret, rules)?;
+                ok(&RulesSetBody {})
+            }
+            "discover" => {
+                let DiscoverBody { contract } = decode(body)?;
+                ok(&DiscoverResponseBody {
+                    metadata: self.discover(contract)?,
+                })
+            }
+            "ping" => {
+                self.ping()?;
+                ok(&PongBody { pong: true })
+            }
+            "counter_prepare" | "counter_commit" | "counter_catchup"
+                if scope == EndpointScope::Public =>
+            {
                 Err(ApiError::new(
                     ErrorCode::CounterUnavailable,
                     "counter votes are replica-internal: not served on this endpoint",
                 ))
-            } else {
-                self.handle_api(req)
             }
-        });
-        encode_response(&result)
+            "counter_prepare" => ok(&CounterStateBody {
+                committed: self
+                    .counter_node()?
+                    .prepare()
+                    .ok_or_else(counter_refusing)?,
+            }),
+            "counter_commit" => {
+                let CounterCommitBody { value } = decode(body)?;
+                let vote = self
+                    .counter_node()?
+                    .commit(value)
+                    .ok_or_else(counter_refusing)?;
+                ok(&CounterVoteBody {
+                    accepted: vote.accepted,
+                    committed: vote.committed,
+                })
+            }
+            "counter_catchup" => ok(&CounterStateBody {
+                committed: self
+                    .counter_node()?
+                    .catchup()
+                    .ok_or_else(counter_refusing)?,
+            }),
+            other => Err(ApiError::new(
+                ErrorCode::BadEnvelope,
+                format!("unknown op {other:?}"),
+            )),
+        }
     }
 }
 
-/// Whether a request belongs to the replica-internal `counter_*` family.
-fn is_counter_op(request: &ApiRequest) -> bool {
-    matches!(
-        request,
-        ApiRequest::CounterPrepare | ApiRequest::CounterCommit { .. } | ApiRequest::CounterCatchup
-    )
+impl TsApi for FrontEnd {
+    fn issue(&self, request: &TokenRequest) -> Result<Token, ApiError> {
+        Ok(self.service.issue(request, self.time())?)
+    }
+
+    fn issue_batch(
+        &self,
+        requests: &[TokenRequest],
+    ) -> Result<Vec<Result<Token, ApiError>>, ApiError> {
+        if requests.len() > MAX_BATCH {
+            return Err(ApiError::new(
+                ErrorCode::BadEnvelope,
+                format!("batch of {} exceeds limit {MAX_BATCH}", requests.len()),
+            ));
+        }
+        Ok(self
+            .service
+            .issue_batch(requests, self.time())
+            .into_iter()
+            .map(|r| r.map_err(ApiError::from))
+            .collect())
+    }
+
+    fn set_rules(&self, owner_secret: &str, rules: RuleBook) -> Result<(), ApiError> {
+        if !self.is_owner(owner_secret) {
+            return Err(ApiError::new(ErrorCode::Unauthorized, "bad owner secret"));
+        }
+        self.service.set_rules(rules);
+        Ok(())
+    }
+
+    fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
+        Ok(self.directory.read().metadata(contract).cloned())
+    }
+
+    fn ping(&self) -> Result<(), ApiError> {
+        Ok(())
+    }
 }
 
-/// Parse a request body into an [`ApiRequest`].
-fn decode_request(body: &str) -> Result<ApiRequest, ApiError> {
+/// Parse a request envelope into its op name and (still undecoded) body.
+fn open_envelope(text: &str) -> Result<(String, Json), ApiError> {
     let bad_envelope =
         |e: JsonError| ApiError::new(ErrorCode::BadEnvelope, format!("bad envelope: {e}"));
-    let mut json = Json::parse(body).map_err(bad_envelope)?;
+    let mut json = Json::parse(text).map_err(bad_envelope)?;
     if matches!(json, Json::Obj(_)) && json.get("v").is_none() {
         return Err(ApiError::new(
             ErrorCode::UnsupportedVersion,
@@ -291,37 +292,13 @@ fn decode_request(body: &str) -> Result<ApiRequest, ApiError> {
             format!("unsupported protocol version {}", envelope.v),
         ));
     }
-    let bad_body = |e: JsonError| ApiError::new(ErrorCode::BadEnvelope, format!("bad body: {e}"));
-    match envelope.op.as_str() {
-        "issue" => Ok(ApiRequest::Issue(
-            TokenRequest::from_json(&body).map_err(bad_body)?,
-        )),
-        "issue_batch" => Ok(ApiRequest::IssueBatch(
-            BatchRequestBody::from_json(&body)
-                .map_err(bad_body)?
-                .requests,
-        )),
-        "set_rules" => {
-            let body = SetRulesBody::from_json(&body).map_err(bad_body)?;
-            Ok(ApiRequest::SetRules {
-                owner_secret: body.owner_secret,
-                rules: body.rules,
-            })
-        }
-        "discover" => Ok(ApiRequest::Discover {
-            contract: DiscoverBody::from_json(&body).map_err(bad_body)?.contract,
-        }),
-        "ping" => Ok(ApiRequest::Ping),
-        "counter_prepare" => Ok(ApiRequest::CounterPrepare),
-        "counter_commit" => Ok(ApiRequest::CounterCommit {
-            value: CounterCommitBody::from_json(&body).map_err(bad_body)?.value,
-        }),
-        "counter_catchup" => Ok(ApiRequest::CounterCatchup),
-        other => Err(ApiError::new(
-            ErrorCode::BadEnvelope,
-            format!("unknown op {other:?}"),
-        )),
-    }
+    Ok((envelope.op, body))
+}
+
+/// Decode an op's body; a body of the wrong shape is a bad envelope. The
+/// tree is freed here, before the op runs.
+fn decode<T: FromJson>(body: Json) -> Result<T, ApiError> {
+    T::from_json(&body).map_err(|e| ApiError::new(ErrorCode::BadEnvelope, format!("bad body: {e}")))
 }
 
 /// The error a live quorum member answers with while its node is crashed
@@ -330,44 +307,22 @@ fn counter_refusing() -> ApiError {
     ApiError::new(ErrorCode::CounterUnavailable, "counter node not answering")
 }
 
-/// Write an API outcome as a v2 response envelope: the members of a
+/// A success envelope carrying `body`.
+fn ok(body: &dyn ToJson) -> Result<String, ApiError> {
+    Ok(envelope(Some(body), None))
+}
+
+/// Write a v2 response envelope: the members of a
 /// [`crate::api::ResponseEnvelope`], with the body encoding itself in place.
-fn encode_response(result: &Result<ApiOk, ApiError>) -> String {
-    let envelope = |body: Option<&dyn ToJson>, error: Option<&WireError>| {
-        let mut out = String::new();
-        ObjectWriter::new(&mut out)
-            .member("v", &PROTOCOL_VERSION)
-            .member("ok", &error.is_none())
-            .member("body", &body)
-            .member("error", &error)
-            .end();
-        out
-    };
-    let body: &dyn ToJson = match result {
-        Err(e) => return envelope(None, Some(&WireError::from(e))),
-        Ok(ApiOk::Token(token)) => &IssueBody {
-            token_hex: encode_token_hex(token),
-        },
-        Ok(ApiOk::Batch(results)) => &BatchResponseBody {
-            results: results.iter().map(BatchItem::from_result).collect(),
-        },
-        Ok(ApiOk::RulesSet) => &RulesSetBody {},
-        Ok(ApiOk::Discovered(metadata)) => &DiscoverResponseBody {
-            metadata: metadata.clone(),
-        },
-        Ok(ApiOk::Pong) => &PongBody { pong: true },
-        Ok(ApiOk::CounterState { committed }) => &CounterStateBody {
-            committed: *committed,
-        },
-        Ok(ApiOk::CounterVote {
-            accepted,
-            committed,
-        }) => &CounterVoteBody {
-            accepted: *accepted,
-            committed: *committed,
-        },
-    };
-    envelope(Some(body), None)
+fn envelope(body: Option<&dyn ToJson>, error: Option<&WireError>) -> String {
+    let mut out = String::new();
+    ObjectWriter::new(&mut out)
+        .member("v", &PROTOCOL_VERSION)
+        .member("ok", &error.is_none())
+        .member("body", &body)
+        .member("error", &error)
+        .end();
+    out
 }
 
 /// Hex-encode a token's 86-byte wire image (the `token_hex` response
@@ -387,7 +342,6 @@ mod tests {
     use crate::api::ResponseEnvelope;
     use crate::service::TokenServiceConfig;
     use smacs_crypto::Keypair;
-    use smacs_primitives::Address;
     use smacs_token::TokenType;
 
     fn front() -> FrontEnd {
@@ -403,35 +357,34 @@ mod tests {
         TokenRequest::super_token(Address::from_low_u64(1), Address::from_low_u64(2))
     }
 
-    fn issue(front: &FrontEnd) -> Result<Token, ApiError> {
-        match front.handle_api(ApiRequest::Issue(request()))? {
-            ApiOk::Token(token) => Ok(token),
-            other => panic!("expected a token, got {other:?}"),
-        }
+    fn v2(op: &str, body: &impl ToJson) -> String {
+        format!(
+            r#"{{"v":2,"op":"{op}","body":{}}}"#,
+            smacs_primitives::json::to_string(body)
+        )
     }
 
-    fn deny_all(front: &FrontEnd, owner_secret: &str) -> Result<ApiOk, ApiError> {
-        front.handle_api(ApiRequest::SetRules {
-            owner_secret: owner_secret.into(),
-            rules: RuleBook::deny_all(),
-        })
+    fn answer(front: &FrontEnd, text: &str, scope: EndpointScope) -> ResponseEnvelope {
+        smacs_primitives::json::from_str(&front.handle_json_scoped(text, scope))
+            .expect("a v2 response envelope")
     }
 
-    fn envelope(text: &str) -> ResponseEnvelope {
-        smacs_primitives::json::from_str(text).expect("a v2 response envelope")
+    /// The success body of `response`, decoded.
+    fn ok_body<T: FromJson>(response: ResponseEnvelope) -> T {
+        assert!(response.ok, "{response:?}");
+        T::from_json(&response.body.expect("success body")).expect("body shape")
+    }
+
+    fn error(response: ResponseEnvelope) -> WireError {
+        assert!(!response.ok, "{response:?}");
+        response.error.expect("error member")
     }
 
     #[test]
     fn issue_round_trip_through_json() {
         let front = front();
-        let body = smacs_primitives::json::to_string(&RequestEnvelope {
-            v: PROTOCOL_VERSION,
-            op: "issue".into(),
-            body: Some(request().to_json()),
-        });
-        let response = envelope(&front.handle_json(&body));
-        assert!(response.ok, "{response:?}");
-        let body = IssueBody::from_json(&response.body.unwrap()).unwrap();
+        let response = answer(&front, &v2("issue", &request()), EndpointScope::Public);
+        let body: IssueBody = ok_body(response);
         let token = decode_token_hex(&body.token_hex).unwrap();
         assert_eq!(token.ttype, TokenType::Super);
         assert_eq!(token.expire, 1_000 + 3_600);
@@ -441,8 +394,9 @@ mod tests {
     fn denial_reports_reason_but_not_rules() {
         let front = front();
         front.service().set_rules(RuleBook::deny_all());
-        let err = issue(&front).unwrap_err();
-        assert_eq!(err.code, ErrorCode::RuleViolation);
+        let response = answer(&front, &v2("issue", &request()), EndpointScope::Public);
+        let err = error(response);
+        assert_eq!(err.code, "rule_violation");
         // The denial must not leak list contents.
         assert!(!err.message.contains("0x"), "leaked rule detail: {err:?}");
     }
@@ -450,35 +404,43 @@ mod tests {
     #[test]
     fn owner_secret_gates_rule_updates() {
         let front = front();
-        let bad = deny_all(&front, "wrong").unwrap_err();
-        assert_eq!(bad.code, ErrorCode::Unauthorized);
-        // Service still permissive.
-        issue(&front).unwrap();
+        // Empty, a prefix, one character too many, and the right length
+        // with the last byte wrong.
+        for wrong in ["", "wrong", "hunter", "hunter22", "hunter3"] {
+            let bad = front.set_rules(wrong, RuleBook::deny_all()).unwrap_err();
+            assert_eq!(bad.code, ErrorCode::Unauthorized, "{wrong:?}");
+            assert_eq!(front.service().rules_snapshot(), RuleBook::permissive());
+            // Service still permissive.
+            front.issue(&request()).unwrap();
+        }
 
-        assert!(matches!(deny_all(&front, "hunter2"), Ok(ApiOk::RulesSet)));
-        assert_eq!(issue(&front).unwrap_err().code, ErrorCode::RuleViolation);
+        front.set_rules("hunter2", RuleBook::deny_all()).unwrap();
+        assert_eq!(
+            front.issue(&request()).unwrap_err().code,
+            ErrorCode::RuleViolation
+        );
     }
 
     #[test]
     fn malformed_json_is_an_error() {
-        let response = envelope(&front().handle_json("{not json"));
-        assert!(!response.ok);
-        assert_eq!(response.error.unwrap().code, "bad_envelope");
+        let response = answer(&front(), "{not json", EndpointScope::Public);
+        assert_eq!(error(response).code, "bad_envelope");
     }
 
     #[test]
     fn ping_pong() {
-        assert!(matches!(
-            front().handle_api(ApiRequest::Ping),
-            Ok(ApiOk::Pong)
-        ));
+        let front = front();
+        front.ping().unwrap();
+        let response = answer(&front, r#"{"v":2,"op":"ping"}"#, EndpointScope::Public);
+        let body: PongBody = ok_body(response);
+        assert!(body.pong);
     }
 
     #[test]
     fn clock_advances_expiry() {
         let front = front();
         front.advance_time(100);
-        assert_eq!(issue(&front).unwrap().expire, 1_100 + 3_600);
+        assert_eq!(front.issue(&request()).unwrap().expire, 1_100 + 3_600);
     }
 
     #[test]
@@ -490,25 +452,20 @@ mod tests {
     #[test]
     fn counter_ops_without_a_node_fail_closed() {
         let front = front();
-        for request in [
-            ApiRequest::CounterPrepare,
-            ApiRequest::CounterCommit { value: 0 },
-            ApiRequest::CounterCatchup,
+        for text in [
+            r#"{"v":2,"op":"counter_prepare"}"#,
+            r#"{"v":2,"op":"counter_commit","body":{"value":0}}"#,
+            r#"{"v":2,"op":"counter_catchup"}"#,
         ] {
-            let err = front.handle_api(request).unwrap_err();
-            assert_eq!(err.code, ErrorCode::CounterUnavailable);
+            let err = error(answer(&front, text, EndpointScope::Vote));
+            assert_eq!(err.code, "counter_unavailable", "{text}");
         }
     }
 
     #[test]
     fn public_scope_refuses_counter_ops_even_with_a_node_attached() {
-        let service = TokenService::new(
-            Keypair::from_seed(1),
-            RuleBook::permissive(),
-            TokenServiceConfig::default(),
-        );
         let node = CounterNode::new();
-        let front = FrontEnd::new(service, "hunter2", 1_000).with_counter(node.clone());
+        let front = front().with_counter(node.clone());
         let commit = r#"{"v":2,"op":"counter_commit","body":{"value":0}}"#;
 
         // Public dispatch (what the client-facing listener uses) must not
@@ -521,6 +478,11 @@ mod tests {
         assert_eq!(node.committed(), 0, "refused vote must not touch state");
         // …and `handle_json` defaults to the public scope.
         assert!(front.handle_json(commit).contains("counter_unavailable"));
+        // The scope guard runs before the body is decoded: a malformed
+        // vote body is refused the same way, not parsed.
+        let malformed = r#"{"v":2,"op":"counter_commit","body":{"value":"x"}}"#;
+        let err = error(answer(&front, malformed, EndpointScope::Public));
+        assert_eq!(err.code, "counter_unavailable");
 
         // The vote scope (the dedicated replica-internal endpoint) serves
         // the same envelope.
@@ -534,43 +496,25 @@ mod tests {
 
     #[test]
     fn counter_ops_vote_against_the_attached_node() {
-        let service = TokenService::new(
-            Keypair::from_seed(1),
-            RuleBook::permissive(),
-            TokenServiceConfig::default(),
-        );
         let node = CounterNode::new();
-        let front = FrontEnd::new(service, "hunter2", 1_000).with_counter(node.clone());
+        let front = front().with_counter(node.clone());
+        let vote = |text: &str| answer(&front, text, EndpointScope::Vote);
+        let commit = r#"{"v":2,"op":"counter_commit","body":{"value":0}}"#;
 
-        let Ok(ApiOk::CounterState { committed }) = front.handle_api(ApiRequest::CounterPrepare)
-        else {
-            panic!("prepare refused");
-        };
-        assert_eq!(committed, 0);
+        let state: CounterStateBody = ok_body(vote(r#"{"v":2,"op":"counter_prepare"}"#));
+        assert_eq!(state.committed, 0);
 
         // In-order commit accepted; replayed duplicate rejected.
-        let Ok(ApiOk::CounterVote {
-            accepted,
-            committed,
-        }) = front.handle_api(ApiRequest::CounterCommit { value: 0 })
-        else {
-            panic!("commit refused");
-        };
-        assert!(accepted);
-        assert_eq!(committed, 1);
-        let Ok(ApiOk::CounterVote { accepted, .. }) =
-            front.handle_api(ApiRequest::CounterCommit { value: 0 })
-        else {
-            panic!("commit refused");
-        };
-        assert!(!accepted, "duplicate vote must be rejected");
+        let first: CounterVoteBody = ok_body(vote(commit));
+        assert!(first.accepted);
+        assert_eq!(first.committed, 1);
+        let replay: CounterVoteBody = ok_body(vote(commit));
+        assert!(!replay.accepted, "duplicate vote must be rejected");
 
         // A crashed/partitioned node refuses votes with the same
         // fail-closed code the issuance path uses.
         node.crash();
-        let err = front
-            .handle_api(ApiRequest::CounterCatchup)
-            .expect_err("dead node answers counter_unavailable");
-        assert_eq!(err.code, ErrorCode::CounterUnavailable);
+        let err = error(vote(r#"{"v":2,"op":"counter_catchup"}"#));
+        assert_eq!(err.code, "counter_unavailable");
     }
 }

@@ -5,14 +5,15 @@
 //! modules Fig. 1 draws:
 //!
 //! - the **client-facing API** ([`api`]): the transport-agnostic [`TsApi`]
-//!   trait (`issue`, `issue_batch`, `set_rules`, `discover`, `ping`) with
-//!   an [`InProcessClient`] for co-located callers and an
-//!   [`http::HttpClient`] speaking the versioned wire protocol v2 over a
-//!   keep-alive connection — batch issuance amortizes per-request wire
-//!   overhead, and error codes mirror [`IssueError`] without leaking rule
-//!   detail (§VII-A d);
-//! - the **front end** ([`front`] for the protocol-v2 JSON envelopes and
-//!   [`http`] for the one listener type, [`Endpoint`]) through which
+//!   trait (`issue`, `issue_batch`, `set_rules`, `discover`, `ping`),
+//!   implemented in process by [`FrontEnd`] and on the wire by
+//!   [`http::HttpClient`] and [`FailoverClient`], which speak the
+//!   versioned protocol v2 over keep-alive connections — batch issuance
+//!   amortizes per-request wire overhead, and error codes mirror
+//!   [`IssueError`] without leaking rule detail (§VII-A d);
+//! - the **front end** ([`front`]: [`FrontEnd`] serves every op both as a
+//!   [`TsApi`] call and as a protocol-v2 JSON envelope, one `match` per
+//!   op; [`http`] holds the one listener type, [`Endpoint`]) through which
 //!   owners and clients interact;
 //! - the **access granting** module ([`service`]) that checks rule
 //!   compliance ([`rules`] — Fig. 6's white/blacklists, dynamically
@@ -24,9 +25,10 @@
 //!   [`validation::ValidationTool`] trait, running against a forked local
 //!   testnet as §V describes).
 //!
-//! For availability (§VII-B), one-time indexes can come from a
-//! [`replica::CounterCluster`] — a majority-quorum replicated counter —
-//! instead of the single-node atomic counter. [`discovery`] implements the
+//! One-time indexes always come from a [`replica::CounterCluster`]: a
+//! one-node, memory-only cluster by default, or, for availability
+//! (§VII-B), a majority-quorum replicated counter across the replicas
+//! ([`TokenService::with_replicated_counter`]). [`discovery`] implements the
 //! §VII-B service-discovery metadata (contract address → TS URL), and
 //! [`store`] persists rules and the signing key to disk (the prototype's
 //! node-localStorage analog).
@@ -68,9 +70,10 @@
 //!   reactor machinery and the same [`fault::FaultPlan`] injection
 //!   points.
 //! - **Batch signing** fans the ≈ 20 µs per-token `k·G` across the
-//!   service's pool (process-shared by default) with caller participation (no pool-within-pool deadlock), preserving
-//!   per-item partial failure and request-order results; one-time indexes
-//!   stay atomic/replicated and globally unique.
+//!   service's pool (process-shared by default) with caller participation
+//!   (no pool-within-pool deadlock), preserving per-item partial failure
+//!   and request-order results; one-time indexes stay globally unique
+//!   (the counter serializes allocation).
 //! - **Rule reads never lock**: issuance validates against an epoch
 //!   snapshot ([`smacs_primitives::epoch::EpochCell`]), so a `set_rules`
 //!   burst cannot stall the issuance path, and signature work (`recover`,
@@ -178,11 +181,12 @@ pub mod store;
 pub mod validation;
 pub mod wal;
 
-pub use api::{ApiError, ErrorCode, InProcessClient, TsApi, MAX_BATCH, PROTOCOL_VERSION};
+pub use api::{ApiError, ErrorCode, TsApi, MAX_BATCH, PROTOCOL_VERSION};
 pub use cluster::{CounterMode, ReplicaSet, ReplicaSetConfig};
 pub use discovery::ServiceDirectory;
 pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;
+pub use front::FrontEnd;
 pub use http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};

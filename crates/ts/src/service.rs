@@ -12,7 +12,6 @@ use smacs_crypto::Keypair;
 use smacs_primitives::{Address, EpochCell, WorkerPool};
 use smacs_token::{signing_digest, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::replica::CounterCluster;
@@ -52,14 +51,6 @@ impl fmt::Display for IssueError {
 
 impl std::error::Error for IssueError {}
 
-/// Where one-time indexes come from.
-enum IndexSource {
-    /// Single-node atomic counter.
-    Local(AtomicU64),
-    /// Majority-quorum replicated counter (§VII-B).
-    Replicated(CounterCluster),
-}
-
 /// TS configuration.
 #[derive(Clone, Debug)]
 pub struct TokenServiceConfig {
@@ -87,7 +78,9 @@ pub struct TokenService {
     rules: Arc<EpochCell<RuleBook>>,
     tools: Vec<Arc<dyn ValidationTool>>,
     testnet: Option<RwLock<Chain>>,
-    index_source: IndexSource,
+    /// Where one-time indexes come from: a one-node, memory-only cluster
+    /// unless [`TokenService::with_replicated_counter`] replaced it.
+    counter: CounterCluster,
     /// Pool for batch signing fan-out (shared process-wide by default).
     pool: Arc<WorkerPool>,
     config: TokenServiceConfig,
@@ -95,14 +88,15 @@ pub struct TokenService {
 
 impl TokenService {
     /// A TS with the given signing key and initial rules; no validation
-    /// tools, local counter, process-shared worker pool.
+    /// tools, a one-node memory-only counter (indexes 0, 1, 2, …),
+    /// process-shared worker pool.
     pub fn new(sk_ts: Keypair, rules: RuleBook, config: TokenServiceConfig) -> Self {
         TokenService {
             sk_ts,
             rules: Arc::new(EpochCell::new(rules)),
             tools: Vec::new(),
             testnet: None,
-            index_source: IndexSource::Local(AtomicU64::new(0)),
+            counter: CounterCluster::new(1),
             pool: WorkerPool::shared().clone(),
             config,
         }
@@ -122,9 +116,10 @@ impl TokenService {
         self
     }
 
-    /// Use a replicated counter for one-time indexes (§VII-B).
+    /// Use a replicated counter for one-time indexes (§VII-B) in place of
+    /// the one-node default.
     pub fn with_replicated_counter(mut self, cluster: CounterCluster) -> Self {
-        self.index_source = IndexSource::Replicated(cluster);
+        self.counter = cluster;
         self
     }
 
@@ -134,16 +129,6 @@ impl TokenService {
     pub fn with_shared_rules(mut self, rules: Arc<EpochCell<RuleBook>>) -> Self {
         self.rules = rules;
         self
-    }
-
-    /// Whether one-time issuance is currently possible: always for a
-    /// local counter, quorum-dependent for a replicated one. The
-    /// degradation signal operators alert on.
-    pub fn one_time_available(&self) -> bool {
-        match &self.index_source {
-            IndexSource::Local(_) => true,
-            IndexSource::Replicated(cluster) => cluster.has_quorum(),
-        }
     }
 
     /// Fan batch signing across `pool` instead of the process-shared
@@ -217,7 +202,8 @@ impl TokenService {
         //    one-time property is requested.
         let expire = (now + self.config.token_lifetime_secs) as u32;
         let index = if req.one_time {
-            self.next_index()? as i128
+            let next = self.counter.next_index();
+            next.ok_or(IssueError::CounterUnavailable)? as i128
         } else {
             NO_INDEX
         };
@@ -254,7 +240,7 @@ impl TokenService {
     /// across the worker pool from `PARALLEL_BATCH_MIN` requests on.
     ///
     /// Results keep request order regardless of which worker signed what.
-    /// One-time indexes stay unique (the counter is atomic/replicated) but
+    /// One-time indexes stay unique (the counter serializes allocation) but
     /// their assignment order across a parallel batch is unspecified.
     pub fn issue_batch(
         &self,
@@ -266,15 +252,6 @@ impl TokenService {
                 .scope_map(requests.len(), |i| self.issue(&requests[i], now))
         } else {
             requests.iter().map(|req| self.issue(req, now)).collect()
-        }
-    }
-
-    fn next_index(&self) -> Result<u64, IssueError> {
-        match &self.index_source {
-            IndexSource::Local(counter) => Ok(counter.fetch_add(1, Ordering::SeqCst)),
-            IndexSource::Replicated(cluster) => {
-                cluster.next_index().ok_or(IssueError::CounterUnavailable)
-            }
         }
     }
 

@@ -1,12 +1,13 @@
 //! Front-end protocol coverage: the removed v1 shape, malformed-envelope
-//! rejection, batch partial-failure semantics, and keep-alive connection
-//! reuse.
+//! rejection, batch partial-failure semantics, in-process and wire answers
+//! agreeing op for op, and keep-alive connection reuse.
 
 use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
 use smacs_ts::api::ResponseEnvelope;
+use smacs_ts::discovery::ContractMetadata;
 use smacs_ts::front::{decode_token_hex, EndpointScope, FrontEnd};
 use smacs_ts::{
     Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy, RuleBook, TokenService,
@@ -234,6 +235,99 @@ fn batch_partial_failure_over_the_http_client() {
         ErrorCode::InvalidRequest
     );
     assert!(results[2].is_ok());
+    server.shutdown();
+}
+
+// ---- in process ≡ wire ----
+
+/// The same front end answers every client op twice, at a fixed clock:
+/// called directly through its `TsApi` impl, and through an `HttpClient`
+/// against an endpoint bound to it. Token bytes (signing is
+/// deterministic), error codes and messages, and batch outcomes in order
+/// must all agree.
+#[test]
+fn in_process_and_wire_answers_agree() {
+    let front = front();
+    let contract = Address::from_low_u64(0xC0);
+    let mut book = RuleBook::permissive();
+    book.rules_mut(TokenType::Super).sender = Some(ListPolicy::Blacklist(
+        [Address::from_low_u64(0xBAD).to_hex()].into(),
+    ));
+    front.service().set_rules(book.clone());
+    front.publish(
+        contract,
+        ContractMetadata {
+            name: "Vault".into(),
+            compiler: "smacs 0.1".into(),
+            token_service_url: Some("http://127.0.0.1:1".into()),
+            replica_urls: vec!["http://127.0.0.1:2".into()],
+        },
+    );
+    let server = serve(front.clone());
+    let wire = HttpClient::connect(server.addr());
+    let direct: &dyn TsApi = &*front;
+
+    let method = TokenRequest::method_token(
+        contract,
+        Address::from_low_u64(2),
+        "transfer(address,uint256)",
+    );
+    let argument = TokenRequest::argument_token(
+        contract,
+        Address::from_low_u64(3),
+        "f(uint256)",
+        vec![smacs_token::request::ArgBinding {
+            name: "x".into(),
+            value: "1".into(),
+        }],
+        vec![1, 2, 3, 4],
+    );
+    let denied = request(0xBAD);
+    let mut invalid = request(4);
+    invalid.ttype = TokenType::Method; // a method token without a methodId
+
+    // One token at a time: super, method and argument grants, a rule
+    // denial and an invalid request.
+    for req in [&request(1), &method, &argument, &denied, &invalid] {
+        assert_eq!(direct.issue(req), wire.issue(req), "{req:?}");
+    }
+    assert_eq!(
+        direct.issue(&denied).unwrap_err().code,
+        ErrorCode::RuleViolation
+    );
+    assert_eq!(
+        direct.issue(&invalid).unwrap_err().code,
+        ErrorCode::InvalidRequest
+    );
+
+    // A batch with partial failure, and one over the limit.
+    let batch = [request(1), denied, method, invalid, argument];
+    let outcomes = direct.issue_batch(&batch).unwrap();
+    assert_eq!(wire.issue_batch(&batch).unwrap(), outcomes);
+    let failed: Vec<bool> = outcomes.iter().map(Result::is_err).collect();
+    assert_eq!(failed, [false, true, false, true, false]);
+    let oversized = vec![request(1); MAX_BATCH + 1];
+    let refused = direct.issue_batch(&oversized).unwrap_err();
+    assert_eq!(refused.code, ErrorCode::BadEnvelope);
+    assert_eq!(wire.issue_batch(&oversized).unwrap_err(), refused);
+
+    // The owner op with the wrong and the right secret.
+    let wrong = direct.set_rules("not-the-secret", RuleBook::deny_all());
+    assert_eq!(wrong.as_ref().unwrap_err().code, ErrorCode::Unauthorized);
+    assert_eq!(
+        wire.set_rules("not-the-secret", RuleBook::deny_all()),
+        wrong
+    );
+    assert_eq!(direct.set_rules("owner-secret", book.clone()), Ok(()));
+    assert_eq!(wire.set_rules("owner-secret", book), Ok(()));
+
+    // Discovery of a known and an unknown contract, and the probe.
+    for contract in [contract, Address::from_low_u64(0xD0)] {
+        assert_eq!(direct.discover(contract), wire.discover(contract));
+    }
+    assert!(direct.discover(contract).unwrap().is_some());
+    assert_eq!(direct.ping(), Ok(()));
+    assert_eq!(wire.ping(), Ok(()));
     server.shutdown();
 }
 

@@ -10,7 +10,7 @@ use smacs::core::client::ClientWallet;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::primitives::Address;
 use smacs::token::{Token, TokenRequest};
-use smacs::ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::sync::Arc;
 
 fn main() {
@@ -53,10 +53,10 @@ fn main() {
     );
 
     let now = chain.pending_env().timestamp;
-    let services: Vec<InProcessClient> = toolkits
+    let services: Vec<FrontEnd> = toolkits
         .iter()
         .map(|tk| {
-            InProcessClient::new(
+            FrontEnd::new(
                 TokenService::new(
                     tk.ts_keypair().clone(),
                     RuleBook::permissive(),

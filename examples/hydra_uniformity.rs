@@ -12,7 +12,7 @@ use smacs::chain::Chain;
 use smacs::contracts::{AdderHead, BuggyAdderHead, HydraStyle};
 use smacs::lang::{interp::Value, InterpretedContract};
 use smacs::token::TokenRequest;
-use smacs::ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use smacs::verifiers::HydraTool;
 use std::sync::Arc;
 
@@ -65,7 +65,7 @@ fn main() {
     heads.push(buggy.address);
     let protected = heads[0];
 
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             smacs::crypto::Keypair::from_seed(4_000),
             RuleBook::permissive(),

@@ -9,7 +9,7 @@ use smacs::core::bitmap::{bitmap_bits_for, BitmapState};
 use smacs::core::client::ClientWallet;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::token::TokenRequest;
-use smacs::ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::sync::Arc;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
             },
         )
         .expect("deploy");
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             RuleBook::permissive(),

@@ -15,7 +15,7 @@ use smacs::core::client::ClientWallet;
 use smacs::core::fetcher::TokenFetcher;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::token::{TokenRequest, TokenType};
-use smacs::ts::{InProcessClient, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::sync::Arc;
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
     whitelist.insert(alice.address().to_hex());
     rules.rules_mut(TokenType::Method).sender = Some(whitelist);
     let now = chain.pending_env().timestamp;
-    let ts = InProcessClient::new(
+    let ts = Arc::new(FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             rules,
@@ -54,13 +54,15 @@ fn main() {
         ),
         "owner-secret",
         now,
-    );
+    ));
     println!("TS online; pk_TS = {}", ts.service().ts_address());
 
     // --- 3. Alice: request a method token, call the contract -----------
-    // Tokens flow through the transport-agnostic TsApi; the TokenFetcher
-    // caches them per (contract, type, method) so repeat calls skip the TS.
-    let fetcher = TokenFetcher::new(std::sync::Arc::new(ts.clone()));
+    // Tokens flow through the transport-agnostic TsApi (here the TS's
+    // in-process FrontEnd; an HttpClient would serve the same calls); the
+    // TokenFetcher caches them per (contract, type, method) so repeat calls
+    // skip the TS.
+    let fetcher = TokenFetcher::new(ts.clone());
     let request =
         TokenRequest::method_token(target.address, alice.address(), BenchTarget::PING_SIG);
     let token = fetcher.fetch(&request, now).expect("alice is whitelisted");

@@ -18,7 +18,7 @@ use smacs::contracts::{Attacker, Bank, SmacsAwareAttacker};
 use smacs::core::client::ClientWallet;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::token::TokenRequest;
-use smacs::ts::{InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use smacs::verifiers::{check_trace_ecf, EcfTool};
 use std::sync::Arc;
 
@@ -80,7 +80,7 @@ fn main() {
     assert!(!verdict.is_ecf());
 
     // An honest withdrawal simulates clean through the TS-side tool.
-    let ecf_ts = InProcessClient::new(
+    let ecf_ts = FrontEnd::new(
         TokenService::new(
             smacs::crypto::Keypair::from_seed(500),
             RuleBook::permissive(),
@@ -123,7 +123,7 @@ fn main() {
         )
         .expect("deploy shielded bank");
     let now = chain.pending_env().timestamp;
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             RuleBook::permissive(),

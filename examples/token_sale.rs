@@ -13,7 +13,7 @@ use smacs::core::client::ClientWallet;
 use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::primitives::Address;
 use smacs::token::{TokenRequest, TokenType};
-use smacs::ts::{InProcessClient, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{FrontEnd, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::sync::Arc;
 
 const USERS: usize = 200; // scaled-down cohort; costs extrapolate linearly
@@ -83,7 +83,7 @@ fn main() {
     }
     rules.rules_mut(TokenType::Method).sender = Some(senders);
     let now = chain.pending_env().timestamp;
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             rules,

@@ -12,7 +12,7 @@ use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::crypto::Keypair;
 use smacs::primitives::U256;
 use smacs::token::{ArgBinding, Token, TokenRequest, TokenType};
-use smacs::ts::{ErrorCode, InProcessClient, RuleBook, TokenService, TokenServiceConfig, TsApi};
+use smacs::ts::{ErrorCode, FrontEnd, RuleBook, TokenService, TokenServiceConfig, TsApi};
 use smacs_driver::scenario::{self, OWNER_SECRET};
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ fn small_shield() -> ShieldParams {
 
 struct World {
     chain: Chain,
-    api: InProcessClient,
+    api: FrontEnd,
     client: ClientWallet,
     target: smacs::primitives::Address,
 }
@@ -39,7 +39,7 @@ fn world(seed: u64) -> World {
     let (target, _) = toolkit
         .deploy_shielded(&mut chain, Arc::new(BenchTarget), &small_shield())
         .unwrap();
-    let api = InProcessClient::new(
+    let api = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             RuleBook::permissive(),
@@ -70,7 +70,7 @@ fn adaptive_reentrancy_attacker_blocked_by_one_time_tokens() {
         .deploy_shielded(&mut chain, Arc::new(Bank), &small_shield())
         .unwrap();
     let now = chain.pending_env().timestamp;
-    let ts = InProcessClient::new(
+    let ts = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             RuleBook::permissive(),
@@ -168,8 +168,8 @@ fn chain_level_replay_protection() {
 // introduces: operator whitelists, argument value bounds, cross-contract
 // composition, session expiry, and one-time claims.
 
-fn scenario_api(world: &scenario::ScenarioWorld) -> InProcessClient {
-    InProcessClient::new(world.token_service(), OWNER_SECRET, world.now())
+fn scenario_api(world: &scenario::ScenarioWorld) -> FrontEnd {
+    FrontEnd::new(world.token_service(), OWNER_SECRET, world.now())
 }
 
 /// Oracle-update authorization: the method-token operator whitelist admits

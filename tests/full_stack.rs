@@ -14,8 +14,8 @@ use smacs::ts::api::ResponseEnvelope;
 use smacs::ts::discovery::ContractMetadata;
 use smacs::ts::front::{EndpointScope, FrontEnd};
 use smacs::ts::{
-    CounterCluster, Endpoint, ErrorCode, HttpClient, HttpServerConfig, InProcessClient, ListPolicy,
-    RuleBook, TokenService, TokenServiceConfig, TsApi,
+    CounterCluster, Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy, RuleBook,
+    TokenService, TokenServiceConfig, TsApi,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -171,7 +171,7 @@ fn replicated_counter_backed_one_time_tokens() {
         .unwrap();
 
     let cluster = CounterCluster::new(3);
-    let service = InProcessClient::new(
+    let service = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
             RuleBook::permissive(),
