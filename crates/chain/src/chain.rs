@@ -1,7 +1,7 @@
 //! Chain orchestration: block production, transaction intake, deployment,
 //! dry runs, forking, and reorgs.
 
-use smacs_crypto::{keccak256, recover_address, Keypair};
+use smacs_crypto::{keccak256, Keypair};
 use smacs_primitives::pool::WorkerPool;
 use smacs_primitives::rlp::{self, Item, ToRlp};
 use smacs_primitives::{Address, Bytes, H256};
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
-use crate::exec::{Executor, MessageCall, Recovery, VmError};
+use crate::exec::{recover, Executor, MessageCall, Recovery, VmError};
 use crate::gas::{GasBreakdown, GasSchedule};
 use crate::receipt::{ExecStatus, Log, Receipt};
 use crate::state::WorldState;
@@ -94,9 +94,10 @@ pub enum BlockMode<'p> {
     Sequential,
     /// A signature prepass on the given pool, then the sequential loop:
     /// every transaction's sender and the signatures its contract hints
-    /// at ([`Contract::recover_hints`]) are recovered in parallel, and
-    /// execution serves them from that memo. Results are bit-identical to
-    /// [`BlockMode::Sequential`].
+    /// at ([`Contract::recover_hints`]) are recovered in parallel, a hinted
+    /// known signer by the cheaper check of
+    /// [`smacs_crypto::recover_expecting`], and execution serves them from
+    /// that memo. Results are bit-identical to [`BlockMode::Sequential`].
     Parallel(&'p WorkerPool),
 }
 
@@ -464,10 +465,11 @@ impl Chain {
     ///
     /// The prepass fills each transaction's sender cache and recovers the
     /// `(digest, signature)` pairs its target contract hints its top-level
-    /// call will check. The chain computes every memo entry from the pair
-    /// itself, so a wrong hint costs one wasted recovery and never changes
-    /// a result; a recovery nobody hinted (a callee reached through a
-    /// nested call) simply runs live.
+    /// call will check, through the same hinted recovery `ecrecover` runs.
+    /// The chain computes every memo entry from the pair itself, so a
+    /// wrong pair or signer costs one wasted recovery and never changes a
+    /// result; a recovery nobody hinted (a callee reached through a nested
+    /// call) simply runs live.
     fn execute_block_parallel(
         &mut self,
         txs: &[SignedTransaction],
@@ -485,8 +487,8 @@ impl Chain {
             logic
                 .recover_hints(origin, to, &signed.tx.data)
                 .into_iter()
-                .map(|(digest, signature)| {
-                    (digest, signature, recover_address(&digest, &signature))
+                .map(|(digest, signature, expected)| {
+                    (digest, signature, recover(&digest, &signature, expected))
                 })
                 .collect()
         });
@@ -656,11 +658,13 @@ mod tests {
             .collect()
     }
 
-    /// Recovers every record of its calldata, stores and logs each result —
+    /// Recovers every record of its calldata, expecting the transaction's
+    /// sender to have signed it (never true), stores and logs each result —
     /// and hints lies: the true pairs with a wrong digest or a tampered
     /// signature (listed first, so a lookup keyed on half the pair would
     /// serve them), garbage pairs, duplicates, and all but the first true
-    /// pair, which therefore recovers live.
+    /// pair, which therefore recovers live. The hinted signers are wrong or
+    /// missing too.
     struct Liar;
 
     impl Contract for Liar {
@@ -670,10 +674,11 @@ mod tests {
 
         fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
             let data = ctx.msg_data_bytes();
+            let origin = ctx.tx_origin();
             let mut out = Vec::new();
             for (i, (digest, signature)) in records(&data).into_iter().enumerate() {
                 let mut word = [0u8; 32];
-                if let Some(addr) = ctx.ecrecover(digest, &signature)? {
+                if let Some(addr) = ctx.ecrecover(digest, &signature, Some(origin))? {
                     word[0] = 1;
                     word[12..].copy_from_slice(addr.as_bytes());
                 }
@@ -686,27 +691,28 @@ mod tests {
 
         fn recover_hints(
             &self,
-            _origin: Address,
-            _this: Address,
+            origin: Address,
+            this: Address,
             calldata: &[u8],
-        ) -> Vec<(H256, Signature)> {
+        ) -> Vec<(H256, Signature, Option<Address>)> {
             let truth = records(calldata);
             let mut hints = Vec::new();
             for &(digest, signature) in &truth {
-                hints.push((keccak256(digest.as_bytes()), signature));
+                hints.push((keccak256(digest.as_bytes()), signature, None));
                 let mut tampered = signature;
                 tampered.s[31] ^= 1;
-                hints.push((digest, tampered));
+                hints.push((digest, tampered, Some(this)));
             }
             let garbage = Signature {
                 r: [0xFF; 32],
                 s: [0xFF; 32],
                 v: 0,
             };
-            hints.push((H256::ZERO, garbage));
-            hints.push((H256([7; 32]), garbage));
-            hints.extend(truth.iter().skip(1));
-            hints.extend(truth.iter().skip(1));
+            hints.push((H256::ZERO, garbage, Some(origin)));
+            hints.push((H256([7; 32]), garbage, None));
+            for expected in [Some(origin), None] {
+                hints.extend(truth.iter().skip(1).map(|&(d, s)| (d, s, expected)));
+            }
             hints
         }
     }

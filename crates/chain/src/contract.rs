@@ -44,18 +44,20 @@ pub trait Contract: Send + Sync {
         Ok(())
     }
 
-    /// The `(digest, signature)` pairs a top-level call from `origin` to
-    /// this contract at `this` with `calldata` will pass to
-    /// [`CallContext::ecrecover`]. [`crate::BlockMode::Parallel`] recovers
-    /// them across its pool before the block runs. A hint is only ever a
-    /// prediction: the chain recovers each pair itself, so a wrong or
-    /// missing hint costs time, never correctness.
+    /// The `(digest, signature, expected signer)` triples a top-level call
+    /// from `origin` to this contract at `this` with `calldata` will pass
+    /// to [`CallContext::ecrecover`]. [`crate::BlockMode::Parallel`]
+    /// recovers them across its pool before the block runs, checking a
+    /// known expected signer without a full recovery. A hint is only ever
+    /// a prediction: the chain recovers each pair itself and memoizes the
+    /// exact address, so a wrong or missing hint costs time, never
+    /// correctness.
     fn recover_hints(
         &self,
         _origin: Address,
         _this: Address,
         _calldata: &[u8],
-    ) -> Vec<(H256, Signature)> {
+    ) -> Vec<(H256, Signature, Option<Address>)> {
         Vec::new()
     }
 }

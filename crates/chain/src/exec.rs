@@ -54,7 +54,7 @@
 //! semantics are preserved), and a frame failure reverts exactly to the
 //! snapshot taken when its frame was pushed, children included.
 
-use smacs_crypto::{keccak256, recover_address, Signature};
+use smacs_crypto::{keccak256, recover_address, recover_expecting, Signature};
 use smacs_primitives::{Address, Bytes, H256, U256};
 use std::fmt;
 use std::sync::Arc;
@@ -206,17 +206,32 @@ pub struct Executor<'a> {
     /// transaction, constant along the whole call chain.
     pub origin: Address,
     /// `(digest, signature, recovered)` triples computed ahead of execution
-    /// by the block prepass. [`CallContext::ecrecover`] serves a matching
-    /// pair from here instead of recovering it again; every entry was
-    /// computed from its own pair, so a hit returns exactly what a live
-    /// recovery would.
+    /// by the block prepass, through the same hinted recovery
+    /// [`CallContext::ecrecover`] runs. `ecrecover` serves a matching pair
+    /// from here instead of recovering it again; every entry was computed
+    /// from its own pair, and a hint never changes a result, so a hit
+    /// returns exactly what a live recovery would.
     pub(crate) recovered: &'a [Recovery],
     logs: Vec<Log>,
     finished_root: Option<TraceFrame>,
 }
 
-/// One precomputed signature recovery: `(digest, signature, recovered)`.
+/// One precomputed signature recovery: `(digest, signature, recovered)`,
+/// where `recovered` is the exact address `ecrecover` yields for the pair.
 pub(crate) type Recovery = (H256, Signature, Option<Address>);
+
+/// What [`CallContext::ecrecover`] computes for a pair with an optional
+/// signer hint; the block prepass fills its memo through this same call.
+pub(crate) fn recover(
+    digest: &H256,
+    signature: &Signature,
+    expected: Option<Address>,
+) -> Option<Address> {
+    match expected {
+        Some(expected) => recover_expecting(digest, signature, expected),
+        None => recover_address(digest, signature),
+    }
+}
 
 impl<'a> Executor<'a> {
     /// Create an executor for one transaction.
@@ -700,13 +715,17 @@ impl<'e, 'a> CallContext<'e, 'a> {
     }
 
     /// The `ecrecover` precompile: 3000 gas, returns the recovered address
-    /// or `None` for invalid signatures (Solidity's zero address). A pair
-    /// the block prepass already recovered is served from its memo; gas
-    /// and result are the same either way.
+    /// or `None` for invalid signatures (Solidity's zero address).
+    /// `expected` is the signer the caller will compare against, if it has
+    /// one: a hint that lets a known signer be checked without a full
+    /// recovery ([`smacs_crypto::recover_expecting`]). A pair the block
+    /// prepass already recovered is served from its memo. Gas and result
+    /// are the same on every path, whatever the hint.
     pub fn ecrecover(
         &mut self,
         digest: H256,
         signature: &Signature,
+        expected: Option<Address>,
     ) -> Result<Option<Address>, VmError> {
         self.effectful("ecrecover", Effect::Recovered, unpack_recovered, |ctx| {
             ctx.exec.meter.charge(ctx.exec.schedule.ecrecover)?;
@@ -717,7 +736,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
                 .find(|(d, s, _)| *d == digest && s == signature);
             Ok(match memo {
                 Some(&(_, _, recovered)) => recovered,
-                None => recover_address(&digest, signature),
+                None => recover(&digest, signature, expected),
             })
         })
     }
@@ -1073,7 +1092,8 @@ mod tests {
     }
 
     /// Returns what `ecrecover` yields for the `digest ‖ signature` in its
-    /// calldata (after the selector).
+    /// calldata (after the selector), hinting the signer address that
+    /// follows them, if any.
     struct Recoverer;
 
     impl Contract for Recoverer {
@@ -1084,7 +1104,8 @@ mod tests {
             let data = ctx.msg_data_bytes();
             let digest = H256::from_slice(&data[4..36]).unwrap();
             let signature = Signature::from_bytes(&data[36..101]).unwrap();
-            let who = ctx.ecrecover(digest, &signature)?;
+            let expected = data.get(101..121).map(|a| Address::from_slice(a).unwrap());
+            let who = ctx.ecrecover(digest, &signature, expected)?;
             Ok(Bytes::from(
                 who.map_or(Vec::new(), |a| a.as_bytes().to_vec()),
             ))
@@ -1094,7 +1115,8 @@ mod tests {
     /// The memo is consulted on an exact `(digest, signature)` match only,
     /// and a hit is charged like a live recovery. (The chain fills the memo
     /// from the pairs themselves; this test plants a false answer only to
-    /// make a hit observable.)
+    /// make a hit observable.) A signer hint, true or false, changes
+    /// neither the result nor the gas.
     #[test]
     fn ecrecover_serves_exact_memo_hits_at_the_same_gas() {
         let (mut state, mut registry, schedule) = setup();
@@ -1111,7 +1133,7 @@ mod tests {
         let mut other = signature;
         other.s[0] ^= 1;
 
-        let mut run = |memo: &[Recovery]| {
+        let mut run = |memo: &[Recovery], data: &[u8]| {
             let origin = Address::from_low_u64(1);
             let mut executor = Executor::new(
                 &mut state,
@@ -1127,22 +1149,36 @@ mod tests {
                     caller: origin,
                     callee: recoverer,
                     value: 0,
-                    data: Bytes::from(data.clone()),
+                    data: Bytes::from(data.to_vec()),
                 })
                 .unwrap();
             (out, executor.meter.used())
         };
-        let (live, live_gas) = run(&[]);
+        let (live, live_gas) = run(&[], &data);
         assert_eq!(live.as_slice(), signer.address().as_bytes());
-        let (hit, hit_gas) = run(&[(digest, signature, Some(planted))]);
+        let (hit, hit_gas) = run(&[(digest, signature, Some(planted))], &data);
         assert_eq!(hit.as_slice(), planted.as_bytes());
         assert_eq!(hit_gas, live_gas);
         let near_misses = [
             (digest, other, Some(planted)),
             (keccak256(b"other"), signature, Some(planted)),
         ];
-        let (miss, _) = run(&near_misses);
+        let (miss, _) = run(&near_misses, &data);
         assert_eq!(miss.as_slice(), signer.address().as_bytes());
+
+        // Hinted: the true signer (twice, so its key is learned and then
+        // checked without recovering) and a false one, on a valid and a
+        // forged signature.
+        let forged_data = [&data[..36], &other.to_bytes()[..]].concat();
+        let forged = recover_address(&digest, &other).expect("a key");
+        for hint in [signer.address(), signer.address(), planted] {
+            for (body, want) in [(&data, signer.address()), (&forged_data, forged)] {
+                let hinted = [&body[..], hint.as_bytes()].concat();
+                let (out, gas) = run(&[], &hinted);
+                assert_eq!(out.as_slice(), want.as_bytes(), "hint {hint}");
+                assert_eq!(gas, live_gas, "hint {hint}");
+            }
+        }
     }
 
     #[test]

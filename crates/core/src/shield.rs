@@ -99,9 +99,9 @@ impl Contract for SmacsShield {
         origin: Address,
         this: Address,
         calldata: &[u8],
-    ) -> Vec<(H256, Signature)> {
+    ) -> Vec<(H256, Signature, Option<Address>)> {
         // Alg. 1's one recovery: the TS signature on this contract's token,
-        // over the digest `verify_incoming` will rebuild.
+        // over the digest `verify_incoming` will rebuild, expecting pk_TS.
         let Ok((payload, tokens)) = split_tokens(calldata) else {
             return Vec::new();
         };
@@ -109,7 +109,7 @@ impl Contract for SmacsShield {
             return Vec::new();
         };
         let data = token_signing_payload(token, origin, this, calldata, payload);
-        vec![(keccak256(&data), token.signature)]
+        vec![(keccak256(&data), token.signature, Some(self.ts_address))]
     }
 }
 
@@ -171,15 +171,16 @@ mod tests {
             let calldata = build_call_data(&payload, contract, token);
             let hints = shield.recover_hints(sender, contract, &calldata);
             assert_eq!(hints.len(), 1, "{request:?}");
-            let (digest, signature) = hints[0];
+            let (digest, signature, expected) = hints[0];
             assert_eq!(signature, token.signature);
+            assert_eq!(expected, Some(ts.ts_address()));
             assert_eq!(
                 recover_address(&digest, &signature),
                 Some(ts.ts_address()),
                 "{request:?}"
             );
             // The digest binds `tx.origin`: another sender's hint misses.
-            let (foreign, _) = shield.recover_hints(contract, contract, &calldata)[0];
+            let (foreign, _, _) = shield.recover_hints(contract, contract, &calldata)[0];
             assert_ne!(recover_address(&foreign, &signature), Some(ts.ts_address()));
 
             // No token array, or only a token for another contract: no hint.

@@ -136,8 +136,12 @@ fn verify_token_inner(
     let digest = ctx.keccak(&signing_payload)?;
 
     // SigVerify_pkTS: ecrecover + compare against the stored TS address.
-    let recovered = ctx.ecrecover(digest, &token.signature)?;
+    // The address is read first so that `ecrecover` can be told whom to
+    // expect: a known pk_TS is then checked without recovering it. The
+    // result and both charges, all inside the `verify` section, are the
+    // same in either order.
     let stored = layout::word_to_address(ctx.sload(layout::ts_address_slot())?);
+    let recovered = ctx.ecrecover(digest, &token.signature, Some(stored))?;
     match recovered {
         Some(addr) if addr == stored && !stored.is_zero() => Ok(()),
         _ => ctx.revert("SMACS: invalid token signature"),

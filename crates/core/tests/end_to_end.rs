@@ -598,3 +598,122 @@ fn value_transfers_pass_through_fallback() {
     assert!(r.status.is_success());
     assert_eq!(s.chain.state().balance(s.vault), before + 1_000);
 }
+
+#[test]
+fn shield_verdicts_and_gas_are_unchanged_once_pk_ts_is_known() {
+    use smacs_crypto::secp256k1 as curve;
+    use smacs_crypto::Signature;
+
+    let mut s = setup();
+    let payload = abi::encode_call("get()", &[]);
+    let method_ctx = |s: &Setup| PayloadContext {
+        selector: Some(abi::selector("get()")),
+        ..super_ctx(s)
+    };
+    let high_s = |sig: Signature| Signature {
+        s: curve::to_be_bytes(&curve::sub_mod(
+            &[0; 4],
+            &curve::from_be_bytes(&sig.s),
+            &curve::N,
+        )),
+        v: 55 - sig.v,
+        ..sig
+    };
+    // A read-only method, and a token whose high-s twin has as many zero
+    // bytes as it: every accepted call then costs exactly the same gas.
+    let zeros = |sig: &Signature| sig.s.iter().filter(|&&b| b == 0).count();
+    let tk = (0..)
+        .map(|k| {
+            let expire = far_future(&s.chain) + k;
+            issue(
+                &s.toolkit,
+                TokenType::Method,
+                expire,
+                NO_INDEX,
+                &method_ctx(&s),
+            )
+        })
+        .find(|tk| zeros(&tk.signature) == zeros(&high_s(tk.signature)))
+        .unwrap();
+    let call = |s: &mut Setup, token: Token| {
+        s.client
+            .call_with_token(&mut s.chain, s.vault, 0, &payload, token)
+            .unwrap()
+    };
+
+    // The first call learns pk_TS (if no earlier test in this process did).
+    let first = call(&mut s, tk);
+    assert!(first.status.is_success(), "{:?}", first.status);
+
+    let twin = Token {
+        signature: high_s(tk.signature),
+        ..tk
+    };
+    for (what, token) in [("the same token", tk), ("its high-s twin", twin)] {
+        let r = call(&mut s, token);
+        assert!(r.status.is_success(), "{what}: {:?}", r.status);
+        assert_eq!(r.gas_used, first.gas_used, "{what}");
+    }
+
+    let attacker = s.chain.funded_keypair(668, 10u128.pow(24));
+    let mallory = OwnerToolkit::new(Keypair::from_seed(31337), Keypair::from_seed(31338));
+    let with_sig = |edit: &dyn Fn(&mut Signature)| {
+        let mut token = tk;
+        edit(&mut token.signature);
+        token
+    };
+    let refused = [
+        ("v flipped", with_sig(&|sig| sig.v = 55 - sig.v)),
+        (
+            "another key",
+            issue(
+                &mallory,
+                TokenType::Method,
+                tk.expire,
+                NO_INDEX,
+                &method_ctx(&s),
+            ),
+        ),
+        (
+            "another sender",
+            issue(
+                &s.toolkit,
+                TokenType::Method,
+                tk.expire,
+                NO_INDEX,
+                &PayloadContext {
+                    sender: attacker.address(),
+                    ..method_ctx(&s)
+                },
+            ),
+        ),
+        (
+            "another contract",
+            issue(
+                &s.toolkit,
+                TokenType::Method,
+                tk.expire,
+                NO_INDEX,
+                &PayloadContext {
+                    contract: Address::from_low_u64(0xDEAD),
+                    ..method_ctx(&s)
+                },
+            ),
+        ),
+        ("r = 0", with_sig(&|sig| sig.r = [0; 32])),
+        ("s = 0", with_sig(&|sig| sig.s = [0; 32])),
+        (
+            "r = n",
+            with_sig(&|sig| sig.r = curve::to_be_bytes(&curve::N)),
+        ),
+        ("r > n", with_sig(&|sig| sig.r = [0xFF; 32])),
+    ];
+    for (what, token) in refused {
+        let r = call(&mut s, token);
+        assert_eq!(
+            r.revert_reason(),
+            Some("SMACS: invalid token signature"),
+            "{what}"
+        );
+    }
+}

@@ -10,7 +10,9 @@
 //! RFC 6979's HMAC-SHA256 (same determinism property, different bytes).
 
 use smacs_primitives::{Address, H256};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use crate::keccak256;
 use crate::secp256k1 as curve;
@@ -220,25 +222,105 @@ impl fmt::Debug for Keypair {
     }
 }
 
+/// The `ecrecover` inputs as scalars `[z, r, s]`, or `None` for a `v`
+/// other than 27 or 28.
+fn scalars(digest: &H256, signature: &Signature) -> Option<[curve::U256L; 3]> {
+    if signature.v != 27 && signature.v != 28 {
+        return None;
+    }
+    Some([
+        curve::reduce_bytes(&digest.0, &curve::N),
+        curve::from_be_bytes(&signature.r),
+        curve::from_be_bytes(&signature.s),
+    ])
+}
+
 /// `ecrecover`: recover the signer's address from a digest and a recoverable
 /// signature. Returns `None` for invalid signatures — the caller treats that
 /// as a failed verification, exactly like Solidity's `ecrecover` returning
 /// the zero address.
 pub fn recover_address(digest: &H256, signature: &Signature) -> Option<Address> {
-    if signature.v != 27 && signature.v != 28 {
-        return None;
-    }
-    let z = curve::reduce_bytes(&digest.0, &curve::N);
-    let r = curve::from_be_bytes(&signature.r);
-    let s = curve::from_be_bytes(&signature.s);
+    let [z, r, s] = scalars(digest, signature)?;
     let point = curve::recover(&z, &r, &s, signature.v == 28)?;
     Some(PublicKey::from_affine(&point).address())
+}
+
+/// [`recover_address`] for a caller that expects one signer — Alg. 1's
+/// `SigVerify_pkTS`, where the shield knows the TS address. Always returns
+/// exactly `recover_address(digest, signature)`; only the cost differs.
+///
+/// Once a full recovery has produced `expected`'s key, its comb is kept
+/// and later signatures are checked against it with
+/// `secp256k1::verify_known` (≈ 0.6× a recovery). A failed check, or a
+/// signer never seen, takes the full recovery.
+pub fn recover_expecting(
+    digest: &H256,
+    signature: &Signature,
+    expected: Address,
+) -> Option<Address> {
+    static KNOWN: OnceLock<KnownSigners> = OnceLock::new();
+    KNOWN
+        .get_or_init(KnownSigners::default)
+        .recover_expecting(digest, signature, expected)
 }
 
 /// Verify that `signature` over `digest` was produced by the holder of
 /// `expected` — the contract-side `SigVerify_pk(·)` of Alg. 1.
 pub fn verify_with_address(digest: &H256, signature: &Signature, expected: Address) -> bool {
-    recover_address(digest, signature) == Some(expected)
+    recover_expecting(digest, signature, expected) == Some(expected)
+}
+
+/// Learned combs of at most this many signers (≈ 61 KB each) per process.
+/// Past the cap, new signers simply stay on the full recovery.
+const KNOWN_SIGNERS_CAP: usize = 16;
+
+/// The process-wide cache behind [`recover_expecting`]: signer address →
+/// the comb of its public key. It holds only public data, but the curve
+/// code is not constant-time (see [`crate::secp256k1`]): like everything
+/// in this simulator, it is not for production key material.
+#[derive(Default)]
+struct KnownSigners {
+    combs: RwLock<HashMap<Address, Arc<curve::Comb>>>,
+}
+
+impl KnownSigners {
+    fn recover_expecting(
+        &self,
+        digest: &H256,
+        signature: &Signature,
+        expected: Address,
+    ) -> Option<Address> {
+        let [z, r, s] = scalars(digest, signature)?;
+        let y_odd = signature.v == 28;
+        let comb = self.read().get(&expected).cloned();
+        if let Some(comb) = &comb {
+            if curve::verify_known(&z, &r, &s, y_odd, comb) {
+                return Some(expected);
+            }
+        }
+        let point = curve::recover(&z, &r, &s, y_odd)?;
+        let address = PublicKey::from_affine(&point).address();
+        if address == expected && comb.is_none() && self.read().len() < KNOWN_SIGNERS_CAP {
+            // Build outside the lock; a racing thread's copy is identical.
+            let comb = Arc::new(curve::Comb::new(&point));
+            let mut combs = self.combs.write().unwrap_or_else(PoisonError::into_inner);
+            if combs.len() < KNOWN_SIGNERS_CAP {
+                combs.entry(address).or_insert(comb);
+            }
+        }
+        Some(address)
+    }
+
+    // Every update is one insert of a finished comb, so a map poisoned by a
+    // panicking writer is still valid.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<Address, Arc<curve::Comb>>> {
+        self.combs.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.read().len()
+    }
 }
 
 #[cfg(test)]
@@ -337,6 +419,185 @@ mod tests {
     #[test]
     fn zero_secret_rejected() {
         assert!(Keypair::from_secret_bytes(&[0u8; 32]).is_none());
+    }
+
+    // ---- known-signer verification ----
+
+    /// Cases of the differential; a debug build runs 300.
+    const CASES: usize = if cfg!(debug_assertions) { 300 } else { 10_000 };
+
+    /// Seeded pseudo-random 256-bit value, below `2^252`.
+    fn small_random(i: usize, salt: u8) -> curve::U256L {
+        let mut v = curve::from_be_bytes(&crate::keccak256_concat(&[&i.to_be_bytes(), &[salt]]).0);
+        v[3] >>= 4;
+        v
+    }
+
+    /// A cache that has learned every key in `keys`.
+    fn learned(keys: impl IntoIterator<Item = Keypair>) -> KnownSigners {
+        let cache = KnownSigners::default();
+        for kp in keys {
+            let digest = keccak256(kp.address().as_bytes());
+            let sig = kp.sign_digest(&digest);
+            let got = cache.recover_expecting(&digest, &sig, kp.address());
+            assert_eq!(got, Some(kp.address()));
+        }
+        cache
+    }
+
+    /// Case `i` of the differential: a digest, a signature and the signer
+    /// expected, honest or hostile by `i % 13`. The expected signer is
+    /// always one of `signers`.
+    fn case(i: usize, signers: &[Keypair], stranger: &Keypair) -> (H256, Signature, Address) {
+        let kp = &signers[i % signers.len()];
+        let mut digest = keccak256(&i.to_be_bytes());
+        let mut sig = kp.sign_digest(&digest);
+        let mut expected = kp.address();
+        let beyond_n = |salt| {
+            let v = small_random(i, salt);
+            curve::to_be_bytes(&[
+                curve::N[0] + (v[0] >> 4),
+                curve::N[1],
+                curve::N[2],
+                curve::N[3],
+            ])
+        };
+        match i % 13 {
+            0 => {}
+            1 => sig.v = 55 - sig.v,
+            2 => sig = stranger.sign_digest(&digest),
+            3 => expected = signers[(i + 1) % signers.len()].address(),
+            4 => {
+                // The high-s twin: Ethereum's precompile accepts it.
+                let s = curve::from_be_bytes(&sig.s);
+                sig.s = curve::to_be_bytes(&curve::sub_mod(&curve::ZERO, &s, &curve::N));
+                sig.v = 55 - sig.v;
+            }
+            5 => sig.r = beyond_n(5),
+            6 => sig.s = beyond_n(6),
+            7 => {
+                let mut x = small_random(i, 7);
+                while curve::Affine::lift_x(&x, false).is_some() {
+                    x[0] = x[0].wrapping_add(1);
+                }
+                sig.r = curve::to_be_bytes(&x);
+            }
+            8 => sig.s = [0; 32],
+            9 => sig.r = [0; 32],
+            10 => {
+                // z ≡ −r·d (mod n): R = s⁻¹·(z + r·d)·G is infinite.
+                let r = curve::from_be_bytes(&sig.r);
+                let rd = curve::mul_mod(&r, &kp.secret, &curve::N, &curve::C_N);
+                digest = H256(curve::to_be_bytes(&curve::sub_mod(
+                    &curve::ZERO,
+                    &rd,
+                    &curve::N,
+                )));
+            }
+            11 => digest = keccak256(digest.as_bytes()),
+            _ => {
+                sig.r = curve::to_be_bytes(&small_random(i, 12));
+                sig.s = curve::to_be_bytes(&small_random(i, 13));
+            }
+        }
+        (digest, sig, expected)
+    }
+
+    /// `recover_expecting` answers exactly `recover_address`, for expected
+    /// signers whose comb is learned and for the same signers in a cache
+    /// too full to learn them; and the comb check itself accepts exactly
+    /// the signatures that recover to the expected key.
+    #[test]
+    fn recover_expecting_matches_recover_address() {
+        let signers: Vec<Keypair> = (1..=3).map(Keypair::from_seed).collect();
+        let stranger = Keypair::from_seed(4);
+        let warm = learned(signers.clone());
+        let full = learned((100..100 + KNOWN_SIGNERS_CAP as u64).map(Keypair::from_seed));
+        let mut accepted = 0;
+        for i in 0..CASES {
+            let (digest, sig, expected) = case(i, &signers, &stranger);
+            let want = recover_address(&digest, &sig);
+            assert_eq!(
+                warm.recover_expecting(&digest, &sig, expected),
+                want,
+                "case {i}"
+            );
+            assert_eq!(
+                full.recover_expecting(&digest, &sig, expected),
+                want,
+                "case {i}"
+            );
+            if let Some([z, r, s]) = scalars(&digest, &sig) {
+                let comb = warm.read()[&expected].clone();
+                let fast = curve::verify_known(&z, &r, &s, sig.v == 28, &comb);
+                assert_eq!(fast, want == Some(expected), "case {i}");
+                accepted += fast as usize;
+            }
+        }
+        assert!(accepted >= CASES * 2 / 13, "{accepted}");
+        assert_eq!(warm.len(), signers.len());
+        assert!(!full.read().contains_key(&signers[0].address()));
+    }
+
+    /// Past the cap a cache stops learning; the next signer still verifies
+    /// and is still refused through the full recovery.
+    #[test]
+    fn known_signers_stay_bounded_and_exact() {
+        let keys: Vec<Keypair> = (200..=200 + KNOWN_SIGNERS_CAP as u64)
+            .map(Keypair::from_seed)
+            .collect();
+        let cache = KnownSigners::default();
+        for (i, kp) in keys.iter().enumerate() {
+            let digest = keccak256(&[i as u8]);
+            let sig = kp.sign_digest(&digest);
+            let got = cache.recover_expecting(&digest, &sig, kp.address());
+            assert_eq!(got, Some(kp.address()));
+            assert_eq!(cache.len(), (i + 1).min(KNOWN_SIGNERS_CAP));
+        }
+        let last = &keys[KNOWN_SIGNERS_CAP];
+        assert!(!cache.read().contains_key(&last.address()));
+        let digest = keccak256(b"past the cap");
+        let good = last.sign_digest(&digest);
+        assert_eq!(
+            cache.recover_expecting(&digest, &good, last.address()),
+            Some(last.address())
+        );
+        let flipped = Signature {
+            v: 55 - good.v,
+            ..good
+        };
+        for bad in [flipped, keys[0].sign_digest(&digest)] {
+            let got = cache.recover_expecting(&digest, &bad, last.address());
+            assert_eq!(got, recover_address(&digest, &bad));
+            assert_ne!(got, Some(last.address()));
+        }
+        assert_eq!(cache.len(), KNOWN_SIGNERS_CAP);
+    }
+
+    /// Eight threads meet one fresh signer at once, some with forged
+    /// signatures: every answer is `recover_address`'s, and one comb is
+    /// kept.
+    #[test]
+    fn racing_first_verifications_agree_with_recover_address() {
+        let cache = KnownSigners::default();
+        let kp = Keypair::from_seed(300);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u8 {
+                let (cache, kp, barrier) = (&cache, &kp, &barrier);
+                scope.spawn(move || {
+                    let digest = keccak256(&[t]);
+                    let mut sig = kp.sign_digest(&digest);
+                    if t % 4 == 3 {
+                        sig.s[31] ^= 1;
+                    }
+                    barrier.wait();
+                    let got = cache.recover_expecting(&digest, &sig, kp.address());
+                    assert_eq!(got, recover_address(&digest, &sig), "thread {t}");
+                });
+            }
+        });
+        assert_eq!(cache.len(), 1);
     }
 
     proptest! {

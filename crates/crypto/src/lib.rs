@@ -11,13 +11,18 @@
 //! - [`Signature`] — the 65-byte `(r ‖ s ‖ v)` recoverable signature layout
 //!   the paper's 86-byte token embeds (Fig. 3);
 //! - [`recover_address`] — the `ecrecover` primitive contracts use for
-//!   signature verification (Alg. 1's `SigVerify`).
+//!   signature verification;
+//! - [`recover_expecting`] — the same answer for a caller that knows whom
+//!   to expect: Alg. 1's `SigVerify_pkTS`, checked against the stored
+//!   `pk_TS` without recovering it.
 
 pub mod ecdsa;
 pub mod keccak;
 pub mod secp256k1;
 
-pub use ecdsa::{recover_address, Keypair, PublicKey, Signature, SignatureError};
+pub use ecdsa::{
+    recover_address, recover_expecting, Keypair, PublicKey, Signature, SignatureError,
+};
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
 
 #[cfg(test)]

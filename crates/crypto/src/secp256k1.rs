@@ -23,13 +23,18 @@
 //!   exponentiation left is `fsqrt`'s fixed addition chain.
 //!
 //! With `M` = `fmul` and `S` = `fsqr`, `double` is 3M + 4S, `add_affine`
-//! 8M + 3S and `add` 12M + 4S, and the two entry points cost:
+//! 8M + 3S and `add` 12M + 4S, and the three entry points cost:
 //!
 //! - `sign`: `mul_g` (≤ 64 mixed additions from a comb table, no
 //!   doublings), one `to_affine` inversion and `k⁻¹`.
 //! - `recover`: one `fsqrt` (254S + 13M), `r⁻¹`, one `double_mul`
 //!   (~128 doublings, ~28 mixed and ~50 general additions, see there) and
 //!   one `to_affine` inversion.
+//! - `verify_known`: whether a signature recovers to a key whose `Comb`
+//!   is at hand. `s⁻¹`, ≤ 128 mixed additions over `G`'s comb and the
+//!   key's, and one `to_affine` inversion: about 0.6× a `recover`.
+//!
+//! `G` and every known key share one comb type (`Comb`) and one walk.
 
 /// 256-bit value as little-endian 64-bit limbs.
 pub type U256L = [u64; 4];
@@ -50,7 +55,7 @@ pub const N: U256L = [
     0xFFFF_FFFF_FFFF_FFFE,
     0xFFFF_FFFF_FFFF_FFFF,
 ];
-const C_N: U256L = [0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0];
+pub(crate) const C_N: U256L = [0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0];
 
 /// Generator x-coordinate.
 const GX: U256L = [
@@ -791,24 +796,28 @@ fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
     acc
 }
 
-// ---- fixed-base generator multiplication ----
+// ---- fixed-base combs ----
 //
 // Every ECDSA sign and every key derivation multiplies the *generator* by
-// a scalar (`recover` does not come here: its generator part rides on
-// `double_mul`'s doubling chain). A one-time table of `j·16^i·G` (i < 64
-// windows, j in 1..=15) turns that from 256 doubles + ~128 general adds
-// into at most 64 mixed additions. The table is ~60 KB, built lazily on
-// first use (under a millisecond, amortized forever).
+// a scalar, and `verify_known` multiplies both `G` and a known public key
+// (`recover` does not come here: its generator part rides on
+// `double_mul`'s doubling chain). A one-time table of `j·16^i·B` (i < 64
+// windows, j in 1..=15) turns `k·B` from 256 doubles + ~128 general adds
+// into at most 64 mixed additions. A table is ~60 KB; `G`'s is built
+// lazily on first use (under a millisecond, amortized forever).
 
 const FB_WINDOWS: usize = 64; // 256 bits / 4-bit windows
 const FB_ENTRIES: usize = 15; // non-zero digits per window
 
-fn fb_table() -> &'static [Affine] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<Vec<Affine>> = OnceLock::new();
-    TABLE.get_or_init(|| {
+/// A fixed-base comb: the affine multiples `j·16^i·B` of one base point.
+pub(crate) struct Comb(Vec<Affine>);
+
+impl Comb {
+    /// Build the comb of a finite point: 960 general additions and one
+    /// batched inversion.
+    pub(crate) fn new(base: &Affine) -> Comb {
         let mut jac = Vec::with_capacity(FB_WINDOWS * FB_ENTRIES);
-        let mut base = Point::generator();
+        let mut base = Point::from_affine(base);
         for _ in 0..FB_WINDOWS {
             let mut cur = base;
             for _ in 0..FB_ENTRIES {
@@ -817,8 +826,26 @@ fn fb_table() -> &'static [Affine] {
             }
             base = cur; // 16·(previous base)
         }
-        batch_to_affine(&jac)
-    })
+        Comb(batch_to_affine(&jac))
+    }
+
+    /// `acc + k·B`: ≤ 64 mixed additions (60 on average, 8M + 3S each),
+    /// no doublings.
+    fn mul_add(&self, k: &U256L, mut acc: Point) -> Point {
+        for w in 0..FB_WINDOWS {
+            let digit = ((k[w / 16] >> ((w % 16) * 4)) & 0xF) as usize;
+            if digit != 0 {
+                acc = acc.add_affine(&self.0[w * FB_ENTRIES + digit - 1]);
+            }
+        }
+        acc
+    }
+}
+
+fn g_comb() -> &'static Comb {
+    use std::sync::OnceLock;
+    static COMB: OnceLock<Comb> = OnceLock::new();
+    COMB.get_or_init(|| Comb::new(&Affine { x: GX, y: GY }))
 }
 
 /// Normalize many Jacobian points with one field inversion (Montgomery's
@@ -844,18 +871,9 @@ fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
     out
 }
 
-/// `k·G` via the fixed-base window table: ≤ 64 mixed additions (60 on
-/// average, 8M + 3S each), no doublings.
+/// `k·G` via the generator's comb.
 pub fn mul_g(k: &U256L) -> Point {
-    let table = fb_table();
-    let mut acc = Point::INFINITY;
-    for w in 0..FB_WINDOWS {
-        let digit = ((k[w / 16] >> ((w % 16) * 4)) & 0xF) as usize;
-        if digit != 0 {
-            acc = acc.add_affine(&table[w * FB_ENTRIES + digit - 1]);
-        }
-    }
-    acc
+    g_comb().mul_add(k, Point::INFINITY)
 }
 
 impl Affine {
@@ -998,6 +1016,25 @@ pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
     let u1 = nmul(&sub_mod(&ZERO, z, &N), &rinv);
     let u2 = nmul(s, &rinv);
     double_mul(&u1, &Point::from_affine(&rp), &u2).to_affine()
+}
+
+/// Whether `recover(z, r, s, y_odd)` is the key `Q` whose comb is `q`,
+/// without recovering: that holds exactly when `R = (z·s⁻¹)·G + (r·s⁻¹)·Q`
+/// is finite with x-coordinate `r` and y-parity `y_odd`. `recover` lifts
+/// the unique point `R₀` with that x-coordinate and parity and returns
+/// `r⁻¹·(s·R₀ − z·G)`, which is `Q` iff `R₀ = R`. Same range checks as
+/// `recover`.
+///
+/// Costs `s⁻¹`, two comb walks into one accumulator (≤ 128 mixed
+/// additions) and one `to_affine` inversion: no square root, no doubling.
+pub(crate) fn verify_known(z: &U256L, r: &U256L, s: &U256L, y_odd: bool, q: &Comb) -> bool {
+    if !scalar_is_valid(r) || !scalar_is_valid(s) {
+        return false;
+    }
+    let sinv = inv_mod(s, &N);
+    let acc = q.mul_add(&nmul(r, &sinv), mul_g(&nmul(z, &sinv)));
+    acc.to_affine()
+        .is_some_and(|p| p.x == *r && (p.y[0] & 1 == 1) == y_odd)
 }
 
 #[cfg(test)]

@@ -114,7 +114,7 @@ impl TokenArray {
 
     /// Parse `count` entries from `bytes`.
     pub fn from_bytes(bytes: &[u8], count: usize) -> Result<TokenArray, TokenArrayError> {
-        if bytes.len() != count * ENTRY_SIZE {
+        if bytes.len() != array_len(count)? {
             return Err(TokenArrayError::Truncated);
         }
         let mut entries = Vec::with_capacity(count);
@@ -125,6 +125,14 @@ impl TokenArray {
         }
         Ok(TokenArray { entries })
     }
+}
+
+/// The byte length of `count` entries; a count no calldata could hold
+/// (the product overflows) is `Truncated`.
+fn array_len(count: usize) -> Result<usize, TokenArrayError> {
+    count
+        .checked_mul(ENTRY_SIZE)
+        .ok_or(TokenArrayError::Truncated)
 }
 
 /// Embed a token array into calldata:
@@ -145,9 +153,7 @@ pub fn split_tokens(data: &[u8]) -> Result<(&[u8], TokenArray), TokenArrayError>
     }
     let (rest, count_bytes) = data.split_at(data.len() - 4);
     let count = u32::from_be_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
-    let array_len = count
-        .checked_mul(ENTRY_SIZE)
-        .ok_or(TokenArrayError::Truncated)?;
+    let array_len = array_len(count)?;
     if rest.len() < array_len {
         return Err(TokenArrayError::Truncated);
     }
@@ -216,6 +222,16 @@ mod tests {
         // Huge count must not overflow.
         let data = vec![0xff; 8];
         assert!(split_tokens(&data).is_err());
+    }
+
+    #[test]
+    fn from_bytes_refuses_counts_whose_length_overflows() {
+        for count in [1 << 63, usize::MAX] {
+            assert_eq!(
+                TokenArray::from_bytes(&[], count),
+                Err(TokenArrayError::Truncated)
+            );
+        }
     }
 
     #[test]
