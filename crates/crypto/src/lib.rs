@@ -8,6 +8,9 @@
 //!   selectors, transaction ids, signing digests);
 //! - [`Keypair`] — a secp256k1 private/public key pair with the standard
 //!   Ethereum address derivation (last 20 bytes of `keccak256(pubkey)`);
+//!   [`Keypair::sign_digests`] signs a batch with one field and one scalar
+//!   inversion per nonce round, byte-identical to signing each digest
+//!   alone — how the TS signs an `issue_batch` chunk;
 //! - [`Signature`] — the 65-byte `(r ‖ s ‖ v)` recoverable signature layout
 //!   the paper's 86-byte token embeds (Fig. 3);
 //! - [`recover_address`] — the `ecrecover` primitive contracts use for

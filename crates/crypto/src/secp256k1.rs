@@ -19,22 +19,30 @@
 //! - The scalar field `n` has a 129-bit `c` and keeps the generic
 //!   `mul_mod` / `reduce_wide`; they run a handful of times per signature
 //!   (`u1`, `u2`, `s`, the GLV split).
-//! - Both share one inverse, the binary extended GCD `inv_mod`. The only
+//! - Both share one inverse, the binary extended GCD `inv_mod`, and one
+//!   batched form of it, `batch_inv` (Montgomery's trick). The only
 //!   exponentiation left is `fsqrt`'s fixed addition chain.
 //!
 //! With `M` = `fmul` and `S` = `fsqr`, `double` is 3M + 4S, `add_affine`
 //! 8M + 3S and `add` 12M + 4S, and the three entry points cost:
 //!
-//! - `sign`: `mul_g` (≤ 64 mixed additions from a comb table, no
-//!   doublings), one `to_affine` inversion and `k⁻¹`.
+//! - `sign_batch` (and `sign`, its one-item case): per signature one
+//!   `mul_g` (≤ 32 mixed additions from `G`'s 8-bit comb, no doublings);
+//!   per batch one field inversion (`batch_to_affine` of every `k·G`) and
+//!   one scalar inversion (every `k⁻¹`), plus 3 products per item for
+//!   each.
 //! - `recover`: one `fsqrt` (254S + 13M), `r⁻¹`, one `double_mul`
 //!   (~128 doublings, ~28 mixed and ~50 general additions, see there) and
 //!   one `to_affine` inversion.
 //! - `verify_known`: whether a signature recovers to a key whose `Comb`
-//!   is at hand. `s⁻¹`, ≤ 128 mixed additions over `G`'s comb and the
-//!   key's, and one `to_affine` inversion: about 0.6× a `recover`.
+//!   is at hand. `s⁻¹`, ≤ 32 + 64 mixed additions over `G`'s comb and the
+//!   key's, and one `to_affine` inversion.
 //!
-//! `G` and every known key share one comb type (`Comb`) and one walk.
+//! `G` and every known key share one comb type (`Comb`) and one walk, at
+//! two widths: `G`'s 8-bit comb (≈ 510 KB, built once per process on the
+//! first `mul_g`, ≈ 5 ms) and the 4-bit `KeyComb` of a learned key
+//! (≈ 61 KB, ≈ 0.5 ms). Learned keys stay at 4 bits because an 8-bit
+//! comb per key would cost 8 MB at the known-signer cap of 16.
 
 /// 256-bit value as little-endian 64-bit limbs.
 pub type U256L = [u64; 4];
@@ -801,74 +809,105 @@ fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
 // Every ECDSA sign and every key derivation multiplies the *generator* by
 // a scalar, and `verify_known` multiplies both `G` and a known public key
 // (`recover` does not come here: its generator part rides on
-// `double_mul`'s doubling chain). A one-time table of `j·16^i·B` (i < 64
-// windows, j in 1..=15) turns `k·B` from 256 doubles + ~128 general adds
-// into at most 64 mixed additions. A table is ~60 KB; `G`'s is built
-// lazily on first use (under a millisecond, amortized forever).
+// `double_mul`'s doubling chain). A one-time table of `j·2^(W·i)·B`
+// (`256/W` windows `i` of `W` bits, digits `j` in `1..2^W`) turns `k·B`
+// from 256 doubles + ~128 general adds into at most `256/W` mixed
+// additions. `G`'s table is 8 bits wide (≈ 510 KB, built lazily on the
+// first `mul_g` in ≈ 5 ms, amortized forever); a learned key's is 4 bits
+// wide (≈ 61 KB, ≈ 0.5 ms), see `KeyComb`.
 
-const FB_WINDOWS: usize = 64; // 256 bits / 4-bit windows
-const FB_ENTRIES: usize = 15; // non-zero digits per window
+/// A fixed-base comb `W` bits wide (`W` divides 64, so a digit never
+/// straddles two limbs): the affine multiples `j·2^(W·i)·B` of one base
+/// point.
+pub(crate) struct Comb<const W: usize>(Vec<Affine>);
 
-/// A fixed-base comb: the affine multiples `j·16^i·B` of one base point.
-pub(crate) struct Comb(Vec<Affine>);
+/// The comb of a learned public key. 4 bits, not `G`'s 8: an 8-bit comb
+/// is 510 KB per key, 8 MB at the known-signer cap of 16.
+pub(crate) type KeyComb = Comb<4>;
 
-impl Comb {
-    /// Build the comb of a finite point: 960 general additions and one
-    /// batched inversion.
-    pub(crate) fn new(base: &Affine) -> Comb {
-        let mut jac = Vec::with_capacity(FB_WINDOWS * FB_ENTRIES);
+impl<const W: usize> Comb<W> {
+    const WINDOWS: usize = {
+        assert!(64 % W == 0 && W <= 8);
+        256 / W
+    };
+    /// Non-zero digits per window.
+    const ENTRIES: usize = (1 << W) - 1;
+
+    /// Build the comb of a finite point: `256/W · (2^W − 1)` general
+    /// additions, normalized ~256 points per inversion so that no Jacobian
+    /// scratch array the size of the table (≈ 780 KB at 8 bits) is live.
+    pub(crate) fn new(base: &Affine) -> Self {
+        let mut table = Vec::with_capacity(Self::WINDOWS * Self::ENTRIES);
+        let mut jac = Vec::with_capacity(256);
         let mut base = Point::from_affine(base);
-        for _ in 0..FB_WINDOWS {
+        for w in 0..Self::WINDOWS {
             let mut cur = base;
-            for _ in 0..FB_ENTRIES {
+            for _ in 0..Self::ENTRIES {
                 jac.push(cur);
                 cur = cur.add(&base);
             }
-            base = cur; // 16·(previous base)
+            base = cur; // 2^W·(previous base)
+            if jac.len() >= 240 || w + 1 == Self::WINDOWS {
+                table.extend(batch_to_affine(&jac));
+                jac.clear();
+            }
         }
-        Comb(batch_to_affine(&jac))
+        Comb(table)
     }
 
-    /// `acc + k·B`: ≤ 64 mixed additions (60 on average, 8M + 3S each),
-    /// no doublings.
+    /// `acc + k·B`: ≤ `256/W` mixed additions (8M + 3S each), no
+    /// doublings.
     fn mul_add(&self, k: &U256L, mut acc: Point) -> Point {
-        for w in 0..FB_WINDOWS {
-            let digit = ((k[w / 16] >> ((w % 16) * 4)) & 0xF) as usize;
+        for w in 0..Self::WINDOWS {
+            let digit = ((k[w * W / 64] >> (w * W % 64)) as usize) & Self::ENTRIES;
             if digit != 0 {
-                acc = acc.add_affine(&self.0[w * FB_ENTRIES + digit - 1]);
+                acc = acc.add_affine(&self.0[w * Self::ENTRIES + digit - 1]);
             }
         }
         acc
     }
 }
 
-fn g_comb() -> &'static Comb {
+fn g_comb() -> &'static Comb<8> {
     use std::sync::OnceLock;
-    static COMB: OnceLock<Comb> = OnceLock::new();
+    static COMB: OnceLock<Comb<8>> = OnceLock::new();
     COMB.get_or_init(|| Comb::new(&Affine { x: GX, y: GY }))
 }
 
-/// Normalize many Jacobian points with one field inversion (Montgomery's
-/// trick). All inputs must be finite.
-fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
-    let mut prefix = Vec::with_capacity(points.len());
+/// Replace every element of `values` by its inverse modulo the odd prime
+/// `m`, with one `inv_mod` and 3 `mul` products per element (Montgomery's
+/// trick). Every element must be non-zero mod `m`.
+fn batch_inv(values: &mut [U256L], m: &U256L, mul: impl Fn(&U256L, &U256L) -> U256L) {
+    let mut prefix = Vec::with_capacity(values.len());
     let mut acc = ONE;
-    for p in points {
+    for v in values.iter() {
         prefix.push(acc);
-        acc = fmul(&acc, &p.z);
+        acc = mul(&acc, v);
     }
-    let mut inv = finv(&acc);
-    let mut out = vec![Affine { x: ZERO, y: ZERO }; points.len()];
-    for i in (0..points.len()).rev() {
-        let zinv = fmul(&inv, &prefix[i]);
-        inv = fmul(&inv, &points[i].z);
-        let zinv2 = fsqr(&zinv);
-        out[i] = Affine {
-            x: fmul(&points[i].x, &zinv2),
-            y: fmul(&points[i].y, &fmul(&zinv2, &zinv)),
-        };
+    let mut inv = inv_mod(&acc, m);
+    for (v, before) in values.iter_mut().zip(prefix).rev() {
+        let v_inv = mul(&inv, &before);
+        inv = mul(&inv, v);
+        *v = v_inv;
     }
-    out
+}
+
+/// Normalize many Jacobian points with one field inversion. All inputs
+/// must be finite.
+fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
+    let mut zinvs: Vec<U256L> = points.iter().map(|p| p.z).collect();
+    batch_inv(&mut zinvs, &P, fmul);
+    points
+        .iter()
+        .zip(zinvs)
+        .map(|(p, zinv)| {
+            let zinv2 = fsqr(&zinv);
+            Affine {
+                x: fmul(&p.x, &zinv2),
+                y: fmul(&p.y, &fmul(&zinv2, &zinv)),
+            }
+        })
+        .collect()
 }
 
 /// `k·G` via the generator's comb.
@@ -940,6 +979,7 @@ fn nmul(a: &U256L, b: &U256L) -> U256L {
 
 /// One recoverable ECDSA signature: `(r, s)` scalars plus the y-parity of
 /// the nonce point (after low-s normalization).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RawSignature {
     /// `r = (k·G).x mod n`.
     pub r: U256L,
@@ -950,46 +990,82 @@ pub struct RawSignature {
 }
 
 /// Sign digest `z` with secret `d`, deriving the nonce deterministically via
-/// `nonce(d, z, counter)` until a valid `(k, r, s)` triple appears.
+/// `nonce(counter)` until a valid `(k, r, s)` triple appears: the one-item
+/// case of [`sign_batch`].
 ///
 /// Deviation from the seed's `k256` backend: the deterministic nonce is a
 /// keccak-based stretch rather than RFC 6979's HMAC-SHA256 construction.
 /// Signatures remain deterministic and verifiable, but their exact `(r, s)`
 /// bytes differ from what an RFC 6979 signer would emit.
 pub fn sign(z: &U256L, d: &U256L, mut nonce: impl FnMut(u32) -> [u8; 32]) -> RawSignature {
+    let mut sigs = sign_batch(&[*z], d, |_, counter| nonce(counter));
+    sigs.pop().expect("one signature per digest")
+}
+
+/// Sign every digest of `zs` with secret `d`; item `i`'s nonce at retry
+/// `counter` is `nonce(i, counter)`. Each signature equals what signing
+/// its digest alone would give.
+///
+/// Every pending item draws its `k` at the same counter, and the round
+/// normalizes all the `k·G` with one field inversion and inverts all the
+/// `k` with one scalar inversion. An item that needs a retry (`k = 0`,
+/// `r ≥ n`, `r = 0` or `s = 0`) stays pending for the next counter.
+pub fn sign_batch(
+    zs: &[U256L],
+    d: &U256L,
+    mut nonce: impl FnMut(usize, u32) -> [u8; 32],
+) -> Vec<RawSignature> {
+    let mut sigs: Vec<Option<RawSignature>> = zs.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..zs.len()).collect();
     for counter in 0u32.. {
-        let k = reduce_bytes(&nonce(counter), &N);
-        if is_zero(&k) {
-            continue;
+        if pending.is_empty() {
+            break;
         }
-        let rp = match mul_g(&k).to_affine() {
-            Some(p) => p,
-            None => continue,
-        };
-        // Skip the (astronomically rare) r.x ≥ n case rather than encoding
-        // recovery-id bit 1; keeps `v` in Ethereum's {27, 28}.
-        if cmp(&rp.x, &N) != std::cmp::Ordering::Less {
-            continue;
+        let (mut items, mut ks) = (Vec::new(), Vec::new());
+        for i in std::mem::take(&mut pending) {
+            let k = reduce_bytes(&nonce(i, counter), &N);
+            if is_zero(&k) {
+                pending.push(i);
+            } else {
+                items.push(i);
+                ks.push(k);
+            }
         }
-        let r = rp.x;
-        if is_zero(&r) {
-            continue;
+        // k ∈ [1, n): every k·G is finite and every k invertible.
+        let nonce_points = batch_to_affine(&ks.iter().map(mul_g).collect::<Vec<_>>());
+        batch_inv(&mut ks, &N, nmul);
+        for ((i, rp), kinv) in items.into_iter().zip(nonce_points).zip(ks) {
+            match finish_signature(&zs[i], d, &rp, &kinv) {
+                Some(sig) => sigs[i] = Some(sig),
+                None => pending.push(i),
+            }
         }
-        let kinv = inv_mod(&k, &N);
-        let s = nmul(&kinv, &add_mod(z, &nmul(&r, d), &N));
-        if is_zero(&s) {
-            continue;
-        }
-        // Low-s normalization; flipping s mirrors the nonce point.
-        let mut y_odd = rp.y[0] & 1 == 1;
-        let mut s = s;
-        if cmp(&s, &n_half()) == std::cmp::Ordering::Greater {
-            s = sub_mod(&ZERO, &s, &N);
-            y_odd = !y_odd;
-        }
-        return RawSignature { r, s, y_odd };
     }
-    unreachable!("nonce search always terminates")
+    sigs.into_iter()
+        .map(|sig| sig.expect("nonce search always terminates"))
+        .collect()
+}
+
+/// The signature of `z` under `d` for the nonce point `rp = k·G`, or
+/// `None` when this `k` needs a retry.
+fn finish_signature(z: &U256L, d: &U256L, rp: &Affine, kinv: &U256L) -> Option<RawSignature> {
+    // Skip the (astronomically rare) r.x ≥ n case rather than encoding
+    // recovery-id bit 1; keeps `v` in Ethereum's {27, 28}.
+    let r = rp.x;
+    if !scalar_is_valid(&r) {
+        return None;
+    }
+    let mut s = nmul(kinv, &add_mod(z, &nmul(&r, d), &N));
+    if is_zero(&s) {
+        return None;
+    }
+    // Low-s normalization; flipping s mirrors the nonce point.
+    let mut y_odd = rp.y[0] & 1 == 1;
+    if cmp(&s, &n_half()) == std::cmp::Ordering::Greater {
+        s = sub_mod(&ZERO, &s, &N);
+        y_odd = !y_odd;
+    }
+    Some(RawSignature { r, s, y_odd })
 }
 
 /// `⌊n / 2⌋`.
@@ -1025,9 +1101,9 @@ pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
 /// `r⁻¹·(s·R₀ − z·G)`, which is `Q` iff `R₀ = R`. Same range checks as
 /// `recover`.
 ///
-/// Costs `s⁻¹`, two comb walks into one accumulator (≤ 128 mixed
+/// Costs `s⁻¹`, two comb walks into one accumulator (≤ 32 + 64 mixed
 /// additions) and one `to_affine` inversion: no square root, no doubling.
-pub(crate) fn verify_known(z: &U256L, r: &U256L, s: &U256L, y_odd: bool, q: &Comb) -> bool {
+pub(crate) fn verify_known(z: &U256L, r: &U256L, s: &U256L, y_odd: bool, q: &KeyComb) -> bool {
     if !scalar_is_valid(r) || !scalar_is_valid(s) {
         return false;
     }
@@ -1347,18 +1423,25 @@ mod tests {
         }
     }
 
+    /// Both comb widths: `G`'s 8-bit comb through `mul_g`, and a 4-bit
+    /// comb of `G` (the learned-key width) walked directly.
     #[test]
     fn fixed_base_mul_matches_binary_ladder() {
         let g = Point::generator();
+        let g4 = KeyComb::new(&Affine { x: GX, y: GY });
         for (k, _) in pairs(&scalar_edges(), 6) {
+            let want = mul_binary(&g, &k).to_affine();
+            assert_eq!(mul_g(&k).to_affine(), want, "k {k:x?}");
             assert_eq!(
-                mul_g(&k).to_affine(),
-                mul_binary(&g, &k).to_affine(),
+                g4.mul_add(&k, Point::INFINITY).to_affine(),
+                want,
                 "k {k:x?}"
             );
         }
-        assert!(mul_g(&N).is_infinity());
-        assert!(mul_g(&ZERO).is_infinity());
+        for k in [N, ZERO] {
+            assert!(mul_g(&k).is_infinity());
+            assert!(g4.mul_add(&k, Point::INFINITY).is_infinity());
+        }
     }
 
     #[test]
@@ -1424,5 +1507,38 @@ mod tests {
         });
         let q = recover(&z, &sig.r, &sig.s, sig.y_odd).unwrap();
         assert_eq!(q, pubkey(&d));
+    }
+
+    /// Items whose nonce at counter 0 reduces to `k = 0` (the bytes of 0
+    /// and of `n`) go round again at counter 1, exactly as a lone `sign`
+    /// does, and their neighbours sign as if nothing had retried.
+    #[test]
+    fn sign_batch_retries_match_sign() {
+        let d = [0xDEAD_BEEF, 1, 2, 3];
+        let zs: Vec<U256L> = (0..9).map(|i| [77 * i + 1, 88, 99, i]).collect();
+        let plain = |i: usize, counter: u32| {
+            let mut seed = to_be_bytes(&zs[i]);
+            seed[0] ^= counter as u8;
+            seed[1] |= 1;
+            seed
+        };
+        let retrying = |i: usize, counter: u32| match (i, counter) {
+            (2, 0) => [0; 32],
+            (5, 0) | (8, 0) => to_be_bytes(&N),
+            _ => plain(i, counter),
+        };
+        let batch = sign_batch(&zs, &d, retrying);
+        let undisturbed = sign_batch(&zs, &d, plain);
+        for (i, z) in zs.iter().enumerate() {
+            assert_eq!(batch[i], sign(z, &d, |counter| retrying(i, counter)), "{i}");
+            if [2, 5, 8].contains(&i) {
+                assert_eq!(batch[i], sign(z, &d, |counter| plain(i, counter + 1)));
+            } else {
+                assert_eq!(batch[i], undisturbed[i], "{i}");
+            }
+            let sig = batch[i];
+            assert_eq!(recover(z, &sig.r, &sig.s, sig.y_odd), Some(pubkey(&d)));
+        }
+        assert!(sign_batch(&[], &d, plain).is_empty());
     }
 }

@@ -49,8 +49,9 @@
 //!   ▲                                        │ serves back to back
 //!   └──── park idle conn / hand back a conn past its turn quota ────┘
 //!
-//! issue_batch ──▶ scope_map fan-out on the service's pool: calling
-//!                 thread + idle workers sign, results in request order
+//! issue_batch ──▶ one chunk per pool thread (≥ 8 requests each), via
+//!                 scope_map: calling thread + idle workers each mint a
+//!                 chunk and batch-sign it, results in request order
 //! rules ────────▶ EpochCell<RuleBook>: issuers pin an immutable Arc
 //!                 snapshot per request (lock-free steady state);
 //!                 set_rules swaps the book atomically
@@ -69,11 +70,14 @@
 //!   [`EndpointScope`](front::EndpointScope), so they ride the same
 //!   reactor machinery and the same [`fault::FaultPlan`] injection
 //!   points.
-//! - **Batch signing** fans the ≈ 20 µs per-token `k·G` across the
-//!   service's pool (process-shared by default) with caller participation
-//!   (no pool-within-pool deadlock), preserving per-item partial failure
-//!   and request-order results; one-time indexes stay globally unique
-//!   (the counter serializes allocation).
+//! - **Batch signing** cuts a batch into chunks across the service's pool
+//!   (process-shared by default) with caller participation (no
+//!   pool-within-pool deadlock). Each chunk signs its minted digests with
+//!   one `Keypair::sign_digests` call, which shares one field and one
+//!   scalar inversion across the chunk, byte-identical to signing each
+//!   token alone. Per-item partial failure and request-order results are
+//!   preserved; one-time indexes stay globally unique (the counter
+//!   serializes allocation).
 //! - **Rule reads never lock**: issuance validates against an epoch
 //!   snapshot ([`smacs_primitives::epoch::EpochCell`]), so a `set_rules`
 //!   burst cannot stall the issuance path, and signature work (`recover`,
