@@ -13,7 +13,7 @@ use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
 use crate::exec::{recover, Executor, MessageCall, Recovery, VmError};
 use crate::gas::{GasBreakdown, GasSchedule};
-use crate::receipt::{ExecStatus, Log, Receipt};
+use crate::receipt::{ExecStatus, Receipt};
 use crate::state::WorldState;
 use crate::trace::CallTrace;
 use crate::tx::{SignedTransaction, Transaction};
@@ -76,17 +76,6 @@ impl fmt::Display for ChainError {
 }
 
 impl std::error::Error for ChainError {}
-
-/// Everything a transaction execution produces besides its chain-level
-/// bookkeeping (receipt assembly, pending-block membership).
-struct TxOutcome {
-    status: ExecStatus,
-    return_data: Bytes,
-    logs: Vec<Log>,
-    trace: CallTrace,
-    gas_used: u64,
-    breakdown: GasBreakdown,
-}
 
 /// How [`Chain::execute_block_with`] schedules a block's transactions.
 pub enum BlockMode<'p> {
@@ -275,38 +264,19 @@ impl Chain {
         self.submit(tx.sign(from))
     }
 
-    /// Execute one transaction into the pending block. `recovered` is the
-    /// block prepass's memo for this transaction (empty outside
-    /// [`BlockMode::Parallel`]).
+    /// Execute one transaction into the pending block: validate, buy gas,
+    /// run the call or creation, refund, commit the state's journal, and
+    /// record the receipt. `recovered` is the block prepass's memo for this
+    /// transaction (empty outside [`BlockMode::Parallel`]).
     fn execute_transaction(
         &mut self,
         signed: &SignedTransaction,
         recovered: &[Recovery],
     ) -> Result<Receipt, ChainError> {
-        let env = self.pending_env();
-        let outcome = Self::execute_tx_on(
-            &mut self.state,
-            &self.registry,
-            &self.config.schedule,
-            env,
-            signed,
-            recovered,
-        )?;
-        Ok(self.record_tx(signed, outcome))
-    }
-
-    /// The core per-transaction execution routine: validate, buy gas, run
-    /// the call or creation, refund, and commit the state's journal.
-    fn execute_tx_on(
-        state: &mut WorldState,
-        registry: &ContractRegistry,
-        schedule: &GasSchedule,
-        env: BlockEnv,
-        signed: &SignedTransaction,
-        recovered: &[Recovery],
-    ) -> Result<TxOutcome, ChainError> {
         let sender = signed.sender().ok_or(ChainError::InvalidSignature)?;
         let tx = &signed.tx;
+        let env = self.pending_env();
+        let state = &mut self.state;
         let expected_nonce = state.nonce(sender);
         if tx.nonce != expected_nonce {
             return Err(ChainError::BadNonce {
@@ -319,8 +289,8 @@ impl Chain {
         if state.balance(sender) < upfront {
             return Err(ChainError::InsufficientFunds);
         }
-        let is_create = tx.to.is_none();
-        let intrinsic = schedule.intrinsic_gas(&tx.data, is_create);
+        let schedule = &self.config.schedule;
+        let intrinsic = schedule.intrinsic_gas(&tx.data, tx.to.is_none());
         if intrinsic > tx.gas_limit {
             return Err(ChainError::IntrinsicGasTooLow);
         }
@@ -330,6 +300,7 @@ impl Chain {
         state.bump_nonce(sender);
         state.commit();
 
+        let registry = &self.registry;
         let mut executor = Executor::new(state, registry, schedule, env, sender, tx.gas_limit);
         executor.recovered = recovered;
         executor
@@ -337,65 +308,45 @@ impl Chain {
             .charge(intrinsic)
             .expect("intrinsic fits: checked above");
 
-        let (status, return_data, logs, trace, gas_used, breakdown) = if is_create {
-            let address = Self::contract_address(sender, expected_nonce);
-            let logic = registry
-                .get(address)
-                .expect("deploy registers logic before executing");
-            let outcome = (|| {
-                executor
+        // `created`: the code a successful creation deposits once the
+        // executor is done with the state.
+        let (outcome, created) = match tx.to {
+            Some(callee) => (
+                executor.call(MessageCall {
+                    caller: sender,
+                    callee,
+                    value: tx.value,
+                    data: tx.data.clone(),
+                }),
+                None,
+            ),
+            None => {
+                let address = Self::contract_address(sender, expected_nonce);
+                let logic = registry
+                    .get(address)
+                    .expect("deploy registers logic before executing");
+                let code_len = logic.code_len();
+                let outcome = executor
                     .meter
-                    .charge(logic.code_len() as u64 * executor.schedule.code_deposit)?;
-                executor.construct(sender, address, tx.value, logic.clone())
-            })();
-            let logs = executor.take_logs();
-            let trace = executor.take_trace();
-            let breakdown = executor.meter.breakdown();
-            let gas_used = executor.meter.effective_used();
-            match outcome {
-                Ok(()) => {
-                    state.set_contract(address, logic.code_len());
-                    (
-                        ExecStatus::Success,
-                        Bytes::new(),
-                        logs,
-                        trace,
-                        gas_used,
-                        breakdown,
-                    )
+                    .charge(code_len as u64 * schedule.code_deposit)
+                    .map_err(VmError::from)
+                    .and_then(|()| executor.construct(sender, address, tx.value, logic))
+                    .map(|()| Bytes::new());
+                (outcome, Some((address, code_len)))
+            }
+        };
+        let logs = executor.take_logs();
+        let trace = executor.take_trace();
+        let breakdown = executor.meter.breakdown();
+        let gas_used = executor.meter.effective_used();
+        let (status, return_data, logs) = match outcome {
+            Ok(ret) => {
+                if let Some((address, code_len)) = created {
+                    state.set_contract(address, code_len);
                 }
-                Err(err) => (
-                    vm_error_status(&err),
-                    Bytes::new(),
-                    Vec::new(),
-                    trace,
-                    gas_used,
-                    breakdown,
-                ),
+                (ExecStatus::Success, ret, logs)
             }
-        } else {
-            let callee = tx.to.expect("checked is_create");
-            let outcome = executor.call(MessageCall {
-                caller: sender,
-                callee,
-                value: tx.value,
-                data: tx.data.clone(),
-            });
-            let logs = executor.take_logs();
-            let trace = executor.take_trace();
-            let breakdown = executor.meter.breakdown();
-            let gas_used = executor.meter.effective_used();
-            match outcome {
-                Ok(ret) => (ExecStatus::Success, ret, logs, trace, gas_used, breakdown),
-                Err(err) => (
-                    vm_error_status(&err),
-                    Bytes::new(),
-                    Vec::new(),
-                    trace,
-                    gas_used,
-                    breakdown,
-                ),
-            }
+            Err(err) => (vm_error_status(&err), Bytes::new(), Vec::new()),
         };
 
         // Refund unused gas.
@@ -403,32 +354,19 @@ impl Chain {
         state.credit(sender, refund_wei);
         state.commit();
 
-        Ok(TxOutcome {
-            status,
-            return_data,
-            logs,
-            trace,
-            gas_used,
-            breakdown,
-        })
-    }
-
-    /// Chain-level bookkeeping for an executed transaction: build the
-    /// receipt, add the transaction to the pending block, index the receipt.
-    fn record_tx(&mut self, signed: &SignedTransaction, outcome: TxOutcome) -> Receipt {
         let receipt = Receipt {
             tx_hash: signed.hash(),
-            block_number: self.height() + 1,
-            status: outcome.status,
-            gas_used: outcome.gas_used,
-            breakdown: outcome.breakdown,
-            logs: outcome.logs,
-            return_data: outcome.return_data,
-            trace: outcome.trace,
+            block_number: env.number,
+            status,
+            gas_used,
+            breakdown,
+            logs,
+            return_data,
+            trace,
         };
         self.pending.push(signed.clone());
         self.receipts.insert(receipt.tx_hash, receipt.clone());
-        receipt
+        Ok(receipt)
     }
 
     /// The single block-execution entry point: run `txs` into the pending
@@ -593,9 +531,8 @@ impl Chain {
         // impossible — instead we conservatively keep genesis accounts that
         // never appear as contract addresses. Simplest sound approach:
         // start from empty state, re-fund from recorded genesis alloc.
-        let genesis_alloc = self.genesis_alloc();
         self.state = WorldState::new();
-        for (addr, wei) in genesis_alloc {
+        for &(addr, wei) in &self.genesis_accounts {
             self.state.create_account(addr, wei);
         }
         self.state.commit();
@@ -610,15 +547,6 @@ impl Chain {
             let _ = self.seal_block_with(&block.transactions, BlockMode::Sequential);
         }
         Ok(dropped)
-    }
-
-    fn genesis_alloc(&self) -> Vec<(Address, u128)> {
-        self.genesis_accounts.clone()
-    }
-
-    /// Record of genesis-funded accounts (populated by [`Chain::fund_account`]).
-    pub fn genesis_accounts_list(&self) -> &[(Address, u128)] {
-        &self.genesis_accounts
     }
 }
 

@@ -384,11 +384,6 @@ impl WorldState {
     pub fn overlay_len(&self) -> usize {
         self.overlay_accounts.len() + self.overlay_storage.len()
     }
-
-    /// Number of journal entries since the last commit (diagnostics).
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
 }
 
 #[cfg(test)]

@@ -159,22 +159,6 @@ impl TraceFrame {
         })
     }
 
-    /// Slots written by this frame's own code.
-    pub fn written_slots(&self) -> impl Iterator<Item = H256> + '_ {
-        self.accesses().filter_map(|a| match a {
-            StorageAccess::Write { slot, .. } => Some(*slot),
-            StorageAccess::Read { .. } => None,
-        })
-    }
-
-    /// Slots read by this frame's own code.
-    pub fn read_slots(&self) -> impl Iterator<Item = H256> + '_ {
-        self.accesses().filter_map(|a| match a {
-            StorageAccess::Read { slot } => Some(*slot),
-            StorageAccess::Write { .. } => None,
-        })
-    }
-
     /// Whether any descendant frame (strictly below this one) re-enters
     /// `addr` — i.e. calls back into a contract that already has a live
     /// frame above it.

@@ -163,11 +163,6 @@ impl BitmapState {
         self.start = i;
         self.bits[0] = true;
     }
-
-    /// Number of set bits (used indexes currently remembered).
-    pub fn used_count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
-    }
 }
 
 #[cfg(test)]

@@ -10,44 +10,6 @@ use smacs_chain::{Chain, ChainError, Receipt, Transaction};
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;
 use smacs_token::{append_tokens, Token, TokenArray, TokenRequest};
-use smacs_ts::ApiError;
-use std::fmt;
-
-use crate::fetcher::TokenFetcher;
-
-/// A failure in the acquire-token-then-call path: either the TS said no or
-/// the chain did.
-#[derive(Clone, Debug)]
-pub enum WalletError {
-    /// Token acquisition failed.
-    Api(ApiError),
-    /// The transaction was rejected by the chain.
-    Chain(ChainError),
-}
-
-impl fmt::Display for WalletError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalletError::Api(e) => write!(f, "token acquisition failed: {e}"),
-            WalletError::Chain(e) => write!(f, "chain rejected transaction: {e:?}"),
-        }
-    }
-}
-
-impl std::error::Error for WalletError {}
-
-impl From<ApiError> for WalletError {
-    fn from(e: ApiError) -> Self {
-        WalletError::Api(e)
-    }
-}
-
-impl From<ChainError> for WalletError {
-    fn from(e: ChainError) -> Self {
-        WalletError::Chain(e)
-    }
-}
-
 /// Build calldata carrying a single token for `contract`.
 pub fn build_call_data(payload: &[u8], contract: Address, token: Token) -> Vec<u8> {
     let tokens = TokenArray::new().with(contract, token);
@@ -120,24 +82,6 @@ impl ClientWallet {
     /// A token request for this wallet: `sAddr` is the wallet's address.
     pub fn method_request(&self, contract: Address, method: impl Into<String>) -> TokenRequest {
         TokenRequest::method_token(contract, self.address(), method)
-    }
-
-    /// The full §III-C client loop in one call: obtain a method token
-    /// through `fetcher` (cache or TS — any [`smacs_ts::TsApi`] transport)
-    /// and spend it on `contract`. `payload` must start with the selector
-    /// of `method_sig`.
-    pub fn call_via(
-        &self,
-        chain: &mut Chain,
-        fetcher: &TokenFetcher,
-        contract: Address,
-        value: u128,
-        method_sig: &str,
-        payload: &[u8],
-    ) -> Result<Receipt, WalletError> {
-        let now = chain.pending_env().timestamp;
-        let token = fetcher.fetch(&self.method_request(contract, method_sig), now)?;
-        Ok(self.call_with_token(chain, contract, value, payload, token)?)
     }
 
     /// Send a raw (already token-bearing) call.

@@ -39,15 +39,13 @@ type CacheKey = (Address, Address, TokenType, Option<String>);
 /// HTTP — the fetcher cannot tell, which is the point).
 pub struct TokenFetcher {
     api: Arc<dyn TsApi>,
-    /// Re-fetch when a cached token expires within this many seconds.
-    refresh_margin_secs: u64,
     cache: Mutex<HashMap<CacheKey, Token>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
 
 impl TokenFetcher {
-    /// Default refresh margin: re-fetch inside the last minute of a
+    /// The refresh margin: re-fetch inside the last minute of a
     /// token's life, so an in-flight transaction never carries a token
     /// that expires before it lands.
     pub const DEFAULT_REFRESH_MARGIN_SECS: u64 = 60;
@@ -56,17 +54,10 @@ impl TokenFetcher {
     pub fn new(api: Arc<dyn TsApi>) -> TokenFetcher {
         TokenFetcher {
             api,
-            refresh_margin_secs: Self::DEFAULT_REFRESH_MARGIN_SECS,
             cache: Mutex::new(HashMap::new()),
             hits: std::sync::atomic::AtomicU64::new(0),
             misses: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Override the refresh margin.
-    pub fn with_refresh_margin(mut self, secs: u64) -> TokenFetcher {
-        self.refresh_margin_secs = secs;
-        self
     }
 
     /// The wrapped endpoint.
@@ -86,8 +77,8 @@ impl TokenFetcher {
         !request.one_time && request.ttype != TokenType::Argument
     }
 
-    fn fresh(&self, token: &Token, now: u64) -> bool {
-        (token.expire as u64) > now.saturating_add(self.refresh_margin_secs)
+    fn fresh(token: &Token, now: u64) -> bool {
+        (token.expire as u64) > now.saturating_add(Self::DEFAULT_REFRESH_MARGIN_SECS)
     }
 
     /// Obtain a token for `request` at client-local time `now`: from cache
@@ -98,7 +89,7 @@ impl TokenFetcher {
         }
         let key = cache_key(request);
         if let Some(token) = self.cache.lock().get(&key) {
-            if self.fresh(token, now) {
+            if Self::fresh(token, now) {
                 self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(*token);
             }
@@ -127,7 +118,7 @@ impl TokenFetcher {
             for (i, request) in requests.iter().enumerate() {
                 let key = cache_key(request);
                 match cache.get(&key) {
-                    Some(token) if Self::cacheable(request) && self.fresh(token, now) => {
+                    Some(token) if Self::cacheable(request) && Self::fresh(token, now) => {
                         self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         results[i] = Some(Ok(*token));
                     }

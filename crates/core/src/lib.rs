@@ -43,7 +43,7 @@ pub mod storage_bitmap;
 pub mod verify;
 
 pub use bitmap::{bitmap_bits_for, BitmapState};
-pub use client::{build_call_data, build_chain_call_data, ClientWallet, WalletError};
+pub use client::{build_call_data, build_chain_call_data, ClientWallet};
 pub use fetcher::TokenFetcher;
 pub use owner::{OwnerToolkit, ShieldParams};
 pub use shield::SmacsShield;

@@ -44,13 +44,6 @@ impl StorageBitmap {
         Ok(())
     }
 
-    /// Whether a bitmap has been initialized for this contract.
-    pub fn is_initialized(ctx: &mut CallContext<'_, '_>) -> Result<bool, VmError> {
-        let meta = ctx.sload(layout::bitmap_meta_slot())?;
-        let (_, _, n) = layout::unpack_bitmap_meta(meta);
-        Ok(n > 0)
-    }
-
     /// Present one-time index `i`: the on-chain Alg. 2 update. Storage
     /// reads/writes and bookkeeping are gas-charged through `ctx`.
     pub fn try_use(ctx: &mut CallContext<'_, '_>, i: u128) -> Result<BitmapVerdict, VmError> {

@@ -65,13 +65,6 @@ impl Bytes {
         let s = s.strip_prefix("0x").unwrap_or(s);
         hex::decode(s).ok().map(Bytes::from_vec)
     }
-
-    /// Count of zero / non-zero bytes — the split the Ethereum calldata gas
-    /// rule charges differently (4 gas per zero byte, 68 per non-zero).
-    pub fn zero_nonzero_counts(&self) -> (usize, usize) {
-        let zeros = self.0.iter().filter(|&&b| b == 0).count();
-        (zeros, self.0.len() - zeros)
-    }
 }
 
 impl Default for Bytes {
@@ -139,13 +132,6 @@ mod tests {
         assert_eq!(b.to_hex(), "0xdeadbeef");
         assert_eq!(Bytes::from_hex("0xdeadbeef"), Some(b));
         assert_eq!(Bytes::from_hex("nothex"), None);
-    }
-
-    #[test]
-    fn zero_nonzero_split() {
-        let b = Bytes::from(vec![0, 1, 0, 2, 3]);
-        assert_eq!(b.zero_nonzero_counts(), (2, 3));
-        assert_eq!(Bytes::new().zero_nonzero_counts(), (0, 0));
     }
 
     #[test]

@@ -11,15 +11,6 @@ pub fn decode_flexible(s: &str) -> Option<Vec<u8>> {
     hex::decode(s).ok()
 }
 
-/// Truncate a hex rendering for human-oriented logs: `0x366c…d488`.
-pub fn abbreviate(bytes: &[u8]) -> String {
-    if bytes.len() <= 4 {
-        return encode_prefixed(bytes);
-    }
-    let full = hex::encode(bytes);
-    format!("0x{}…{}", &full[..4], &full[full.len() - 4..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,15 +21,5 @@ mod tests {
         assert_eq!(decode_flexible(&encode_prefixed(&data)), Some(data.clone()));
         assert_eq!(decode_flexible("1234ab"), Some(data));
         assert_eq!(decode_flexible("xyz"), None);
-    }
-
-    #[test]
-    fn abbreviation() {
-        assert_eq!(abbreviate(&[0xab, 0xcd]), "0xabcd");
-        let long = [0x11u8; 20];
-        let s = abbreviate(&long);
-        assert!(s.starts_with("0x1111"));
-        assert!(s.ends_with("1111"));
-        assert!(s.contains('…'));
     }
 }

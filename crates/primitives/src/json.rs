@@ -329,14 +329,19 @@ impl Parser<'_> {
             .map_err(|_| JsonError(format!("invalid number at offset {start}")))
     }
 
+    /// The four hex digits of a `\u` escape — exactly four ASCII hex
+    /// digits, no sign.
     fn hex4(&mut self) -> Result<u16, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return err("truncated \\u escape");
+        };
+        let mut v = 0u16;
+        for &b in digits {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| JsonError(format!("bad \\u escape at offset {}", self.pos)))?;
+            v = v << 4 | digit as u16;
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError("non-ASCII \\u escape".into()))?;
-        let v = u16::from_str_radix(text, 16)
-            .map_err(|_| JsonError(format!("bad \\u escape at offset {}", self.pos)))?;
         self.pos += 4;
         Ok(v)
     }
@@ -815,6 +820,17 @@ mod tests {
             Json::Str("\u{1F600}".into())
         );
         assert!(Json::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert!(Json::parse(r#""\u+041""#).is_err());
+        assert!(Json::parse(r#""\u004""#).is_err());
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        assert_eq!(
+            Json::parse(r#""\ud83D\uDE00""#).unwrap(),
+            Json::Str("\u{1F600}".into())
+        );
     }
 
     #[test]

@@ -22,30 +22,3 @@ pub use epoch::EpochCell;
 pub use hash::H256;
 pub use pool::WorkerPool;
 pub use u256::U256;
-
-/// One ether, in wei.
-pub const ETHER: u128 = 1_000_000_000_000_000_000;
-/// One gwei, in wei.
-pub const GWEI: u128 = 1_000_000_000;
-
-/// Convert a wei amount to a fractional ether value (for reporting only).
-pub fn wei_to_ether(wei: u128) -> f64 {
-    wei as f64 / ETHER as f64
-}
-
-/// Convert an ether amount to wei, saturating on overflow.
-pub fn ether_to_wei(ether: f64) -> u128 {
-    (ether * ETHER as f64) as u128
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ether_round_trip() {
-        assert_eq!(wei_to_ether(ETHER), 1.0);
-        assert_eq!(ether_to_wei(2.0), 2 * ETHER);
-        assert_eq!(wei_to_ether(GWEI), 1e-9);
-    }
-}

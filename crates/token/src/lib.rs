@@ -1,12 +1,13 @@
-//! SMACS token and token-request wire formats.
+//! SMACS token and token-request formats.
 //!
-//! The paper defines three artifacts this crate implements byte-for-byte:
+//! The paper defines the artifacts this crate implements:
 //!
 //! - the **86-byte token** (Fig. 3): `type (1) ‖ expire (4) ‖ index (16) ‖
 //!   signature (65)` — see [`Token`];
-//! - the **token request** (Fig. 2 / Tab. I): `type ‖ cAddr ‖ sAddr ‖
-//!   methodId ‖ (argName, argValue)…`, with the tail fields present
-//!   according to the requested type — see [`TokenRequest`];
+//! - the **token request** (Fig. 2 / Tab. I): `type`, `cAddr`, `sAddr`,
+//!   `methodId` and repeated `(argName, argValue)`, with the tail fields
+//!   present according to the requested type, carried as JSON — see
+//!   [`TokenRequest`];
 //! - the **signing payload**: the byte string
 //!   `type ‖ expire ‖ index ‖ reqPayload` the TS signs at issuance, which
 //!   the contract later *reconstructs from its own transaction context*

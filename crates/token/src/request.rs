@@ -1,6 +1,6 @@
 //! Token requests: what a client submits to the Token Service.
 //!
-//! Fig. 2 gives the wire layout and Tab. I the per-type field matrix:
+//! Fig. 2 gives the request fields and Tab. I the per-type field matrix:
 //!
 //! | type     | cAddr | sAddr | methodId | argName/argValue |
 //! |----------|-------|-------|----------|------------------|
@@ -9,8 +9,8 @@
 //! | Argument |  ✓    |  ✓    |  ✓       |  ✓ (repeated)    |
 //!
 //! `methodId` is carried as the canonical Solidity signature string (e.g.
-//! `"withdraw(uint256)"`); the 4-byte selector is derived from it. Requests
-//! also serialize to JSON for the TS's web front end.
+//! `"withdraw(uint256)"`); the 4-byte selector is derived from it. The TS
+//! carries these fields as JSON.
 
 use smacs_chain::abi::{selector, Selector};
 use smacs_primitives::hexutil;
@@ -62,8 +62,6 @@ pub enum RequestError {
     MissingCalldata,
     /// Super/method request carrying argument bindings.
     UnexpectedArgs,
-    /// Wire image truncated or malformed.
-    Malformed(&'static str),
 }
 
 impl fmt::Display for RequestError {
@@ -76,7 +74,6 @@ impl fmt::Display for RequestError {
             RequestError::UnexpectedArgs => {
                 write!(f, "argument bindings only valid for argument tokens")
             }
-            RequestError::Malformed(what) => write!(f, "malformed request: {what}"),
         }
     }
 }
@@ -167,76 +164,6 @@ impl TokenRequest {
     pub fn selector(&self) -> Option<Selector> {
         self.method.as_deref().map(selector)
     }
-
-    /// Serialize to the Fig. 2 wire layout: fixed header (`type ‖ cAddr ‖
-    /// sAddr`) followed by length-prefixed strings (`methodId`, then
-    /// alternating `argName`/`argValue`), followed by optional calldata.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(self.ttype.code());
-        out.extend_from_slice(self.contract.as_bytes());
-        out.extend_from_slice(self.sender.as_bytes());
-        out.push(self.one_time as u8);
-        write_string(&mut out, self.method.as_deref().unwrap_or(""));
-        out.extend_from_slice(&(self.args.len() as u16).to_be_bytes());
-        for arg in &self.args {
-            write_string(&mut out, &arg.name);
-            write_string(&mut out, &arg.value);
-        }
-        match &self.calldata {
-            Some(data) => {
-                out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-                out.extend_from_slice(data);
-            }
-            None => out.extend_from_slice(&u32::MAX.to_be_bytes()),
-        }
-        out
-    }
-
-    /// Parse the Fig. 2 wire layout.
-    pub fn from_wire(bytes: &[u8]) -> Result<TokenRequest, RequestError> {
-        let mut cursor = Cursor { bytes, pos: 0 };
-        let ttype = TokenType::from_code(cursor.take_u8()?)
-            .ok_or(RequestError::Malformed("unknown type code"))?;
-        let contract = Address::from_slice(cursor.take(20)?)
-            .ok_or(RequestError::Malformed("bad contract address"))?;
-        let sender = Address::from_slice(cursor.take(20)?)
-            .ok_or(RequestError::Malformed("bad sender address"))?;
-        let one_time = cursor.take_u8()? == 1;
-        let method = {
-            let s = cursor.take_string()?;
-            if s.is_empty() {
-                None
-            } else {
-                Some(s)
-            }
-        };
-        let arg_count = cursor.take_u16()?;
-        let mut args = Vec::with_capacity(arg_count as usize);
-        for _ in 0..arg_count {
-            let name = cursor.take_string()?;
-            let value = cursor.take_string()?;
-            args.push(ArgBinding { name, value });
-        }
-        let calldata_len = cursor.take_u32()?;
-        let calldata = if calldata_len == u32::MAX {
-            None
-        } else {
-            Some(cursor.take(calldata_len as usize)?.to_vec())
-        };
-        if cursor.pos != bytes.len() {
-            return Err(RequestError::Malformed("trailing bytes"));
-        }
-        Ok(TokenRequest {
-            ttype,
-            contract,
-            sender,
-            method,
-            args,
-            calldata,
-            one_time,
-        })
-    }
 }
 
 // Hand-written rather than `json_codec!`: calldata crosses the wire as a
@@ -279,53 +206,6 @@ impl FromJson for TokenRequest {
             calldata,
             one_time: Option::from_json_field(json, "one_time")?.unwrap_or(false),
         })
-    }
-}
-
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RequestError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(RequestError::Malformed("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(RequestError::Malformed("truncated"));
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, RequestError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn take_u16(&mut self) -> Result<u16, RequestError> {
-        Ok(u16::from_be_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn take_u32(&mut self) -> Result<u32, RequestError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn take_string(&mut self) -> Result<String, RequestError> {
-        let len = self.take_u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| RequestError::Malformed("bad utf8"))
     }
 }
 
@@ -396,46 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
-        let reqs = vec![
-            TokenRequest::super_token(contract(), sender()),
-            TokenRequest::method_token(contract(), sender(), "f(uint256)").one_time(),
-            TokenRequest::argument_token(
-                contract(),
-                sender(),
-                "g(address,uint256)",
-                vec![
-                    ArgBinding {
-                        name: "to".into(),
-                        value: "0x1234".into(),
-                    },
-                    ArgBinding {
-                        name: "amount".into(),
-                        value: "100".into(),
-                    },
-                ],
-                vec![1, 2, 3],
-            ),
-        ];
-        for req in reqs {
-            let wire = req.to_wire();
-            assert_eq!(TokenRequest::from_wire(&wire).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn wire_rejects_garbage() {
-        assert!(TokenRequest::from_wire(&[]).is_err());
-        assert!(TokenRequest::from_wire(&[9]).is_err());
-        let mut wire = TokenRequest::super_token(contract(), sender()).to_wire();
-        wire.push(0); // trailing byte
-        assert!(matches!(
-            TokenRequest::from_wire(&wire),
-            Err(RequestError::Malformed("trailing bytes"))
-        ));
-    }
-
-    #[test]
     fn json_accepts_omitted_optional_fields() {
         // External clients may omit every non-required field, as the old
         // serde-derived codec allowed.
@@ -467,33 +307,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_wire_round_trip(
-            type_idx in 0usize..3,
-            one_time in any::<bool>(),
-            method in "[a-z]{1,12}\\(\\)",
-            args in prop::collection::vec(("[a-z]{1,8}", "[a-z0-9]{0,16}"), 0..4),
-            calldata in prop::collection::vec(any::<u8>(), 0..64),
-        ) {
-            let ttype = TokenType::ALL[type_idx];
-            let req = TokenRequest {
-                ttype,
-                contract: contract(),
-                sender: sender(),
-                method: Some(method),
-                args: args.into_iter().map(|(name, value)| ArgBinding { name, value }).collect(),
-                calldata: Some(calldata),
-                one_time,
-            };
-            let wire = req.to_wire();
-            prop_assert_eq!(TokenRequest::from_wire(&wire).unwrap(), req);
-        }
-
-        #[test]
-        fn prop_from_wire_never_panics(data in prop::collection::vec(any::<u8>(), 0..128)) {
-            let _ = TokenRequest::from_wire(&data);
-        }
-
         #[test]
         fn prop_json_round_trip(
             type_idx in 0usize..3,

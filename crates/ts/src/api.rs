@@ -41,9 +41,11 @@
 //!
 //! | op                | body               | ok body                              |
 //! |-------------------|--------------------|--------------------------------------|
-//! | `counter_prepare` | _absent_           | `{"committed": n}` (phase-1 read)    |
+//! | `counter_prepare` | _absent_           | `{"committed": n}` (frontier read)   |
 //! | `counter_commit`  | `{"value": n}`     | `{"accepted": bool, "committed": n}` |
-//! | `counter_catchup` | _absent_           | `{"committed": n}` (recovery read)   |
+//!
+//! The frontier read is both phase 1 of an allocation and how a
+//! recovering node learns the frontier it must catch up to.
 //!
 //! Responses mirror the envelope: `{"v": 2, "ok": true, "body": {…}}` on
 //! success, `{"v": 2, "ok": false, "error": {"code": "…", "message": "…"}}`
@@ -317,7 +319,7 @@ json_codec! {
 }
 
 json_codec! {
-    /// `counter_prepare` / `counter_catchup` success body: the answering
+    /// `counter_prepare` (the frontier read) success body: the answering
     /// node's committed frontier.
     #[derive(Clone, Debug, PartialEq)]
     pub struct CounterStateBody {

@@ -26,7 +26,7 @@
 //! ## The counter quorum is on the wire
 //!
 //! Counter votes are real protocol-v2 messages: each replica serves the
-//! `counter_prepare` / `counter_commit` / `counter_catchup` op family on a
+//! `counter_prepare` (the frontier read) / `counter_commit` op family on a
 //! **dedicated vote endpoint** (its own [`Endpoint`] with a small private
 //! pool, so issuance load can never starve vote processing into a
 //! distributed deadlock). The vote op family is served *only* there: the
@@ -39,7 +39,7 @@
 //! logs its commits ([`crate::wal::Wal`], fsync before ack), so
 //! [`ReplicaSet::recover`] rebuilds a crashed replica's vote state from
 //! its WAL (RAM is explicitly discarded) and then catches it up past any
-//! indexes it missed via `counter_catchup`. (The shared-memory
+//! indexes it missed through the frontier read. (The shared-memory
 //! [`LocalTransport`] cluster, [`CounterCluster::new`], is the unit-test
 //! seam; a `ReplicaSet` always votes over the wire.)
 //!
@@ -66,10 +66,9 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
 use smacs_primitives::{Address, EpochCell};
@@ -175,26 +174,27 @@ fn vote_server_config() -> HttpServerConfig {
 /// partition, vote delay, duplicate delivery).
 ///
 /// The target starts unset (peer endpoints aren't known until every vote
-/// server is bound) and is filled in once by `ReplicaSet::start`; an
-/// unset transport reports the peer unreachable, which fails closed.
+/// server is bound) and is set once by `ReplicaSet::start`; an unset
+/// transport reports the peer unreachable, which fails closed.
 pub(crate) struct WireCounterTransport {
-    target: Mutex<Option<Arc<HttpClient>>>,
+    target: OnceLock<HttpClient>,
     faults: Arc<FaultPlan>,
 }
 
 impl WireCounterTransport {
     pub(crate) fn new(faults: Arc<FaultPlan>) -> Arc<WireCounterTransport> {
         Arc::new(WireCounterTransport {
-            target: Mutex::new(None),
+            target: OnceLock::new(),
             faults,
         })
     }
 
+    /// Aim the transport at its peer's vote endpoint. Only the first call
+    /// takes effect.
     pub(crate) fn set_target(&self, addr: SocketAddr) {
-        *self.target.lock() = Some(Arc::new(HttpClient::connect_with(
-            addr,
-            vote_client_config(),
-        )));
+        let _ = self
+            .target
+            .set(HttpClient::connect_with(addr, vote_client_config()));
     }
 
     /// One vote send, with sender-side fault injection. `idempotent`
@@ -202,7 +202,7 @@ impl WireCounterTransport {
     /// not (a lost commit ack must surface as "unreachable", not be
     /// silently re-sent and come back `accepted: false`).
     fn call(&self, op: &str, body: Option<&dyn ToJson>, idempotent: bool) -> Option<Json> {
-        let client = self.target.lock().clone()?;
+        let client = self.target.get()?;
         let addr = client.addr();
         if self.faults.is_partitioned(addr) {
             return None;
@@ -234,11 +234,6 @@ impl CounterTransport for WireCounterTransport {
             accepted: vote.accepted,
             committed: vote.committed,
         })
-    }
-
-    fn catchup(&self) -> Option<u64> {
-        let body = self.call("counter_catchup", None, true)?;
-        Some(CounterStateBody::from_json(&body).ok()?.committed)
     }
 }
 
@@ -500,18 +495,14 @@ impl ReplicaSet {
     /// The counter state is rebuilt the way a real restart would: the
     /// node's in-memory frontier is **discarded** and replayed from its
     /// WAL (torn tail truncated), then caught up past any indexes it
-    /// missed via `counter_catchup` through this replica's own transports
-    /// — over the wire. Only then do the listeners come
+    /// missed through the frontier read over this replica's own
+    /// transports — over the wire. Only then do the listeners come
     /// back. The listener ports were freed by [`ReplicaSet::kill`];
     /// rebinding retries briefly in case the OS is slow to release them.
     pub fn recover(&mut self, id: usize) -> std::io::Result<()> {
         let replica = &self.replicas[id];
         replica.node.reload_from_wal()?;
-        replica.node.revive();
-        // `committed()` polls every member (self locally, peers over the
-        // wire) — the max is the cluster frontier to adopt.
-        let frontier = replica.cluster.committed();
-        replica.node.adopt(frontier)?;
+        self.rejoin_counter(id)?;
 
         if replica.counter_server.is_none() {
             let server = Endpoint::bind_retry(
@@ -552,9 +543,16 @@ impl ReplicaSet {
     /// the caught-up frontier cannot be made durable (the node then keeps
     /// its old state — fail closed).
     pub fn heal_counter(&self, id: usize) -> std::io::Result<()> {
-        self.replicas[id].node.revive();
-        let frontier = self.replicas[id].cluster.committed();
-        self.replicas[id].node.adopt(frontier)
+        self.rejoin_counter(id)
+    }
+
+    /// Revive replica `id`'s counter node and adopt the frontier its own
+    /// cluster reads from every member (self locally, peers over the
+    /// wire).
+    fn rejoin_counter(&self, id: usize) -> std::io::Result<()> {
+        let replica = &self.replicas[id];
+        replica.node.revive();
+        replica.node.adopt(replica.cluster.committed())
     }
 
     /// Whether the counter group currently has quorum (one-time issuance
@@ -805,13 +803,11 @@ mod tests {
             .expect_err("public endpoint must refuse vote ops")
             .into_api();
         assert_eq!(err.code, ErrorCode::CounterUnavailable);
-        for op in ["counter_prepare", "counter_catchup"] {
-            let err = client
-                .call_detailed(op, None, true)
-                .expect_err("public endpoint must refuse vote ops")
-                .into_api();
-            assert_eq!(err.code, ErrorCode::CounterUnavailable);
-        }
+        let err = client
+            .call_detailed("counter_prepare", None, true)
+            .expect_err("public endpoint must refuse vote ops")
+            .into_api();
+        assert_eq!(err.code, ErrorCode::CounterUnavailable);
         // Nothing was burned or skipped by the refused commit: the next
         // legitimate one-time issuance still gets index 0.
         assert_eq!(set.counter().committed(), 0);

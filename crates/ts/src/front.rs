@@ -193,9 +193,7 @@ impl FrontEnd {
                 self.ping()?;
                 ok(&PongBody { pong: true })
             }
-            "counter_prepare" | "counter_commit" | "counter_catchup"
-                if scope == EndpointScope::Public =>
-            {
+            "counter_prepare" | "counter_commit" if scope == EndpointScope::Public => {
                 Err(ApiError::new(
                     ErrorCode::CounterUnavailable,
                     "counter votes are replica-internal: not served on this endpoint",
@@ -218,12 +216,6 @@ impl FrontEnd {
                     committed: vote.committed,
                 })
             }
-            "counter_catchup" => ok(&CounterStateBody {
-                committed: self
-                    .counter_node()?
-                    .catchup()
-                    .ok_or_else(counter_refusing)?,
-            }),
             other => Err(ApiError::new(
                 ErrorCode::BadEnvelope,
                 format!("unknown op {other:?}"),
@@ -455,7 +447,6 @@ mod tests {
         for text in [
             r#"{"v":2,"op":"counter_prepare"}"#,
             r#"{"v":2,"op":"counter_commit","body":{"value":0}}"#,
-            r#"{"v":2,"op":"counter_catchup"}"#,
         ] {
             let err = error(answer(&front, text, EndpointScope::Vote));
             assert_eq!(err.code, "counter_unavailable", "{text}");
@@ -511,10 +502,14 @@ mod tests {
         let replay: CounterVoteBody = ok_body(vote(commit));
         assert!(!replay.accepted, "duplicate vote must be rejected");
 
+        // The frontier read has one name on the wire.
+        let err = error(vote(r#"{"v":2,"op":"counter_catchup"}"#));
+        assert_eq!(err.code, "bad_envelope");
+
         // A crashed/partitioned node refuses votes with the same
         // fail-closed code the issuance path uses.
         node.crash();
-        let err = error(vote(r#"{"v":2,"op":"counter_catchup"}"#));
+        let err = error(vote(r#"{"v":2,"op":"counter_prepare"}"#));
         assert_eq!(err.code, "counter_unavailable");
     }
 }

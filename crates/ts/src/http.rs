@@ -482,9 +482,10 @@ fn park(shared: &ServerShared, conn: Conn) {
     let _ = shared.reactor.park(conn);
 }
 
-/// Headers both ends care about: body length (`None` when absent *or*
-/// unparseable — callers must reject rather than guess, or the keep-alive
-/// stream desynchronizes) and connection intent.
+/// Headers both ends care about: body length (`None` when absent,
+/// unparseable *or* given twice with different values — callers must
+/// reject rather than guess, or the keep-alive stream desynchronizes) and
+/// connection intent.
 struct Headers {
     content_length: Option<usize>,
     close: bool,
@@ -496,6 +497,10 @@ struct Headers {
 /// never disagree on framing. The whole head is read through one
 /// [`MAX_HEAD_BYTES`] budget: a peer streaming bytes with no `\n` gets
 /// `InvalidData`, not server memory.
+///
+/// A `Content-Length` value is ASCII digits only (no sign), and repeated
+/// `Content-Length` lines must agree (RFC 9112 §6.3); anything else
+/// leaves the length `None`.
 fn read_head(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Headers)>> {
     let mut head = reader.take(MAX_HEAD_BYTES as u64);
     let mut start_line = None;
@@ -503,6 +508,9 @@ fn read_head(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Heade
         content_length: None,
         close: false,
     };
+    // `None` until the first `Content-Length` line; then the length every
+    // such line agreed on, if they all did.
+    let mut length_lines: Option<Option<usize>> = None;
     loop {
         let mut line = String::new();
         if head.read_line(&mut line)? == 0 && start_line.is_none() {
@@ -521,10 +529,17 @@ fn read_head(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Heade
         }
         let line = line.trim_end().to_ascii_lowercase();
         if line.is_empty() {
+            headers.content_length = length_lines.flatten();
             return Ok(start_line.map(|start_line| (start_line, headers)));
         }
         if let Some(value) = line.strip_prefix("content-length:") {
-            headers.content_length = value.trim().parse().ok();
+            let value = value.trim();
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            let length = if digits { value.parse().ok() } else { None };
+            length_lines = Some(match length_lines {
+                None => length,
+                Some(agreed) => agreed.filter(|&n| Some(n) == length),
+            });
         }
         if let Some(value) = line.strip_prefix("connection:") {
             headers.close = value.trim() == "close";
@@ -1230,6 +1245,21 @@ mod tests {
     }
 
     #[test]
+    fn responses_with_signed_or_conflicting_lengths_are_invalid_data() {
+        for head in [
+            "HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nok",
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok!",
+            "HTTP/1.1 200 OK\r\nContent-Length: x\r\nContent-Length: 2\r\n\r\nok",
+        ] {
+            let err = read_response(&mut head.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{head:?}");
+        }
+        let same = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length:  2 \r\n\r\nok";
+        let (code, body) = read_response(&mut same.as_bytes()).unwrap();
+        assert_eq!((code, body.as_str()), (200, "ok"));
+    }
+
+    #[test]
     fn body_shorter_than_declared_is_eof_without_the_declared_allocation() {
         let mut wire = &b"only ten b"[..];
         let err = read_body(&mut wire, MAX_BODY_BYTES).unwrap_err();
@@ -1460,6 +1490,28 @@ mod tests {
         for handle in handles {
             assert!(handle.join().unwrap());
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn signed_or_conflicting_content_lengths_are_refused() {
+        // RFC 9112 §6.3: a sign is not a length, and two different lengths
+        // cannot frame a body. Only the head is sent, so the server has
+        // read every byte when it closes.
+        let server = running_server();
+        let signed = b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\n";
+        assert_eq!(refusal(&server, signed), 400);
+        let conflicting = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\n";
+        assert_eq!(refusal(&server, conflicting), 400);
+
+        // Identical duplicates still frame the request.
+        let body = v2("ping", None);
+        let (mut stream, mut reader) = raw_connection(&server);
+        let lengths = format!("Content-Length: {}\r\n", body.len()).repeat(2);
+        let request = format!("POST / HTTP/1.1\r\n{lengths}\r\n{body}");
+        stream.write_all(request.as_bytes()).unwrap();
+        let (status, _) = read_head(&mut reader).unwrap().unwrap();
+        assert_eq!(status, "HTTP/1.1 200 OK\r\n");
         server.shutdown();
     }
 

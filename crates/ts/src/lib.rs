@@ -134,7 +134,7 @@
 //!   frontier is a committed prefix) and never loses an acked vote (the
 //!   fsync happened first). [`cluster::ReplicaSet::recover`] then
 //!   discards the node's RAM, reloads from WAL, and closes any remaining
-//!   gap via `counter_catchup` against live peers — so even an index
+//!   gap through the frontier read against live peers — so even an index
 //!   whose record the disk tore cannot be re-issued while a quorum
 //!   remembers it.
 //!
@@ -160,7 +160,7 @@
 //!   one-time issuance answers [`ErrorCode::CounterUnavailable`] rather
 //!   than risk duplicate indexes; expiry-token issuance — which needs no
 //!   coordination — keeps working. Degradation is partial and explicit,
-//!   and [`replica::CounterCluster::recover`] restores full service with
+//!   and [`cluster::ReplicaSet::recover`] restores full service with
 //!   the counter caught up past every index ever committed.
 //!
 //! The [`fault::FaultPlan`] hooks in the HTTP server (drop, 500, delay,
@@ -196,5 +196,5 @@ pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, Lo
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
 pub use service::{IssueError, TokenService, TokenServiceConfig};
 pub use store::RuleStore;
-pub use validation::{NullTool, ValidationTool};
+pub use validation::ValidationTool;
 pub use wal::Wal;

@@ -167,11 +167,6 @@ impl CounterNode {
         })
     }
 
-    /// Recovery read: the node's frontier, for a peer catching up.
-    pub fn catchup(&self) -> Option<u64> {
-        self.prepare()
-    }
-
     /// Stop answering votes (crash / partition away).
     pub fn crash(&self) {
         self.alive.store(false, Ordering::SeqCst);
@@ -183,7 +178,7 @@ impl CounterNode {
         self.alive.store(true, Ordering::SeqCst);
     }
 
-    /// Max-merge a frontier learned from peers (`counter_catchup`); logs
+    /// Max-merge a frontier learned from peers (the frontier read); logs
     /// the adopted frontier *before* applying it so it, too, survives a
     /// crash. Fail-closed like [`CounterNode::commit`]: a WAL error
     /// leaves the in-memory frontier untouched and surfaces to the
@@ -235,13 +230,11 @@ impl CounterNode {
 /// partitioned, timed out) — the coordinator counts `None` as a missing
 /// vote, never as a rejection.
 pub trait CounterTransport: Send + Sync {
-    /// Phase-1 read of the node's frontier.
+    /// The frontier read: phase 1 of an allocation, and how a recovering
+    /// node learns the frontier it must catch up to.
     fn prepare(&self) -> Option<u64>;
     /// Phase-2 conditional commit of `value`.
     fn commit(&self, value: u64) -> Option<CommitReply>;
-    /// Recovery fetch of the node's frontier (same read as `prepare`,
-    /// kept distinct so the wire protocol names the intent).
-    fn catchup(&self) -> Option<u64>;
 }
 
 /// In-process transport: the coordinator calls the node directly.
@@ -254,10 +247,6 @@ impl CounterTransport for LocalTransport {
 
     fn commit(&self, value: u64) -> Option<CommitReply> {
         self.0.commit(value)
-    }
-
-    fn catchup(&self) -> Option<u64> {
-        self.0.catchup()
     }
 }
 
@@ -272,10 +261,6 @@ impl CounterTransport for LocalTransport {
 pub struct CounterCluster {
     /// Full membership, coordinator's view; index = replica id.
     members: Arc<Vec<Arc<dyn CounterTransport>>>,
-    /// In-process node handles for lifecycle control (`kill`/`recover`).
-    /// Populated by [`CounterCluster::new`]; wired clusters manage node
-    /// lifecycle through `ReplicaSet` instead and leave this empty.
-    nodes: Arc<Vec<Arc<CounterNode>>>,
     /// Serializes proposals *from this coordinator* (peers still race —
     /// the commit round's conditional apply is what guarantees safety).
     proposal_lock: Arc<Mutex<()>>,
@@ -288,32 +273,26 @@ impl CounterCluster {
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "cluster needs at least one node");
         Self::from_nodes((0..n).map(|_| CounterNode::new()).collect())
     }
 
     /// A single-process cluster over pre-built nodes (e.g. WAL-backed
-    /// ones). Lifecycle methods operate on the given nodes by index.
+    /// ones). The caller keeps the node handles to crash, revive and
+    /// catch up a node ([`CounterNode::adopt`] of [`CounterCluster::committed`]).
     ///
     /// # Panics
     /// Panics if `nodes` is empty.
     pub fn from_nodes(nodes: Vec<Arc<CounterNode>>) -> Self {
-        assert!(!nodes.is_empty(), "cluster needs at least one node");
-        let members = nodes
-            .iter()
-            .map(|node| Arc::new(LocalTransport(node.clone())) as Arc<dyn CounterTransport>)
-            .collect();
-        CounterCluster {
-            members: Arc::new(members),
-            nodes: Arc::new(nodes),
-            proposal_lock: Arc::new(Mutex::new(())),
-        }
+        Self::from_transports(
+            nodes
+                .into_iter()
+                .map(|node| Arc::new(LocalTransport(node)) as Arc<dyn CounterTransport>)
+                .collect(),
+        )
     }
 
     /// A coordinator over an explicit member list (one transport per
-    /// replica, own node local, peers wired). Lifecycle methods
-    /// ([`CounterCluster::kill`]/[`CounterCluster::recover`]) are
-    /// unavailable on this form.
+    /// replica, own node local, peers wired).
     ///
     /// # Panics
     /// Panics if `members` is empty.
@@ -321,7 +300,6 @@ impl CounterCluster {
         assert!(!members.is_empty(), "cluster needs at least one node");
         CounterCluster {
             members: Arc::new(members),
-            nodes: Arc::new(Vec::new()),
             proposal_lock: Arc::new(Mutex::new(())),
         }
     }
@@ -356,27 +334,6 @@ impl CounterCluster {
         self.live_count() >= self.quorum()
     }
 
-    /// Crash node `id` (single-process clusters only).
-    pub fn kill(&self, id: usize) {
-        self.nodes[id].crash();
-    }
-
-    /// Recover node `id` (single-process clusters only): it rejoins and
-    /// catches up to the highest committed value among reachable members.
-    /// Errs if the caught-up frontier cannot be WAL-logged (the node then
-    /// rejoins with its old state — safe, just lagging).
-    pub fn recover(&self, id: usize) -> io::Result<()> {
-        let _guard = self.proposal_lock.lock();
-        self.nodes[id].revive();
-        let frontier = self
-            .members
-            .iter()
-            .filter_map(|t| t.catchup())
-            .max()
-            .unwrap_or(0);
-        self.nodes[id].adopt(frontier)
-    }
-
     /// The highest committed counter value across reachable members — how
     /// many indexes have ever been burned. A diagnostics/test peek: the
     /// chaos suite uses it to prove a lost-response issuance burned
@@ -386,7 +343,7 @@ impl CounterCluster {
         let _guard = self.proposal_lock.lock();
         self.members
             .iter()
-            .filter_map(|t| t.catchup())
+            .filter_map(|t| t.prepare())
             .max()
             .unwrap_or(0)
     }
@@ -449,6 +406,13 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::thread;
+
+    /// A single-process cluster of `n` nodes plus the node handles that
+    /// crash, revive and catch them up.
+    fn local_cluster(n: usize) -> (CounterCluster, Vec<Arc<CounterNode>>) {
+        let nodes: Vec<Arc<CounterNode>> = (0..n).map(|_| CounterNode::new()).collect();
+        (CounterCluster::from_nodes(nodes.clone()), nodes)
+    }
 
     #[test]
     fn sequential_allocation() {
@@ -515,10 +479,10 @@ mod tests {
 
     #[test]
     fn survives_minority_failure() {
-        let cluster = CounterCluster::new(5);
+        let (cluster, nodes) = local_cluster(5);
         assert_eq!(cluster.next_index(), Some(0));
-        cluster.kill(0); // leader dies
-        cluster.kill(1);
+        nodes[0].crash(); // leader dies
+        nodes[1].crash();
         assert!(cluster.has_quorum());
         // New leader continues without reusing indexes.
         assert_eq!(cluster.next_index(), Some(1));
@@ -527,25 +491,26 @@ mod tests {
 
     #[test]
     fn majority_failure_fails_closed() {
-        let cluster = CounterCluster::new(3);
+        let (cluster, nodes) = local_cluster(3);
         assert_eq!(cluster.next_index(), Some(0));
-        cluster.kill(0);
-        cluster.kill(1);
+        nodes[0].crash();
+        nodes[1].crash();
         assert!(!cluster.has_quorum());
         assert_eq!(cluster.next_index(), None);
     }
 
     #[test]
     fn recovered_node_catches_up() {
-        let cluster = CounterCluster::new(3);
-        cluster.kill(2);
+        let (cluster, nodes) = local_cluster(3);
+        nodes[2].crash();
         for _ in 0..5 {
             cluster.next_index().unwrap();
         }
-        cluster.recover(2).unwrap();
+        nodes[2].revive();
+        nodes[2].adopt(cluster.committed()).unwrap();
         // Kill the nodes that saw all the traffic; the recovered node must
         // carry the state forward without reissuing.
-        cluster.kill(0);
+        nodes[0].crash();
         assert_eq!(cluster.next_index(), Some(5));
     }
 
@@ -609,10 +574,10 @@ mod tests {
     fn exhausted_cluster_fails_closed_instead_of_reissuing() {
         // Drive every node's frontier to u64::MAX: allocation must answer
         // None (counter exhausted), never an index from the burned past.
-        let cluster = CounterCluster::new(3);
-        for id in 0..3 {
+        let (cluster, nodes) = local_cluster(3);
+        for node in &nodes {
             // Direct minority burns, as a stale coordinator could send.
-            assert!(cluster.nodes[id].commit(u64::MAX - 1).unwrap().accepted);
+            assert!(node.commit(u64::MAX - 1).unwrap().accepted);
         }
         assert_eq!(cluster.committed(), u64::MAX);
         assert_eq!(cluster.next_index(), None);

@@ -28,27 +28,9 @@ pub trait ValidationTool: Send + Sync {
     fn validate(&self, req: &TokenRequest, testnet: &mut Chain) -> Result<(), String>;
 }
 
-/// A tool that approves everything — the no-tools baseline configuration.
-pub struct NullTool;
-
-impl ValidationTool for NullTool {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-
-    fn applies_to(&self, _ttype: TokenType) -> bool {
-        false
-    }
-
-    fn validate(&self, _req: &TokenRequest, _testnet: &mut Chain) -> Result<(), String> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smacs_primitives::Address;
 
     struct RejectEverything;
     impl ValidationTool for RejectEverything {
@@ -66,16 +48,5 @@ mod tests {
         assert!(tool.applies_to(TokenType::Argument));
         assert!(!tool.applies_to(TokenType::Super));
         assert!(!tool.applies_to(TokenType::Method));
-    }
-
-    #[test]
-    fn null_tool_applies_to_nothing() {
-        let tool = NullTool;
-        for ttype in TokenType::ALL {
-            assert!(!tool.applies_to(ttype));
-        }
-        let mut chain = Chain::default_chain();
-        let req = TokenRequest::super_token(Address::from_low_u64(1), Address::from_low_u64(2));
-        assert!(tool.validate(&req, &mut chain).is_ok());
     }
 }

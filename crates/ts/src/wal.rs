@@ -31,7 +31,7 @@
 //! - recovery never *invents* state: the recovered frontier is always a
 //!   prefix of what was appended (fail-closed — an index whose record was
 //!   torn is simply not remembered, and the node re-learns the cluster
-//!   frontier via `counter_catchup`);
+//!   frontier through the frontier read, `counter_prepare`);
 //! - recovery never *loses* an acked commit: `append` returns only after
 //!   `sync_data`, so every record a vote was acknowledged against is a
 //!   complete, checksummed 12 bytes before the torn tail — and

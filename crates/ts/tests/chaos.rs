@@ -408,7 +408,7 @@ fn delayed_and_duplicated_votes_never_duplicate_an_index() {
 
 /// Invariant 9 (torn write): a replica crashes with a torn/corrupted WAL
 /// tail. Recovery discards the unverifiable tail rather than trusting it,
-/// then re-fetches the lost frontier from its peers via `counter_catchup`
+/// then re-fetches the lost frontier from its peers through the frontier read
 /// — so even state the local disk lost cannot be re-issued.
 #[test]
 fn torn_wal_tail_is_discarded_and_refetched_over_the_wire() {

@@ -336,9 +336,10 @@ fn in_process_and_wire_answers_agree() {
 /// A front end whose one-time counter is a 3-node quorum cluster with two
 /// nodes down — quorum lost, one-time issuance must fail closed.
 fn quorumless_front() -> Arc<FrontEnd> {
-    let cluster = smacs_ts::CounterCluster::new(3);
-    cluster.kill(1);
-    cluster.kill(2);
+    let nodes: Vec<_> = (0..3).map(|_| smacs_ts::CounterNode::new()).collect();
+    let cluster = smacs_ts::CounterCluster::from_nodes(nodes.clone());
+    nodes[1].crash();
+    nodes[2].crash();
     Arc::new(FrontEnd::new(
         TokenService::new(
             Keypair::from_seed(42),

@@ -117,10 +117,6 @@ impl CounterTransport for ChaosTransport {
         }
         result
     }
-
-    fn catchup(&self) -> Option<u64> {
-        self.node.catchup()
-    }
 }
 
 fn coordinator(

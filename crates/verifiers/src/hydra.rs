@@ -65,11 +65,6 @@ impl HydraTool {
         HydraTool { heads }
     }
 
-    /// Number of configured heads.
-    pub fn head_count(&self) -> usize {
-        self.heads.len()
-    }
-
     /// Run the uniformity evaluation for `calldata` from `sender`. Each
     /// head executes on its *own* fork of the testnet — the heads are
     /// independent program instances with independent state, as in the

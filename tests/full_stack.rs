@@ -14,8 +14,8 @@ use smacs::ts::api::ResponseEnvelope;
 use smacs::ts::discovery::ContractMetadata;
 use smacs::ts::front::{EndpointScope, FrontEnd};
 use smacs::ts::{
-    CounterCluster, Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy, RuleBook,
-    TokenService, TokenServiceConfig, TsApi,
+    CounterCluster, CounterNode, Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy,
+    RuleBook, TokenService, TokenServiceConfig, TsApi,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -170,7 +170,8 @@ fn replicated_counter_backed_one_time_tokens() {
         .deploy_shielded(&mut chain, Arc::new(BenchTarget), &small_shield())
         .unwrap();
 
-    let cluster = CounterCluster::new(3);
+    let nodes: Vec<_> = (0..3).map(|_| CounterNode::new()).collect();
+    let cluster = CounterCluster::from_nodes(nodes.clone());
     let service = FrontEnd::new(
         TokenService::new(
             toolkit.ts_keypair().clone(),
@@ -197,7 +198,7 @@ fn replicated_counter_backed_one_time_tokens() {
     let mut tokens = Vec::new();
     tokens.push(service.issue(&request).unwrap());
     tokens.push(service.issue(&request).unwrap());
-    cluster.kill(0);
+    nodes[0].crash();
     tokens.push(service.issue(&request).unwrap());
     tokens.push(service.issue(&request).unwrap());
 
@@ -218,7 +219,7 @@ fn replicated_counter_backed_one_time_tokens() {
     }
 
     // Quorum loss fails closed.
-    cluster.kill(1);
+    nodes[1].crash();
     assert_eq!(
         service.issue(&request).unwrap_err().code,
         ErrorCode::CounterUnavailable
