@@ -15,7 +15,7 @@
 //! privacy. The ablation quantifies the crossover.
 
 use smacs_chain::abi::{self, AbiType};
-use smacs_chain::{CallContext, Chain, Contract, VmError};
+use smacs_chain::{CallContext, Chain, Contract, VmError, SCHEDULE};
 use smacs_contracts::{BenchTarget, OnChainWhitelistSale};
 use smacs_core::storage_bitmap::StorageBitmap;
 use smacs_primitives::{Bytes, U256};
@@ -226,8 +226,7 @@ pub fn measure_access_control_trade() -> AccessControlTrade {
         )
         .unwrap();
     let onchain_update_gas = add.gas_used;
-    let schedule = chain.schedule().clone();
-    let onchain_check_gas = schedule.sload + schedule.keccak_cost(52);
+    let onchain_check_gas = SCHEDULE.sload + SCHEDULE.keccak_cost(52);
 
     let shield = measure_shield_overhead();
     AccessControlTrade {

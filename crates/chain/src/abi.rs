@@ -78,11 +78,6 @@ impl AbiValue {
         }
     }
 
-    /// Whether the value uses the dynamic (offset + tail) encoding.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, AbiValue::Bytes(_) | AbiValue::String(_))
-    }
-
     /// Extract a `uint256`, if that is the variant.
     pub fn as_uint(&self) -> Option<U256> {
         match self {
@@ -111,14 +106,6 @@ impl AbiValue {
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             AbiValue::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Extract a string, if that is the variant.
-    pub fn as_string(&self) -> Option<&str> {
-        match self {
-            AbiValue::String(s) => Some(s),
             _ => None,
         }
     }

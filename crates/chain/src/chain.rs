@@ -12,32 +12,18 @@ use std::sync::Arc;
 use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
 use crate::exec::{recover, Executor, MessageCall, Recovery, VmError};
-use crate::gas::{GasBreakdown, GasSchedule};
+use crate::gas::{GasBreakdown, SCHEDULE};
 use crate::receipt::{ExecStatus, Receipt};
 use crate::state::WorldState;
 use crate::trace::CallTrace;
 use crate::tx::{SignedTransaction, Transaction};
 
-/// Chain-level configuration.
-#[derive(Clone, Debug)]
-pub struct ChainConfig {
-    /// Seconds between consecutive block timestamps.
-    pub block_time: u64,
-    /// Genesis Unix timestamp.
-    pub genesis_timestamp: u64,
-    /// Gas cost constants.
-    pub schedule: GasSchedule,
-}
+/// Seconds between consecutive block timestamps: Ethereum's paper-era
+/// average.
+const BLOCK_TIME: u64 = 13;
 
-impl Default for ChainConfig {
-    fn default() -> Self {
-        ChainConfig {
-            block_time: 13,                   // Ethereum's paper-era average
-            genesis_timestamp: 1_546_300_800, // 2019-01-01, the paper's data-collection era
-            schedule: GasSchedule::default(),
-        }
-    }
-}
+/// Genesis Unix timestamp: 2019-01-01, the paper's data-collection era.
+const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
 
 /// Why a transaction was rejected before execution.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -100,7 +86,6 @@ pub enum BlockMode<'p> {
 /// — used to demonstrate that even a 51% adversary cannot mint tokens
 /// (§VII-A).
 pub struct Chain {
-    config: ChainConfig,
     state: WorldState,
     registry: ContractRegistry,
     blocks: Vec<Block>,
@@ -111,30 +96,17 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// A fresh chain with the given configuration.
-    pub fn new(config: ChainConfig) -> Self {
-        let genesis = Block::genesis(config.genesis_timestamp);
-        let pending_timestamp = config.genesis_timestamp + config.block_time;
+    /// A fresh chain: genesis at the paper-era timestamp, 13 s blocks.
+    pub fn default_chain() -> Self {
         Chain {
-            config,
             state: WorldState::new(),
             registry: ContractRegistry::new(),
-            blocks: vec![genesis],
+            blocks: vec![Block::genesis(GENESIS_TIMESTAMP)],
             pending: Vec::new(),
-            pending_timestamp,
+            pending_timestamp: GENESIS_TIMESTAMP + BLOCK_TIME,
             receipts: HashMap::new(),
             genesis_accounts: Vec::new(),
         }
-    }
-
-    /// A chain with default config.
-    pub fn default_chain() -> Self {
-        Self::new(ChainConfig::default())
-    }
-
-    /// The active gas schedule.
-    pub fn schedule(&self) -> &GasSchedule {
-        &self.config.schedule
     }
 
     /// Immutable view of the world state.
@@ -289,8 +261,7 @@ impl Chain {
         if state.balance(sender) < upfront {
             return Err(ChainError::InsufficientFunds);
         }
-        let schedule = &self.config.schedule;
-        let intrinsic = schedule.intrinsic_gas(&tx.data, tx.to.is_none());
+        let intrinsic = SCHEDULE.intrinsic_gas(&tx.data, tx.to.is_none());
         if intrinsic > tx.gas_limit {
             return Err(ChainError::IntrinsicGasTooLow);
         }
@@ -301,7 +272,7 @@ impl Chain {
         state.commit();
 
         let registry = &self.registry;
-        let mut executor = Executor::new(state, registry, schedule, env, sender, tx.gas_limit);
+        let mut executor = Executor::new(state, registry, env, sender, tx.gas_limit);
         executor.recovered = recovered;
         executor
             .meter
@@ -328,7 +299,7 @@ impl Chain {
                 let code_len = logic.code_len();
                 let outcome = executor
                     .meter
-                    .charge(code_len as u64 * schedule.code_deposit)
+                    .charge(code_len as u64 * SCHEDULE.code_deposit)
                     .map_err(VmError::from)
                     .and_then(|()| executor.construct(sender, address, tx.value, logic))
                     .map(|()| Bytes::new());
@@ -446,7 +417,7 @@ impl Chain {
             transactions: std::mem::take(&mut self.pending),
         };
         self.blocks.push(block);
-        self.pending_timestamp += self.config.block_time;
+        self.pending_timestamp += BLOCK_TIME;
         self.blocks.last().expect("just pushed")
     }
 
@@ -462,14 +433,7 @@ impl Chain {
     ) -> (Result<Bytes, VmError>, u64, CallTrace, GasBreakdown) {
         let snapshot = self.state.snapshot();
         let env = self.pending_env();
-        let mut executor = Executor::new(
-            &mut self.state,
-            &self.registry,
-            &self.config.schedule,
-            env,
-            from,
-            10_000_000,
-        );
+        let mut executor = Executor::new(&mut self.state, &self.registry, env, from, 10_000_000);
         let result = executor.call(MessageCall {
             caller: from,
             callee: to,
@@ -488,7 +452,6 @@ impl Chain {
     /// (immutable); state and history are copied.
     pub fn fork(&self) -> Chain {
         Chain {
-            config: self.config.clone(),
             state: self.state.fork(),
             registry: self.registry.clone(),
             blocks: self.blocks.clone(),
@@ -537,7 +500,7 @@ impl Chain {
         }
         self.state.commit();
         self.blocks.truncate(1);
-        self.pending_timestamp = self.config.genesis_timestamp + self.config.block_time;
+        self.pending_timestamp = GENESIS_TIMESTAMP + BLOCK_TIME;
         self.receipts.clear();
 
         for block in replay {

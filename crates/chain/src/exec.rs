@@ -62,7 +62,7 @@ use std::sync::Arc;
 use crate::abi::{self, AbiType, AbiValue, Selector};
 use crate::block::BlockEnv;
 use crate::contract::{Contract, ContractRegistry};
-use crate::gas::{GasMeter, GasSchedule, OutOfGas};
+use crate::gas::{GasMeter, OutOfGas, SCHEDULE};
 use crate::receipt::Log;
 use crate::state::{Snapshot, WorldState};
 use crate::trace::{CallTrace, FrameStatus, StorageAccess, TraceEvent, TraceFrame};
@@ -196,8 +196,6 @@ pub struct Executor<'a> {
     pub state: &'a mut WorldState,
     /// Deployed contract logic.
     pub registry: &'a ContractRegistry,
-    /// Gas cost constants.
-    pub schedule: &'a GasSchedule,
     /// Block-level context (`block.timestamp` = Alg. 1's `now()`).
     pub block: BlockEnv,
     /// The transaction's gas meter.
@@ -238,7 +236,6 @@ impl<'a> Executor<'a> {
     pub fn new(
         state: &'a mut WorldState,
         registry: &'a ContractRegistry,
-        schedule: &'a GasSchedule,
         block: BlockEnv,
         origin: Address,
         gas_limit: u64,
@@ -246,7 +243,6 @@ impl<'a> Executor<'a> {
         Executor {
             state,
             registry,
-            schedule,
             block,
             meter: GasMeter::new(gas_limit),
             origin,
@@ -387,7 +383,7 @@ impl<'a> Executor<'a> {
         let setup: Result<(), VmError> = (|| {
             if value > 0 {
                 if !is_construct && !self.state.exists(callee) {
-                    self.meter.charge(self.schedule.new_account)?;
+                    self.meter.charge(SCHEDULE.new_account)?;
                 }
                 if !self.state.debit(caller, value) {
                     return Err(VmError::InsufficientBalance);
@@ -579,7 +575,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         self.effectful("charge_compute", Effect::Unit, unpack_unit, |ctx| {
             ctx.exec
                 .meter
-                .charge(steps * ctx.exec.schedule.compute_step)
+                .charge(steps * SCHEDULE.compute_step)
                 .map_err(Into::into)
         })
     }
@@ -631,18 +627,13 @@ impl<'e, 'a> CallContext<'e, 'a> {
         }
     }
 
-    /// The active gas schedule.
-    pub fn schedule(&self) -> &GasSchedule {
-        self.exec.schedule
-    }
-
     // ---- Storage ----
 
     /// `sload` — read a storage slot of the executing contract, charging
     /// the schedule's `sload` cost.
     pub fn sload(&mut self, slot: H256) -> Result<H256, VmError> {
         self.effectful("sload", Effect::Word, unpack_word, |ctx| {
-            ctx.exec.meter.charge(ctx.exec.schedule.sload)?;
+            ctx.exec.meter.charge(SCHEDULE.sload)?;
             let value = ctx.exec.state.storage_get(ctx.frame.callee, slot);
             ctx.frame
                 .trace
@@ -659,13 +650,13 @@ impl<'e, 'a> CallContext<'e, 'a> {
             // The previous value decides the charge.
             let prev = ctx.exec.state.storage_get(ctx.frame.callee, slot);
             let cost = if prev.is_zero() && !value.is_zero() {
-                ctx.exec.schedule.sset
+                SCHEDULE.sset
             } else {
-                ctx.exec.schedule.sreset
+                SCHEDULE.sreset
             };
             ctx.exec.meter.charge(cost)?;
             if !prev.is_zero() && value.is_zero() {
-                ctx.exec.meter.add_refund(ctx.exec.schedule.sclear_refund);
+                ctx.exec.meter.add_refund(SCHEDULE.sclear_refund);
             }
             ctx.exec.state.storage_set(ctx.frame.callee, slot, value);
             ctx.frame
@@ -696,7 +687,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         self.effectful("mapping_slot", Effect::Word, unpack_word, |ctx| {
             ctx.exec
                 .meter
-                .charge(ctx.exec.schedule.keccak_cost(key.len() + 32))?;
+                .charge(SCHEDULE.keccak_cost(key.len() + 32))?;
             let base_word = U256::from_u64(base).to_be_bytes();
             Ok(smacs_crypto::keccak256_concat(&[key, &base_word]))
         })
@@ -707,9 +698,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// keccak256 with the `G_sha3` charge.
     pub fn keccak(&mut self, data: &[u8]) -> Result<H256, VmError> {
         self.effectful("keccak", Effect::Word, unpack_word, |ctx| {
-            ctx.exec
-                .meter
-                .charge(ctx.exec.schedule.keccak_cost(data.len()))?;
+            ctx.exec.meter.charge(SCHEDULE.keccak_cost(data.len()))?;
             Ok(keccak256(data))
         })
     }
@@ -728,7 +717,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         expected: Option<Address>,
     ) -> Result<Option<Address>, VmError> {
         self.effectful("ecrecover", Effect::Recovered, unpack_recovered, |ctx| {
-            ctx.exec.meter.charge(ctx.exec.schedule.ecrecover)?;
+            ctx.exec.meter.charge(SCHEDULE.ecrecover)?;
             let memo = ctx
                 .exec
                 .recovered
@@ -771,9 +760,9 @@ impl<'e, 'a> CallContext<'e, 'a> {
         value: u128,
         data: impl Into<Bytes>,
     ) -> Result<Bytes, VmError> {
-        let mut cost = self.exec.schedule.call_base;
+        let mut cost = SCHEDULE.call_base;
         if value > 0 {
-            cost += self.exec.schedule.call_value;
+            cost += SCHEDULE.call_value;
         }
         self.charge(cost)?;
         if let Some(effect) = self.replay_next() {
@@ -808,7 +797,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         self.effectful("emit_log", Effect::Unit, unpack_unit, |ctx| {
             ctx.exec
                 .meter
-                .charge(ctx.exec.schedule.log_cost(topics.len(), data.len()))?;
+                .charge(SCHEDULE.log_cost(topics.len(), data.len()))?;
             ctx.exec.logs.push(Log {
                 address: ctx.frame.callee,
                 topics,
@@ -902,27 +891,25 @@ mod tests {
         }
     }
 
-    fn setup() -> (WorldState, ContractRegistry, GasSchedule) {
+    fn setup() -> (WorldState, ContractRegistry) {
         let mut state = WorldState::new();
         let mut registry = ContractRegistry::new();
         let contract_addr = Address::from_low_u64(0xC0);
         state.create_account(Address::from_low_u64(1), 1_000_000);
         state.set_contract(contract_addr, 100);
         registry.insert(contract_addr, Arc::new(Store));
-        (state, registry, GasSchedule::default())
+        (state, registry)
     }
 
     fn exec_call(
         state: &mut WorldState,
         registry: &ContractRegistry,
-        schedule: &GasSchedule,
         data: Vec<u8>,
     ) -> (Result<Bytes, VmError>, CallTrace, u64) {
         let origin = Address::from_low_u64(1);
         let mut executor = Executor::new(
             state,
             registry,
-            schedule,
             BlockEnv::genesis(1_000_000),
             origin,
             1_000_000,
@@ -940,15 +927,15 @@ mod tests {
 
     #[test]
     fn store_and_read_back() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let set = abi::encode_call("set(uint256)", &[AbiValue::Uint(U256::from_u64(42))]);
-        let (result, _, gas) = exec_call(&mut state, &registry, &schedule, set);
+        let (result, _, gas) = exec_call(&mut state, &registry, set);
         assert!(result.is_ok());
         // SSTORE zero→nonzero dominates: must be at least 20000.
         assert!(gas >= 20_000, "gas was {gas}");
 
         let get = abi::encode_call("get()", &[]);
-        let (result, _, _) = exec_call(&mut state, &registry, &schedule, get);
+        let (result, _, _) = exec_call(&mut state, &registry, get);
         assert_eq!(
             U256::from_be_slice(&result.unwrap()).unwrap(),
             U256::from_u64(42)
@@ -957,17 +944,12 @@ mod tests {
 
     #[test]
     fn revert_rolls_back_state() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let set = abi::encode_call("set(uint256)", &[AbiValue::Uint(U256::from_u64(7))]);
-        exec_call(&mut state, &registry, &schedule, set).0.unwrap();
+        exec_call(&mut state, &registry, set).0.unwrap();
 
         // A failing call must not clobber existing storage.
-        let (result, trace, _) = exec_call(
-            &mut state,
-            &registry,
-            &schedule,
-            abi::encode_call("boom()", &[]),
-        );
+        let (result, trace, _) = exec_call(&mut state, &registry, abi::encode_call("boom()", &[]));
         assert!(matches!(result, Err(VmError::Revert(_))));
         assert_eq!(trace.root.unwrap().status, FrameStatus::Reverted);
         assert_eq!(
@@ -978,9 +960,9 @@ mod tests {
 
     #[test]
     fn trace_records_storage_accesses() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let set = abi::encode_call("set(uint256)", &[AbiValue::Uint(U256::from_u64(1))]);
-        let (_, trace, _) = exec_call(&mut state, &registry, &schedule, set);
+        let (_, trace, _) = exec_call(&mut state, &registry, set);
         let root = trace.root.unwrap();
         let accesses: Vec<_> = root.accesses().collect();
         assert_eq!(accesses.len(), 1);
@@ -990,13 +972,12 @@ mod tests {
 
     #[test]
     fn transfer_to_eoa_moves_value() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
         let dest = Address::from_low_u64(2);
         let mut executor = Executor::new(
             &mut state,
             &registry,
-            &schedule,
             BlockEnv::genesis(0),
             origin,
             1_000_000,
@@ -1015,12 +996,11 @@ mod tests {
 
     #[test]
     fn insufficient_balance_fails_and_reverts() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
         let mut executor = Executor::new(
             &mut state,
             &registry,
-            &schedule,
             BlockEnv::genesis(0),
             origin,
             1_000_000,
@@ -1037,12 +1017,11 @@ mod tests {
 
     #[test]
     fn out_of_gas_reverts() {
-        let (mut state, registry, schedule) = setup();
+        let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
         let mut executor = Executor::new(
             &mut state,
             &registry,
-            &schedule,
             BlockEnv::genesis(0),
             origin,
             100, // far below an SSTORE
@@ -1119,7 +1098,7 @@ mod tests {
     /// neither the result nor the gas.
     #[test]
     fn ecrecover_serves_exact_memo_hits_at_the_same_gas() {
-        let (mut state, mut registry, schedule) = setup();
+        let (mut state, mut registry) = setup();
         let recoverer = Address::from_low_u64(0xE0);
         state.set_contract(recoverer, 100);
         registry.insert(recoverer, Arc::new(Recoverer));
@@ -1138,7 +1117,6 @@ mod tests {
             let mut executor = Executor::new(
                 &mut state,
                 &registry,
-                &schedule,
                 BlockEnv::genesis(0),
                 origin,
                 1_000_000,
@@ -1183,7 +1161,7 @@ mod tests {
 
     #[test]
     fn swallowed_suspension_replays_with_real_result() {
-        let (mut state, mut registry, schedule) = setup();
+        let (mut state, mut registry) = setup();
         let swallower_addr = Address::from_low_u64(0xD0);
         state.set_contract(swallower_addr, 100);
         registry.insert(
@@ -1194,13 +1172,12 @@ mod tests {
         );
         // Store 41 in the Store contract, then have the Swallower read it.
         let set = abi::encode_call("set(uint256)", &[AbiValue::Uint(U256::from_u64(41))]);
-        exec_call(&mut state, &registry, &schedule, set).0.unwrap();
+        exec_call(&mut state, &registry, set).0.unwrap();
 
         let origin = Address::from_low_u64(1);
         let mut executor = Executor::new(
             &mut state,
             &registry,
-            &schedule,
             BlockEnv::genesis(0),
             origin,
             1_000_000,

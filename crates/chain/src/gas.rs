@@ -1,19 +1,21 @@
 //! Gas accounting: schedule, meter, and labeled cost breakdowns.
 //!
-//! The schedule uses the Yellow-Paper constants of the paper's era
-//! (pre-Istanbul, matching Solidity v0.4.24 deployments): 68 gas per
-//! non-zero calldata byte, `SLOAD` at 200, `SSTORE` at 20000/5000, and the
-//! 3000-gas `ecrecover` precompile. Experiments additionally need the
-//! paper's *component* splits (Tables II and III report Verify / Misc /
-//! Bitmap / Parse separately), so the meter supports named sections: gas
-//! charged while a section is open is attributed to its label, and the
-//! remainder of a transaction is reported as `misc`.
+//! [`SCHEDULE`] is the one gas schedule: the Yellow-Paper constants of
+//! the paper's era (pre-Istanbul, matching Solidity v0.4.24 deployments):
+//! 68 gas per non-zero calldata byte, `SLOAD` at 200, `SSTORE` at
+//! 20000/5000, and the 3000-gas `ecrecover` precompile. Every figure of
+//! Tables II–IV and Figs. 8–9 is measured against it, so it is a constant
+//! rather than a setting. Experiments additionally need the paper's
+//! *component* splits (Tables II and III report Verify / Misc / Bitmap /
+//! Parse separately), so the meter supports named sections: gas charged
+//! while a section is open is attributed to its label, and the remainder
+//! of a transaction is reported as `misc`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Yellow-Paper-derived gas cost constants.
-#[derive(Clone, Debug)]
+/// Yellow-Paper-derived gas cost constants; [`SCHEDULE`] holds the values.
+#[derive(Debug)]
 pub struct GasSchedule {
     /// Base cost of any transaction (`G_transaction`).
     pub tx_base: u64,
@@ -39,8 +41,6 @@ pub struct GasSchedule {
     pub call_base: u64,
     /// Surcharge for a value-transferring call (`G_callvalue`).
     pub call_value: u64,
-    /// Stipend given to the callee of a value transfer (`G_callstipend`).
-    pub call_stipend: u64,
     /// Cost of creating a new account via transfer (`G_newaccount`).
     pub new_account: u64,
     /// Base cost of a LOG operation (`G_log`).
@@ -61,33 +61,29 @@ pub struct GasSchedule {
     pub compute_step: u64,
 }
 
-impl Default for GasSchedule {
-    fn default() -> Self {
-        GasSchedule {
-            tx_base: 21_000,
-            tx_data_zero: 4,
-            tx_data_nonzero: 68,
-            tx_create: 32_000,
-            sload: 200,
-            sset: 20_000,
-            sreset: 5_000,
-            sclear_refund: 15_000,
-            keccak_base: 30,
-            keccak_word: 6,
-            call_base: 700,
-            call_value: 9_000,
-            call_stipend: 2_300,
-            new_account: 25_000,
-            log_base: 375,
-            log_topic: 375,
-            log_data: 8,
-            code_deposit: 200,
-            ecrecover: 3_000,
-            copy_word: 3,
-            compute_step: 1,
-        }
-    }
-}
+/// The gas schedule every transaction is charged against.
+pub const SCHEDULE: GasSchedule = GasSchedule {
+    tx_base: 21_000,
+    tx_data_zero: 4,
+    tx_data_nonzero: 68,
+    tx_create: 32_000,
+    sload: 200,
+    sset: 20_000,
+    sreset: 5_000,
+    sclear_refund: 15_000,
+    keccak_base: 30,
+    keccak_word: 6,
+    call_base: 700,
+    call_value: 9_000,
+    new_account: 25_000,
+    log_base: 375,
+    log_topic: 375,
+    log_data: 8,
+    code_deposit: 200,
+    ecrecover: 3_000,
+    copy_word: 3,
+    compute_step: 1,
+};
 
 impl GasSchedule {
     /// Intrinsic cost of a transaction carrying `data` (§6 of the Yellow
@@ -274,20 +270,18 @@ mod tests {
 
     #[test]
     fn intrinsic_gas_splits_zero_bytes() {
-        let schedule = GasSchedule::default();
-        assert_eq!(schedule.intrinsic_gas(&[], false), 21_000);
+        assert_eq!(SCHEDULE.intrinsic_gas(&[], false), 21_000);
         // one zero byte + one non-zero byte
-        assert_eq!(schedule.intrinsic_gas(&[0, 1], false), 21_000 + 4 + 68);
-        assert_eq!(schedule.intrinsic_gas(&[], true), 21_000 + 32_000);
+        assert_eq!(SCHEDULE.intrinsic_gas(&[0, 1], false), 21_000 + 4 + 68);
+        assert_eq!(SCHEDULE.intrinsic_gas(&[], true), 21_000 + 32_000);
     }
 
     #[test]
     fn keccak_cost_rounds_words_up() {
-        let schedule = GasSchedule::default();
-        assert_eq!(schedule.keccak_cost(0), 30);
-        assert_eq!(schedule.keccak_cost(1), 36);
-        assert_eq!(schedule.keccak_cost(32), 36);
-        assert_eq!(schedule.keccak_cost(33), 42);
+        assert_eq!(SCHEDULE.keccak_cost(0), 30);
+        assert_eq!(SCHEDULE.keccak_cost(1), 36);
+        assert_eq!(SCHEDULE.keccak_cost(32), 36);
+        assert_eq!(SCHEDULE.keccak_cost(33), 42);
     }
 
     #[test]

@@ -42,10 +42,10 @@ pub mod tx;
 
 pub use abi::{selector, AbiValue, Selector};
 pub use block::{Block, BlockEnv};
-pub use chain::{BlockMode, Chain, ChainConfig, ChainError};
+pub use chain::{BlockMode, Chain, ChainError};
 pub use contract::{Contract, ContractRegistry, DeployedContract};
 pub use exec::{CallContext, Executor, MessageCall, VmError};
-pub use gas::{GasBreakdown, GasMeter, GasSchedule, OutOfGas};
+pub use gas::{GasBreakdown, GasMeter, GasSchedule, OutOfGas, SCHEDULE};
 pub use receipt::{ExecStatus, Log, Receipt};
 pub use state::WorldState;
 pub use trace::{CallTrace, TraceFrame};

@@ -9,7 +9,7 @@
 use smacs_chain::{Chain, ChainError, Receipt, Transaction};
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;
-use smacs_token::{append_tokens, Token, TokenArray, TokenRequest};
+use smacs_token::{append_tokens, Token, TokenArray};
 /// Build calldata carrying a single token for `contract`.
 pub fn build_call_data(payload: &[u8], contract: Address, token: Token) -> Vec<u8> {
     let tokens = TokenArray::new().with(contract, token);
@@ -77,11 +77,6 @@ impl ClientWallet {
     ) -> Result<Receipt, ChainError> {
         let data = build_chain_call_data(payload, tokens);
         self.send(chain, first_contract, value, data)
-    }
-
-    /// A token request for this wallet: `sAddr` is the wallet's address.
-    pub fn method_request(&self, contract: Address, method: impl Into<String>) -> TokenRequest {
-        TokenRequest::method_token(contract, self.address(), method)
     }
 
     /// Send a raw (already token-bearing) call.

@@ -25,7 +25,7 @@
 //! `parse` (multi-token array handling, Table III), `verify` (signature
 //! path, Table II), `bitmap` (one-time bookkeeping, Table II).
 
-use smacs_chain::{CallContext, Selector, VmError};
+use smacs_chain::{CallContext, Selector, VmError, SCHEDULE};
 use smacs_primitives::{Address, Bytes};
 use smacs_token::{split_tokens, PayloadContext, Token, TokenArray, TokenType};
 
@@ -66,7 +66,7 @@ pub fn verify_incoming(ctx: &mut CallContext<'_, '_>) -> Result<VerifyOutcome, V
     // Table III reports no Parse cost for one token), per-entry above that.
     if tokens.len() > 1 {
         ctx.charge_compute(PARSE_PER_ENTRY_STEPS * tokens.len() as u64)?;
-        ctx.charge(ctx.schedule().copy_cost(data.len()))?;
+        ctx.charge(SCHEDULE.copy_cost(data.len()))?;
     }
     let payload = payload.to_vec();
     let this = ctx.this_address();
@@ -182,10 +182,7 @@ pub fn forward_call(
     let data = ctx.msg_data_bytes();
     let (_, tokens) =
         split_tokens(&data).map_err(|e| VmError::Revert(format!("SMACS: forward: {e}")))?;
-    ctx.charge(
-        ctx.schedule()
-            .copy_cost(payload.len() + tokens.len() * smacs_token::array::ENTRY_SIZE),
-    )?;
+    ctx.charge(SCHEDULE.copy_cost(payload.len() + tokens.len() * smacs_token::array::ENTRY_SIZE))?;
     let nested = smacs_token::append_tokens(payload, &tokens);
     ctx.call(to, value, nested)
 }

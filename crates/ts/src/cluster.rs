@@ -58,6 +58,12 @@
 //! node — the replica keeps serving, modelling a network partition
 //! between the consensus group and one member.
 //!
+//! Every replica runs [`TokenServiceConfig::default`] behind a
+//! client-facing listener on [`HttpServerConfig::default`] (plus the
+//! set's own address and [`FaultPlan`]); a [`ReplicaSetConfig`] chooses
+//! only the replica count, the owner secret, the TS clock and where the
+//! WALs live.
+//!
 //! Replicas live in one process here (this is a simulator), but nothing
 //! crosses between their counter nodes except TCP — the shared `Arc`s are
 //! limited to the signing key and rule book a real deployment would
@@ -77,7 +83,7 @@ use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
 use crate::discovery::ContractMetadata;
 use crate::fault::FaultPlan;
 use crate::front::{EndpointScope, FrontEnd};
-use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
+use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig, WireCall};
 use crate::replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 use crate::rules::RuleBook;
 use crate::service::{TokenService, TokenServiceConfig};
@@ -110,12 +116,6 @@ pub struct ReplicaSetConfig {
     /// came from and is revoked by killing that one replica — no
     /// fleet-wide secret rotation.
     pub owner_secret: String,
-    /// Per-replica service tuning.
-    pub service: TokenServiceConfig,
-    /// Per-replica tuning of the client-facing listeners (the set builds
-    /// its own vote endpoints). `bind` and `faults` are managed by the set
-    /// and must be left `None`.
-    pub http: HttpServerConfig,
     /// Initial TS-local clock.
     pub now: u64,
     /// How counter votes travel: always [`CounterMode::Wire`], and not
@@ -134,8 +134,6 @@ impl Default for ReplicaSetConfig {
         ReplicaSetConfig {
             replicas: 3,
             owner_secret: "replica-owner".into(),
-            service: TokenServiceConfig::default(),
-            http: HttpServerConfig::default(),
             now: 0,
             counter_mode: CounterMode::Wire,
             wal_dir: None,
@@ -197,11 +195,12 @@ impl WireCounterTransport {
             .set(HttpClient::connect_with(addr, vote_client_config()));
     }
 
-    /// One vote send, with sender-side fault injection. `idempotent`
-    /// gates the transport's replay-on-reconnect: reads are; `commit` is
-    /// not (a lost commit ack must surface as "unreachable", not be
-    /// silently re-sent and come back `accepted: false`).
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, idempotent: bool) -> Option<Json> {
+    /// One vote send, with sender-side fault injection. `one_time` feeds
+    /// the client's replay rule: a prepare is a read and may be resent; a
+    /// commit may burn an index and never is (a lost commit ack must
+    /// surface as "unreachable", not be silently re-sent and come back
+    /// `accepted: false`).
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Option<Json> {
         let client = self.target.get()?;
         let addr = client.addr();
         if self.faults.is_partitioned(addr) {
@@ -211,11 +210,11 @@ impl WireCounterTransport {
             std::thread::sleep(delay);
         }
         let duplicate = self.faults.take_duplicate_vote();
-        let reply = client.call_detailed(op, body, idempotent).ok();
+        let reply = client.call(op, body, one_time).ok();
         if duplicate {
             // Duplicate delivery: the echo reaches the node, its reply is
             // discarded — the vote state machine must treat it as a no-op.
-            let _ = client.call_detailed(op, body, idempotent);
+            let _ = client.call(op, body, one_time);
         }
         reply
     }
@@ -223,12 +222,12 @@ impl WireCounterTransport {
 
 impl CounterTransport for WireCounterTransport {
     fn prepare(&self) -> Option<u64> {
-        let body = self.call("counter_prepare", None, true)?;
+        let body = self.call("counter_prepare", None, false)?;
         Some(CounterStateBody::from_json(&body).ok()?.committed)
     }
 
     fn commit(&self, value: u64) -> Option<CommitReply> {
-        let body = self.call("counter_commit", Some(&CounterCommitBody { value }), false)?;
+        let body = self.call("counter_commit", Some(&CounterCommitBody { value }), true)?;
         let vote = CounterVoteBody::from_json(&body).ok()?;
         Some(CommitReply {
             accepted: vote.accepted,
@@ -333,7 +332,7 @@ impl ReplicaSet {
             let service = TokenService::new(
                 signer.clone(),
                 RuleBook::permissive(), // replaced by the shared book
-                config.service.clone(),
+                TokenServiceConfig::default(),
             )
             .with_shared_rules(rules.clone())
             .with_replicated_counter(cluster.clone());
@@ -353,7 +352,7 @@ impl ReplicaSet {
                 EndpointScope::Public,
                 HttpServerConfig {
                     faults: Some(faults[id].clone()),
-                    ..config.http.clone()
+                    ..HttpServerConfig::default()
                 },
             )?;
             let addr = server.addr();
@@ -522,7 +521,7 @@ impl ReplicaSet {
                 HttpServerConfig {
                     bind: Some(self.replicas[id].addr),
                     faults: Some(self.replicas[id].faults.clone()),
-                    ..self.config.http.clone()
+                    ..HttpServerConfig::default()
                 },
             )?;
             self.replicas[id].server = Some(server);
@@ -770,13 +769,13 @@ mod tests {
         let client = HttpClient::connect(vote_addr);
         // Phase-1 read.
         let body = client
-            .call_detailed("counter_prepare", None, true)
+            .call("counter_prepare", None, false)
             .expect("prepare answers");
         assert_eq!(CounterStateBody::from_json(&body).unwrap().committed, 0);
         // An external commit at the frontier is accepted; its echo is not.
         let commit = |value: u64| {
             let body = client
-                .call_detailed("counter_commit", Some(&CounterCommitBody { value }), false)
+                .call("counter_commit", Some(&CounterCommitBody { value }), true)
                 .expect("commit answers");
             CounterVoteBody::from_json(&body).unwrap()
         };
@@ -795,18 +794,16 @@ mod tests {
         let set = small_set(3);
         let client = HttpClient::connect(set.addrs()[1]);
         let err = client
-            .call_detailed(
+            .call(
                 "counter_commit",
                 Some(&CounterCommitBody { value: 0 }),
-                false,
+                true,
             )
-            .expect_err("public endpoint must refuse vote ops")
-            .into_api();
+            .expect_err("public endpoint must refuse vote ops");
         assert_eq!(err.code, ErrorCode::CounterUnavailable);
         let err = client
-            .call_detailed("counter_prepare", None, true)
-            .expect_err("public endpoint must refuse vote ops")
-            .into_api();
+            .call("counter_prepare", None, false)
+            .expect_err("public endpoint must refuse vote ops");
         assert_eq!(err.code, ErrorCode::CounterUnavailable);
         // Nothing was burned or skipped by the refused commit: the next
         // legitimate one-time issuance still gets index 0.

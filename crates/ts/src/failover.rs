@@ -10,18 +10,22 @@
 //! - **bounded retries**: a failed attempt is retried on the *next*
 //!   replica with exponential backoff plus deterministic jitter, up to
 //!   [`RetryPolicy::attempts`] attempts and a per-call
-//!   [`RetryPolicy::deadline`];
+//!   [`RetryPolicy::deadline`]. Each attempt is exactly one send (no
+//!   hidden resend on a fresh connection), so the two budgets bound the
+//!   requests that actually go out;
 //! - **at-most-once issuance**: whether a failure is retried depends on
 //!   how far the round trip got (`CallError`) and whether the operation
-//!   is idempotent. A connect-phase failure transmitted nothing and is
-//!   always safe to replay. After the request may have gone out, only
-//!   idempotent operations — `ping`, `discover`, `set_rules` (replaying a
+//!   may burn a one-time counter index — the replay rule
+//!   (`CallError::replayable`) that [`HttpClient`] applies too. A
+//!   connect-phase failure transmitted nothing and is always safe to
+//!   replay. After the request may have gone out, every op but one-time
+//!   issuance is replayed: `ping`, `discover`, `set_rules` (replaying a
 //!   whole-book replacement is a no-op), and issuance of tokens *without*
-//!   the one-time property (a re-mint is byte-identical) — are replayed.
-//!   A one-time issue whose answer was lost is surfaced as a transport
-//!   error instead of blind-retried: replaying it could burn a second
-//!   counter index, and the wallet (which knows whether the first token
-//!   ever arrived on-chain) must decide;
+//!   the one-time property (a re-mint is byte-identical). A one-time
+//!   issue whose answer was lost is surfaced as a transport error instead
+//!   of blind-retried: replaying it could burn a second counter index,
+//!   and the wallet (which knows whether the first token ever arrived
+//!   on-chain) must decide;
 //! - **circuit breaking**: [`BreakerConfig::failure_threshold`]
 //!   consecutive transport/server failures open an endpoint's breaker for
 //!   [`BreakerConfig::cooldown`] — calls skip it instead of paying its
@@ -47,14 +51,15 @@ use crate::http::{CallError, HttpClient, HttpClientConfig, WireCall};
 /// Retry/backoff tuning for [`FailoverClient`].
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
-    /// Total attempts per call across all replicas (1 = no retries).
+    /// Total attempts per call across all replicas, one send each
+    /// (1 = no retries).
     pub attempts: usize,
     /// Backoff before the second attempt; doubles per attempt.
     pub base_backoff: Duration,
     /// Ceiling on a single backoff sleep.
     pub max_backoff: Duration,
     /// Wall-clock budget for one call, attempts and backoffs included.
-    /// Checked between attempts (each attempt itself is bounded by the
+    /// Checked between attempts (each attempt is one send, bounded by the
     /// [`HttpClientConfig`] socket timeouts).
     pub deadline: Duration,
 }
@@ -260,32 +265,13 @@ impl FailoverClient {
         let nanos = exp.as_nanos() as u64;
         Duration::from_nanos(nanos / 2 + (x % (nanos / 2 + 1)))
     }
-
-    /// Whether `error` may be retried on another replica given the
-    /// operation's idempotency — the at-most-once gate.
-    fn retriable(error: &CallError, idempotent: bool) -> bool {
-        match error {
-            // Nothing was transmitted: replaying is always safe.
-            CallError::Transport { sent: false, .. } => true,
-            // The request may have been received and executed: replay only
-            // what is safe to execute twice.
-            CallError::Transport { sent: true, .. } | CallError::Server { .. } => idempotent,
-            // The service ran the request and said no. Retrying elsewhere
-            // would just re-ask the same replicated state.
-            CallError::Api(_) => false,
-        }
-    }
 }
 
 impl WireCall for FailoverClient {
     /// One v2 op with failover: rotate through replicas until an attempt
     /// yields a definitive answer, the attempt/deadline budget runs out,
-    /// or a failure is unsafe to replay. All but one-time issuance is
-    /// replayable: reads, a whole-book `set_rules` (it converges), and
-    /// expiry-token issuance (a re-mint is byte-identical — same expire,
-    /// `NO_INDEX`, same payload, same signature).
+    /// or the replay rule (`CallError::replayable`) forbids another send.
     fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError> {
-        let idempotent = !one_time;
         let start = self.cursor.fetch_add(1, Ordering::Relaxed) % self.endpoints.len();
         let deadline = Instant::now() + self.policy.deadline;
         let attempts = self.policy.attempts.max(1);
@@ -299,7 +285,7 @@ impl WireCall for FailoverClient {
                 std::thread::sleep(pause);
             }
             let endpoint = self.pick(start, attempt);
-            match endpoint.client.call_detailed(op, body, idempotent) {
+            match endpoint.client.send_once(op, body) {
                 Ok(response) => {
                     endpoint.record_success();
                     return Ok(response);
@@ -310,9 +296,9 @@ impl WireCall for FailoverClient {
                 }
                 Err(error) => {
                     endpoint.record_failure(&self.breaker, Instant::now());
-                    let retriable = FailoverClient::retriable(&error, idempotent);
+                    let replayable = error.replayable(one_time);
                     last = Some(error);
-                    if !retriable {
+                    if !replayable {
                         break;
                     }
                 }
@@ -360,21 +346,64 @@ mod tests {
             sent,
             error: ApiError::new(ErrorCode::Transport, "x"),
         };
-        // Connect-phase failures replay regardless of idempotency.
-        assert!(FailoverClient::retriable(&transport(false), false));
-        assert!(FailoverClient::retriable(&transport(false), true));
-        // Post-send failures replay only idempotent ops.
-        assert!(!FailoverClient::retriable(&transport(true), false));
-        assert!(FailoverClient::retriable(&transport(true), true));
+        // Connect-phase failures replay whatever the op.
+        assert!(transport(false).replayable(true));
+        assert!(transport(false).replayable(false));
+        // Post-send failures replay all but ops that may burn an index.
+        assert!(!transport(true).replayable(true));
+        assert!(transport(true).replayable(false));
         let server = CallError::Server {
             status: 500,
             error: ApiError::new(ErrorCode::Internal, "x"),
         };
-        assert!(!FailoverClient::retriable(&server, false));
-        assert!(FailoverClient::retriable(&server, true));
+        assert!(!server.replayable(true));
+        assert!(server.replayable(false));
         // Application errors are definitive.
         let api = CallError::Api(ApiError::new(ErrorCode::RuleViolation, "x"));
-        assert!(!FailoverClient::retriable(&api, true));
+        assert!(!api.replayable(false));
+    }
+
+    #[test]
+    fn each_attempt_is_one_send() {
+        // `attempts: 1` is one request on the wire: an answer cut after
+        // dispatch on the pooled connection is not resent behind the
+        // budget's back, even for a replayable op.
+        use crate::fault::FaultPlan;
+        use crate::front::{EndpointScope, FrontEnd};
+        use crate::http::{Endpoint, HttpServerConfig};
+        use crate::rules::RuleBook;
+        use crate::service::{TokenService, TokenServiceConfig};
+        use std::sync::Arc;
+
+        let service = TokenService::new(
+            smacs_crypto::Keypair::from_seed(1),
+            RuleBook::permissive(),
+            TokenServiceConfig::default(),
+        );
+        let faults = FaultPlan::new();
+        let server = Endpoint::bind(
+            Arc::new(FrontEnd::new(service, "secret", 0)),
+            EndpointScope::Public,
+            HttpServerConfig {
+                faults: Some(faults.clone()),
+                ..HttpServerConfig::default()
+            },
+        )
+        .unwrap();
+        let client = FailoverClient::with_config(
+            vec![server.addr()],
+            HttpClientConfig::default(),
+            RetryPolicy {
+                attempts: 1,
+                ..RetryPolicy::default()
+            },
+            BreakerConfig::default(),
+        );
+        client.ping().unwrap();
+        faults.truncate_responses(1);
+        assert_eq!(client.ping().unwrap_err().code, ErrorCode::Transport);
+        client.ping().unwrap();
+        server.shutdown();
     }
 
     #[test]

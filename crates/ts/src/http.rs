@@ -51,10 +51,13 @@
 //! [`HttpClient`] is the wire implementation of [`TsApi`]: protocol-v2
 //! envelopes over one persistent connection. Before reusing a pooled
 //! connection it probes for staleness (server restart, idle-timeout
-//! close) and transparently reconnects once, so non-idempotent calls
-//! never burn a round on a connection the server already abandoned; a
-//! failure *after* the request was sent is only retried for idempotent
-//! ops.
+//! close) and transparently reconnects, so no call burns a round on a
+//! connection the server already abandoned. A send that still fails on
+//! the pooled connection is repeated once on a fresh one unless the op
+//! may burn a one-time counter index. That replay rule is one function,
+//! `CallError::replayable`, which [`crate::FailoverClient`] applies too;
+//! the failover client sends each attempt exactly once and retries on
+//! its own budget.
 //!
 //! # Wire cost
 //!
@@ -778,6 +781,27 @@ impl CallError {
             }
         }
     }
+
+    /// The one replay rule of both wire clients: whether a request that
+    /// failed this way may be sent again. `one_time`: the op may burn a
+    /// one-time counter index (a one-time issue, a batch holding one, a
+    /// counter commit).
+    ///
+    /// A request that never left (a connect failure) may always be resent.
+    /// One that may have reached the server (a lost or cut answer, an HTTP
+    /// 5xx) is resent unless it is `one_time`: a lost answer looks like a
+    /// lost request, and a replay could burn a second index. Every other op
+    /// is safe to run twice — reads, a counter prepare, a whole-book
+    /// `set_rules`, and expiry-token issuance (a re-mint is byte-identical:
+    /// same expire, `NO_INDEX`, same payload, same signature). An
+    /// application error is final: the service ran the request and said no.
+    pub(crate) fn replayable(&self, one_time: bool) -> bool {
+        match self {
+            CallError::Transport { sent: false, .. } => true,
+            CallError::Transport { sent: true, .. } | CallError::Server { .. } => !one_time,
+            CallError::Api(_) => false,
+        }
+    }
 }
 
 /// Where in the round trip an I/O error struck.
@@ -801,10 +825,6 @@ fn transport_error(phase: &str, e: &std::io::Error) -> ApiError {
 }
 
 impl IoFailure {
-    fn sent(&self) -> bool {
-        matches!(self, IoFailure::AfterSend(_))
-    }
-
     fn into_call_error(self) -> CallError {
         let (sent, error) = match &self {
             IoFailure::Connect(e) => (false, transport_error("connect", e)),
@@ -821,11 +841,13 @@ impl IoFailure {
 /// each reuse the client probes the pooled connection with a non-blocking
 /// peek: a connection the server has since closed (restart, idle timeout)
 /// is detected *before* the request is sent and replaced transparently —
-/// safe for every op, because nothing was transmitted yet. Failures after
-/// the request went out are retried on a fresh connection only for
-/// idempotent ops. Every socket phase is bounded by [`HttpClientConfig`]
-/// timeouts, so a hung server surfaces as a distinguishable "timed out"
-/// [`ErrorCode::Transport`] error instead of blocking forever.
+/// safe for every op, because nothing was transmitted yet. A send that
+/// still fails on the pooled connection is repeated once on a fresh one
+/// unless the op may burn a one-time counter index (the replay rule the
+/// failover client shares). Every socket phase is bounded by
+/// [`HttpClientConfig`] timeouts, so a hung server surfaces as a
+/// distinguishable "timed out" [`ErrorCode::Transport`] error instead of
+/// blocking forever.
 pub struct HttpClient {
     addr: SocketAddr,
     /// Everything of a request head that precedes the body length,
@@ -887,45 +909,52 @@ impl HttpClient {
         read_response(reader).map_err(IoFailure::AfterSend)
     }
 
-    /// One keep-alive round trip.
+    /// One keep-alive round trip, resent at most once.
     ///
     /// A pooled connection is preflighted first: if the server already
     /// closed it (restart, idle timeout) it is replaced before anything is
-    /// sent — a transparent reconnect that is safe for *all* ops. After
-    /// the request has been written, a failure is retried on a fresh
-    /// connection only for `idempotent` operations: a lost *response* is
-    /// indistinguishable from a lost *request*, and replaying an issuance
-    /// could mint twice (burning one-time counter indexes).
-    fn round_trip(&self, body: &str, idempotent: bool) -> Result<(u16, String), CallError> {
+    /// sent — a transparent reconnect that is safe for *all* ops. A send
+    /// that then fails on the pooled connection is repeated once on a fresh
+    /// one when `resend` allows it for the failure; a send that failed on a
+    /// fresh connection is final, since a retry would meet the same server.
+    fn round_trip(
+        &self,
+        body: &str,
+        resend: impl Fn(&CallError) -> bool,
+    ) -> Result<(u16, String), CallError> {
         let mut conn = self.conn.lock();
         if conn.as_mut().is_some_and(connection_is_stale) {
             *conn = None;
         }
-        let had_connection = conn.is_some();
-        match self.round_trip_once(&mut conn, body) {
-            Ok(response) => Ok(response),
-            Err(first) => {
-                *conn = None;
-                if !had_connection || (first.sent() && !idempotent) {
-                    // Fresh connection already failed (retry won't help),
-                    // or replay is unsafe for this op.
-                    return Err(first.into_call_error());
-                }
-                self.round_trip_once(&mut conn, body).map_err(|e| {
-                    *conn = None;
-                    e.into_call_error()
-                })
-            }
+        let pooled = conn.is_some();
+        let mut result = self
+            .round_trip_once(&mut conn, body)
+            .map_err(IoFailure::into_call_error);
+        if matches!(&result, Err(error) if pooled && resend(error)) {
+            *conn = None;
+            result = self
+                .round_trip_once(&mut conn, body)
+                .map_err(IoFailure::into_call_error);
         }
+        if result.is_err() {
+            *conn = None;
+        }
+        result
     }
 
-    /// Send one v2 op, reporting failures with enough detail for a
-    /// failover layer to decide whether retrying elsewhere is safe.
-    pub(crate) fn call_detailed(
+    /// Send one v2 op exactly once: one [`crate::FailoverClient`] attempt,
+    /// so its attempt and deadline budget bounds the requests actually sent.
+    pub(crate) fn send_once(&self, op: &str, body: Option<&dyn ToJson>) -> Result<Json, CallError> {
+        self.send(op, body, |_| false)
+    }
+
+    /// Send one v2 op, resending it once on a fresh connection when a
+    /// pooled connection failed and `resend` allows it for the failure.
+    fn send(
         &self,
         op: &str,
         body: Option<&dyn ToJson>,
-        idempotent: bool,
+        resend: impl Fn(&CallError) -> bool,
     ) -> Result<Json, CallError> {
         // The members of a `RequestEnvelope`, the body encoding itself in
         // place; on the way back the body moves out of the parsed tree.
@@ -935,7 +964,7 @@ impl HttpClient {
             .member("op", op)
             .member("body", &body)
             .end();
-        let (status, text) = self.round_trip(&envelope, idempotent)?;
+        let (status, text) = self.round_trip(&envelope, resend)?;
         let decoded = Json::parse(&text).ok().and_then(|mut json| {
             let body = Some(json.take("body"));
             Some(ResponseEnvelope {
@@ -1004,17 +1033,16 @@ fn connection_is_stale(reader: &mut BufReader<TcpStream>) -> bool {
 pub(crate) trait WireCall: Send + Sync {
     /// Send `op` with `body` and return the success body (or the decoded
     /// error). `one_time`: the op may burn a one-time counter index, so it
-    /// must not be replayed once the request may have gone out.
+    /// must not be replayed once the request may have gone out; every
+    /// other op may be (`CallError::replayable`, the one replay rule).
     fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError>;
 }
 
 impl WireCall for HttpClient {
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, _: bool) -> Result<Json, ApiError> {
-        // Replaying `set_rules` re-applies the same whole-book replacement;
-        // `discover`/`ping` are reads. Issuance, one-time or not, is never
-        // replayed by a single-endpoint client.
-        let idempotent = matches!(op, "ping" | "discover" | "set_rules");
-        self.call_detailed(op, body, idempotent)
+    /// One send, and one resend on a fresh connection after a pooled one
+    /// failed, when the replay rule (`CallError::replayable`) allows it.
+    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError> {
+        self.send(op, body, |error| error.replayable(one_time))
             .map_err(CallError::into_api)
     }
 }
@@ -1411,9 +1439,9 @@ mod tests {
     #[test]
     fn client_transparently_reconnects_after_server_idle_timeout() {
         // The server reaps connections idle > 40 ms; the client's pooled
-        // connection goes stale, and the next call — *including* the
-        // non-idempotent issue — must succeed via the preflight reconnect
-        // instead of surfacing a transport error.
+        // connection goes stale, and the next call — *including* a
+        // one-time issue, which is never resent — must succeed via the
+        // preflight reconnect instead of surfacing a transport error.
         let server = serve(HttpServerConfig {
             idle_timeout: Some(Duration::from_millis(40)),
             ..HttpServerConfig::default()
@@ -1422,8 +1450,49 @@ mod tests {
         client.ping().unwrap();
         std::thread::sleep(Duration::from_millis(150));
         assert!(
-            client.issue(&request(2)).is_ok(),
+            client.issue(&request(2).one_time()).is_ok(),
             "stale pooled connection must be replaced transparently"
+        );
+        server.shutdown();
+    }
+
+    /// A server whose next answer is cut mid-body after dispatch.
+    fn serve_truncating() -> (Endpoint, Arc<FaultPlan>) {
+        let faults = FaultPlan::new();
+        let server = serve(HttpServerConfig {
+            faults: Some(faults.clone()),
+            ..HttpServerConfig::default()
+        });
+        (server, faults)
+    }
+
+    #[test]
+    fn expiry_issue_with_a_lost_answer_is_resent_on_a_fresh_connection() {
+        // An expiry issue burns no index and a re-mint is byte-identical,
+        // so the replay rule resends it after its answer is lost on the
+        // pooled connection.
+        let (server, faults) = serve_truncating();
+        let client = HttpClient::connect(server.addr());
+        let unfaulted = client.issue(&request(2)).unwrap();
+        faults.truncate_responses(1);
+        let resent = client.issue(&request(2)).unwrap();
+        assert_eq!(resent.to_bytes(), unfaulted.to_bytes());
+        server.shutdown();
+    }
+
+    #[test]
+    fn one_time_issue_with_a_lost_answer_is_not_resent() {
+        let (server, faults) = serve_truncating();
+        let client = HttpClient::connect(server.addr());
+        client.ping().unwrap();
+        faults.truncate_responses(1);
+        let err = client.issue(&request(3).one_time()).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Transport);
+        // The lost answer carried index 0; nothing else was burned.
+        let next = client.issue(&request(3).one_time()).unwrap();
+        assert_eq!(
+            next.index, 1,
+            "a lost one-time issue burns exactly one index"
         );
         server.shutdown();
     }

@@ -278,14 +278,6 @@ impl TokenService {
             .flatten()
             .collect()
     }
-
-    /// Refresh the attached testnet to a newer fork of the live chain (the
-    /// owner periodically re-syncs the simulation environment).
-    pub fn sync_testnet(&self, fork: Chain) {
-        if let Some(testnet) = &self.testnet {
-            *testnet.write() = fork;
-        }
-    }
 }
 
 /// A granted request: its token's fields and the digest `sk_TS` signs.
