@@ -153,16 +153,11 @@ fn runtime_tools_process_requests() {
     assert_eq!(hydra.requests, 10);
     assert_eq!(ecf.requests, 10);
     assert!(hydra.avg_ms > 0.0 && ecf.avg_ms > 0.0);
-    // Hydra does N+1 simulations per request vs ECF's single simulation;
-    // per-request work must be strictly larger. (The wall-clock gap is
-    // compressed relative to the paper because our simulator has no
-    // block-production latency — asserted loosely.)
-    assert!(
-        hydra.avg_ms > ecf.avg_ms * 0.8,
-        "hydra {} vs ecf {}",
-        hydra.avg_ms,
-        ecf.avg_ms
-    );
+    // Hydra simulates every request once per head (3 here), ECF once: the
+    // per-request work the paper's wall-clock gap reflects, counted by the
+    // tools themselves rather than timed.
+    assert_eq!(hydra.simulations_per_request, 3.0);
+    assert_eq!(ecf.simulations_per_request, 1.0);
 }
 
 #[test]

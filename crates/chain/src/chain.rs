@@ -1,7 +1,7 @@
 //! Chain orchestration: block production, transaction intake, deployment,
 //! dry runs, forking, and reorgs.
 
-use smacs_crypto::{keccak256, Keypair};
+use smacs_crypto::{keccak256, recover_batch, Keypair};
 use smacs_primitives::pool::WorkerPool;
 use smacs_primitives::rlp::{self, Item, ToRlp};
 use smacs_primitives::{Address, Bytes, H256};
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
-use crate::exec::{recover, Executor, MessageCall, Recovery, VmError};
+use crate::exec::{Executor, MessageCall, Recovery, VmError};
 use crate::gas::{GasBreakdown, SCHEDULE};
 use crate::receipt::{ExecStatus, Receipt};
 use crate::state::WorldState;
@@ -24,6 +24,11 @@ const BLOCK_TIME: u64 = 13;
 
 /// Genesis Unix timestamp: 2019-01-01, the paper's data-collection era.
 const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
+
+/// The fewest transactions a chunk of the block prepass gets. A recovery
+/// costs far more than a pool hand-off, so even a two-transaction block
+/// is spread across two threads.
+const PREPASS_CHUNK_MIN: usize = 1;
 
 /// Why a transaction was rejected before execution.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -68,11 +73,13 @@ pub enum BlockMode<'p> {
     /// One at a time on the canonical state — the reference semantics.
     Sequential,
     /// A signature prepass on the given pool, then the sequential loop:
-    /// every transaction's sender and the signatures its contract hints
-    /// at ([`Contract::recover_hints`]) are recovered in parallel, a hinted
-    /// known signer by the cheaper check of
-    /// [`smacs_crypto::recover_expecting`], and execution serves them from
-    /// that memo. Results are bit-identical to [`BlockMode::Sequential`].
+    /// the block is cut into one chunk per pool thread, and each chunk
+    /// recovers its transactions' senders and then the signatures their
+    /// contracts hint at ([`Contract::recover_hints`]) as two batches
+    /// ([`smacs_crypto::recover_batch`]), each sharing one scalar and one
+    /// field inversion; a hinted known signer gets the cheaper comb check.
+    /// Execution serves the hints from that memo. Results are
+    /// bit-identical to [`BlockMode::Sequential`].
     Parallel(&'p WorkerPool),
 }
 
@@ -372,34 +379,41 @@ impl Chain {
     /// [`BlockMode::Parallel`]: recover signatures across the pool, then
     /// run the block exactly as [`BlockMode::Sequential`] does.
     ///
-    /// The prepass fills each transaction's sender cache and recovers the
-    /// `(digest, signature)` pairs its target contract hints its top-level
-    /// call will check, through the same hinted recovery `ecrecover` runs.
-    /// The chain computes every memo entry from the pair itself, so a
-    /// wrong pair or signer costs one wasted recovery and never changes a
-    /// result; a recovery nobody hinted (a callee reached through a nested
-    /// call) simply runs live.
+    /// The prepass cuts the block into one balanced chunk per pool thread
+    /// ([`WorkerPool::map_chunks`]). Each chunk makes two batch calls, each
+    /// sharing one scalar and one field inversion among its items: first
+    /// `SignedTransaction::senders`, which fills the chunk's sender
+    /// caches, then [`recover_batch`] over the `(digest, signature,
+    /// expected signer)` hints each target contract gives for its
+    /// top-level call — the hints come second because their digests name
+    /// the recovered origin. The chain memoizes every hint's answer from
+    /// the pair itself, so a wrong pair or signer costs one wasted
+    /// recovery and never changes a result; a recovery nobody hinted (a
+    /// callee reached through a nested call) simply runs live.
     fn execute_block_parallel(
         &mut self,
         txs: &[SignedTransaction],
         pool: &WorkerPool,
     ) -> Vec<Result<Receipt, ChainError>> {
         let registry = &self.registry;
-        let memos: Vec<Vec<Recovery>> = pool.scope_map(txs.len(), |i| {
-            let signed = &txs[i];
-            let (Some(origin), Some(to)) = (signed.sender(), signed.tx.to) else {
-                return Vec::new();
-            };
-            let Some(logic) = registry.get(to) else {
-                return Vec::new();
-            };
-            logic
-                .recover_hints(origin, to, &signed.tx.data)
-                .into_iter()
-                .map(|(digest, signature, expected)| {
-                    (digest, signature, recover(&digest, &signature, expected))
+        let memos: Vec<Vec<Recovery>> = pool.map_chunks(txs, PREPASS_CHUNK_MIN, |chunk| {
+            let senders = SignedTransaction::senders(chunk);
+            let mut hints: Vec<Vec<Recovery>> = chunk
+                .iter()
+                .zip(senders)
+                .map(|(signed, origin)| match (origin, signed.tx.to) {
+                    (Some(origin), Some(to)) => registry.get(to).map_or_else(Vec::new, |logic| {
+                        logic.recover_hints(origin, to, &signed.tx.data)
+                    }),
+                    _ => Vec::new(),
                 })
-                .collect()
+                .collect();
+            // Each hint's expected signer gives way to the exact answer.
+            let mut answers = recover_batch(&hints.concat()).into_iter();
+            for (_, _, slot) in hints.iter_mut().flatten() {
+                *slot = answers.next().expect("one answer per hint");
+            }
+            hints
         });
         txs.iter()
             .zip(&memos)
@@ -659,11 +673,11 @@ mod tests {
         (chain, txs)
     }
 
+    /// On 2 threads the prepass cuts the block into txs 0–3 and 4–7, so
+    /// each chunk batches a liar's hints; on 3, into 0–1, 2–4 and 5–7.
     #[test]
     fn lying_hints_change_nothing() {
-        let pool = WorkerPool::new(3, 64);
         let (mut seq, txs) = world();
-        let (mut par, _) = world();
         // Cold sender caches, as off the wire.
         let cold = || -> Vec<SignedTransaction> {
             txs.iter()
@@ -671,9 +685,14 @@ mod tests {
                 .collect()
         };
         let seq_results = seq.execute_block_with(&cold(), BlockMode::Sequential);
-        let par_results = par.execute_block_with(&cold(), BlockMode::Parallel(&pool));
-        assert_eq!(seq_results, par_results);
-        assert_eq!(seq.state().state_digest(), par.state().state_digest());
+        for threads in [2, 3] {
+            let pool = WorkerPool::new(threads, 64);
+            let (mut par, _) = world();
+            let par_results = par.execute_block_with(&cold(), BlockMode::Parallel(&pool));
+            assert_eq!(seq_results, par_results, "{threads} threads");
+            assert_eq!(seq.state().state_digest(), par.state().state_digest());
+            pool.shutdown();
+        }
 
         let successes = seq_results
             .iter()
@@ -685,6 +704,5 @@ mod tests {
         // The true recoveries landed: pair 1 of tx 0 names the signer.
         let first = &seq_results[0].as_ref().expect("accepted").return_data;
         assert_eq!(&first[12..32], Keypair::from_seed(99).address().as_bytes());
-        pool.shutdown();
     }
 }

@@ -54,7 +54,7 @@
 //! semantics are preserved), and a frame failure reverts exactly to the
 //! snapshot taken when its frame was pushed, children included.
 
-use smacs_crypto::{keccak256, recover_address, recover_expecting, Signature};
+use smacs_crypto::{keccak256, recover_batch, Signature};
 use smacs_primitives::{Address, Bytes, H256, U256};
 use std::fmt;
 use std::sync::Arc;
@@ -204,11 +204,12 @@ pub struct Executor<'a> {
     /// transaction, constant along the whole call chain.
     pub origin: Address,
     /// `(digest, signature, recovered)` triples computed ahead of execution
-    /// by the block prepass, through the same hinted recovery
-    /// [`CallContext::ecrecover`] runs. `ecrecover` serves a matching pair
-    /// from here instead of recovering it again; every entry was computed
-    /// from its own pair, and a hint never changes a result, so a hit
-    /// returns exactly what a live recovery would.
+    /// by the block prepass, in its chunk's batched
+    /// [`smacs_crypto::recover_batch`], whose every answer equals the lone
+    /// hinted recovery [`CallContext::ecrecover`] runs. `ecrecover` serves
+    /// a matching pair from here instead of recovering it again; every
+    /// entry was computed from its own pair, and a hint never changes a
+    /// result, so a hit returns exactly what a live recovery would.
     pub(crate) recovered: &'a [Recovery],
     logs: Vec<Log>,
     finished_root: Option<TraceFrame>,
@@ -217,19 +218,6 @@ pub struct Executor<'a> {
 /// One precomputed signature recovery: `(digest, signature, recovered)`,
 /// where `recovered` is the exact address `ecrecover` yields for the pair.
 pub(crate) type Recovery = (H256, Signature, Option<Address>);
-
-/// What [`CallContext::ecrecover`] computes for a pair with an optional
-/// signer hint; the block prepass fills its memo through this same call.
-pub(crate) fn recover(
-    digest: &H256,
-    signature: &Signature,
-    expected: Option<Address>,
-) -> Option<Address> {
-    match expected {
-        Some(expected) => recover_expecting(digest, signature, expected),
-        None => recover_address(digest, signature),
-    }
-}
 
 impl<'a> Executor<'a> {
     /// Create an executor for one transaction.
@@ -725,7 +713,9 @@ impl<'e, 'a> CallContext<'e, 'a> {
                 .find(|(d, s, _)| *d == digest && s == signature);
             Ok(match memo {
                 Some(&(_, _, recovered)) => recovered,
-                None => recover(&digest, signature, expected),
+                None => recover_batch(&[(digest, *signature, expected)])
+                    .pop()
+                    .flatten(),
             })
         })
     }
@@ -1148,7 +1138,7 @@ mod tests {
         // checked without recovering) and a false one, on a valid and a
         // forged signature.
         let forged_data = [&data[..36], &other.to_bytes()[..]].concat();
-        let forged = recover_address(&digest, &other).expect("a key");
+        let forged = smacs_crypto::recover_address(&digest, &other).expect("a key");
         for hint in [signer.address(), signer.address(), planted] {
             for (body, want) in [(&data, signer.address()), (&forged_data, forged)] {
                 let hinted = [&body[..], hint.as_bytes()].concat();

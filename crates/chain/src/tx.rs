@@ -9,7 +9,7 @@
 //! from the signature — the `tx.origin` seen by every frame of the call
 //! chain.
 
-use smacs_crypto::{keccak256, recover_address, Keypair, Signature};
+use smacs_crypto::{keccak256, recover_batch, Keypair, Signature};
 use smacs_primitives::rlp::{self, Item, ToRlp};
 use smacs_primitives::{Address, Bytes, H256};
 use std::fmt;
@@ -186,18 +186,48 @@ impl SignedTransaction {
     ///
     /// Memoized: the first call runs `ecrecover` and caches the result
     /// under the current transaction hash; later calls re-derive only the
-    /// (cheap) hash and reuse the recovery while it matches.
+    /// (cheap) hash and reuse the recovery while it matches. The one-item
+    /// case of `senders`, the block prepass's batch.
     pub fn sender(&self) -> Option<Address> {
-        let hash = self.hash();
-        let mut cache = self.sender_cache.lock().expect("cache lock");
-        if let Some((cached_hash, cached_sender)) = *cache {
-            if cached_hash == hash {
-                return cached_sender;
-            }
+        Self::senders(std::slice::from_ref(self))[0]
+    }
+
+    /// [`SignedTransaction::sender`] of every transaction, recovering all
+    /// the cold caches in one [`recover_batch`], which shares one scalar
+    /// and one field inversion among them.
+    pub(crate) fn senders(txs: &[SignedTransaction]) -> Vec<Option<Address>> {
+        let hashes: Vec<H256> = txs.iter().map(SignedTransaction::hash).collect();
+        let cached: Vec<Option<Option<Address>>> = txs
+            .iter()
+            .zip(&hashes)
+            .map(|(signed, &hash)| signed.cached_sender(hash))
+            .collect();
+        let queries: Vec<_> = txs
+            .iter()
+            .zip(&cached)
+            .filter(|(_, cached)| cached.is_none())
+            .map(|(signed, _)| (signed.tx.signing_digest(), signed.signature, None))
+            .collect();
+        let mut recovered = recover_batch(&queries).into_iter();
+        txs.iter()
+            .zip(hashes)
+            .zip(cached)
+            .map(|((signed, hash), cached)| {
+                cached.unwrap_or_else(|| {
+                    let sender = recovered.next().expect("one per cold cache");
+                    *signed.sender_cache.lock().expect("cache lock") = Some((hash, sender));
+                    sender
+                })
+            })
+            .collect()
+    }
+
+    /// The memoized sender, if it was recovered under `hash`.
+    fn cached_sender(&self, hash: H256) -> Option<Option<Address>> {
+        match *self.sender_cache.lock().expect("cache lock") {
+            Some((cached_hash, sender)) if cached_hash == hash => Some(sender),
+            _ => None,
         }
-        let sender = recover_address(&self.tx.signing_digest(), &self.signature);
-        *cache = Some((hash, sender));
-        sender
     }
 
     /// The transaction hash (id): keccak over the RLP body plus signature.

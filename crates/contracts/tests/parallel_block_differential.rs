@@ -23,6 +23,10 @@
 //! recovery misses the memo and runs live; senders whose signature does
 //! not recover; and bad nonces. Each adversarial transaction's sequential
 //! outcome is asserted too, so the regime provably exercises those paths.
+//! Because the prepass recovers each chunk of a block as one batch, the
+//! regime also runs on pools of 1, 2 and 4 threads with a forged TS
+//! signature and a non-recovering sender pinned first, last and beside
+//! every chunk boundary.
 //!
 //! Same deterministic-PRNG approach as `state_differential.rs` in the
 //! chain crate, lifted to whole blocks.
@@ -361,12 +365,30 @@ enum Expect {
     Rejected,
 }
 
-/// One block of token-bearing transactions. Each adversarial kind comes
+impl ShieldedFixture {
+    /// An identical world on a fork of this one's chain.
+    fn fork(&self) -> ShieldedFixture {
+        ShieldedFixture {
+            chain: self.chain.fork(),
+            ts: self.ts.clone(),
+            senders: self.senders.clone(),
+            ..*self
+        }
+    }
+}
+
+/// A forged TS signature (8) or a sender signature that does not recover
+/// (10) at some positions of a generated block: `forced(position)`.
+type Forced<'a> = &'a dyn Fn(usize) -> Option<u64>;
+
+/// One block of token-bearing transactions, the kind at each position
+/// drawn from `rng` unless `forced` names it. Each adversarial kind comes
 /// with its expected sequential outcome.
 fn generate_shielded_block(
     fixture: &ShieldedFixture,
     rng: &mut Rng,
     txs_per_block: usize,
+    forced: Forced<'_>,
 ) -> Vec<(SignedTransaction, Expect)> {
     let ShieldedFixture {
         chain,
@@ -395,7 +417,8 @@ fn generate_shielded_block(
         let token = |ttype, contract, payload: &[u8], index| {
             sign_token(ts, ttype, contract, sender, payload, index, expire)
         };
-        let (to, data, expect, nonce) = match rng.below(12) {
+        let kind = forced(block.len()).unwrap_or_else(|| rng.below(12));
+        let (to, data, expect, nonce) = match kind {
             // Super, method and argument tokens on a swap.
             kind @ 0..=2 => {
                 let ttype =
@@ -508,31 +531,44 @@ fn generate_shielded_block(
     block
 }
 
+/// Generate a block on `seq`'s world, run it in both modes, and assert
+/// each transaction's sequential outcome.
+fn run_shielded_block(
+    seq: &mut ShieldedFixture,
+    par: &mut ShieldedFixture,
+    pool: &WorkerPool,
+    seed: u64,
+    txs_per_block: usize,
+    forced: Forced<'_>,
+) {
+    let mut rng = Rng(seed);
+    let (txs, expects): (Vec<_>, Vec<_>) =
+        generate_shielded_block(seq, &mut rng, txs_per_block, forced)
+            .into_iter()
+            .unzip();
+    let results = assert_modes_agree(&mut seq.chain, &mut par.chain, &txs, pool, seed);
+    for (i, (result, expect)) in results.iter().zip(&expects).enumerate() {
+        let ok = match (expect, result) {
+            (Expect::Success, Ok(r)) => r.status.is_success(),
+            (Expect::Revert(reason), Ok(r)) => {
+                matches!(&r.status, ExecStatus::Reverted(got) if got.contains(reason))
+            }
+            (Expect::Rejected, Err(_)) => true,
+            _ => false,
+        };
+        assert!(
+            ok,
+            "tx {i} of seed {seed}: expected {expect:?}, got {result:?}"
+        );
+    }
+}
+
 fn run_shielded(seeds: &[u64], n_senders: usize, txs_per_block: usize) {
     let pool = WorkerPool::new(4, 1024);
     for &seed in seeds {
-        let mut rng = Rng(seed);
         let mut seq = shielded_fixture(n_senders);
         let mut par = shielded_fixture(n_senders);
-        let (txs, expects): (Vec<_>, Vec<_>) =
-            generate_shielded_block(&seq, &mut rng, txs_per_block)
-                .into_iter()
-                .unzip();
-        let results = assert_modes_agree(&mut seq.chain, &mut par.chain, &txs, &pool, seed);
-        for (i, (result, expect)) in results.iter().zip(&expects).enumerate() {
-            let ok = match (expect, result) {
-                (Expect::Success, Ok(r)) => r.status.is_success(),
-                (Expect::Revert(reason), Ok(r)) => {
-                    matches!(&r.status, ExecStatus::Reverted(got) if got.contains(reason))
-                }
-                (Expect::Rejected, Err(_)) => true,
-                _ => false,
-            };
-            assert!(
-                ok,
-                "tx {i} of seed {seed}: expected {expect:?}, got {result:?}"
-            );
-        }
+        run_shielded_block(&mut seq, &mut par, &pool, seed, txs_per_block, &|_| None);
     }
     pool.shutdown();
 }
@@ -555,6 +591,34 @@ fn medium_conflict_blocks_match_sequential() {
 #[test]
 fn shielded_blocks_match_sequential() {
     run_shielded(&[51, 52, 53, 54], 12, 32);
+}
+
+/// The prepass batches each chunk's recoveries together, so an item that
+/// fails must not disturb its chunk. On pools of 1, 2 and 4 threads, a
+/// forged TS signature and a sender that does not recover sit first,
+/// last and on both sides of every cut a block can get at up to 4
+/// chunks — each spot takes both kinds, over two runs.
+#[test]
+fn shielded_chunk_boundaries_match_sequential() {
+    let base = shielded_fixture(12);
+    for threads in [1, 2, 4] {
+        let pool = WorkerPool::new(threads, 64);
+        for len in [1, 2, 15, 16, 17, 32, 33] {
+            let mut edges = HashSet::from([0, len - 1]);
+            for chunks in 2..=4 {
+                for cut in (1..chunks).map(|c| c * len / chunks).filter(|&b| b > 0) {
+                    edges.extend([cut - 1, cut]);
+                }
+            }
+            for flip in 0..2 {
+                let forced = |p: usize| edges.contains(&p).then_some([8, 10][(p + flip) % 2]);
+                let seed = 60 + 100 * threads as u64 + 2 * len as u64 + flip as u64;
+                let (mut seq, mut par) = (base.fork(), base.fork());
+                run_shielded_block(&mut seq, &mut par, &pool, seed, len, &forced);
+            }
+        }
+        pool.shutdown();
+    }
 }
 
 /// Short cross-regime pass for CI's parallel-exec differential smoke.

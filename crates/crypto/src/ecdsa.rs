@@ -235,46 +235,60 @@ impl fmt::Debug for Keypair {
     }
 }
 
-/// The `ecrecover` inputs as scalars `[z, r, s]`, or `None` for a `v`
-/// other than 27 or 28.
-fn scalars(digest: &H256, signature: &Signature) -> Option<[curve::U256L; 3]> {
+/// The `ecrecover` inputs as curve values `(z, (r, s, y_odd))`, or `None`
+/// for a `v` other than 27 or 28.
+fn scalars(digest: &H256, signature: &Signature) -> Option<(curve::U256L, curve::RawSignature)> {
     if signature.v != 27 && signature.v != 28 {
         return None;
     }
-    Some([
-        curve::reduce_bytes(&digest.0, &curve::N),
-        curve::from_be_bytes(&signature.r),
-        curve::from_be_bytes(&signature.s),
-    ])
+    let sig = curve::RawSignature {
+        r: curve::from_be_bytes(&signature.r),
+        s: curve::from_be_bytes(&signature.s),
+        y_odd: signature.v == 28,
+    };
+    Some((curve::reduce_bytes(&digest.0, &curve::N), sig))
 }
 
 /// `ecrecover`: recover the signer's address from a digest and a recoverable
 /// signature. Returns `None` for invalid signatures — the caller treats that
 /// as a failed verification, exactly like Solidity's `ecrecover` returning
-/// the zero address.
+/// the zero address. The one-item case of [`recover_batch`].
 pub fn recover_address(digest: &H256, signature: &Signature) -> Option<Address> {
-    let [z, r, s] = scalars(digest, signature)?;
-    let point = curve::recover(&z, &r, &s, signature.v == 28)?;
-    Some(PublicKey::from_affine(&point).address())
+    recover_batch(&[(*digest, *signature, None)])
+        .pop()
+        .flatten()
 }
 
 /// [`recover_address`] for a caller that expects one signer — Alg. 1's
 /// `SigVerify_pkTS`, where the shield knows the TS address. Always returns
 /// exactly `recover_address(digest, signature)`; only the cost differs.
-///
-/// Once a full recovery has produced `expected`'s key, its comb is kept
-/// and later signatures are checked against it with
-/// `secp256k1::verify_known` (≈ 0.6× a recovery). A failed check, or a
-/// signer never seen, takes the full recovery.
+/// The one-item case of [`recover_batch`].
 pub fn recover_expecting(
     digest: &H256,
     signature: &Signature,
     expected: Address,
 ) -> Option<Address> {
+    recover_batch(&[(*digest, *signature, Some(expected))])
+        .pop()
+        .flatten()
+}
+
+/// `recover_batch(qs)[i]` is `recover_address(digest, signature)` for every
+/// query `(digest, signature, expected)` of `qs`; the expected signer, if
+/// any, changes only the cost.
+///
+/// Once a full recovery has produced an expected signer's key, its comb is
+/// kept (for at most `KNOWN_SIGNERS_CAP` signers per process), and later
+/// queries expecting it are checked against the comb with
+/// `secp256k1::verify_known_batch` (≈ 0.6× a recovery). A failed check, or
+/// a signer never seen, takes the full recovery (`secp256k1::recover_batch`).
+/// Each of the two curve batches shares one scalar and one field inversion
+/// among its items.
+pub fn recover_batch(queries: &[(H256, Signature, Option<Address>)]) -> Vec<Option<Address>> {
     static KNOWN: OnceLock<KnownSigners> = OnceLock::new();
     KNOWN
         .get_or_init(KnownSigners::default)
-        .recover_expecting(digest, signature, expected)
+        .recover_batch(queries)
 }
 
 /// Verify that `signature` over `digest` was produced by the holder of
@@ -287,41 +301,75 @@ pub fn verify_with_address(digest: &H256, signature: &Signature, expected: Addre
 /// Past the cap, new signers simply stay on the full recovery.
 const KNOWN_SIGNERS_CAP: usize = 16;
 
-/// The process-wide cache behind [`recover_expecting`]: signer address →
-/// the comb of its public key. It holds only public data, but the curve
-/// code is not constant-time (see [`crate::secp256k1`]): like everything
-/// in this simulator, it is not for production key material.
+/// The process-wide cache behind [`recover_batch`]: signer address → the
+/// comb of its public key. It holds only public data, but the curve code
+/// is not constant-time (see [`crate::secp256k1`]): like everything in
+/// this simulator, it is not for production key material.
 #[derive(Default)]
 struct KnownSigners {
     combs: RwLock<HashMap<Address, Arc<curve::KeyComb>>>,
 }
 
 impl KnownSigners {
-    fn recover_expecting(
+    fn recover_batch(
         &self,
-        digest: &H256,
-        signature: &Signature,
-        expected: Address,
-    ) -> Option<Address> {
-        let [z, r, s] = scalars(digest, signature)?;
-        let y_odd = signature.v == 28;
-        let comb = self.read().get(&expected).cloned();
-        if let Some(comb) = &comb {
-            if curve::verify_known(&z, &r, &s, y_odd, comb) {
-                return Some(expected);
+        queries: &[(H256, Signature, Option<Address>)],
+    ) -> Vec<Option<Address>> {
+        let parsed: Vec<_> = queries.iter().map(|(d, sig, _)| scalars(d, sig)).collect();
+        let combs: Vec<Option<Arc<curve::KeyComb>>> = {
+            let known = self.read();
+            queries.iter().map(|q| known.get(&q.2?).cloned()).collect()
+        };
+        let mut out = vec![None; queries.len()];
+
+        // Known signers: one comb check each.
+        let fast: Vec<usize> = (0..queries.len())
+            .filter(|&i| parsed[i].is_some() && combs[i].is_some())
+            .collect();
+        let checks: Vec<_> = fast
+            .iter()
+            .map(|&i| {
+                let (z, sig) = parsed[i].expect("filtered");
+                (z, sig, &**combs[i].as_ref().expect("filtered"))
+            })
+            .collect();
+        for (&i, ok) in fast.iter().zip(curve::verify_known_batch(&checks)) {
+            if ok {
+                out[i] = queries[i].2;
             }
         }
-        let point = curve::recover(&z, &r, &s, y_odd)?;
-        let address = PublicKey::from_affine(&point).address();
-        if address == expected && comb.is_none() && self.read().len() < KNOWN_SIGNERS_CAP {
-            // Build outside the lock; a racing thread's copy is identical.
-            let comb = Arc::new(curve::KeyComb::new(&point));
-            let mut combs = self.combs.write().unwrap_or_else(PoisonError::into_inner);
-            if combs.len() < KNOWN_SIGNERS_CAP {
-                combs.entry(address).or_insert(comb);
+
+        // Everything else: a full recovery, learning expected signers.
+        let slow: Vec<usize> = (0..queries.len())
+            .filter(|&i| parsed[i].is_some() && out[i].is_none())
+            .collect();
+        let items: Vec<_> = slow.iter().map(|&i| parsed[i].expect("filtered")).collect();
+        for (&i, point) in slow.iter().zip(curve::recover_batch(&items)) {
+            let Some(point) = point else { continue };
+            let address = PublicKey::from_affine(&point).address();
+            if queries[i].2 == Some(address) && combs[i].is_none() {
+                self.learn(address, &point);
+            }
+            out[i] = Some(address);
+        }
+        out
+    }
+
+    /// Keep the comb of `address`'s key `point`, unless it is known already
+    /// or the cache is full.
+    fn learn(&self, address: Address, point: &curve::Affine) {
+        {
+            let known = self.read();
+            if known.len() >= KNOWN_SIGNERS_CAP || known.contains_key(&address) {
+                return;
             }
         }
-        Some(address)
+        // Build outside the lock; a racing thread's copy is identical.
+        let comb = Arc::new(curve::KeyComb::new(point));
+        let mut combs = self.combs.write().unwrap_or_else(PoisonError::into_inner);
+        if combs.len() < KNOWN_SIGNERS_CAP {
+            combs.entry(address).or_insert(comb);
+        }
     }
 
     // Every update is one insert of a finished comb, so a map poisoned by a
@@ -333,6 +381,18 @@ impl KnownSigners {
     #[cfg(test)]
     fn len(&self) -> usize {
         self.read().len()
+    }
+
+    #[cfg(test)]
+    fn recover_expecting(
+        &self,
+        digest: &H256,
+        signature: &Signature,
+        expected: Address,
+    ) -> Option<Address> {
+        self.recover_batch(&[(*digest, *signature, Some(expected))])
+            .pop()
+            .flatten()
     }
 }
 
@@ -536,7 +596,10 @@ mod tests {
     /// `recover_expecting` answers exactly `recover_address`, for expected
     /// signers whose comb is learned and for the same signers in a cache
     /// too full to learn them; and the comb check itself accepts exactly
-    /// the signatures that recover to the expected key.
+    /// the signatures that recover to the expected key. Then the same
+    /// kinds go through `recover_batch` in seeded batches of 1..=40, every
+    /// kind at the first and the last position, and each answer is the
+    /// one-item answer.
     #[test]
     fn recover_expecting_matches_recover_address() {
         let signers: Vec<Keypair> = (1..=3).map(Keypair::from_seed).collect();
@@ -557,9 +620,9 @@ mod tests {
                 want,
                 "case {i}"
             );
-            if let Some([z, r, s]) = scalars(&digest, &sig) {
+            if let Some((z, raw)) = scalars(&digest, &sig) {
                 let comb = warm.read()[&expected].clone();
-                let fast = curve::verify_known(&z, &r, &s, sig.v == 28, &comb);
+                let fast = curve::verify_known_batch(&[(z, raw, &*comb)])[0];
                 assert_eq!(fast, want == Some(expected), "case {i}");
                 accepted += fast as usize;
             }
@@ -567,6 +630,81 @@ mod tests {
         assert!(accepted >= CASES * 2 / 13, "{accepted}");
         assert_eq!(warm.len(), signers.len());
         assert!(!full.read().contains_key(&signers[0].address()));
+
+        // Batches: case `13·t + kind` has kind `kind`; batch `b` opens
+        // with kind `b % 13` and closes with kind `(b + 7) % 13`.
+        let mut rng = 0x5EED_BA7C_u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut done, mut t) = (0, 0);
+        for b in 0.. {
+            if done >= CASES && b >= 13 {
+                break;
+            }
+            let len = 1 + next() as usize % 40;
+            let queries: Vec<(H256, Signature, Option<Address>)> = (0..len)
+                .map(|j| {
+                    let kind = match j {
+                        0 => b % 13,
+                        _ if j + 1 == len => (b + 7) % 13,
+                        _ => next() as usize % 13,
+                    };
+                    let (digest, sig, expected) = case(13 * (t + j) + kind, &signers, &stranger);
+                    (digest, sig, Some(expected).filter(|_| next() % 4 != 0))
+                })
+                .collect();
+            t += len;
+            done += len;
+            let want: Vec<Option<Address>> = queries
+                .iter()
+                .map(|(digest, sig, expected)| match expected {
+                    Some(expected) => recover_expecting(digest, sig, *expected),
+                    None => recover_address(digest, sig),
+                })
+                .collect();
+            assert_eq!(recover_batch(&queries), want, "batch {b}");
+            assert_eq!(warm.recover_batch(&queries), want, "batch {b}");
+            assert_eq!(full.recover_batch(&queries), want, "batch {b}");
+        }
+        assert_eq!(warm.len(), signers.len());
+        assert_eq!(full.len(), KNOWN_SIGNERS_CAP);
+
+        // An empty batch, and a batch where nothing recovers.
+        assert!(recover_batch(&[]).is_empty());
+        let invalid: Vec<_> = (0..26)
+            .filter(|i| [5, 6, 7, 8, 9].contains(&(i % 13)))
+            .map(|i| {
+                let (digest, mut sig, expected) = case(i, &signers, &stranger);
+                if i % 2 == 0 {
+                    sig.v = 0;
+                }
+                (digest, sig, Some(expected))
+            })
+            .collect();
+        assert_eq!(warm.recover_batch(&invalid), vec![None; invalid.len()]);
+
+        // One batch naming more signers than the cache may learn: every
+        // answer is exact and the cache stops at the cap.
+        let crowd: Vec<Keypair> = (500..504 + KNOWN_SIGNERS_CAP as u64)
+            .map(Keypair::from_seed)
+            .collect();
+        let queries: Vec<_> = crowd
+            .iter()
+            .map(|kp| {
+                let digest = keccak256(kp.address().as_bytes());
+                (digest, kp.sign_digest(&digest), Some(kp.address()))
+            })
+            .collect();
+        let fresh = KnownSigners::default();
+        let want: Vec<_> = crowd.iter().map(|kp| Some(kp.address())).collect();
+        assert_eq!(fresh.recover_batch(&queries), want);
+        assert_eq!(fresh.len(), KNOWN_SIGNERS_CAP);
+        assert_eq!(fresh.recover_batch(&queries), want);
+        assert_eq!(fresh.len(), KNOWN_SIGNERS_CAP);
     }
 
     /// Past the cap a cache stops learning; the next signer still verifies

@@ -17,14 +17,19 @@
 //!   signature verification;
 //! - [`recover_expecting`] — the same answer for a caller that knows whom
 //!   to expect: Alg. 1's `SigVerify_pkTS`, checked against the stored
-//!   `pk_TS` without recovering it.
+//!   `pk_TS` without recovering it;
+//! - [`recover_batch`] — both, for many signatures at once with one field
+//!   and one scalar inversion per curve batch: how the chain's block
+//!   prepass recovers a chunk of senders and checks its TS tokens. The
+//!   two calls above are its one-item case.
 
 pub mod ecdsa;
 pub mod keccak;
 pub mod secp256k1;
 
 pub use ecdsa::{
-    recover_address, recover_expecting, Keypair, PublicKey, Signature, SignatureError,
+    recover_address, recover_batch, recover_expecting, Keypair, PublicKey, Signature,
+    SignatureError,
 };
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
 

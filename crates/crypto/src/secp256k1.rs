@@ -19,24 +19,32 @@
 //! - The scalar field `n` has a 129-bit `c` and keeps the generic
 //!   `mul_mod` / `reduce_wide`; they run a handful of times per signature
 //!   (`u1`, `u2`, `s`, the GLV split).
-//! - Both share one inverse, the binary extended GCD `inv_mod`, and one
-//!   batched form of it, `batch_inv` (Montgomery's trick). The only
+//! - Both share one inverse, the binary extended GCD `inv_mod`, and every
+//!   caller reaches it through one batched form, `batch_inv` (Montgomery's
+//!   trick: one `inv_mod` and 3 products per element). The only
 //!   exponentiation left is `fsqrt`'s fixed addition chain.
 //!
 //! With `M` = `fmul` and `S` = `fsqr`, `double` is 3M + 4S, `add_affine`
-//! 8M + 3S and `add` 12M + 4S, and the three entry points cost:
+//! 8M + 3S and `add` 12M + 4S. Every entry point is a batch (a lone
+//! `sign` or `recover` is its one-item case), and a batch pays **one**
+//! field and **one** scalar inversion in all (per nonce round, for
+//! signing):
 //!
-//! - `sign_batch` (and `sign`, its one-item case): per signature one
-//!   `mul_g` (≤ 32 mixed additions from `G`'s 8-bit comb, no doublings);
-//!   per batch one field inversion (`batch_to_affine` of every `k·G`) and
-//!   one scalar inversion (every `k⁻¹`), plus 3 products per item for
-//!   each.
-//! - `recover`: one `fsqrt` (254S + 13M), `r⁻¹`, one `double_mul`
-//!   (~128 doublings, ~28 mixed and ~50 general additions, see there) and
-//!   one `to_affine` inversion.
-//! - `verify_known`: whether a signature recovers to a key whose `Comb`
-//!   is at hand. `s⁻¹`, ≤ 32 + 64 mixed additions over `G`'s comb and the
-//!   key's, and one `to_affine` inversion.
+//! - `sign_batch` (`sign`): per signature one `mul_g` (≤ 32 mixed
+//!   additions from `G`'s 8-bit comb, no doublings); the batch normalizes
+//!   every `k·G` and inverts every `k` together.
+//! - `recover_batch` (`recover`): per item one `fsqrt` (254S + 13M) and
+//!   one `double_mul` (~128 doublings, ~28 mixed and ~50 general
+//!   additions, see there); the batch inverts every `r` and normalizes
+//!   every result together.
+//! - `verify_known_batch`: whether each signature recovers to a key whose
+//!   `Comb` is at hand. Per item ≤ 32 + 64 mixed additions over `G`'s comb
+//!   and the key's; the batch inverts every `s` and normalizes every
+//!   result together.
+//!
+//! Range checks, `lift_x` and infinity checks run per item before
+//! anything enters a shared product, so an invalid item never poisons
+//! its batch and gets exactly the lone call's answer.
 //!
 //! `G` and every known key share one comb type (`Comb`) and one walk, at
 //! two widths: `G`'s 8-bit comb (≈ 510 KB, built once per process on the
@@ -262,6 +270,8 @@ fn shr(x: &[u64; 5], t: u32) -> U256L {
 /// zeros (dividing `x1` to match) and subtracts the smaller from the
 /// larger.
 fn inv_mod(a: &U256L, m: &U256L) -> U256L {
+    #[cfg(test)]
+    tests::count_inversion(m);
     // −m⁻¹ mod 2^64 by Newton iteration; `m` is its own inverse mod 8.
     let neg_m_inv = (0..5)
         .fold(m[0], |x, _| {
@@ -402,10 +412,6 @@ fn fsqr_n(a: &U256L, n: u32) -> U256L {
     r
 }
 
-fn finv(a: &U256L) -> U256L {
-    inv_mod(a, &P)
-}
-
 /// Square root mod p (p ≡ 3 mod 4): `a^((p+1)/4)` by a fixed addition
 /// chain of 254 squarings and 13 products; verify before use. The
 /// exponent is 223 one bits, a zero, 22 ones, then `00001100`; `x_k`
@@ -477,18 +483,10 @@ impl Point {
         is_zero(&self.z)
     }
 
-    /// Normalize to affine coordinates (`None` for infinity).
+    /// Normalize to affine coordinates (`None` for infinity): the one-item
+    /// case of `to_affine_all`.
     pub fn to_affine(&self) -> Option<Affine> {
-        if self.is_infinity() {
-            return None;
-        }
-        let zinv = finv(&self.z);
-        let zinv2 = fsqr(&zinv);
-        let zinv3 = fmul(&zinv2, &zinv);
-        Some(Affine {
-            x: fmul(&self.x, &zinv2),
-            y: fmul(&self.y, &zinv3),
-        })
+        to_affine_all(&[*self]).pop().flatten()
     }
 
     /// Point doubling (a = 0 curve).
@@ -807,8 +805,8 @@ fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
 // ---- fixed-base combs ----
 //
 // Every ECDSA sign and every key derivation multiplies the *generator* by
-// a scalar, and `verify_known` multiplies both `G` and a known public key
-// (`recover` does not come here: its generator part rides on
+// a scalar, and `verify_known_batch` multiplies both `G` and a known
+// public key (`recover` does not come here: its generator part rides on
 // `double_mul`'s doubling chain). A one-time table of `j·2^(W·i)·B`
 // (`256/W` windows `i` of `W` bits, digits `j` in `1..2^W`) turns `k·B`
 // from 256 doubles + ~128 general adds into at most `256/W` mixed
@@ -876,8 +874,12 @@ fn g_comb() -> &'static Comb<8> {
 
 /// Replace every element of `values` by its inverse modulo the odd prime
 /// `m`, with one `inv_mod` and 3 `mul` products per element (Montgomery's
-/// trick). Every element must be non-zero mod `m`.
+/// trick); an empty slice costs nothing. Every element must be non-zero
+/// mod `m`.
 fn batch_inv(values: &mut [U256L], m: &U256L, mul: impl Fn(&U256L, &U256L) -> U256L) {
+    if values.is_empty() {
+        return;
+    }
     let mut prefix = Vec::with_capacity(values.len());
     let mut acc = ONE;
     for v in values.iter() {
@@ -907,6 +909,21 @@ fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
                 y: fmul(&p.y, &fmul(&zinv2, &zinv)),
             }
         })
+        .collect()
+}
+
+/// [`Point::to_affine`] of every point, with one field inversion shared by
+/// the finite ones; an infinite point never enters the shared product.
+fn to_affine_all(points: &[Point]) -> Vec<Option<Affine>> {
+    let finite: Vec<Point> = points
+        .iter()
+        .filter(|p| !p.is_infinity())
+        .copied()
+        .collect();
+    let mut affine = batch_to_affine(&finite).into_iter();
+    points
+        .iter()
+        .map(|p| (!p.is_infinity()).then(|| affine.next().expect("one per finite point")))
         .collect()
 }
 
@@ -1075,47 +1092,102 @@ fn n_half() -> U256L {
 
 /// Recover the public key `r⁻¹·(s·R − z·G)` from a digest and a
 /// recoverable signature, where `R` is the point with x-coordinate `r` and
-/// the given y-parity. `None` for `r` or `s` outside `[1, n)`, an `r` that
-/// is no x-coordinate, and an infinite result.
-///
-/// Costs one `fsqrt` (`lift_x`), one scalar inversion, one `double_mul`
-/// and one field inversion (`to_affine`).
-pub fn recover(z: &U256L, r: &U256L, s: &U256L, y_odd: bool) -> Option<Affine> {
-    if is_zero(r) || is_zero(s) {
-        return None;
-    }
-    if cmp(r, &N) != std::cmp::Ordering::Less || cmp(s, &N) != std::cmp::Ordering::Less {
-        return None;
-    }
-    let rp = Affine::lift_x(r, y_odd)?;
-    let rinv = inv_mod(r, &N);
-    let u1 = nmul(&sub_mod(&ZERO, z, &N), &rinv);
-    let u2 = nmul(s, &rinv);
-    double_mul(&u1, &Point::from_affine(&rp), &u2).to_affine()
+/// the given y-parity: the one-item case of [`recover_batch`].
+pub fn recover(z: &U256L, sig: &RawSignature) -> Option<Affine> {
+    recover_batch(&[(*z, *sig)]).pop().flatten()
 }
 
-/// Whether `recover(z, r, s, y_odd)` is the key `Q` whose comb is `q`,
-/// without recovering: that holds exactly when `R = (z·s⁻¹)·G + (r·s⁻¹)·Q`
-/// is finite with x-coordinate `r` and y-parity `y_odd`. `recover` lifts
-/// the unique point `R₀` with that x-coordinate and parity and returns
-/// `r⁻¹·(s·R₀ − z·G)`, which is `Q` iff `R₀ = R`. Same range checks as
-/// `recover`.
+/// [`recover`] of every `(z, signature)` item. `None` for `r` or `s`
+/// outside `[1, n)`, an `r` that is no x-coordinate, and an infinite
+/// result.
 ///
-/// Costs `s⁻¹`, two comb walks into one accumulator (≤ 32 + 64 mixed
-/// additions) and one `to_affine` inversion: no square root, no doubling.
-pub(crate) fn verify_known(z: &U256L, r: &U256L, s: &U256L, y_odd: bool, q: &KeyComb) -> bool {
-    if !scalar_is_valid(r) || !scalar_is_valid(s) {
-        return false;
+/// Those checks run per item before anything enters a shared product, so
+/// the batch costs one `fsqrt` (`lift_x`) and one `double_mul` per item,
+/// one scalar inversion (every `r⁻¹`) and one field inversion (every
+/// `to_affine`).
+pub fn recover_batch(items: &[(U256L, RawSignature)]) -> Vec<Option<Affine>> {
+    let lifted: Vec<(usize, Affine)> = items
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, sig))| scalar_is_valid(&sig.r) && scalar_is_valid(&sig.s))
+        .filter_map(|(i, (_, sig))| Some((i, Affine::lift_x(&sig.r, sig.y_odd)?)))
+        .collect();
+    let mut rinvs: Vec<U256L> = lifted.iter().map(|&(i, _)| items[i].1.r).collect();
+    batch_inv(&mut rinvs, &N, nmul);
+    let points: Vec<Point> = lifted
+        .iter()
+        .zip(rinvs)
+        .map(|(&(i, rp), rinv)| {
+            let (z, sig) = &items[i];
+            let u1 = nmul(&sub_mod(&ZERO, z, &N), &rinv);
+            let u2 = nmul(&sig.s, &rinv);
+            double_mul(&u1, &Point::from_affine(&rp), &u2)
+        })
+        .collect();
+    let mut out = vec![None; items.len()];
+    for ((i, _), key) in lifted.into_iter().zip(to_affine_all(&points)) {
+        out[i] = key;
     }
-    let sinv = inv_mod(s, &N);
-    let acc = q.mul_add(&nmul(r, &sinv), mul_g(&nmul(z, &sinv)));
-    acc.to_affine()
-        .is_some_and(|p| p.x == *r && (p.y[0] & 1 == 1) == y_odd)
+    out
+}
+
+/// Whether `recover(z, signature)` is the key `Q` whose comb is `comb`,
+/// for every `(z, signature, comb)` item, without recovering: `recover`
+/// yields `Q` exactly when `R = (z·s⁻¹)·G + (r·s⁻¹)·Q` is finite with
+/// x-coordinate `r` and y-parity `y_odd`. `recover` lifts the unique point `R₀` with that x-coordinate
+/// and parity and returns `r⁻¹·(s·R₀ − z·G)`, which is `Q` iff `R₀ = R`.
+/// Same range checks as `recover`, applied per item before the shared
+/// products.
+///
+/// Costs two comb walks per item into one accumulator (≤ 32 + 64 mixed
+/// additions), one scalar inversion (every `s⁻¹`) and one field inversion
+/// (every `to_affine`): no square root, no doubling.
+pub(crate) fn verify_known_batch(items: &[(U256L, RawSignature, &KeyComb)]) -> Vec<bool> {
+    let valid: Vec<usize> = (0..items.len())
+        .filter(|&i| scalar_is_valid(&items[i].1.r) && scalar_is_valid(&items[i].1.s))
+        .collect();
+    let mut sinvs: Vec<U256L> = valid.iter().map(|&i| items[i].1.s).collect();
+    batch_inv(&mut sinvs, &N, nmul);
+    let points: Vec<Point> = valid
+        .iter()
+        .zip(sinvs)
+        .map(|(&i, sinv)| {
+            let (z, sig, q) = &items[i];
+            q.mul_add(&nmul(&sig.r, &sinv), mul_g(&nmul(z, &sinv)))
+        })
+        .collect();
+    let mut out = vec![false; items.len()];
+    for (i, point) in valid.into_iter().zip(to_affine_all(&points)) {
+        let sig = &items[i].1;
+        out[i] = point.is_some_and(|p| p.x == sig.r && (p.y[0] & 1 == 1) == sig.y_odd);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `inv_mod` calls on this thread: `(mod n, mod p)`.
+        static INVERSIONS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count_inversion(m: &U256L) {
+        INVERSIONS.with(|c| {
+            let (n, p) = c.get();
+            c.set(if *m == N { (n + 1, p) } else { (n, p + 1) });
+        });
+    }
+
+    /// The `(scalar, field)` inversions `f` runs on this thread.
+    fn inversions<T>(f: impl FnOnce() -> T) -> ((usize, usize), T) {
+        let before = INVERSIONS.with(Cell::get);
+        let out = f();
+        let after = INVERSIONS.with(Cell::get);
+        ((after.0 - before.0, after.1 - before.1), out)
+    }
 
     // ---- slow references ----
 
@@ -1367,7 +1439,7 @@ mod tests {
         let p_minus_2 = sub_raw(&P, &[2, 0, 0, 0]).0;
         for (a, b) in pairs(&field_edges(), 3) {
             for x in [reduce_once(a, &P), reduce_once(b, &P)] {
-                assert_eq!(finv(&x), pow_mod(&x, &p_minus_2, &P, &C_P), "{x:x?}");
+                assert_eq!(inv_mod(&x, &P), pow_mod(&x, &p_minus_2, &P, &C_P), "{x:x?}");
                 assert_eq!(fsqrt(&x), pow_mod(&x, &SQRT_EXP, &P, &C_P), "{x:x?}");
             }
         }
@@ -1505,7 +1577,7 @@ mod tests {
             seed[1] |= 1;
             seed
         });
-        let q = recover(&z, &sig.r, &sig.s, sig.y_odd).unwrap();
+        let q = recover(&z, &sig).unwrap();
         assert_eq!(q, pubkey(&d));
     }
 
@@ -1537,8 +1609,66 @@ mod tests {
                 assert_eq!(batch[i], undisturbed[i], "{i}");
             }
             let sig = batch[i];
-            assert_eq!(recover(z, &sig.r, &sig.s, sig.y_odd), Some(pubkey(&d)));
+            assert_eq!(recover(z, &sig), Some(pubkey(&d)));
         }
         assert!(sign_batch(&[], &d, plain).is_empty());
+    }
+    /// A batch over k valid items costs one scalar and one field inversion
+    /// in all, whatever k; the one-item entry points cost one of each; an
+    /// item refused by its range checks costs nothing, and one whose
+    /// point is infinite stays out of the field product.
+    #[test]
+    fn batches_share_one_scalar_and_one_field_inversion() {
+        let d = [0xDEAD_BEEF, 1, 2, 3];
+        let zs: Vec<U256L> = (0..24).map(|i| [i + 1, 7, 8, i]).collect();
+        let sigs = sign_batch(&zs, &d, |i, counter| {
+            let mut seed = to_be_bytes(&zs[i]);
+            seed[0] ^= counter as u8;
+            seed[1] |= 1;
+            seed
+        });
+        let q = pubkey(&d);
+        let comb = KeyComb::new(&q);
+        // Build `double_mul`'s static tables outside the counted calls.
+        assert_eq!(recover(&zs[0], &sigs[0]), Some(q));
+        for k in [1, 2, 5, 24] {
+            let items: Vec<(U256L, RawSignature)> =
+                zs.iter().copied().zip(sigs.clone()).take(k).collect();
+            let (cost, keys) = inversions(|| recover_batch(&items));
+            assert_eq!(cost, (1, 1), "recover_batch of {k}");
+            assert!(keys.iter().all(|key| *key == Some(q)));
+            let checks: Vec<_> = items.iter().map(|&(z, sig)| (z, sig, &comb)).collect();
+            let (cost, ok) = inversions(|| verify_known_batch(&checks));
+            assert_eq!(cost, (1, 1), "verify_known_batch of {k}");
+            assert!(ok.iter().all(|&ok| ok));
+            let (cost, _) = inversions(|| sign_batch(&zs[..k], &d, |i, _| to_be_bytes(&zs[i])));
+            assert_eq!(cost, (1, 1), "sign_batch of {k}");
+        }
+        let (z, sig) = (zs[0], sigs[0]);
+        assert_eq!(inversions(|| recover(&z, &sig)).0, (1, 1));
+        assert_eq!(inversions(|| sign(&z, &d, |_| to_be_bytes(&z))).0, (1, 1));
+
+        let zero_s = RawSignature { s: ZERO, ..sig };
+        assert_eq!(
+            inversions(|| recover_batch(&[(z, zero_s)])),
+            ((0, 0), vec![None])
+        );
+        assert_eq!(inversions(|| recover_batch(&[])), ((0, 0), vec![]));
+        // A refused item never enters, so never poisons, the shared product.
+        for bad in [zero_s, RawSignature { r: ZERO, ..sig }] {
+            let (cost, keys) = inversions(|| recover_batch(&[(z, bad), (z, sig)]));
+            assert_eq!((cost, keys), ((1, 1), vec![None, Some(q)]));
+            let (cost, ok) = inversions(|| verify_known_batch(&[(z, sig, &comb), (z, bad, &comb)]));
+            assert_eq!((cost, ok), ((1, 1), vec![true, false]));
+        }
+        // z ≡ −r·d: the nonce point of the known-key check is infinite.
+        let rd = nmul(&sig.r, &d);
+        let infinite = (sub_mod(&ZERO, &rd, &N), sig, &comb);
+        let (cost, ok) = inversions(|| verify_known_batch(&[infinite, (z, sig, &comb)]));
+        assert_eq!((cost, ok), ((1, 1), vec![false, true]));
+        assert_eq!(
+            inversions(|| verify_known_batch(&[infinite])),
+            ((1, 0), vec![false])
+        );
     }
 }

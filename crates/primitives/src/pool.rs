@@ -4,7 +4,9 @@
 //! The Token Service runs on these: each HTTP `Endpoint` submits ready
 //! connections to its own pool as jobs (so 10k keep-alive clients cost a
 //! handful of threads instead of 10k), and `issue_batch` fans signature
-//! creation across a pool. Two design points make that safe:
+//! creation across a pool, as the chain's parallel block prepass fans
+//! signature recovery, both in balanced chunks
+//! ([`WorkerPool::map_chunks`]). Two design points make that safe:
 //!
 //! - **A bounded queue.** [`WorkerPool::try_execute`] refuses work when the
 //!   queue is full instead of growing without limit — the caller decides
@@ -194,6 +196,27 @@ impl WorkerPool {
                     .expect("all items completed")
             })
             .collect()
+    }
+
+    /// Cut `items` into balanced chunks, run `f` on each through
+    /// [`WorkerPool::scope_map`] and concatenate the results in order.
+    /// There are `len / min` chunks, clamped to `1..=threads`: every chunk
+    /// holds at least `min` items unless there is only one, and a batch
+    /// shorter than `2·min` is one chunk, run on the calling thread.
+    pub fn map_chunks<T, R, F>(&self, items: &[T], min: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&[T]) -> Vec<R> + Sync,
+    {
+        let len = items.len();
+        let chunks = (len / min).clamp(1, self.threads);
+        self.scope_map(chunks, |c| {
+            f(&items[c * len / chunks..(c + 1) * len / chunks])
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Stop accepting jobs, discard the queue, and join every worker
@@ -410,6 +433,27 @@ mod tests {
         let pool = WorkerPool::new(4, 64);
         let out = pool.scope_map(100, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        pool.shutdown();
+    }
+
+    /// `len / min` balanced chunks, clamped to `1..=threads`, in order.
+    #[test]
+    fn map_chunks_cuts_balanced_chunks_in_order() {
+        let pool = WorkerPool::new(4, 64);
+        for (len, min, sizes) in [
+            (0, 8, vec![0]),
+            (15, 8, vec![15]),
+            (16, 8, vec![8, 8]),
+            (17, 1, vec![4, 4, 4, 5]),
+            (64, 8, vec![16, 16, 16, 16]),
+            (3, 1, vec![1, 1, 1]),
+        ] {
+            let items: Vec<usize> = (0..len).collect();
+            let chunks = pool.map_chunks(&items, min, |chunk| vec![chunk.to_vec()]);
+            let got: Vec<usize> = chunks.iter().map(Vec::len).collect();
+            assert_eq!(got, sizes, "{len} items, min {min}");
+            assert_eq!(chunks.concat(), items);
+        }
         pool.shutdown();
     }
 

@@ -244,12 +244,12 @@ impl TokenService {
     /// the v2 `issue_batch` op — per-request transport, parsing, and
     /// dispatch overhead is paid once per batch.
     ///
-    /// The batch is cut into at most one chunk per pool thread, each of
-    /// at least `PARALLEL_BATCH_MIN` requests (a smaller batch is one
-    /// chunk, run on the calling thread). Each chunk mints its requests in
-    /// order and signs the minted digests with one
-    /// [`Keypair::sign_digests`] call, so its signatures share one field
-    /// and one scalar inversion; the tokens are byte-identical to
+    /// The batch is cut by [`WorkerPool::map_chunks`] into at most one
+    /// chunk per pool thread, each of at least `PARALLEL_BATCH_MIN`
+    /// requests (a smaller batch is one chunk, run on the calling thread).
+    /// Each chunk mints its requests in order and signs the minted digests
+    /// with one [`Keypair::sign_digests`] call, so its signatures share one
+    /// field and one scalar inversion; the tokens are byte-identical to
     /// [`TokenService::issue`]'s.
     ///
     /// Results keep request order regardless of which worker signed what.
@@ -261,22 +261,16 @@ impl TokenService {
         requests: &[TokenRequest],
         now: u64,
     ) -> Vec<Result<Token, IssueError>> {
-        let len = requests.len();
-        let chunks = (len / Self::PARALLEL_BATCH_MIN).clamp(1, self.pool.threads());
         self.pool
-            .scope_map(chunks, |c| {
-                let chunk = &requests[c * len / chunks..(c + 1) * len / chunks];
+            .map_chunks(requests, Self::PARALLEL_BATCH_MIN, |chunk| {
                 let minted: Vec<_> = chunk.iter().map(|req| self.mint(req, now)).collect();
                 let digests: Vec<H256> = minted.iter().flatten().map(|m| m.digest).collect();
                 let mut signatures = self.sk_ts.sign_digests(&digests).into_iter();
                 minted
                     .into_iter()
                     .map(|m| Ok(m?.token(signatures.next().expect("one per digest"))))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
-            .into_iter()
-            .flatten()
-            .collect()
     }
 }
 

@@ -31,6 +31,7 @@ use smacs_token::TokenRequest;
 use smacs_ts::ValidationTool;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A detected ECF violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,12 +163,21 @@ fn frames_of(subtree: &TraceFrame, contract: Address) -> Vec<&TraceFrame> {
 /// `target`, which may differ from the live address in the request.
 pub struct EcfTool {
     target: Address,
+    simulations: AtomicUsize,
 }
 
 impl EcfTool {
     /// A tool protecting the testnet deployment at `target`.
     pub fn new(target: Address) -> Self {
-        EcfTool { target }
+        EcfTool {
+            target,
+            simulations: AtomicUsize::new(0),
+        }
+    }
+
+    /// Simulations (`dry_run`s) run so far: one per validated request.
+    pub fn simulations(&self) -> usize {
+        self.simulations.load(Ordering::Relaxed)
     }
 }
 
@@ -181,6 +191,7 @@ impl ValidationTool for EcfTool {
             .calldata
             .as_ref()
             .ok_or("ecf: argument request carries no calldata")?;
+        self.simulations.fetch_add(1, Ordering::Relaxed);
         let (result, _gas, trace, _) =
             testnet.dry_run(req.sender, self.target, 0, calldata.clone());
         if let Err(e) = result {

@@ -12,6 +12,7 @@ use smacs_primitives::{Address, Bytes};
 use smacs_token::TokenRequest;
 use smacs_ts::ValidationTool;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of one uniformity evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,6 +53,7 @@ impl fmt::Display for HydraVerdict {
 /// protected logic; requests are simulated against every head.
 pub struct HydraTool {
     heads: Vec<Address>,
+    simulations: AtomicUsize,
 }
 
 impl HydraTool {
@@ -62,7 +64,16 @@ impl HydraTool {
     /// Panics if fewer than two heads are supplied.
     pub fn new(heads: Vec<Address>) -> Self {
         assert!(heads.len() >= 2, "hydra needs at least two heads");
-        HydraTool { heads }
+        HydraTool {
+            heads,
+            simulations: AtomicUsize::new(0),
+        }
+    }
+
+    /// Head simulations (`dry_run`s) run so far: one per head per
+    /// evaluation that reaches it.
+    pub fn simulations(&self) -> usize {
+        self.simulations.load(Ordering::Relaxed)
     }
 
     /// Run the uniformity evaluation for `calldata` from `sender`. Each
@@ -75,6 +86,7 @@ impl HydraTool {
         let mut outputs: Vec<Bytes> = Vec::with_capacity(self.heads.len());
         for (i, &head) in self.heads.iter().enumerate() {
             let mut head_net = testnet.fork();
+            self.simulations.fetch_add(1, Ordering::Relaxed);
             let (result, _gas, _trace, _) = head_net.dry_run(sender, head, 0, calldata.to_vec());
             match result {
                 Ok(output) => outputs.push(output),
