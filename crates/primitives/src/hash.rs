@@ -43,16 +43,17 @@ impl H256 {
         self.0 == [0u8; 32]
     }
 
-    /// Render as a lowercase `0x…` hex string.
+    /// Render as a lowercase `0x…` hex string (one allocation).
     pub fn to_hex(&self) -> String {
-        format!("0x{}", hex::encode(self.0))
+        crate::hexutil::encode_prefixed(&self.0)
     }
 
-    /// Parse from a hex string with optional `0x` prefix.
+    /// Parse from a hex string with optional `0x` prefix, decoding straight
+    /// into the fixed-size array.
     pub fn from_hex(s: &str) -> Option<Self> {
-        let s = s.strip_prefix("0x").unwrap_or(s);
-        let bytes = hex::decode(s).ok()?;
-        Self::from_slice(&bytes)
+        let mut bytes = [0u8; 32];
+        hex::decode_to_slice(s.strip_prefix("0x").unwrap_or(s), &mut bytes).ok()?;
+        Some(Self(bytes))
     }
 }
 

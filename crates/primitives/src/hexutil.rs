@@ -1,8 +1,11 @@
 //! Small hex helpers shared by debugging and wire-format code.
 
-/// Encode bytes as a `0x`-prefixed lowercase hex string.
+/// Encode bytes as a `0x`-prefixed lowercase hex string: one allocation.
 pub fn encode_prefixed(bytes: &[u8]) -> String {
-    format!("0x{}", hex::encode(bytes))
+    let mut out = String::with_capacity(2 + 2 * bytes.len());
+    out.push_str("0x");
+    hex::encode_to(bytes, &mut out);
+    out
 }
 
 /// Decode a hex string with optional `0x` prefix.

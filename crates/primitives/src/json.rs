@@ -13,19 +13,23 @@
 //! [`ToJson::to_json`] (the tree, parsed back from that text) and
 //! [`to_string`] are for tests and tools.
 //!
-//! **Decoding keeps a tree**: [`Json::parse`] builds a [`Json`] and
-//! [`FromJson`] walks it. The tree caps nesting depth before any domain
-//! code runs and lets a decoder look members up by name, in any order,
-//! reading absent ones as defaults; a streaming decoder has not been
-//! measured to pay for its extra code. Large members, such as an
-//! envelope's body, are moved out with [`Json::take`], never cloned.
+//! **Decoding keeps a borrowed tree**: [`Json::parse`] builds a
+//! [`Json<'a>`](Json) whose unescaped strings and keys are slices of the
+//! text (only an escaped one is copied), so an escape-free document costs
+//! one `Vec` per non-empty array or object; [`FromJson`] walks it, copying
+//! only what it keeps. The tree caps nesting depth before any domain code
+//! runs and lets a decoder look members up by name, in any order, reading
+//! absent ones as defaults. Large members, such as an envelope's body, are
+//! moved out with [`Json::take`], never cloned.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 
-/// A JSON value.
+/// A JSON value, borrowing its unescaped strings and keys from the text it
+/// was parsed from.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -33,11 +37,11 @@ pub enum Json {
     /// An integer (the protocol uses no floats).
     Int(i128),
     /// A string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object; insertion-ordered.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
 /// Parse or schema failure.
@@ -56,7 +60,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
 
-impl Json {
+impl<'a> Json<'a> {
     // ---- accessors ----
 
     /// The string payload, if this is a string.
@@ -84,7 +88,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -92,7 +96,7 @@ impl Json {
     }
 
     /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'a, str>, Json<'a>)]> {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
@@ -100,7 +104,7 @@ impl Json {
     }
 
     /// Object member lookup by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         self.as_obj()?
             .iter()
             .find_map(|(k, v)| (k == key).then_some(v))
@@ -108,7 +112,7 @@ impl Json {
 
     /// Object member lookup that errors with the key name when missing —
     /// the common shape in `FromJson` impls.
-    pub fn want(&self, key: &str) -> Result<&Json, JsonError> {
+    pub fn want(&self, key: &str) -> Result<&Json<'a>, JsonError> {
         self.get(key)
             .ok_or_else(|| JsonError(format!("missing field `{key}`")))
     }
@@ -116,7 +120,7 @@ impl Json {
     /// Move member `key` out of this object, leaving `null` in its place:
     /// how a decoder takes a large member without cloning it. `null` when
     /// the member is absent or this is not an object.
-    pub fn take(&mut self, key: &str) -> Json {
+    pub fn take(&mut self, key: &str) -> Json<'a> {
         let Json::Obj(members) = self else {
             return Json::Null;
         };
@@ -131,12 +135,32 @@ impl Json {
         to_string(self)
     }
 
+    /// The same tree with every string and key copied out of the text.
+    fn into_owned(self) -> Json<'static> {
+        let owned = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        match self {
+            Json::Null => Json::Null,
+            Json::Bool(b) => Json::Bool(b),
+            Json::Int(v) => Json::Int(v),
+            Json::Str(s) => Json::Str(owned(s)),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(Json::into_owned).collect()),
+            Json::Obj(members) => Json::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (owned(k), v.into_owned()))
+                    .collect(),
+            ),
+        }
+    }
+
     // ---- parsing ----
 
-    /// Parse a complete JSON document. Nesting deeper than `MAX_DEPTH`
-    /// (64) levels is an error, not a stack overflow.
-    pub fn parse(input: &str) -> Result<Json, JsonError> {
+    /// Parse a complete JSON document; unescaped strings and keys borrow
+    /// from `input`. Nesting deeper than `MAX_DEPTH` (64) levels is an
+    /// error, not a stack overflow.
+    pub fn parse(input: &'a str) -> Result<Json<'a>, JsonError> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -151,18 +175,39 @@ impl Json {
     }
 }
 
+/// Length of the prefix of `bytes` that a JSON string carries verbatim:
+/// everything before the first `"`, `\` or control character. Those are
+/// ASCII, so the prefix ends on a character boundary. Whole 8-byte words
+/// are classified at once (SWAR: a word holds a byte below `n` iff
+/// `(x - n·0x01…) & !x & 0x80…` is non-zero); only the rest is scanned
+/// byte by byte.
+fn plain_prefix(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let below = |x: u64, n: u64| x.wrapping_sub(ONES * n) & !x & (ONES << 7);
+    let plain_word = |word: &[u8]| {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        // No `"` (0x22), no `\` (0x5c), no control character.
+        below(x ^ (ONES * 0x22), 1) | below(x ^ (ONES * 0x5c), 1) | below(x, 0x20) == 0
+    };
+    let words = 8 * bytes.chunks_exact(8).take_while(|w| plain_word(w)).count();
+    let stop = |&b: &u8| b == b'"' || b == b'\\' || b < 0x20;
+    bytes[words..]
+        .iter()
+        .position(stop)
+        .map_or(bytes.len(), |i| words + i)
+}
+
 /// Append `s` as a JSON string literal. Only `"`, `\` and control
-/// characters are escaped; they are ASCII, so they never occur inside a
-/// multi-byte character and every run between them is copied whole.
+/// characters are escaped; every run between them is copied whole.
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
     let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[plain..i]);
-        plain = i + 1;
+    loop {
+        let stop = plain + plain_prefix(&s.as_bytes()[plain..]);
+        out.push_str(&s[plain..stop]);
+        let Some(&b) = s.as_bytes().get(stop) else {
+            break;
+        };
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -173,8 +218,8 @@ fn write_str(out: &mut String, s: &str) {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
+        plain = stop + 1;
     }
-    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -239,13 +284,14 @@ impl<'a> ObjectWriter<'a> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -269,7 +315,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str, value: Json<'a>) -> Result<Json<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -278,7 +324,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<Json<'a>, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -309,22 +355,26 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// An integer: `-? (0 | [1-9][0-9]*)` (RFC 8259 §6 — no leading zeros).
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let digits = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
+        }
+        if self.pos - digits > 1 && self.bytes[digits] == b'0' {
+            return err(format!("leading zero in number at offset {start}"));
         }
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
             return err(format!(
                 "floating-point numbers are not supported (offset {start})"
             ));
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits and minus are ASCII");
-        text.parse::<i128>()
+        self.text[start..self.pos]
+            .parse::<i128>()
             .map(Json::Int)
             .map_err(|_| JsonError(format!("invalid number at offset {start}")))
     }
@@ -346,26 +396,29 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advance over the plain string bytes ahead (see `plain_prefix`):
+    /// always a whole `str` slice.
+    fn plain_span(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos += plain_prefix(&self.bytes[start..]);
+        &self.text[start..self.pos]
+    }
+
+    /// A string literal: a slice of the input when it holds no escape,
+    /// else unescaped into its own `String`.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let plain = self.plain_span();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
         loop {
-            let start = self.pos;
-            // Fast-forward over the plain span.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError("invalid UTF-8 in string".into()))?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -395,17 +448,19 @@ impl Parser<'_> {
                                 let code =
                                     0x10000 + ((hi as u32 - 0xD800) << 10) + (lo as u32 - 0xDC00);
                                 char::from_u32(code)
-                                    .ok_or(JsonError("invalid surrogate pair".into()))?
+                                    .ok_or_else(|| JsonError("invalid surrogate pair".into()))?
                             } else {
                                 char::from_u32(hi as u32)
-                                    .ok_or(JsonError("invalid \\u escape".into()))?
+                                    .ok_or_else(|| JsonError("invalid \\u escape".into()))?
                             };
                             out.push(c);
+                            out.push_str(self.plain_span());
                             continue;
                         }
                         _ => return err(format!("bad escape at offset {}", self.pos)),
                     }
                     self.pos += 1;
+                    out.push_str(self.plain_span());
                 }
                 Some(_) => return err("control character in string"),
                 None => return err("unterminated string"),
@@ -413,7 +468,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self) -> Result<Json<'a>, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -436,7 +491,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self) -> Result<Json<'a>, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -470,26 +525,30 @@ pub trait ToJson {
     /// Append this value's compact JSON text to `out` — the one encoder.
     fn write_json(&self, out: &mut String);
 
-    /// The value as a tree, parsed back from [`ToJson::write_json`]'s
-    /// text. For tests and tools: nothing that sends JSON builds one.
+    /// The value as an owned tree, parsed back from
+    /// [`ToJson::write_json`]'s text. For tests and tools: nothing that
+    /// sends JSON builds one.
     ///
     /// # Panics
     /// Panics if the value nests deeper than [`Json::parse`] accepts.
-    fn to_json(&self) -> Json {
-        Json::parse(&to_string(self)).expect("write_json emits JSON Json::parse accepts")
+    fn to_json(&self) -> Json<'static> {
+        Json::parse(&to_string(self))
+            .expect("write_json emits JSON Json::parse accepts")
+            .into_owned()
     }
 }
 
-/// Types that parse from JSON.
-pub trait FromJson: Sized {
+/// Types that decode from a tree over text that lives for `'a`; a type
+/// that owns its data implements `FromJson<'_>`.
+pub trait FromJson<'a>: Sized {
     /// Parse from a JSON value.
-    fn from_json(json: &Json) -> Result<Self, JsonError>;
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError>;
 
     /// Parse the member `key` of object `obj`. The default requires the
     /// member to be present; `Option<T>` overrides it so that an absent
     /// member reads as `None` (matching what serde's `Option` derive
     /// accepted). [`json_codec!`](crate::json_codec)-generated codecs go through this hook.
-    fn from_json_field(obj: &Json, key: &str) -> Result<Self, JsonError> {
+    fn from_json_field(obj: &Json<'a>, key: &str) -> Result<Self, JsonError> {
         Self::from_json(obj.want(key)?)
     }
 }
@@ -501,14 +560,26 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     out
 }
 
-/// Parse a JSON string into `T`.
-pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
+/// Parse a JSON string into `T`, which may borrow from `input`.
+pub fn from_str<'a, T: FromJson<'a>>(input: &'a str) -> Result<T, JsonError> {
     T::from_json(&Json::parse(input)?)
+}
+
+/// Bytes written as a `"0x…"` hex string, straight into the output: hex
+/// needs no escaping, so nothing is built or scanned on the way.
+pub struct Hex<'b>(pub &'b [u8]);
+
+impl ToJson for Hex<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("\"0x");
+        hex::encode_to(self.0, out);
+        out.push('"');
+    }
 }
 
 // ---- blanket/basic impls ----
 
-impl ToJson for Json {
+impl ToJson for Json<'_> {
     fn write_json(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -527,8 +598,8 @@ impl ToJson for Json {
     }
 }
 
-impl FromJson for Json {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
+impl<'a> FromJson<'a> for Json<'a> {
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError> {
         Ok(json.clone())
     }
 }
@@ -545,9 +616,10 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
+impl FromJson<'_> for bool {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_bool().ok_or(JsonError("expected bool".into()))
+        json.as_bool()
+            .ok_or_else(|| JsonError("expected bool".into()))
     }
 }
 
@@ -563,11 +635,26 @@ impl ToJson for String {
     }
 }
 
-impl FromJson for String {
+impl FromJson<'_> for String {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         json.as_str()
             .map(str::to_string)
-            .ok_or(JsonError("expected string".into()))
+            .ok_or_else(|| JsonError("expected string".into()))
+    }
+}
+
+impl ToJson for Cow<'_, str> {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl<'a> FromJson<'a> for Cow<'a, str> {
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError> {
+        match json {
+            Json::Str(s) => Ok(s.clone()),
+            _ => err("expected string"),
+        }
     }
 }
 
@@ -578,9 +665,9 @@ macro_rules! int_to_json {
                 let _ = write!(out, "{self}");
             }
         }
-        impl FromJson for $t {
+        impl FromJson<'_> for $t {
             fn from_json(json: &Json) -> Result<Self, JsonError> {
-                let v = json.as_int().ok_or(JsonError("expected integer".into()))?;
+                let v = json.as_int().ok_or_else(|| JsonError("expected integer".into()))?;
                 <$t>::try_from(v).map_err(|_| JsonError("integer out of range".into()))
             }
         }
@@ -598,15 +685,15 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError> {
         match json {
             Json::Null => Ok(None),
             other => Ok(Some(T::from_json(other)?)),
         }
     }
 
-    fn from_json_field(obj: &Json, key: &str) -> Result<Self, JsonError> {
+    fn from_json_field(obj: &Json<'a>, key: &str) -> Result<Self, JsonError> {
         match obj.get(key) {
             None | Some(Json::Null) => Ok(None),
             Some(v) => Ok(Some(T::from_json(v)?)),
@@ -620,10 +707,10 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError> {
         json.as_arr()
-            .ok_or(JsonError("expected array".into()))?
+            .ok_or_else(|| JsonError("expected array".into()))?
             .iter()
             .map(T::from_json)
             .collect()
@@ -640,12 +727,12 @@ impl<V: ToJson> ToJson for BTreeMap<String, V> {
     }
 }
 
-impl<V: FromJson> FromJson for BTreeMap<String, V> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
+impl<'a, V: FromJson<'a>> FromJson<'a> for BTreeMap<String, V> {
+    fn from_json(json: &Json<'a>) -> Result<Self, JsonError> {
         json.as_obj()
-            .ok_or(JsonError("expected object".into()))?
+            .ok_or_else(|| JsonError("expected object".into()))?
             .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
+            .map(|(k, v)| Ok((k.to_string(), V::from_json(v)?)))
             .collect()
     }
 }
@@ -656,16 +743,12 @@ impl ToJson for BTreeSet<String> {
     }
 }
 
-impl FromJson for BTreeSet<String> {
+impl FromJson<'_> for BTreeSet<String> {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         json.as_arr()
-            .ok_or(JsonError("expected array".into()))?
+            .ok_or_else(|| JsonError("expected array".into()))?
             .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or(JsonError("expected string".into()))
-            })
+            .map(String::from_json)
             .collect()
     }
 }
@@ -682,6 +765,10 @@ impl FromJson for BTreeSet<String> {
 /// `Default::default()` instead of an error (rendering still always emits
 /// the member). Use it for fields added after serialized data already
 /// exists in the wild — old JSON keeps decoding.
+///
+/// A struct may take one lifetime, `struct Name<'a>`, and then its fields
+/// may borrow from the tree it decodes (a [`Json<'a>`](Json) member, a
+/// `Cow<'a, str>`).
 ///
 /// ```
 /// use smacs_primitives::json_codec;
@@ -712,15 +799,15 @@ impl FromJson for BTreeSet<String> {
 /// ```
 #[macro_export]
 macro_rules! json_codec {
-    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? {
         $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty $(= $marker:ident)?),* $(,)?
     }) => {
         $(#[$meta])*
-        $vis struct $name {
+        $vis struct $name $(<$lt>)? {
             $($(#[$fmeta])* $fvis $field: $ty,)*
         }
 
-        impl $crate::json::ToJson for $name {
+        impl $(<$lt>)? $crate::json::ToJson for $name $(<$lt>)? {
             fn write_json(&self, out: &mut String) {
                 $crate::json::ObjectWriter::new(out)
                     $(.member(stringify!($field), &self.$field))*
@@ -728,8 +815,10 @@ macro_rules! json_codec {
             }
         }
 
-        impl $crate::json::FromJson for $name {
-            fn from_json(json: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+        impl<'json $(, $lt)?> $crate::json::FromJson<'json> for $name $(<$lt>)?
+        $(where 'json: $lt)?
+        {
+            fn from_json(json: &$crate::json::Json<'json>) -> Result<Self, $crate::json::JsonError> {
                 Ok($name {
                     $($field: $crate::json_codec!(@parse json, $field, $ty $(, $marker)?),)*
                 })
@@ -751,14 +840,16 @@ macro_rules! json_codec {
 
 impl ToJson for crate::Address {
     fn write_json(&self, out: &mut String) {
-        write_str(out, &self.to_hex());
+        Hex(&self.0).write_json(out);
     }
 }
 
-impl FromJson for crate::Address {
+impl FromJson<'_> for crate::Address {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let s = json.as_str().ok_or(JsonError("expected address".into()))?;
-        crate::Address::from_hex(s).ok_or(JsonError(format!("bad address {s:?}")))
+        let s = json
+            .as_str()
+            .ok_or_else(|| JsonError("expected address".into()))?;
+        crate::Address::from_hex(s).ok_or_else(|| JsonError(format!("bad address {s:?}")))
     }
 }
 
@@ -768,12 +859,12 @@ impl ToJson for crate::U256 {
     }
 }
 
-impl FromJson for crate::U256 {
+impl FromJson<'_> for crate::U256 {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         let s = json
             .as_str()
-            .ok_or(JsonError("expected decimal string".into()))?;
-        crate::U256::from_dec_str(s).ok_or(JsonError(format!("bad u256 {s:?}")))
+            .ok_or_else(|| JsonError("expected decimal string".into()))?;
+        crate::U256::from_dec_str(s).ok_or_else(|| JsonError(format!("bad u256 {s:?}")))
     }
 }
 
@@ -831,6 +922,59 @@ mod tests {
             Json::parse(r#""\ud83D\uDE00""#).unwrap(),
             Json::Str("\u{1F600}".into())
         );
+    }
+
+    #[test]
+    fn numbers_refuse_leading_zeros() {
+        for text in [r#"{"v":02}"#, "-007", "00", "-01", "[0,01]", "-", "--1"] {
+            assert!(Json::parse(text).is_err(), "accepted {text:?}");
+        }
+        assert!(Json::parse("01").unwrap_err().0.contains("leading zero"));
+        for (text, value) in [("0", 0), ("-0", 0), ("10", 10), ("-100", -100)] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Int(value), "{text}");
+        }
+        assert_eq!(
+            Json::parse(r#"{"v":0}"#).unwrap().get("v"),
+            Some(&Json::Int(0))
+        );
+    }
+
+    #[test]
+    fn unescaped_strings_and_keys_borrow_from_the_input() {
+        let v = Json::parse(r#"{"plain":"text","esc\u0061ped":"a\"b","😀":"é"}"#).unwrap();
+        let borrowed = |s: &Cow<str>| matches!(s, Cow::Borrowed(_));
+        let members = v.as_obj().unwrap();
+        assert!(borrowed(&members[0].0));
+        assert!(matches!(&members[0].1, Json::Str(s) if borrowed(s)));
+        assert!(!borrowed(&members[1].0));
+        assert_eq!(members[1].0, "escaped");
+        assert!(matches!(&members[1].1, Json::Str(s) if !borrowed(s) && s == "a\"b"));
+        assert!(borrowed(&members[2].0));
+        assert!(matches!(&members[2].1, Json::Str(s) if borrowed(s)));
+        // The owned form compares equal to the borrowed one.
+        assert_eq!(v.to_json(), v);
+    }
+
+    #[test]
+    fn plain_prefix_matches_the_bytewise_scan() {
+        let stops = [
+            b'"', b'\\', 0x00, 0x1f, b' ', b'!', 0x7f, 0x80, 0xff, 0x20, 0x21, 0x5b,
+        ];
+        let mut rng = proptest::test_runner::TestRng::deterministic("plain_prefix", 0);
+        for _ in 0..2_000 {
+            let len = rng.below(40) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(4) {
+                    0 => stops[rng.below(stops.len() as u64) as usize],
+                    _ => rng.below(256) as u8,
+                })
+                .collect();
+            let naive = bytes
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len());
+            assert_eq!(plain_prefix(&bytes), naive, "{bytes:?}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 
 use smacs_chain::abi::{selector, Selector};
 use smacs_primitives::hexutil;
-use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
+use smacs_primitives::json::{FromJson, Hex, Json, JsonError, ObjectWriter, ToJson};
 use smacs_primitives::Address;
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::types::TokenType;
@@ -177,21 +178,18 @@ impl ToJson for TokenRequest {
             .member("sender", &self.sender)
             .member("method", &self.method)
             .member("args", &self.args)
-            .member(
-                "calldata",
-                &self.calldata.as_deref().map(hexutil::encode_prefixed),
-            )
+            .member("calldata", &self.calldata.as_deref().map(Hex))
             .member("one_time", &self.one_time)
             .end();
     }
 }
 
-impl FromJson for TokenRequest {
+impl FromJson<'_> for TokenRequest {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         // Optional fields tolerate absence (not just explicit null), matching
         // the serde-derived codec this replaces: a super-token request may
         // simply omit "method", "args", "calldata", and "one_time".
-        let calldata = Option::<String>::from_json_field(json, "calldata")?
+        let calldata = Option::<Cow<str>>::from_json_field(json, "calldata")?
             .map(|s| {
                 hexutil::decode_flexible(&s)
                     .ok_or_else(|| JsonError(format!("bad calldata hex {s:?}")))

@@ -63,7 +63,7 @@ impl smacs_primitives::json::ToJson for TokenType {
     }
 }
 
-impl smacs_primitives::json::FromJson for TokenType {
+impl smacs_primitives::json::FromJson<'_> for TokenType {
     fn from_json(
         json: &smacs_primitives::json::Json,
     ) -> Result<Self, smacs_primitives::json::JsonError> {

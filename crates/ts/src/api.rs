@@ -60,9 +60,10 @@
 //! A request without `v` (the unversioned v1 shape) is answered
 //! `unsupported_version` — see [`crate::front::FrontEnd::handle_json`].
 
-use smacs_primitives::json::Json;
+use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
 use smacs_primitives::{json_codec, Address};
 use smacs_token::{Token, TokenRequest};
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::discovery::ContractMetadata;
@@ -192,32 +193,32 @@ impl From<IssueError> for ApiError {
 }
 
 // ---- wire envelope types (codecs generated by `json_codec!`) ----
-// Envelopes are only decoded into these: senders write the members straight
-// into the message, and decoders `Json::take` the body out first.
+// Envelopes are only decoded into these, borrowing the message text: senders
+// write the members straight into the message, and decoders take the body.
 
 json_codec! {
     /// A v2 request envelope.
     #[derive(Clone, Debug, PartialEq)]
-    pub struct RequestEnvelope {
+    pub struct RequestEnvelope<'a> {
         /// Protocol version; must be [`PROTOCOL_VERSION`].
         pub v: u32,
         /// Operation name.
-        pub op: String,
+        pub op: Cow<'a, str>,
         /// Operation payload; absent for `ping`.
-        pub body: Option<Json>,
+        pub body: Option<Json<'a>>,
     }
 }
 
 json_codec! {
     /// A v2 response envelope.
     #[derive(Clone, Debug, PartialEq)]
-    pub struct ResponseEnvelope {
+    pub struct ResponseEnvelope<'a> {
         /// Protocol version of the answering server.
         pub v: u32,
         /// Whether the operation succeeded.
         pub ok: bool,
         /// Success payload (when `ok`).
-        pub body: Option<Json>,
+        pub body: Option<Json<'a>>,
         /// Failure payload (when `!ok`).
         pub error: Option<WireError>,
     }
@@ -234,12 +235,34 @@ json_codec! {
     }
 }
 
+/// A token on the wire: the hex of its 86-byte image, written straight
+/// into the message and decoded straight into a fixed-size buffer.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TokenHex(pub Token);
+
+impl ToJson for TokenHex {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        hex::encode_to(self.0.to_bytes(), out);
+        out.push('"');
+    }
+}
+
+impl FromJson<'_> for TokenHex {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        json.as_str()
+            .and_then(decode_token_hex)
+            .map(TokenHex)
+            .ok_or_else(|| JsonError("undecodable token_hex".into()))
+    }
+}
+
 json_codec! {
     /// `issue` success body.
     #[derive(Clone, Debug, PartialEq)]
     pub struct IssueBody {
-        /// Hex of the 86-byte token wire image.
-        pub token_hex: String,
+        /// The minted token.
+        pub token_hex: TokenHex,
     }
 }
 
@@ -259,7 +282,7 @@ json_codec! {
         /// Whether this entry minted a token.
         pub ok: bool,
         /// The token (when `ok`).
-        pub token_hex: Option<String>,
+        pub token_hex: Option<TokenHex>,
         /// The failure (when `!ok`).
         pub error: Option<WireError>,
     }
@@ -380,15 +403,13 @@ impl BatchItem {
         }
     }
 
-    /// Decode one batch outcome; malformed items fold to
-    /// [`ErrorCode::Internal`].
+    /// Decode one batch outcome; an item missing its token or its error
+    /// folds to [`ErrorCode::Internal`].
     pub fn into_result(self) -> Result<Token, ApiError> {
         if self.ok {
-            let hex = self
-                .token_hex
-                .ok_or_else(|| ApiError::new(ErrorCode::Internal, "ok item without token_hex"))?;
-            decode_token_hex(&hex)
-                .ok_or_else(|| ApiError::new(ErrorCode::Internal, "undecodable token_hex"))
+            self.token_hex
+                .map(|token| token.0)
+                .ok_or_else(|| ApiError::new(ErrorCode::Internal, "ok item without token_hex"))
         } else {
             Err(self
                 .error

@@ -76,7 +76,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use smacs_crypto::Keypair;
-use smacs_primitives::json::{FromJson, Json, ToJson};
+use smacs_primitives::json::{FromJson, ToJson};
 use smacs_primitives::{Address, EpochCell};
 
 use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
@@ -200,7 +200,10 @@ impl WireCounterTransport {
     /// commit may burn an index and never is (a lost commit ack must
     /// surface as "unreachable", not be silently re-sent and come back
     /// `accepted: false`).
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Option<Json> {
+    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Option<T>
+    where
+        T: for<'a> FromJson<'a>,
+    {
         let client = self.target.get()?;
         let addr = client.addr();
         if self.faults.is_partitioned(addr) {
@@ -214,7 +217,7 @@ impl WireCounterTransport {
         if duplicate {
             // Duplicate delivery: the echo reaches the node, its reply is
             // discarded — the vote state machine must treat it as a no-op.
-            let _ = client.call(op, body, one_time);
+            let _ = client.call::<T>(op, body, one_time);
         }
         reply
     }
@@ -222,13 +225,13 @@ impl WireCounterTransport {
 
 impl CounterTransport for WireCounterTransport {
     fn prepare(&self) -> Option<u64> {
-        let body = self.call("counter_prepare", None, false)?;
-        Some(CounterStateBody::from_json(&body).ok()?.committed)
+        let state: CounterStateBody = self.call("counter_prepare", None, false)?;
+        Some(state.committed)
     }
 
     fn commit(&self, value: u64) -> Option<CommitReply> {
-        let body = self.call("counter_commit", Some(&CounterCommitBody { value }), true)?;
-        let vote = CounterVoteBody::from_json(&body).ok()?;
+        let vote: CounterVoteBody =
+            self.call("counter_commit", Some(&CounterCommitBody { value }), true)?;
         Some(CommitReply {
             accepted: vote.accepted,
             committed: vote.committed,
@@ -768,16 +771,15 @@ mod tests {
         let vote_addr = set.counter_addr(1);
         let client = HttpClient::connect(vote_addr);
         // Phase-1 read.
-        let body = client
+        let state: CounterStateBody = client
             .call("counter_prepare", None, false)
             .expect("prepare answers");
-        assert_eq!(CounterStateBody::from_json(&body).unwrap().committed, 0);
+        assert_eq!(state.committed, 0);
         // An external commit at the frontier is accepted; its echo is not.
-        let commit = |value: u64| {
-            let body = client
+        let commit = |value: u64| -> CounterVoteBody {
+            client
                 .call("counter_commit", Some(&CounterCommitBody { value }), true)
-                .expect("commit answers");
-            CounterVoteBody::from_json(&body).unwrap()
+                .expect("commit answers")
         };
         assert!(commit(0).accepted);
         assert!(!commit(0).accepted, "duplicate vote rejected over the wire");
@@ -794,7 +796,7 @@ mod tests {
         let set = small_set(3);
         let client = HttpClient::connect(set.addrs()[1]);
         let err = client
-            .call(
+            .call::<CounterVoteBody>(
                 "counter_commit",
                 Some(&CounterCommitBody { value: 0 }),
                 true,
@@ -802,7 +804,7 @@ mod tests {
             .expect_err("public endpoint must refuse vote ops");
         assert_eq!(err.code, ErrorCode::CounterUnavailable);
         let err = client
-            .call("counter_prepare", None, false)
+            .call::<CounterStateBody>("counter_prepare", None, false)
             .expect_err("public endpoint must refuse vote ops");
         assert_eq!(err.code, ErrorCode::CounterUnavailable);
         // Nothing was burned or skipped by the refused commit: the next

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use smacs_primitives::json::{Json, ToJson};
+use smacs_primitives::json::{FromJson, ToJson};
 use smacs_primitives::Address;
 
 use crate::api::{ApiError, ErrorCode, TsApi};
@@ -271,7 +271,10 @@ impl WireCall for FailoverClient {
     /// One v2 op with failover: rotate through replicas until an attempt
     /// yields a definitive answer, the attempt/deadline budget runs out,
     /// or the replay rule (`CallError::replayable`) forbids another send.
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError> {
+    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<T, ApiError>
+    where
+        T: for<'a> FromJson<'a>,
+    {
         let start = self.cursor.fetch_add(1, Ordering::Relaxed) % self.endpoints.len();
         let deadline = Instant::now() + self.policy.deadline;
         let attempts = self.policy.attempts.max(1);

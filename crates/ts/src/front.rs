@@ -28,12 +28,14 @@ use smacs_token::{Token, TokenRequest};
 use crate::api::{
     ApiError, BatchItem, BatchRequestBody, BatchResponseBody, CounterCommitBody, CounterStateBody,
     CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, PongBody,
-    RequestEnvelope, RulesSetBody, SetRulesBody, TsApi, WireError, MAX_BATCH, PROTOCOL_VERSION,
+    RequestEnvelope, RulesSetBody, SetRulesBody, TokenHex, TsApi, WireError, MAX_BATCH,
+    PROTOCOL_VERSION,
 };
 use crate::discovery::{ContractMetadata, ServiceDirectory};
 use crate::replica::CounterNode;
 use crate::rules::RuleBook;
 use crate::service::TokenService;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -161,7 +163,7 @@ impl FrontEnd {
     /// Open the envelope, run its op, and write the success envelope.
     fn dispatch(&self, text: &str, scope: EndpointScope) -> Result<String, ApiError> {
         let (op, body) = open_envelope(text)?;
-        match op.as_str() {
+        match &*op {
             "issue" => {
                 let token = self.issue(&decode(body)?)?;
                 ok(&IssueBody {
@@ -264,8 +266,9 @@ impl TsApi for FrontEnd {
     }
 }
 
-/// Parse a request envelope into its op name and (still undecoded) body.
-fn open_envelope(text: &str) -> Result<(String, Json), ApiError> {
+/// Parse a request envelope into its op name and (still undecoded) body,
+/// both borrowed from `text`.
+fn open_envelope(text: &str) -> Result<(Cow<'_, str>, Json<'_>), ApiError> {
     let bad_envelope =
         |e: JsonError| ApiError::new(ErrorCode::BadEnvelope, format!("bad envelope: {e}"));
     let mut json = Json::parse(text).map_err(bad_envelope)?;
@@ -289,7 +292,7 @@ fn open_envelope(text: &str) -> Result<(String, Json), ApiError> {
 
 /// Decode an op's body; a body of the wrong shape is a bad envelope. The
 /// tree is freed here, before the op runs.
-fn decode<T: FromJson>(body: Json) -> Result<T, ApiError> {
+fn decode<'a, T: FromJson<'a>>(body: Json<'a>) -> Result<T, ApiError> {
     T::from_json(&body).map_err(|e| ApiError::new(ErrorCode::BadEnvelope, format!("bad body: {e}")))
 }
 
@@ -317,15 +320,18 @@ fn envelope(body: Option<&dyn ToJson>, error: Option<&WireError>) -> String {
     out
 }
 
-/// Hex-encode a token's 86-byte wire image (the `token_hex` response
-/// fields).
-pub fn encode_token_hex(token: &Token) -> String {
-    hex::encode(token.to_bytes())
+/// The `token_hex` response field for `token`: its 86-byte wire image,
+/// hex-encoded as the envelope is written.
+pub fn encode_token_hex(token: &Token) -> TokenHex {
+    TokenHex(*token)
 }
 
-/// Decode a hex token string returned by the front end.
+/// Decode a hex token string returned by the front end, through a
+/// fixed-size buffer.
 pub fn decode_token_hex(s: &str) -> Option<Token> {
-    Token::from_bytes(&hex::decode(s).ok()?).ok()
+    let mut bytes = [0u8; Token::SIZE];
+    hex::decode_to_slice(s, &mut bytes).ok()?;
+    Token::from_bytes(&bytes).ok()
 }
 
 #[cfg(test)]
@@ -356,13 +362,15 @@ mod tests {
         )
     }
 
-    fn answer(front: &FrontEnd, text: &str, scope: EndpointScope) -> ResponseEnvelope {
-        smacs_primitives::json::from_str(&front.handle_json_scoped(text, scope))
-            .expect("a v2 response envelope")
+    /// The answer to `text`, over an owned tree so it outlives the text.
+    fn answer(front: &FrontEnd, text: &str, scope: EndpointScope) -> ResponseEnvelope<'static> {
+        let answer = front.handle_json_scoped(text, scope);
+        let tree = Json::parse(&answer).expect("JSON").to_json();
+        ResponseEnvelope::from_json(&tree).expect("a v2 response envelope")
     }
 
     /// The success body of `response`, decoded.
-    fn ok_body<T: FromJson>(response: ResponseEnvelope) -> T {
+    fn ok_body<T: for<'a> FromJson<'a>>(response: ResponseEnvelope) -> T {
         assert!(response.ok, "{response:?}");
         T::from_json(&response.body.expect("success body")).expect("body shape")
     }
@@ -377,7 +385,7 @@ mod tests {
         let front = front();
         let response = answer(&front, &v2("issue", &request()), EndpointScope::Public);
         let body: IssueBody = ok_body(response);
-        let token = decode_token_hex(&body.token_hex).unwrap();
+        let token = body.token_hex.0;
         assert_eq!(token.ttype, TokenType::Super);
         assert_eq!(token.expire, 1_000 + 3_600);
     }

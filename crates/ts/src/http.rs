@@ -84,11 +84,12 @@ use smacs_token::{Token, TokenRequest};
 
 use crate::api::{
     ApiError, BatchItem, BatchRequestBody, BatchResponseBody, DiscoverBody, DiscoverResponseBody,
-    ErrorCode, IssueBody, ResponseEnvelope, SetRulesBody, TsApi, PROTOCOL_VERSION,
+    ErrorCode, IssueBody, PongBody, ResponseEnvelope, RulesSetBody, SetRulesBody, TsApi,
+    PROTOCOL_VERSION,
 };
 use crate::discovery::ContractMetadata;
 use crate::fault::FaultPlan;
-use crate::front::{decode_token_hex, EndpointScope, FrontEnd};
+use crate::front::{EndpointScope, FrontEnd};
 use crate::reactor::{Reactor, ReactorClient};
 use crate::rules::RuleBook;
 
@@ -131,6 +132,8 @@ const NOT_POST_BODY: &str =
 const NO_LENGTH_BODY: &str = r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"missing or invalid Content-Length"}}"#;
 const BODY_TOO_LARGE_BODY: &str =
     r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"body too large"}}"#;
+const NOT_UTF8_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"body is not UTF-8"}}"#;
 
 /// How long a worker waits for the next pipelined request before parking
 /// a connection. Loopback turnarounds are microseconds, so a short grace
@@ -553,6 +556,8 @@ fn read_head(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Heade
 /// Read a `content_length`-byte body (already checked against
 /// [`MAX_BODY_BYTES`]). The buffer grows with the bytes that actually
 /// arrive, not with what the peer declared — a declaration costs nothing.
+/// JSON text is UTF-8 (RFC 8259 §8.1): any other body is `InvalidData`,
+/// never rewritten into characters the peer did not send.
 fn read_body(reader: &mut impl Read, content_length: usize) -> std::io::Result<String> {
     let mut body = Vec::with_capacity(content_length.min(64 << 10));
     if reader.take(content_length as u64).read_to_end(&mut body)? < content_length {
@@ -561,8 +566,8 @@ fn read_body(reader: &mut impl Read, content_length: usize) -> std::io::Result<S
             "connection closed mid-body",
         ));
     }
-    Ok(String::from_utf8(body)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
+    String::from_utf8(body)
+        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "body is not UTF-8"))
 }
 
 /// Serve exactly one `POST` request off `conn`. `Ok(close)` reports
@@ -601,7 +606,10 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     if content_length > MAX_BODY_BYTES {
         return refuse(conn, 413, BODY_TOO_LARGE_BODY);
     }
-    let body = read_body(&mut conn.reader, content_length)?;
+    let body = match read_body(&mut conn.reader, content_length) {
+        Err(e) if e.kind() == ErrorKind::InvalidData => return refuse(conn, 400, NOT_UTF8_BODY),
+        body => body?,
+    };
 
     // Pre-dispatch faults: the request is fully read but *never* reaches
     // the service — what a crash between receive and dispatch looks like.
@@ -944,18 +952,22 @@ impl HttpClient {
 
     /// Send one v2 op exactly once: one [`crate::FailoverClient`] attempt,
     /// so its attempt and deadline budget bounds the requests actually sent.
-    pub(crate) fn send_once(&self, op: &str, body: Option<&dyn ToJson>) -> Result<Json, CallError> {
+    pub(crate) fn send_once<T>(&self, op: &str, body: Option<&dyn ToJson>) -> Result<T, CallError>
+    where
+        T: for<'a> FromJson<'a>,
+    {
         self.send(op, body, |_| false)
     }
 
     /// Send one v2 op, resending it once on a fresh connection when a
-    /// pooled connection failed and `resend` allows it for the failure.
-    fn send(
+    /// pooled connection failed and `resend` allows it for the failure,
+    /// and decode the success body into `T` while the response text lives.
+    fn send<T: for<'a> FromJson<'a>>(
         &self,
         op: &str,
         body: Option<&dyn ToJson>,
         resend: impl Fn(&CallError) -> bool,
-    ) -> Result<Json, CallError> {
+    ) -> Result<T, CallError> {
         // The members of a `RequestEnvelope`, the body encoding itself in
         // place; on the way back the body moves out of the parsed tree.
         let mut envelope = String::new();
@@ -984,14 +996,14 @@ impl HttpClient {
                 });
             return Err(CallError::Server { status, error });
         }
-        let response = decoded.ok_or_else(|| {
-            CallError::Api(ApiError::new(
-                ErrorCode::Internal,
-                "undecodable response envelope",
-            ))
-        })?;
+        let internal =
+            |message: String| CallError::Api(ApiError::new(ErrorCode::Internal, message));
+        let response = decoded.ok_or_else(|| internal("undecodable response envelope".into()))?;
         if response.ok {
-            Ok(response.body.unwrap_or(Json::Null))
+            // A server that answers `ok` with the wrong shape is an
+            // internal error.
+            T::from_json(&response.body.unwrap_or(Json::Null))
+                .map_err(|e| internal(format!("bad {op} body: {e}")))
         } else {
             Err(CallError::Api(
                 response
@@ -1031,17 +1043,23 @@ fn connection_is_stale(reader: &mut BufReader<TcpStream>) -> bool {
 /// [`HttpClient`] and [`crate::FailoverClient`], apart. Both get [`TsApi`]
 /// from it, so each op is encoded and decoded in one place.
 pub(crate) trait WireCall: Send + Sync {
-    /// Send `op` with `body` and return the success body (or the decoded
-    /// error). `one_time`: the op may burn a one-time counter index, so it
-    /// must not be replayed once the request may have gone out; every
-    /// other op may be (`CallError::replayable`, the one replay rule).
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError>;
+    /// Send `op` with `body` and decode the success body into `T` (or
+    /// return the decoded error). `one_time`: the op may burn a one-time
+    /// counter index, so it must not be replayed once the request may have
+    /// gone out; every other op may be (`CallError::replayable`, the one
+    /// replay rule).
+    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<T, ApiError>
+    where
+        T: for<'a> FromJson<'a>;
 }
 
 impl WireCall for HttpClient {
     /// One send, and one resend on a fresh connection after a pooled one
     /// failed, when the replay rule (`CallError::replayable`) allows it.
-    fn call(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<Json, ApiError> {
+    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<T, ApiError>
+    where
+        T: for<'a> FromJson<'a>,
+    {
         self.send(op, body, |error| error.replayable(one_time))
             .map_err(CallError::into_api)
     }
@@ -1049,12 +1067,8 @@ impl WireCall for HttpClient {
 
 impl<C: WireCall> TsApi for C {
     fn issue(&self, request: &TokenRequest) -> Result<Token, ApiError> {
-        let body: IssueBody = ok_body(
-            "issue",
-            self.call("issue", Some(request), request.one_time)?,
-        )?;
-        decode_token_hex(&body.token_hex)
-            .ok_or_else(|| ApiError::new(ErrorCode::Internal, "undecodable token_hex"))
+        let body: IssueBody = self.call("issue", Some(request), request.one_time)?;
+        Ok(body.token_hex.0)
     }
 
     fn issue_batch(
@@ -1065,8 +1079,7 @@ impl<C: WireCall> TsApi for C {
             requests: requests.to_vec(),
         };
         let one_time = requests.iter().any(|r| r.one_time);
-        let response: BatchResponseBody =
-            ok_body("batch", self.call("issue_batch", Some(&body), one_time)?)?;
+        let response: BatchResponseBody = self.call("issue_batch", Some(&body), one_time)?;
         Ok(response
             .results
             .into_iter()
@@ -1079,26 +1092,19 @@ impl<C: WireCall> TsApi for C {
             owner_secret: owner_secret.into(),
             rules,
         };
-        self.call("set_rules", Some(&body), false).map(|_| ())
+        self.call("set_rules", Some(&body), false)
+            .map(|RulesSetBody {}| ())
     }
 
     fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
         let body = DiscoverBody { contract };
-        let response: DiscoverResponseBody =
-            ok_body("discover", self.call("discover", Some(&body), false)?)?;
+        let response: DiscoverResponseBody = self.call("discover", Some(&body), false)?;
         Ok(response.metadata)
     }
 
     fn ping(&self) -> Result<(), ApiError> {
-        self.call("ping", None, false).map(|_| ())
+        self.call("ping", None, false).map(|PongBody { .. }| ())
     }
-}
-
-/// Decode the success body of `op`; a server that answers `ok` with the
-/// wrong shape is an internal error.
-fn ok_body<T: FromJson>(op: &str, body: Json) -> Result<T, ApiError> {
-    T::from_json(&body)
-        .map_err(|e| ApiError::new(ErrorCode::Internal, format!("bad {op} body: {e}")))
 }
 
 #[cfg(test)]
@@ -1292,6 +1298,44 @@ mod tests {
         let mut wire = &b"only ten b"[..];
         let err = read_body(&mut wire, MAX_BODY_BYTES).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn non_utf8_request_bodies_are_refused_not_rewritten() {
+        let server = running_server();
+        let body = b"{\"v\":2,\"op\":\"\xffping\"}";
+        let mut raw =
+            format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len()).into_bytes();
+        raw.extend_from_slice(body);
+        assert_eq!(refusal(&server, &raw), 400);
+        HttpClient::connect(server.addr()).ping().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_response_bodies_fail_the_round_trip() {
+        let mut wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff}".to_vec();
+        let err = read_response(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+
+        // A server answering a ping with a body that is JSON but for one
+        // byte: the client reports a transport failure, not a pong.
+        let body = b"{\"v\":2,\"ok\":true,\"body\":{\"pong\":true,\"x\":\"\xfe\"}}";
+        wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len()).into_bytes();
+        wire.extend_from_slice(body);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = HttpClient::connect(listener.local_addr().unwrap());
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (_, headers) = read_head(&mut reader).unwrap().unwrap();
+            read_body(&mut reader, headers.content_length.unwrap()).unwrap();
+            (&stream).write_all(&wire).unwrap();
+        });
+        let err = client.ping().unwrap_err();
+        assert_eq!(err.code, ErrorCode::Transport, "{err}");
+        assert!(err.message.contains("UTF-8"), "{err}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   socket by a proxy that answers each one through a real [`FrontEnd`];
 //! - the response to each of them;
 //! - every refusal body: the front end's, one per error path, and the HTTP
-//!   server's own.
+//!   server's own, except the non-UTF-8 refusal, which
+//!   `http::tests::non_utf8_request_bodies_are_refused_not_rewritten`
+//!   checks instead.
 //!
 //! After an intended wire change, rewrite the file with
 //!

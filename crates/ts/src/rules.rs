@@ -239,8 +239,9 @@ impl ToJson for ListPolicy {
     }
 }
 
-/// How a list's entries are read off the wire.
-type Subject = fn(&Json) -> Result<String, JsonError>;
+/// How a list's entries are read off the wire: each entry costs the one
+/// `String` its set stores.
+type Subject = fn(&Json<'_>) -> Result<String, JsonError>;
 
 impl ListPolicy {
     /// Decode `{"whitelist"|"blacklist": [subject, …]}`.
@@ -251,7 +252,9 @@ impl ListPolicy {
                 (None, Some(list)) => (list, ListPolicy::Blacklist),
                 (None, None) => return Err(JsonError("expected whitelist or blacklist".into())),
             };
-        let subjects = list.as_arr().ok_or(JsonError("expected array".into()))?;
+        let subjects = list
+            .as_arr()
+            .ok_or_else(|| JsonError("expected array".into()))?;
         Ok(policy(
             subjects.iter().map(subject).collect::<Result<_, _>>()?,
         ))
@@ -273,6 +276,11 @@ fn sender_subject(json: &Json) -> Result<String, JsonError> {
     }
 }
 
+/// An argument-list entry: any string, kept verbatim.
+fn argument_subject(json: &Json<'_>) -> Result<String, JsonError> {
+    String::from_json(json)
+}
+
 impl ToJson for TypeRules {
     fn write_json(&self, out: &mut String) {
         // Fig. 6 shape: omit empty sections, as the serde version did.
@@ -290,15 +298,17 @@ impl ToJson for TypeRules {
     }
 }
 
-impl FromJson for TypeRules {
+impl FromJson<'_> for TypeRules {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         // Per-method lists name senders; argument lists hold values, verbatim.
         let policies = |key, subject: Subject| match json.get(key) {
             None => Ok(BTreeMap::new()),
-            Some(map) => (map.as_obj().ok_or(JsonError("expected object".into()))?)
-                .iter()
-                .map(|(name, policy)| Ok((name.clone(), ListPolicy::decode(policy, subject)?)))
-                .collect::<Result<_, JsonError>>(),
+            Some(map) => (map
+                .as_obj()
+                .ok_or_else(|| JsonError("expected object".into()))?)
+            .iter()
+            .map(|(name, policy)| Ok((name.to_string(), ListPolicy::decode(policy, subject)?)))
+            .collect::<Result<_, JsonError>>(),
         };
         Ok(TypeRules {
             sender: match json.get("sender") {
@@ -306,7 +316,7 @@ impl FromJson for TypeRules {
                 Some(policy) => Some(ListPolicy::decode(policy, sender_subject)?),
             },
             method: policies("method", sender_subject)?,
-            argument: policies("argument", String::from_json)?,
+            argument: policies("argument", argument_subject)?,
         })
     }
 }
@@ -323,11 +333,14 @@ impl ToJson for RuleBook {
     }
 }
 
-impl FromJson for RuleBook {
+impl FromJson<'_> for RuleBook {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         let mut types = BTreeMap::new();
         if let Some(map) = json.get("types") {
-            for (key, rules) in map.as_obj().ok_or(JsonError("expected object".into()))? {
+            for (key, rules) in map
+                .as_obj()
+                .ok_or_else(|| JsonError("expected object".into()))?
+            {
                 let ttype = TokenType::from_json(&Json::Str(key.clone()))?;
                 types.insert(ttype, TypeRules::from_json(rules)?);
             }

@@ -46,11 +46,14 @@ fn v2(op: &str, body: Json) -> String {
     .render()
 }
 
-fn parse(response: &str) -> Json {
-    Json::parse(response).expect("valid response JSON")
+/// The response as an owned tree, so a test can keep it past the text.
+fn parse(response: &str) -> Json<'static> {
+    Json::parse(response)
+        .expect("valid response JSON")
+        .to_json()
 }
 
-fn error_code(response: &Json) -> &str {
+fn error_code<'j>(response: &'j Json) -> &'j str {
     response
         .get("error")
         .and_then(|e| e.get("code"))
@@ -448,7 +451,8 @@ fn one_connection_serves_many_requests() {
         assert!(keep_alive, "server must advertise keep-alive");
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body).unwrap();
-        let response = Json::parse(&String::from_utf8(body).unwrap()).unwrap();
+        let text = String::from_utf8(body).unwrap();
+        let response = Json::parse(&text).unwrap();
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     }
     drop(stream);
