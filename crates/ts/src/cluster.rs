@@ -33,22 +33,18 @@
 //! client-facing listeners run with
 //! [`crate::front::EndpointScope::Public`] and refuse `counter_*` with
 //! `counter_unavailable`, so a hostile client cannot vote indexes burned
-//! or skipped. Each replica's coordinator reaches its peers through a wire
-//! [`CounterTransport`] — its own node stays a [`LocalTransport`], since
-//! a replica never loses the network to itself. Every node write-ahead
-//! logs its commits ([`crate::wal::Wal`], fsync before ack), so
+//! or skipped. Each replica's [`CounterCluster`] is the host of the one
+//! quorum protocol ([`crate::replica`]): it reaches its own node in
+//! process, since a replica never loses the network to itself, and each
+//! peer's vote endpoint over the wire. Every node write-ahead logs its
+//! commits ([`crate::wal::Wal`], fsync before ack), so
 //! [`ReplicaSet::recover`] rebuilds a crashed replica's vote state from
 //! its WAL (RAM is explicitly discarded) and then catches it up past any
-//! indexes it missed through the frontier read. (The shared-memory
-//! [`LocalTransport`] cluster, [`CounterCluster::new`], is the unit-test
-//! seam; a `ReplicaSet` always votes over the wire.)
-//!
-//! The *sending* side of every wire transport consults its replica's
-//! [`FaultPlan`] per peer address, which is how the chaos suite drives
-//! asymmetric partitions ([`FaultPlan::partition_addr`]), delayed/
-//! reordered votes ([`FaultPlan::delay_votes_to`]), and duplicated votes
-//! ([`FaultPlan::duplicate_votes`]) without faking anything above the
-//! transport.
+//! indexes it missed through the frontier read. (The all-in-process
+//! cluster, [`CounterCluster::new`], is the unit-test seam; a
+//! `ReplicaSet` always votes over the wire.) Dropped, duplicated and
+//! reordered votes are the protocol checker's to explore, not a fault
+//! this set injects.
 //!
 //! [`ReplicaSet::kill`] takes a replica off the network (both listeners
 //! closed, its counter node crashed); [`ReplicaSet::recover`] brings it
@@ -72,19 +68,17 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use smacs_crypto::Keypair;
-use smacs_primitives::json::{FromJson, ToJson};
 use smacs_primitives::{Address, EpochCell};
 
-use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
 use crate::discovery::ContractMetadata;
 use crate::fault::FaultPlan;
 use crate::front::{EndpointScope, FrontEnd};
-use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig, WireCall};
-use crate::replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
+use crate::http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
+use crate::replica::{CounterCluster, CounterNode, Member};
 use crate::rules::RuleBook;
 use crate::service::{TokenService, TokenServiceConfig};
 
@@ -166,79 +160,6 @@ fn vote_server_config() -> HttpServerConfig {
     }
 }
 
-/// The wire [`CounterTransport`]: speaks the `counter_*` op family to one
-/// peer's vote endpoint over a keep-alive [`HttpClient`], consulting the
-/// owning replica's [`FaultPlan`] before every send (address-scoped
-/// partition, vote delay, duplicate delivery).
-///
-/// The target starts unset (peer endpoints aren't known until every vote
-/// server is bound) and is set once by `ReplicaSet::start`; an unset
-/// transport reports the peer unreachable, which fails closed.
-pub(crate) struct WireCounterTransport {
-    target: OnceLock<HttpClient>,
-    faults: Arc<FaultPlan>,
-}
-
-impl WireCounterTransport {
-    pub(crate) fn new(faults: Arc<FaultPlan>) -> Arc<WireCounterTransport> {
-        Arc::new(WireCounterTransport {
-            target: OnceLock::new(),
-            faults,
-        })
-    }
-
-    /// Aim the transport at its peer's vote endpoint. Only the first call
-    /// takes effect.
-    pub(crate) fn set_target(&self, addr: SocketAddr) {
-        let _ = self
-            .target
-            .set(HttpClient::connect_with(addr, vote_client_config()));
-    }
-
-    /// One vote send, with sender-side fault injection. `one_time` feeds
-    /// the client's replay rule: a prepare is a read and may be resent; a
-    /// commit may burn an index and never is (a lost commit ack must
-    /// surface as "unreachable", not be silently re-sent and come back
-    /// `accepted: false`).
-    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Option<T>
-    where
-        T: for<'a> FromJson<'a>,
-    {
-        let client = self.target.get()?;
-        let addr = client.addr();
-        if self.faults.is_partitioned(addr) {
-            return None;
-        }
-        if let Some(delay) = self.faults.vote_delay(addr) {
-            std::thread::sleep(delay);
-        }
-        let duplicate = self.faults.take_duplicate_vote();
-        let reply = client.call(op, body, one_time).ok();
-        if duplicate {
-            // Duplicate delivery: the echo reaches the node, its reply is
-            // discarded — the vote state machine must treat it as a no-op.
-            let _ = client.call::<T>(op, body, one_time);
-        }
-        reply
-    }
-}
-
-impl CounterTransport for WireCounterTransport {
-    fn prepare(&self) -> Option<u64> {
-        let state: CounterStateBody = self.call("counter_prepare", None, false)?;
-        Some(state.committed)
-    }
-
-    fn commit(&self, value: u64) -> Option<CommitReply> {
-        let vote: CounterVoteBody =
-            self.call("counter_commit", Some(&CounterCommitBody { value }), true)?;
-        Some(CommitReply {
-            accepted: vote.accepted,
-            committed: vote.committed,
-        })
-    }
-}
-
 /// One member of the set.
 struct Replica {
     front: Arc<FrontEnd>,
@@ -307,31 +228,24 @@ impl ReplicaSet {
         let diag = CounterCluster::from_nodes(nodes.clone());
 
         let rules = Arc::new(EpochCell::new(rules));
-        let faults: Vec<Arc<FaultPlan>> = (0..config.replicas).map(|_| FaultPlan::new()).collect();
-
-        // Per-replica coordinator clusters. Replica `i` reaches itself
-        // locally and each peer `j` through a wire transport whose target
-        // is filled in once the vote endpoints are bound below.
-        let mut wires: Vec<(usize, Arc<WireCounterTransport>)> = Vec::new();
-        let clusters: Vec<CounterCluster> = (0..config.replicas)
-            .map(|i| {
-                let members = (0..config.replicas)
-                    .map(|j| -> Arc<dyn CounterTransport> {
-                        if i == j {
-                            Arc::new(LocalTransport(nodes[i].clone()))
-                        } else {
-                            let wire = WireCounterTransport::new(faults[i].clone());
-                            wires.push((j, wire.clone()));
-                            wire
-                        }
-                    })
-                    .collect();
-                CounterCluster::from_transports(members)
-            })
-            .collect();
 
         let mut replicas = Vec::with_capacity(config.replicas);
-        for (id, cluster) in clusters.into_iter().enumerate() {
+        for (id, node) in nodes.iter().enumerate() {
+            // This replica's coordinator: its own node in process, each
+            // peer through a wire member whose target is set once every
+            // vote endpoint is bound below.
+            let cluster = CounterCluster::from_members(
+                (0..config.replicas)
+                    .map(|j| {
+                        if j == id {
+                            Member::Local(node.clone())
+                        } else {
+                            Member::Peer(Default::default())
+                        }
+                    })
+                    .collect(),
+            );
+            let faults = FaultPlan::new();
             let service = TokenService::new(
                 signer.clone(),
                 RuleBook::permissive(), // replaced by the shared book
@@ -345,7 +259,7 @@ impl ReplicaSet {
                     Self::derive_secret(&config.owner_secret, id),
                     config.now,
                 )
-                .with_counter(nodes[id].clone()),
+                .with_counter(node.clone()),
             );
             let counter_server =
                 Endpoint::bind(front.clone(), EndpointScope::Vote, vote_server_config())?;
@@ -354,7 +268,7 @@ impl ReplicaSet {
                 front.clone(),
                 EndpointScope::Public,
                 HttpServerConfig {
-                    faults: Some(faults[id].clone()),
+                    faults: Some(faults.clone()),
                     ..HttpServerConfig::default()
                 },
             )?;
@@ -363,18 +277,25 @@ impl ReplicaSet {
                 front,
                 server: Some(server),
                 addr,
-                faults: faults[id].clone(),
-                node: nodes[id].clone(),
+                faults,
+                node: node.clone(),
                 counter_server: Some(counter_server),
                 counter_addr,
                 cluster,
             });
         }
 
-        // Vote endpoints are all bound now — aim every wire transport at
-        // its peer.
-        for (j, wire) in wires {
-            wire.set_target(replicas[j].counter_addr);
+        // Vote endpoints are all bound now — aim every wire member at its
+        // peer.
+        for replica in &replicas {
+            for (member, peer) in replica.cluster.members().iter().zip(&replicas) {
+                if let Member::Peer(target) = member {
+                    let _ = target.set(HttpClient::connect_with(
+                        peer.counter_addr,
+                        vote_client_config(),
+                    ));
+                }
+            }
         }
 
         Ok(ReplicaSet {
@@ -411,12 +332,6 @@ impl ReplicaSet {
             .collect()
     }
 
-    /// Replica `id`'s vote-endpoint address. Chaos tests scope
-    /// partition/delay faults to these addresses.
-    pub fn counter_addr(&self, id: usize) -> SocketAddr {
-        self.replicas[id].counter_addr
-    }
-
     /// The address form of the shared `pk_TS`.
     pub fn ts_address(&self) -> Address {
         self.signer.address()
@@ -448,9 +363,8 @@ impl ReplicaSet {
         &self.replicas[id].front
     }
 
-    /// Replica `id`'s fault plan (chaos tests arm transport faults here —
-    /// including the address-scoped vote faults this replica applies when
-    /// *sending* to peers).
+    /// Replica `id`'s fault plan (chaos tests arm its client-facing
+    /// listener's transport faults here).
     pub fn faults(&self, id: usize) -> &Arc<FaultPlan> {
         &self.replicas[id].faults
     }
@@ -620,8 +534,8 @@ impl ReplicaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ErrorCode;
-    use crate::http::HttpClient;
+    use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody, ErrorCode};
+    use crate::http::WireCall;
     use crate::TsApi;
     use smacs_token::TokenRequest;
 
@@ -768,7 +682,7 @@ mod tests {
     #[test]
     fn vote_endpoints_answer_the_counter_op_family() {
         let set = small_set(3);
-        let vote_addr = set.counter_addr(1);
+        let vote_addr = set.replicas[1].counter_addr;
         let client = HttpClient::connect(vote_addr);
         // Phase-1 read.
         let state: CounterStateBody = client

@@ -18,25 +18,13 @@
 //! | `delay_responses`     | transport  | response arrives late (or the client's read timeout fires first) |
 //! | `truncate_responses`  | transport  | request **was** dispatched, response cut mid-body, connection closed |
 //!
-//! On top of the budgets, a plan carries **address-scoped** faults that the
-//! *sending* side of the counter-quorum wire transport consults per peer
-//! (these model the network between replicas, so they are keyed by
-//! destination address and naturally asymmetric — `A` partitioned from `B`
-//! says nothing about `B → A`):
-//!
-//! | fault               | boundary     | what the cluster observes          |
-//! |---------------------|--------------|------------------------------------|
-//! | `partition_addr`    | vote send    | this replica's votes to that peer vanish (one-way partition) until healed |
-//! | `delay_votes_to`    | vote send    | votes to that peer arrive late — reordered relative to other peers |
-//! | `duplicate_votes`   | vote send    | budget: a vote is delivered twice (the quorum must treat the echo as a no-op) |
-//!
 //! Replica-level faults (kill a whole node, partition a counter node away)
 //! live on [`crate::cluster::ReplicaSet`], which owns the processes being
-//! killed; this module only corrupts the wire.
+//! killed; this module only corrupts the client-facing wire. Faults
+//! between counter replicas — dropped, duplicated and reordered votes —
+//! are not injected here: the quorum protocol's checker
+//! (`replica::check`) explores every interleaving of them.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,24 +50,6 @@ pub struct FaultPlan {
     truncate_responses: AtomicU64,
     /// Delay applied before every response while non-zero (nanoseconds).
     delay_nanos: AtomicU64,
-    /// Peers this side cannot send counter votes to (one-way partition),
-    /// mapped to an optional send delay. `Some(Duration::ZERO)`-style
-    /// entries don't exist: a peer is either absent (healthy), mapped to
-    /// `None` (partitioned), or mapped to `Some(delay)` (slow link).
-    vote_links: Mutex<HashMap<SocketAddr, LinkFault>>,
-    /// Budget: deliver a counter vote twice (at-least-once delivery — the
-    /// receiving state machine must reject the echo).
-    duplicate_votes: AtomicU64,
-}
-
-/// Per-peer link state for counter votes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LinkFault {
-    /// Sends to this peer are dropped entirely.
-    Partitioned,
-    /// Sends to this peer are delayed by this much (reordering them
-    /// relative to votes sent to healthy peers).
-    Delayed(Duration),
 }
 
 impl FaultPlan {
@@ -118,42 +88,12 @@ impl FaultPlan {
         );
     }
 
-    /// One-way partition: counter votes *from this replica* to `peer`
-    /// are dropped until [`FaultPlan::heal_addr`]. Asymmetric by design —
-    /// partition `A → B` without touching `B → A` by arming only `A`'s
-    /// plan.
-    pub fn partition_addr(&self, peer: SocketAddr) {
-        self.vote_links.lock().insert(peer, LinkFault::Partitioned);
-    }
-
-    /// Counter votes from this replica to `peer` are delayed by `delay`
-    /// before being sent, reordering them against votes to other peers,
-    /// until [`FaultPlan::heal_addr`].
-    pub fn delay_votes_to(&self, peer: SocketAddr, delay: Duration) {
-        self.vote_links
-            .lock()
-            .insert(peer, LinkFault::Delayed(delay));
-    }
-
-    /// Heal the link to `peer` (no-op if it was healthy).
-    pub fn heal_addr(&self, peer: SocketAddr) {
-        self.vote_links.lock().remove(&peer);
-    }
-
-    /// Arm: the next `n` counter votes are each sent twice (duplicate
-    /// delivery — the vote state machine must reject the echo).
-    pub fn duplicate_votes(&self, n: u64) {
-        self.duplicate_votes.store(n, Ordering::SeqCst);
-    }
-
-    /// Disarm everything, including all per-peer link faults.
+    /// Disarm everything.
     pub fn clear(&self) {
         self.drop_requests.store(0, Ordering::SeqCst);
         self.fail_requests.store(0, Ordering::SeqCst);
         self.truncate_responses.store(0, Ordering::SeqCst);
         self.delay_nanos.store(NO_DELAY, Ordering::SeqCst);
-        self.duplicate_votes.store(0, Ordering::SeqCst);
-        self.vote_links.lock().clear();
     }
 
     /// True while any fault is armed (diagnostics).
@@ -162,8 +102,6 @@ impl FaultPlan {
             || self.fail_requests.load(Ordering::SeqCst) > 0
             || self.truncate_responses.load(Ordering::SeqCst) > 0
             || self.delay_nanos.load(Ordering::SeqCst) != NO_DELAY
-            || self.duplicate_votes.load(Ordering::SeqCst) > 0
-            || !self.vote_links.lock().is_empty()
     }
 
     // ---- server-side consumption (pub(crate): only the transport layer
@@ -193,30 +131,6 @@ impl FaultPlan {
             NO_DELAY => None,
             nanos => Some(Duration::from_nanos(nanos)),
         }
-    }
-
-    // ---- sender-side consumption (pub(crate): the wire counter
-    // transport consults these before each vote send) ----
-
-    /// True iff votes to `peer` are currently dropped.
-    pub(crate) fn is_partitioned(&self, peer: SocketAddr) -> bool {
-        matches!(
-            self.vote_links.lock().get(&peer),
-            Some(LinkFault::Partitioned)
-        )
-    }
-
-    /// Delay to apply before sending a vote to `peer`, if armed.
-    pub(crate) fn vote_delay(&self, peer: SocketAddr) -> Option<Duration> {
-        match self.vote_links.lock().get(&peer) {
-            Some(LinkFault::Delayed(delay)) => Some(*delay),
-            _ => None,
-        }
-    }
-
-    /// Consume one duplicate-delivery unit; true = send this vote twice.
-    pub(crate) fn take_duplicate_vote(&self) -> bool {
-        Self::take(&self.duplicate_votes)
     }
 }
 
@@ -250,35 +164,6 @@ mod tests {
                 .sum()
         });
         assert_eq!(consumed, 100, "exactly the armed budget is spent");
-    }
-
-    #[test]
-    fn link_faults_are_scoped_per_address() {
-        let plan = FaultPlan::new();
-        let a: SocketAddr = "127.0.0.1:7001".parse().unwrap();
-        let b: SocketAddr = "127.0.0.1:7002".parse().unwrap();
-        plan.partition_addr(a);
-        plan.delay_votes_to(b, Duration::from_millis(3));
-        assert!(plan.is_partitioned(a));
-        assert!(!plan.is_partitioned(b), "partition does not leak to b");
-        assert_eq!(plan.vote_delay(b), Some(Duration::from_millis(3)));
-        assert_eq!(plan.vote_delay(a), None, "partitioned, not delayed");
-        assert!(plan.armed());
-        plan.heal_addr(a);
-        assert!(!plan.is_partitioned(a));
-        assert!(plan.armed(), "b's delay still armed");
-        plan.clear();
-        assert!(!plan.armed());
-        assert_eq!(plan.vote_delay(b), None);
-    }
-
-    #[test]
-    fn duplicate_vote_budget_is_consumed_exactly() {
-        let plan = FaultPlan::new();
-        assert!(!plan.take_duplicate_vote());
-        plan.duplicate_votes(1);
-        assert!(plan.take_duplicate_vote());
-        assert!(!plan.take_duplicate_vote());
     }
 
     #[test]

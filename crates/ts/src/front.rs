@@ -32,7 +32,7 @@ use crate::api::{
     PROTOCOL_VERSION,
 };
 use crate::discovery::{ContractMetadata, ServiceDirectory};
-use crate::replica::CounterNode;
+use crate::replica::{CounterNode, Reply, Vote};
 use crate::rules::RuleBook;
 use crate::service::TokenService;
 use std::borrow::Cow;
@@ -134,14 +134,18 @@ impl FrontEnd {
         diff == 0
     }
 
-    /// The local counter node, or `counter_unavailable` when this front
-    /// end isn't part of a counter quorum.
-    fn counter_node(&self) -> Result<&Arc<CounterNode>, ApiError> {
-        self.counter.as_ref().ok_or_else(|| {
+    /// The local counter node's answer to `vote`: `counter_unavailable`
+    /// when this front end isn't part of a counter quorum, or its node is
+    /// down.
+    fn vote(&self, vote: Vote) -> Result<Reply, ApiError> {
+        let node = self.counter.as_ref().ok_or_else(|| {
             ApiError::new(
                 ErrorCode::CounterUnavailable,
                 "no counter node at this endpoint",
             )
+        })?;
+        node.handle(vote).ok_or_else(|| {
+            ApiError::new(ErrorCode::CounterUnavailable, "counter node not answering")
         })
     }
 
@@ -202,17 +206,11 @@ impl FrontEnd {
                 ))
             }
             "counter_prepare" => ok(&CounterStateBody {
-                committed: self
-                    .counter_node()?
-                    .prepare()
-                    .ok_or_else(counter_refusing)?,
+                committed: self.vote(Vote::Prepare)?.committed,
             }),
             "counter_commit" => {
                 let CounterCommitBody { value } = decode(body)?;
-                let vote = self
-                    .counter_node()?
-                    .commit(value)
-                    .ok_or_else(counter_refusing)?;
+                let vote = self.vote(Vote::Commit(value))?;
                 ok(&CounterVoteBody {
                     accepted: vote.accepted,
                     committed: vote.committed,
@@ -294,12 +292,6 @@ fn open_envelope(text: &str) -> Result<(Cow<'_, str>, Json<'_>), ApiError> {
 /// tree is freed here, before the op runs.
 fn decode<'a, T: FromJson<'a>>(body: Json<'a>) -> Result<T, ApiError> {
     T::from_json(&body).map_err(|e| ApiError::new(ErrorCode::BadEnvelope, format!("bad body: {e}")))
-}
-
-/// The error a live quorum member answers with while its node is crashed
-/// or partitioned away from the consensus group.
-fn counter_refusing() -> ApiError {
-    ApiError::new(ErrorCode::CounterUnavailable, "counter node not answering")
 }
 
 /// A success envelope carrying `body`.

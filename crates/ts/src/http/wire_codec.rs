@@ -4,7 +4,7 @@
 //! protocol-v2 envelopes, one `label json` line each:
 //!
 //! - every request the three senders put on the wire — [`HttpClient`],
-//!   [`FailoverClient`] and the counter vote transport — recorded off the
+//!   [`FailoverClient`] and a counter quorum's wire member — recorded off the
 //!   socket by a proxy that answers each one through a real [`FrontEnd`];
 //! - the response to each of them;
 //! - every refusal body: the front end's, one per error path, and the HTTP
@@ -29,11 +29,9 @@ use super::{
     HEAD_TOO_LARGE_BODY, MAX_HEAD_BYTES, NOT_POST_BODY, NO_LENGTH_BODY, OVERLOADED_BODY,
 };
 use crate::api::{ResponseEnvelope, MAX_BATCH, PROTOCOL_VERSION};
-use crate::cluster::WireCounterTransport;
 use crate::discovery::ContractMetadata;
-use crate::fault::FaultPlan;
 use crate::front::{EndpointScope, FrontEnd};
-use crate::replica::{CounterCluster, CounterNode, CounterTransport};
+use crate::replica::{CounterCluster, CounterNode, Member, Vote};
 use crate::rules::{ListPolicy, RuleBook};
 use crate::service::{TokenService, TokenServiceConfig};
 use crate::validation::ValidationTool;
@@ -219,8 +217,7 @@ fn transcript() -> String {
     let proxy = Proxy::start(front.clone());
     let http = HttpClient::connect(proxy.addr);
     let failover = FailoverClient::new(vec![proxy.addr]);
-    let votes = WireCounterTransport::new(FaultPlan::new());
-    votes.set_target(proxy.addr);
+    let votes = Member::Peer(HttpClient::connect(proxy.addr).into());
 
     let mut lines =
         vec!["# Protocol-v2 wire goldens; see crates/ts/src/http/wire_codec.rs.".to_string()];
@@ -268,11 +265,11 @@ fn transcript() -> String {
     exchange("discover.unknown");
     http.ping().expect("ping");
     exchange("ping");
-    assert_eq!(votes.prepare(), Some(0));
+    assert_eq!(votes.send(Vote::Prepare).expect("read").committed, 0);
     exchange("counter_prepare");
-    assert!(votes.commit(0).expect("vote").accepted);
+    assert!(votes.send(Vote::Commit(0)).expect("vote").accepted);
     exchange("counter_commit");
-    assert!(!votes.commit(0).expect("vote").accepted);
+    assert!(!votes.send(Vote::Commit(0)).expect("vote").accepted);
     exchange("counter_commit.stale");
 
     // Refusals a sender receives.

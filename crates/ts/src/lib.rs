@@ -169,11 +169,13 @@
 //!   the counter caught up past every index ever committed.
 //!
 //! The [`fault::FaultPlan`] hooks in the HTTP server (drop, 500, delay,
-//! truncate) and on the vote-sending side (address-scoped partitions,
-//! vote delays, duplicated deliveries) exist so the chaos suite
-//! (`tests/chaos.rs`) can prove each of these claims over the real wire
-//! path — including crash-mid-commit WAL recovery, asymmetric vote
-//! partitions, and torn-tail re-fetch.
+//! truncate) exist so the chaos suite (`tests/chaos.rs`) can prove each of
+//! these claims over the real wire path — including crash-mid-commit WAL
+//! recovery and torn-tail re-fetch. Faults between the counter replicas
+//! (dropped, duplicated and reordered votes, a crash between a vote and
+//! its ack) are the quorum protocol's own test: [`replica`]'s coordinator
+//! and vote rule are pure, and an exhaustive checker drives them through
+//! every interleaving within its bound.
 
 pub mod api;
 pub mod cluster;
@@ -197,7 +199,7 @@ pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;
 pub use front::FrontEnd;
 pub use http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
-pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
+pub use replica::{CounterCluster, CounterNode};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
 pub use service::{IssueError, TokenService, TokenServiceConfig};
 pub use store::RuleStore;

@@ -38,6 +38,10 @@
 //!   [`Wal::open`] fsyncs the parent directory, so the file's very
 //!   existence (a fresh log's creation, a recovery's truncation) is as
 //!   durable as its records.
+//! - nothing is appended behind a failed write: a short write leaves the
+//!   file cursor inside a record, so the first write or fsync error
+//!   poisons the handle and every later append fails (the node refuses
+//!   votes, fail closed) until the log is reopened and replayed.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -99,6 +103,11 @@ pub struct Wal {
     /// Highest value logged so far (`None` for an empty log); guards the
     /// strictly-increasing invariant.
     last: Option<u64>,
+    /// Set by a failed write or fsync. A short write leaves the cursor
+    /// inside a record, so every later record would be misaligned and
+    /// recovery would cut them all off as a torn tail: a poisoned log
+    /// refuses every append until it is reopened.
+    poisoned: bool,
 }
 
 impl Wal {
@@ -153,6 +162,7 @@ impl Wal {
                 file,
                 path: path.to_path_buf(),
                 last,
+                poisoned: false,
             },
             recovery,
         ))
@@ -163,8 +173,14 @@ impl Wal {
     /// this returns. `value` must exceed every previously logged value,
     /// and `u64::MAX` is refused outright: its recovered frontier
     /// (`value + 1`) is unrepresentable, so a record for it could never
-    /// be replayed faithfully.
+    /// be replayed faithfully. After a failed write or fsync every append
+    /// fails until [`Wal::open`] replays the file again.
     pub fn append(&mut self, value: u64) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "an earlier append failed: reopen the log to recover",
+            ));
+        }
         if value == u64::MAX {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -176,8 +192,12 @@ impl Wal {
             "WAL values must be strictly increasing (last {:?}, got {value})",
             self.last
         );
-        self.file.write_all(&encode_record(value))?;
-        self.file.sync_data()?;
+        let written = self
+            .file
+            .write_all(&encode_record(value))
+            .and_then(|()| self.file.sync_data());
+        self.poisoned = written.is_err();
+        written?;
         self.last = Some(value);
         Ok(())
     }
@@ -366,6 +386,30 @@ mod tests {
         assert_eq!(rec.records, 1);
         wal.append(4).unwrap();
         drop(wal);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_poisons_the_log_until_reopened() {
+        let path = temp_path("poison");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(0).unwrap();
+        wal.append(1).unwrap();
+        // A read-only handle makes the next write fail, as a full disk
+        // would part-way through a record.
+        let writable = std::mem::replace(&mut wal.file, File::open(&path).unwrap());
+        assert!(wal.append(2).is_err());
+        // The disk is back, but the log's cursor can no longer be trusted:
+        // nothing more is acked until the log is reopened.
+        wal.file = writable;
+        assert!(wal.append(2).is_err(), "a poisoned log refuses appends");
+        assert!(wal.append(3).is_err(), "a poisoned log refuses appends");
+        drop(wal);
+        let (mut wal, rec) = Wal::open(&path).unwrap();
+        assert_eq!(rec.committed, 2, "every acked record recovers");
+        assert_eq!(rec.records, 2);
+        assert_eq!(rec.discarded_bytes, 0);
+        wal.append(2).unwrap();
         fs::remove_file(&path).unwrap();
     }
 
