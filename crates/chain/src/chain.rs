@@ -502,12 +502,9 @@ impl Chain {
             .cloned()
             .collect();
 
-        // Reset to genesis. Funding is not blockchain history in this
-        // simulator (it is genesis alloc), so we must rebuild it: capture
-        // EOA balances seeded via fund_account by replaying from scratch is
-        // impossible — instead we conservatively keep genesis accounts that
-        // never appear as contract addresses. Simplest sound approach:
-        // start from empty state, re-fund from recorded genesis alloc.
+        // Reset to genesis: funding is genesis alloc, not a transaction, so
+        // replaying the blocks cannot restore it and the recorded alloc is
+        // re-applied instead.
         self.state = WorldState::new();
         for &(addr, wei) in &self.genesis_accounts {
             self.state.create_account(addr, wei);

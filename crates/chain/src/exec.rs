@@ -9,50 +9,30 @@
 //! `msg.sender`, `msg.sig`, `msg.data`, `msg.value`, plus gas-charged
 //! storage, hashing, `ecrecover`, and event primitives.
 //!
-//! # Execution model: explicit frame stack + effect-log continuations
+//! # Execution model: recursion with one stack hop
 //!
-//! The executor does **not** recurse one host stack frame per message call.
-//! Instead it drives an explicit `Vec<Frame>` state machine, so a
-//! depth-1024 call chain consumes a bounded amount of host stack. An
-//! executor runs only on the thread that executes the transaction; the
-//! parallel block mode fans out signature recovery, never execution.
+//! A nested message call is a plain host call. [`CallContext::call`] runs
+//! the child frame to completion — snapshot, value transfer, the callee's
+//! code, revert on failure — and returns the child's real result, so a
+//! contract is ordinary Rust: it may branch on that result, swallow an
+//! error, or do any host work between calls. The parallel block mode fans
+//! out signature recovery, never execution.
 //!
-//! Contract logic is arbitrary Rust behind [`crate::contract::Contract`],
-//! so a frame cannot be suspended mid-function the way a bytecode
-//! interpreter suspends mid-opcode. The machine instead uses
-//! **deterministic replay with an effect log**:
-//!
-//! - Every effectful or state-dependent [`CallContext`] operation (gas
-//!   charges, `sload`/`sstore`, hashing, `ecrecover`, balance reads, log
-//!   emission, gas-section markers, `gas_remaining`, nested calls) records
-//!   its result as an `Effect` in the current frame's log the first time
-//!   it runs.
-//! - When a contract makes a nested call in fresh territory, the context
-//!   stores the request in `Frame::pending` and returns the sentinel error
-//!   [`VmError::Suspended`]. The driver loop pushes a child frame and runs
-//!   it to completion; the child's result is appended to the parent's log
-//!   as `Effect::Call`.
-//! - The parent's `execute` is then invoked again from the top. Logged
-//!   effects replay from the log — returning the recorded results without
-//!   re-charging gas, re-writing storage, re-emitting logs, or re-recording
-//!   trace events — until execution reaches the call, receives the child's
-//!   result natively, and continues past it.
-//!
-//! Once a frame has requested a call, every further effectful operation in
-//! that attempt is *poisoned*: it returns [`VmError::Suspended`] without
-//! logging anything, so a contract that swallows the sentinel (e.g.
-//! `if ctx.call(..).is_err() { … }`) cannot corrupt the log — the poisoned
-//! attempt's tail is discarded and re-runs natively on the next attempt
-//! with the real call result in hand. The two contract obligations this
-//! model imposes are the ones every EVM contract already meets: execution
-//! must be deterministic (same context ⇒ same operation sequence; a replay
-//! divergence panics with a diagnostic), and errors should be propagated
-//! (`?`) rather than retried in a loop.
+//! Each level of recursion takes host stack. The submitting thread runs
+//! the frames shallower than `HOP_DEPTH`; a call that would start depth
+//! `HOP_DEPTH` runs its whole subtree on one scoped thread with a
+//! `DEEP_STACK`-byte stack, where deeper calls recurse and never hop
+//! again. So a [`MAX_CALL_DEPTH`] chain runs from a 64 KiB thread. The hop
+//! is decided by depth alone, never by probing the stack, so it is
+//! deterministic. A panic on the deep-stack thread resumes on the caller,
+//! and if that thread cannot be spawned the executor panics rather than
+//! failing the call: a transaction's outcome never depends on host
+//! resources.
 //!
 //! State changes made by a parent before a nested call stay live in the
 //! journal while the child runs (the child *sees* them — re-entrancy
 //! semantics are preserved), and a frame failure reverts exactly to the
-//! snapshot taken when its frame was pushed, children included.
+//! snapshot taken when the frame began, children included.
 
 use smacs_crypto::{keccak256, recover_batch, Signature};
 use smacs_primitives::{Address, Bytes, H256, U256};
@@ -64,15 +44,31 @@ use crate::block::BlockEnv;
 use crate::contract::{Contract, ContractRegistry};
 use crate::gas::{GasMeter, OutOfGas, SCHEDULE};
 use crate::receipt::Log;
-use crate::state::{Snapshot, WorldState};
+use crate::state::WorldState;
 use crate::trace::{CallTrace, FrameStatus, StorageAccess, TraceEvent, TraceFrame};
 
 /// Maximum message-call depth (the EVM's 1024).
 ///
-/// The frame-stack executor allocates call frames on the heap, so the
-/// limit is a protocol constant, not a host-stack constraint: a depth-1024
-/// chain runs fine on a 64 KiB thread stack.
+/// A protocol constant, not a host-stack constraint: frames from
+/// `HOP_DEPTH` down run on the executor's deep-stack thread.
 pub const MAX_CALL_DEPTH: usize = 1024;
+
+/// The depth at which a call moves its subtree to the deep-stack thread.
+///
+/// Measured in a debug build: the `Recursor` of `chain_behaviour.rs` takes
+/// 3,600 bytes of host stack per call level, and its root frame starts
+/// 6,373 bytes into the thread that submits the transaction. The 64 KiB
+/// thread of `call_depth_limit_enforced_on_64kib_stack` holds 12 levels
+/// plus the hop, and overflows at 13; 6 keeps 2× headroom.
+const HOP_DEPTH: usize = 6;
+
+/// The deep-stack thread's stack size: [`MAX_CALL_DEPTH`] levels at the
+/// largest debug per-level size measured, with 2× headroom. The
+/// interpreted `Diver` of `smacs-lang`'s interpreter tests takes 31,344
+/// bytes per level (a shielded `ChainLink` 6,016, the `Recursor` 3,600):
+/// 1,024 × 31,344 × 2 ≈ 61.2 MiB, rounded up to 64 MiB. The thread
+/// commits only the pages it touches.
+const DEEP_STACK: usize = 64 << 20;
 
 /// Execution failure inside the VM.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -87,11 +83,6 @@ pub enum VmError {
     InsufficientBalance,
     /// Calldata did not decode as the contract expected.
     BadCalldata(String),
-    /// Continuation sentinel: a nested call is pending and the driver loop
-    /// must run it before this frame can proceed. Contracts never need to
-    /// handle this variant — propagate it like any other error (`?`); it
-    /// never escapes [`Executor::call`].
-    Suspended,
 }
 
 impl fmt::Display for VmError {
@@ -102,7 +93,6 @@ impl fmt::Display for VmError {
             VmError::CallDepthExceeded => write!(f, "call depth exceeded"),
             VmError::InsufficientBalance => write!(f, "insufficient balance for transfer"),
             VmError::BadCalldata(what) => write!(f, "bad calldata: {what}"),
-            VmError::Suspended => write!(f, "nested call pending (executor continuation)"),
         }
     }
 }
@@ -126,67 +116,6 @@ pub struct MessageCall {
     pub value: u128,
     /// Calldata.
     pub data: Bytes,
-}
-
-/// One recorded result of an effectful [`CallContext`] operation, replayed
-/// verbatim (without re-applying the side effect) on later attempts of the
-/// same frame. See the module docs for the continuation protocol.
-#[derive(Clone, Debug)]
-enum Effect {
-    /// `charge`, `charge_compute`, `sstore`, `emit_log`.
-    Unit(Result<(), VmError>),
-    /// `sload`, `mapping_slot`, `keccak`.
-    Word(Result<H256, VmError>),
-    /// `gas_remaining` — must be logged because the meter state differs
-    /// between attempts.
-    Gas(u64),
-    /// `ecrecover`.
-    Recovered(Result<Option<Address>, VmError>),
-    /// `balance_of` / `own_balance`.
-    Wei(Result<u128, VmError>),
-    /// A completed nested call (appended by the driver loop).
-    Call(Result<Bytes, VmError>),
-    /// `begin_gas_section` — replays without re-pushing the label.
-    SectionBegin,
-    /// `end_gas_section` — replays without re-popping the label.
-    SectionEnd,
-}
-
-/// Which `Contract` entry point a frame runs.
-#[derive(Clone, Copy, Debug)]
-enum FrameMode {
-    Execute,
-    Fallback,
-    Construct,
-}
-
-/// One active message-call frame of the explicit call stack.
-struct Frame {
-    callee: Address,
-    caller: Address,
-    value: u128,
-    data: Bytes,
-    mode: FrameMode,
-    /// `None` only transiently during setup; live frames always have logic.
-    logic: Option<Arc<dyn Contract>>,
-    /// Journal position to revert to if this frame fails.
-    snapshot: Snapshot,
-    /// This frame's trace, accumulated across attempts (events are recorded
-    /// once, on the attempt that first executes the operation).
-    trace: TraceFrame,
-    /// Completed effects from prior attempts, replayed in order.
-    effects: Vec<Effect>,
-    /// Replay position within `effects` for the current attempt.
-    cursor: usize,
-    /// A nested call requested by the current attempt, to be driven next.
-    pending: Option<MessageCall>,
-}
-
-fn replay_mismatch(op: &str, found: &Effect) -> ! {
-    panic!(
-        "executor replay diverged at `{op}` (logged {found:?}): contract \
-         execution must be deterministic and must propagate VmError::Suspended"
-    );
 }
 
 /// The executor for a single transaction: owns the gas meter, trace, and
@@ -255,7 +184,7 @@ impl<'a> Executor<'a> {
     /// Execute a message call from the top level. Reverts all state changes
     /// made by the call (and its children) if it fails.
     pub fn call(&mut self, msg: MessageCall) -> Result<Bytes, VmError> {
-        self.run(msg, None)
+        self.root(msg, None)
     }
 
     /// Run a contract's constructor in a creation frame.
@@ -272,165 +201,76 @@ impl<'a> Executor<'a> {
             value,
             data: Bytes::new(),
         };
-        self.run(msg, Some(logic)).map(|_| ())
+        self.root(msg, Some(logic)).map(|_| ())
     }
 
-    /// The driver loop: attempts the top frame, pushes children for
-    /// suspensions, and delivers results upward until the root completes.
-    fn run(
+    /// Run the top-level frame and keep its trace.
+    fn root(
         &mut self,
         msg: MessageCall,
-        construct_logic: Option<Arc<dyn Contract>>,
+        constructor: Option<Arc<dyn Contract>>,
     ) -> Result<Bytes, VmError> {
-        let mut stack: Vec<Frame> = Vec::new();
-        let mut delivery = self.begin_frame(&mut stack, msg, construct_logic);
-        loop {
-            if let Some(result) = delivery.take() {
-                match stack.last_mut() {
-                    None => return result,
-                    Some(parent) => {
-                        debug_assert!(parent.pending.is_none(), "delivery clears pending");
-                        parent.effects.push(Effect::Call(result));
-                    }
-                }
-            }
-            // Attempt the top frame: logged effects replay, then execution
-            // proceeds natively.
-            let frame = stack.last_mut().expect("delivery handled above");
-            frame.cursor = 0;
-            let mode = frame.mode;
-            let logic = frame.logic.clone().expect("live frames have logic");
-            let outcome = {
-                let mut ctx = CallContext { exec: self, frame };
-                match mode {
-                    FrameMode::Execute => logic.execute(&mut ctx),
-                    FrameMode::Fallback => logic.fallback(&mut ctx).map(|()| Bytes::new()),
-                    FrameMode::Construct => logic.constructor(&mut ctx).map(|()| Bytes::new()),
-                }
-            };
-            let nested = stack.last_mut().expect("still on stack").pending.take();
-            match nested {
-                Some(nested) => {
-                    // `stack.len()` counts the requesting frame, matching
-                    // the recursive executor's `depth` at the call site.
-                    if stack.len() >= MAX_CALL_DEPTH {
-                        stack
-                            .last_mut()
-                            .expect("non-empty")
-                            .effects
-                            .push(Effect::Call(Err(VmError::CallDepthExceeded)));
-                    } else {
-                        delivery = self.begin_frame(&mut stack, nested, None);
-                    }
-                }
-                // No suspension: the attempt's result is the frame's result.
-                None => delivery = Some(self.finish_frame(&mut stack, outcome)),
-            }
-        }
+        let (result, trace) = self.frame(msg, 0, constructor);
+        self.finished_root = Some(trace);
+        result
     }
 
-    /// Push a frame and run its one-time setup (snapshot, value transfer,
-    /// target resolution). Returns `Some(result)` if the frame completed
-    /// immediately (EOA transfer, setup failure) — already finalized — or
-    /// `None` if it is live on the stack awaiting its first attempt.
-    fn begin_frame(
+    /// Run one message-call frame at `depth` to completion — `constructor`
+    /// in a creation frame — reverting its writes, children included, if
+    /// it fails. Returns its result and its trace.
+    fn frame(
         &mut self,
-        stack: &mut Vec<Frame>,
         msg: MessageCall,
-        construct_logic: Option<Arc<dyn Contract>>,
-    ) -> Option<Result<Bytes, VmError>> {
-        let is_construct = construct_logic.is_some();
-        let (caller, callee, value) = (msg.caller, msg.callee, msg.value);
-        let data_len = msg.data.len();
-        stack.push(Frame {
+        depth: usize,
+        constructor: Option<Arc<dyn Contract>>,
+    ) -> (Result<Bytes, VmError>, TraceFrame) {
+        let snapshot = self.state.snapshot();
+        let selector = match constructor {
+            Some(_) => None,
+            None => Selector::from_calldata(&msg.data),
+        };
+        let mut ctx = CallContext {
+            exec: self,
+            data: msg.data,
             trace: TraceFrame {
-                callee,
-                caller,
-                selector: if is_construct {
-                    None
-                } else {
-                    Selector::from_calldata(&msg.data)
-                },
-                value,
-                depth: stack.len(),
+                callee: msg.callee,
+                caller: msg.caller,
+                selector,
+                value: msg.value,
+                depth,
                 events: Vec::new(),
                 children: Vec::new(),
                 status: FrameStatus::Success,
             },
-            snapshot: self.state.snapshot(),
-            callee,
-            caller,
-            value,
-            data: msg.data,
-            mode: FrameMode::Execute,
-            logic: None,
-            effects: Vec::new(),
-            cursor: 0,
-            pending: None,
-        });
-        let setup: Result<(), VmError> = (|| {
-            if value > 0 {
-                if !is_construct && !self.state.exists(callee) {
-                    self.meter.charge(SCHEDULE.new_account)?;
-                }
-                if !self.state.debit(caller, value) {
-                    return Err(VmError::InsufficientBalance);
-                }
-                self.state.credit(callee, value);
-            }
-            Ok(())
-        })();
-        if let Err(err) = setup {
-            return Some(self.finish_frame(stack, Err(err)));
-        }
-        let top = stack.last_mut().expect("just pushed");
-        match construct_logic {
-            Some(logic) => {
-                top.mode = FrameMode::Construct;
-                top.logic = Some(logic);
-                None
-            }
-            None => match self.registry.get(callee) {
-                Some(logic) => {
-                    top.mode = if data_len >= 4 {
-                        FrameMode::Execute
-                    } else {
-                        FrameMode::Fallback
-                    };
-                    top.logic = Some(logic);
-                    None
-                }
-                // Plain transfer to an EOA: no code to run.
-                None => Some(self.finish_frame(stack, Ok(Bytes::new()))),
-            },
-        }
-    }
-
-    /// Pop and finalize the top frame: set its trace status, revert its
-    /// writes on failure, and attach its trace to the parent (or store it
-    /// as the finished root).
-    fn finish_frame(
-        &mut self,
-        stack: &mut Vec<Frame>,
-        result: Result<Bytes, VmError>,
-    ) -> Result<Bytes, VmError> {
-        let mut frame = stack.pop().expect("finish requires a frame");
+        };
+        let result = ctx.run(constructor);
+        let mut trace = ctx.trace;
         if let Err(err) = &result {
-            frame.trace.status = match err {
+            trace.status = match err {
                 VmError::OutOfGas(_) => FrameStatus::OutOfGas,
                 _ => FrameStatus::Reverted,
             };
-            self.state.revert_to(frame.snapshot);
+            self.state.revert_to(snapshot);
         }
-        match stack.last_mut() {
-            Some(parent) => {
-                let child = parent.trace.children.len();
-                parent.trace.children.push(frame.trace);
-                parent.trace.events.push(TraceEvent::Call { child });
-            }
-            None => self.finished_root = Some(frame.trace),
-        }
-        result
+        (result, trace)
+    }
+
+    /// `frame` on a fresh `DEEP_STACK` thread, which then runs the frame's
+    /// whole subtree; the caller waits for it.
+    fn hop(&mut self, msg: MessageCall, depth: usize) -> (Result<Bytes, VmError>, TraceFrame) {
+        #[cfg(test)]
+        tests::count_hop();
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .name("smacs-deep-call".into())
+                .stack_size(DEEP_STACK)
+                .spawn_scoped(scope, || self.frame(msg, depth, None))
+                .unwrap_or_else(|err| {
+                    panic!("cannot spawn the executor's deep-stack thread: {err}")
+                })
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        })
     }
 }
 
@@ -438,64 +278,56 @@ impl<'a> Executor<'a> {
 /// globals of §II-C plus gas-charged primitives.
 pub struct CallContext<'e, 'a> {
     exec: &'e mut Executor<'a>,
-    frame: &'e mut Frame,
+    /// `msg.data`.
+    data: Bytes,
+    /// The frame's trace, which also holds its callee, caller, value and
+    /// depth.
+    trace: TraceFrame,
 }
 
 impl<'e, 'a> CallContext<'e, 'a> {
-    // ---- Replay machinery (see the module docs) ----
-
-    /// Next logged effect, if this attempt is still replaying.
-    fn replay_next(&mut self) -> Option<Effect> {
-        if self.frame.cursor < self.frame.effects.len() {
-            let effect = self.frame.effects[self.frame.cursor].clone();
-            self.frame.cursor += 1;
-            Some(effect)
-        } else {
-            None
+    /// Transfer the frame's value, then run its code: `constructor` in a
+    /// creation frame, else the code deposited at the callee (`execute`
+    /// with a selector, `fallback` without). An address without deposited
+    /// code — an EOA, or one whose creation failed — runs nothing, as in
+    /// the EVM.
+    fn run(&mut self, constructor: Option<Arc<dyn Contract>>) -> Result<Bytes, VmError> {
+        let (callee, caller, value) = (self.trace.callee, self.trace.caller, self.trace.value);
+        let exec = &mut *self.exec;
+        if value > 0 {
+            if constructor.is_none() && !exec.state.exists(callee) {
+                exec.meter.charge(SCHEDULE.new_account)?;
+            }
+            if !exec.state.debit(caller, value) {
+                return Err(VmError::InsufficientBalance);
+            }
+            exec.state.credit(callee, value);
         }
-    }
-
-    /// Replay / poison / record skeleton shared by every effectful op.
-    fn effectful<T: Clone>(
-        &mut self,
-        op: &'static str,
-        pack: impl FnOnce(Result<T, VmError>) -> Effect,
-        unpack: impl FnOnce(Effect) -> Result<Result<T, VmError>, Effect>,
-        live: impl FnOnce(&mut Self) -> Result<T, VmError>,
-    ) -> Result<T, VmError> {
-        if let Some(effect) = self.replay_next() {
-            return match unpack(effect) {
-                Ok(result) => result,
-                Err(other) => replay_mismatch(op, &other),
-            };
+        if let Some(logic) = constructor {
+            return logic.constructor(self).map(|()| Bytes::new());
         }
-        if self.frame.pending.is_some() {
-            // Poisoned: a call is already pending; nothing after it may
-            // execute or log in this attempt.
-            return Err(VmError::Suspended);
+        let code = exec
+            .state
+            .is_contract(callee)
+            .then(|| exec.registry.get(callee))
+            .flatten();
+        match code {
+            Some(logic) if self.data.len() >= 4 => logic.execute(self),
+            Some(logic) => logic.fallback(self).map(|()| Bytes::new()),
+            None => Ok(Bytes::new()),
         }
-        let result = live(self);
-        self.record(pack(result.clone()));
-        result
-    }
-
-    /// Append a live effect, keeping the cursor at the end of the log so
-    /// the attempt stays in native (non-replay) mode.
-    fn record(&mut self, effect: Effect) {
-        self.frame.effects.push(effect);
-        self.frame.cursor = self.frame.effects.len();
     }
 
     // ---- Context objects (§II-C) ----
 
     /// `address(this)` — the executing contract's own address.
     pub fn this_address(&self) -> Address {
-        self.frame.callee
+        self.trace.callee
     }
 
     /// `msg.sender` — the immediate caller of the current message.
     pub fn msg_sender(&self) -> Address {
-        self.frame.caller
+        self.trace.caller
     }
 
     /// `tx.origin` — the externally owned account that signed the
@@ -506,12 +338,12 @@ impl<'e, 'a> CallContext<'e, 'a> {
 
     /// `msg.value` — wei sent with this message.
     pub fn msg_value(&self) -> u128 {
-        self.frame.value
+        self.trace.value
     }
 
     /// `msg.data` — the complete calldata.
     pub fn msg_data(&self) -> &[u8] {
-        &self.frame.data
+        &self.data
     }
 
     /// `msg.data` as a shared [`Bytes`] handle — a refcount bump, not a
@@ -519,12 +351,12 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// borrow of the context (e.g. the SMACS shield re-reading it while
     /// charging gas).
     pub fn msg_data_bytes(&self) -> Bytes {
-        self.frame.data.clone()
+        self.data.clone()
     }
 
     /// `msg.sig` — the 4-byte method identifier, if present.
     pub fn msg_sig(&self) -> Option<Selector> {
-        Selector::from_calldata(&self.frame.data)
+        Selector::from_calldata(&self.data)
     }
 
     /// The block environment (`block.timestamp`, `block.number`).
@@ -542,77 +374,40 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// ABI-decode the argument section of calldata (everything after the
     /// selector) against `types`.
     pub fn decode_args(&self, types: &[AbiType]) -> Result<Vec<AbiValue>, VmError> {
-        if self.frame.data.len() < 4 {
+        if self.data.len() < 4 {
             return Err(VmError::BadCalldata("missing selector".into()));
         }
-        abi::decode(&self.frame.data[4..], types).map_err(|e| VmError::BadCalldata(e.to_string()))
+        abi::decode(&self.data[4..], types).map_err(|e| VmError::BadCalldata(e.to_string()))
     }
 
     // ---- Gas ----
 
     /// Charge raw gas.
     pub fn charge(&mut self, amount: u64) -> Result<(), VmError> {
-        self.effectful("charge", Effect::Unit, unpack_unit, |ctx| {
-            ctx.exec.meter.charge(amount).map_err(Into::into)
-        })
+        Ok(self.exec.meter.charge(amount)?)
     }
 
     /// Charge `steps` abstract computation steps (models straight-line
     /// Solidity arithmetic/branching the simulator cannot see).
     pub fn charge_compute(&mut self, steps: u64) -> Result<(), VmError> {
-        self.effectful("charge_compute", Effect::Unit, unpack_unit, |ctx| {
-            ctx.exec
-                .meter
-                .charge(steps * SCHEDULE.compute_step)
-                .map_err(Into::into)
-        })
+        self.charge(steps * SCHEDULE.compute_step)
     }
 
-    /// Gas remaining in the transaction. Logged as an effect: the meter's
-    /// position differs between attempts of a frame, so replays must see
-    /// the originally observed value.
-    pub fn gas_remaining(&mut self) -> u64 {
-        if let Some(effect) = self.replay_next() {
-            match effect {
-                Effect::Gas(gas) => return gas,
-                other => replay_mismatch("gas_remaining", &other),
-            }
-        }
-        let gas = self.exec.meter.remaining();
-        if self.frame.pending.is_none() {
-            self.record(Effect::Gas(gas));
-        }
-        gas
+    /// Gas remaining in the transaction.
+    pub fn gas_remaining(&self) -> u64 {
+        self.exec.meter.remaining()
     }
 
     /// Open a labeled gas section (see [`crate::gas::GasMeter::begin_section`]).
     /// A section left open across a nested call stays open while the child
-    /// runs, so child gas is attributed to it — as under recursion.
+    /// runs, so child gas is attributed to it.
     pub fn begin_gas_section(&mut self, label: &str) {
-        if let Some(effect) = self.replay_next() {
-            match effect {
-                Effect::SectionBegin => return,
-                other => replay_mismatch("begin_gas_section", &other),
-            }
-        }
-        if self.frame.pending.is_none() {
-            self.exec.meter.begin_section(label);
-            self.record(Effect::SectionBegin);
-        }
+        self.exec.meter.begin_section(label);
     }
 
     /// Close the innermost labeled gas section.
     pub fn end_gas_section(&mut self) {
-        if let Some(effect) = self.replay_next() {
-            match effect {
-                Effect::SectionEnd => return,
-                other => replay_mismatch("end_gas_section", &other),
-            }
-        }
-        if self.frame.pending.is_none() {
-            self.exec.meter.end_section();
-            self.record(Effect::SectionEnd);
-        }
+        self.exec.meter.end_section();
     }
 
     // ---- Storage ----
@@ -620,43 +415,38 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// `sload` — read a storage slot of the executing contract, charging
     /// the schedule's `sload` cost.
     pub fn sload(&mut self, slot: H256) -> Result<H256, VmError> {
-        self.effectful("sload", Effect::Word, unpack_word, |ctx| {
-            ctx.exec.meter.charge(SCHEDULE.sload)?;
-            let value = ctx.exec.state.storage_get(ctx.frame.callee, slot);
-            ctx.frame
-                .trace
-                .events
-                .push(TraceEvent::Access(StorageAccess::Read { slot }));
-            Ok(value)
-        })
+        self.exec.meter.charge(SCHEDULE.sload)?;
+        let value = self.exec.state.storage_get(self.trace.callee, slot);
+        self.trace
+            .events
+            .push(TraceEvent::Access(StorageAccess::Read { slot }));
+        Ok(value)
     }
 
     /// `sstore` — write a storage slot, charging 20000 gas for zero→nonzero,
     /// 5000 otherwise, and crediting the clear refund for nonzero→zero.
     pub fn sstore(&mut self, slot: H256, value: H256) -> Result<(), VmError> {
-        self.effectful("sstore", Effect::Unit, unpack_unit, |ctx| {
-            // The previous value decides the charge.
-            let prev = ctx.exec.state.storage_get(ctx.frame.callee, slot);
-            let cost = if prev.is_zero() && !value.is_zero() {
-                SCHEDULE.sset
-            } else {
-                SCHEDULE.sreset
-            };
-            ctx.exec.meter.charge(cost)?;
-            if !prev.is_zero() && value.is_zero() {
-                ctx.exec.meter.add_refund(SCHEDULE.sclear_refund);
-            }
-            ctx.exec.state.storage_set(ctx.frame.callee, slot, value);
-            ctx.frame
-                .trace
-                .events
-                .push(TraceEvent::Access(StorageAccess::Write {
-                    slot,
-                    prev,
-                    new: value,
-                }));
-            Ok(())
-        })
+        // The previous value decides the charge.
+        let callee = self.trace.callee;
+        let prev = self.exec.state.storage_get(callee, slot);
+        let cost = if prev.is_zero() && !value.is_zero() {
+            SCHEDULE.sset
+        } else {
+            SCHEDULE.sreset
+        };
+        self.exec.meter.charge(cost)?;
+        if !prev.is_zero() && value.is_zero() {
+            self.exec.meter.add_refund(SCHEDULE.sclear_refund);
+        }
+        self.exec.state.storage_set(callee, slot, value);
+        self.trace
+            .events
+            .push(TraceEvent::Access(StorageAccess::Write {
+                slot,
+                prev,
+                new: value,
+            }));
+        Ok(())
     }
 
     /// Read a slot as `U256`.
@@ -672,23 +462,17 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// Solidity mapping slot derivation: `keccak256(key ‖ base_slot)`,
     /// charged as a keccak over 64 bytes.
     pub fn mapping_slot(&mut self, base: u64, key: &[u8]) -> Result<H256, VmError> {
-        self.effectful("mapping_slot", Effect::Word, unpack_word, |ctx| {
-            ctx.exec
-                .meter
-                .charge(SCHEDULE.keccak_cost(key.len() + 32))?;
-            let base_word = U256::from_u64(base).to_be_bytes();
-            Ok(smacs_crypto::keccak256_concat(&[key, &base_word]))
-        })
+        self.charge(SCHEDULE.keccak_cost(key.len() + 32))?;
+        let base_word = U256::from_u64(base).to_be_bytes();
+        Ok(smacs_crypto::keccak256_concat(&[key, &base_word]))
     }
 
     // ---- Crypto (charged as the EVM charges) ----
 
     /// keccak256 with the `G_sha3` charge.
     pub fn keccak(&mut self, data: &[u8]) -> Result<H256, VmError> {
-        self.effectful("keccak", Effect::Word, unpack_word, |ctx| {
-            ctx.exec.meter.charge(SCHEDULE.keccak_cost(data.len()))?;
-            Ok(keccak256(data))
-        })
+        self.charge(SCHEDULE.keccak_cost(data.len()))?;
+        Ok(keccak256(data))
     }
 
     /// The `ecrecover` precompile: 3000 gas, returns the recovered address
@@ -704,19 +488,17 @@ impl<'e, 'a> CallContext<'e, 'a> {
         signature: &Signature,
         expected: Option<Address>,
     ) -> Result<Option<Address>, VmError> {
-        self.effectful("ecrecover", Effect::Recovered, unpack_recovered, |ctx| {
-            ctx.exec.meter.charge(SCHEDULE.ecrecover)?;
-            let memo = ctx
-                .exec
-                .recovered
-                .iter()
-                .find(|(d, s, _)| *d == digest && s == signature);
-            Ok(match memo {
-                Some(&(_, _, recovered)) => recovered,
-                None => recover_batch(&[(digest, *signature, expected)])
-                    .pop()
-                    .flatten(),
-            })
+        self.charge(SCHEDULE.ecrecover)?;
+        let memo = self
+            .exec
+            .recovered
+            .iter()
+            .find(|(d, s, _)| *d == digest && s == signature);
+        Ok(match memo {
+            Some(&(_, _, recovered)) => recovered,
+            None => recover_batch(&[(digest, *signature, expected)])
+                .pop()
+                .flatten(),
         })
     }
 
@@ -724,26 +506,22 @@ impl<'e, 'a> CallContext<'e, 'a> {
 
     /// `address(x).balance`.
     pub fn balance_of(&mut self, addr: Address) -> Result<u128, VmError> {
-        self.effectful("balance_of", Effect::Wei, unpack_wei, |ctx| {
-            ctx.exec.meter.charge(20)?; // G_balance (pre-Istanbul)
-            Ok(ctx.exec.state.balance(addr))
-        })
+        self.charge(20)?; // G_balance (pre-Istanbul)
+        Ok(self.exec.state.balance(addr))
     }
 
     /// Balance of the executing contract.
     pub fn own_balance(&mut self) -> Result<u128, VmError> {
-        let callee = self.frame.callee;
-        self.balance_of(callee)
+        self.balance_of(self.trace.callee)
     }
 
     /// A nested message call: `callee.call.value(value)(data)`. Charges the
-    /// call base cost (+ value surcharge), transfers value, and dispatches
-    /// to the target contract — which may call back into this one
-    /// (re-entrancy is possible by design, as in the EVM).
-    ///
-    /// Internally this yields a continuation request to the driver loop
-    /// (see the module docs); from the contract's perspective it behaves
-    /// exactly like a blocking call.
+    /// call base cost (+ value surcharge), transfers value, and runs the
+    /// target contract to completion — which may call back into this one
+    /// (re-entrancy is possible by design, as in the EVM) — returning its
+    /// result. A call from depth `d` fails with
+    /// [`VmError::CallDepthExceeded`] once `d + 1` reaches
+    /// [`MAX_CALL_DEPTH`].
     pub fn call(
         &mut self,
         callee: Address,
@@ -755,22 +533,25 @@ impl<'e, 'a> CallContext<'e, 'a> {
             cost += SCHEDULE.call_value;
         }
         self.charge(cost)?;
-        if let Some(effect) = self.replay_next() {
-            return match effect {
-                Effect::Call(result) => result,
-                other => replay_mismatch("call", &other),
-            };
+        let depth = self.trace.depth + 1;
+        if depth >= MAX_CALL_DEPTH {
+            return Err(VmError::CallDepthExceeded);
         }
-        if self.frame.pending.is_some() {
-            return Err(VmError::Suspended);
-        }
-        self.frame.pending = Some(MessageCall {
-            caller: self.frame.callee,
+        let msg = MessageCall {
+            caller: self.trace.callee,
             callee,
             value,
             data: data.into(),
-        });
-        Err(VmError::Suspended)
+        };
+        let (result, trace) = if depth == HOP_DEPTH {
+            self.exec.hop(msg, depth)
+        } else {
+            self.exec.frame(msg, depth, None)
+        };
+        let child = self.trace.children.len();
+        self.trace.children.push(trace);
+        self.trace.events.push(TraceEvent::Call { child });
+        result
     }
 
     /// `transfer`-style plain value send (empty calldata → triggers the
@@ -784,17 +565,13 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// Emit a log with topics and data, charged per the schedule.
     pub fn emit_log(&mut self, topics: Vec<H256>, data: impl Into<Bytes>) -> Result<(), VmError> {
         let data = data.into();
-        self.effectful("emit_log", Effect::Unit, unpack_unit, |ctx| {
-            ctx.exec
-                .meter
-                .charge(SCHEDULE.log_cost(topics.len(), data.len()))?;
-            ctx.exec.logs.push(Log {
-                address: ctx.frame.callee,
-                topics,
-                data,
-            });
-            Ok(())
-        })
+        self.charge(SCHEDULE.log_cost(topics.len(), data.len()))?;
+        self.exec.logs.push(Log {
+            address: self.trace.callee,
+            topics,
+            data,
+        });
+        Ok(())
     }
 
     /// Emit an event identified by its signature string; topic0 is the
@@ -821,38 +598,11 @@ impl<'e, 'a> CallContext<'e, 'a> {
     }
 }
 
-fn unpack_unit(effect: Effect) -> Result<Result<(), VmError>, Effect> {
-    match effect {
-        Effect::Unit(r) => Ok(r),
-        other => Err(other),
-    }
-}
-
-fn unpack_word(effect: Effect) -> Result<Result<H256, VmError>, Effect> {
-    match effect {
-        Effect::Word(r) => Ok(r),
-        other => Err(other),
-    }
-}
-
-fn unpack_recovered(effect: Effect) -> Result<Result<Option<Address>, VmError>, Effect> {
-    match effect {
-        Effect::Recovered(r) => Ok(r),
-        other => Err(other),
-    }
-}
-
-fn unpack_wei(effect: Effect) -> Result<Result<u128, VmError>, Effect> {
-    match effect {
-        Effect::Wei(r) => Ok(r),
-        other => Err(other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contract::Contract;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     /// A contract that stores `arg` at slot 0 when called with selector
@@ -1030,16 +780,15 @@ mod tests {
         );
     }
 
-    /// A contract that swallows the result of a nested call and branches on
-    /// it — exercising the suspension-poisoning path: the post-call tail of
-    /// the first attempt must be discarded and re-run with the real result.
-    struct Swallower {
+    /// A contract that calls `get()` on `target` and branches on the
+    /// outcome, swallowing an error: it must see the child's real result.
+    struct Brancher {
         target: Address,
     }
 
-    impl Contract for Swallower {
+    impl Contract for Brancher {
         fn name(&self) -> &'static str {
-            "Swallower"
+            "Brancher"
         }
         fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
             let get = abi::encode_call("get()", &[]);
@@ -1051,8 +800,6 @@ mod tests {
                     Ok(Bytes::new())
                 }
                 Err(_) => {
-                    // Poisoned on attempt 1 (sentinel swallowed); on the
-                    // replay attempt the real error lands here.
                     ctx.sstore_u256(H256::ZERO, U256::from_u64(0xDEAD))?;
                     Ok(Bytes::new())
                 }
@@ -1150,17 +897,17 @@ mod tests {
     }
 
     #[test]
-    fn swallowed_suspension_replays_with_real_result() {
+    fn caller_branches_on_the_childs_real_result() {
         let (mut state, mut registry) = setup();
-        let swallower_addr = Address::from_low_u64(0xD0);
-        state.set_contract(swallower_addr, 100);
+        let brancher_addr = Address::from_low_u64(0xD0);
+        state.set_contract(brancher_addr, 100);
         registry.insert(
-            swallower_addr,
-            Arc::new(Swallower {
+            brancher_addr,
+            Arc::new(Brancher {
                 target: Address::from_low_u64(0xC0),
             }),
         );
-        // Store 41 in the Store contract, then have the Swallower read it.
+        // Store 41 in the Store contract, then have the Brancher read it.
         let set = abi::encode_call("set(uint256)", &[AbiValue::Uint(U256::from_u64(41))]);
         exec_call(&mut state, &registry, set).0.unwrap();
 
@@ -1175,15 +922,120 @@ mod tests {
         executor
             .call(MessageCall {
                 caller: origin,
-                callee: swallower_addr,
+                callee: brancher_addr,
                 value: 0,
                 data: Bytes::from(abi::encode_call("any()", &[])),
             })
             .unwrap();
         assert_eq!(
-            state.storage_get_u256(swallower_addr, H256::ZERO),
+            state.storage_get_u256(brancher_addr, H256::ZERO),
             U256::from_u64(42),
-            "swallower must see the real child result, not the sentinel"
+            "the brancher must take the success arm with the child's answer"
         );
+    }
+
+    thread_local! {
+        /// Deep-stack hops started from this thread.
+        static HOPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_hop() {
+        HOPS.with(|h| h.set(h.get() + 1));
+    }
+
+    /// The hops `f` starts from this thread.
+    fn hops<T>(f: impl FnOnce() -> T) -> (usize, T) {
+        let before = HOPS.with(Cell::get);
+        let out = f();
+        (HOPS.with(Cell::get) - before, out)
+    }
+
+    /// The panic payload of [`Diver`] at the bottom of a `dive(0)` chain.
+    #[derive(Debug, PartialEq)]
+    struct Bottom(usize);
+
+    /// `dive(n)` calls `dive(n - 1)` on itself until `n` is 0, then
+    /// returns its depth — or, for a `Diver { panic: true }`, panics with
+    /// [`Bottom`] of it. A failed child fails the caller.
+    struct Diver {
+        panic: bool,
+    }
+
+    impl Contract for Diver {
+        fn name(&self) -> &'static str {
+            "Diver"
+        }
+        fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
+            let n = ctx.decode_args(&[AbiType::Uint])?[0].as_uint().unwrap();
+            if !n.is_zero() {
+                let dive = abi::encode_call("dive(uint256)", &[AbiValue::Uint(n - U256::ONE)]);
+                return ctx.call(ctx.this_address(), 0, dive);
+            }
+            let depth = ctx.trace.depth;
+            if self.panic {
+                std::panic::panic_any(Bottom(depth));
+            }
+            Ok(Bytes::from(U256::from_u64(depth as u64).to_be_bytes()))
+        }
+    }
+
+    /// Run `dive(n)` on a [`Diver`]: the hops it took and its outcome.
+    fn dive(n: u64, panic: bool) -> (usize, Result<Bytes, VmError>, CallTrace) {
+        let (mut state, mut registry) = setup();
+        let diver = Address::from_low_u64(0xD1);
+        state.set_contract(diver, 100);
+        registry.insert(diver, Arc::new(Diver { panic }));
+        let origin = Address::from_low_u64(1);
+        let mut executor = Executor::new(
+            &mut state,
+            &registry,
+            BlockEnv::genesis(0),
+            origin,
+            u64::MAX / 2,
+        );
+        let (hops, result) = hops(|| {
+            executor.call(MessageCall {
+                caller: origin,
+                callee: diver,
+                value: 0,
+                data: Bytes::from(abi::encode_call(
+                    "dive(uint256)",
+                    &[AbiValue::Uint(U256::from_u64(n))],
+                )),
+            })
+        });
+        (hops, result, executor.take_trace())
+    }
+
+    #[test]
+    fn a_chain_to_the_depth_limit_hops_exactly_once() {
+        let (hops, result, trace) = dive(MAX_CALL_DEPTH as u64, false);
+        assert_eq!(hops, 1);
+        assert_eq!(result, Err(VmError::CallDepthExceeded));
+        assert_eq!(trace.max_depth(), MAX_CALL_DEPTH - 1);
+
+        // The deepest chain that fits returns from the last depth.
+        let (hops, result, _) = dive(MAX_CALL_DEPTH as u64 - 1, false);
+        assert_eq!(hops, 1);
+        let depth = U256::from_be_slice(&result.unwrap()).unwrap();
+        assert_eq!(depth, U256::from_u64(MAX_CALL_DEPTH as u64 - 1));
+    }
+
+    #[test]
+    fn a_chain_shallower_than_the_hop_never_hops() {
+        let (hops, result, trace) = dive(HOP_DEPTH as u64 - 1, false);
+        assert_eq!(hops, 0);
+        assert!(result.is_ok());
+        assert_eq!(trace.max_depth(), HOP_DEPTH - 1);
+        let (hops, _, _) = dive(HOP_DEPTH as u64, false);
+        assert_eq!(hops, 1);
+    }
+
+    #[test]
+    fn a_panic_below_the_hop_panics_the_submitting_thread_with_its_payload() {
+        let depth = HOP_DEPTH + 2;
+        let payload = std::panic::catch_unwind(|| dive(depth as u64, true))
+            .expect_err("the contract panicked");
+        assert_eq!(payload.downcast_ref::<Bottom>(), Some(&Bottom(depth)));
     }
 }

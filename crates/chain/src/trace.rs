@@ -57,8 +57,10 @@ pub enum TraceEvent {
 /// One message-call frame.
 ///
 /// Call trees can be [`MAX_CALL_DEPTH`](crate::exec::MAX_CALL_DEPTH)-deep
-/// (1024), and executors run on small pool-worker stacks, so every
-/// whole-tree operation that structurally recurses — `Clone`, `Drop`,
+/// (1024). The executor builds the deep part on its own deep-stack thread,
+/// but the tree is cloned and dropped on the thread that submitted the
+/// transaction, which may have a small stack, so every whole-tree
+/// operation that structurally recurses — `Clone`, `Drop`,
 /// [`TraceFrame::walk`], [`TraceFrame::reenters`] — is implemented
 /// iteratively with an explicit worklist. (`Debug` and `PartialEq` remain
 /// derived: they only run in tests/diagnostics on full-size stacks.)

@@ -387,6 +387,47 @@ fn reverted_tx_still_consumes_gas_and_bumps_nonce() {
     assert_eq!(chain.state().nonce(owner.address()), 2);
 }
 
+/// A contract whose constructor reverts; `go()` writes slot 0 and returns
+/// `0x010203`.
+struct Stillborn;
+
+impl Contract for Stillborn {
+    fn name(&self) -> &'static str {
+        "Stillborn"
+    }
+    fn constructor(&self, ctx: &mut CallContext<'_, '_>) -> Result<(), VmError> {
+        ctx.revert("constructor fails")
+    }
+    fn execute(&self, ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
+        ctx.sstore_u256(H256::ZERO, U256::ONE)?;
+        Ok(Bytes::from(vec![1, 2, 3]))
+    }
+}
+
+#[test]
+fn code_of_a_failed_deployment_never_runs() {
+    let mut chain = Chain::default_chain();
+    let owner = chain.funded_keypair(16, 10u128.pow(20));
+    let (stillborn, receipt) = chain.deploy(&owner, Arc::new(Stillborn)).unwrap();
+    assert_eq!(receipt.revert_reason(), Some("constructor fails"));
+    assert!(!chain.state().is_contract(stillborn.address));
+
+    // As in the EVM, a call to an address without code is a plain
+    // transfer: it succeeds, returns nothing and writes nothing.
+    let receipt = chain
+        .call_contract(&owner, stillborn.address, 0, abi::encode_call("go()", &[]))
+        .unwrap();
+    assert_eq!(receipt.status, ExecStatus::Success);
+    assert!(receipt.return_data.is_empty());
+    assert_eq!(receipt.trace.root.unwrap().events, vec![]);
+    assert_eq!(
+        chain
+            .state()
+            .storage_get_u256(stillborn.address, H256::ZERO),
+        U256::ZERO
+    );
+}
+
 /// A contract that recurses into itself forever — the call-depth limit
 /// must stop it (and charge gas for the attempt).
 struct Recursor;
@@ -403,12 +444,12 @@ impl Contract for Recursor {
 
 #[test]
 fn call_depth_limit_enforced_on_64kib_stack() {
-    // The frame-stack executor keeps call frames on the heap, so driving
-    // execution all the way to the depth limit must work on a deliberately
-    // tiny thread stack — impossible under the old recursive executor,
-    // which needed tens of MB for 1024 nested host frames. This is also
-    // what lets executors run on pool-worker threads in the parallel block
-    // pipeline.
+    // The executor recurses on the submitting thread only to a fixed
+    // depth and moves the rest of the call tree to one deep-stack thread,
+    // so driving execution all the way to the depth limit must work on a
+    // deliberately tiny thread stack. (The parallel block mode fans out
+    // signature recovery, not execution: a transaction's frames start on
+    // the thread that submits it.)
     std::thread::Builder::new()
         .stack_size(64 * 1024)
         .spawn(|| {

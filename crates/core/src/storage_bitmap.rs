@@ -34,10 +34,9 @@ impl StorageBitmap {
             layout::pack_bitmap_meta(0, 0, n_bits),
         )?;
         ctx.sstore_u256(layout::bitmap_epoch_slot(), smacs_primitives::U256::ONE)?;
-        // Pre-allocate: write a sentinel into every word slot. The sentinel
-        // lives in epoch 0 keyed differently? No — the *live* epoch is 1 and
-        // its words must read zero; the pre-touch charges deployment gas the
-        // way the paper's prototype pays it, using epoch 0 slots.
+        // Pre-touch every word in the unused epoch 0, so deployment pays the
+        // storage cost the paper's prototype pays while the live epoch 1's
+        // words still read zero.
         for w in 0..layout::bitmap_word_count(n_bits) {
             ctx.sstore_u256(layout::bitmap_word_slot(0, w), smacs_primitives::U256::ONE)?;
         }

@@ -551,11 +551,18 @@ fn reorged_history_cannot_forge_tokens() {
     // The adversary reorgs everything after genesis and replays nothing.
     s.chain.reorg(0).unwrap();
     // Re-deploy in the new history (the adversary controls ordering but
-    // not key material).
-    let (vault2, _) = s
+    // not key material), with the setup's small bitmap: the default one
+    // does not fit the default deployment gas limit.
+    let params = ShieldParams {
+        token_lifetime_secs: 3600,
+        max_tx_per_second: 0.35,
+        disable_one_time: false,
+    };
+    let (vault2, receipt) = s
         .toolkit
-        .deploy_shielded(&mut s.chain, Arc::new(Vault), &ShieldParams::default())
+        .deploy_shielded(&mut s.chain, Arc::new(Vault), &params)
         .unwrap();
+    assert!(receipt.status.is_success(), "{:?}", receipt.status);
     // A token for the old context does not verify against a contract at a
     // different address …
     if vault2.address != s.vault {

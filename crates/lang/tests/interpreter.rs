@@ -341,3 +341,41 @@ fn interpreted_loops_and_arithmetic() {
         U256::from_u64(32)
     );
 }
+
+/// A contract that calls the next diver (itself, here) while `n > 0`.
+/// Interpreted frames are the largest host frames the executor runs, so a
+/// chain of them is the deep-stack thread's sizing case.
+const DIVER_SRC: &str = r#"
+    contract Diver {
+        address next;
+        function setNext(address a) public { next = a; }
+        function dive(uint n) public {
+            if (n > 0) { next.dive(n - 1); }
+        }
+    }
+"#;
+
+#[test]
+fn interpreted_chain_reaches_the_call_depth_limit() {
+    let mut chain = Chain::default_chain();
+    let owner = chain.funded_keypair(1, 10u128.pow(20));
+    let diver = InterpretedContract::from_source(DIVER_SRC, "Diver", vec![]).unwrap();
+    let (diver, _) = chain.deploy(&owner, Arc::new(diver)).unwrap();
+    let set_next = abi::encode_call("setNext(address)", &[AbiValue::Address(diver.address)]);
+    let r = chain
+        .call_contract(&owner, diver.address, 0, set_next)
+        .unwrap();
+    assert!(r.status.is_success(), "{:?}", r.status);
+
+    let dive = |n: u64| abi::encode_call("dive(uint256)", &[AbiValue::Uint(U256::from_u64(n))]);
+    let deepest = smacs_chain::exec::MAX_CALL_DEPTH as u64 - 1;
+    let r = chain
+        .call_contract(&owner, diver.address, 0, dive(deepest))
+        .unwrap();
+    assert!(r.status.is_success(), "{:?}", r.status);
+    assert_eq!(r.trace.max_depth(), deepest as usize);
+    let r = chain
+        .call_contract(&owner, diver.address, 0, dive(deepest + 1))
+        .unwrap();
+    assert_eq!(r.revert_reason(), Some("call depth exceeded"));
+}

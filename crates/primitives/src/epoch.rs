@@ -4,13 +4,15 @@
 //! [`EpochCell<T>`] holds an `Arc<T>` plus a monotonically increasing
 //! epoch. Writers swap the whole `Arc` and bump the epoch; readers keep a
 //! thread-local `(cell, epoch) → Arc` cache, so the steady-state read path
-//! is one atomic load and a cache hit — no lock, no contention, no
-//! reference-count traffic on the shared `Arc`. Only a reader that
+//! is one atomic load, a cache hit and a clone of the cached `Arc` — no
+//! lock. That clone points at the same allocation every reader shares, so
+//! each load still increments (and its drop decrements) the one shared
+//! reference count: what the cache saves is the mutex. Only a reader that
 //! observes a new epoch touches the (briefly held) swap lock to refresh
 //! its cached snapshot.
 //!
 //! This is what lets Token Service issuance check rules concurrently
-//! without ever contending with other issuers: each worker thread pins the
+//! without taking a lock another issuer holds: each worker thread pins the
 //! current `Arc<RuleBook>` once per rule-book generation and validates
 //! against that immutable snapshot with no lock held. `set_rules` is
 //! linearizable (a swap under the writer lock) and never blocks readers
@@ -58,8 +60,9 @@ impl<T: Send + Sync + 'static> EpochCell<T> {
         }
     }
 
-    /// The current snapshot. Steady state: one atomic load plus a
-    /// thread-local hit; after a swap: one brief lock to re-pin.
+    /// The current snapshot. Steady state: one atomic load, a thread-local
+    /// hit and one increment of the shared reference count, no lock; after
+    /// a swap: one brief lock to re-pin.
     pub fn load(&self) -> Arc<T> {
         let epoch = self.epoch.load(Ordering::Acquire);
         let cached = SNAPSHOT_CACHE.with(|cache| {
