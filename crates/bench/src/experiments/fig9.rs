@@ -7,7 +7,8 @@
 //!
 //! The paper's Node.js TS plateaus around 200–300 req/s; the shape to
 //! reproduce is throughput *rising with batch size then flattening*. The
-//! Rust TS is faster in absolute terms (recorded in EXPERIMENTS.md).
+//! Rust TS is faster in absolute terms; the `fig9` binary prints the
+//! measured numbers (`cargo run --release -p smacs-bench --bin fig9`).
 
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;

@@ -74,12 +74,12 @@ pub enum BlockMode<'p> {
     Sequential,
     /// A signature prepass on the given pool, then the sequential loop:
     /// the block is cut into one chunk per pool thread, and each chunk
-    /// recovers its transactions' senders and then the signatures their
-    /// contracts hint at ([`Contract::recover_hints`]) as two batches
-    /// ([`smacs_crypto::recover_batch`]), each sharing one scalar and one
-    /// field inversion; a hinted known signer gets the cheaper comb check.
-    /// Execution serves the hints from that memo. Results are
-    /// bit-identical to [`BlockMode::Sequential`].
+    /// derives its transactions' hashes and senders and then recovers the
+    /// signatures their contracts hint at ([`Contract::recover_hints`]),
+    /// as two batches ([`smacs_crypto::recover_batch`]) each sharing one
+    /// scalar and one field inversion; a hinted known signer gets the
+    /// cheaper comb check. Execution serves the hints from that memo.
+    /// Results are bit-identical to [`BlockMode::Sequential`].
     Parallel(&'p WorkerPool),
 }
 
@@ -184,21 +184,12 @@ impl Chain {
         owner: &Keypair,
         logic: Arc<dyn Contract>,
     ) -> Result<(DeployedContract, Receipt), ChainError> {
-        self.deploy_with_value(owner, logic, 0)
+        self.deploy_with_limit(owner, logic, 0, 10_000_000)
     }
 
-    /// [`Chain::deploy`] with an endowment.
-    pub fn deploy_with_value(
-        &mut self,
-        owner: &Keypair,
-        logic: Arc<dyn Contract>,
-        value: u128,
-    ) -> Result<(DeployedContract, Receipt), ChainError> {
-        self.deploy_with_limit(owner, logic, value, 10_000_000)
-    }
-
-    /// [`Chain::deploy`] with an explicit gas limit — large storage
-    /// initializations (Table IV's 126 kbit bitmap) exceed the default.
+    /// [`Chain::deploy`] with an endowment and an explicit gas limit —
+    /// large storage initializations (Table IV's 126 kbit bitmap) exceed
+    /// the default.
     pub fn deploy_with_limit(
         &mut self,
         owner: &Keypair,
@@ -382,9 +373,9 @@ impl Chain {
     /// The prepass cuts the block into one balanced chunk per pool thread
     /// ([`WorkerPool::map_chunks`]). Each chunk makes two batch calls, each
     /// sharing one scalar and one field inversion among its items: first
-    /// `SignedTransaction::senders`, which fills the chunk's sender
-    /// caches, then [`recover_batch`] over the `(digest, signature,
-    /// expected signer)` hints each target contract gives for its
+    /// `SignedTransaction::senders`, which memoizes each transaction's
+    /// hash and sender, then [`recover_batch`] over the `(digest,
+    /// signature, expected signer)` hints each target contract gives for its
     /// top-level call — the hints come second because their digests name
     /// the recovered origin. The chain memoizes every hint's answer from
     /// the pair itself, so a wrong pair or signer costs one wasted
@@ -675,7 +666,7 @@ mod tests {
     #[test]
     fn lying_hints_change_nothing() {
         let (mut seq, txs) = world();
-        // Cold sender caches, as off the wire.
+        // Nothing memoized, as off the wire.
         let cold = || -> Vec<SignedTransaction> {
             txs.iter()
                 .map(|s| SignedTransaction::from_parts(s.tx.clone(), s.signature))

@@ -67,67 +67,13 @@ impl Transaction {
     }
 
     /// Sign with `keypair`, producing a [`SignedTransaction`]. The signer's
-    /// address is pre-seeded into the sender cache, so the common path
-    /// (sign locally, submit, execute) never runs `ecrecover` at all.
+    /// address is pre-seeded into the memo, so the common path (sign
+    /// locally, submit, execute) never runs `ecrecover` at all.
     pub fn sign(self, keypair: &Keypair) -> SignedTransaction {
         let signature = keypair.sign_digest(&self.signing_digest());
-        let signed = SignedTransaction {
-            tx: self,
-            signature,
-            hash_cache: Mutex::new(None),
-            sender_cache: Mutex::new(None),
-        };
-        *signed.sender_cache.lock().expect("fresh lock") =
-            Some((signed.hash(), Some(keypair.address())));
+        let signed = SignedTransaction::from_parts(self, signature);
+        signed.with_memo(|memo| memo.sender = Some(Some(keypair.address())));
         signed
-    }
-}
-
-/// Cheap identity of a signed transaction's contents: every scalar field
-/// by value, the calldata by buffer address. The fingerprint keeps its own
-/// handle on the [`Bytes`] buffer, which both guarantees the address stays
-/// valid for comparison and rules out ABA reuse: while a cached
-/// fingerprint is alive the allocator cannot hand the same address to a
-/// *different* buffer, so equal addresses imply the very same immutable
-/// contents. A replaced buffer merely misses the cache and recomputes.
-#[derive(Clone)]
-struct TxFingerprint {
-    nonce: u64,
-    gas_price: u128,
-    gas_limit: u64,
-    to: Option<Address>,
-    value: u128,
-    data: Bytes,
-    signature: Signature,
-}
-
-impl PartialEq for TxFingerprint {
-    fn eq(&self, other: &Self) -> bool {
-        self.nonce == other.nonce
-            && self.gas_price == other.gas_price
-            && self.gas_limit == other.gas_limit
-            && self.to == other.to
-            && self.value == other.value
-            && std::ptr::eq(
-                self.data.as_slice().as_ptr(),
-                other.data.as_slice().as_ptr(),
-            )
-            && self.data.len() == other.data.len()
-            && self.signature == other.signature
-    }
-}
-
-impl TxFingerprint {
-    fn of(signed: &SignedTransaction) -> TxFingerprint {
-        TxFingerprint {
-            nonce: signed.tx.nonce,
-            gas_price: signed.tx.gas_price,
-            gas_limit: signed.tx.gas_limit,
-            to: signed.tx.to,
-            value: signed.tx.value,
-            data: signed.tx.data.clone(),
-            signature: signed.signature,
-        }
     }
 }
 
@@ -137,16 +83,21 @@ pub struct SignedTransaction {
     pub tx: Transaction,
     /// 65-byte recoverable signature over [`Transaction::signing_digest`].
     pub signature: Signature,
-    /// Memoized transaction hash, keyed by a cheap field fingerprint so any
-    /// mutation of the body or signature invalidates it. `hash()` otherwise
-    /// re-RLP-encodes (an allocation plus a keccak) on every access — and
-    /// the sender cache below consults it on every `sender()` call.
-    hash_cache: Mutex<Option<(TxFingerprint, H256)>>,
-    /// Memoized recovered sender, keyed by the transaction hash so any
-    /// mutation of the body or signature invalidates it. `ecrecover` is by
-    /// far the most expensive step of transaction intake; this runs it once
-    /// per transaction instead of once per access.
-    sender_cache: Mutex<Option<(H256, Option<Address>)>>,
+    /// What was derived from the fields above, and from which values of
+    /// them: a changed field makes it stale, so no answer outlives the
+    /// transaction it belongs to.
+    memo: Mutex<Option<Memo>>,
+}
+
+/// The hash and sender of one `(tx, signature)` pair.
+#[derive(Clone)]
+struct Memo {
+    tx: Transaction,
+    signature: Signature,
+    hash: H256,
+    /// `None` until recovered (`ecrecover` is by far the most expensive
+    /// step of transaction intake).
+    sender: Option<Option<Address>>,
 }
 
 impl Clone for SignedTransaction {
@@ -154,8 +105,7 @@ impl Clone for SignedTransaction {
         SignedTransaction {
             tx: self.tx.clone(),
             signature: self.signature,
-            hash_cache: Mutex::new(self.hash_cache.lock().expect("cache lock").clone()),
-            sender_cache: Mutex::new(*self.sender_cache.lock().expect("cache lock")),
+            memo: Mutex::new(self.memo.lock().expect("memo lock").clone()),
         }
     }
 }
@@ -169,14 +119,13 @@ impl PartialEq for SignedTransaction {
 impl Eq for SignedTransaction {}
 
 impl SignedTransaction {
-    /// Assemble from parts (e.g. parsed off the wire) with a cold sender
-    /// cache.
+    /// Assemble from parts (e.g. parsed off the wire) with nothing
+    /// memoized.
     pub fn from_parts(tx: Transaction, signature: Signature) -> Self {
         SignedTransaction {
             tx,
             signature,
-            hash_cache: Mutex::new(None),
-            sender_cache: Mutex::new(None),
+            memo: Mutex::new(None),
         }
     }
 
@@ -184,72 +133,73 @@ impl SignedTransaction {
     /// Before processing a transaction, "their authenticity is validated by
     /// the Ethereum network" (§II-C) — the chain rejects `None`.
     ///
-    /// Memoized: the first call runs `ecrecover` and caches the result
-    /// under the current transaction hash; later calls re-derive only the
-    /// (cheap) hash and reuse the recovery while it matches. The one-item
-    /// case of `senders`, the block prepass's batch.
+    /// Memoized: the first call runs `ecrecover`, and later calls reuse it
+    /// while the fields are unchanged. The one-item case of `senders`, the
+    /// block prepass's batch.
     pub fn sender(&self) -> Option<Address> {
         Self::senders(std::slice::from_ref(self))[0]
     }
 
     /// [`SignedTransaction::sender`] of every transaction, recovering all
-    /// the cold caches in one [`recover_batch`], which shares one scalar
-    /// and one field inversion among them.
+    /// the cold ones in one [`recover_batch`], which shares one scalar and
+    /// one field inversion among them. Every transaction's hash is derived
+    /// here too, so the block prepass computes it on the pool rather than
+    /// in the sequential loop that needs it (for the receipt and
+    /// `Block::hash`).
     pub(crate) fn senders(txs: &[SignedTransaction]) -> Vec<Option<Address>> {
-        let hashes: Vec<H256> = txs.iter().map(SignedTransaction::hash).collect();
-        let cached: Vec<Option<Option<Address>>> = txs
+        let known: Vec<Option<Option<Address>>> = txs
             .iter()
-            .zip(&hashes)
-            .map(|(signed, &hash)| signed.cached_sender(hash))
+            .map(|signed| signed.with_memo(|memo| memo.sender))
             .collect();
         let queries: Vec<_> = txs
             .iter()
-            .zip(&cached)
-            .filter(|(_, cached)| cached.is_none())
+            .zip(&known)
+            .filter(|(_, known)| known.is_none())
             .map(|(signed, _)| (signed.tx.signing_digest(), signed.signature, None))
             .collect();
         let mut recovered = recover_batch(&queries).into_iter();
         txs.iter()
-            .zip(hashes)
-            .zip(cached)
-            .map(|((signed, hash), cached)| {
-                cached.unwrap_or_else(|| {
-                    let sender = recovered.next().expect("one per cold cache");
-                    *signed.sender_cache.lock().expect("cache lock") = Some((hash, sender));
+            .zip(known)
+            .map(|(signed, known)| {
+                known.unwrap_or_else(|| {
+                    let sender = recovered.next().expect("one per cold memo");
+                    signed.with_memo(|memo| memo.sender = Some(sender));
                     sender
                 })
             })
             .collect()
     }
 
-    /// The memoized sender, if it was recovered under `hash`.
-    fn cached_sender(&self, hash: H256) -> Option<Option<Address>> {
-        match *self.sender_cache.lock().expect("cache lock") {
-            Some((cached_hash, sender)) if cached_hash == hash => Some(sender),
-            _ => None,
-        }
+    /// The transaction hash (id): keccak over the RLP body plus signature.
+    /// Memoized, so repeated access (every `sender()` call, receipts,
+    /// logging) skips the RLP encode and keccak while the fields are
+    /// unchanged.
+    pub fn hash(&self) -> H256 {
+        self.with_memo(|memo| memo.hash)
     }
 
-    /// The transaction hash (id): keccak over the RLP body plus signature.
-    ///
-    /// Memoized under a `TxFingerprint` of the fields, so repeated access
-    /// (every `sender()` call, receipts, logging) skips the RLP encode and
-    /// keccak while the transaction is unchanged.
-    pub fn hash(&self) -> H256 {
-        let fingerprint = TxFingerprint::of(self);
-        let mut cache = self.hash_cache.lock().expect("cache lock");
-        if let Some((cached_fp, cached_hash)) = cache.as_ref() {
-            if *cached_fp == fingerprint {
-                return *cached_hash;
+    /// `f` of the memo of the current fields, made afresh (hash derived,
+    /// sender not yet recovered) if any of them changed since the last
+    /// one. `Bytes` compares by pointer before content, so an unchanged
+    /// transaction costs a few scalar comparisons.
+    fn with_memo<T>(&self, f: impl FnOnce(&mut Memo) -> T) -> T {
+        let mut memo = self.memo.lock().expect("memo lock");
+        let memo = match &mut *memo {
+            Some(memo) if memo.tx == self.tx && memo.signature == self.signature => memo,
+            stale => {
+                let item = Item::List(vec![
+                    self.tx.rlp_body(),
+                    Item::Bytes(self.signature.to_bytes().to_vec()),
+                ]);
+                stale.insert(Memo {
+                    tx: self.tx.clone(),
+                    signature: self.signature,
+                    hash: keccak256(&rlp::encode(&item)),
+                    sender: None,
+                })
             }
-        }
-        let item = Item::List(vec![
-            self.tx.rlp_body(),
-            Item::Bytes(self.signature.to_bytes().to_vec()),
-        ]);
-        let hash = keccak256(&rlp::encode(&item));
-        *cache = Some((fingerprint, hash));
-        hash
+        };
+        f(memo)
     }
 }
 
@@ -281,15 +231,54 @@ mod tests {
         assert_eq!(signed.sender(), Some(kp.address()));
     }
 
+    type Mutation = fn(&mut SignedTransaction);
+
+    /// One change to each field the memo depends on: every scalar of the
+    /// body, the calldata (a new buffer of the same length with one byte
+    /// flipped) and each part of the signature.
+    const MUTATIONS: [(&str, Mutation); 9] = [
+        ("nonce", |signed| signed.tx.nonce += 1),
+        ("gas_price", |signed| signed.tx.gas_price += 1),
+        ("gas_limit", |signed| signed.tx.gas_limit += 1),
+        ("to", |signed| {
+            signed.tx.to = Some(Address::from_low_u64(10))
+        }),
+        ("value", |signed| signed.tx.value += 1),
+        ("data", |signed| {
+            let mut data = signed.tx.data.to_vec();
+            data[1] ^= 1;
+            signed.tx.data = Bytes::from(data);
+        }),
+        ("r", |signed| signed.signature.r[31] ^= 1),
+        ("s", |signed| signed.signature.s[31] ^= 1),
+        ("v", |signed| signed.signature.v ^= 27 ^ 28),
+    ];
+
+    /// Sign with `kp`, read both memoized answers, clone, and apply
+    /// `mutate`. Afterwards both answers equal those of a transaction
+    /// assembled fresh from the mutated parts, and the clone keeps the old
+    /// ones. Returns the `(hash, sender)` before and after.
+    fn answers_around(kp: &Keypair, name: &str, mutate: Mutation) -> [(H256, Option<Address>); 2] {
+        let mut signed = sample_tx(0).sign(kp);
+        let before = (signed.hash(), signed.sender());
+        let clone = signed.clone();
+        mutate(&mut signed);
+        let fresh = SignedTransaction::from_parts(signed.tx.clone(), signed.signature);
+        let after = (signed.hash(), signed.sender());
+        assert_eq!(after, (fresh.hash(), fresh.sender()), "{name}");
+        assert_eq!((clone.hash(), clone.sender()), before, "{name}");
+        [before, after]
+    }
+
     #[test]
     fn tampering_changes_recovered_sender() {
         let kp = Keypair::from_seed(101);
-        let mut signed = sample_tx(0).sign(&kp);
-        // Warm the memoized sender, then tamper: the cache is keyed by the
-        // transaction hash, so the stale recovery must not be served.
-        assert_eq!(signed.sender(), Some(kp.address()));
-        signed.tx.value = 43;
-        assert_ne!(signed.sender(), Some(kp.address()));
+        // A warm sender is never served for changed fields.
+        for (name, mutate) in MUTATIONS {
+            let [(_, before), (_, after)] = answers_around(&kp, name, mutate);
+            assert_eq!(before, Some(kp.address()), "{name}");
+            assert_ne!(after, before, "{name}");
+        }
     }
 
     #[test]
@@ -333,20 +322,10 @@ mod tests {
     #[test]
     fn hash_cache_invalidates_on_any_mutation() {
         let kp = Keypair::from_seed(105);
-        let mut signed = sample_tx(0).sign(&kp);
-        let warm = signed.hash();
-        assert_eq!(signed.hash(), warm);
-        // Scalar field mutation.
-        signed.tx.gas_limit += 1;
-        let after_gas = signed.hash();
-        assert_ne!(after_gas, warm);
-        // Calldata replacement (new buffer, new pointer).
-        signed.tx.data = Bytes::from(vec![9, 9, 9]);
-        let after_data = signed.hash();
-        assert_ne!(after_data, after_gas);
-        // Signature mutation.
-        signed.signature.s[0] ^= 1;
-        assert_ne!(signed.hash(), after_data);
+        for (name, mutate) in MUTATIONS {
+            let [(before, _), (after, _)] = answers_around(&kp, name, mutate);
+            assert_ne!(after, before, "{name}");
+        }
     }
 
     #[test]

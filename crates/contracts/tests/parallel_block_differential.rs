@@ -2,7 +2,7 @@
 //! worker pool, then the sequential loop serving those recoveries from a
 //! memo — must be bit-identical to `BlockMode::Sequential`: same receipts
 //! (status, gas, logs, return data, full call traces), same per-tx errors,
-//! same final state digest. Every block runs from cold sender caches, as it
+//! same final state digest. Every block runs with no sender memoized, as it
 //! would arrive off the wire, so the prepass recovers every sender.
 //!
 //! Unshielded regimes (only sender recoveries are memoised):
@@ -88,7 +88,7 @@ impl Nonces {
 }
 
 /// Execute `txs` sequentially on `seq` and under the prepass on `par`, each
-/// from cold sender caches, and assert the two are bit-identical. Returns
+/// with no sender memoized, and assert the two are bit-identical. Returns
 /// the sequential results.
 fn assert_modes_agree(
     seq: &mut Chain,

@@ -6,7 +6,7 @@
 //! array appended (see [`smacs_token::array`]), wrapped into a signed
 //! transaction.
 
-use smacs_chain::{Chain, ChainError, Receipt, Transaction};
+use smacs_chain::{Chain, ChainError, Receipt};
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;
 use smacs_token::{append_tokens, Token, TokenArray};
@@ -87,9 +87,7 @@ impl ClientWallet {
         value: u128,
         data: Vec<u8>,
     ) -> Result<Receipt, ChainError> {
-        let nonce = chain.state().nonce(self.address());
-        let tx = Transaction::call(nonce, to, value, data);
-        chain.submit(tx.sign(&self.keypair))
+        chain.call_contract(&self.keypair, to, value, data)
     }
 }
 

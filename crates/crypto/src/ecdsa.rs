@@ -291,12 +291,6 @@ pub fn recover_batch(queries: &[(H256, Signature, Option<Address>)]) -> Vec<Opti
         .recover_batch(queries)
 }
 
-/// Verify that `signature` over `digest` was produced by the holder of
-/// `expected` — the contract-side `SigVerify_pk(·)` of Alg. 1.
-pub fn verify_with_address(digest: &H256, signature: &Signature, expected: Address) -> bool {
-    recover_expecting(digest, signature, expected) == Some(expected)
-}
-
 /// Learned combs of at most this many signers (≈ 61 KB each) per process.
 /// Past the cap, new signers simply stay on the full recovery.
 const KNOWN_SIGNERS_CAP: usize = 16;
@@ -407,7 +401,10 @@ mod tests {
         let digest = keccak256(b"message");
         let sig = kp.sign_digest(&digest);
         assert_eq!(recover_address(&digest, &sig), Some(kp.address()));
-        assert!(verify_with_address(&digest, &sig, kp.address()));
+        assert_eq!(
+            recover_expecting(&digest, &sig, kp.address()),
+            Some(kp.address())
+        );
     }
 
     #[test]
@@ -783,7 +780,8 @@ mod tests {
             prop_assume!(a != b);
             let kp = Keypair::from_seed(seed);
             let sig = kp.sign_message(&a);
-            prop_assert!(!verify_with_address(&keccak256(&b), &sig, kp.address()));
+            let recovered = recover_expecting(&keccak256(&b), &sig, kp.address());
+            prop_assert_ne!(recovered, Some(kp.address()));
         }
     }
 }

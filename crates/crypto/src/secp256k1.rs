@@ -33,10 +33,11 @@
 //! - `sign_batch` (`sign`): per signature one `mul_g` (≤ 32 mixed
 //!   additions from `G`'s 8-bit comb, no doublings); the batch normalizes
 //!   every `k·G` and inverts every `k` together.
-//! - `recover_batch` (`recover`): per item one `fsqrt` (254S + 13M) and
-//!   one `double_mul` (~128 doublings, ~28 mixed and ~50 general
-//!   additions, see there); the batch inverts every `r` and normalizes
-//!   every result together.
+//! - `recover_batch` (`recover`): per item one `fsqrt` (254S + 13M), one
+//!   `Point::mul` for `u2·R` (~128 doublings and ~50 general additions,
+//!   see there) and one walk of `G`'s comb for `u1·G` (≤ 32 mixed
+//!   additions); the batch inverts every `r` and normalizes every result
+//!   together.
 //! - `verify_known_batch`: whether each signature recovers to a key whose
 //!   `Comb` is at hand. Per item ≤ 32 + 64 mixed additions over `G`'s comb
 //!   and the key's; the batch inverts every `s` and normalizes every
@@ -46,11 +47,13 @@
 //! anything enters a shared product, so an invalid item never poisons
 //! its batch and gets exactly the lone call's answer.
 //!
-//! `G` and every known key share one comb type (`Comb`) and one walk, at
-//! two widths: `G`'s 8-bit comb (≈ 510 KB, built once per process on the
-//! first `mul_g`, ≈ 5 ms) and the 4-bit `KeyComb` of a learned key
-//! (≈ 61 KB, ≈ 0.5 ms). Learned keys stay at 4 bits because an 8-bit
-//! comb per key would cost 8 MB at the known-signer cap of 16.
+//! Every scalar multiplication is one of two: a comb walk for a fixed
+//! base, or `Point::mul`'s GLV ladder for a variable one. `G` and every
+//! known key share one comb type (`Comb`) and one walk, at two widths:
+//! `G`'s 8-bit comb (≈ 510 KB, built once per process on the first
+//! `mul_g`, ≈ 5 ms) and the 4-bit `KeyComb` of a learned key (≈ 61 KB,
+//! ≈ 0.5 ms). Learned keys stay at 4 bits because an 8-bit comb per key
+//! would cost 8 MB at the known-signer cap of 16.
 
 /// 256-bit value as little-endian 64-bit limbs.
 pub type U256L = [u64; 4];
@@ -564,11 +567,39 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication for an arbitrary base point of order `n`
-    /// (every finite point on the curve): `double_mul` with no generator
-    /// part, so ~128 doublings and ~50 general additions (see there).
+    /// `scalar·self` for a base point of order `n` (every finite point on
+    /// the curve), over the GLV split: `scalar = k1 + k2·λ` gives two
+    /// ~128-bit width-5 wNAF streams over `self` and `λ·self = (β·x, y)`,
+    /// added into a **single** chain of ~128 doublings.
+    ///
+    /// Each stream reads `self`'s eight odd multiples (~21 general
+    /// additions per stream, plus 7 and a doubling to build the table,
+    /// and 8 products for `λ` times it). The table stays Jacobian:
+    /// normalizing it would cost an inversion to save ~215 products. The
+    /// equal-, opposite- and infinite-operand branches live in
+    /// [`Point::add`], so `self = ±G`, `±λG` or infinity needs no care
+    /// here.
     pub fn mul(&self, scalar: &U256L) -> Point {
-        double_mul(&ZERO, self, scalar)
+        let streams = glv_split(scalar).map(|(k, neg)| wnaf(&k, 5, neg));
+        let two = self.double();
+        let mut odd = [*self; 8];
+        for i in 1..8 {
+            odd[i] = odd[i - 1].add(&two);
+        }
+        let tables = [odd, odd.map(|p| p.endo())];
+        let len = streams.iter().map(|s| s.1).max();
+        let mut acc = Point::INFINITY;
+        for i in (0..len.expect("two streams")).rev() {
+            acc = acc.double();
+            for ((digits, _), table) in streams.iter().zip(&tables) {
+                let d = digits[i];
+                if d != 0 {
+                    let entry = table[d.unsigned_abs() as usize / 2];
+                    acc = acc.add(&if d < 0 { entry.neg() } else { entry });
+                }
+            }
+        }
+        acc
     }
 
     /// `λ·self` for a point of order `n`: `(β·x, y)`.
@@ -727,87 +758,11 @@ fn wnaf(scalar: &U256L, w: u32, negate: bool) -> ([i8; 257], usize) {
     (digits, len)
 }
 
-// ---- the ladder: u1·G + u2·R on one doubling chain ----
-
-/// Window of the generator's wNAF streams in [`double_mul`]: the tables
-/// are static, so a wide window costs nothing per call.
-const G_WINDOW: u32 = 8;
-
-/// Odd multiples `G, 3G, …, 127G` and `λ` times each, affine.
-fn g_tables() -> &'static [Vec<Affine>; 2] {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<[Vec<Affine>; 2]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let g = Point::generator();
-        let two = g.double();
-        let mut jac = vec![g];
-        for i in 1..1 << (G_WINDOW - 2) {
-            jac.push(jac[i - 1].add(&two));
-        }
-        let odd = batch_to_affine(&jac);
-        let lambda_odd = odd
-            .iter()
-            .map(|a| Affine {
-                x: fmul(&a.x, &BETA),
-                y: a.y,
-            })
-            .collect();
-        [odd, lambda_odd]
-    })
-}
-
-/// `u1·G + u2·R` for `R` of order `n` (or infinity), Strauss–Shamir over
-/// the GLV split: `u1 = g1 + g2·λ` and `u2 = r1 + r2·λ` give four
-/// ~128-bit wNAF streams over `G`, `λG`, `R` and `λR = (β·x, y)`, all
-/// added into a **single** chain of ~128 doublings.
-///
-/// The two generator streams use width 8 over static affine tables
-/// (~14 mixed additions each); the two `R` streams use width 5 over `R`'s
-/// eight odd multiples (~21 general additions each, plus 7 and a doubling
-/// to build the table, and 8 products for `λ` times it). That table stays
-/// Jacobian: normalizing it would cost an inversion to save ~215
-/// products. The equal-, opposite- and infinite-operand branches live in
-/// [`Point::add`] / [`Point::add_affine`], so `R = ±G`, `R = ±λG` and an
-/// infinite `R` need no care here.
-fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
-    let g_streams = glv_split(u1).map(|(k, neg)| wnaf(&k, G_WINDOW, neg));
-    let r_streams = glv_split(u2).map(|(k, neg)| wnaf(&k, 5, neg));
-    let g_tables = g_tables();
-    let two = r.double();
-    let mut odd = [*r; 8];
-    for i in 1..8 {
-        odd[i] = odd[i - 1].add(&two);
-    }
-    let r_tables = [odd, odd.map(|p| p.endo())];
-
-    let len = g_streams.iter().chain(&r_streams).map(|s| s.1).max();
-    let mut acc = Point::INFINITY;
-    for i in (0..len.expect("four streams")).rev() {
-        acc = acc.double();
-        for ((digits, _), table) in g_streams.iter().zip(g_tables) {
-            let d = digits[i];
-            if d != 0 {
-                let entry = table[d.unsigned_abs() as usize / 2];
-                acc = acc.add_affine(&if d < 0 { entry.neg() } else { entry });
-            }
-        }
-        for ((digits, _), table) in r_streams.iter().zip(&r_tables) {
-            let d = digits[i];
-            if d != 0 {
-                let entry = table[d.unsigned_abs() as usize / 2];
-                acc = acc.add(&if d < 0 { entry.neg() } else { entry });
-            }
-        }
-    }
-    acc
-}
-
 // ---- fixed-base combs ----
 //
-// Every ECDSA sign and every key derivation multiplies the *generator* by
-// a scalar, and `verify_known_batch` multiplies both `G` and a known
-// public key (`recover` does not come here: its generator part rides on
-// `double_mul`'s doubling chain). A one-time table of `j·2^(W·i)·B`
+// Every ECDSA sign, every key derivation and every recovery multiplies
+// the *generator* by a scalar, and `verify_known_batch` multiplies both
+// `G` and a known public key. A one-time table of `j·2^(W·i)·B`
 // (`256/W` windows `i` of `W` bits, digits `j` in `1..2^W`) turns `k·B`
 // from 256 doubles + ~128 general adds into at most `256/W` mixed
 // additions. `G`'s table is 8 bits wide (≈ 510 KB, built lazily on the
@@ -933,14 +888,6 @@ pub fn mul_g(k: &U256L) -> Point {
 }
 
 impl Affine {
-    /// `−self`.
-    fn neg(&self) -> Affine {
-        Affine {
-            x: self.x,
-            y: fneg(&self.y),
-        }
-    }
-
     /// Whether `y² = x³ + 7` holds.
     pub fn is_on_curve(&self) -> bool {
         let y2 = fsqr(&self.y);
@@ -1102,9 +1049,9 @@ pub fn recover(z: &U256L, sig: &RawSignature) -> Option<Affine> {
 /// result.
 ///
 /// Those checks run per item before anything enters a shared product, so
-/// the batch costs one `fsqrt` (`lift_x`) and one `double_mul` per item,
-/// one scalar inversion (every `r⁻¹`) and one field inversion (every
-/// `to_affine`).
+/// the batch costs one `fsqrt` (`lift_x`), one [`Point::mul`] and one
+/// comb walk per item, one scalar inversion (every `r⁻¹`) and one field
+/// inversion (every `to_affine`).
 pub fn recover_batch(items: &[(U256L, RawSignature)]) -> Vec<Option<Affine>> {
     let lifted: Vec<(usize, Affine)> = items
         .iter()
@@ -1121,7 +1068,7 @@ pub fn recover_batch(items: &[(U256L, RawSignature)]) -> Vec<Option<Affine>> {
             let (z, sig) = &items[i];
             let u1 = nmul(&sub_mod(&ZERO, z, &N), &rinv);
             let u2 = nmul(&sig.s, &rinv);
-            double_mul(&u1, &Point::from_affine(&rp), &u2)
+            g_comb().mul_add(&u1, Point::from_affine(&rp).mul(&u2))
         })
         .collect();
     let mut out = vec![None; items.len()];
@@ -1463,7 +1410,7 @@ mod tests {
         scalars.extend([[31, 0, 0, 0], [u64::MAX; 4], [u64::MAX, 0, 0, 0]]);
         scalars.extend((0..200).map(|_| rng.u256()));
         for scalar in scalars {
-            for (w, negate) in [(5, false), (5, true), (G_WINDOW, false), (2, true)] {
+            for (w, negate) in [(5, false), (5, true), (8, false), (2, true)] {
                 let (digits, len) = wnaf(&scalar, w, negate);
                 // Non-zero digits are odd, |d| < 2^(w−1), and ≥ w apart.
                 let mut last_nonzero: Option<usize> = None;
@@ -1534,6 +1481,11 @@ mod tests {
             }
         }
         assert!(Point::INFINITY.mul(&[5, 0, 0, 0]).is_infinity());
+    }
+
+    /// `u1·G + u2·R` as `recover_batch` computes it.
+    fn double_mul(u1: &U256L, r: &Point, u2: &U256L) -> Point {
+        g_comb().mul_add(u1, r.mul(u2))
     }
 
     #[test]
@@ -1628,9 +1580,8 @@ mod tests {
             seed
         });
         let q = pubkey(&d);
+        // `sign_batch` above built `G`'s comb outside the counted calls.
         let comb = KeyComb::new(&q);
-        // Build `double_mul`'s static tables outside the counted calls.
-        assert_eq!(recover(&zs[0], &sigs[0]), Some(q));
         for k in [1, 2, 5, 24] {
             let items: Vec<(U256L, RawSignature)> =
                 zs.iter().copied().zip(sigs.clone()).take(k).collect();
