@@ -30,8 +30,9 @@ const GENESIS_TIMESTAMP: u64 = 1_546_300_800;
 /// is spread across two threads.
 const PREPASS_CHUNK_MIN: usize = 1;
 
-/// Why a transaction was rejected before execution.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Why a transaction was rejected before execution, or a mined creation
+/// failed.
+#[derive(Clone, PartialEq, Debug)]
 pub enum ChainError {
     /// The signature did not recover to any sender.
     InvalidSignature,
@@ -50,6 +51,9 @@ pub enum ChainError {
     IntrinsicGasTooLow,
     /// Reorg request deeper than the chain.
     BadReorgHeight,
+    /// A creation was mined but failed (reverted or ran out of gas), so
+    /// its address holds no code. Carries the creation's receipt.
+    CreationFailed(Box<Receipt>),
 }
 
 impl fmt::Display for ChainError {
@@ -62,6 +66,9 @@ impl fmt::Display for ChainError {
             ChainError::InsufficientFunds => write!(f, "insufficient funds for gas + value"),
             ChainError::IntrinsicGasTooLow => write!(f, "gas limit below intrinsic cost"),
             ChainError::BadReorgHeight => write!(f, "reorg height beyond chain tip"),
+            ChainError::CreationFailed(receipt) => {
+                write!(f, "contract creation failed: {:?}", receipt.status)
+            }
         }
     }
 }
@@ -178,7 +185,8 @@ impl Chain {
     }
 
     /// Deploy `logic` from `owner`, charging creation gas (intrinsic +
-    /// constructor execution + code deposit). Returns the deployment.
+    /// constructor execution + code deposit). Returns the deployment, or
+    /// [`ChainError::CreationFailed`] when the mined creation failed.
     pub fn deploy(
         &mut self,
         owner: &Keypair,
@@ -210,9 +218,19 @@ impl Chain {
         let signed = tx.sign(owner);
         let address = Self::contract_address(sender, nonce);
         self.registry.insert(address, logic.clone());
-        let receipt = self.execute_transaction(&signed, &[])?;
-        let deployed = DeployedContract { address, logic };
-        Ok((deployed, receipt))
+        match self.execute_transaction(&signed, &[]) {
+            Ok(receipt) if receipt.status.is_success() => {
+                Ok((DeployedContract { address, logic }, receipt))
+            }
+            // A failed creation is in the block, and a reorg that keeps the
+            // block replays it, so its logic stays registered; calls find
+            // no code at the address either way.
+            Ok(receipt) => Err(ChainError::CreationFailed(Box::new(receipt))),
+            Err(rejected) => {
+                self.registry.remove(address);
+                Err(rejected)
+            }
+        }
     }
 
     /// Submit a signed transaction: validate, execute into the pending

@@ -103,6 +103,11 @@ impl ContractRegistry {
         self.contracts.insert(address, logic);
     }
 
+    /// Forget the logic at `address`.
+    pub(crate) fn remove(&mut self, address: Address) {
+        self.contracts.remove(&address);
+    }
+
     /// Look up the logic at `address`.
     pub fn get(&self, address: Address) -> Option<Arc<dyn Contract>> {
         self.contracts.get(&address).cloned()

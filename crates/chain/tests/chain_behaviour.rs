@@ -3,7 +3,10 @@
 //! reorgs, and re-entrant message calls.
 
 use smacs_chain::abi::{self, AbiType, AbiValue};
-use smacs_chain::{CallContext, Chain, ChainError, Contract, ExecStatus, Transaction, VmError};
+use smacs_chain::{
+    CallContext, Chain, ChainError, Contract, DeployedContract, ExecStatus, Receipt, Transaction,
+    VmError,
+};
 use smacs_crypto::Keypair;
 use smacs_primitives::{Address, Bytes, H256, U256};
 use std::sync::Arc;
@@ -93,7 +96,6 @@ fn deploy_and_call() {
     let mut chain = Chain::default_chain();
     let owner = chain.funded_keypair(1, 10u128.pow(20));
     let (counter, receipt) = chain.deploy(&owner, Arc::new(Counter)).unwrap();
-    assert!(receipt.status.is_success());
     // Deployment charges at least base + create + code deposit.
     assert!(receipt.gas_used > 53_000, "gas {}", receipt.gas_used);
     assert!(chain.state().is_contract(counter.address));
@@ -404,26 +406,62 @@ impl Contract for Stillborn {
     }
 }
 
+/// The receipt of a creation that `deploy` reported as failed.
+fn failed_creation(outcome: Result<(DeployedContract, Receipt), ChainError>) -> Receipt {
+    match outcome {
+        Err(ChainError::CreationFailed(receipt)) => *receipt,
+        other => panic!("expected a failed creation, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_failed_creation_is_an_error_and_replays_on_reorg() {
+    let mut chain = Chain::default_chain();
+    let owner = chain.funded_keypair(17, 10u128.pow(20));
+    let stillborn = Chain::contract_address(owner.address(), 0);
+    let receipt = failed_creation(chain.deploy(&owner, Arc::new(Stillborn)));
+    assert_eq!(receipt.revert_reason(), Some("constructor fails"));
+    // Mined: the nonce moved and the gas was paid.
+    assert_eq!(chain.state().nonce(owner.address()), 1);
+    chain.seal_block(); // block 1: the failed creation
+    let balance = chain.state().balance(owner.address());
+
+    // A creation rejected before execution leaves nothing registered.
+    let unaffordable = chain.deploy_with_limit(&owner, Arc::new(Counter), 0, u64::MAX / 2);
+    assert_eq!(unaffordable.unwrap_err(), ChainError::InsufficientFunds);
+    assert!(!chain
+        .registry()
+        .contains(Chain::contract_address(owner.address(), 1)));
+
+    let (counter, _) = chain.deploy(&owner, Arc::new(Counter)).unwrap();
+    chain.seal_block(); // block 2: a working deployment
+
+    // Replaying block 1 re-runs the failed creation with its logic.
+    assert_eq!(chain.reorg(1).unwrap().len(), 1);
+    assert_eq!(chain.state().balance(owner.address()), balance);
+    assert!(!chain.state().is_contract(stillborn));
+    assert!(!chain.state().is_contract(counter.address));
+}
+
 #[test]
 fn code_of_a_failed_deployment_never_runs() {
     let mut chain = Chain::default_chain();
     let owner = chain.funded_keypair(16, 10u128.pow(20));
-    let (stillborn, receipt) = chain.deploy(&owner, Arc::new(Stillborn)).unwrap();
+    let stillborn = Chain::contract_address(owner.address(), 0);
+    let receipt = failed_creation(chain.deploy(&owner, Arc::new(Stillborn)));
     assert_eq!(receipt.revert_reason(), Some("constructor fails"));
-    assert!(!chain.state().is_contract(stillborn.address));
+    assert!(!chain.state().is_contract(stillborn));
 
     // As in the EVM, a call to an address without code is a plain
     // transfer: it succeeds, returns nothing and writes nothing.
     let receipt = chain
-        .call_contract(&owner, stillborn.address, 0, abi::encode_call("go()", &[]))
+        .call_contract(&owner, stillborn, 0, abi::encode_call("go()", &[]))
         .unwrap();
     assert_eq!(receipt.status, ExecStatus::Success);
     assert!(receipt.return_data.is_empty());
     assert_eq!(receipt.trace.root.unwrap().events, vec![]);
     assert_eq!(
-        chain
-            .state()
-            .storage_get_u256(stillborn.address, H256::ZERO),
+        chain.state().storage_get_u256(stillborn, H256::ZERO),
         U256::ZERO
     );
 }

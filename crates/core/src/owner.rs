@@ -25,19 +25,20 @@ pub struct ShieldParams {
     pub disable_one_time: bool,
 }
 
-impl Default for ShieldParams {
-    fn default() -> Self {
-        // The paper's running configuration: 1-hour lifetime at the
-        // observed 35 tx/s peak of the most popular contracts (§VI-A).
+impl ShieldParams {
+    /// The paper's running configuration: 1-hour lifetime at the observed
+    /// 35 tx/s peak of the most popular contracts (§VI-A), a 126 kbit
+    /// bitmap. Its initialization alone costs ≈ 9.9 M gas (Table IV), so
+    /// it cannot deploy under [`Chain::deploy`]'s 10 M limit: use
+    /// [`OwnerToolkit::deploy_shielded_with_limit`].
+    pub fn paper() -> Self {
         ShieldParams {
             token_lifetime_secs: 3_600,
             max_tx_per_second: 35.0,
             disable_one_time: false,
         }
     }
-}
 
-impl ShieldParams {
     /// The bitmap size this configuration requires.
     pub fn bitmap_bits(&self) -> u64 {
         if self.disable_one_time {
@@ -125,16 +126,49 @@ impl OwnerToolkit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smacs_chain::{CallContext, ExecStatus, VmError};
+    use smacs_primitives::Bytes;
 
     #[test]
-    fn default_params_match_paper_configuration() {
-        let params = ShieldParams::default();
+    fn paper_params_match_paper_configuration() {
+        let params = ShieldParams::paper();
         assert_eq!(params.bitmap_bits(), 126_000); // 3600 s × 35 tx/s
         let disabled = ShieldParams {
             disable_one_time: true,
             ..params
         };
         assert_eq!(disabled.bitmap_bits(), 0);
+    }
+
+    struct Nop;
+    impl Contract for Nop {
+        fn name(&self) -> &'static str {
+            "Nop"
+        }
+        fn execute(&self, _ctx: &mut CallContext<'_, '_>) -> Result<Bytes, VmError> {
+            Ok(Bytes::new())
+        }
+    }
+
+    /// The paper's bitmap does not fit the default limit: the mined
+    /// creation runs out of gas and `deploy_shielded` says so.
+    #[test]
+    fn paper_params_need_the_explicit_gas_limit() {
+        let mut chain = Chain::default_chain();
+        let toolkit = OwnerToolkit::from_seeds(1, 2);
+        chain.fund_account(toolkit.owner().address(), 10u128.pow(20));
+        let logic: Arc<dyn Contract> = Arc::new(Nop);
+        match toolkit.deploy_shielded(&mut chain, logic.clone(), &ShieldParams::paper()) {
+            Err(ChainError::CreationFailed(receipt)) => {
+                assert_eq!(receipt.status, ExecStatus::OutOfGas)
+            }
+            other => panic!("expected a failed creation, got {other:?}"),
+        }
+        let (shielded, receipt) = toolkit
+            .deploy_shielded_with_limit(&mut chain, logic, &ShieldParams::paper(), 11_000_000)
+            .unwrap();
+        assert!(receipt.gas_used > 9_900_000);
+        assert!(chain.state().is_contract(shielded.address));
     }
 
     #[test]

@@ -558,11 +558,10 @@ fn reorged_history_cannot_forge_tokens() {
         max_tx_per_second: 0.35,
         disable_one_time: false,
     };
-    let (vault2, receipt) = s
+    let (vault2, _) = s
         .toolkit
         .deploy_shielded(&mut s.chain, Arc::new(Vault), &params)
         .unwrap();
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
     // A token for the old context does not verify against a contract at a
     // different address …
     if vault2.address != s.vault {

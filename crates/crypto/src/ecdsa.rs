@@ -204,7 +204,7 @@ impl Keypair {
     /// Sign many digests at once; `sign_digests(ds)[i]` equals
     /// `sign_digest(&ds[i])` byte for byte. The batch shares one field and
     /// one scalar inversion per nonce round (`secp256k1::sign_batch`), so
-    /// in a batch of dozens each signature costs about 0.4× a lone one.
+    /// in a batch of dozens each signature costs about 0.7× a lone one.
     pub fn sign_digests(&self, digests: &[H256]) -> Vec<Signature> {
         let zs: Vec<_> = digests
             .iter()
@@ -280,7 +280,7 @@ pub fn recover_expecting(
 /// Once a full recovery has produced an expected signer's key, its comb is
 /// kept (for at most `KNOWN_SIGNERS_CAP` signers per process), and later
 /// queries expecting it are checked against the comb with
-/// `secp256k1::verify_known_batch` (≈ 0.6× a recovery). A failed check, or
+/// `secp256k1::verify_known_batch` (≈ 0.45× a recovery). A failed check, or
 /// a signer never seen, takes the full recovery (`secp256k1::recover_batch`).
 /// Each of the two curve batches shares one scalar and one field inversion
 /// among its items.

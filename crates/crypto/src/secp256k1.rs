@@ -19,10 +19,13 @@
 //! - The scalar field `n` has a 129-bit `c` and keeps the generic
 //!   `mul_mod` / `reduce_wide`; they run a handful of times per signature
 //!   (`u1`, `u2`, `s`, the GLV split).
-//! - Both share one inverse, the binary extended GCD `inv_mod`, and every
-//!   caller reaches it through one batched form, `batch_inv` (Montgomery's
-//!   trick: one `inv_mod` and 3 products per element). The only
-//!   exponentiation left is `fsqrt`'s fixed addition chain.
+//! - Both share one inverse, `modinv`: the safegcd divsteps of Bernstein &
+//!   Yang ("Fast constant-time gcd computation and modular inversion",
+//!   TCHES 2019) over signed 62-bit limbs, in libsecp256k1's variable-time
+//!   form; like everything here, its running time depends on its input.
+//!   Every caller reaches it through one batched form, `batch_inv`
+//!   (Montgomery's trick: one `modinv` and 3 products per element). The
+//!   only exponentiation left is `fsqrt`'s fixed addition chain.
 //!
 //! With `M` = `fmul` and `S` = `fsqr`, `double` is 3M + 4S, `add_affine`
 //! 8M + 3S and `add` 12M + 4S. Every entry point is a batch (a lone
@@ -250,58 +253,201 @@ pub fn mul_mod(a: &U256L, b: &U256L, m: &U256L, c: &U256L) -> U256L {
     reduce_wide(mul_wide(a, b), m, c)
 }
 
-/// `x / 2^t (mod m)` for odd `m` and `1 ≤ t ≤ 63`: add the multiple `q·m`
-/// that clears the low `t` bits (`q = −x·m⁻¹ mod 2^t`), then shift.
-fn div_pow2_mod(x: &U256L, t: u32, m: &U256L, neg_m_inv: u64) -> U256L {
-    let q = x[0].wrapping_mul(neg_m_inv) & ((1 << t) - 1);
-    let (r0, c) = mac(x[0], q, m[0], 0);
-    let (r1, c) = mac(x[1], q, m[1], c);
-    let (r2, c) = mac(x[2], q, m[2], c);
-    let (r3, r4) = mac(x[3], q, m[3], c);
-    shr(&[r0, r1, r2, r3, r4], t)
-}
-
 /// The low 256 bits of `x >> t`, `1 ≤ t ≤ 63`.
 fn shr(x: &[u64; 5], t: u32) -> U256L {
     std::array::from_fn(|i| x[i] >> t | x[i + 1] << (64 - t))
 }
 
-/// Modular inverse for an odd prime `m` and `a < m`, by the variable-time
-/// binary extended GCD; zero maps to zero. The invariants `x1·a ≡ u` and
-/// `x2·a ≡ v (mod m)` hold while `u` shrinks to 0, which leaves
-/// `v = gcd(a, m) = 1`. `v` stays odd; each round strips `u`'s trailing
-/// zeros (dividing `x1` to match) and subtracts the smaller from the
-/// larger.
-fn inv_mod(a: &U256L, m: &U256L) -> U256L {
+// ---- modular inverse ----
+//
+// The safegcd inverse of Bernstein & Yang ("Fast constant-time gcd
+// computation and modular inversion", TCHES 2019), in the variable-time
+// form of libsecp256k1's `modinv64_var`. `f = m` and `g = a` run through
+// divsteps until `g = 0`, which leaves `f = ±gcd(a, m) = ±1`; `d` and `e`
+// track `f` and `g` as multiples of `a (mod m)`, so `d = ±a⁻¹`. The steps
+// go 62 at a time on the low limbs only, as one 2×2 matrix scaled by 2^62,
+// which is then applied to the full `(f, g)` and, with a multiple of `m`
+// that keeps the division by 2^62 exact, to `(d, e)`.
+
+/// `Σ v[i]·2^(62·i)`: limbs 0–3 in `[0, 2^62)`, the top limb signed.
+type Signed62 = [i64; 5];
+
+const M62: u64 = u64::MAX >> 2;
+
+/// An odd modulus in the form the inverse needs.
+struct Modulus {
+    s62: Signed62,
+    /// `m⁻¹ mod 2^62`.
+    inv62: u64,
+}
+
+const P_MOD: Modulus = Modulus {
+    s62: to_signed62(&P),
+    inv62: 0x27C7_F6E2_2DDA_CACF,
+};
+const N_MOD: Modulus = Modulus {
+    s62: to_signed62(&N),
+    inv62: 0x34F2_0099_AA77_4EC1,
+};
+
+const fn to_signed62(a: &U256L) -> Signed62 {
+    [
+        (a[0] & M62) as i64,
+        ((a[0] >> 62 | a[1] << 2) & M62) as i64,
+        ((a[1] >> 60 | a[2] << 4) & M62) as i64,
+        ((a[2] >> 58 | a[3] << 6) & M62) as i64,
+        (a[3] >> 56) as i64,
+    ]
+}
+
+/// The low 256 bits of a value whose limbs are all in `[0, 2^62)`.
+fn from_signed62(v: &Signed62) -> U256L {
+    let v = v.map(|x| x as u64);
+    [
+        v[0] | v[1] << 62,
+        v[1] >> 2 | v[2] << 60,
+        v[2] >> 4 | v[3] << 58,
+        v[3] >> 6 | v[4] << 56,
+    ]
+}
+
+/// A product of 62 divsteps, scaled by 2^62: `[[u, v], [q, r]]` maps
+/// `(f, g)` to `2^62·(f', g')`.
+type Transition = [[i64; 2]; 2];
+
+/// 62 divsteps from `eta = −δ` on the low 64 bits of `f` (odd) and `g`,
+/// which decide them all: the new `eta` and the matrix. A run of zero
+/// bits of `g` is one shift, and each odd step cancels up to 6 low bits
+/// of `g` (4 when `eta ≥ 0`).
+fn divsteps_62(mut eta: i64, mut f: u64, mut g: u64) -> (i64, Transition) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let mut i = 62;
+    loop {
+        // The sentinel bits stop the count at the `i` steps left.
+        let zeros = (g | u64::MAX << i).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= zeros as i64;
+        i -= zeros;
+        if i == 0 {
+            break;
+        }
+        // No more than `eta + 1` bits: past that the swap comes back.
+        let limit = (eta.unsigned_abs() + 1).min(i as u64) as u32;
+        let w = if eta < 0 {
+            // δ > 0 and g odd: (f, g) ← (g, −f).
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // −g·f⁻¹ mod 2^6, with f·(f² − 2) ≡ −f⁻¹ (mod 2^6).
+            let mask = (u64::MAX >> (64 - limit)) & 63;
+            f.wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & mask
+        } else {
+            // −g·f⁻¹ mod 2^4, with f + ((f + 1) & 4)·2 ≡ f⁻¹ (mod 2^4).
+            let mask = (u64::MAX >> (64 - limit)) & 15;
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            f_inv.wrapping_neg().wrapping_mul(g) & mask
+        };
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    (eta, [[u as i64, v as i64], [q as i64, r as i64]])
+}
+
+/// `(a, b) ← (t·(a, b) + k·m) / 2^62` over the low `len` limbs, where the
+/// caller has made the low 62 bits of the sum zero. Inlined so that
+/// `(f, g)`'s `k = 0` costs nothing.
+#[inline(always)]
+fn update(
+    t: &Transition,
+    k: [i64; 2],
+    m: &Signed62,
+    len: usize,
+    a: &mut Signed62,
+    b: &mut Signed62,
+) {
+    let [[u, v], [q, r]] = t.map(|row| row.map(i128::from));
+    let [ka, kb] = k.map(i128::from);
+    let (mut ca, mut cb) = (0i128, 0i128);
+    for i in 0..len {
+        ca += u * a[i] as i128 + v * b[i] as i128 + ka * m[i] as i128;
+        cb += q * a[i] as i128 + r * b[i] as i128 + kb * m[i] as i128;
+        debug_assert!(i > 0 || (ca | cb) as u64 & M62 == 0);
+        if i > 0 {
+            a[i - 1] = (ca as u64 & M62) as i64;
+            b[i - 1] = (cb as u64 & M62) as i64;
+        }
+        (ca, cb) = (ca >> 62, cb >> 62);
+    }
+    (a[len - 1], b[len - 1]) = (ca as i64, cb as i64);
+}
+
+/// Whether `j·d + k·m > 0`, for the range check below.
+fn is_positive(j: i128, d: &Signed62, k: i128, m: &Signed62) -> bool {
+    let (mut carry, mut low) = (0i128, 0i128);
+    for i in 0..5 {
+        let t = carry + j * d[i] as i128 + k * m[i] as i128;
+        low |= t & M62 as i128;
+        carry = t >> 62;
+    }
+    carry > 0 || carry == 0 && low != 0
+}
+
+/// `a⁻¹ mod m` for `a < m` and an odd prime `m`; zero maps to zero.
+/// Variable-time, like the rest of this module: the number of divsteps
+/// and the length of `(f, g)` depend on `a`.
+fn modinv(a: &U256L, m: &Modulus) -> U256L {
     #[cfg(test)]
     tests::count_inversion(m);
-    // −m⁻¹ mod 2^64 by Newton iteration; `m` is its own inverse mod 8.
-    let neg_m_inv = (0..5)
-        .fold(m[0], |x, _| {
-            x.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(x)))
-        })
-        .wrapping_neg();
-    let (mut u, mut v) = (*a, *m);
-    let (mut x1, mut x2) = (ONE, ZERO);
-    while !is_zero(&u) {
-        let t = u[0].trailing_zeros().min(63);
-        if t > 0 {
-            u = shr(&[u[0], u[1], u[2], u[3], 0], t);
-            x1 = div_pow2_mod(&x1, t, m, neg_m_inv);
-            if u[0] & 1 == 0 {
-                continue;
-            }
+    let (mut d, mut e): (Signed62, Signed62) = ([0; 5], [1, 0, 0, 0, 0]);
+    let (mut f, mut g) = (m.s62, to_signed62(a));
+    let (mut eta, mut len) = (-1, 5);
+    loop {
+        let t;
+        (eta, t) = divsteps_62(eta, f[0] as u64, g[0] as u64);
+        // The multiple of m for d' (and e'): t's column for each negative
+        // input, which keeps both in (−2m, m), less what clears 62 bits.
+        let (sd, se) = (d[4] >> 63, e[4] >> 63);
+        let k = t.map(|[x, y]| {
+            let k = (x & sd) + (y & se);
+            let low = x.wrapping_mul(d[0]).wrapping_add(y.wrapping_mul(e[0]));
+            k - (m.inv62.wrapping_mul(low as u64).wrapping_add(k as u64) & M62) as i64
+        });
+        update(&t, k, &m.s62, 5, &mut d, &mut e);
+        update(&t, [0, 0], &m.s62, len, &mut f, &mut g);
+        if g[..len].iter().all(|&limb| limb == 0) {
+            break;
         }
-        let (d, borrow) = sub_raw(&u, &v);
-        if borrow {
-            (u, v) = (sub_raw(&v, &u).0, u);
-            (x1, x2) = (sub_mod(&x2, &x1, m), x1);
-        } else {
-            u = d;
-            x1 = sub_mod(&x1, &x2, m);
+        // Drop the top limb once it only carries the sign of both.
+        let (fl, gl) = (f[len - 1], g[len - 1]);
+        if len > 1 && fl ^ (fl >> 63) == 0 && gl ^ (gl >> 63) == 0 {
+            f[len - 2] |= fl << 62;
+            g[len - 2] |= gl << 62;
+            len -= 1;
         }
     }
-    x2
+    debug_assert!(
+        is_positive(1, &d, 2, &m.s62) && is_positive(-1, &d, 1, &m.s62),
+        "d outside (−2m, m)"
+    );
+    // f = ±1 and d = f·a⁻¹: add m if d < 0, negate if f < 0, then add m
+    // if still negative, carrying after each pass.
+    for negate in [f[len - 1] >> 63, 0] {
+        let add = d[4] >> 63;
+        for (limb, mi) in d.iter_mut().zip(m.s62) {
+            *limb = ((*limb + (mi & add)) ^ negate) - negate;
+        }
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62 as i64;
+        }
+    }
+    from_signed62(&d)
 }
 
 /// Parse 32 big-endian bytes.
@@ -828,10 +974,10 @@ fn g_comb() -> &'static Comb<8> {
 }
 
 /// Replace every element of `values` by its inverse modulo the odd prime
-/// `m`, with one `inv_mod` and 3 `mul` products per element (Montgomery's
+/// `m`, with one `modinv` and 3 `mul` products per element (Montgomery's
 /// trick); an empty slice costs nothing. Every element must be non-zero
 /// mod `m`.
-fn batch_inv(values: &mut [U256L], m: &U256L, mul: impl Fn(&U256L, &U256L) -> U256L) {
+fn batch_inv(values: &mut [U256L], m: &Modulus, mul: impl Fn(&U256L, &U256L) -> U256L) {
     if values.is_empty() {
         return;
     }
@@ -841,7 +987,7 @@ fn batch_inv(values: &mut [U256L], m: &U256L, mul: impl Fn(&U256L, &U256L) -> U2
         prefix.push(acc);
         acc = mul(&acc, v);
     }
-    let mut inv = inv_mod(&acc, m);
+    let mut inv = modinv(&acc, m);
     for (v, before) in values.iter_mut().zip(prefix).rev() {
         let v_inv = mul(&inv, &before);
         inv = mul(&inv, v);
@@ -853,7 +999,7 @@ fn batch_inv(values: &mut [U256L], m: &U256L, mul: impl Fn(&U256L, &U256L) -> U2
 /// must be finite.
 fn batch_to_affine(points: &[Point]) -> Vec<Affine> {
     let mut zinvs: Vec<U256L> = points.iter().map(|p| p.z).collect();
-    batch_inv(&mut zinvs, &P, fmul);
+    batch_inv(&mut zinvs, &P_MOD, fmul);
     points
         .iter()
         .zip(zinvs)
@@ -997,7 +1143,7 @@ pub fn sign_batch(
         }
         // k ∈ [1, n): every k·G is finite and every k invertible.
         let nonce_points = batch_to_affine(&ks.iter().map(mul_g).collect::<Vec<_>>());
-        batch_inv(&mut ks, &N, nmul);
+        batch_inv(&mut ks, &N_MOD, nmul);
         for ((i, rp), kinv) in items.into_iter().zip(nonce_points).zip(ks) {
             match finish_signature(&zs[i], d, &rp, &kinv) {
                 Some(sig) => sigs[i] = Some(sig),
@@ -1060,7 +1206,7 @@ pub fn recover_batch(items: &[(U256L, RawSignature)]) -> Vec<Option<Affine>> {
         .filter_map(|(i, (_, sig))| Some((i, Affine::lift_x(&sig.r, sig.y_odd)?)))
         .collect();
     let mut rinvs: Vec<U256L> = lifted.iter().map(|&(i, _)| items[i].1.r).collect();
-    batch_inv(&mut rinvs, &N, nmul);
+    batch_inv(&mut rinvs, &N_MOD, nmul);
     let points: Vec<Point> = lifted
         .iter()
         .zip(rinvs)
@@ -1094,7 +1240,7 @@ pub(crate) fn verify_known_batch(items: &[(U256L, RawSignature, &KeyComb)]) -> V
         .filter(|&i| scalar_is_valid(&items[i].1.r) && scalar_is_valid(&items[i].1.s))
         .collect();
     let mut sinvs: Vec<U256L> = valid.iter().map(|&i| items[i].1.s).collect();
-    batch_inv(&mut sinvs, &N, nmul);
+    batch_inv(&mut sinvs, &N_MOD, nmul);
     let points: Vec<Point> = valid
         .iter()
         .zip(sinvs)
@@ -1117,14 +1263,18 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// `inv_mod` calls on this thread: `(mod n, mod p)`.
+        /// `modinv` calls on this thread: `(mod n, mod p)`.
         static INVERSIONS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
     }
 
-    pub(super) fn count_inversion(m: &U256L) {
+    pub(super) fn count_inversion(m: &Modulus) {
         INVERSIONS.with(|c| {
             let (n, p) = c.get();
-            c.set(if *m == N { (n + 1, p) } else { (n, p + 1) });
+            c.set(if m.s62 == N_MOD.s62 {
+                (n + 1, p)
+            } else {
+                (n, p + 1)
+            });
         });
     }
 
@@ -1162,6 +1312,54 @@ mod tests {
             }
         }
         result
+    }
+
+    /// `x / 2^t (mod m)` for odd `m` and `1 ≤ t ≤ 63`: add the multiple
+    /// `q·m` that clears the low `t` bits (`q = −x·m⁻¹ mod 2^t`), then
+    /// shift.
+    fn div_pow2_mod(x: &U256L, t: u32, m: &U256L, neg_m_inv: u64) -> U256L {
+        let q = x[0].wrapping_mul(neg_m_inv) & ((1 << t) - 1);
+        let (r0, c) = mac(x[0], q, m[0], 0);
+        let (r1, c) = mac(x[1], q, m[1], c);
+        let (r2, c) = mac(x[2], q, m[2], c);
+        let (r3, r4) = mac(x[3], q, m[3], c);
+        shr(&[r0, r1, r2, r3, r4], t)
+    }
+
+    /// Modular inverse for an odd prime `m` and `a < m`, by the binary
+    /// extended GCD; zero maps to zero. The invariants `x1·a ≡ u` and
+    /// `x2·a ≡ v (mod m)` hold while `u` shrinks to 0, which leaves
+    /// `v = gcd(a, m) = 1`. `v` stays odd; each round strips `u`'s trailing
+    /// zeros (dividing `x1` to match) and subtracts the smaller from the
+    /// larger.
+    fn inv_mod(a: &U256L, m: &U256L) -> U256L {
+        // −m⁻¹ mod 2^64 by Newton iteration; `m` is its own inverse mod 8.
+        let neg_m_inv = (0..5)
+            .fold(m[0], |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(m[0].wrapping_mul(x)))
+            })
+            .wrapping_neg();
+        let (mut u, mut v) = (*a, *m);
+        let (mut x1, mut x2) = (ONE, ZERO);
+        while !is_zero(&u) {
+            let t = u[0].trailing_zeros().min(63);
+            if t > 0 {
+                u = shr(&[u[0], u[1], u[2], u[3], 0], t);
+                x1 = div_pow2_mod(&x1, t, m, neg_m_inv);
+                if u[0] & 1 == 0 {
+                    continue;
+                }
+            }
+            let (d, borrow) = sub_raw(&u, &v);
+            if borrow {
+                (u, v) = (sub_raw(&v, &u).0, u);
+                (x1, x2) = (sub_mod(&x2, &x1, m), x1);
+            } else {
+                u = d;
+                x1 = sub_mod(&x1, &x2, m);
+            }
+        }
+        x2
     }
 
     /// The plain double-and-add ladder (MSB first).
@@ -1386,7 +1584,11 @@ mod tests {
         let p_minus_2 = sub_raw(&P, &[2, 0, 0, 0]).0;
         for (a, b) in pairs(&field_edges(), 3) {
             for x in [reduce_once(a, &P), reduce_once(b, &P)] {
-                assert_eq!(inv_mod(&x, &P), pow_mod(&x, &p_minus_2, &P, &C_P), "{x:x?}");
+                assert_eq!(
+                    modinv(&x, &P_MOD),
+                    pow_mod(&x, &p_minus_2, &P, &C_P),
+                    "{x:x?}"
+                );
                 assert_eq!(fsqrt(&x), pow_mod(&x, &SQRT_EXP, &P, &C_P), "{x:x?}");
             }
         }
@@ -1395,11 +1597,62 @@ mod tests {
         for (a, b) in pairs(&edges, 4) {
             for x in [reduce_once(a, &N), reduce_once(b, &N)] {
                 let want = pow_mod(&x, &n_minus(2), &N, &C_N);
-                assert_eq!(inv_mod(&x, &N), want, "{x:x?}");
+                assert_eq!(modinv(&x, &N_MOD), want, "{x:x?}");
                 if !is_zero(&x) {
                     assert_eq!(nmul(&x, &want), ONE);
                 }
             }
+        }
+    }
+
+    /// Both moduli's constants: the signed-62 limbs hold `m`, and `inv62`
+    /// inverts it mod 2^62.
+    #[test]
+    fn modulus_constants_hold_their_modulus() {
+        for (m, info) in [(P, &P_MOD), (N, &N_MOD)] {
+            assert_eq!(from_signed62(&info.s62), m);
+            assert!(info.s62.iter().all(|&limb| (0..1 << 62).contains(&limb)));
+            assert_eq!(m[0].wrapping_mul(info.inv62) & M62, 1);
+        }
+    }
+
+    /// `modinv` against the binary GCD, on the edges and on seeded values
+    /// of every length, so that `g` starts short as well as full.
+    #[test]
+    fn modinv_matches_binary_gcd() {
+        const INVERSES: usize = if cfg!(debug_assertions) {
+            3_000
+        } else {
+            100_000
+        };
+        for (m, info, seed) in [(P, &P_MOD, 11), (N, &N_MOD, 12)] {
+            let minus = |v: u64| sub_raw(&m, &[v, 0, 0, 0]).0;
+            let mut inputs = vec![
+                ONE,
+                [2, 0, 0, 0],
+                minus(1),
+                minus(2),
+                [0, 0, 0, 1 << 63],
+                [u64::MAX, u64::MAX, u64::MAX, u64::MAX - 1],
+            ];
+            let mut rng = XorShift(seed);
+            while inputs.len() < INVERSES {
+                let (x, bits) = (reduce_once(rng.u256(), &m), rng.next() % 257);
+                // The low `bits` bits of x: values of every length.
+                let x: U256L = std::array::from_fn(|i| match bits.saturating_sub(64 * i as u64) {
+                    0 => 0,
+                    keep => x[i] & u64::MAX >> (64 - keep.min(64)),
+                });
+                if !is_zero(&x) {
+                    inputs.push(x);
+                }
+            }
+            for x in inputs {
+                let want = inv_mod(&x, &m);
+                assert_eq!(modinv(&x, info), want, "{x:x?} mod {m:x?}");
+                assert_eq!(mul_ref(&x, &want, &m), ONE);
+            }
+            assert_eq!(modinv(&ZERO, info), ZERO, "zero maps to zero");
         }
     }
 

@@ -706,7 +706,7 @@ impl Repl {
         let (deployed, _) = self
             .toolkit
             .deploy_shielded(&mut self.chain, contract, &shield)
-            .map_err(|e| format!("deploy failed: {e:?}"))?;
+            .map_err(|e| format!("deploy failed: {e}"))?;
         self.contracts.insert(kind.to_string(), deployed.address);
         Ok(format!(
             "deployed {kind} at {} (shielded)",
