@@ -13,6 +13,8 @@
 //! Performance is not measured here: that is `benchmark/` +
 //! `BENCHMARK.json` at the repo root.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod setup;
 

@@ -29,6 +29,8 @@
 //! persistent state lives in the world state (as EVM storage does), so
 //! snapshots, reverts, and forks are uniform.
 
+#![forbid(unsafe_code)]
+
 pub mod abi;
 pub mod block;
 pub mod chain;

@@ -488,12 +488,6 @@ fn call_depth_limit_enforced_on_64kib_stack() {
     // deliberately tiny thread stack. (The parallel block mode fans out
     // signature recovery, not execution: a transaction's frames start on
     // the thread that submits it.)
-    //
-    // The test checks the executor's depth handling, not the crypto cold
-    // start: in a debug build, building `G`'s comb (on the first key
-    // derivation of the process) takes about all of a 64 KiB stack. So
-    // the comb is built here, on the spawning thread.
-    let _ = Keypair::from_seed(90);
     std::thread::Builder::new()
         .stack_size(64 * 1024)
         .spawn(|| {

@@ -29,6 +29,8 @@
 //! - [`airdrop`] — [`Airdrop`], one-time `claim()` tokens at scale
 //!   through the replicated counter.
 
+#![forbid(unsafe_code)]
+
 pub mod airdrop;
 pub mod amm;
 pub mod bank;

@@ -32,6 +32,8 @@
 //! and the bitmap's "reset" branch must mark the triggering index as used,
 //! which the paper's Alg. 2 omits.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod client;
 pub mod costs;

@@ -23,6 +23,8 @@
 //!   prepass recovers a chunk of senders and checks its TS tokens. The
 //!   two calls above are its one-item case.
 
+#![forbid(unsafe_code)]
+
 pub mod ecdsa;
 pub mod keccak;
 pub mod secp256k1;

@@ -161,14 +161,14 @@ pub fn sub_mod(a: &U256L, b: &U256L, m: &U256L) -> U256L {
 }
 
 /// `a + b·c + carry` as `(low, high)`; cannot overflow 128 bits.
-#[inline(always)]
+#[inline]
 fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
     let t = a as u128 + b as u128 * c as u128 + carry as u128;
     (t as u64, (t >> 64) as u64)
 }
 
 /// `a + b + carry` as `(low, high)`.
-#[inline(always)]
+#[inline]
 fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     let t = a as u128 + b as u128 + carry as u128;
     (t as u64, (t >> 64) as u64)
@@ -176,7 +176,7 @@ fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
 
 /// The 512-bit product, schoolbook by rows: row `i`'s carry lands in the
 /// still-untouched limb `i + 4`, so no carry tail is needed.
-#[inline(always)]
+#[inline]
 fn mul_wide(a: &U256L, b: &U256L) -> [u64; 8] {
     let mut out = [0u64; 8];
     for i in 0..4 {
@@ -191,7 +191,7 @@ fn mul_wide(a: &U256L, b: &U256L) -> [u64; 8] {
 
 /// The 512-bit square in 10 products: the 6 cross products once, doubled,
 /// plus the 4 diagonal squares.
-#[inline(always)]
+#[inline]
 fn sqr_wide(a: &U256L) -> [u64; 8] {
     let (w1, c) = mac(0, a[0], a[1], 0);
     let (w2, c) = mac(0, a[0], a[2], c);
@@ -362,7 +362,7 @@ fn divsteps_62(mut eta: i64, mut f: u64, mut g: u64) -> (i64, Transition) {
 /// `(a, b) ← (t·(a, b) + k·m) / 2^62` over the low `len` limbs, where the
 /// caller has made the low 62 bits of the sum zero. Inlined so that
 /// `(f, g)`'s `k = 0` costs nothing.
-#[inline(always)]
+#[inline]
 fn update(
     t: &Transition,
     k: [i64; 2],
@@ -488,7 +488,7 @@ pub fn reduce_bytes(bytes: &[u8; 32], m: &U256L) -> U256L {
 /// Reduce a 512-bit value mod `p = 2^256 − c` with the one-limb
 /// `c = 0x1000003D1`: fold `hi·c` into the low half (4 products), fold the
 /// ≤ 34-bit overflow limb the same way, then subtract `p` at most once.
-#[inline(always)]
+#[inline]
 fn reduce_p(w: [u64; 8]) -> U256L {
     const C: u64 = C_P[0];
     let (r0, c) = mac(w[0], w[4], C, 0);
@@ -515,7 +515,7 @@ fn reduce_p(w: [u64; 8]) -> U256L {
 }
 
 /// `r ≥ p`: only when the top three limbs are all ones.
-#[inline(always)]
+#[inline]
 fn ge_p(r: &U256L) -> bool {
     r[3] & r[2] & r[1] == u64::MAX && r[0] >= P[0]
 }
@@ -523,12 +523,12 @@ fn ge_p(r: &U256L) -> bool {
 // Forced inline: left to itself the compiler keeps `fmul` / `fsqr` as
 // calls that pass operands through memory, which measured 31 ns against
 // 19.5 ns per chained product.
-#[inline(always)]
+#[inline]
 fn fmul(a: &U256L, b: &U256L) -> U256L {
     reduce_p(mul_wide(a, b))
 }
 
-#[inline(always)]
+#[inline]
 fn fsqr(a: &U256L) -> U256L {
     reduce_p(sqr_wide(a))
 }

@@ -40,6 +40,8 @@
 //! `mint` fails until rules are granted, which makes the TS's
 //! deny-by-default posture visible interactively.
 
+#![forbid(unsafe_code)]
+
 pub mod repl;
 pub mod scenario;
 

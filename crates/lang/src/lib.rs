@@ -18,6 +18,8 @@
 //!   call sites are rewired to the private half (so internal calls never
 //!   re-verify, exactly as Fig. 4 shows).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod interp;
 pub mod lexer;

@@ -8,7 +8,6 @@
 
 pub mod address;
 pub mod bytes;
-pub mod epoch;
 pub mod hash;
 pub mod hexutil;
 pub mod json;
@@ -18,7 +17,6 @@ pub mod u256;
 
 pub use address::Address;
 pub use bytes::Bytes;
-pub use epoch::EpochCell;
 pub use hash::H256;
 pub use pool::WorkerPool;
 pub use u256::U256;

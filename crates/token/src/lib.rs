@@ -17,6 +17,8 @@
 //!   embedded in calldata so every contract on the chain can extract its
 //!   own token — see [`array`](mod@array).
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod payload;
 pub mod request;

@@ -9,10 +9,10 @@
 //! - **one signing identity**: every replica holds the same `sk_TS`, so a
 //!   token minted anywhere verifies against the one `pk_TS` the shielded
 //!   contract stores;
-//! - **one shared rule book**: every replica holds the same
-//!   `Arc<EpochCell<RuleBook>>`, so an owner's `set_rules` through *any*
-//!   replica is one atomic swap that binds all of them without stopping
-//!   issuance anywhere;
+//! - **one shared rule book**: every replica holds the same locked
+//!   `Arc<RuleBook>`, so an owner's `set_rules` through *any* replica is
+//!   one swap of that `Arc` that binds all of them; issuers hold the lock
+//!   only to clone the `Arc`, so issuance never stops for it;
 //! - **quorum one-time counters** ([`CounterCluster`]): one-time indexes
 //!   are allocated through a majority-quorum replicated counter with one
 //!   counter node per replica. Lose a minority and issuance continues;
@@ -71,8 +71,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use smacs_crypto::Keypair;
-use smacs_primitives::{Address, EpochCell};
+use smacs_primitives::Address;
 
 use crate::discovery::ContractMetadata;
 use crate::fault::FaultPlan;
@@ -184,7 +185,6 @@ pub struct ReplicaSet {
     replicas: Vec<Replica>,
     /// Set-level diagnostics view: local transports over every node.
     counter: CounterCluster,
-    rules: Arc<EpochCell<RuleBook>>,
     signer: Keypair,
     config: ReplicaSetConfig,
     /// A WAL temp directory this set created and owns (removed on
@@ -227,7 +227,7 @@ impl ReplicaSet {
         }
         let diag = CounterCluster::from_nodes(nodes.clone());
 
-        let rules = Arc::new(EpochCell::new(rules));
+        let rules = Arc::new(Mutex::new(Arc::new(rules)));
 
         let mut replicas = Vec::with_capacity(config.replicas);
         for (id, node) in nodes.iter().enumerate() {
@@ -301,7 +301,6 @@ impl ReplicaSet {
         Ok(ReplicaSet {
             replicas,
             counter: diag,
-            rules,
             signer,
             config,
             owned_wal_dir,
@@ -478,9 +477,9 @@ impl ReplicaSet {
     }
 
     /// Owner-side rule replacement: one swap of the book every replica
-    /// shares.
+    /// shares, so going through the first replica reaches them all.
     pub fn set_rules(&self, rules: RuleBook) {
-        self.rules.store(rules);
+        self.replicas[0].front.service().set_rules(rules);
     }
 
     /// Publish discovery metadata for `contract` to **every** replica's
@@ -590,6 +589,11 @@ mod tests {
                 client.issue(&request(1)).unwrap_err().code,
                 ErrorCode::RuleViolation
             );
+        }
+        // The owner-side swap on the set binds every replica too.
+        set.set_rules(RuleBook::permissive());
+        for client in &clients {
+            client.issue(&request(1)).unwrap();
         }
         set.shutdown();
     }

@@ -35,9 +35,8 @@
 //!   on — a worker is only ever occupied by a connection that is actually
 //!   talking. The **lifecycle of a parked connection** is: park
 //!   (epoll-register, one-shot) → readable event → queued job → served
-//!   back-to-back → re-park; or reaped on peer
-//!   close / [`HttpServerConfig::idle_timeout`] expiry, both detected by
-//!   the reactor, never by per-connection polling.
+//!   back-to-back → re-park; or closed once the peer closes, which the
+//!   reactor detects, never per-connection polling.
 //!
 //! Batch issuance fans its signing across the service's pool (see
 //! [`crate::service::TokenService::issue_batch`]), not the endpoint's.
@@ -50,8 +49,8 @@
 //!
 //! [`HttpClient`] is the wire implementation of [`TsApi`]: protocol-v2
 //! envelopes over one persistent connection. Before reusing a pooled
-//! connection it probes for staleness (server restart, idle-timeout
-//! close) and transparently reconnects, so no call burns a round on a
+//! connection it probes for staleness (a server restart closed it) and
+//! transparently reconnects, so no call burns a round on a
 //! connection the server already abandoned. A send that still fails on
 //! the pooled connection is repeated once on a fresh one unless the op
 //! may burn a one-time counter index. That replay rule is one function,
@@ -152,10 +151,6 @@ pub struct HttpServerConfig {
     /// `2 × available_parallelism` (min 2): connection turns block on
     /// socket I/O, so running more workers than cores keeps the CPU busy.
     pub workers: usize,
-    /// Parked connections idle longer than this are closed (`None`: kept
-    /// forever). Enforced by the reactor on a coarse timer (a quarter of
-    /// the limit), not per-connection polling.
-    pub idle_timeout: Option<Duration>,
     /// Bind to this exact address instead of an OS-assigned loopback port.
     /// [`crate::cluster::ReplicaSet`] uses it to restart a recovered
     /// replica on the address clients already know.
@@ -178,7 +173,6 @@ impl Default for HttpServerConfig {
             .unwrap_or(1);
         HttpServerConfig {
             workers: (2 * cores).max(2),
-            idle_timeout: None,
             bind: None,
             faults: None,
             max_connections: 65_536,
@@ -187,7 +181,7 @@ impl Default for HttpServerConfig {
 }
 
 /// Decrements the server's open-connection count when the connection
-/// drops (however it drops: served close, reaped idle, shutdown).
+/// drops (however it drops: served close, peer close, shutdown).
 struct ConnCount {
     open: Arc<AtomicUsize>,
     total_after_increment: usize,
@@ -316,7 +310,7 @@ impl Endpoint {
             libc::listen(listener.as_raw_fd(), ACCEPT_BACKLOG);
         }
         let max_connections = config.max_connections.max(1);
-        let reactor = Arc::new(Reactor::new(listener, config.idle_timeout)?);
+        let reactor = Arc::new(Reactor::new(listener)?);
         let shared = Arc::new_cyclic(|me| ServerShared {
             front,
             pool: WorkerPool::new(config.workers, max_connections),
@@ -847,7 +841,7 @@ impl IoFailure {
 ///
 /// The connection is lazy (opened on first use) and persistent. Before
 /// each reuse the client probes the pooled connection with a non-blocking
-/// peek: a connection the server has since closed (restart, idle timeout)
+/// peek: a connection the server has since closed (on a restart, say)
 /// is detected *before* the request is sent and replaced transparently —
 /// safe for every op, because nothing was transmitted yet. A send that
 /// still fails on the pooled connection is repeated once on a fresh one
@@ -920,7 +914,7 @@ impl HttpClient {
     /// One keep-alive round trip, resent at most once.
     ///
     /// A pooled connection is preflighted first: if the server already
-    /// closed it (restart, idle timeout) it is replaced before anything is
+    /// closed it (on a restart, say) it is replaced before anything is
     /// sent — a transparent reconnect that is safe for *all* ops. A send
     /// that then fails on the pooled connection is repeated once on a fresh
     /// one when `resend` allows it for the failure; a send that failed on a
@@ -1481,23 +1475,31 @@ mod tests {
     }
 
     #[test]
-    fn client_transparently_reconnects_after_server_idle_timeout() {
-        // The server reaps connections idle > 40 ms; the client's pooled
-        // connection goes stale, and the next call — *including* a
-        // one-time issue, which is never resent — must succeed via the
-        // preflight reconnect instead of surfacing a transport error.
-        let server = serve(HttpServerConfig {
-            idle_timeout: Some(Duration::from_millis(40)),
-            ..HttpServerConfig::default()
-        });
-        let client = HttpClient::connect(server.addr());
+    fn client_transparently_reconnects_after_a_server_restart() {
+        // Shutting the first server down closes the client's pooled
+        // connection; the next call — a one-time issue, which is never
+        // resent — must reach the restarted server on the same address
+        // via the preflight reconnect instead of surfacing a transport
+        // error.
+        let first = running_server();
+        let addr = first.addr();
+        let client = HttpClient::connect(addr);
         client.ping().unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        first.shutdown();
+        let again = Endpoint::bind_retry(
+            front(),
+            EndpointScope::Public,
+            HttpServerConfig {
+                bind: Some(addr),
+                ..HttpServerConfig::default()
+            },
+        )
+        .unwrap();
         assert!(
             client.issue(&request(2).one_time()).is_ok(),
             "stale pooled connection must be replaced transparently"
         );
-        server.shutdown();
+        again.shutdown();
     }
 
     /// A server whose next answer is cut mid-body after dispatch.

@@ -52,19 +52,19 @@
 //! issue_batch ──▶ one chunk per pool thread (≥ 8 requests each), via
 //!                 scope_map: calling thread + idle workers each mint a
 //!                 chunk and batch-sign it, results in request order
-//! rules ────────▶ EpochCell<RuleBook>: issuers pin an immutable Arc
-//!                 snapshot per request (lock-free steady state);
-//!                 set_rules swaps the book atomically
+//! rules ────────▶ Mutex<Arc<RuleBook>>: a request (or a whole batch)
+//!                 clones the Arc under the lock and checks outside it;
+//!                 set_rules swaps in a whole new book
 //! ```
 //!
 //! - **Connections** cost `O(workers)` threads, not `O(connections)`: a
 //!   worker serves a connection only while it is talking, then parks it
 //!   in the reactor's epoll set, where 50 000+ idle keep-alive
 //!   connections cost zero steady-state CPU — the reactor blocks in
-//!   `epoll_wait` until one becomes readable, closes, or idles out
+//!   `epoll_wait` until one becomes readable or closes
 //!   ([`HttpServerConfig`] is public fields over `Default`: `workers`,
-//!   `idle_timeout`, `bind`, `faults` and `max_connections`, which also
-//!   bounds the pool's queue).
+//!   `bind`, `faults` and `max_connections`, which also bounds the pool's
+//!   queue and so the idle connections kept open).
 //! - **One listener type**: the public listener and every vote endpoint
 //!   bind through [`Endpoint::bind`] with an
 //!   [`EndpointScope`](front::EndpointScope), so they ride the same
@@ -78,10 +78,11 @@
 //!   token alone. Per-item partial failure and request-order results are
 //!   preserved; one-time indexes stay globally unique (the counter
 //!   serializes allocation).
-//! - **Rule reads never lock**: issuance validates against an epoch
-//!   snapshot ([`smacs_primitives::epoch::EpochCell`]), so a `set_rules`
-//!   burst cannot stall the issuance path, and signature work (`recover`,
-//!   `k·G`) always runs outside any lock.
+//! - **Rule reads hold a lock only for an `Arc` clone**: a request, or a
+//!   whole batch, clones the current book's `Arc` under one plain mutex
+//!   and checks against it with no lock held; `set_rules` swaps in a book
+//!   built outside the lock, so neither rule checks nor signature work
+//!   (`recover`, `k·G`) ever runs under it.
 //!
 //! # Failure model (§VII-B availability)
 //!
@@ -92,8 +93,8 @@
 //!
 //! - **What replicates.** A [`cluster::ReplicaSet`] runs N full service
 //!   instances sharing the signing key (tokens from any replica verify
-//!   against the one on-chain `pk_TS`), one rule book (an
-//!   `EpochCell` every replica holds — an owner update through any
+//!   against the one on-chain `pk_TS`), one rule book (a locked
+//!   `Arc<RuleBook>` every replica holds — an owner update through any
 //!   replica binds all of them), and a majority-quorum one-time counter
 //!   ([`replica::CounterCluster`]).
 //!

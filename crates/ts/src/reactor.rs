@@ -19,8 +19,6 @@
 //! - An `eventfd` wakes the loop for shutdown and for items workers hand
 //!   back (hot connections re-entering the queue after their turn quota)
 //!   — no self-connect hack, no polling.
-//! - With an idle timeout, expired parked items are reaped at most once
-//!   per tick (a quarter of the limit), however busy the loop is.
 //!
 //! The reactor is generic over the parked item (anything `AsRawFd`) so
 //! its register/re-arm/close races are unit-testable on bare
@@ -56,11 +54,6 @@ pub(crate) trait ReactorClient<T>: Send + Sync {
     fn on_accept(&self, stream: TcpStream) -> Option<T>;
 }
 
-struct ParkedItem<T> {
-    item: T,
-    since: Instant,
-}
-
 /// The readiness core: epoll fd + wake eventfd + listener + parked table.
 pub(crate) struct Reactor<T> {
     epfd: libc::c_int,
@@ -68,7 +61,7 @@ pub(crate) struct Reactor<T> {
     /// Accepted from only by the reactor thread; closes when the reactor
     /// drops.
     listener: TcpListener,
-    parked: Mutex<HashMap<u64, ParkedItem<T>>>,
+    parked: Mutex<HashMap<u64, T>>,
     /// Items workers hand back for immediate re-dispatch (quota-exhausted
     /// hot connections, or parked ones whose buffer still holds bytes).
     handback: Mutex<Vec<T>>,
@@ -76,7 +69,6 @@ pub(crate) struct Reactor<T> {
     /// Set by `close_all`: late `park` calls fail instead of leaking
     /// items into a table nobody will ever poll again.
     closed: AtomicBool,
-    idle_timeout: Option<Duration>,
 }
 
 fn cvt(ret: libc::c_int) -> io::Result<libc::c_int> {
@@ -104,7 +96,7 @@ fn timeout_ms(deadline: Option<Instant>) -> libc::c_int {
 impl<T: AsRawFd + Send> Reactor<T> {
     /// Build a reactor owning `listener` (switched to non-blocking and
     /// registered one-shot) plus a fresh epoll instance and wake eventfd.
-    pub(crate) fn new(listener: TcpListener, idle_timeout: Option<Duration>) -> io::Result<Self> {
+    pub(crate) fn new(listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let epfd = cvt(unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) })?;
         let wake_fd = match cvt(unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) })
@@ -123,7 +115,6 @@ impl<T: AsRawFd + Send> Reactor<T> {
             handback: Mutex::new(Vec::new()),
             next_token: AtomicU64::new(2),
             closed: AtomicBool::new(false),
-            idle_timeout,
         };
         reactor.ctl(libc::EPOLL_CTL_ADD, wake_fd, libc::EPOLLIN, TOKEN_WAKE)?;
         reactor.arm_listener(libc::EPOLL_CTL_ADD)?;
@@ -158,13 +149,7 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let fd = item.as_raw_fd();
         // Insert before ADD so the event (which can fire on another
         // thread's epoll_wait immediately) always finds its item.
-        self.parked.lock().expect("parked lock").insert(
-            token,
-            ParkedItem {
-                item,
-                since: Instant::now(),
-            },
-        );
+        self.parked.lock().expect("parked lock").insert(token, item);
         let armed = self.ctl(
             libc::EPOLL_CTL_ADD,
             fd,
@@ -203,16 +188,10 @@ impl<T: AsRawFd + Send> Reactor<T> {
         self.handback.lock().expect("handback lock").clear();
     }
 
-    /// The reactor loop. Blocks in `epoll_wait` (indefinitely when
-    /// nothing needs a timer) until shutdown; returns after `close_all`.
+    /// The reactor loop. Blocks in `epoll_wait` (indefinitely unless an
+    /// accept backoff is pending — that's the "idle connections cost zero
+    /// CPU" property) until shutdown; returns after `close_all`.
     pub(crate) fn run<C: ReactorClient<T>>(&self, client: &C) {
-        // Reap expired idlers at a quarter of the limit's granularity;
-        // without a timeout, block indefinitely — that's the "idle
-        // connections cost zero CPU" property.
-        let reap_tick = self
-            .idle_timeout
-            .map(|limit| Duration::from_millis((limit.as_millis() / 4).clamp(1, 500) as u64));
-        let mut last_reap = Instant::now();
         let mut accept_paused_until: Option<Instant> = None;
         let mut events = [libc::epoll_event { events: 0, u64: 0 }; MAX_EVENTS];
         loop {
@@ -220,16 +199,12 @@ impl<T: AsRawFd + Send> Reactor<T> {
                 self.close_all();
                 return;
             }
-            let reap_due = reap_tick
-                .filter(|_| self.parked_len() > 0)
-                .map(|tick| last_reap + tick);
-            let deadline = [reap_due, accept_paused_until].into_iter().flatten().min();
             let n = unsafe {
                 libc::epoll_wait(
                     self.epfd,
                     events.as_mut_ptr(),
                     MAX_EVENTS as libc::c_int,
-                    timeout_ms(deadline),
+                    timeout_ms(accept_paused_until),
                 )
             };
             if client.shutting_down() {
@@ -246,18 +221,18 @@ impl<T: AsRawFd + Send> Reactor<T> {
                     }
                     token => {
                         let taken = self.parked.lock().expect("parked lock").remove(&token);
-                        if let Some(parked) = taken {
+                        if let Some(item) = taken {
                             // Fully deregister (one-shot only disarms) so
                             // a later re-park can ADD the fd again.
                             let _ = unsafe {
                                 libc::epoll_ctl(
                                     self.epfd,
                                     libc::EPOLL_CTL_DEL,
-                                    parked.item.as_raw_fd(),
+                                    item.as_raw_fd(),
                                     std::ptr::null_mut(),
                                 )
                             };
-                            client.on_ready(parked.item);
+                            client.on_ready(item);
                         }
                     }
                 }
@@ -269,10 +244,6 @@ impl<T: AsRawFd + Send> Reactor<T> {
             if accept_paused_until.is_some_and(|until| Instant::now() >= until) {
                 accept_paused_until = None;
                 let _ = self.arm_listener(libc::EPOLL_CTL_MOD);
-            }
-            if reap_tick.is_some_and(|tick| last_reap.elapsed() >= tick) {
-                last_reap = Instant::now();
-                self.reap_idle();
             }
         }
     }
@@ -301,31 +272,6 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let mut buf: u64 = 0;
         // Nonblocking eventfd: one read collects all pending wakes.
         let _ = unsafe { libc::read(self.wake_fd, (&mut buf as *mut u64).cast(), 8) };
-    }
-
-    fn reap_idle(&self) {
-        let Some(limit) = self.idle_timeout else {
-            return;
-        };
-        let mut parked = self.parked.lock().expect("parked lock");
-        let expired: Vec<u64> = parked
-            .iter()
-            .filter(|(_, p)| p.since.elapsed() >= limit)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            if let Some(p) = parked.remove(&token) {
-                let _ = unsafe {
-                    libc::epoll_ctl(
-                        self.epfd,
-                        libc::EPOLL_CTL_DEL,
-                        p.item.as_raw_fd(),
-                        std::ptr::null_mut(),
-                    )
-                };
-                // Dropping the item closes its socket.
-            }
-        }
     }
 }
 
@@ -373,10 +319,10 @@ mod tests {
         thread: Option<std::thread::JoinHandle<()>>,
     }
 
-    fn rig(idle_timeout: Option<Duration>) -> Rig {
+    fn rig() -> Rig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reactor = Arc::new(Reactor::new(listener, idle_timeout).unwrap());
+        let reactor = Arc::new(Reactor::new(listener).unwrap());
         let (tx, rx) = channel();
         let client = Arc::new(EchoClient {
             shutdown: AtomicBool::new(false),
@@ -405,7 +351,7 @@ mod tests {
 
     #[test]
     fn parked_stream_dispatches_once_per_readiness_and_rearms() {
-        let rig = rig(None);
+        let rig = rig();
         let mut peer = TcpStream::connect(rig.addr).unwrap();
         peer.write_all(b"a").unwrap();
         // Accept → park → data already pending → immediate dispatch
@@ -429,7 +375,7 @@ mod tests {
 
     #[test]
     fn peer_close_dispatches_the_parked_stream_for_reaping() {
-        let rig = rig(None);
+        let rig = rig();
         let peer = TcpStream::connect(rig.addr).unwrap();
         // Quietly parked (no data): wait for the accept to land.
         let deadline = Instant::now() + WAIT;
@@ -448,7 +394,7 @@ mod tests {
 
     #[test]
     fn handback_dispatches_without_a_readiness_event() {
-        let rig = rig(None);
+        let rig = rig();
         let _peer = TcpStream::connect(rig.addr).unwrap();
         let deadline = Instant::now() + WAIT;
         while rig.reactor.parked_len() == 0 {
@@ -460,7 +406,7 @@ mod tests {
         let stream = {
             let mut parked = rig.reactor.parked.lock().unwrap();
             let token = *parked.keys().next().unwrap();
-            parked.remove(&token).unwrap().item
+            parked.remove(&token).unwrap()
         };
         rig.reactor.hand_back(stream);
         assert!(rig.rx.recv_timeout(WAIT).is_ok());
@@ -468,31 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn idle_timeout_reaps_parked_streams() {
-        let rig = rig(Some(Duration::from_millis(30)));
-        let peer = TcpStream::connect(rig.addr).unwrap();
-        let deadline = Instant::now() + WAIT;
-        while rig.reactor.parked_len() == 0 {
-            assert!(Instant::now() < deadline, "never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Reaped without ever being dispatched: the peer sees the close.
-        let deadline = Instant::now() + WAIT;
-        while rig.reactor.parked_len() > 0 {
-            assert!(Instant::now() < deadline, "never reaped");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(rig.rx.try_recv().is_err());
-        let mut peer = peer;
-        peer.set_read_timeout(Some(WAIT)).unwrap();
-        let mut byte = [0u8; 1];
-        assert_eq!(peer.read(&mut byte).unwrap_or(0), 0, "expected FIN");
-        rig.stop();
-    }
-
-    #[test]
     fn shutdown_wake_exits_promptly_and_closes_parked_streams() {
-        let rig = rig(None);
+        let rig = rig();
         let peer = TcpStream::connect(rig.addr).unwrap();
         let deadline = Instant::now() + WAIT;
         while rig.reactor.parked_len() == 0 {

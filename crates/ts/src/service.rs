@@ -6,12 +6,13 @@
 //! the rules. Once verified, a token is issued according to the request"
 //! — by signing `type ‖ expire ‖ index ‖ reqPayload` with `sk_TS`.
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use smacs_chain::Chain;
 use smacs_crypto::{Keypair, Signature};
-use smacs_primitives::{Address, EpochCell, WorkerPool, H256};
+use smacs_primitives::{Address, WorkerPool, H256};
 use smacs_token::{signing_digest, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX};
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use crate::replica::CounterCluster;
@@ -70,14 +71,13 @@ impl Default for TokenServiceConfig {
 /// A Token Service instance for one (or more) SMACS-enabled contracts.
 pub struct TokenService {
     sk_ts: Keypair,
-    /// Rules live behind an epoch snapshot: issuance pins an immutable
-    /// `Arc<RuleBook>` per request (lock-free in steady state) and
-    /// `set_rules` swaps the whole book atomically — concurrent issuers
-    /// never contend with each other or with rule reads. Every replica of
-    /// a [`crate::cluster::ReplicaSet`] holds the same cell.
-    rules: Arc<EpochCell<RuleBook>>,
+    /// The current rule book. The lock is held only to clone or swap the
+    /// inner `Arc`: a request (or a whole batch) checks against the book
+    /// it cloned, and `set_rules` swaps in a whole new one. Every replica
+    /// of a [`crate::cluster::ReplicaSet`] holds the same handle.
+    rules: Arc<Mutex<Arc<RuleBook>>>,
     tools: Vec<Arc<dyn ValidationTool>>,
-    testnet: Option<RwLock<Chain>>,
+    testnet: Option<Chain>,
     /// Where one-time indexes come from: a one-node, memory-only cluster
     /// unless [`TokenService::with_replicated_counter`] replaced it.
     counter: CounterCluster,
@@ -93,7 +93,7 @@ impl TokenService {
     pub fn new(sk_ts: Keypair, rules: RuleBook, config: TokenServiceConfig) -> Self {
         TokenService {
             sk_ts,
-            rules: Arc::new(EpochCell::new(rules)),
+            rules: Arc::new(Mutex::new(Arc::new(rules))),
             tools: Vec::new(),
             testnet: None,
             counter: CounterCluster::new(1),
@@ -106,7 +106,7 @@ impl TokenService {
     /// ("TSes … simulate the runtime behavior of the smart contract in an
     /// isolated off-chain environment", §IV-E).
     pub fn with_testnet(mut self, fork: Chain) -> Self {
-        self.testnet = Some(RwLock::new(fork));
+        self.testnet = Some(fork);
         self
     }
 
@@ -123,17 +123,18 @@ impl TokenService {
         self
     }
 
-    /// Check rules against a cell shared with sibling replicas instead of
-    /// a service-private book — what [`crate::cluster::ReplicaSet`] wires
+    /// Check rules against a book shared with sibling replicas instead of
+    /// a service-private one — what [`crate::cluster::ReplicaSet`] wires
     /// so one owner update reaches every replica.
-    pub fn with_shared_rules(mut self, rules: Arc<EpochCell<RuleBook>>) -> Self {
+    pub(crate) fn with_shared_rules(mut self, rules: Arc<Mutex<Arc<RuleBook>>>) -> Self {
         self.rules = rules;
         self
     }
 
     /// Fan batch signing across `pool` instead of the process-shared
-    /// default — benches use this to pin an exact parallelism degree, and
-    /// an embedded HTTP server shares its connection pool this way.
+    /// default — benches and tests use this to pin an exact parallelism
+    /// degree. (An [`crate::http::Endpoint`] serves connections on its own
+    /// pool, never on this one.)
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = pool;
         self
@@ -145,45 +146,54 @@ impl TokenService {
     }
 
     /// Owner-side dynamic rule update ("these rules can be updated
-    /// dynamically by the owner", §III-C). Replaces the whole book with
-    /// one atomic snapshot swap; in-flight requests finish against the
-    /// generation they pinned. With a shared cell, the replacement
-    /// reaches every replica holding it.
+    /// dynamically by the owner", §III-C). Swaps in the whole book at
+    /// once; in-flight requests finish against the book they cloned. With
+    /// a shared handle, the replacement reaches every replica holding it.
     pub fn set_rules(&self, rules: RuleBook) {
-        self.rules.store(rules);
+        let rules = Arc::new(rules);
+        let replaced = mem::replace(&mut *self.rules.lock(), rules);
+        drop(replaced); // after the lock is released
     }
 
-    /// Owner-side targeted rule edit (read-copy-update; concurrent edits
-    /// are serialized, never lost).
+    /// Owner-side targeted rule edit (read-copy-update). The current book
+    /// is cloned and `edit` runs on the copy with the rule lock held, so
+    /// concurrent edits are serialised and none is lost; issuers wait for
+    /// the lock meanwhile, which makes this the one slow rule write.
     pub fn update_rules<F: FnOnce(&mut RuleBook)>(&self, edit: F) {
-        self.rules.update(edit);
+        let replaced = {
+            let mut current = self.rules.lock();
+            let mut next = RuleBook::clone(&current);
+            edit(&mut next);
+            mem::replace(&mut *current, Arc::new(next))
+        };
+        drop(replaced);
+    }
+
+    /// The current book, cloned out of the lock as an `Arc`.
+    fn current_rules(&self) -> Arc<RuleBook> {
+        self.rules.lock().clone()
     }
 
     /// Snapshot of the current rules (owner diagnostics; rules stay
     /// private to the TS — clients never see them).
     pub fn rules_snapshot(&self) -> RuleBook {
-        (*self.rules.load()).clone()
+        RuleBook::clone(&self.current_rules())
     }
 
     /// Handle one token request at TS-local time `now`.
     pub fn issue(&self, req: &TokenRequest, now: u64) -> Result<Token, IssueError> {
-        let minted = self.mint(req, now)?;
+        let minted = self.mint(&self.current_rules(), req, now)?;
         Ok(minted.token(self.sk_ts.sign_digest(&minted.digest)))
     }
 
-    /// Everything `issue` does before the signature.
-    fn mint(&self, req: &TokenRequest, now: u64) -> Result<Minted, IssueError> {
+    /// Everything `issue` does before the signature, judged by `rules`.
+    fn mint(&self, rules: &RuleBook, req: &TokenRequest, now: u64) -> Result<Minted, IssueError> {
         // 1. Well-formedness (Tab. I).
         req.validate()
             .map_err(|e| IssueError::InvalidRequest(e.to_string()))?;
 
-        // 2. ACR compliance, against a pinned immutable snapshot — no lock
-        //    is held while the (potentially large) white/blacklists are
-        //    walked, so concurrent issuers never serialize here.
-        self.rules
-            .load()
-            .check(req)
-            .map_err(IssueError::RuleViolation)?;
+        // 2. ACR compliance, against a book no lock guards.
+        rules.check(req).map_err(IssueError::RuleViolation)?;
 
         // 3. Validation tools on the local testnet.
         for tool in &self.tools {
@@ -196,7 +206,7 @@ impl TokenService {
                     reason: "no testnet attached".into(),
                 });
             };
-            let mut fork = testnet.read().fork();
+            let mut fork = testnet.fork();
             tool.validate(req, &mut fork)
                 .map_err(|reason| IssueError::ToolRejected {
                     tool: tool.name(),
@@ -252,18 +262,23 @@ impl TokenService {
     /// field and one scalar inversion; the tokens are byte-identical to
     /// [`TokenService::issue`]'s.
     ///
-    /// Results keep request order regardless of which worker signed what.
-    /// One-time indexes stay unique (the counter serializes allocation);
-    /// they rise in request order within a chunk, but their order across
-    /// chunks is unspecified.
+    /// One rule book, cloned once, judges the whole batch. Results keep
+    /// request order regardless of which worker signed what. One-time
+    /// indexes stay unique (the counter serializes allocation); they rise
+    /// in request order within a chunk, but their order across chunks is
+    /// unspecified.
     pub fn issue_batch(
         &self,
         requests: &[TokenRequest],
         now: u64,
     ) -> Vec<Result<Token, IssueError>> {
+        let rules = self.current_rules();
         self.pool
             .map_chunks(requests, Self::PARALLEL_BATCH_MIN, |chunk| {
-                let minted: Vec<_> = chunk.iter().map(|req| self.mint(req, now)).collect();
+                let minted: Vec<_> = chunk
+                    .iter()
+                    .map(|req| self.mint(&rules, req, now))
+                    .collect();
                 let digests: Vec<H256> = minted.iter().flatten().map(|m| m.digest).collect();
                 let mut signatures = self.sk_ts.sign_digests(&digests).into_iter();
                 minted
@@ -563,6 +578,71 @@ mod tests {
             .map(|r| r.as_ref().unwrap().index)
             .collect();
         assert_eq!(indexes, vec![0, 1, 2, 3]);
+    }
+
+    /// Read-copy-update edits racing each other and an issuer: none is
+    /// lost.
+    #[test]
+    fn concurrent_rule_edits_are_never_lost() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let ts = service();
+        ts.update_rules(|book| {
+            book.rules_mut(TokenType::Super).sender = Some(ListPolicy::deny_all());
+        });
+        let whitelisted = |k: u64| Address::from_low_u64(1 + k).to_hex();
+        let editing = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let issuer = scope.spawn(|| {
+                let req = TokenRequest::super_token(contract(), Address::from_low_u64(1));
+                let mut attempts = 0;
+                while editing.load(Ordering::SeqCst) {
+                    let _ = ts.issue(&req, 0);
+                    attempts += 1;
+                }
+                attempts
+            });
+            let editors: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let ts = &ts;
+                    scope.spawn(move || {
+                        for k in t * 250..(t + 1) * 250 {
+                            ts.update_rules(|book| {
+                                if let Some(policy) = &mut book.rules_mut(TokenType::Super).sender {
+                                    policy.insert(whitelisted(k));
+                                }
+                            });
+                        }
+                    })
+                })
+                .collect();
+            for editor in editors {
+                editor.join().unwrap();
+            }
+            editing.store(false, Ordering::SeqCst);
+            assert!(issuer.join().unwrap() > 0);
+        });
+        let book = ts.rules_snapshot();
+        let policy = book.types[&TokenType::Super].sender.as_ref().unwrap();
+        assert_eq!(policy.len(), 1_000);
+        assert!((0..1_000).all(|k| policy.permits(&whitelisted(k))));
+    }
+
+    #[test]
+    fn services_that_do_not_share_rules_never_see_each_others_updates() {
+        let (a, b) = (service(), service());
+        let req = TokenRequest::super_token(contract(), sender());
+        for _ in 0..2 {
+            a.set_rules(RuleBook::deny_all());
+            b.set_rules(RuleBook::permissive());
+            assert!(a.issue(&req, 0).is_err());
+            assert!(b.issue(&req, 0).is_ok());
+            b.set_rules(RuleBook::deny_all());
+            a.set_rules(RuleBook::permissive());
+            assert!(a.issue(&req, 0).is_ok());
+            assert!(b.issue(&req, 0).is_err());
+        }
+        assert_eq!(a.rules_snapshot(), RuleBook::permissive());
+        assert_eq!(b.rules_snapshot(), RuleBook::deny_all());
     }
 
     #[test]

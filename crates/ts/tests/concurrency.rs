@@ -105,9 +105,10 @@ fn hammering_clients_get_unique_indexes_and_clean_shutdown() {
 }
 
 #[test]
-fn one_pool_can_serve_connections_and_fan_out_signing() {
+fn http_batch_fans_signing_out_on_the_service_pool() {
     // A 64-batch arriving over HTTP is signed via scope_map on the
-    // service's own pool from inside an endpoint worker.
+    // service's own pool (not the endpoint's) from inside an endpoint
+    // worker.
     let service = TokenService::new(
         Keypair::from_seed(78),
         RuleBook::permissive(),
@@ -135,9 +136,10 @@ fn one_pool_can_serve_connections_and_fan_out_signing() {
 
 #[test]
 fn rule_swaps_during_concurrent_issuance_are_atomic() {
-    // Lock-free snapshots: issuers racing a set_rules flip must each see
-    // either the old book or the new one — never a torn mix, never a
-    // deadlock. The old book permits supers, the new one denies all.
+    // Each request clones the current book's Arc and checks against it,
+    // so issuers racing a set_rules flip must each see either the old
+    // book or the new one — never a torn mix, never a deadlock. The old
+    // book permits supers, the new one denies all.
     let front = front(79);
     let server = serve(front.clone(), HttpServerConfig::default());
     let addr = server.addr();

@@ -16,6 +16,8 @@
 //!   testnet … and therefore it is possible to implement more heads …
 //!   without introducing additional on-chain cost."
 
+#![forbid(unsafe_code)]
+
 pub mod ecf;
 pub mod hydra;
 
