@@ -4,8 +4,7 @@
 use smacs_crypto::{keccak256, recover_batch, Keypair};
 use smacs_primitives::pool::WorkerPool;
 use smacs_primitives::rlp::{self, Item, ToRlp};
-use smacs_primitives::{Address, Bytes, H256};
-use std::collections::HashMap;
+use smacs_primitives::{Address, Bytes};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,7 +89,9 @@ pub enum BlockMode<'p> {
     Parallel(&'p WorkerPool),
 }
 
-/// The simulated chain: state, contracts, blocks, receipts.
+/// The simulated chain: state, contracts, blocks, and the pending block.
+/// Receipts go to the caller of [`Chain::submit`], [`Chain::deploy`] and
+/// [`Chain::execute_block_with`]; the chain keeps none.
 ///
 /// Transactions submitted with [`Chain::submit`] execute immediately into
 /// the pending block; [`Chain::seal_block`] closes it and advances the
@@ -105,7 +106,6 @@ pub struct Chain {
     blocks: Vec<Block>,
     pending: Vec<SignedTransaction>,
     pending_timestamp: u64,
-    receipts: HashMap<H256, Receipt>,
     genesis_accounts: Vec<(Address, u128)>,
 }
 
@@ -118,7 +118,6 @@ impl Chain {
             blocks: vec![Block::genesis(GENESIS_TIMESTAMP)],
             pending: Vec::new(),
             pending_timestamp: GENESIS_TIMESTAMP + BLOCK_TIME,
-            receipts: HashMap::new(),
             genesis_accounts: Vec::new(),
         }
     }
@@ -149,11 +148,6 @@ impl Chain {
             number: self.height() + 1,
             timestamp: self.pending_timestamp,
         }
-    }
-
-    /// Receipt for a transaction hash, if it has been executed.
-    pub fn receipt(&self, tx_hash: H256) -> Option<&Receipt> {
-        self.receipts.get(&tx_hash)
     }
 
     /// Create a funded externally owned account.
@@ -254,7 +248,7 @@ impl Chain {
 
     /// Execute one transaction into the pending block: validate, buy gas,
     /// run the call or creation, refund, commit the state's journal, and
-    /// record the receipt. `recovered` is the block prepass's memo for this
+    /// return the receipt. `recovered` is the block prepass's memo for this
     /// transaction (empty outside [`BlockMode::Parallel`]).
     fn execute_transaction(
         &mut self,
@@ -352,7 +346,6 @@ impl Chain {
             trace,
         };
         self.pending.push(signed.clone());
-        self.receipts.insert(receipt.tx_hash, receipt.clone());
         Ok(receipt)
     }
 
@@ -472,7 +465,8 @@ impl Chain {
 
     /// Deep-copy the chain — the "local testnet" a Token Service runs its
     /// runtime-verification tools on (§V). Contract logic is shared
-    /// (immutable); state and history are copied.
+    /// (immutable); the state, the blocks, the pending transactions and the
+    /// genesis alloc are copied, so a fork costs O(history).
     pub fn fork(&self) -> Chain {
         Chain {
             state: self.state.fork(),
@@ -480,15 +474,16 @@ impl Chain {
             blocks: self.blocks.clone(),
             pending: self.pending.clone(),
             pending_timestamp: self.pending_timestamp,
-            receipts: self.receipts.clone(),
             genesis_accounts: self.genesis_accounts.clone(),
         }
     }
 
     /// Rewrite history from `keep_height` (exclusive): drop every later
-    /// block, reset state to genesis, and replay the kept prefix. Returns
-    /// the dropped transactions so a caller can model an adversary
-    /// selectively re-including them (§VII-A's 51% discussion).
+    /// block, reset state to genesis, and replay the kept prefix, each block
+    /// at its recorded timestamp, so it keeps its hash and Alg. 1 sees the
+    /// same `now()`. Returns the dropped transactions so a caller can model
+    /// an adversary selectively re-including them (§VII-A's 51%
+    /// discussion).
     ///
     /// Replay re-executes deployments because contract logic stays in the
     /// registry keyed by address.
@@ -521,9 +516,9 @@ impl Chain {
         self.state.commit();
         self.blocks.truncate(1);
         self.pending_timestamp = GENESIS_TIMESTAMP + BLOCK_TIME;
-        self.receipts.clear();
 
         for block in replay {
+            self.pending_timestamp = block.timestamp;
             // Failed replays are possible if the adversary reordered
             // dependencies; the block pipeline returns per-tx results and
             // never aborts, so dropping them ignores errors like miners do.
@@ -546,6 +541,7 @@ mod tests {
     use super::*;
     use crate::exec::CallContext;
     use smacs_crypto::Signature;
+    use smacs_primitives::H256;
 
     /// One `digest (32) ‖ r (32) ‖ s (32) ‖ v (1)` record.
     const RECORD: usize = 97;

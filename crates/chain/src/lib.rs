@@ -21,13 +21,14 @@
 //! - the `ecrecover` **precompile** ([`exec::CallContext::ecrecover`]);
 //! - **execution traces** with per-frame storage read/write sets, the raw
 //!   material for the ECF checker ([`trace`]);
-//! - **state forking** so a Token Service can simulate calls on a local
-//!   testnet copy (§V), and **reorg** support for the §VII-A 51%-attack
-//!   discussion ([`chain`]).
+//! - **forking**, a deep copy of the chain so a Token Service can simulate
+//!   calls on a local testnet (§V), and **reorg** support for the §VII-A
+//!   51%-attack discussion ([`chain`]).
 //!
 //! Contracts are Rust values implementing [`contract::Contract`]; all their
 //! persistent state lives in the world state (as EVM storage does), so
-//! snapshots, reverts, and forks are uniform.
+//! snapshots, reverts, and forks are uniform: a journal over one flat
+//! state, and a fork copies it.
 
 #![forbid(unsafe_code)]
 

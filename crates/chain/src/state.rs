@@ -1,7 +1,7 @@
-//! World state: accounts, balances, nonces, contract storage — journaled,
-//! with O(1) nested snapshots and copy-on-write forking.
+//! World state: accounts, balances, nonces, contract storage — one flat
+//! map of each, with an undo journal for O(1) nested snapshots.
 //!
-//! # Design: append-only journal + frozen-base overlay
+//! # Design: a journal over one flat state
 //!
 //! All persistent contract data lives here (as in the EVM's storage trie),
 //! keyed by `(contract address, 32-byte slot)`. Contracts themselves are
@@ -9,47 +9,34 @@
 //! snapshot/revert, `eth_call`-style dry runs, and TS-side testnet forking
 //! uniform and cheap.
 //!
-//! The state is layered:
-//!
-//! ```text
-//!   reads ──► overlay (mutable HashMaps) ──miss──► base (frozen Arc<StateData>)
-//!   writes ─► overlay only, with the previous *overlay* entry journaled
-//! ```
-//!
-//! - **Snapshots** are journal lengths ([`Snapshot`]); [`WorldState::revert_to`]
-//!   pops journal entries and restores the recorded overlay entries, so the
-//!   cost of a checkpoint is O(1) and the cost of a revert is O(entries
-//!   written since) — never O(world size). This is the standard design of
-//!   production EVM implementations (geth's journal, revm).
-//! - **Forks** ([`WorldState::fork`]) share the frozen base by bumping its
-//!   `Arc` refcount and copy only the overlay, so forking a freshly
-//!   committed state is O(1) regardless of how many accounts/slots exist —
-//!   the Token Service's "local testnet" (§V of the paper) no longer
-//!   duplicates the whole chain per simulation.
-//! - **Commits** ([`WorldState::commit`]) clear the journal and, when no
-//!   fork is sharing the base, flatten the overlay into it in place
-//!   (O(entries in the overlay)). While forks hold the base alive the
-//!   overlay simply keeps accumulating; correctness is unaffected.
-//!
-//! Storage semantics: a zero value in the *overlay* acts as a tombstone
-//! masking a non-zero base entry; the flattened base never stores zero
-//! slots, preserving the EVM rule that never-written and cleared slots read
-//! as zero.
+//! - **Reads** are one map lookup. The storage map holds only non-zero
+//!   slots, so never-written and cleared slots both read as zero (the EVM
+//!   rule), and a zero write removes the slot.
+//! - **Writes** journal the entry they replace. **Snapshots** are journal
+//!   lengths ([`Snapshot`]); [`WorldState::revert_to`] pops the journal and
+//!   puts the recorded entries back, so a checkpoint is O(1) and a revert
+//!   O(entries written since), never O(world size). This is the standard
+//!   design of production EVM implementations (geth's journal, revm).
+//! - **Commits** ([`WorldState::commit`]) clear the journal.
+//! - **Forks** ([`WorldState::fork`]) deep-copy both maps: O(world size).
+//!   That is enough because the one caller, `Chain::fork` (the Token
+//!   Service's "local testnet", §V of the paper), copies the chain's block
+//!   history anyway, and a state never holds more than that history (and
+//!   the genesis alloc) wrote.
 //!
 //! ## Deviations from the paper
 //!
 //! The paper runs on geth and inherits its state handling; this simulator
 //! reproduces the observable semantics (revert-on-failure, fork isolation)
-//! with the journal/overlay representation above. Unlike geth there is no
-//! trie or state root — the simulator never needs Merkle proofs — and
-//! `create_account`/`set_contract` (genesis/deployment helpers) are fully
-//! journaled here, which is slightly *stronger* than the seed's behaviour
-//! (their effects used to survive reverts).
+//! with the journal above. Unlike geth there is no trie or state root — the
+//! simulator never needs Merkle proofs — and `create_account`/`set_contract`
+//! (genesis/deployment helpers) are fully journaled here, which is slightly
+//! *stronger* than the seed's behaviour (their effects used to survive
+//! reverts).
 
 use smacs_crypto::keccak256;
 use smacs_primitives::{Address, H256, U256};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Per-account data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -67,21 +54,9 @@ pub struct AccountInfo {
     pub is_contract: bool,
 }
 
-/// The frozen layer shared between a state and its forks. Never mutated
-/// while shared ([`WorldState::commit`] flattens into it only when the
-/// `Arc` is uniquely owned).
-#[derive(Clone, Debug, Default)]
-struct StateData {
-    accounts: HashMap<Address, AccountInfo>,
-    /// Non-zero slots only.
-    storage: HashMap<(Address, H256), H256>,
-}
-
-/// One undo record. Entries operate purely at the overlay level: `prev` is
-/// the previous *overlay* entry (`None` = the key was read through to the
-/// base), so reverting restores the exact overlay shape — and therefore the
-/// exact merged view — without consulting the base.
-#[derive(Clone, Debug)]
+/// One undo record: the entry a write replaced (`None` = the key was
+/// absent).
+#[derive(Debug)]
 enum JournalEntry {
     AccountChanged {
         addr: Address,
@@ -95,12 +70,11 @@ enum JournalEntry {
 }
 
 /// The replicated world state of the simulated chain.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct WorldState {
-    base: Arc<StateData>,
-    overlay_accounts: HashMap<Address, AccountInfo>,
-    /// May contain zero values: tombstones masking non-zero base entries.
-    overlay_storage: HashMap<(Address, H256), H256>,
+    accounts: HashMap<Address, AccountInfo>,
+    /// Non-zero slots only.
+    storage: HashMap<(Address, H256), H256>,
     journal: Vec<JournalEntry>,
 }
 
@@ -116,9 +90,7 @@ impl WorldState {
 
     /// Account info, if the account exists.
     pub fn account(&self, addr: Address) -> Option<&AccountInfo> {
-        self.overlay_accounts
-            .get(&addr)
-            .or_else(|| self.base.accounts.get(&addr))
+        self.accounts.get(&addr)
     }
 
     /// True iff the account exists (has been touched with funds, a nonce,
@@ -142,17 +114,13 @@ impl WorldState {
         self.account(addr).map(|a| a.is_contract).unwrap_or(false)
     }
 
-    /// Journal the current overlay entry for `addr` and return a mutable
-    /// overlay slot holding the account's current value (copied up from the
-    /// base, or fresh for new accounts).
+    /// Journal the current entry for `addr` and return it mutably (fresh
+    /// for new accounts).
     fn account_mut(&mut self, addr: Address) -> &mut AccountInfo {
-        let prev = self.overlay_accounts.get(&addr).cloned();
+        let prev = self.accounts.get(&addr).cloned();
         self.journal
             .push(JournalEntry::AccountChanged { addr, prev });
-        let base = &self.base;
-        self.overlay_accounts
-            .entry(addr)
-            .or_insert_with(|| base.accounts.get(&addr).cloned().unwrap_or_default())
+        self.accounts.entry(addr).or_default()
     }
 
     /// Create (or overwrite the balance of) an account — used for genesis
@@ -197,26 +165,21 @@ impl WorldState {
 
     /// Read a storage slot (zero for never-written slots, like the EVM).
     pub fn storage_get(&self, addr: Address, key: H256) -> H256 {
-        self.overlay_storage
+        self.storage
             .get(&(addr, key))
-            .or_else(|| self.base.storage.get(&(addr, key)))
             .copied()
             .unwrap_or(H256::ZERO)
     }
 
     /// Write a storage slot (journaled). Writing zero clears the slot.
     pub fn storage_set(&mut self, addr: Address, key: H256, value: H256) {
-        let slot = (addr, key);
-        let prev = self.overlay_storage.get(&slot).copied();
+        let prev = if value.is_zero() {
+            self.storage.remove(&(addr, key))
+        } else {
+            self.storage.insert((addr, key), value)
+        };
         self.journal
             .push(JournalEntry::StorageChanged { addr, key, prev });
-        if value.is_zero() && !self.base.storage.contains_key(&slot) {
-            // Nothing to mask in the base: clearing really removes.
-            self.overlay_storage.remove(&slot);
-        } else {
-            // Non-zero write, or a zero tombstone masking a base entry.
-            self.overlay_storage.insert(slot, value);
-        }
     }
 
     /// Convenience: read a slot as a [`U256`].
@@ -232,18 +195,7 @@ impl WorldState {
     /// Number of live (non-zero) storage slots for `addr`. O(state size) —
     /// a diagnostics/test helper, never on the execution path.
     pub fn storage_slot_count(&self, addr: Address) -> usize {
-        let in_overlay = self
-            .overlay_storage
-            .iter()
-            .filter(|((a, _), v)| *a == addr && !v.is_zero())
-            .count();
-        let in_base = self
-            .base
-            .storage
-            .keys()
-            .filter(|(a, k)| *a == addr && !self.overlay_storage.contains_key(&(*a, *k)))
-            .count();
-        in_overlay + in_base
+        self.storage.keys().filter(|(a, _)| *a == addr).count()
     }
 
     /// Take a snapshot; a later [`WorldState::revert_to`] undoes every write
@@ -259,111 +211,48 @@ impl WorldState {
             match self.journal.pop().expect("len checked") {
                 JournalEntry::AccountChanged { addr, prev } => match prev {
                     Some(info) => {
-                        self.overlay_accounts.insert(addr, info);
+                        self.accounts.insert(addr, info);
                     }
                     None => {
-                        self.overlay_accounts.remove(&addr);
+                        self.accounts.remove(&addr);
                     }
                 },
                 JournalEntry::StorageChanged { addr, key, prev } => match prev {
                     Some(value) => {
-                        self.overlay_storage.insert((addr, key), value);
+                        self.storage.insert((addr, key), value);
                     }
                     None => {
-                        self.overlay_storage.remove(&(addr, key));
+                        self.storage.remove(&(addr, key));
                     }
                 },
             }
         }
     }
 
-    /// Overlay size at which a shared base is rebuilt rather than letting
-    /// the overlay keep growing (see [`WorldState::commit`]).
-    ///
-    /// Measured over thresholds 1024–65536 (256 blocks × 64 fresh writes
-    /// committed while a live fork pins a 100k-slot base, release build,
-    /// reference container): small thresholds pay the O(world) rebuild
-    /// repeatedly (up to ~4× per-block commit cost at 1024 in quiet runs;
-    /// noisier under load), while at 65536 the overlay never flattens, so
-    /// every later `fork()` — the Token Service's per-request validation
-    /// path — re-clones ~16k accumulated entries (~200–400 µs vs ~30 ns;
-    /// the robust signal in every run). 4096–16384 sit on the flat floor
-    /// of both axes, so 8192 stands as a measured value; re-measure if
-    /// commit/fork internals change.
-    pub const SHARED_BASE_REBUILD_THRESHOLD: usize = 8_192;
-
-    /// Discard journal history (e.g. after a block commits) and flatten the
-    /// overlay into the frozen base. Snapshots taken before this call must
-    /// not be used afterwards.
-    ///
-    /// When no fork shares the base the flatten is in place —
-    /// O(overlay entries). While forks hold the base alive the overlay
-    /// accumulates instead; once it crosses
-    /// [`Self::SHARED_BASE_REBUILD_THRESHOLD`] the base is rebuilt by a
-    /// one-time O(world) copy so a long-lived fork (the Token Service's
-    /// standing testnet) cannot degrade later `fork()` calls back to
-    /// O(all writes since).
+    /// Discard journal history (e.g. after a transaction commits).
+    /// Snapshots taken before this call must not be used afterwards.
     pub fn commit(&mut self) {
         self.journal.clear();
-        if self.overlay_accounts.is_empty() && self.overlay_storage.is_empty() {
-            return;
-        }
-        if Arc::get_mut(&mut self.base).is_none() {
-            // Base shared by live forks. Small overlays just keep
-            // accumulating; past the threshold, pay one O(world) copy for a
-            // private base (forks keep the old Arc untouched).
-            if self.overlay_len() < Self::SHARED_BASE_REBUILD_THRESHOLD {
-                return;
-            }
-            self.base = Arc::new((*self.base).clone());
-        }
-        let base = Arc::get_mut(&mut self.base).expect("unique by construction above");
-        // `mem::take` (not `drain`) so the overlay maps drop their bucket
-        // arrays: a retained 100k-bucket capacity would make every later
-        // clone/iteration of the "empty" overlay O(capacity) — exactly the
-        // hidden O(world) cost this design removes.
-        for (addr, info) in std::mem::take(&mut self.overlay_accounts) {
-            base.accounts.insert(addr, info);
-        }
-        for (slot, value) in std::mem::take(&mut self.overlay_storage) {
-            if value.is_zero() {
-                base.storage.remove(&slot);
-            } else {
-                base.storage.insert(slot, value);
-            }
-        }
     }
 
-    /// Fork the state for off-chain simulation (§V): the frozen base is
-    /// shared (an `Arc` refcount bump) and only the overlay is copied, so
-    /// forking a freshly committed state is O(1) in the world size. Writes
+    /// Fork the state for off-chain simulation (§V): a deep copy of the
+    /// accounts and storage, O(world size), with an empty journal. Writes
     /// on either side are invisible to the other.
     pub fn fork(&self) -> WorldState {
         WorldState {
-            base: Arc::clone(&self.base),
-            overlay_accounts: self.overlay_accounts.clone(),
-            overlay_storage: self.overlay_storage.clone(),
+            accounts: self.accounts.clone(),
+            storage: self.storage.clone(),
             journal: Vec::new(),
         }
     }
 
-    /// A deterministic digest of the complete merged state (accounts +
-    /// non-zero storage, sorted) — the simulator's stand-in for a state
-    /// root. O(world size): a test/diagnostic helper, never on the
-    /// execution path.
+    /// A deterministic digest of the complete state (accounts + non-zero
+    /// storage, sorted) — the simulator's stand-in for a state root.
+    /// O(world size): a test/diagnostic helper, never on the execution
+    /// path.
     pub fn state_digest(&self) -> H256 {
-        let mut accounts: BTreeMap<Address, &AccountInfo> = BTreeMap::new();
-        for (addr, info) in self.base.accounts.iter().chain(&self.overlay_accounts) {
-            accounts.insert(*addr, info); // overlay chained last: it wins
-        }
-        let mut storage: BTreeMap<(Address, H256), H256> = BTreeMap::new();
-        for (&slot, &value) in self.base.storage.iter().chain(&self.overlay_storage) {
-            if value.is_zero() {
-                storage.remove(&slot); // overlay tombstone masks the base
-            } else {
-                storage.insert(slot, value);
-            }
-        }
+        let accounts: BTreeMap<&Address, &AccountInfo> = self.accounts.iter().collect();
+        let storage: BTreeMap<&(Address, H256), &H256> = self.storage.iter().collect();
         let mut buf = Vec::with_capacity(accounts.len() * 41 + storage.len() * 84);
         for (addr, info) in accounts {
             buf.extend_from_slice(addr.as_bytes());
@@ -378,11 +267,6 @@ impl WorldState {
             buf.extend_from_slice(value.as_bytes());
         }
         keccak256(&buf)
-    }
-
-    /// Number of uncommitted-or-unflattened overlay entries (diagnostics).
-    pub fn overlay_len(&self) -> usize {
-        self.overlay_accounts.len() + self.overlay_storage.len()
     }
 }
 
@@ -474,95 +358,28 @@ mod tests {
     }
 
     #[test]
-    fn fork_of_committed_state_shares_base_and_copies_nothing() {
-        let mut state = WorldState::new();
-        for i in 0..100 {
-            state.storage_set_u256(addr(7), key(i), U256::from_u64(i + 1));
-        }
-        state.commit(); // flattens: overlay becomes empty
-        assert_eq!(state.overlay_len(), 0);
-
-        let fork = state.fork();
-        assert_eq!(fork.overlay_len(), 0);
-        assert_eq!(fork.storage_get_u256(addr(7), key(42)), U256::from_u64(43));
-
-        // Writes on the original while the fork is alive stay in the
-        // overlay (base is shared), and the fork never sees them.
-        state.storage_set_u256(addr(7), key(42), U256::from_u64(999));
-        state.commit();
-        assert!(state.overlay_len() > 0, "base is shared; no flatten");
-        assert_eq!(fork.storage_get_u256(addr(7), key(42)), U256::from_u64(43));
-        assert_eq!(
-            state.storage_get_u256(addr(7), key(42)),
-            U256::from_u64(999)
-        );
-
-        // Once the fork drops, the next commit flattens again.
-        drop(fork);
-        state.commit();
-        assert_eq!(state.overlay_len(), 0);
-        assert_eq!(
-            state.storage_get_u256(addr(7), key(42)),
-            U256::from_u64(999)
-        );
-    }
-
-    #[test]
-    fn shared_base_rebuilds_once_overlay_crosses_threshold() {
+    fn zero_write_to_committed_slot_clears_it_and_reverts() {
         let mut state = WorldState::new();
         state.storage_set_u256(addr(1), key(0), U256::from_u64(5));
+        state.storage_set_u256(addr(1), key(1), U256::from_u64(6));
         state.commit();
-        let fork = state.fork(); // base now shared, blocking in-place flatten
-
-        // Push the overlay past the rebuild threshold.
-        let writes = WorldState::SHARED_BASE_REBUILD_THRESHOLD as u64 + 10;
-        for i in 0..writes {
-            state.storage_set_u256(addr(2), key(i), U256::from_u64(i + 1));
-        }
-        state.commit();
-        // The base was rebuilt: overlay flattened despite the live fork.
-        assert_eq!(state.overlay_len(), 0);
-        assert_eq!(state.storage_get_u256(addr(2), key(7)), U256::from_u64(8));
-        // The fork still reads the old base, untouched.
-        assert_eq!(fork.storage_get_u256(addr(1), key(0)), U256::from_u64(5));
-        assert_eq!(fork.storage_get_u256(addr(2), key(7)), U256::ZERO);
-    }
-
-    #[test]
-    fn zero_write_masks_base_entry() {
-        let mut state = WorldState::new();
-        state.storage_set_u256(addr(1), key(0), U256::from_u64(5));
-        state.commit(); // 5 now lives in the base
+        assert_eq!(state.storage_slot_count(addr(1)), 2);
         let snap = state.snapshot();
         state.storage_set_u256(addr(1), key(0), U256::ZERO);
         assert_eq!(state.storage_get_u256(addr(1), key(0)), U256::ZERO);
-        assert_eq!(state.storage_slot_count(addr(1)), 0);
+        assert_eq!(state.storage_slot_count(addr(1)), 1);
         state.revert_to(snap);
         assert_eq!(state.storage_get_u256(addr(1), key(0)), U256::from_u64(5));
+        assert_eq!(state.storage_slot_count(addr(1)), 2);
     }
 
     #[test]
-    fn revert_over_base_resident_account_restores_read_through() {
-        let mut state = WorldState::new();
-        state.credit(addr(1), 100);
-        state.commit(); // account now lives in the base
-        let snap = state.snapshot();
-        state.debit(addr(1), 40);
-        state.bump_nonce(addr(1));
-        state.revert_to(snap);
-        assert_eq!(state.balance(addr(1)), 100);
-        assert_eq!(state.nonce(addr(1)), 0);
-        // The copy-up was rolled back entirely: reads go to the base again.
-        assert_eq!(state.overlay_len(), 0);
-    }
-
-    #[test]
-    fn state_digest_tracks_merged_view() {
+    fn state_digest_depends_only_on_contents() {
         let mut a = WorldState::new();
         a.credit(addr(1), 5);
         a.storage_set_u256(addr(2), key(0), U256::from_u64(3));
         a.commit();
-        // Same logical state reached by a different path (overlay vs base).
+        // Same contents reached by a different path, uncommitted.
         let mut b = WorldState::new();
         b.storage_set_u256(addr(2), key(0), U256::from_u64(3));
         b.credit(addr(1), 2);

@@ -12,7 +12,8 @@ use smacs_primitives::{Address, Bytes, H256, U256};
 use std::sync::Arc;
 
 /// A counter contract: `increment()` bumps slot 0; `get()` returns it;
-/// `ping(address)` calls `increment()` on another counter.
+/// `ping(address)` calls `increment()` on another counter; `stamp()` stores
+/// `now()` in slot 1.
 struct Counter;
 
 impl Contract for Counter {
@@ -31,6 +32,10 @@ impl Contract for Counter {
             Ok(Bytes::new())
         } else if sel == abi::selector("get()") {
             Ok(Bytes::from(ctx.sload_u256(H256::ZERO)?.to_be_bytes()))
+        } else if sel == abi::selector("stamp()") {
+            let now = U256::from_u64(ctx.now());
+            ctx.sstore_u256(H256::from_u256(U256::ONE), now)?;
+            Ok(Bytes::new())
         } else if sel == abi::selector("ping(address)") {
             let args = ctx.decode_args(&[AbiType::Address])?;
             let target = args[0].as_address().unwrap();
@@ -310,34 +315,43 @@ fn reorg_replays_kept_prefix_and_drops_suffix() {
     let (counter, _) = chain.deploy(&owner, Arc::new(Counter)).unwrap();
     chain.seal_block(); // block 1: deploy
 
-    chain
-        .call_contract(
-            &owner,
-            counter.address,
-            0,
-            abi::encode_call("increment()", &[]),
-        )
-        .unwrap();
-    chain.seal_block(); // block 2: first increment
+    let call = |chain: &mut Chain, method: &str| {
+        let data = abi::encode_call(method, &[]);
+        let receipt = chain.call_contract(&owner, counter.address, 0, data);
+        assert!(receipt.unwrap().status.is_success(), "{method}");
+    };
+    // Block 2 is sealed an hour off the 13 s grid and records its `now()`.
+    chain.advance_time(3_600);
+    call(&mut chain, "increment()");
+    call(&mut chain, "stamp()");
+    chain.seal_block(); // block 2: first increment and the stamp
 
-    chain
-        .call_contract(
-            &owner,
-            counter.address,
-            0,
-            abi::encode_call("increment()", &[]),
-        )
-        .unwrap();
+    call(&mut chain, "increment()");
     chain.seal_block(); // block 3: second increment
     assert_eq!(counter_value(&chain, counter.address), U256::from_u64(2));
+    let hashes = |chain: &Chain| -> Vec<H256> { chain.blocks().iter().map(|b| b.hash()).collect() };
+    let original = hashes(&chain);
+    let digest = chain.state().state_digest();
+
+    // Replaying every block rewrites nothing: each block keeps its
+    // timestamp, so its hash, and the contract saw the same `now()`.
+    assert!(chain.reorg(3).unwrap().is_empty());
+    assert_eq!(hashes(&chain), original);
+    assert_eq!(chain.state().state_digest(), digest);
 
     // A 51% adversary rewrites history after block 2.
     let dropped = chain.reorg(2).unwrap();
     assert_eq!(dropped.len(), 1);
     assert_eq!(chain.height(), 2);
-    // The replayed prefix preserved the deploy and the first increment.
+    assert_eq!(hashes(&chain), original[..3]);
+    // The replayed prefix preserved the deploy, the first increment and
+    // block 2's timestamp.
     assert!(chain.state().is_contract(counter.address));
     assert_eq!(counter_value(&chain, counter.address), U256::ONE);
+    let stamp = chain
+        .state()
+        .storage_get_u256(counter.address, H256::from_u256(U256::ONE));
+    assert_eq!(stamp, U256::from_u64(chain.blocks()[2].timestamp));
 
     // Reorg beyond the tip is rejected.
     assert_eq!(chain.reorg(99).unwrap_err(), ChainError::BadReorgHeight);

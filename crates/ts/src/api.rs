@@ -145,15 +145,31 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A structured API failure: a machine-readable code plus a coarse
-/// human-readable message (deliberately detail-free for rule denials,
-/// §VII-A d).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ApiError {
-    /// What category of failure.
-    pub code: ErrorCode,
-    /// Coarse description, suitable for logs and end users.
-    pub message: String,
+impl ToJson for ErrorCode {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl FromJson<'_> for ErrorCode {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        json.as_str()
+            .map(ErrorCode::parse)
+            .ok_or_else(|| JsonError("expected error code".into()))
+    }
+}
+
+json_codec! {
+    /// A structured API failure: a machine-readable code plus a coarse
+    /// human-readable message (deliberately detail-free for rule denials,
+    /// §VII-A d). Also its own wire form.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ApiError {
+        /// What category of failure.
+        pub code: ErrorCode,
+        /// Coarse description, suitable for logs and end users.
+        pub message: String,
+    }
 }
 
 impl ApiError {
@@ -220,18 +236,7 @@ json_codec! {
         /// Success payload (when `ok`).
         pub body: Option<Json<'a>>,
         /// Failure payload (when `!ok`).
-        pub error: Option<WireError>,
-    }
-}
-
-json_codec! {
-    /// The wire form of an [`ApiError`].
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct WireError {
-        /// [`ErrorCode`] wire string.
-        pub code: String,
-        /// Coarse human-readable message.
-        pub message: String,
+        pub error: Option<ApiError>,
     }
 }
 
@@ -284,7 +289,7 @@ json_codec! {
         /// The token (when `ok`).
         pub token_hex: Option<TokenHex>,
         /// The failure (when `!ok`).
-        pub error: Option<WireError>,
+        pub error: Option<ApiError>,
     }
 }
 
@@ -371,21 +376,6 @@ json_codec! {
     }
 }
 
-impl From<&ApiError> for WireError {
-    fn from(e: &ApiError) -> WireError {
-        WireError {
-            code: e.code.as_str().into(),
-            message: e.message.clone(),
-        }
-    }
-}
-
-impl From<WireError> for ApiError {
-    fn from(w: WireError) -> ApiError {
-        ApiError::new(ErrorCode::parse(&w.code), w.message)
-    }
-}
-
 impl BatchItem {
     /// Wire form of one batch outcome.
     pub fn from_result(result: &Result<Token, ApiError>) -> BatchItem {
@@ -398,7 +388,7 @@ impl BatchItem {
             Err(e) => BatchItem {
                 ok: false,
                 token_hex: None,
-                error: Some(WireError::from(e)),
+                error: Some(e.clone()),
             },
         }
     }
@@ -413,7 +403,6 @@ impl BatchItem {
         } else {
             Err(self
                 .error
-                .map(ApiError::from)
                 .unwrap_or_else(|| ApiError::new(ErrorCode::Internal, "failed item without error")))
         }
     }
@@ -452,6 +441,7 @@ mod tests {
     use crate::front::FrontEnd;
     use crate::service::{TokenService, TokenServiceConfig};
     use smacs_crypto::Keypair;
+    use smacs_primitives::json;
     use smacs_token::TokenType;
 
     fn client() -> FrontEnd {
@@ -551,8 +541,13 @@ mod tests {
             ErrorCode::Internal,
         ] {
             assert_eq!(ErrorCode::parse(code.as_str()), code);
+            let error = ApiError::new(code, "m");
+            let text = json::to_string(&error);
+            assert_eq!(json::from_str::<ApiError>(&text).unwrap(), error);
         }
         assert_eq!(ErrorCode::parse("made_up_code"), ErrorCode::Internal);
+        let unknown = json::from_str::<ApiError>(r#"{"code":"made_up_code","message":"m"}"#);
+        assert_eq!(unknown.unwrap(), ApiError::new(ErrorCode::Internal, "m"));
     }
 
     #[test]

@@ -28,8 +28,7 @@ use smacs_token::{Token, TokenRequest};
 use crate::api::{
     ApiError, BatchItem, BatchRequestBody, BatchResponseBody, CounterCommitBody, CounterStateBody,
     CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, PongBody,
-    RequestEnvelope, RulesSetBody, SetRulesBody, TokenHex, TsApi, WireError, MAX_BATCH,
-    PROTOCOL_VERSION,
+    RequestEnvelope, RulesSetBody, SetRulesBody, TokenHex, TsApi, MAX_BATCH, PROTOCOL_VERSION,
 };
 use crate::discovery::{ContractMetadata, ServiceDirectory};
 use crate::replica::{CounterNode, Reply, Vote};
@@ -161,7 +160,7 @@ impl FrontEnd {
     /// dispatches the `counter_*` family.
     pub fn handle_json_scoped(&self, body: &str, scope: EndpointScope) -> String {
         self.dispatch(body, scope)
-            .unwrap_or_else(|e| envelope(None, Some(&WireError::from(&e))))
+            .unwrap_or_else(|e| envelope(None, Some(&e)))
     }
 
     /// Open the envelope, run its op, and write the success envelope.
@@ -301,7 +300,7 @@ fn ok(body: &dyn ToJson) -> Result<String, ApiError> {
 
 /// Write a v2 response envelope: the members of a
 /// [`crate::api::ResponseEnvelope`], with the body encoding itself in place.
-fn envelope(body: Option<&dyn ToJson>, error: Option<&WireError>) -> String {
+fn envelope(body: Option<&dyn ToJson>, error: Option<&ApiError>) -> String {
     let mut out = String::new();
     ObjectWriter::new(&mut out)
         .member("v", &PROTOCOL_VERSION)
@@ -367,7 +366,7 @@ mod tests {
         T::from_json(&response.body.expect("success body")).expect("body shape")
     }
 
-    fn error(response: ResponseEnvelope) -> WireError {
+    fn error(response: ResponseEnvelope) -> ApiError {
         assert!(!response.ok, "{response:?}");
         response.error.expect("error member")
     }
@@ -388,7 +387,7 @@ mod tests {
         front.service().set_rules(RuleBook::deny_all());
         let response = answer(&front, &v2("issue", &request()), EndpointScope::Public);
         let err = error(response);
-        assert_eq!(err.code, "rule_violation");
+        assert_eq!(err.code, ErrorCode::RuleViolation);
         // The denial must not leak list contents.
         assert!(!err.message.contains("0x"), "leaked rule detail: {err:?}");
     }
@@ -416,7 +415,7 @@ mod tests {
     #[test]
     fn malformed_json_is_an_error() {
         let response = answer(&front(), "{not json", EndpointScope::Public);
-        assert_eq!(error(response).code, "bad_envelope");
+        assert_eq!(error(response).code, ErrorCode::BadEnvelope);
     }
 
     #[test]
@@ -449,7 +448,7 @@ mod tests {
             r#"{"v":2,"op":"counter_commit","body":{"value":0}}"#,
         ] {
             let err = error(answer(&front, text, EndpointScope::Vote));
-            assert_eq!(err.code, "counter_unavailable", "{text}");
+            assert_eq!(err.code, ErrorCode::CounterUnavailable, "{text}");
         }
     }
 
@@ -473,7 +472,7 @@ mod tests {
         // vote body is refused the same way, not parsed.
         let malformed = r#"{"v":2,"op":"counter_commit","body":{"value":"x"}}"#;
         let err = error(answer(&front, malformed, EndpointScope::Public));
-        assert_eq!(err.code, "counter_unavailable");
+        assert_eq!(err.code, ErrorCode::CounterUnavailable);
 
         // The vote scope (the dedicated replica-internal endpoint) serves
         // the same envelope.
@@ -504,12 +503,12 @@ mod tests {
 
         // The frontier read has one name on the wire.
         let err = error(vote(r#"{"v":2,"op":"counter_catchup"}"#));
-        assert_eq!(err.code, "bad_envelope");
+        assert_eq!(err.code, ErrorCode::BadEnvelope);
 
         // A crashed/partitioned node refuses votes with the same
         // fail-closed code the issuance path uses.
         node.crash();
         let err = error(vote(r#"{"v":2,"op":"counter_prepare"}"#));
-        assert_eq!(err.code, "counter_unavailable");
+        assert_eq!(err.code, ErrorCode::CounterUnavailable);
     }
 }

@@ -982,12 +982,9 @@ impl HttpClient {
             // Overload (503) or injected fault (500): surface the decoded
             // envelope error when one came along, but tagged as a server
             // failure so failover can route around it.
-            let error = decoded
-                .and_then(|r| r.error)
-                .map(ApiError::from)
-                .unwrap_or_else(|| {
-                    ApiError::new(ErrorCode::Internal, format!("server error {status}"))
-                });
+            let error = decoded.and_then(|r| r.error).unwrap_or_else(|| {
+                ApiError::new(ErrorCode::Internal, format!("server error {status}"))
+            });
             return Err(CallError::Server { status, error });
         }
         let internal =
@@ -999,12 +996,9 @@ impl HttpClient {
             T::from_json(&response.body.unwrap_or(Json::Null))
                 .map_err(|e| internal(format!("bad {op} body: {e}")))
         } else {
-            Err(CallError::Api(
-                response
-                    .error
-                    .map(ApiError::from)
-                    .unwrap_or_else(|| ApiError::new(ErrorCode::Internal, "error without detail")),
-            ))
+            Err(CallError::Api(response.error.unwrap_or_else(|| {
+                ApiError::new(ErrorCode::Internal, "error without detail")
+            })))
         }
     }
 }
@@ -1178,7 +1172,11 @@ mod tests {
     fn assert_bad_envelope(body: &str) {
         let envelope: ResponseEnvelope = json::from_str(body).expect("a v2 envelope");
         assert!(!envelope.ok, "{body}");
-        assert_eq!(envelope.error.unwrap().code, "bad_envelope", "{body}");
+        assert_eq!(
+            envelope.error.unwrap().code,
+            ErrorCode::BadEnvelope,
+            "{body}"
+        );
     }
 
     /// Send `raw` on a fresh connection; the server must refuse it with a
@@ -1239,7 +1237,7 @@ mod tests {
         // Every body the server writes on its own is a v2 error envelope.
         for body in [OVERLOADED_BODY, FAULTED_BODY] {
             let envelope: ResponseEnvelope = json::from_str(body).unwrap();
-            assert_eq!(envelope.error.unwrap().code, "internal");
+            assert_eq!(envelope.error.unwrap().code, ErrorCode::Internal);
         }
         let refusals = [
             HEAD_TOO_LARGE_BODY,

@@ -485,7 +485,7 @@ fn post_without_content_length_is_rejected_with_400_and_close() {
     let body = &response[response.find("\r\n\r\n").unwrap() + 4..];
     let envelope = ResponseEnvelope::from_json(&parse(body)).unwrap();
     assert!(!envelope.ok);
-    assert_eq!(envelope.error.unwrap().code, "bad_envelope");
+    assert_eq!(envelope.error.unwrap().code, ErrorCode::BadEnvelope);
     server.shutdown();
 }
 
@@ -493,7 +493,7 @@ fn post_without_content_length_is_rejected_with_400_and_close() {
 
 #[test]
 fn envelope_types_round_trip_through_their_codecs() {
-    use smacs_ts::api::{RequestEnvelope, WireError};
+    use smacs_ts::api::{ApiError, RequestEnvelope};
 
     let req = RequestEnvelope {
         v: PROTOCOL_VERSION,
@@ -510,10 +510,7 @@ fn envelope_types_round_trip_through_their_codecs() {
         v: PROTOCOL_VERSION,
         ok: false,
         body: None,
-        error: Some(WireError {
-            code: "rule_violation".into(),
-            message: "denied".into(),
-        }),
+        error: Some(ApiError::new(ErrorCode::RuleViolation, "denied")),
     };
     let text = smacs_primitives::json::to_string(&resp);
     assert_eq!(

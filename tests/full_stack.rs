@@ -149,7 +149,7 @@ fn v1_bodies_get_unsupported_version_over_http() {
         let json = &response[response.find("\r\n\r\n").unwrap() + 4..];
         let envelope: ResponseEnvelope = smacs::primitives::json::from_str(json).unwrap();
         assert!(!envelope.ok, "{response}");
-        assert_eq!(envelope.error.unwrap().code, "unsupported_version");
+        assert_eq!(envelope.error.unwrap().code, ErrorCode::UnsupportedVersion);
     }
 
     // The v1 issue burned no index and the v1 deny-all changed no rule.
