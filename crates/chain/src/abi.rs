@@ -219,14 +219,16 @@ pub fn decode(data: &[u8], types: &[AbiType]) -> Result<Vec<AbiValue>, AbiError>
                     .expect("32 bytes")
                     .to_u64()
                     .ok_or(AbiError::BadOffset)? as usize;
-                let len_word = data.get(offset..offset + 32).ok_or(AbiError::BadOffset)?;
+                // Offsets and lengths come from the calldata: checked sums,
+                // so a huge one is an error rather than an overflow.
+                let start = offset.checked_add(32).ok_or(AbiError::BadOffset)?;
+                let len_word = data.get(offset..start).ok_or(AbiError::BadOffset)?;
                 let len = U256::from_be_slice(len_word)
                     .expect("32 bytes")
                     .to_u64()
                     .ok_or(AbiError::BadOffset)? as usize;
-                let payload = data
-                    .get(offset + 32..offset + 32 + len)
-                    .ok_or(AbiError::BadOffset)?;
+                let end = start.checked_add(len).ok_or(AbiError::BadOffset)?;
+                let payload = data.get(start..end).ok_or(AbiError::BadOffset)?;
                 match ty {
                     AbiType::Bytes => out.push(AbiValue::Bytes(payload.to_vec())),
                     AbiType::String => out.push(AbiValue::String(
@@ -311,6 +313,12 @@ mod tests {
         );
         // Dynamic offset beyond payload.
         let enc = U256::from_u64(1000).to_be_bytes().to_vec();
+        assert_eq!(decode(&enc, &[AbiType::Bytes]), Err(AbiError::BadOffset));
+        // An offset or a length near the top of the range.
+        let enc = U256::from_u64(u64::MAX).to_be_bytes().to_vec();
+        assert_eq!(decode(&enc, &[AbiType::Bytes]), Err(AbiError::BadOffset));
+        let mut enc = encode(&[AbiValue::Bytes(vec![1])]);
+        enc[32..64].copy_from_slice(&U256::from_u64(u64::MAX).to_be_bytes());
         assert_eq!(decode(&enc, &[AbiType::Bytes]), Err(AbiError::BadOffset));
     }
 

@@ -31,7 +31,7 @@ const PREPASS_CHUNK_MIN: usize = 1;
 
 /// Why a transaction was rejected before execution, or a mined creation
 /// failed.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub enum ChainError {
     /// The signature did not recover to any sender.
     InvalidSignature,

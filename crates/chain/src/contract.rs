@@ -117,21 +117,6 @@ impl ContractRegistry {
     pub fn contains(&self, address: Address) -> bool {
         self.contracts.contains_key(&address)
     }
-
-    /// Number of registered contracts.
-    pub fn len(&self) -> usize {
-        self.contracts.len()
-    }
-
-    /// True iff no contracts are registered.
-    pub fn is_empty(&self) -> bool {
-        self.contracts.is_empty()
-    }
-
-    /// Iterate over registered addresses.
-    pub fn addresses(&self) -> impl Iterator<Item = Address> + '_ {
-        self.contracts.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +141,6 @@ mod tests {
         reg.insert(addr, Arc::new(Nop));
         assert!(reg.contains(addr));
         assert_eq!(reg.get(addr).unwrap().name(), "Nop");
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]

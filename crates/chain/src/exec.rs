@@ -393,15 +393,10 @@ impl<'e, 'a> CallContext<'e, 'a> {
         self.charge(steps * SCHEDULE.compute_step)
     }
 
-    /// Gas remaining in the transaction.
-    pub fn gas_remaining(&self) -> u64 {
-        self.exec.meter.remaining()
-    }
-
     /// Open a labeled gas section (see [`crate::gas::GasMeter::begin_section`]).
     /// A section left open across a nested call stays open while the child
     /// runs, so child gas is attributed to it.
-    pub fn begin_gas_section(&mut self, label: &str) {
+    pub fn begin_gas_section(&mut self, label: &'static str) {
         self.exec.meter.begin_section(label);
     }
 
@@ -508,11 +503,6 @@ impl<'e, 'a> CallContext<'e, 'a> {
     pub fn balance_of(&mut self, addr: Address) -> Result<u128, VmError> {
         self.charge(20)?; // G_balance (pre-Istanbul)
         Ok(self.exec.state.balance(addr))
-    }
-
-    /// Balance of the executing contract.
-    pub fn own_balance(&mut self) -> Result<u128, VmError> {
-        self.balance_of(self.trace.callee)
     }
 
     /// A nested message call: `callee.call.value(value)(data)`. Charges the

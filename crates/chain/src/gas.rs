@@ -145,7 +145,7 @@ impl std::error::Error for OutOfGas {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GasBreakdown {
     /// Gas attributed to each named section.
-    pub sections: BTreeMap<String, u64>,
+    pub sections: BTreeMap<&'static str, u64>,
     /// Total gas used by the transaction.
     pub total: u64,
 }
@@ -170,8 +170,8 @@ pub struct GasMeter {
     limit: u64,
     used: u64,
     refund: u64,
-    sections: BTreeMap<String, u64>,
-    open: Vec<String>,
+    sections: BTreeMap<&'static str, u64>,
+    open: Vec<&'static str>,
 }
 
 impl GasMeter {
@@ -219,8 +219,8 @@ impl GasMeter {
             return Err(err);
         }
         self.used += amount;
-        if let Some(label) = self.open.last() {
-            *self.sections.entry(label.clone()).or_insert(0) += amount;
+        if let Some(&label) = self.open.last() {
+            *self.sections.entry(label).or_insert(0) += amount;
         }
         Ok(())
     }
@@ -232,8 +232,8 @@ impl GasMeter {
 
     /// Open a named section; nested sections attribute to the innermost
     /// label only (no double counting).
-    pub fn begin_section(&mut self, label: &str) {
-        self.open.push(label.to_string());
+    pub fn begin_section(&mut self, label: &'static str) {
+        self.open.push(label);
     }
 
     /// Close the innermost section.

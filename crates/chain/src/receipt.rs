@@ -35,7 +35,7 @@ pub struct Log {
 }
 
 /// The receipt of an executed transaction.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub struct Receipt {
     /// Hash of the transaction this receipt belongs to.
     pub tx_hash: H256,

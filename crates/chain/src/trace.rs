@@ -58,11 +58,11 @@ pub enum TraceEvent {
 ///
 /// Call trees can be [`MAX_CALL_DEPTH`](crate::exec::MAX_CALL_DEPTH)-deep
 /// (1024). The executor builds the deep part on its own deep-stack thread,
-/// but the tree is cloned and dropped on the thread that submitted the
+/// but the tree is read and dropped on the thread that submitted the
 /// transaction, which may have a small stack, so every whole-tree
-/// operation that structurally recurses — `Clone`, `Drop`,
-/// [`TraceFrame::walk`], [`TraceFrame::reenters`] — is implemented
-/// iteratively with an explicit worklist. (`Debug` and `PartialEq` remain
+/// operation that structurally recurses — `Drop`, [`TraceFrame::walk`],
+/// [`TraceFrame::reenters`] — is implemented iteratively with an explicit
+/// worklist. A trace is never cloned. (`Debug` and `PartialEq` remain
 /// derived: they only run in tests/diagnostics on full-size stacks.)
 #[derive(PartialEq, Debug)]
 pub struct TraceFrame {
@@ -83,51 +83,6 @@ pub struct TraceFrame {
     pub children: Vec<TraceFrame>,
     /// How the frame finished.
     pub status: FrameStatus,
-}
-
-impl Clone for TraceFrame {
-    fn clone(&self) -> Self {
-        struct Work<'a> {
-            src: &'a TraceFrame,
-            dst: TraceFrame,
-            next_child: usize,
-        }
-        fn shallow(f: &TraceFrame) -> TraceFrame {
-            TraceFrame {
-                callee: f.callee,
-                caller: f.caller,
-                selector: f.selector,
-                value: f.value,
-                depth: f.depth,
-                events: f.events.clone(),
-                children: Vec::with_capacity(f.children.len()),
-                status: f.status,
-            }
-        }
-        let mut stack = vec![Work {
-            src: self,
-            dst: shallow(self),
-            next_child: 0,
-        }];
-        loop {
-            let top = stack.last_mut().expect("returns before emptying");
-            if top.next_child < top.src.children.len() {
-                let child = &top.src.children[top.next_child];
-                top.next_child += 1;
-                stack.push(Work {
-                    src: child,
-                    dst: shallow(child),
-                    next_child: 0,
-                });
-            } else {
-                let done = stack.pop().expect("non-empty");
-                match stack.last_mut() {
-                    Some(parent) => parent.dst.children.push(done.dst),
-                    None => return done.dst,
-                }
-            }
-        }
-    }
 }
 
 impl Drop for TraceFrame {
@@ -180,7 +135,7 @@ impl TraceFrame {
 }
 
 /// The complete trace of one transaction.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub struct CallTrace {
     /// The top-level frame (absent for plain EOA→EOA transfers).
     pub root: Option<TraceFrame>,

@@ -17,28 +17,11 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use crate::keccak256;
 use crate::secp256k1 as curve;
 
-/// A secp256k1 public key (uncompressed SEC1 form, 64 bytes sans the 0x04
-/// tag).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct PublicKey(pub [u8; 64]);
-
-impl PublicKey {
-    /// The Ethereum address for this key: the last 20 bytes of
-    /// `keccak256(pubkey)`.
-    pub fn address(&self) -> Address {
-        let hash = keccak256(&self.0);
-        Address::from_slice(&hash.0[12..]).expect("20-byte suffix of a 32-byte hash")
-    }
-
-    fn from_affine(point: &curve::Affine) -> Self {
-        PublicKey(point.to_bytes64())
-    }
-}
-
-impl fmt::Debug for PublicKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PublicKey({})", self.address())
-    }
+/// The Ethereum address of the public key `point`: the last 20 bytes of
+/// `keccak256` over its uncompressed 64-byte form.
+fn address_of(point: &curve::Affine) -> Address {
+    let hash = keccak256(&point.to_bytes64());
+    Address::from_slice(&hash.0[12..]).expect("20-byte suffix of a 32-byte hash")
 }
 
 /// A 65-byte recoverable ECDSA signature: `r` (32) ‖ `s` (32) ‖ `v` (1).
@@ -124,35 +107,10 @@ impl fmt::Debug for Signature {
 #[derive(Clone)]
 pub struct Keypair {
     secret: curve::U256L,
-    public: PublicKey,
+    address: Address,
 }
 
 impl Keypair {
-    /// Generate a fresh keypair from process-local entropy (address of a
-    /// heap allocation, monotonic time, and a counter, stretched through
-    /// keccak). Not for production key material — like everything in this
-    /// simulator.
-    pub fn random() -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let unique = Box::new(0u8);
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&(&*unique as *const u8 as usize as u64).to_be_bytes());
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        seed[8..16].copy_from_slice(&nanos.to_be_bytes());
-        seed[16..24].copy_from_slice(&COUNTER.fetch_add(1, Ordering::Relaxed).to_be_bytes());
-        let mut candidate = keccak256(&seed).0;
-        loop {
-            if let Some(kp) = Self::from_secret_bytes(&candidate) {
-                return kp;
-            }
-            candidate = keccak256(&candidate).0;
-        }
-    }
-
     /// Deterministic keypair from a seed — for tests and reproducible
     /// experiments. Not for production key material.
     pub fn from_seed(seed: u64) -> Self {
@@ -172,24 +130,13 @@ impl Keypair {
         if !curve::scalar_is_valid(&secret) {
             return None;
         }
-        let public = PublicKey::from_affine(&curve::pubkey(&secret));
-        Some(Keypair { secret, public })
-    }
-
-    /// The raw 32-byte private scalar — needed by persistence layers.
-    /// Handle with the care private key material deserves.
-    pub fn secret_bytes(&self) -> [u8; 32] {
-        curve::to_be_bytes(&self.secret)
-    }
-
-    /// The public half.
-    pub fn public(&self) -> PublicKey {
-        self.public
+        let address = address_of(&curve::pubkey(&secret));
+        Some(Keypair { secret, address })
     }
 
     /// The Ethereum address controlled by this keypair.
     pub fn address(&self) -> Address {
-        self.public.address()
+        self.address
     }
 
     /// Sign a 32-byte digest, producing a recoverable 65-byte signature.
@@ -210,7 +157,7 @@ impl Keypair {
             .iter()
             .map(|digest| curve::reduce_bytes(&digest.0, &curve::N))
             .collect();
-        let secret_bytes = self.secret_bytes();
+        let secret_bytes = curve::to_be_bytes(&self.secret);
         curve::sign_batch(&zs, &self.secret, |i, counter| {
             crate::keccak256_concat(&[&secret_bytes, &digests[i].0, &counter.to_be_bytes()]).0
         })
@@ -340,7 +287,7 @@ impl KnownSigners {
         let items: Vec<_> = slow.iter().map(|&i| parsed[i].expect("filtered")).collect();
         for (&i, point) in slow.iter().zip(curve::recover_batch(&items)) {
             let Some(point) = point else { continue };
-            let address = PublicKey::from_affine(&point).address();
+            let address = address_of(&point);
             if queries[i].2 == Some(address) && combs[i].is_none() {
                 self.learn(address, &point);
             }
@@ -481,13 +428,6 @@ mod tests {
                 assert_eq!(kp.sign_digests(&digests), alone, "seed {seed} size {size}");
             }
         }
-    }
-
-    #[test]
-    fn random_keypairs_differ() {
-        let a = Keypair::random();
-        let b = Keypair::random();
-        assert_ne!(a.address(), b.address());
     }
 
     #[test]

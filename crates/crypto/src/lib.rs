@@ -30,8 +30,7 @@ pub mod keccak;
 pub mod secp256k1;
 
 pub use ecdsa::{
-    recover_address, recover_batch, recover_expecting, Keypair, PublicKey, Signature,
-    SignatureError,
+    recover_address, recover_batch, recover_expecting, Keypair, Signature, SignatureError,
 };
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
 

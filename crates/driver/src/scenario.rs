@@ -172,7 +172,9 @@ fn build_oracle(seed: u64) -> ScenarioWorld {
 /// DeFi composition: a seeded AMM plus a lending pool routing through it.
 /// Argument tokens carry `arg0`/`arg1` bindings (amountIn/minOut); the
 /// rules blacklist `arg1 = "0"` — an unbounded-slippage swap is never
-/// authorized, per-value, with no contract change (§IV-E).
+/// authorized, per-value, with no contract change (§IV-E). Argument
+/// policies are keyed `arg{i}` by parameter position and judged on the
+/// swap calldata the token binds, so no declared binding gets past them.
 fn build_amm(seed: u64) -> ScenarioWorld {
     let (mut chain, toolkit) = base(seed);
     let (amm, _) = toolkit

@@ -49,21 +49,9 @@ impl Bytes {
         &self.0
     }
 
-    /// Consume into a vector. Free when this is the only handle; copies
-    /// otherwise.
-    pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Render as a lowercase `0x…` hex string.
     pub fn to_hex(&self) -> String {
         format!("0x{}", hex::encode(self.as_slice()))
-    }
-
-    /// Parse from a hex string with optional `0x` prefix.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let s = s.strip_prefix("0x").unwrap_or(s);
-        hex::decode(s).ok().map(Bytes::from_vec)
     }
 }
 
@@ -127,11 +115,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hex_round_trip() {
+    fn hex_rendering() {
         let b = Bytes::from(vec![0xde, 0xad, 0xbe, 0xef]);
         assert_eq!(b.to_hex(), "0xdeadbeef");
-        assert_eq!(Bytes::from_hex("0xdeadbeef"), Some(b));
-        assert_eq!(Bytes::from_hex("nothex"), None);
     }
 
     #[test]
@@ -147,15 +133,6 @@ mod tests {
         let b = a.clone();
         // Same allocation, not a copy.
         assert!(std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr()));
-    }
-
-    #[test]
-    fn into_vec_round_trips() {
-        let v = vec![5u8, 6, 7];
-        let b = Bytes::from(v.clone());
-        let shared = b.clone();
-        assert_eq!(shared.into_vec(), v); // copies (b still alive)
-        assert_eq!(b.into_vec(), v); // reclaims in place
     }
 
     #[test]

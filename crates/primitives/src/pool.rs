@@ -104,11 +104,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Jobs currently waiting (diagnostics).
-    pub fn queued(&self) -> usize {
-        self.inner.state.lock().expect("pool lock").queue.len()
-    }
-
     /// Submit a job, refusing (rather than blocking or growing) when the
     /// queue is at capacity or the pool is shutting down.
     pub fn try_execute<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), QueueFull> {
@@ -406,7 +401,9 @@ mod tests {
         // Occupy the only worker, then fill the 1-slot queue.
         let release = Arc::new((Mutex::new(false), Condvar::new()));
         let r = release.clone();
+        let (started_tx, started) = std::sync::mpsc::channel();
         pool.try_execute(move || {
+            started_tx.send(()).unwrap();
             let (lock, cv) = &*r;
             let mut go = lock.lock().unwrap();
             while !*go {
@@ -414,12 +411,8 @@ mod tests {
             }
         })
         .unwrap();
-        // Wait until the worker picked the blocker up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.queued() > 0 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // The worker has taken the blocker off the queue once it runs.
+        started.recv_timeout(Duration::from_secs(5)).unwrap();
         pool.try_execute(|| {}).unwrap(); // fills the queue
         assert_eq!(pool.try_execute(|| {}), Err(QueueFull));
         let (lock, cv) = &*release;

@@ -1,4 +1,4 @@
-//! Recursive Length Prefix (RLP) encoding and decoding.
+//! Recursive Length Prefix (RLP) encoding.
 //!
 //! RLP is the serialization Ethereum uses for transactions; the chain
 //! simulator hashes RLP-encoded transactions to form transaction ids, exactly
@@ -14,29 +14,6 @@ pub enum Item {
     /// A list of nested items.
     List(Vec<Item>),
 }
-
-/// Errors from [`decode`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DecodeError {
-    /// Input ended before the announced length.
-    UnexpectedEof,
-    /// A length prefix used a non-minimal encoding.
-    NonCanonical,
-    /// Extra bytes remained after the top-level item.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::UnexpectedEof => write!(f, "rlp: unexpected end of input"),
-            DecodeError::NonCanonical => write!(f, "rlp: non-canonical length encoding"),
-            DecodeError::TrailingBytes => write!(f, "rlp: trailing bytes after item"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Encode an item to its RLP byte representation.
 pub fn encode(item: &Item) -> Vec<u8> {
@@ -75,72 +52,6 @@ fn length_prefix(len: usize, offset: u8) -> Vec<u8> {
     }
 }
 
-/// Decode a single top-level RLP item, rejecting trailing garbage.
-pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
-    let (item, rest) = decode_partial(input)?;
-    if !rest.is_empty() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(item)
-}
-
-fn decode_partial(input: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
-    let &first = input.first().ok_or(DecodeError::UnexpectedEof)?;
-    match first {
-        0x00..=0x7f => Ok((Item::Bytes(vec![first]), &input[1..])),
-        0x80..=0xb7 => {
-            let len = (first - 0x80) as usize;
-            let payload = input.get(1..1 + len).ok_or(DecodeError::UnexpectedEof)?;
-            if len == 1 && payload[0] < 0x80 {
-                return Err(DecodeError::NonCanonical);
-            }
-            Ok((Item::Bytes(payload.to_vec()), &input[1 + len..]))
-        }
-        0xb8..=0xbf => {
-            let len_len = (first - 0xb7) as usize;
-            let (len, rest) = read_length(&input[1..], len_len)?;
-            let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::Bytes(payload.to_vec()), &rest[len..]))
-        }
-        0xc0..=0xf7 => {
-            let len = (first - 0xc0) as usize;
-            let payload = input.get(1..1 + len).ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::List(decode_list(payload)?), &input[1 + len..]))
-        }
-        0xf8..=0xff => {
-            let len_len = (first - 0xf7) as usize;
-            let (len, rest) = read_length(&input[1..], len_len)?;
-            let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::List(decode_list(payload)?), &rest[len..]))
-        }
-    }
-}
-
-fn read_length(input: &[u8], len_len: usize) -> Result<(usize, &[u8]), DecodeError> {
-    let len_bytes = input.get(..len_len).ok_or(DecodeError::UnexpectedEof)?;
-    if len_bytes.first() == Some(&0) {
-        return Err(DecodeError::NonCanonical);
-    }
-    let mut len = 0usize;
-    for &b in len_bytes {
-        len = len.checked_mul(256).ok_or(DecodeError::NonCanonical)? + b as usize;
-    }
-    if len <= 55 {
-        return Err(DecodeError::NonCanonical);
-    }
-    Ok((len, &input[len_len..]))
-}
-
-fn decode_list(mut payload: &[u8]) -> Result<Vec<Item>, DecodeError> {
-    let mut items = Vec::new();
-    while !payload.is_empty() {
-        let (item, rest) = decode_partial(payload)?;
-        items.push(item);
-        payload = rest;
-    }
-    Ok(items)
-}
-
 /// Convenience conversions for composing [`Item`] lists.
 pub trait ToRlp {
     /// Convert to an RLP item.
@@ -174,12 +85,6 @@ impl ToRlp for Address {
 impl ToRlp for Bytes {
     fn to_rlp(&self) -> Item {
         Item::Bytes(self.as_slice().to_vec())
-    }
-}
-
-impl ToRlp for &[u8] {
-    fn to_rlp(&self) -> Item {
-        Item::Bytes(self.to_vec())
     }
 }
 
@@ -219,7 +124,6 @@ mod tests {
         assert_eq!(enc[0], 0xb8);
         assert_eq!(enc[1], 56);
         assert_eq!(&enc[2..], &s[..]);
-        assert_eq!(decode(&enc).unwrap(), Item::Bytes(s));
     }
 
     #[test]
@@ -235,22 +139,6 @@ mod tests {
         ]);
         let enc = encode(&item);
         assert_eq!(enc, vec![0xc7, 0xc0, 0xc1, 0xc0, 0xc3, 0xc0, 0xc1, 0xc0]);
-        assert_eq!(decode(&enc).unwrap(), item);
-    }
-
-    #[test]
-    fn rejects_noncanonical() {
-        // 0x81 0x05 is a non-canonical encoding of the single byte 0x05.
-        assert_eq!(decode(&[0x81, 0x05]), Err(DecodeError::NonCanonical));
-        // Long-form length for a short payload.
-        assert_eq!(decode(&[0xb8, 0x01, 0xff]), Err(DecodeError::NonCanonical));
-    }
-
-    #[test]
-    fn rejects_truncation_and_trailing() {
-        assert_eq!(decode(&[0x83, b'd', b'o']), Err(DecodeError::UnexpectedEof));
-        assert_eq!(decode(&[0x80, 0x00]), Err(DecodeError::TrailingBytes));
-        assert_eq!(decode(&[]), Err(DecodeError::UnexpectedEof));
     }
 
     #[test]
@@ -270,16 +158,44 @@ mod tests {
         })
     }
 
+    /// Reference decoder for the round-trip property: reads one item off
+    /// the front of well-formed input and returns it with the rest.
+    fn reference_decode(input: &[u8]) -> (Item, &[u8]) {
+        let (first, rest) = (input[0], &input[1..]);
+        let big_endian = |b: &[u8]| b.iter().fold(0usize, |n, &d| n << 8 | d as usize);
+        let (is_list, len, rest) = match first {
+            0x00..=0x7f => return (Item::Bytes(vec![first]), rest),
+            0x80..=0xb7 => (false, (first - 0x80) as usize, rest),
+            0xb8..=0xbf => {
+                let n = (first - 0xb7) as usize;
+                (false, big_endian(&rest[..n]), &rest[n..])
+            }
+            0xc0..=0xf7 => (true, (first - 0xc0) as usize, rest),
+            0xf8..=0xff => {
+                let n = (first - 0xf7) as usize;
+                (true, big_endian(&rest[..n]), &rest[n..])
+            }
+        };
+        let (mut payload, rest) = rest.split_at(len);
+        if !is_list {
+            return (Item::Bytes(payload.to_vec()), rest);
+        }
+        let mut items = Vec::new();
+        while !payload.is_empty() {
+            let (item, tail) = reference_decode(payload);
+            items.push(item);
+            payload = tail;
+        }
+        (Item::List(items), rest)
+    }
+
     proptest! {
         #[test]
         fn prop_round_trip(item in arb_item()) {
             let enc = encode(&item);
-            prop_assert_eq!(decode(&enc).unwrap(), item);
-        }
-
-        #[test]
-        fn prop_decode_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode(&data);
+            let (back, rest) = reference_decode(&enc);
+            prop_assert!(rest.is_empty());
+            prop_assert_eq!(back, item);
         }
     }
 }

@@ -180,11 +180,6 @@ impl ApiError {
             message: message.into(),
         }
     }
-
-    /// A client-side transport failure.
-    pub fn transport(e: impl fmt::Display) -> ApiError {
-        ApiError::new(ErrorCode::Transport, e.to_string())
-    }
 }
 
 impl fmt::Display for ApiError {
@@ -522,6 +517,24 @@ mod tests {
                 token_service_url: Some("http://127.0.0.1:1".into()),
                 replica_urls: Vec::new(),
             },
+        );
+        assert_eq!(api.discover(contract).unwrap().unwrap().name, "Vault");
+
+        // An unprotected contract is published with no TS URL.
+        let legacy = Address::from_low_u64(0xC1);
+        api.publish(
+            legacy,
+            ContractMetadata {
+                name: "Legacy".into(),
+                compiler: "solc 0.4.24".into(),
+                token_service_url: None,
+                replica_urls: Vec::new(),
+            },
+        );
+        let found = api.discover(legacy).unwrap().unwrap();
+        assert_eq!(
+            (found.name.as_str(), found.token_service_url),
+            ("Legacy", None)
         );
         assert_eq!(api.discover(contract).unwrap().unwrap().name, "Vault");
         api.ping().unwrap();

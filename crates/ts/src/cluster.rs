@@ -381,11 +381,6 @@ impl ReplicaSet {
         &self.counter
     }
 
-    /// Whether replica `id` is currently serving.
-    pub fn is_live(&self, id: usize) -> bool {
-        self.replicas[id].server.is_some()
-    }
-
     /// Number of replicas currently serving HTTP.
     pub fn live_count(&self) -> usize {
         self.replicas.iter().filter(|r| r.server.is_some()).count()
@@ -652,7 +647,6 @@ mod tests {
         let mut set = small_set(3);
         let addr = set.addrs()[1];
         set.kill(1);
-        assert!(!set.is_live(1));
         assert_eq!(set.live_count(), 2);
         // Dead replica refuses connections…
         assert!(HttpClient::connect(addr).ping().is_err());
@@ -663,7 +657,7 @@ mod tests {
             .unwrap();
 
         set.recover(1).unwrap();
-        assert!(set.is_live(1));
+        assert_eq!(set.live_count(), 3);
         // Same address as before.
         assert_eq!(set.addrs()[1], addr);
         HttpClient::connect(addr).ping().unwrap();

@@ -3,12 +3,12 @@
 //! the service address as a smart contract instance metadata (similarly as
 //! contract's name or the compiler version it was created with)."
 //!
-//! The simulator models contract metadata as an off-chain directory keyed
-//! by contract address — the moral equivalent of the metadata JSON Solidity
-//! toolchains publish per deployment.
+//! The simulator models contract metadata as off-chain records keyed by
+//! contract address — the moral equivalent of the metadata JSON Solidity
+//! toolchains publish per deployment. A [`crate::FrontEnd`] keeps the
+//! records it publishes and serves them through the `discover` op.
 
-use smacs_primitives::{json_codec, Address};
-use std::collections::BTreeMap;
+use smacs_primitives::json_codec;
 
 json_codec! {
     /// Per-contract deployment metadata.
@@ -45,88 +45,9 @@ impl ContractMetadata {
     }
 }
 
-json_codec! {
-    /// The metadata directory.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct ServiceDirectory {
-        // Keyed by the contract's canonical hex address (JSON-friendly).
-        entries: BTreeMap<String, ContractMetadata>,
-    }
-}
-
-impl ServiceDirectory {
-    /// Empty directory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publish metadata for a deployed contract.
-    pub fn publish(&mut self, contract: Address, metadata: ContractMetadata) {
-        self.entries.insert(contract.to_hex(), metadata);
-    }
-
-    /// Full metadata lookup.
-    pub fn metadata(&self, contract: Address) -> Option<&ContractMetadata> {
-        self.entries.get(&contract.to_hex())
-    }
-
-    /// The discovery operation a wallet performs: contract address → TS
-    /// URL.
-    pub fn ts_url(&self, contract: Address) -> Option<&str> {
-        self.entries
-            .get(&contract.to_hex())?
-            .token_service_url
-            .as_deref()
-    }
-
-    /// Number of published entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True iff nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn publish_and_discover() {
-        let mut dir = ServiceDirectory::new();
-        let contract = Address::from_low_u64(7);
-        dir.publish(
-            contract,
-            ContractMetadata {
-                name: "Vault".into(),
-                compiler: "smacs-chain 0.1".into(),
-                token_service_url: Some("http://127.0.0.1:4545".into()),
-                replica_urls: Vec::new(),
-            },
-        );
-        assert_eq!(dir.ts_url(contract), Some("http://127.0.0.1:4545"));
-        assert_eq!(dir.ts_url(Address::from_low_u64(8)), None);
-        assert_eq!(dir.metadata(contract).unwrap().name, "Vault");
-    }
-
-    #[test]
-    fn unprotected_contract_has_no_ts() {
-        let mut dir = ServiceDirectory::new();
-        let contract = Address::from_low_u64(7);
-        dir.publish(
-            contract,
-            ContractMetadata {
-                name: "Legacy".into(),
-                compiler: "solc 0.4.24".into(),
-                token_service_url: None,
-                replica_urls: Vec::new(),
-            },
-        );
-        assert_eq!(dir.ts_url(contract), None);
-    }
 
     #[test]
     fn pre_replication_metadata_still_decodes() {
@@ -136,22 +57,5 @@ mod tests {
         let meta: ContractMetadata = smacs_primitives::json::from_str(json).unwrap();
         assert_eq!(meta.replica_urls, Vec::<String>::new());
         assert_eq!(meta.all_service_urls(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn directory_serializes() {
-        let mut dir = ServiceDirectory::new();
-        dir.publish(
-            Address::from_low_u64(1),
-            ContractMetadata {
-                name: "A".into(),
-                compiler: "x".into(),
-                token_service_url: Some("http://ts".into()),
-                replica_urls: vec!["http://ts".into(), "http://ts2".into()],
-            },
-        );
-        let json = smacs_primitives::json::to_string(&dir);
-        let back: ServiceDirectory = smacs_primitives::json::from_str(&json).unwrap();
-        assert_eq!(back, dir);
     }
 }

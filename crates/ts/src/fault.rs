@@ -96,14 +96,6 @@ impl FaultPlan {
         self.delay_nanos.store(NO_DELAY, Ordering::SeqCst);
     }
 
-    /// True while any fault is armed (diagnostics).
-    pub fn armed(&self) -> bool {
-        self.drop_requests.load(Ordering::SeqCst) > 0
-            || self.fail_requests.load(Ordering::SeqCst) > 0
-            || self.truncate_responses.load(Ordering::SeqCst) > 0
-            || self.delay_nanos.load(Ordering::SeqCst) != NO_DELAY
-    }
-
     // ---- server-side consumption (pub(crate): only the transport layer
     // spends budgets) ----
 
@@ -173,9 +165,11 @@ mod tests {
         plan.delay_responses(Duration::from_millis(5));
         assert_eq!(plan.response_delay(), Some(Duration::from_millis(5)));
         assert_eq!(plan.response_delay(), Some(Duration::from_millis(5)));
-        assert!(plan.armed());
+        plan.drop_requests(1);
+        plan.fail_requests(1);
+        plan.truncate_responses(1);
         plan.clear();
         assert_eq!(plan.response_delay(), None);
-        assert!(!plan.armed());
+        assert!(!plan.take_drop() && !plan.take_fail() && !plan.take_truncate());
     }
 }

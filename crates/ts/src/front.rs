@@ -30,11 +30,12 @@ use crate::api::{
     CounterVoteBody, DiscoverBody, DiscoverResponseBody, ErrorCode, IssueBody, PongBody,
     RequestEnvelope, RulesSetBody, SetRulesBody, TokenHex, TsApi, MAX_BATCH, PROTOCOL_VERSION,
 };
-use crate::discovery::{ContractMetadata, ServiceDirectory};
+use crate::discovery::ContractMetadata;
 use crate::replica::{CounterNode, Reply, Vote};
 use crate::rules::RuleBook;
 use crate::service::TokenService;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -64,7 +65,7 @@ pub struct FrontEnd {
     owner_digest: H256,
     /// TS-local clock (seconds); tests and experiments drive it manually.
     now: AtomicU64,
-    directory: RwLock<ServiceDirectory>,
+    directory: RwLock<HashMap<Address, ContractMetadata>>,
     /// This replica's counter node, when it participates in a wire-level
     /// counter quorum: the `counter_*` ops vote against it — but only
     /// through a [`EndpointScope::Vote`] dispatch; the public endpoint
@@ -80,7 +81,7 @@ impl FrontEnd {
             service,
             owner_digest: keccak256(owner_secret.into().as_bytes()),
             now: AtomicU64::new(now),
-            directory: RwLock::new(ServiceDirectory::new()),
+            directory: RwLock::new(HashMap::new()),
             counter: None,
         }
     }
@@ -117,7 +118,7 @@ impl FrontEnd {
     /// Publish discovery metadata for a contract this TS protects; served
     /// by the `discover` op.
     pub fn publish(&self, contract: Address, metadata: ContractMetadata) {
-        self.directory.write().publish(contract, metadata);
+        self.directory.write().insert(contract, metadata);
     }
 
     /// Whether `secret` is the owner's. Fixed-size digests are compared
@@ -255,7 +256,7 @@ impl TsApi for FrontEnd {
     }
 
     fn discover(&self, contract: Address) -> Result<Option<ContractMetadata>, ApiError> {
-        Ok(self.directory.read().metadata(contract).cloned())
+        Ok(self.directory.read().get(&contract).cloned())
     }
 
     fn ping(&self) -> Result<(), ApiError> {

@@ -37,6 +37,7 @@ use crate::service::{TokenService, TokenServiceConfig};
 use crate::validation::ValidationTool;
 use crate::{ErrorCode, FailoverClient, HttpClient, TsApi};
 use proptest::test_runner::TestRng;
+use smacs_chain::abi::{self, AbiValue};
 use smacs_chain::Chain;
 use smacs_crypto::Keypair;
 use smacs_primitives::{json, Address};
@@ -98,6 +99,16 @@ fn argument_request() -> TokenRequest {
         ],
         vec![0x00, 0x01, 0xab, 0xff],
     )
+}
+
+/// An argument request declaring the one binding its calldata decodes to.
+fn bound_argument_request() -> TokenRequest {
+    let calldata = abi::encode_call("vote(bool)", &[AbiValue::Bool(true)]);
+    let arg = ArgBinding {
+        name: "arg0".into(),
+        value: "true".into(),
+    };
+    TokenRequest::argument_token(contract(), addr(3), "vote(bool)", vec![arg], calldata)
 }
 
 /// The front end every recorded request is answered by: [`book`]
@@ -237,8 +248,16 @@ fn transcript() -> String {
     exchange("issue.one_time");
     failover.issue(&transfer(2)).expect("method");
     exchange("issue.method");
-    http.issue(&argument_request()).expect("argument");
+    // The tricky method names no parameter types the TS can read, so the
+    // argument policy cannot judge the request.
+    assert_eq!(
+        refused(http.issue(&argument_request())),
+        ErrorCode::InvalidRequest
+    );
     exchange("issue.argument");
+    http.issue(&bound_argument_request())
+        .expect("bound argument");
+    exchange("issue.argument_bound");
     let mut invalid = sup(4);
     invalid.args = argument_request().args;
     let batch = failover
@@ -255,7 +274,7 @@ fn transcript() -> String {
             Some(ErrorCode::RuleViolation),
             Some(ErrorCode::RuleViolation),
             Some(ErrorCode::InvalidRequest),
-            None
+            Some(ErrorCode::InvalidRequest)
         ]
     );
     exchange("issue_batch");
@@ -330,7 +349,7 @@ fn transcript() -> String {
     );
     let argument = format!(
         r#"{{"v":2,"op":"issue","body":{}}}"#,
-        json::to_string(&argument_request())
+        json::to_string(&bound_argument_request())
     );
     let commit = r#"{"v":2,"op":"counter_commit","body":{"value":1}}"#;
     let refusals: [(&str, &FrontEnd, &str, EndpointScope); 11] = [

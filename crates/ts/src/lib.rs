@@ -29,9 +29,8 @@
 //! one-node, memory-only cluster by default, or, for availability
 //! (§VII-B), a majority-quorum replicated counter across the replicas
 //! ([`TokenService::with_replicated_counter`]). [`discovery`] implements the
-//! §VII-B service-discovery metadata (contract address → TS URL), and
-//! [`store`] persists rules and the signing key to disk (the prototype's
-//! node-localStorage analog).
+//! §VII-B service-discovery metadata (contract address → TS URL), which a
+//! [`FrontEnd`] publishes and serves.
 //!
 //! # Threading model
 //!
@@ -189,13 +188,11 @@ pub(crate) mod reactor;
 pub mod replica;
 pub mod rules;
 pub mod service;
-pub mod store;
 pub mod validation;
 pub mod wal;
 
 pub use api::{ApiError, ErrorCode, TsApi, MAX_BATCH, PROTOCOL_VERSION};
 pub use cluster::{CounterMode, ReplicaSet, ReplicaSetConfig};
-pub use discovery::ServiceDirectory;
 pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;
 pub use front::FrontEnd;
@@ -203,6 +200,5 @@ pub use http::{Endpoint, HttpClient, HttpClientConfig, HttpServerConfig};
 pub use replica::{CounterCluster, CounterNode};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
 pub use service::{IssueError, TokenService, TokenServiceConfig};
-pub use store::RuleStore;
 pub use validation::ValidationTool;
 pub use wal::Wal;

@@ -141,7 +141,10 @@ pub struct TypeRules {
     pub sender: Option<ListPolicy>,
     /// Per-method sender policies, keyed by canonical method signature.
     pub method: BTreeMap<String, ListPolicy>,
-    /// Per-argument value policies, keyed by argument name.
+    /// Per-argument value policies, keyed `arg0`, `arg1`, … by parameter
+    /// position. An argument token's policies are judged on the arguments
+    /// decoded from the calldata the token binds, not on the bindings the
+    /// client declares.
     pub argument: BTreeMap<String, ListPolicy>,
 }
 
@@ -215,7 +218,8 @@ impl RuleBook {
         self.types.entry(ttype).or_default()
     }
 
-    /// Check a request against the rules of its type.
+    /// Check a request against the rules of its type. Argument policies
+    /// judge `req.args`; the TS fills those from the bound calldata first.
     pub fn check(&self, req: &TokenRequest) -> Result<(), RuleViolation> {
         let rules = self
             .types

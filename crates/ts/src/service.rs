@@ -7,10 +7,13 @@
 //! — by signing `type ‖ expire ‖ index ‖ reqPayload` with `sk_TS`.
 
 use parking_lot::Mutex;
+use smacs_chain::abi::{self, AbiError, AbiType, AbiValue};
 use smacs_chain::Chain;
 use smacs_crypto::{Keypair, Signature};
-use smacs_primitives::{Address, WorkerPool, H256};
-use smacs_token::{signing_digest, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX};
+use smacs_primitives::{hexutil, Address, WorkerPool, H256};
+use smacs_token::{
+    signing_digest, ArgBinding, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX,
+};
 use std::fmt;
 use std::mem;
 use std::sync::Arc;
@@ -192,8 +195,17 @@ impl TokenService {
         req.validate()
             .map_err(|e| IssueError::InvalidRequest(e.to_string()))?;
 
-        // 2. ACR compliance, against a book no lock guards.
-        rules.check(req).map_err(IssueError::RuleViolation)?;
+        // 2. ACR compliance, against a book no lock guards. An argument
+        //    token's argument policies judge the calldata it binds.
+        let bound;
+        let judged = match rules.types.get(&req.ttype) {
+            Some(t) if req.ttype == TokenType::Argument && !t.argument.is_empty() => {
+                bound = bind_args(req).map_err(IssueError::InvalidRequest)?;
+                &bound
+            }
+            _ => req,
+        };
+        rules.check(judged).map_err(IssueError::RuleViolation)?;
 
         // 3. Validation tools on the local testnet.
         for tool in &self.tools {
@@ -308,11 +320,63 @@ impl Minted {
     }
 }
 
+/// `req` with the bindings `arg0, arg1, …` of its calldata as `args`: the
+/// calldata decoded with the parameter types its method signature names,
+/// rendered as clients declare them (a uint in decimal, an address as
+/// `0x…` hex, `true`/`false`, bytes as `0x…` hex, a string verbatim). The
+/// args a request declares, if any, must be exactly these.
+fn bind_args(req: &TokenRequest) -> Result<TokenRequest, String> {
+    let method = req.method.as_deref().unwrap_or_default();
+    let unreadable = || "cannot read the method's parameter types".to_string();
+    let params = method
+        .split_once('(')
+        .and_then(|(_, rest)| rest.strip_suffix(')'))
+        .ok_or_else(unreadable)?;
+    let types = params
+        .split(',')
+        .filter(|_| !params.is_empty())
+        .map(|name| match name {
+            "uint256" => Ok(AbiType::Uint),
+            "address" => Ok(AbiType::Address),
+            "bool" => Ok(AbiType::Bool),
+            "bytes" => Ok(AbiType::Bytes),
+            "string" => Ok(AbiType::String),
+            _ => Err(unreadable()),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let calldata = req.calldata.as_deref().unwrap_or_default();
+    let values = calldata
+        .get(4..)
+        .ok_or(AbiError::ShortInput)
+        .and_then(|data| abi::decode(data, &types))
+        .map_err(|e| format!("calldata does not decode: {e}"))?;
+    let args: Vec<ArgBinding> = values
+        .into_iter()
+        .enumerate()
+        .map(|(i, value)| ArgBinding {
+            name: format!("arg{i}"),
+            value: match value {
+                AbiValue::Uint(v) => v.to_dec_string(),
+                AbiValue::Address(a) => a.to_hex(),
+                AbiValue::Bool(b) => b.to_string(),
+                AbiValue::Bytes(b) => hexutil::encode_prefixed(&b),
+                AbiValue::String(s) => s,
+            },
+        })
+        .collect();
+    if !req.args.is_empty() && req.args != args {
+        return Err("declared args differ from the calldata's".into());
+    }
+    Ok(TokenRequest {
+        args,
+        ..req.clone()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::ListPolicy;
-    use smacs_token::request::ArgBinding;
 
     fn service() -> TokenService {
         TokenService::new(
@@ -413,6 +477,88 @@ mod tests {
             }
         });
         assert!(ts.issue(&req, 0).is_ok());
+    }
+
+    #[test]
+    fn argument_policies_judge_the_decoded_calldata() {
+        let sig = "f(uint256,address,bool,bytes,string)";
+        let calldata = abi::encode_call(
+            sig,
+            &[
+                AbiValue::Uint(smacs_primitives::U256::from_u64(7)),
+                AbiValue::Address(contract()),
+                AbiValue::Bool(true),
+                AbiValue::Bytes(vec![0xab, 0x01]),
+                AbiValue::String("hé".into()),
+            ],
+        );
+        let request = |args: &[(&str, &str)]| {
+            let args = args.iter().map(|&(name, value)| ArgBinding {
+                name: name.into(),
+                value: value.into(),
+            });
+            TokenRequest::argument_token(
+                contract(),
+                sender(),
+                sig,
+                args.collect(),
+                calldata.clone(),
+            )
+        };
+        let hex = contract().to_hex();
+        let decoded = [
+            ("arg0", "7"),
+            ("arg1", hex.as_str()),
+            ("arg2", "true"),
+            ("arg3", "0xab01"),
+            ("arg4", "hé"),
+        ];
+        assert_eq!(bind_args(&request(&[])).unwrap(), request(&decoded));
+
+        // Without an argument policy nothing is decoded.
+        let ts = service();
+        assert!(ts.issue(&request(&[("arg0", "8")]), 0).is_ok());
+
+        let blacklist = |name: &str, value: &str| {
+            ts.update_rules(|book| {
+                let policy = ListPolicy::Blacklist([value.to_string()].into());
+                book.rules_mut(TokenType::Argument)
+                    .argument
+                    .insert(name.into(), policy);
+            })
+        };
+        let invalid =
+            |req: TokenRequest| matches!(ts.issue(&req, 0), Err(IssueError::InvalidRequest(_)));
+        blacklist("arg0", "8");
+        assert!(ts.issue(&request(&[]), 0).is_ok());
+        assert!(ts.issue(&request(&decoded), 0).is_ok());
+        // Declared args that are not the calldata's are refused.
+        assert!(invalid(request(&[("arg0", "8")])));
+        assert!(invalid(request(&decoded[..4])));
+        // So are calldata that does not decode and unreadable types.
+        let mut short = request(&[]);
+        short.calldata = Some(calldata[..100].to_vec());
+        assert!(invalid(short));
+        let mut no_selector = request(&[]);
+        no_selector.calldata = Some(vec![0xab]);
+        assert!(invalid(no_selector));
+        for method in ["f(uint8)", "f(uint256", "f", "f(uint256,)"] {
+            let mut unreadable = request(&[]);
+            unreadable.method = Some(method.into());
+            assert!(invalid(unreadable), "{method}");
+        }
+        let mut no_params = request(&[]);
+        no_params.method = Some("g()".into());
+        assert!(ts.issue(&no_params, 0).is_ok());
+
+        // The policy finds the value in the calldata, declared or not.
+        blacklist("arg4", "hé");
+        let rejected = Err(IssueError::RuleViolation(RuleViolation::ArgumentRejected {
+            name: "arg4".into(),
+            value: "hé".into(),
+        }));
+        assert_eq!(ts.issue(&request(&[]), 0).map(|_| ()), rejected);
+        assert_eq!(ts.issue(&request(&decoded), 0).map(|_| ()), rejected);
     }
 
     #[test]

@@ -77,17 +77,18 @@ impl HydraTool {
     }
 
     /// Run the uniformity evaluation for `calldata` from `sender`. Each
-    /// head executes on its *own* fork of the testnet — the heads are
-    /// independent program instances with independent state, as in the
-    /// Hydra framework (this per-head isolation is also why the paper's
-    /// Hydra-backed TS is an order of magnitude slower per request than
-    /// the single-simulation ECF tool).
+    /// head is one dry run on `testnet`, which reverts every write before
+    /// the next head runs, so every head starts from the same state — the
+    /// heads are independent program instances with independent state, as
+    /// in the Hydra framework (one simulation per head is also why the
+    /// paper's Hydra-backed TS is an order of magnitude slower per request
+    /// than the single-simulation ECF tool).
     pub fn evaluate(&self, testnet: &mut Chain, sender: Address, calldata: &[u8]) -> HydraVerdict {
+        let calldata = Bytes::from(calldata.to_vec());
         let mut outputs: Vec<Bytes> = Vec::with_capacity(self.heads.len());
         for (i, &head) in self.heads.iter().enumerate() {
-            let mut head_net = testnet.fork();
             self.simulations.fetch_add(1, Ordering::Relaxed);
-            let (result, _gas, _trace, _) = head_net.dry_run(sender, head, 0, calldata.to_vec());
+            let (result, _gas, _trace, _) = testnet.dry_run(sender, head, 0, calldata.clone());
             match result {
                 Ok(output) => outputs.push(output),
                 Err(e) => {

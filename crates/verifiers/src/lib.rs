@@ -10,8 +10,9 @@
 //!   [`smacs_ts::ValidationTool`] that simulates requested calls on the
 //!   TS's forked testnet and vetoes issuance on a violation;
 //! - [`hydra`] — the **Hydra uniformity** rule: N independent head
-//!   implementations of the protected logic run on forked testnets, and a
-//!   token is issued only when every head produces the identical output.
+//!   implementations of the protected logic run on the TS's forked
+//!   testnet, one dry run each, and a token is issued only when every head
+//!   produces the identical output.
 //!   "In contrast to Hydra, heads in SMACS are run by a TS on its local
 //!   testnet … and therefore it is possible to implement more heads …
 //!   without introducing additional on-chain cost."

@@ -252,6 +252,57 @@ fn amm_argument_bounds_allow_bounded_swaps_and_deny_zero_min_out() {
     assert_eq!(err.code, ErrorCode::RuleViolation);
 }
 
+/// Argument policies judge the calldata a token binds, not the bindings a
+/// client declares: a request for `swap(100, 0)` that declares
+/// `arg1 = "1"`, or declares nothing, gets no token, so the
+/// unbounded-slippage swap never runs.
+#[test]
+fn amm_argument_policy_judges_the_bound_calldata_not_the_declared_args() {
+    let mut world = scenario::build("amm", 44).unwrap();
+    let api = scenario_api(&world);
+    let amm = world.contract("amm").unwrap();
+    let trader = &world.wallets[2];
+    let swap = |args| {
+        TokenRequest::argument_token(
+            amm,
+            trader.address(),
+            SmacsAmm::SWAP_SIG,
+            args,
+            SmacsAmm::swap_payload(100, 0),
+        )
+    };
+    let bind = |name: &str, value: &str| ArgBinding {
+        name: name.into(),
+        value: value.into(),
+    };
+    let lying = swap(vec![bind("arg0", "100"), bind("arg1", "1")]);
+    let silent = swap(Vec::new());
+    for (label, req, code) in [
+        ("lying", lying, ErrorCode::InvalidRequest),
+        ("silent", silent, ErrorCode::RuleViolation),
+    ] {
+        match api.issue(&req) {
+            Err(err) => assert_eq!(err.code, code, "{label}: {}", err.message),
+            Ok(token) => {
+                let receipt = trader
+                    .call_with_token(
+                        &mut world.chain,
+                        amm,
+                        0,
+                        &SmacsAmm::swap_payload(100, 0),
+                        token,
+                    )
+                    .unwrap();
+                panic!("{label} request got a token: {:?}", receipt.status);
+            }
+        }
+    }
+    assert_eq!(
+        SmacsAmm::balance_y(&world.chain, amm, trader.address()),
+        U256::ZERO
+    );
+}
+
 /// Cross-contract composition: `leverageSwap` forwards the transaction's
 /// token array into the AMM, so the borrower needs a valid token for
 /// *each* shielded hop — and the inner hop's check still bites when its
