@@ -10,6 +10,7 @@
 //! Rust TS is faster in absolute terms; the `fig9` binary prints the
 //! measured numbers (`cargo run --release -p smacs-bench --bin fig9`).
 
+use smacs_contracts::BenchTarget;
 use smacs_crypto::Keypair;
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
@@ -36,9 +37,15 @@ pub struct Series {
     pub points: Vec<Point>,
 }
 
+/// The arguments of the argument requests: `ping(7, 8)`.
+const PING_ARGS: (u64, u64) = (7, 8);
+
 /// Build the Fig. 6-style rule book: a sender whitelist containing the
-/// client among `list_size − 1` other addresses, a method blacklist, and
-/// an argument whitelist.
+/// client among `list_size − 1` other addresses; a blacklist of
+/// `list_size / 2` other senders for `ping(uint256,uint256)`, the method
+/// the requests name; and a whitelist of `list_size / 2` values for its
+/// first argument (`arg0`) that admits the requests' value. Every request
+/// is granted, after checks that could have refused it.
 pub fn fig6_rules(client: Address, list_size: usize) -> RuleBook {
     let mut book = RuleBook::deny_all();
     for ttype in TokenType::ALL {
@@ -50,21 +57,20 @@ pub fn fig6_rules(client: Address, list_size: usize) -> RuleBook {
         let rules = book.rules_mut(ttype);
         rules.sender = Some(whitelist);
         rules.method.insert(
-            "methodA(uint256)".into(),
+            BenchTarget::PING_SIG.into(),
             ListPolicy::Blacklist(
                 (0..list_size / 2)
                     .map(|i| Address::from_low_u64(0x2_0000 + i as u64).to_hex())
                     .collect(),
             ),
         );
-        rules.argument.insert(
-            "argA".into(),
-            ListPolicy::Whitelist(
-                (0..list_size / 2)
-                    .map(|i| Address::from_low_u64(0x3_0000 + i as u64).to_hex())
-                    .collect(),
-            ),
+        let mut values = ListPolicy::Whitelist(
+            (1..list_size / 2)
+                .map(|i| (0x3_0000 + i).to_string())
+                .collect(),
         );
+        values.insert(PING_ARGS.0.to_string());
+        rules.argument.insert("arg0".into(), values);
     }
     book
 }
@@ -77,13 +83,13 @@ fn request_for(
 ) -> TokenRequest {
     let mut req = match ttype {
         TokenType::Super => TokenRequest::super_token(contract, client),
-        TokenType::Method => TokenRequest::method_token(contract, client, "ping(uint256,uint256)"),
+        TokenType::Method => TokenRequest::method_token(contract, client, BenchTarget::PING_SIG),
         TokenType::Argument => TokenRequest::argument_token(
             contract,
             client,
-            "ping(uint256,uint256)",
+            BenchTarget::PING_SIG,
             vec![],
-            vec![0xAB; 68],
+            BenchTarget::ping_payload(PING_ARGS.0, PING_ARGS.1),
         ),
     };
     if one_time {
@@ -159,4 +165,50 @@ pub fn report(series: &[Series]) -> String {
         "paper: rises with batching, plateaus ≈200–300 req/s (Node.js); shape must match, absolute scale is substrate-dependent\n",
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smacs_ts::{IssueError, RuleViolation};
+
+    /// The book grants every timed request, and its method blacklist and
+    /// argument whitelist judge what those requests bind.
+    #[test]
+    fn the_book_judges_what_the_requests_bind() {
+        let client = Keypair::from_seed(77).address();
+        let contract = Address::from_low_u64(0xC0);
+        let request = |ttype| request_for(ttype, false, client, contract);
+        let ts = TokenService::new(
+            Keypair::from_seed(1),
+            fig6_rules(client, 10),
+            TokenServiceConfig::default(),
+        );
+        for ttype in TokenType::ALL {
+            assert!(ts.issue(&request(ttype), 0).is_ok(), "{ttype}");
+        }
+
+        let mut other_value = request(TokenType::Argument);
+        other_value.calldata = Some(BenchTarget::ping_payload(PING_ARGS.1, PING_ARGS.1));
+        let rejected = RuleViolation::ArgumentRejected {
+            name: "arg0".into(),
+            value: PING_ARGS.1.to_string(),
+        };
+        assert_eq!(
+            ts.issue(&other_value, 0),
+            Err(IssueError::RuleViolation(rejected))
+        );
+
+        let mut book = fig6_rules(client, 10);
+        let rules = book.rules_mut(TokenType::Method);
+        let blacklist = rules.method.get_mut(BenchTarget::PING_SIG).unwrap();
+        blacklist.insert(client.to_hex());
+        ts.set_rules(book);
+        assert!(matches!(
+            ts.issue(&request(TokenType::Method), 0),
+            Err(IssueError::RuleViolation(
+                RuleViolation::MethodRejected { .. }
+            ))
+        ));
+    }
 }

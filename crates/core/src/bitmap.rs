@@ -96,19 +96,6 @@ impl BitmapState {
         self.start + self.bits.len() as u128 - 1
     }
 
-    /// Whether index `i` would currently be treated as used/stale (without
-    /// mutating).
-    pub fn is_spent(&self, i: u128) -> bool {
-        if i < self.start {
-            return true;
-        }
-        if i > self.end() {
-            return false;
-        }
-        let t = self.position_of(i);
-        self.bits[t]
-    }
-
     fn position_of(&self, i: u128) -> usize {
         let n = self.bits.len();
         ((self.start_ptr as u128 + (i - self.start)) % n as u128) as usize
@@ -273,18 +260,6 @@ mod tests {
         assert!(bm.try_use(1).is_accepted());
         assert!(bm.try_use(4).is_accepted());
         assert_eq!(bm.try_use(1), BitmapVerdict::RejectedUsed);
-    }
-
-    #[test]
-    fn is_spent_is_side_effect_free() {
-        let mut bm = BitmapState::new(8);
-        bm.try_use(2);
-        let before = bm.clone();
-        assert!(bm.is_spent(2));
-        assert!(!bm.is_spent(3));
-        assert!(!bm.is_spent(100)); // beyond window: would be accepted
-        assert!(bm.is_spent(0) == (bm.start() > 0));
-        assert_eq!(bm, before);
     }
 
     #[test]

@@ -101,57 +101,6 @@ impl TokenFetcher {
         Ok(token)
     }
 
-    /// Warm the cache for many requests in one `issue_batch` round trip —
-    /// what a wallet does at startup for the contracts it talks to.
-    /// Returns per-request outcomes; cacheable successes are retained.
-    pub fn prefetch(
-        &self,
-        requests: &[TokenRequest],
-        now: u64,
-    ) -> Result<Vec<Result<Token, ApiError>>, ApiError> {
-        // Only fetch what the cache can't already serve.
-        let mut wanted = Vec::new();
-        let mut wanted_idx = Vec::new();
-        let mut results: Vec<Option<Result<Token, ApiError>>> = vec![None; requests.len()];
-        {
-            let cache = self.cache.lock();
-            for (i, request) in requests.iter().enumerate() {
-                let key = cache_key(request);
-                match cache.get(&key) {
-                    Some(token) if Self::cacheable(request) && Self::fresh(token, now) => {
-                        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        results[i] = Some(Ok(*token));
-                    }
-                    _ => {
-                        wanted.push(request.clone());
-                        wanted_idx.push(i);
-                    }
-                }
-            }
-        }
-        if !wanted.is_empty() {
-            // Count misses for cacheable requests only, matching `fetch`
-            // (one-time/argument requests bypass the cache and its stats).
-            let cacheable_misses = wanted.iter().filter(|r| Self::cacheable(r)).count() as u64;
-            self.misses
-                .fetch_add(cacheable_misses, std::sync::atomic::Ordering::Relaxed);
-            let fetched = self.api.issue_batch(&wanted)?;
-            let mut cache = self.cache.lock();
-            for ((i, request), outcome) in wanted_idx.iter().zip(&wanted).zip(fetched) {
-                if let Ok(token) = &outcome {
-                    if Self::cacheable(request) {
-                        cache.insert(cache_key(request), *token);
-                    }
-                }
-                results[*i] = Some(outcome);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect())
-    }
-
     /// Drop every cached token (e.g. after the owner rotated rules and
     /// outstanding tokens should not be reused).
     pub fn clear(&self) {
@@ -248,30 +197,12 @@ mod tests {
         let b = fetcher.fetch(&one_time, 0).unwrap();
         assert_ne!(a.index, b.index, "one-time tokens must never be reused");
 
-        let arg = TokenRequest::argument_token(contract(), sender(), "f()", vec![], vec![1]);
+        let calldata = smacs_chain::abi::encode_call("f()", &[]);
+        let arg = TokenRequest::argument_token(contract(), sender(), "f()", vec![], calldata);
         fetcher.fetch(&arg, 0).unwrap();
         fetcher.fetch(&arg, 0).unwrap();
         // Neither shape touched the cache counters' hit path.
         assert_eq!(fetcher.stats().0, 0);
-    }
-
-    #[test]
-    fn prefetch_warms_the_cache_in_one_round_trip() {
-        let (fetcher, _api) = fetcher_at(0);
-        let reqs: Vec<TokenRequest> = (0..5)
-            .map(|i| TokenRequest::method_token(contract(), sender(), format!("m{i}()")))
-            .collect();
-        let results = fetcher.prefetch(&reqs, 0).unwrap();
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(fetcher.stats(), (0, 5));
-        // Every later fetch is a hit.
-        for req in &reqs {
-            fetcher.fetch(req, 0).unwrap();
-        }
-        assert_eq!(fetcher.stats(), (5, 5));
-        // Prefetching again serves from cache.
-        fetcher.prefetch(&reqs, 0).unwrap();
-        assert_eq!(fetcher.stats(), (10, 5));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use smacs_chain::{CallContext, Selector, VmError, SCHEDULE};
 use smacs_primitives::{Address, Bytes};
-use smacs_token::{split_tokens, PayloadContext, Token, TokenArray, TokenType};
+use smacs_token::{split_tokens, Binding, Token, TokenArray, TokenType};
 
 use crate::costs::{
     ARG_PER_PAYLOAD_BYTE_STEPS, METHOD_EXTRA_STEPS, PARSE_PER_ENTRY_STEPS, VERIFY_BASE_STEPS,
@@ -151,8 +151,10 @@ fn verify_token_inner(
 /// Alg. 1's `data` for `token` in a call from `origin` to `this` whose
 /// calldata is `msg_data` (`payload` is `msg_data` without the token
 /// array): `tk.type ‖ tkData ‖ addrData`, then `msg.sig` for method tokens
-/// and `msg.sig ‖ msg.data` for argument tokens. Pure, so the shield's
-/// recovery hint and the on-chain check derive the digest identically.
+/// and `msg.sig ‖ msg.data` for argument tokens, where an argument
+/// token's `msg.sig` is its payload's first four bytes, as at issuance.
+/// Pure, so the shield's recovery hint and the on-chain check derive the
+/// digest identically.
 pub(crate) fn token_signing_payload(
     token: &Token,
     origin: Address,
@@ -160,13 +162,13 @@ pub(crate) fn token_signing_payload(
     msg_data: &[u8],
     payload: &[u8],
 ) -> Vec<u8> {
-    let payload_ctx = PayloadContext {
-        sender: origin,
-        contract: this,
-        selector: Selector::from_calldata(msg_data),
-        calldata: (token.ttype == TokenType::Argument).then(|| payload.to_vec()),
+    let binding = match token.ttype {
+        TokenType::Super => Binding::Super,
+        TokenType::Method => Binding::Method(Selector::from_calldata(msg_data).unwrap_or_default()),
+        TokenType::Argument => Binding::Argument(payload),
     };
-    smacs_token::signing_payload(token.ttype, token.expire, token.index, &payload_ctx)
+    let context = binding.context(origin, this);
+    smacs_token::signing_payload(token.ttype, token.expire, token.index, &context)
 }
 
 /// Forward a call to the next SMACS-enabled contract on a call chain

@@ -25,6 +25,6 @@ pub mod request;
 pub mod types;
 
 pub use array::{append_tokens, split_tokens, TokenArray, TokenArrayError};
-pub use payload::{signing_digest, signing_payload, PayloadContext};
+pub use payload::{signing_digest, signing_payload, Binding, PayloadContext};
 pub use request::{ArgBinding, RequestError, TokenRequest};
 pub use types::{Token, TokenCodecError, TokenType, NO_INDEX};

@@ -35,8 +35,47 @@ use smacs_primitives::{Address, H256};
 
 use crate::types::TokenType;
 
+/// What a token binds beyond its sender and contract (Tab. I, Alg. 1):
+/// nothing for a super token, `msg.sig` for a method token, and
+/// `msg.sig ‖ msg.data` for an argument token, whose selector is its
+/// calldata's first four bytes. The TS parses a request into one
+/// ([`crate::TokenRequest::binding`]); the shield reads one off the call
+/// it verifies. Both then sign or check the payload of
+/// [`Binding::context`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Binding<'a> {
+    /// A super token: any method, any arguments.
+    Super,
+    /// A method token: this selector, any arguments.
+    Method(Selector),
+    /// An argument token: exactly this payload calldata (selector and
+    /// ABI-encoded arguments, without the token array).
+    Argument(&'a [u8]),
+}
+
+impl Binding<'_> {
+    /// The signing context of a token with this binding, used by `sender`
+    /// against `contract`.
+    pub fn context(&self, sender: Address, contract: Address) -> PayloadContext {
+        let (selector, calldata) = match *self {
+            Binding::Super => (None, None),
+            Binding::Method(selector) => (Some(selector), None),
+            Binding::Argument(calldata) => {
+                (Selector::from_calldata(calldata), Some(calldata.to_vec()))
+            }
+        };
+        PayloadContext {
+            sender,
+            contract,
+            selector,
+            calldata,
+        }
+    }
+}
+
 /// The context a signing payload binds: who may use the token, against
-/// which contract, and (for method/argument tokens) how.
+/// which contract, and (for method/argument tokens) how. Built by
+/// [`Binding::context`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PayloadContext {
     /// The client account (`sAddr` at issuance; `tx.origin` at
@@ -110,6 +149,36 @@ mod tests {
             selector: Some(selector("withdraw(uint256)")),
             calldata: Some(vec![1, 2, 3, 4, 5]),
         }
+    }
+
+    #[test]
+    fn binding_contexts_carry_what_their_type_signs() {
+        let (sender, contract) = (Address::from_low_u64(0xAA), Address::from_low_u64(0xBB));
+        let context = |binding: Binding| binding.context(sender, contract);
+        let bare = PayloadContext {
+            sender,
+            contract,
+            selector: None,
+            calldata: None,
+        };
+        assert_eq!(context(Binding::Super), bare);
+        let withdraw = selector("withdraw(uint256)");
+        assert_eq!(
+            context(Binding::Method(withdraw)),
+            PayloadContext {
+                selector: Some(withdraw),
+                ..bare.clone()
+            }
+        );
+        let calldata = [&withdraw.0[..], &[7; 32]].concat();
+        assert_eq!(
+            context(Binding::Argument(&calldata)),
+            PayloadContext {
+                selector: Some(withdraw),
+                calldata: Some(calldata.clone()),
+                ..bare
+            }
+        );
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! | Argument |  ✓    |  ✓    |  ✓       |  ✓ (repeated)    |
 //!
 //! `methodId` is carried as the canonical Solidity signature string (e.g.
-//! `"withdraw(uint256)"`); the 4-byte selector is derived from it. The TS
-//! carries these fields as JSON.
+//! `"withdraw(uint256)"`). A method token binds the 4-byte selector derived
+//! from it. An argument request also carries the exact calldata it binds,
+//! and its token's selector is that calldata's first four bytes, so the
+//! calldata must begin with `methodId`'s selector. The argument bindings
+//! are the client's declaration of what that calldata decodes to. The TS
+//! carries these fields as JSON and parses them with
+//! [`TokenRequest::binding`].
 
 use smacs_chain::abi::{selector, Selector};
 use smacs_primitives::hexutil;
@@ -19,6 +24,7 @@ use smacs_primitives::Address;
 use std::borrow::Cow;
 use std::fmt;
 
+use crate::payload::Binding;
 use crate::types::TokenType;
 
 smacs_primitives::json_codec! {
@@ -63,6 +69,9 @@ pub enum RequestError {
     MissingCalldata,
     /// Super/method request carrying argument bindings.
     UnexpectedArgs,
+    /// Argument request whose calldata does not begin with the selector
+    /// of its `methodId` (or is shorter than a selector).
+    SelectorMismatch,
 }
 
 impl fmt::Display for RequestError {
@@ -74,6 +83,12 @@ impl fmt::Display for RequestError {
             }
             RequestError::UnexpectedArgs => {
                 write!(f, "argument bindings only valid for argument tokens")
+            }
+            RequestError::SelectorMismatch => {
+                write!(
+                    f,
+                    "argument calldata must begin with the methodId's selector"
+                )
             }
         }
     }
@@ -133,32 +148,33 @@ impl TokenRequest {
         self
     }
 
-    /// Validate the Tab. I field matrix.
-    pub fn validate(&self) -> Result<(), RequestError> {
+    /// Parse the request into what its token binds, enforcing Tab. I's
+    /// field matrix: a method or argument request names a `methodId`, an
+    /// argument request carries calldata that begins with that method's
+    /// selector, and only an argument request declares argument bindings.
+    pub fn binding(&self) -> Result<Binding<'_>, RequestError> {
         match self.ttype {
-            TokenType::Super => {
-                if !self.args.is_empty() {
-                    return Err(RequestError::UnexpectedArgs);
-                }
-            }
+            TokenType::Super if !self.args.is_empty() => Err(RequestError::UnexpectedArgs),
+            TokenType::Super => Ok(Binding::Super),
             TokenType::Method => {
-                if self.method.is_none() {
-                    return Err(RequestError::MissingMethod);
-                }
+                let method = self.method.as_deref().ok_or(RequestError::MissingMethod)?;
                 if !self.args.is_empty() {
                     return Err(RequestError::UnexpectedArgs);
                 }
+                Ok(Binding::Method(selector(method)))
             }
             TokenType::Argument => {
-                if self.method.is_none() {
-                    return Err(RequestError::MissingMethod);
-                }
-                if self.calldata.is_none() {
-                    return Err(RequestError::MissingCalldata);
+                let method = self.method.as_deref().ok_or(RequestError::MissingMethod)?;
+                let calldata = self
+                    .calldata
+                    .as_deref()
+                    .ok_or(RequestError::MissingCalldata)?;
+                match Selector::from_calldata(calldata) {
+                    Some(bound) if bound == selector(method) => Ok(Binding::Argument(calldata)),
+                    _ => Err(RequestError::SelectorMismatch),
                 }
             }
         }
-        Ok(())
     }
 
     /// The 4-byte selector derived from `methodId`, if present.
@@ -221,25 +237,23 @@ mod tests {
     }
 
     #[test]
-    fn constructors_validate() {
-        assert!(TokenRequest::super_token(contract(), sender())
-            .validate()
-            .is_ok());
-        assert!(TokenRequest::method_token(contract(), sender(), "f()")
-            .validate()
-            .is_ok());
-        assert!(TokenRequest::argument_token(
+    fn constructors_parse_into_their_bindings() {
+        let req = TokenRequest::super_token(contract(), sender());
+        assert_eq!(req.binding(), Ok(Binding::Super));
+        let req = TokenRequest::method_token(contract(), sender(), "f()");
+        assert_eq!(req.binding(), Ok(Binding::Method(selector("f()"))));
+        let calldata = [&selector("f(uint256)").0[..], &[0xde, 0xad]].concat();
+        let req = TokenRequest::argument_token(
             contract(),
             sender(),
             "f(uint256)",
             vec![ArgBinding {
                 name: "x".into(),
-                value: "1".into()
+                value: "1".into(),
             }],
-            vec![0xde, 0xad],
-        )
-        .validate()
-        .is_ok());
+            calldata.clone(),
+        );
+        assert_eq!(req.binding(), Ok(Binding::Argument(&calldata)));
     }
 
     #[test]
@@ -250,17 +264,42 @@ mod tests {
             name: "x".into(),
             value: "1".into(),
         });
-        assert_eq!(req.validate(), Err(RequestError::UnexpectedArgs));
+        assert_eq!(req.binding(), Err(RequestError::UnexpectedArgs));
 
         // Method without methodId: rejected.
         let mut req = TokenRequest::method_token(contract(), sender(), "f()");
         req.method = None;
-        assert_eq!(req.validate(), Err(RequestError::MissingMethod));
+        assert_eq!(req.binding(), Err(RequestError::MissingMethod));
 
         // Argument without calldata: rejected.
         let mut req = TokenRequest::argument_token(contract(), sender(), "f()", vec![], vec![1]);
         req.calldata = None;
-        assert_eq!(req.validate(), Err(RequestError::MissingCalldata));
+        assert_eq!(req.binding(), Err(RequestError::MissingCalldata));
+    }
+
+    #[test]
+    fn argument_calldata_must_begin_with_the_methods_selector() {
+        let ping = selector("ping(uint256,uint256)").0;
+        let request = |method: &str, calldata: &[u8]| {
+            TokenRequest::argument_token(contract(), sender(), method, vec![], calldata.to_vec())
+        };
+        for calldata in [&ping[..], &[&ping[..], &[0; 68]].concat()] {
+            let req = request("ping(uint256,uint256)", calldata);
+            assert_eq!(req.binding(), Ok(Binding::Argument(calldata)));
+        }
+        for (method, calldata) in [
+            ("total()", &ping[..]),
+            ("ping(uint256,uint256)", &[0xAB; 68][..]),
+            ("ping(uint256,uint256)", &ping[..3]),
+            ("ping(uint256,uint256)", &[]),
+        ] {
+            let req = request(method, calldata);
+            assert_eq!(
+                req.binding(),
+                Err(RequestError::SelectorMismatch),
+                "{method}"
+            );
+        }
     }
 
     #[test]
@@ -284,7 +323,7 @@ mod tests {
         );
         let req: TokenRequest = smacs_primitives::json::from_str(&json).unwrap();
         assert_eq!(req, TokenRequest::super_token(contract(), sender()));
-        assert!(req.validate().is_ok());
+        assert_eq!(req.binding(), Ok(Binding::Super));
     }
 
     #[test]

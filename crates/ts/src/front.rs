@@ -401,7 +401,7 @@ mod tests {
         for wrong in ["", "wrong", "hunter", "hunter22", "hunter3"] {
             let bad = front.set_rules(wrong, RuleBook::deny_all()).unwrap_err();
             assert_eq!(bad.code, ErrorCode::Unauthorized, "{wrong:?}");
-            assert_eq!(front.service().rules_snapshot(), RuleBook::permissive());
+            assert_eq!(*front.service().current_rules(), RuleBook::permissive());
             // Service still permissive.
             front.issue(&request()).unwrap();
         }

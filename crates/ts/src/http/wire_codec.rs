@@ -8,9 +8,7 @@
 //!   socket by a proxy that answers each one through a real [`FrontEnd`];
 //! - the response to each of them;
 //! - every refusal body: the front end's, one per error path, and the HTTP
-//!   server's own, except the non-UTF-8 refusal, which
-//!   `http::tests::non_utf8_request_bodies_are_refused_not_rewritten`
-//!   checks instead.
+//!   server's own.
 //!
 //! After an intended wire change, rewrite the file with
 //!
@@ -26,7 +24,8 @@
 
 use super::{
     read_body, read_head, write_request, write_response, BODY_TOO_LARGE_BODY, FAULTED_BODY,
-    HEAD_TOO_LARGE_BODY, MAX_HEAD_BYTES, NOT_POST_BODY, NO_LENGTH_BODY, OVERLOADED_BODY,
+    HEAD_TOO_LARGE_BODY, MAX_HEAD_BYTES, NOT_POST_BODY, NOT_UTF8_BODY, NO_LENGTH_BODY,
+    OVERLOADED_BODY,
 };
 use crate::api::{ResponseEnvelope, MAX_BATCH, PROTOCOL_VERSION};
 use crate::discovery::ContractMetadata;
@@ -144,7 +143,7 @@ impl ValidationTool for Veto {
         "veto"
     }
 
-    fn validate(&self, _req: &TokenRequest, _testnet: &mut Chain) -> Result<(), String> {
+    fn validate(&self, _: Address, _: &[u8], _: &mut Chain) -> Result<(), String> {
         Err("vetoed".into())
     }
 }
@@ -248,8 +247,8 @@ fn transcript() -> String {
     exchange("issue.one_time");
     failover.issue(&transfer(2)).expect("method");
     exchange("issue.method");
-    // The tricky method names no parameter types the TS can read, so the
-    // argument policy cannot judge the request.
+    // The calldata does not begin with the tricky method's selector, so
+    // the request binds no call its token could be spent on.
     assert_eq!(
         refused(http.issue(&argument_request())),
         ErrorCode::InvalidRequest
@@ -398,6 +397,7 @@ fn transcript() -> String {
         ("not_post", NOT_POST_BODY),
         ("no_length", NO_LENGTH_BODY),
         ("body_too_large", BODY_TOO_LARGE_BODY),
+        ("not_utf8", NOT_UTF8_BODY),
     ] {
         lines.push(format!("refusal.http.{label}.response {body}"));
     }

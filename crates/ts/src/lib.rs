@@ -15,15 +15,16 @@
 //!   [`TsApi`] call and as a protocol-v2 JSON envelope, one `match` per
 //!   op; [`http`] holds the one listener type, [`Endpoint`]) through which
 //!   owners and clients interact;
-//! - the **access granting** module ([`service`]) that checks rule
-//!   compliance ([`rules`] — Fig. 6's white/blacklists, dynamically
-//!   updatable by the owner without touching the deployed contract) and
-//!   signs tokens;
+//! - the **access granting** module ([`service`]) that parses each
+//!   request into what its token binds, checks rule compliance ([`rules`]
+//!   — Fig. 6's white/blacklists, dynamically updatable by the owner
+//!   without touching the deployed contract) and signs tokens;
 //! - the **validation** module ([`validation`]) hosting pluggable
 //!   runtime-verification tools (Hydra uniformity and the ECF checker live
 //!   in the `smacs-verifiers` crate and plug in through the
-//!   [`validation::ValidationTool`] trait, running against a forked local
-//!   testnet as §V describes).
+//!   [`validation::ValidationTool`] trait). A tool is handed the sender
+//!   and the exact calldata of each argument request and simulates that
+//!   call against a forked local testnet, as §V describes.
 //!
 //! One-time indexes always come from a [`replica::CounterCluster`]: a
 //! one-node, memory-only cluster by default, or, for availability

@@ -17,7 +17,7 @@
 
 use smacs_primitives::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use smacs_primitives::Address;
-use smacs_token::{TokenRequest, TokenType};
+use smacs_token::{ArgBinding, TokenRequest, TokenType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -76,18 +76,6 @@ impl ListPolicy {
         match self {
             ListPolicy::Whitelist(set) | ListPolicy::Blacklist(set) => set.remove(subject),
         }
-    }
-
-    /// Number of listed subjects.
-    pub fn len(&self) -> usize {
-        match self {
-            ListPolicy::Whitelist(set) | ListPolicy::Blacklist(set) => set.len(),
-        }
-    }
-
-    /// True iff no subjects are listed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -158,7 +146,13 @@ impl TypeRules {
         }
     }
 
-    fn check(&self, req: &TokenRequest) -> Result<(), RuleViolation> {
+    /// Check `req` against these rules, with argument policies judging
+    /// `args`.
+    pub(crate) fn check(
+        &self,
+        req: &TokenRequest,
+        args: &[ArgBinding],
+    ) -> Result<(), RuleViolation> {
         let sender_hex = req.sender.to_hex();
         if let Some(policy) = &self.sender {
             if !policy.permits(&sender_hex) {
@@ -175,7 +169,7 @@ impl TypeRules {
                 }
             }
         }
-        for arg in &req.args {
+        for arg in args {
             if let Some(policy) = self.argument.get(&arg.name) {
                 if !policy.permits(&arg.value) {
                     return Err(RuleViolation::ArgumentRejected {
@@ -218,14 +212,16 @@ impl RuleBook {
         self.types.entry(ttype).or_default()
     }
 
-    /// Check a request against the rules of its type. Argument policies
-    /// judge `req.args`; the TS fills those from the bound calldata first.
+    /// Check a request against the rules of its type, with argument
+    /// policies judging the args it declares. The TS never judges those:
+    /// `TokenService::mint` (behind `issue` and `issue_batch`) judges the
+    /// args it decodes from the calldata the token binds.
     pub fn check(&self, req: &TokenRequest) -> Result<(), RuleViolation> {
         let rules = self
             .types
             .get(&req.ttype)
             .ok_or(RuleViolation::TypeNotConfigured(req.ttype))?;
-        rules.check(req)
+        rules.check(req, &req.args)
     }
 }
 
@@ -357,7 +353,6 @@ impl FromJson<'_> for RuleBook {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use smacs_token::request::ArgBinding;
 
     fn addr(n: u64) -> Address {
         Address::from_low_u64(n)
@@ -390,7 +385,7 @@ mod tests {
         assert!(wl.permits(&addr(5).to_hex()));
         assert!(wl.remove(&addr(5).to_hex()));
         assert!(!wl.permits(&addr(5).to_hex()));
-        assert!(wl.is_empty());
+        assert_eq!(wl, ListPolicy::deny_all());
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! — by signing `type ‖ expire ‖ index ‖ reqPayload` with `sk_TS`.
 
 use parking_lot::Mutex;
-use smacs_chain::abi::{self, AbiError, AbiType, AbiValue};
+use smacs_chain::abi::{self, AbiType, AbiValue};
 use smacs_chain::Chain;
 use smacs_crypto::{Keypair, Signature};
 use smacs_primitives::{hexutil, Address, WorkerPool, H256};
-use smacs_token::{
-    signing_digest, ArgBinding, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX,
-};
+use smacs_token::{signing_digest, ArgBinding, Binding, Token, TokenRequest, TokenType, NO_INDEX};
 use std::fmt;
 use std::mem;
 use std::sync::Arc;
@@ -173,14 +171,8 @@ impl TokenService {
     }
 
     /// The current book, cloned out of the lock as an `Arc`.
-    fn current_rules(&self) -> Arc<RuleBook> {
+    pub(crate) fn current_rules(&self) -> Arc<RuleBook> {
         self.rules.lock().clone()
-    }
-
-    /// Snapshot of the current rules (owner diagnostics; rules stay
-    /// private to the TS — clients never see them).
-    pub fn rules_snapshot(&self) -> RuleBook {
-        RuleBook::clone(&self.current_rules())
     }
 
     /// Handle one token request at TS-local time `now`.
@@ -189,46 +181,50 @@ impl TokenService {
         Ok(minted.token(self.sk_ts.sign_digest(&minted.digest)))
     }
 
-    /// Everything `issue` does before the signature, judged by `rules`.
+    /// Everything `issue` does before the signature, judged by `rules`:
+    /// parse the request, check the rules, run the tools, and compute the
+    /// digest to sign.
     fn mint(&self, rules: &RuleBook, req: &TokenRequest, now: u64) -> Result<Minted, IssueError> {
-        // 1. Well-formedness (Tab. I).
-        req.validate()
+        // 1. Parse (Tab. I): what the token binds.
+        let binding = req
+            .binding()
             .map_err(|e| IssueError::InvalidRequest(e.to_string()))?;
 
         // 2. ACR compliance, against a book no lock guards. An argument
         //    token's argument policies judge the calldata it binds.
-        let bound;
-        let judged = match rules.types.get(&req.ttype) {
-            Some(t) if req.ttype == TokenType::Argument && !t.argument.is_empty() => {
-                bound = bind_args(req).map_err(IssueError::InvalidRequest)?;
-                &bound
+        let not_configured = RuleViolation::TypeNotConfigured(req.ttype);
+        let rules = rules
+            .types
+            .get(&req.ttype)
+            .ok_or(IssueError::RuleViolation(not_configured))?;
+        let args = match (binding, req.method.as_deref()) {
+            (Binding::Argument(calldata), Some(method)) if !rules.argument.is_empty() => {
+                bind_args(method, calldata, &req.args).map_err(IssueError::InvalidRequest)?
             }
-            _ => req,
+            _ => Vec::new(),
         };
-        rules.check(judged).map_err(IssueError::RuleViolation)?;
+        rules.check(req, &args).map_err(IssueError::RuleViolation)?;
 
-        // 3. Validation tools on the local testnet.
-        for tool in &self.tools {
-            if !tool.applies_to(req.ttype) {
-                continue;
-            }
-            let Some(testnet) = &self.testnet else {
-                return Err(IssueError::ToolRejected {
-                    tool: tool.name(),
-                    reason: "no testnet attached".into(),
-                });
-            };
-            let mut fork = testnet.fork();
-            tool.validate(req, &mut fork)
-                .map_err(|reason| IssueError::ToolRejected {
+        // 3. Validation tools simulate an argument token's call on the
+        //    local testnet.
+        if let Binding::Argument(calldata) = binding {
+            for tool in &self.tools {
+                let rejected = |reason| IssueError::ToolRejected {
                     tool: tool.name(),
                     reason,
-                })?;
+                };
+                let Some(testnet) = &self.testnet else {
+                    return Err(rejected("no testnet attached".into()));
+                };
+                tool.validate(req.sender, calldata, &mut testnet.fork())
+                    .map_err(rejected)?;
+            }
         }
 
-        // 4. Mint: expiry from lifetime, index from the counter when the
-        //    one-time property is requested. The expiry saturates at the
-        //    wire's u32 rather than wrapping into a token born expired.
+        // 4. The digest to sign: expiry from lifetime, index from the
+        //    counter when the one-time property is requested. The expiry
+        //    saturates at the wire's u32 rather than wrapping into a token
+        //    born expired.
         let expire = now
             .saturating_add(self.config.token_lifetime_secs)
             .min(u32::MAX.into()) as u32;
@@ -238,16 +234,7 @@ impl TokenService {
         } else {
             NO_INDEX
         };
-        let ctx = PayloadContext {
-            sender: req.sender,
-            contract: req.contract,
-            selector: req.selector(),
-            calldata: if req.ttype == TokenType::Argument {
-                req.calldata.clone()
-            } else {
-                None
-            },
-        };
+        let ctx = binding.context(req.sender, req.contract);
         Ok(Minted {
             ttype: req.ttype,
             expire,
@@ -320,13 +307,16 @@ impl Minted {
     }
 }
 
-/// `req` with the bindings `arg0, arg1, …` of its calldata as `args`: the
-/// calldata decoded with the parameter types its method signature names,
-/// rendered as clients declare them (a uint in decimal, an address as
-/// `0x…` hex, `true`/`false`, bytes as `0x…` hex, a string verbatim). The
-/// args a request declares, if any, must be exactly these.
-fn bind_args(req: &TokenRequest) -> Result<TokenRequest, String> {
-    let method = req.method.as_deref().unwrap_or_default();
+/// The bindings `arg0, arg1, …` of `calldata` (which begins with a
+/// selector): its arguments decoded with the parameter types `method`
+/// names, rendered as clients declare them (a uint in decimal, an address
+/// as `0x…` hex, `true`/`false`, bytes as `0x…` hex, a string verbatim).
+/// The `declared` args, if any, must be exactly these.
+fn bind_args(
+    method: &str,
+    calldata: &[u8],
+    declared: &[ArgBinding],
+) -> Result<Vec<ArgBinding>, String> {
     let unreadable = || "cannot read the method's parameter types".to_string();
     let params = method
         .split_once('(')
@@ -344,11 +334,7 @@ fn bind_args(req: &TokenRequest) -> Result<TokenRequest, String> {
             _ => Err(unreadable()),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let calldata = req.calldata.as_deref().unwrap_or_default();
-    let values = calldata
-        .get(4..)
-        .ok_or(AbiError::ShortInput)
-        .and_then(|data| abi::decode(data, &types))
+    let values = abi::decode(&calldata[4..], &types)
         .map_err(|e| format!("calldata does not decode: {e}"))?;
     let args: Vec<ArgBinding> = values
         .into_iter()
@@ -364,19 +350,17 @@ fn bind_args(req: &TokenRequest) -> Result<TokenRequest, String> {
             },
         })
         .collect();
-    if !req.args.is_empty() && req.args != args {
+    if !declared.is_empty() && declared != args {
         return Err("declared args differ from the calldata's".into());
     }
-    Ok(TokenRequest {
-        args,
-        ..req.clone()
-    })
+    Ok(args)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::ListPolicy;
+    use smacs_token::PayloadContext;
 
     fn service() -> TokenService {
         TokenService::new(
@@ -437,7 +421,7 @@ mod tests {
         let ctx = PayloadContext {
             sender: sender(),
             contract: contract(),
-            selector: req.selector(),
+            selector: Some(abi::selector("f(uint256)")),
             calldata: None,
         };
         let digest = signing_digest(tk.ttype, tk.expire, tk.index, &ctx);
@@ -513,7 +497,8 @@ mod tests {
             ("arg3", "0xab01"),
             ("arg4", "hé"),
         ];
-        assert_eq!(bind_args(&request(&[])).unwrap(), request(&decoded));
+        let named = |args: &[(&str, &str)]| request(args).args;
+        assert_eq!(bind_args(sig, &calldata, &[]), Ok(named(&decoded)));
 
         // Without an argument policy nothing is decoded.
         let ts = service();
@@ -539,16 +524,20 @@ mod tests {
         let mut short = request(&[]);
         short.calldata = Some(calldata[..100].to_vec());
         assert!(invalid(short));
-        let mut no_selector = request(&[]);
-        no_selector.calldata = Some(vec![0xab]);
-        assert!(invalid(no_selector));
         for method in ["f(uint8)", "f(uint256", "f", "f(uint256,)"] {
-            let mut unreadable = request(&[]);
-            unreadable.method = Some(method.into());
+            let selector = abi::selector(method).0;
+            let unreadable = TokenRequest::argument_token(
+                contract(),
+                sender(),
+                method,
+                vec![],
+                [&selector[..], &calldata[4..]].concat(),
+            );
             assert!(invalid(unreadable), "{method}");
         }
-        let mut no_params = request(&[]);
-        no_params.method = Some("g()".into());
+        let no_params = abi::encode_call("g()", &[]);
+        let no_params =
+            TokenRequest::argument_token(contract(), sender(), "g()", vec![], no_params);
         assert!(ts.issue(&no_params, 0).is_ok());
 
         // The policy finds the value in the calldata, declared or not.
@@ -568,28 +557,24 @@ mod tests {
             fn name(&self) -> &'static str {
                 "veto"
             }
-            fn validate(&self, _req: &TokenRequest, _testnet: &mut Chain) -> Result<(), String> {
+            fn validate(&self, _: Address, _: &[u8], _: &mut Chain) -> Result<(), String> {
                 Err("simulated attack detected".into())
             }
         }
         let ts = service()
             .with_testnet(Chain::default_chain().fork())
             .with_tool(Arc::new(VetoTool));
-        // Super tokens unaffected (tool applies to argument tokens only).
+        // Super and method tokens unaffected (tools judge argument tokens
+        // only).
         assert!(ts
             .issue(&TokenRequest::super_token(contract(), sender()), 0)
             .is_ok());
+        assert!(ts
+            .issue(&TokenRequest::method_token(contract(), sender(), "f()"), 0)
+            .is_ok());
         // Argument tokens vetoed.
-        let req = TokenRequest::argument_token(
-            contract(),
-            sender(),
-            "f(uint256)",
-            vec![ArgBinding {
-                name: "x".into(),
-                value: "1".into(),
-            }],
-            vec![1, 2, 3, 4],
-        );
+        let calldata = abi::encode_call("f()", &[]);
+        let req = TokenRequest::argument_token(contract(), sender(), "f()", vec![], calldata);
         assert!(matches!(
             ts.issue(&req, 0),
             Err(IssueError::ToolRejected { tool: "veto", .. })
@@ -603,12 +588,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "needs-net"
             }
-            fn validate(&self, _req: &TokenRequest, _testnet: &mut Chain) -> Result<(), String> {
+            fn validate(&self, _: Address, _: &[u8], _: &mut Chain) -> Result<(), String> {
                 Ok(())
             }
         }
         let ts = service().with_tool(Arc::new(NeedsNet));
-        let req = TokenRequest::argument_token(contract(), sender(), "f()", vec![], vec![1]);
+        let calldata = abi::encode_call("f()", &[]);
+        let req = TokenRequest::argument_token(contract(), sender(), "f()", vec![], calldata);
         assert!(matches!(
             ts.issue(&req, 0),
             Err(IssueError::ToolRejected { .. })
@@ -647,7 +633,7 @@ mod tests {
                 let ctx = PayloadContext {
                     sender: requests[i].sender,
                     contract: contract(),
-                    selector: requests[i].selector(),
+                    selector: Some(abi::selector("f(uint256)")),
                     calldata: None,
                 };
                 let digest = signing_digest(token.ttype, token.expire, token.index, &ctx);
@@ -767,10 +753,12 @@ mod tests {
             editing.store(false, Ordering::SeqCst);
             assert!(issuer.join().unwrap() > 0);
         });
-        let book = ts.rules_snapshot();
-        let policy = book.types[&TokenType::Super].sender.as_ref().unwrap();
-        assert_eq!(policy.len(), 1_000);
-        assert!((0..1_000).all(|k| policy.permits(&whitelisted(k))));
+        let book = ts.current_rules();
+        let expected = (0..1_000).map(whitelisted).collect();
+        assert_eq!(
+            book.types[&TokenType::Super].sender,
+            Some(ListPolicy::Whitelist(expected))
+        );
     }
 
     #[test]
@@ -787,16 +775,17 @@ mod tests {
             assert!(a.issue(&req, 0).is_ok());
             assert!(b.issue(&req, 0).is_err());
         }
-        assert_eq!(a.rules_snapshot(), RuleBook::permissive());
-        assert_eq!(b.rules_snapshot(), RuleBook::deny_all());
+        assert_eq!(*a.current_rules(), RuleBook::permissive());
+        assert_eq!(*b.current_rules(), RuleBook::deny_all());
     }
 
     #[test]
-    fn rules_snapshot_is_a_copy() {
+    fn a_replaced_book_stays_as_it_was() {
         let ts = service();
-        let snap = ts.rules_snapshot();
+        let before = ts.current_rules();
         ts.set_rules(RuleBook::deny_all());
-        // The earlier snapshot is unaffected.
-        assert_ne!(snap, ts.rules_snapshot());
+        // The book a request cloned before the swap is unaffected.
+        assert_eq!(*before, RuleBook::permissive());
+        assert_eq!(*ts.current_rules(), RuleBook::deny_all());
     }
 }

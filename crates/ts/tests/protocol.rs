@@ -283,7 +283,11 @@ fn in_process_and_wire_answers_agree() {
             name: "x".into(),
             value: "1".into(),
         }],
-        vec![1, 2, 3, 4],
+        [
+            &smacs_chain::abi::selector("f(uint256)").0[..],
+            &[1, 2, 3, 4],
+        ]
+        .concat(),
     );
     let denied = request(0xBAD);
     let mut invalid = request(4);

@@ -27,7 +27,6 @@
 use smacs_chain::trace::{StorageAccess, TraceEvent, TraceFrame};
 use smacs_chain::CallTrace;
 use smacs_primitives::{Address, H256};
-use smacs_token::TokenRequest;
 use smacs_ts::ValidationTool;
 use std::collections::HashSet;
 use std::fmt;
@@ -186,14 +185,14 @@ impl ValidationTool for EcfTool {
         "ecf-checker"
     }
 
-    fn validate(&self, req: &TokenRequest, testnet: &mut smacs_chain::Chain) -> Result<(), String> {
-        let calldata = req
-            .calldata
-            .as_ref()
-            .ok_or("ecf: argument request carries no calldata")?;
+    fn validate(
+        &self,
+        sender: Address,
+        calldata: &[u8],
+        testnet: &mut smacs_chain::Chain,
+    ) -> Result<(), String> {
         self.simulations.fetch_add(1, Ordering::Relaxed);
-        let (result, _gas, trace, _) =
-            testnet.dry_run(req.sender, self.target, 0, calldata.clone());
+        let (result, _gas, trace, _) = testnet.dry_run(sender, self.target, 0, calldata.to_vec());
         if let Err(e) = result {
             return Err(format!("ecf: simulated call failed: {e}"));
         }
@@ -317,32 +316,14 @@ mod tests {
         let tool = EcfTool::new(bank.address);
 
         // Innocent withdraw simulates clean.
-        let req = smacs_token::TokenRequest::argument_token(
-            bank.address,
-            user.address(),
-            "withdraw()",
-            vec![],
-            abi::encode_call("withdraw()", &[]),
-        );
+        let withdraw = abi::encode_call("withdraw()", &[]);
         let mut fork = chain.fork();
-        assert!(tool.validate(&req, &mut fork).is_ok());
+        assert!(tool.validate(user.address(), &withdraw, &mut fork).is_ok());
 
         // A request whose simulation reverts is rejected (fail closed).
-        let bad = smacs_token::TokenRequest::argument_token(
-            bank.address,
-            user.address(),
-            "nosuch()",
-            vec![],
-            abi::encode_call("nosuch()", &[]),
-        );
+        let nosuch = abi::encode_call("nosuch()", &[]);
         let mut fork = chain.fork();
-        assert!(tool.validate(&bad, &mut fork).is_err());
-
-        // And a request without calldata is malformed for this tool.
-        let mut no_calldata = req;
-        no_calldata.calldata = None;
-        let mut fork = chain.fork();
-        assert!(tool.validate(&no_calldata, &mut fork).is_err());
+        assert!(tool.validate(user.address(), &nosuch, &mut fork).is_err());
     }
 
     #[test]
@@ -362,15 +343,9 @@ mod tests {
         let balance_before = chain.state().balance(bank.address);
 
         let tool = EcfTool::new(bank.address);
-        let req = smacs_token::TokenRequest::argument_token(
-            bank.address,
-            user.address(),
-            "withdraw()",
-            vec![],
-            abi::encode_call("withdraw()", &[]),
-        );
+        let withdraw = abi::encode_call("withdraw()", &[]);
         let mut fork = chain.fork();
-        tool.validate(&req, &mut fork).unwrap();
+        tool.validate(user.address(), &withdraw, &mut fork).unwrap();
         // The simulated withdraw moved funds only on the fork.
         assert_eq!(chain.state().balance(bank.address), balance_before);
     }

@@ -9,7 +9,6 @@
 
 use smacs_chain::Chain;
 use smacs_primitives::{Address, Bytes};
-use smacs_token::TokenRequest;
 use smacs_ts::ValidationTool;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -116,12 +115,13 @@ impl ValidationTool for HydraTool {
         "hydra-uniformity"
     }
 
-    fn validate(&self, req: &TokenRequest, testnet: &mut Chain) -> Result<(), String> {
-        let calldata = req
-            .calldata
-            .as_ref()
-            .ok_or("hydra: argument request carries no calldata")?;
-        match self.evaluate(testnet, req.sender, calldata) {
+    fn validate(
+        &self,
+        sender: Address,
+        calldata: &[u8],
+        testnet: &mut Chain,
+    ) -> Result<(), String> {
+        match self.evaluate(testnet, sender, calldata) {
             HydraVerdict::Uniform(_) => Ok(()),
             verdict => Err(format!("hydra: {verdict}")),
         }
@@ -208,26 +208,14 @@ mod tests {
     #[test]
     fn as_validation_tool_vetoes_divergent_requests() {
         let (chain, heads, sender) = testnet_with_heads(true);
-        let tool = HydraTool::new(heads.clone());
-        let contract = heads[0];
-        let ok_req = smacs_token::TokenRequest::argument_token(
-            contract,
-            sender,
-            AdderHead::ADD_SIG,
-            vec![],
-            AdderHead::add_payload(5),
-        );
-        let bad_req = smacs_token::TokenRequest::argument_token(
-            contract,
-            sender,
-            AdderHead::ADD_SIG,
-            vec![],
-            AdderHead::add_payload(BuggyAdderHead::TRIGGER),
-        );
+        let tool = HydraTool::new(heads);
         let mut fork = chain.fork();
-        assert!(tool.validate(&ok_req, &mut fork).is_ok());
+        assert!(tool
+            .validate(sender, &AdderHead::add_payload(5), &mut fork)
+            .is_ok());
         let mut fork = chain.fork();
-        let err = tool.validate(&bad_req, &mut fork).unwrap_err();
+        let trigger = AdderHead::add_payload(BuggyAdderHead::TRIGGER);
+        let err = tool.validate(sender, &trigger, &mut fork).unwrap_err();
         assert!(err.contains("diverge"), "{err}");
     }
 

@@ -162,6 +162,41 @@ fn chain_level_replay_protection() {
     assert!(w.chain.submit(signed).is_err());
 }
 
+/// An argument token binds `msg.sig ‖ msg.data`, and the shield reads
+/// `msg.sig` off the calldata. A request whose calldata does not begin
+/// with its method's selector therefore binds no call a token could be
+/// spent on, and gets no token: neither a `total()` request over `ping`
+/// calldata nor a `ping` request over calldata of `0xAB` bytes.
+#[test]
+fn argument_request_whose_calldata_names_another_method_gets_no_token() {
+    let mut w = world(50);
+    for (method, calldata) in [
+        ("total()", BenchTarget::ping_payload(1, 2)),
+        (BenchTarget::PING_SIG, vec![0xAB; 68]),
+    ] {
+        let req = TokenRequest::argument_token(
+            w.target,
+            w.client.address(),
+            method,
+            vec![],
+            calldata.clone(),
+        );
+        match w.api.issue(&req) {
+            Err(refusal) => assert_eq!(refusal.code, ErrorCode::InvalidRequest, "{method}"),
+            Ok(token) => {
+                let receipt = w
+                    .client
+                    .call_with_token(&mut w.chain, w.target, 0, &calldata, token)
+                    .unwrap();
+                panic!(
+                    "{method}: issued a token whose call ends in {:?}",
+                    receipt.revert_reason()
+                );
+            }
+        }
+    }
+}
+
 // ---- scenario-corpus rule shapes (PR 7) --------------------------------
 //
 // One allowed path and one denied path per rule shape the corpus
@@ -464,6 +499,67 @@ fn airdrop_one_time_claim_tokens_spend_exactly_once() {
         U256::from_u64(100),
         "replay must not double-credit"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The TS and the shield agree on what a token binds: over method and
+    /// argument requests to a shielded `BenchTarget` — matching selectors,
+    /// mismatched selectors, calldata under four bytes, and trailing
+    /// bytes — every token the TS issues passes the shield on the call it
+    /// binds, and every refusal is `invalid_request`.
+    #[test]
+    fn prop_every_issued_token_passes_the_shield_on_the_call_it_binds(
+        method in 0usize..3,
+        args in any::<[u64; 2]>(),
+        short in 0usize..4,
+        trailing in prop::collection::vec(any::<u8>(), 1..40),
+        junk in prop::collection::vec(any::<u8>(), 4..100),
+    ) {
+        let mut w = world(60);
+        let method = [BenchTarget::PING_SIG, "total()", "nosuch(uint256)"][method];
+        let ping = BenchTarget::ping_payload(args[0], args[1]);
+        let call = [&abi::selector(method).0[..], &ping[4..]].concat();
+        let other = if method == BenchTarget::PING_SIG { "total()" } else { BenchTarget::PING_SIG };
+        // (request, the call it binds, whether the TS grants it)
+        let argument = |calldata: Vec<u8>, granted| {
+            let req = TokenRequest::argument_token(
+                w.target,
+                w.client.address(),
+                method,
+                vec![],
+                calldata.clone(),
+            );
+            (req, calldata, granted)
+        };
+        let matches = junk[..4] == abi::selector(method).0;
+        let cases = [
+            (TokenRequest::method_token(w.target, w.client.address(), method), call.clone(), true),
+            argument(call.clone(), true),
+            argument([&call[..], &trailing].concat(), true),
+            argument([&abi::selector(other).0[..], &ping[4..]].concat(), false),
+            argument(junk, matches),
+            argument(call[..short].to_vec(), false),
+        ];
+        for (req, call, granted) in cases {
+            match w.api.issue(&req) {
+                Ok(token) => {
+                    let receipt = w
+                        .client
+                        .call_with_token(&mut w.chain, w.target, 0, &call, token)
+                        .unwrap();
+                    let reason = receipt.revert_reason().unwrap_or_default();
+                    prop_assert!(!reason.starts_with("SMACS:"), "{req:?}: {reason}");
+                    prop_assert!(granted, "{req:?} was granted");
+                }
+                Err(refusal) => {
+                    prop_assert!(!granted, "{req:?} was refused: {refusal:?}");
+                    prop_assert_eq!(refusal.code, ErrorCode::InvalidRequest);
+                }
+            }
+        }
+    }
 }
 
 proptest! {
