@@ -15,10 +15,10 @@ use smacs_core::owner::{OwnerToolkit, ShieldParams};
 use smacs_crypto::Keypair;
 use smacs_lang::lexer::{tokenize, Token as Lex};
 use smacs_primitives::{Address, H256, U256};
-use smacs_token::{ArgBinding, Token, TokenRequest, TokenType};
+use smacs_token::{Token, TokenRequest, TokenType};
 use smacs_ts::{
-    ApiError, FailoverClient, FrontEnd, ListPolicy, ReplicaSet, ReplicaSetConfig, RuleBook,
-    TokenService, TokenServiceConfig, TsApi,
+    FailoverClient, FrontEnd, ListPolicy, ReplicaSet, ReplicaSetConfig, RuleBook, TokenService,
+    TokenServiceConfig, TsApi,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -323,10 +323,12 @@ enum Backend {
 }
 
 impl Backend {
-    fn issue(&self, req: &TokenRequest) -> Result<Token, ApiError> {
+    /// The service's API: the front end in process, or the failover
+    /// client over the set, which takes owner updates through any replica.
+    fn api(&self) -> &dyn TsApi {
         match self {
-            Backend::Local(api) => api.issue(req),
-            Backend::Replicated { client, .. } => client.issue(req),
+            Backend::Local(api) => api.as_ref(),
+            Backend::Replicated { client, .. } => client,
         }
     }
 
@@ -429,18 +431,10 @@ impl Repl {
     }
 
     fn push_rules(&self) -> Result<(), String> {
-        match &self.backend {
-            Backend::Local(api) => api
-                .set_rules(OWNER_SECRET, self.rules.clone())
-                .map_err(|e| format!("set_rules failed: {e:?}")),
-            // The REPL is the operator's console; it updates the shared
-            // rule book directly rather than picking one replica's derived
-            // admin credential.
-            Backend::Replicated { set, .. } => {
-                set.set_rules(self.rules.clone());
-                Ok(())
-            }
-        }
+        self.backend
+            .api()
+            .set_rules(OWNER_SECRET, self.rules.clone())
+            .map_err(|e| format!("set_rules failed: {e:?}"))
     }
 
     /// Replace the backend, shutting a previous replica set down cleanly.
@@ -668,6 +662,7 @@ impl Repl {
             self.rules.clone(),
             ReplicaSetConfig {
                 replicas: n,
+                owner_secret: OWNER_SECRET.into(),
                 now: self.chain.pending_env().timestamp,
                 ..ReplicaSetConfig::default()
             },
@@ -740,6 +735,7 @@ impl Repl {
         }
         let token = self
             .backend
+            .api()
             .issue(&req)
             .map_err(|e| format!("issue denied: {e:?}"))?;
         let id = self.tokens.len();
@@ -766,31 +762,24 @@ impl Repl {
     ) -> Result<String, String> {
         let target = self.contract(contract)?;
         let mut abi_args = Vec::new();
-        let mut bindings = Vec::new();
-        for (i, arg) in args.iter().enumerate() {
-            let (value, binding) = match arg {
-                CallArg::Num(n) => (AbiValue::Uint(U256::from_u64(*n)), n.to_string()),
-                CallArg::Name(name) => {
-                    let addr = self
-                        .wallets
+        for arg in args {
+            abi_args.push(match arg {
+                CallArg::Num(n) => AbiValue::Uint(U256::from_u64(*n)),
+                CallArg::Name(name) => AbiValue::Address(
+                    self.wallets
                         .get(name)
                         .map(|w| w.address())
                         .or_else(|| self.contracts.get(name).copied())
-                        .ok_or_else(|| format!("unknown name '{name}'"))?;
-                    (AbiValue::Address(addr), addr.to_hex())
-                }
-                CallArg::Addr(addr) => (AbiValue::Address(*addr), addr.to_hex()),
-            };
-            abi_args.push(value);
-            bindings.push(ArgBinding {
-                name: format!("arg{i}"),
-                value: binding,
+                        .ok_or_else(|| format!("unknown name '{name}'"))?,
+                ),
+                CallArg::Addr(addr) => AbiValue::Address(*addr),
             });
         }
         let payload = abi::encode_call(method, &abi_args);
 
         let receipt = if using.is_empty() {
-            // Auto-mint an argument token binding this exact calldata.
+            // Auto-mint an argument token binding this exact calldata; the
+            // TS derives the arguments it judges from that calldata.
             let w = self
                 .wallets
                 .get(wallet)
@@ -799,11 +788,12 @@ impl Repl {
                 target,
                 w.address(),
                 method,
-                bindings,
+                Vec::new(),
                 payload.clone(),
             );
             let token = self
                 .backend
+                .api()
                 .issue(&req)
                 .map_err(|e| format!("issue denied: {e:?}"))?;
             w.call_with_token(&mut self.chain, target, value, &payload, token)
@@ -1021,7 +1011,8 @@ mod tests {
         let ok = run("call alice oracle \"postPrice(uint256)\" (42000) using 1");
         assert!(ok.starts_with("ok gas="), "{ok}");
 
-        // Rule pushes reach every replica through the shared rule book.
+        // Rule pushes go over the wire through the failover client, and
+        // the one book they replace binds every replica.
         run("rules deny");
         let denied = repl.eval("mint method alice oracle \"postPrice(uint256)\"");
         assert!(denied.is_err(), "deny-all must bind the whole cluster");

@@ -42,6 +42,7 @@ pub fn smacs_enable(unit: &SourceUnit) -> SourceUnit {
 
 fn transform_contract(contract: &ContractDef) -> ContractDef {
     let internally_called = internally_called_names(contract);
+    let split = split_names(contract, &internally_called);
     let mut functions = Vec::new();
     for function in &contract.functions {
         if is_exempt(function, contract) {
@@ -52,7 +53,7 @@ fn transform_contract(contract: &ContractDef) -> ContractDef {
             // internal/private bodies keep their logic, but their call
             // sites into split methods must be rewired too.
             let mut kept = function.clone();
-            kept.body = rewrite_calls(&kept.body, &split_names(contract, &internally_called));
+            rewrite_calls(&mut kept.body, &split);
             functions.push(kept);
             continue;
         }
@@ -64,8 +65,7 @@ fn transform_contract(contract: &ContractDef) -> ContractDef {
             let mut private_half = function.clone();
             private_half.name = private_name.clone();
             private_half.visibility = Visibility::Private;
-            private_half.body =
-                rewrite_calls(&function.body, &split_names(contract, &internally_called));
+            rewrite_calls(&mut private_half.body, &split);
 
             // Public wrapper: verify, then delegate.
             let mut wrapper = function.clone();
@@ -84,12 +84,8 @@ fn transform_contract(contract: &ContractDef) -> ContractDef {
         } else {
             let mut guarded = function.clone();
             guarded.params.push(token_param());
-            let mut body = vec![verify_stmt()];
-            body.extend(rewrite_calls(
-                &function.body,
-                &split_names(contract, &internally_called),
-            ));
-            guarded.body = body;
+            rewrite_calls(&mut guarded.body, &split);
+            guarded.body.insert(0, verify_stmt());
             functions.push(guarded);
         }
     }
@@ -123,7 +119,9 @@ fn verify_stmt() -> Stmt {
 fn internally_called_names(contract: &ContractDef) -> HashSet<String> {
     let mut called = HashSet::new();
     for function in &contract.functions {
-        collect_called(&function.body, &mut called);
+        for_each_callee(&mut function.body.clone(), &mut |name| {
+            called.insert(name.clone());
+        });
     }
     // Only names that actually are methods of this contract matter.
     called.retain(|name| contract.function(name).is_some());
@@ -146,128 +144,69 @@ fn split_names(contract: &ContractDef, internally_called: &HashSet<String>) -> H
         .collect()
 }
 
-fn collect_called(body: &[Stmt], out: &mut HashSet<String>) {
+/// Visit the callee name of every direct call `name(...)` in `body`, in
+/// source order — the one walk of the statement and expression grammar
+/// that both collecting and rewriting call sites ride on.
+fn for_each_callee(body: &mut [Stmt], visit: &mut dyn FnMut(&mut String)) {
     for stmt in body {
         match stmt {
-            Stmt::VarDecl { value, .. } => {
-                if let Some(v) = value {
-                    collect_called_expr(v, out);
+            Stmt::VarDecl { value, .. } | Stmt::Return(value) => {
+                if let Some(value) = value {
+                    callees_in(value, visit);
                 }
             }
             Stmt::Assign { target, value, .. } => {
-                collect_called_expr(target, out);
-                collect_called_expr(value, out);
+                callees_in(target, visit);
+                callees_in(value, visit);
             }
-            Stmt::Expr(e) => collect_called_expr(e, out),
+            Stmt::Expr(e) => callees_in(e, visit),
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                collect_called_expr(cond, out);
-                collect_called(then_branch, out);
+                callees_in(cond, visit);
+                for_each_callee(then_branch, visit);
                 if let Some(else_branch) = else_branch {
-                    collect_called(else_branch, out);
+                    for_each_callee(else_branch, visit);
                 }
             }
             Stmt::While { cond, body } => {
-                collect_called_expr(cond, out);
-                collect_called(body, out);
+                callees_in(cond, visit);
+                for_each_callee(body, visit);
             }
-            Stmt::Return(Some(e)) => collect_called_expr(e, out),
-            Stmt::Return(None) | Stmt::Throw => {}
+            Stmt::Throw => {}
         }
     }
 }
 
-fn collect_called_expr(expr: &Expr, out: &mut HashSet<String>) {
+fn callees_in(expr: &mut Expr, visit: &mut dyn FnMut(&mut String)) {
     match expr {
         Expr::Call(callee, args) => {
-            if let Expr::Ident(name) = callee.as_ref() {
-                out.insert(name.clone());
+            match callee.as_mut() {
+                Expr::Ident(name) => visit(name),
+                other => callees_in(other, visit),
             }
-            collect_called_expr(callee, out);
             for arg in args {
-                collect_called_expr(arg, out);
+                callees_in(arg, visit);
             }
         }
-        Expr::Member(base, _) => collect_called_expr(base, out),
-        Expr::Index(base, index) => {
-            collect_called_expr(base, out);
-            collect_called_expr(index, out);
-        }
-        Expr::Unary(_, inner) => collect_called_expr(inner, out),
-        Expr::Binary(_, left, right) => {
-            collect_called_expr(left, out);
-            collect_called_expr(right, out);
+        Expr::Member(base, _) | Expr::Unary(_, base) => callees_in(base, visit),
+        Expr::Index(left, right) | Expr::Binary(_, left, right) => {
+            callees_in(left, visit);
+            callees_in(right, visit);
         }
         Expr::Ident(_) | Expr::Number(_) | Expr::Str(_) | Expr::Bool(_) => {}
     }
 }
 
 /// Rewrite direct calls `name(...)` → `_name(...)` for every split method.
-fn rewrite_calls(body: &[Stmt], split: &HashSet<String>) -> Vec<Stmt> {
-    body.iter().map(|s| rewrite_stmt(s, split)).collect()
-}
-
-fn rewrite_stmt(stmt: &Stmt, split: &HashSet<String>) -> Stmt {
-    match stmt {
-        Stmt::VarDecl { ty, name, value } => Stmt::VarDecl {
-            ty: ty.clone(),
-            name: name.clone(),
-            value: value.as_ref().map(|v| rewrite_expr(v, split)),
-        },
-        Stmt::Assign { target, op, value } => Stmt::Assign {
-            target: rewrite_expr(target, split),
-            op,
-            value: rewrite_expr(value, split),
-        },
-        Stmt::Expr(e) => Stmt::Expr(rewrite_expr(e, split)),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Stmt::If {
-            cond: rewrite_expr(cond, split),
-            then_branch: rewrite_calls(then_branch, split),
-            else_branch: else_branch.as_ref().map(|b| rewrite_calls(b, split)),
-        },
-        Stmt::While { cond, body } => Stmt::While {
-            cond: rewrite_expr(cond, split),
-            body: rewrite_calls(body, split),
-        },
-        Stmt::Return(value) => Stmt::Return(value.as_ref().map(|v| rewrite_expr(v, split))),
-        Stmt::Throw => Stmt::Throw,
-    }
-}
-
-fn rewrite_expr(expr: &Expr, split: &HashSet<String>) -> Expr {
-    match expr {
-        Expr::Call(callee, args) => {
-            let new_callee = match callee.as_ref() {
-                Expr::Ident(name) if split.contains(name) => Expr::Ident(format!("_{name}")),
-                other => rewrite_expr(other, split),
-            };
-            Expr::Call(
-                Box::new(new_callee),
-                args.iter().map(|a| rewrite_expr(a, split)).collect(),
-            )
+fn rewrite_calls(body: &mut [Stmt], split: &HashSet<String>) {
+    for_each_callee(body, &mut |name| {
+        if split.contains(name) {
+            name.insert(0, '_');
         }
-        Expr::Member(base, member) => {
-            Expr::Member(Box::new(rewrite_expr(base, split)), member.clone())
-        }
-        Expr::Index(base, index) => Expr::Index(
-            Box::new(rewrite_expr(base, split)),
-            Box::new(rewrite_expr(index, split)),
-        ),
-        Expr::Unary(op, inner) => Expr::Unary(op, Box::new(rewrite_expr(inner, split))),
-        Expr::Binary(op, left, right) => Expr::Binary(
-            op,
-            Box::new(rewrite_expr(left, split)),
-            Box::new(rewrite_expr(right, split)),
-        ),
-        other => other.clone(),
-    }
+    });
 }
 
 #[cfg(test)]

@@ -761,11 +761,6 @@ impl FromJson<'_> for BTreeSet<String> {
 /// `Option<T>` fields tolerate absent members on parse (via
 /// [`FromJson::from_json_field`]) and render as `null` when `None`.
 ///
-/// A field may be suffixed `= default`: on parse an absent member becomes
-/// `Default::default()` instead of an error (rendering still always emits
-/// the member). Use it for fields added after serialized data already
-/// exists in the wild — old JSON keeps decoding.
-///
 /// A struct may take one lifetime, `struct Name<'a>`, and then its fields
 /// may borrow from the tree it decodes (a [`Json<'a>`](Json) member, a
 /// `Cow<'a, str>`).
@@ -781,26 +776,22 @@ impl FromJson<'_> for BTreeSet<String> {
 ///         pub label: String,
 ///         pub x: i64,
 ///         pub note: Option<String>,
-///         /// Added in v2: absent in old JSON, decodes to empty.
-///         pub tags: Vec<String> = default,
 ///     }
 /// }
 ///
-/// let pin = Pin { label: "a".into(), x: 3, note: None, tags: vec!["t".into()] };
+/// let pin = Pin { label: "a".into(), x: 3, note: None };
 /// let text = smacs_primitives::json::to_string(&pin);
-/// assert_eq!(text, r#"{"label":"a","x":3,"note":null,"tags":["t"]}"#);
+/// assert_eq!(text, r#"{"label":"a","x":3,"note":null}"#);
 /// let back: Pin = smacs_primitives::json::from_str(&text).unwrap();
 /// assert_eq!(back, pin);
-/// // Absent Option members parse as None; absent `= default` members
-/// // parse as Default::default().
+/// // Absent Option members parse as None.
 /// let sparse: Pin = smacs_primitives::json::from_str(r#"{"label":"b","x":1}"#).unwrap();
 /// assert_eq!(sparse.note, None);
-/// assert_eq!(sparse.tags, Vec::<String>::new());
 /// ```
 #[macro_export]
 macro_rules! json_codec {
     ($(#[$meta:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? {
-        $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty $(= $marker:ident)?),* $(,)?
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty),* $(,)?
     }) => {
         $(#[$meta])*
         $vis struct $name $(<$lt>)? {
@@ -820,20 +811,9 @@ macro_rules! json_codec {
         {
             fn from_json(json: &$crate::json::Json<'json>) -> Result<Self, $crate::json::JsonError> {
                 Ok($name {
-                    $($field: $crate::json_codec!(@parse json, $field, $ty $(, $marker)?),)*
+                    $($field: <$ty as $crate::json::FromJson>::from_json_field(json, stringify!($field))?,)*
                 })
             }
-        }
-    };
-    // Plain field: delegate to from_json_field (Option-aware, else required).
-    (@parse $json:ident, $field:ident, $ty:ty) => {
-        <$ty as $crate::json::FromJson>::from_json_field($json, stringify!($field))?
-    };
-    // `= default` field: absent member decodes to Default::default().
-    (@parse $json:ident, $field:ident, $ty:ty, default) => {
-        match $json.get(stringify!($field)) {
-            Some(value) => <$ty as $crate::json::FromJson>::from_json(value)?,
-            None => <$ty as ::core::default::Default>::default(),
         }
     };
 }

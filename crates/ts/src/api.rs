@@ -107,6 +107,19 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order.
+    const ALL: [ErrorCode; 9] = [
+        ErrorCode::InvalidRequest,
+        ErrorCode::RuleViolation,
+        ErrorCode::ToolRejected,
+        ErrorCode::CounterUnavailable,
+        ErrorCode::Unauthorized,
+        ErrorCode::BadEnvelope,
+        ErrorCode::UnsupportedVersion,
+        ErrorCode::Transport,
+        ErrorCode::Internal,
+    ];
+
     /// The wire string for this code.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -125,17 +138,10 @@ impl ErrorCode {
     /// Parse a wire string; unknown codes fold to [`ErrorCode::Internal`]
     /// so newer servers stay usable from older clients.
     pub fn parse(s: &str) -> ErrorCode {
-        match s {
-            "invalid_request" => ErrorCode::InvalidRequest,
-            "rule_violation" => ErrorCode::RuleViolation,
-            "tool_rejected" => ErrorCode::ToolRejected,
-            "counter_unavailable" => ErrorCode::CounterUnavailable,
-            "unauthorized" => ErrorCode::Unauthorized,
-            "bad_envelope" => ErrorCode::BadEnvelope,
-            "unsupported_version" => ErrorCode::UnsupportedVersion,
-            "transport" => ErrorCode::Transport,
-            _ => ErrorCode::Internal,
-        }
+        ErrorCode::ALL
+            .into_iter()
+            .find(|code| code.as_str() == s)
+            .unwrap_or(ErrorCode::Internal)
     }
 }
 
@@ -514,8 +520,7 @@ mod tests {
             ContractMetadata {
                 name: "Vault".into(),
                 compiler: "smacs 0.1".into(),
-                token_service_url: Some("http://127.0.0.1:1".into()),
-                replica_urls: Vec::new(),
+                service_urls: vec!["http://127.0.0.1:1".into()],
             },
         );
         assert_eq!(api.discover(contract).unwrap().unwrap().name, "Vault");
@@ -527,14 +532,13 @@ mod tests {
             ContractMetadata {
                 name: "Legacy".into(),
                 compiler: "solc 0.4.24".into(),
-                token_service_url: None,
-                replica_urls: Vec::new(),
+                service_urls: Vec::new(),
             },
         );
         let found = api.discover(legacy).unwrap().unwrap();
         assert_eq!(
-            (found.name.as_str(), found.token_service_url),
-            ("Legacy", None)
+            (found.name.as_str(), found.service_urls),
+            ("Legacy", Vec::new())
         );
         assert_eq!(api.discover(contract).unwrap().unwrap().name, "Vault");
         api.ping().unwrap();

@@ -9,10 +9,12 @@
 //! - **one signing identity**: every replica holds the same `sk_TS`, so a
 //!   token minted anywhere verifies against the one `pk_TS` the shielded
 //!   contract stores;
-//! - **one shared rule book**: every replica holds the same locked
-//!   `Arc<RuleBook>`, so an owner's `set_rules` through *any* replica is
-//!   one swap of that `Arc` that binds all of them; issuers hold the lock
-//!   only to clone the `Arc`, so issuance never stops for it;
+//! - **one shared rule book, one owner credential**: every replica holds
+//!   the same locked `Arc<RuleBook>` and accepts the same
+//!   [`ReplicaSetConfig::owner_secret`], so an owner's `set_rules` through
+//!   *any* replica (or through a [`crate::FailoverClient`] over the set)
+//!   is one swap of that `Arc` that binds all of them; issuers hold the
+//!   lock only to clone the `Arc`, so issuance never stops for it;
 //! - **quorum one-time counters** ([`CounterCluster`]): one-time indexes
 //!   are allocated through a majority-quorum replicated counter with one
 //!   counter node per replica. Lose a minority and issuance continues;
@@ -20,8 +22,8 @@
 //!   [`crate::api::ErrorCode::CounterUnavailable`] while expiry-token
 //!   issuance keeps flowing — degraded, not dead;
 //! - **discovery**: [`ReplicaSet::publish`] stamps every replica's
-//!   directory with the full replica URL list, so any reachable replica
-//!   can hand a client the directory it needs to fail over.
+//!   directory with the set's service URLs, so any reachable replica can
+//!   hand a client the directory it needs to fail over.
 //!
 //! ## The counter quorum is on the wire
 //!
@@ -64,6 +66,10 @@
 //! crosses between their counter nodes except TCP — the shared `Arc`s are
 //! limited to the signing key and rule book a real deployment would
 //! distribute out of band.
+//!
+//! A set that created its own WAL directory removes it when it is shut
+//! down or dropped; a caller-supplied [`ReplicaSetConfig::wal_dir`] is
+//! never removed.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -104,12 +110,9 @@ pub enum CounterMode {
 pub struct ReplicaSetConfig {
     /// Number of replicas (HTTP servers *and* counter nodes).
     pub replicas: usize,
-    /// Base owner bearer secret. Replicas do **not** share it verbatim:
-    /// replica `id` accepts only the derived credential
-    /// `{owner_secret}-r{id}` (see [`ReplicaSet::owner_secret`]), so a
-    /// credential lifted from one replica's config names the replica it
-    /// came from and is revoked by killing that one replica — no
-    /// fleet-wide secret rotation.
+    /// The owner's bearer secret for `set_rules`. Every replica accepts
+    /// it as it is: the replicas share one rule book, so they share the
+    /// one credential that replaces it.
     pub owner_secret: String,
     /// Initial TS-local clock.
     pub now: u64,
@@ -118,9 +121,9 @@ pub struct ReplicaSetConfig {
     /// [`CounterMode`]).
     pub counter_mode: CounterMode,
     /// Directory for per-replica counter WALs (`counter-{id}.wal`).
-    /// `None`: a fresh per-set temp directory that is removed on
-    /// [`ReplicaSet::shutdown`]. `Some(dir)`: logs persist there across
-    /// sets (the caller owns cleanup).
+    /// `None`: a fresh per-set temp directory that is removed when the
+    /// set is shut down or dropped. `Some(dir)`: logs persist there
+    /// across sets (the caller owns cleanup).
     pub wal_dir: Option<PathBuf>,
 }
 
@@ -147,17 +150,50 @@ fn vote_client_config() -> HttpClientConfig {
     }
 }
 
-/// Pool sizing for the dedicated vote endpoints: vote handling is a
-/// mutex-guarded counter bump plus a WAL append — two workers keep a
-/// coordinator and a recovering peer served without stealing cores from
-/// issuance. The [`EndpointScope::Vote`] these bind under is what admits
-/// the `counter_*` op family: the client-facing listeners stay
-/// [`EndpointScope::Public`] and refuse those ops, so outsiders cannot
-/// burn index ranges.
-fn vote_server_config() -> HttpServerConfig {
-    HttpServerConfig {
-        workers: 2,
-        ..HttpServerConfig::default()
+/// A live replica's two listeners; dropping them closes both (public
+/// first) and joins their threads.
+struct Listeners {
+    public: Endpoint,
+    vote: Endpoint,
+}
+
+impl Listeners {
+    /// Bind a replica's client-facing listener (under its fault plan) and
+    /// its dedicated vote endpoint: on fresh ports at start (`at: None`),
+    /// or on the `(public, vote)` addresses clients and peers already know
+    /// on recovery, where each bind retries briefly because
+    /// [`ReplicaSet::kill`] just freed the port.
+    ///
+    /// The vote endpoint is bound under [`EndpointScope::Vote`], the only
+    /// scope that admits the `counter_*` op family, so outsiders reaching
+    /// the [`EndpointScope::Public`] listener cannot burn index ranges. Its
+    /// two workers keep a coordinator and a recovering peer served without
+    /// stealing cores from issuance: vote handling is a mutex-guarded
+    /// counter bump plus a WAL append.
+    fn bind(
+        front: &Arc<FrontEnd>,
+        faults: &Arc<FaultPlan>,
+        at: Option<(SocketAddr, SocketAddr)>,
+    ) -> std::io::Result<Listeners> {
+        let vote = Endpoint::bind_retry(
+            front.clone(),
+            EndpointScope::Vote,
+            HttpServerConfig {
+                workers: 2,
+                bind: at.map(|(_, vote)| vote),
+                ..HttpServerConfig::default()
+            },
+        )?;
+        let public = Endpoint::bind_retry(
+            front.clone(),
+            EndpointScope::Public,
+            HttpServerConfig {
+                bind: at.map(|(public, _)| public),
+                faults: Some(faults.clone()),
+                ..HttpServerConfig::default()
+            },
+        )?;
+        Ok(Listeners { public, vote })
     }
 }
 
@@ -165,14 +201,12 @@ fn vote_server_config() -> HttpServerConfig {
 struct Replica {
     front: Arc<FrontEnd>,
     /// `None` while killed.
-    server: Option<Endpoint>,
+    listeners: Option<Listeners>,
     /// The address this replica serves on — stable across kill/recover.
     addr: SocketAddr,
     faults: Arc<FaultPlan>,
     /// This replica's counter node (vote state machine).
     node: Arc<CounterNode>,
-    /// The dedicated vote endpoint (`None` while killed).
-    counter_server: Option<Endpoint>,
     /// The vote endpoint's address — stable across kill/recover.
     counter_addr: SocketAddr,
     /// This replica's coordinator view of the quorum (self local, peers
@@ -186,9 +220,8 @@ pub struct ReplicaSet {
     /// Set-level diagnostics view: local transports over every node.
     counter: CounterCluster,
     signer: Keypair,
-    config: ReplicaSetConfig,
-    /// A WAL temp directory this set created and owns (removed on
-    /// shutdown); `None` when the caller supplied `wal_dir`.
+    /// A WAL temp directory this set created and owns (removed on drop);
+    /// `None` when the caller supplied `wal_dir`.
     owned_wal_dir: Option<PathBuf>,
 }
 
@@ -254,33 +287,17 @@ impl ReplicaSet {
             .with_shared_rules(rules.clone())
             .with_replicated_counter(cluster.clone());
             let front = Arc::new(
-                FrontEnd::new(
-                    service,
-                    Self::derive_secret(&config.owner_secret, id),
-                    config.now,
-                )
-                .with_counter(node.clone()),
+                FrontEnd::new(service, config.owner_secret.clone(), config.now)
+                    .with_counter(node.clone()),
             );
-            let counter_server =
-                Endpoint::bind(front.clone(), EndpointScope::Vote, vote_server_config())?;
-            let counter_addr = counter_server.addr();
-            let server = Endpoint::bind(
-                front.clone(),
-                EndpointScope::Public,
-                HttpServerConfig {
-                    faults: Some(faults.clone()),
-                    ..HttpServerConfig::default()
-                },
-            )?;
-            let addr = server.addr();
+            let listeners = Listeners::bind(&front, &faults, None)?;
             replicas.push(Replica {
+                addr: listeners.public.addr(),
+                counter_addr: listeners.vote.addr(),
                 front,
-                server: Some(server),
-                addr,
+                listeners: Some(listeners),
                 faults,
                 node: node.clone(),
-                counter_server: Some(counter_server),
-                counter_addr,
                 cluster,
             });
         }
@@ -302,7 +319,6 @@ impl ReplicaSet {
             replicas,
             counter: diag,
             signer,
-            config,
             owned_wal_dir,
         })
     }
@@ -336,26 +352,6 @@ impl ReplicaSet {
         self.signer.address()
     }
 
-    fn derive_secret(base: &str, id: usize) -> String {
-        format!("{base}-r{id}")
-    }
-
-    /// The bearer credential replica `id` accepts for admin operations
-    /// (`set_rules`). Derived per replica from the configured base secret,
-    /// so a leaked credential identifies its source replica and dies with
-    /// it ([`ReplicaSet::kill`]) instead of forcing a fleet-wide
-    /// rotation. Rule updates made through any one replica still bind all
-    /// of them (one shared book) — the blast radius that shrinks is the
-    /// *credential's*, not the operation's.
-    ///
-    /// Owner tooling that drives admin ops through a
-    /// [`crate::FailoverClient`] must therefore pin the replica it talks
-    /// to (or look the credential up per target): a mid-call failover
-    /// lands on a replica that rejects the previous replica's secret.
-    pub fn owner_secret(&self, id: usize) -> String {
-        Self::derive_secret(&self.config.owner_secret, id)
-    }
-
     /// Replica `id`'s front end (owner-side escape hatch: diagnostics,
     /// clock control).
     pub fn front(&self, id: usize) -> &Arc<FrontEnd> {
@@ -383,7 +379,10 @@ impl ReplicaSet {
 
     /// Number of replicas currently serving HTTP.
     pub fn live_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.server.is_some()).count()
+        self.replicas
+            .iter()
+            .filter(|r| r.listeners.is_some())
+            .count()
     }
 
     /// Kill replica `id`: close its HTTP listeners (client-facing *and*
@@ -391,12 +390,7 @@ impl ReplicaSet {
     /// and crash its counter node. Its WAL survives on disk — that is the
     /// point. Idempotent.
     pub fn kill(&mut self, id: usize) {
-        if let Some(server) = self.replicas[id].server.take() {
-            server.shutdown();
-        }
-        if let Some(server) = self.replicas[id].counter_server.take() {
-            server.shutdown();
-        }
+        self.replicas[id].listeners = None;
         self.replicas[id].node.crash();
     }
 
@@ -410,32 +404,12 @@ impl ReplicaSet {
     /// back. The listener ports were freed by [`ReplicaSet::kill`];
     /// rebinding retries briefly in case the OS is slow to release them.
     pub fn recover(&mut self, id: usize) -> std::io::Result<()> {
-        let replica = &self.replicas[id];
-        replica.node.reload_from_wal()?;
+        self.replicas[id].node.reload_from_wal()?;
         self.rejoin_counter(id)?;
-
-        if replica.counter_server.is_none() {
-            let server = Endpoint::bind_retry(
-                replica.front.clone(),
-                EndpointScope::Vote,
-                HttpServerConfig {
-                    bind: Some(replica.counter_addr),
-                    ..vote_server_config()
-                },
-            )?;
-            self.replicas[id].counter_server = Some(server);
-        }
-        if self.replicas[id].server.is_none() {
-            let server = Endpoint::bind_retry(
-                self.replicas[id].front.clone(),
-                EndpointScope::Public,
-                HttpServerConfig {
-                    bind: Some(self.replicas[id].addr),
-                    faults: Some(self.replicas[id].faults.clone()),
-                    ..HttpServerConfig::default()
-                },
-            )?;
-            self.replicas[id].server = Some(server);
+        let replica = &mut self.replicas[id];
+        if replica.listeners.is_none() {
+            let at = Some((replica.addr, replica.counter_addr));
+            replica.listeners = Some(Listeners::bind(&replica.front, &replica.faults, at)?);
         }
         Ok(())
     }
@@ -471,23 +445,15 @@ impl ReplicaSet {
         self.counter.has_quorum()
     }
 
-    /// Owner-side rule replacement: one swap of the book every replica
-    /// shares, so going through the first replica reaches them all.
-    pub fn set_rules(&self, rules: RuleBook) {
-        self.replicas[0].front.service().set_rules(rules);
-    }
-
     /// Publish discovery metadata for `contract` to **every** replica's
-    /// directory, stamped with the full replica URL list (primary = the
-    /// publishing set's first replica). Any reachable replica can then
-    /// hand a client the whole directory.
+    /// directory, naming every replica's URL in replica-id order (primary
+    /// = replica 0). Any reachable replica can then hand a client the
+    /// whole directory.
     pub fn publish(&self, contract: Address, name: impl Into<String>) {
-        let urls = self.urls();
         let metadata = ContractMetadata {
             name: name.into(),
             compiler: "smacs replica-set".into(),
-            token_service_url: urls.first().cloned(),
-            replica_urls: urls,
+            service_urls: self.urls(),
         };
         for replica in &self.replicas {
             replica.front.publish(contract, metadata.clone());
@@ -509,17 +475,19 @@ impl ReplicaSet {
     }
 
     /// Stop every replica (both listeners) and join every thread; remove
-    /// the WAL temp directory if this set created one.
-    pub fn shutdown(mut self) {
+    /// the WAL temp directory if this set created one. Dropping the set
+    /// does the same; this names the join at the call site.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ReplicaSet {
+    fn drop(&mut self) {
         for replica in &mut self.replicas {
-            if let Some(server) = replica.server.take() {
-                server.shutdown();
-            }
-            if let Some(server) = replica.counter_server.take() {
-                server.shutdown();
-            }
+            replica.listeners = None;
         }
-        if let Some(dir) = self.owned_wal_dir.take() {
+        if let Some(dir) = &self.owned_wal_dir {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -530,7 +498,7 @@ mod tests {
     use super::*;
     use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody, ErrorCode};
     use crate::http::WireCall;
-    use crate::TsApi;
+    use crate::{FailoverClient, TsApi};
     use smacs_token::TokenRequest;
 
     fn request(low: u64) -> TokenRequest {
@@ -575,18 +543,20 @@ mod tests {
     #[test]
     fn rule_update_through_one_replica_binds_all() {
         let set = small_set(3);
+        let owner = ReplicaSetConfig::default().owner_secret;
         let clients: Vec<HttpClient> = set.addrs().into_iter().map(HttpClient::connect).collect();
-        clients[0]
-            .set_rules(&set.owner_secret(0), RuleBook::deny_all())
-            .unwrap();
+        clients[0].set_rules(&owner, RuleBook::deny_all()).unwrap();
         for client in &clients {
             assert_eq!(
                 client.issue(&request(1)).unwrap_err().code,
                 ErrorCode::RuleViolation
             );
         }
-        // The owner-side swap on the set binds every replica too.
-        set.set_rules(RuleBook::permissive());
+        // The same credential works through another replica, and binds
+        // every replica too.
+        clients[2]
+            .set_rules(&owner, RuleBook::permissive())
+            .unwrap();
         for client in &clients {
             client.issue(&request(1)).unwrap();
         }
@@ -594,32 +564,67 @@ mod tests {
     }
 
     #[test]
-    fn replica_credentials_do_not_cross_replicas() {
+    fn failover_client_updates_the_set_through_every_replica() {
         let set = small_set(3);
+        let owner = ReplicaSetConfig::default().owner_secret;
         let clients: Vec<HttpClient> = set.addrs().into_iter().map(HttpClient::connect).collect();
-        // Replica 1's credential is an opaque bearer secret to replica 0
-        // (and the undifferentiated base secret works nowhere).
-        assert_eq!(
-            clients[0]
-                .set_rules(&set.owner_secret(1), RuleBook::deny_all())
-                .unwrap_err()
-                .code,
-            ErrorCode::Unauthorized
-        );
-        assert_eq!(
-            clients[1]
-                .set_rules("replica-owner", RuleBook::deny_all())
-                .unwrap_err()
-                .code,
-            ErrorCode::Unauthorized
-        );
-        // The rejected updates changed nothing: issuance still flows.
-        clients[2].issue(&request(1)).unwrap();
-        // Each replica's own credential works against that replica.
-        clients[1]
-            .set_rules(&set.owner_secret(1), RuleBook::deny_all())
-            .unwrap();
+        // A wrong secret is refused by every replica and changes nothing.
+        for client in &clients {
+            assert_eq!(
+                client
+                    .set_rules("not-the-owner", RuleBook::deny_all())
+                    .unwrap_err()
+                    .code,
+                ErrorCode::Unauthorized
+            );
+        }
+        for client in &clients {
+            client.issue(&request(1)).unwrap();
+        }
+        // Six consecutive updates: the round-robin cursor starts each on
+        // the next replica, so every replica takes the owner's secret
+        // twice, and after each update every replica judges by its book.
+        let failover = FailoverClient::new(set.addrs());
+        for round in 0..6 {
+            let deny = round % 2 == 0;
+            let book = if deny {
+                RuleBook::deny_all()
+            } else {
+                RuleBook::permissive()
+            };
+            failover.set_rules(&owner, book).unwrap();
+            for client in &clients {
+                assert_eq!(client.issue(&request(1)).is_err(), deny, "round {round}");
+            }
+        }
         set.shutdown();
+    }
+
+    #[test]
+    fn a_set_removes_only_the_wal_directory_it_created() {
+        let set = small_set(3);
+        let owned = set.owned_wal_dir.clone().expect("no wal_dir given");
+        assert!(owned.join("counter-0.wal").exists());
+        drop(set);
+        assert!(!owned.exists(), "{} left behind", owned.display());
+
+        let callers = std::env::temp_dir().join(format!(
+            "smacs-caller-wal-{}-{}",
+            std::process::id(),
+            SET_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let set = ReplicaSet::start(
+            Keypair::from_seed(900),
+            RuleBook::permissive(),
+            ReplicaSetConfig {
+                wal_dir: Some(callers.clone()),
+                ..ReplicaSetConfig::default()
+            },
+        )
+        .unwrap();
+        set.shutdown();
+        assert!(callers.join("counter-2.wal").exists());
+        std::fs::remove_dir_all(&callers).unwrap();
     }
 
     #[test]
@@ -672,8 +677,7 @@ mod tests {
         // Ask a non-primary replica: it still knows the whole directory.
         let client = HttpClient::connect(set.addrs()[2]);
         let metadata = client.discover(contract).unwrap().unwrap();
-        assert_eq!(metadata.replica_urls, set.urls());
-        assert_eq!(metadata.all_service_urls(), set.urls());
+        assert_eq!(metadata.service_urls, set.urls());
         set.shutdown();
     }
 

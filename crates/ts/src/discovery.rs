@@ -18,44 +18,11 @@ json_codec! {
         pub name: String,
         /// Compiler/toolchain version string.
         pub compiler: String,
-        /// URL of the Token Service protecting this contract, if any.
-        pub token_service_url: Option<String>,
-        /// Every replica of the protecting TS (§VII-B availability): a
-        /// failover client rotates through these when one goes dark. Empty
-        /// for single-node deployments; absent in pre-replication metadata
-        /// JSON, which decodes to empty.
-        pub replica_urls: Vec<String> = default,
-    }
-}
-
-impl ContractMetadata {
-    /// Every service URL a client may try, primary first, deduplicated,
-    /// in stable order.
-    pub fn all_service_urls(&self) -> Vec<String> {
-        let mut urls: Vec<String> = Vec::new();
-        if let Some(primary) = &self.token_service_url {
-            urls.push(primary.clone());
-        }
-        for url in &self.replica_urls {
-            if !urls.contains(url) {
-                urls.push(url.clone());
-            }
-        }
-        urls
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pre_replication_metadata_still_decodes() {
-        // Metadata published before replica_urls existed omits the member;
-        // the `= default` marker decodes it to empty.
-        let json = r#"{"name":"Old","compiler":"solc","token_service_url":null}"#;
-        let meta: ContractMetadata = smacs_primitives::json::from_str(json).unwrap();
-        assert_eq!(meta.replica_urls, Vec::<String>::new());
-        assert_eq!(meta.all_service_urls(), Vec::<String>::new());
+        /// Every URL of the Token Service protecting this contract,
+        /// primary first: one for a single TS, one per replica for a
+        /// replicated one (§VII-B availability), which a failover client
+        /// rotates through when one goes dark. Empty for an unprotected
+        /// contract.
+        pub service_urls: Vec<String>,
     }
 }

@@ -2,7 +2,7 @@
 //! (§VII-B availability, the client half).
 //!
 //! [`FailoverClient`] holds one [`HttpClient`] per replica (typically the
-//! directory from [`crate::discovery::ContractMetadata::all_service_urls`])
+//! directory from [`crate::discovery::ContractMetadata::service_urls`])
 //! and rotates through them:
 //!
 //! - **load balancing**: calls start from a round-robin cursor, so a fleet
@@ -189,8 +189,9 @@ impl FailoverClient {
     }
 
     /// A client from discovery URLs (`http://ip:port`, the
-    /// [`crate::discovery::ContractMetadata::all_service_urls`] shape).
-    /// Unparseable URLs are skipped; `None` iff none parse.
+    /// [`crate::discovery::ContractMetadata::service_urls`] shape) — the
+    /// one parser of that shape. Unparseable URLs are skipped; `None` iff
+    /// none parse.
     pub fn from_urls<S: AsRef<str>>(urls: &[S]) -> Option<FailoverClient> {
         let addrs: Vec<SocketAddr> = urls
             .iter()
@@ -213,7 +214,7 @@ impl FailoverClient {
         let Some(metadata) = seed.discover(contract)? else {
             return Ok(None);
         };
-        Ok(FailoverClient::from_urls(&metadata.all_service_urls()))
+        Ok(FailoverClient::from_urls(&metadata.service_urls))
     }
 
     /// Number of endpoints in the directory.

@@ -878,13 +878,6 @@ impl HttpClient {
         }
     }
 
-    /// A client from a discovery URL (`http://ip:port`, as published in
-    /// [`ContractMetadata::token_service_url`]).
-    pub fn from_url(url: &str) -> Option<HttpClient> {
-        let addr = url.strip_prefix("http://")?.parse().ok()?;
-        Some(HttpClient::connect(addr))
-    }
-
     /// The server address.
     pub fn addr(&self) -> SocketAddr {
         self.addr

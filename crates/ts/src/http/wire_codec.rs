@@ -125,8 +125,7 @@ fn front() -> Arc<FrontEnd> {
         ContractMetadata {
             name: "Vault \"v2\"".into(),
             compiler: "smacs 0.1".into(),
-            token_service_url: Some("http://127.0.0.1:8545".into()),
-            replica_urls: vec![
+            service_urls: vec![
                 "http://127.0.0.1:8545".into(),
                 "http://127.0.0.1:8546".into(),
             ],

@@ -30,7 +30,7 @@
 //! one-node, memory-only cluster by default, or, for availability
 //! (§VII-B), a majority-quorum replicated counter across the replicas
 //! ([`TokenService::with_replicated_counter`]). [`discovery`] implements the
-//! §VII-B service-discovery metadata (contract address → TS URL), which a
+//! §VII-B service-discovery metadata (contract address → TS URLs), which a
 //! [`FrontEnd`] publishes and serves.
 //!
 //! # Threading model
@@ -94,9 +94,12 @@
 //! - **What replicates.** A [`cluster::ReplicaSet`] runs N full service
 //!   instances sharing the signing key (tokens from any replica verify
 //!   against the one on-chain `pk_TS`), one rule book (a locked
-//!   `Arc<RuleBook>` every replica holds — an owner update through any
-//!   replica binds all of them), and a majority-quorum one-time counter
-//!   ([`replica::CounterCluster`]).
+//!   `Arc<RuleBook>` every replica holds) behind one owner credential
+//!   (every replica accepts the set's owner secret, so an owner's
+//!   `set_rules` through any replica, or through a failover client that
+//!   lands on any of them, binds all of them), a majority-quorum one-time
+//!   counter ([`replica::CounterCluster`]), and one discovery record that
+//!   lists every replica's URL, primary first.
 //!
 //! - **How the counter quorum votes.** The counter is a real distributed
 //!   protocol: each replica serves the protocol-v2 `counter_*` op family

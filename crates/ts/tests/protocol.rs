@@ -262,8 +262,7 @@ fn in_process_and_wire_answers_agree() {
         ContractMetadata {
             name: "Vault".into(),
             compiler: "smacs 0.1".into(),
-            token_service_url: Some("http://127.0.0.1:1".into()),
-            replica_urls: vec!["http://127.0.0.1:2".into()],
+            service_urls: vec!["http://127.0.0.1:1".into(), "http://127.0.0.1:2".into()],
         },
     );
     let server = serve(front.clone());

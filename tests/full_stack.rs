@@ -14,8 +14,8 @@ use smacs::ts::api::ResponseEnvelope;
 use smacs::ts::discovery::ContractMetadata;
 use smacs::ts::front::{EndpointScope, FrontEnd};
 use smacs::ts::{
-    CounterCluster, CounterNode, Endpoint, ErrorCode, HttpClient, HttpServerConfig, ListPolicy,
-    RuleBook, TokenService, TokenServiceConfig, TsApi,
+    CounterCluster, CounterNode, Endpoint, ErrorCode, FailoverClient, HttpClient, HttpServerConfig,
+    ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -69,8 +69,7 @@ fn discovery_http_issuance_and_onchain_spend() {
         ContractMetadata {
             name: "BenchTarget".into(),
             compiler: "smacs-chain 0.1".into(),
-            token_service_url: Some(server.url()),
-            replica_urls: Vec::new(),
+            service_urls: vec![server.url()],
         },
     );
     let api = HttpClient::connect(server.addr());
@@ -78,9 +77,9 @@ fn discovery_http_issuance_and_onchain_spend() {
         .discover(target.address)
         .unwrap()
         .expect("TS discoverable");
-    assert_eq!(metadata.token_service_url, Some(server.url()));
+    assert_eq!(metadata.service_urls, vec![server.url()]);
     // The published URL round-trips into a working client.
-    let api = HttpClient::from_url(metadata.token_service_url.as_deref().unwrap()).unwrap();
+    let api = FailoverClient::from_urls(&metadata.service_urls).unwrap();
 
     // Client side: fetch a token over HTTP through the caching fetcher.
     let api: Arc<dyn TsApi> = Arc::new(api);
