@@ -436,11 +436,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         self.exec.state.storage_set(callee, slot, value);
         self.trace
             .events
-            .push(TraceEvent::Access(StorageAccess::Write {
-                slot,
-                prev,
-                new: value,
-            }));
+            .push(TraceEvent::Access(StorageAccess::Write { slot }));
         Ok(())
     }
 

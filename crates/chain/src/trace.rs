@@ -28,14 +28,10 @@ pub enum StorageAccess {
         /// The slot read.
         slot: H256,
     },
-    /// `sstore(slot, new)` observing `prev`.
+    /// `sstore(slot, _)`.
     Write {
         /// The slot written.
         slot: H256,
-        /// Value before the write.
-        prev: H256,
-        /// Value after the write.
-        new: H256,
     },
 }
 

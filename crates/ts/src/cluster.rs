@@ -145,8 +145,7 @@ impl Default for ReplicaSetConfig {
 fn vote_client_config() -> HttpClientConfig {
     HttpClientConfig {
         connect_timeout: Duration::from_millis(500),
-        read_timeout: Duration::from_secs(2),
-        write_timeout: Duration::from_secs(2),
+        io_timeout: Duration::from_secs(2),
     }
 }
 

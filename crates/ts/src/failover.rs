@@ -1,5 +1,5 @@
-//! A failover-aware [`TsApi`] client for replicated Token Services
-//! (§VII-B availability, the client half).
+//! A failover-aware [`TsApi`](crate::TsApi) client for replicated Token
+//! Services (§VII-B availability, the client half).
 //!
 //! [`FailoverClient`] holds one [`HttpClient`] per replica (typically the
 //! directory from [`crate::discovery::ContractMetadata::service_urls`])
@@ -7,16 +7,17 @@
 //!
 //! - **load balancing**: calls start from a round-robin cursor, so a fleet
 //!   of wallets spreads across the replicas;
-//! - **bounded retries**: a failed attempt is retried on the *next*
-//!   replica with exponential backoff plus deterministic jitter, up to
-//!   [`RetryPolicy::attempts`] attempts and a per-call
-//!   [`RetryPolicy::deadline`]. Each attempt is exactly one send (no
-//!   hidden resend on a fresh connection), so the two budgets bound the
-//!   requests that actually go out;
+//! - **bounded retries**: this is the one layer that re-sends a request.
+//!   A failed attempt is retried on the *next* replica (the same one,
+//!   over a single URL) with exponential backoff plus deterministic
+//!   jitter, up to [`RetryPolicy::attempts`] attempts and a per-call
+//!   [`RetryPolicy::deadline`]. Each attempt is one [`HttpClient`] send,
+//!   which never re-sends, so the two budgets bound the requests that
+//!   actually go out;
 //! - **at-most-once issuance**: whether a failure is retried depends on
 //!   how far the round trip got (`CallError`) and whether the operation
-//!   may burn a one-time counter index — the replay rule
-//!   (`CallError::replayable`) that [`HttpClient`] applies too. A
+//!   may burn a one-time counter index — the replay rule,
+//!   `CallError::replayable`, defined here beside its one caller. A
 //!   connect-phase failure transmitted nothing and is always safe to
 //!   replay. After the request may have gone out, every op but one-time
 //!   issuance is replayed: `ping`, `discover`, `set_rules` (replaying a
@@ -43,10 +44,31 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use smacs_primitives::json::{FromJson, ToJson};
-use smacs_primitives::Address;
 
-use crate::api::{ApiError, ErrorCode, TsApi};
+use crate::api::{ApiError, ErrorCode};
 use crate::http::{CallError, HttpClient, HttpClientConfig, WireCall};
+
+impl CallError {
+    /// The one replay rule: whether a request that failed this way may be
+    /// sent again. `one_time`: the op may burn a one-time counter index (a
+    /// one-time issue, a batch holding one).
+    ///
+    /// A request that never left (a connect failure) may always be resent.
+    /// One that may have reached the server (a lost or cut answer, an HTTP
+    /// 5xx) is resent unless it is `one_time`: a lost answer looks like a
+    /// lost request, and a replay could burn a second index. Every other op
+    /// is safe to run twice — reads, a whole-book `set_rules`, and
+    /// expiry-token issuance (a re-mint is byte-identical: same expire,
+    /// `NO_INDEX`, same payload, same signature). An application error is
+    /// final: the service ran the request and said no.
+    fn replayable(&self, one_time: bool) -> bool {
+        match self {
+            CallError::Transport { sent: false, .. } => true,
+            CallError::Transport { sent: true, .. } | CallError::Server { .. } => !one_time,
+            CallError::Api(_) => false,
+        }
+    }
+}
 
 /// Retry/backoff tuning for [`FailoverClient`].
 #[derive(Clone, Debug)]
@@ -132,8 +154,8 @@ impl Endpoint {
     }
 }
 
-/// A [`TsApi`] client that spreads calls across a replica set and routes
-/// around dead members. See the module docs for the full policy.
+/// A [`TsApi`](crate::TsApi) client that spreads calls across a replica set
+/// and routes around dead members. See the module docs for the full policy.
 pub struct FailoverClient {
     endpoints: Vec<Endpoint>,
     policy: RetryPolicy,
@@ -201,20 +223,6 @@ impl FailoverClient {
             return None;
         }
         Some(FailoverClient::new(addrs))
-    }
-
-    /// The discovery handshake: ask any reachable replica (`seed`) for
-    /// `contract`'s metadata and build a client over the full replica
-    /// directory it advertises. `Ok(None)` when the contract is unknown
-    /// or its metadata names no usable service URL.
-    pub fn discover_replicas(
-        seed: &HttpClient,
-        contract: Address,
-    ) -> Result<Option<FailoverClient>, ApiError> {
-        let Some(metadata) = seed.discover(contract)? else {
-            return Ok(None);
-        };
-        Ok(FailoverClient::from_urls(&metadata.service_urls))
     }
 
     /// Number of endpoints in the directory.
@@ -289,7 +297,7 @@ impl WireCall for FailoverClient {
                 std::thread::sleep(pause);
             }
             let endpoint = self.pick(start, attempt);
-            match endpoint.client.send_once(op, body) {
+            match endpoint.client.send(op, body) {
                 Ok(response) => {
                     endpoint.record_success();
                     return Ok(response);
@@ -317,6 +325,7 @@ impl WireCall for FailoverClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TsApi;
 
     #[test]
     fn backoff_is_bounded_and_jittered() {
@@ -411,6 +420,33 @@ mod tests {
     }
 
     #[test]
+    fn expiry_issue_with_a_lost_answer_comes_back_on_the_next_attempt() {
+        // An expiry issue burns no index and a re-mint is byte-identical,
+        // so the replay rule re-sends it after its answer is lost — over a
+        // single URL, to the same server.
+        use crate::cluster::{ReplicaSet, ReplicaSetConfig};
+        use crate::rules::RuleBook;
+        use smacs_primitives::Address;
+
+        let set = ReplicaSet::start(
+            smacs_crypto::Keypair::from_seed(1),
+            RuleBook::permissive(),
+            ReplicaSetConfig::default(),
+        )
+        .unwrap();
+        let client = FailoverClient::new(vec![set.addrs()[0]]);
+        let request = smacs_token::TokenRequest::super_token(
+            Address::from_low_u64(1),
+            Address::from_low_u64(2),
+        );
+        let unfaulted = client.issue(&request).unwrap();
+        set.faults(0).truncate_responses(1);
+        let resent = client.issue(&request).unwrap();
+        assert_eq!(resent.to_bytes(), unfaulted.to_bytes());
+        set.shutdown();
+    }
+
+    #[test]
     #[should_panic(expected = "at least one endpoint")]
     fn empty_directory_panics() {
         FailoverClient::new(Vec::new());
@@ -495,8 +531,7 @@ mod tests {
             set.addrs(),
             HttpClientConfig {
                 connect_timeout: Duration::from_millis(300),
-                read_timeout: Duration::from_millis(300),
-                write_timeout: Duration::from_millis(300),
+                io_timeout: Duration::from_millis(300),
             },
             RetryPolicy {
                 attempts: 4,

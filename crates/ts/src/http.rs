@@ -51,12 +51,10 @@
 //! envelopes over one persistent connection. Before reusing a pooled
 //! connection it probes for staleness (a server restart closed it) and
 //! transparently reconnects, so no call burns a round on a
-//! connection the server already abandoned. A send that still fails on
-//! the pooled connection is repeated once on a fresh one unless the op
-//! may burn a one-time counter index. That replay rule is one function,
-//! `CallError::replayable`, which [`crate::FailoverClient`] applies too;
-//! the failover client sends each attempt exactly once and retries on
-//! its own budget.
+//! connection the server already abandoned. The probe sends nothing, so
+//! it is safe for every op; past it, each call is sent exactly once and
+//! a failure is the caller's. Re-sending lives in one place,
+//! [`crate::FailoverClient`], over one URL or many.
 //!
 //! # Wire cost
 //!
@@ -728,24 +726,22 @@ fn read_response(reader: &mut impl BufRead) -> std::io::Result<(u16, String)> {
 pub struct HttpClientConfig {
     /// Ceiling on establishing the TCP connection.
     pub connect_timeout: Duration,
-    /// Ceiling on each blocking read while awaiting the response.
-    pub read_timeout: Duration,
-    /// Ceiling on each blocking write while sending the request.
-    pub write_timeout: Duration,
+    /// Ceiling on each blocking write of the request and each blocking
+    /// read of the response.
+    pub io_timeout: Duration,
 }
 
 impl Default for HttpClientConfig {
     fn default() -> Self {
         HttpClientConfig {
             connect_timeout: Duration::from_secs(5),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
+            io_timeout: Duration::from_secs(10),
         }
     }
 }
 
-/// How far a failed round trip got — the fact a failover layer needs to
-/// decide whether a retry is safe.
+/// How far a failed round trip got — the fact [`crate::FailoverClient`]
+/// needs to decide whether a retry is safe.
 #[derive(Debug)]
 pub(crate) enum CallError {
     /// The transport failed. `sent` reports whether any request bytes may
@@ -784,55 +780,20 @@ impl CallError {
         }
     }
 
-    /// The one replay rule of both wire clients: whether a request that
-    /// failed this way may be sent again. `one_time`: the op may burn a
-    /// one-time counter index (a one-time issue, a batch holding one, a
-    /// counter commit).
-    ///
-    /// A request that never left (a connect failure) may always be resent.
-    /// One that may have reached the server (a lost or cut answer, an HTTP
-    /// 5xx) is resent unless it is `one_time`: a lost answer looks like a
-    /// lost request, and a replay could burn a second index. Every other op
-    /// is safe to run twice — reads, a counter prepare, a whole-book
-    /// `set_rules`, and expiry-token issuance (a re-mint is byte-identical:
-    /// same expire, `NO_INDEX`, same payload, same signature). An
-    /// application error is final: the service ran the request and said no.
-    pub(crate) fn replayable(&self, one_time: bool) -> bool {
-        match self {
-            CallError::Transport { sent: false, .. } => true,
-            CallError::Transport { sent: true, .. } | CallError::Server { .. } => !one_time,
-            CallError::Api(_) => false,
-        }
-    }
-}
-
-/// Where in the round trip an I/O error struck.
-enum IoFailure {
-    /// While establishing the connection: nothing was transmitted.
-    Connect(std::io::Error),
-    /// While writing the request or reading the response: the request may
-    /// have reached (and been executed by) the server.
-    AfterSend(std::io::Error),
-}
-
-/// Render an I/O error as a transport [`ApiError`], naming timeouts
-/// distinguishably (`set_read_timeout`/`set_write_timeout` expirations
-/// surface as `WouldBlock`/`TimedOut` depending on platform).
-fn transport_error(phase: &str, e: &std::io::Error) -> ApiError {
-    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-        ApiError::new(ErrorCode::Transport, format!("{phase} timed out: {e}"))
-    } else {
-        ApiError::new(ErrorCode::Transport, format!("{phase} failed: {e}"))
-    }
-}
-
-impl IoFailure {
-    fn into_call_error(self) -> CallError {
-        let (sent, error) = match &self {
-            IoFailure::Connect(e) => (false, transport_error("connect", e)),
-            IoFailure::AfterSend(e) => (true, transport_error("round trip", e)),
+    /// A transport failure in `phase`, naming timeouts distinguishably (an
+    /// expired socket timeout surfaces as `WouldBlock` or `TimedOut`,
+    /// depending on platform). `sent`: whether request bytes may have gone
+    /// out.
+    fn transport(sent: bool, phase: &str, e: std::io::Error) -> CallError {
+        let message = if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            format!("{phase} timed out: {e}")
+        } else {
+            format!("{phase} failed: {e}")
         };
-        CallError::Transport { sent, error }
+        CallError::Transport {
+            sent,
+            error: ApiError::new(ErrorCode::Transport, message),
+        }
     }
 }
 
@@ -843,13 +804,12 @@ impl IoFailure {
 /// each reuse the client probes the pooled connection with a non-blocking
 /// peek: a connection the server has since closed (on a restart, say)
 /// is detected *before* the request is sent and replaced transparently —
-/// safe for every op, because nothing was transmitted yet. A send that
-/// still fails on the pooled connection is repeated once on a fresh one
-/// unless the op may burn a one-time counter index (the replay rule the
-/// failover client shares). Every socket phase is bounded by
-/// [`HttpClientConfig`] timeouts, so a hung server surfaces as a
-/// distinguishable "timed out" [`ErrorCode::Transport`] error instead of
-/// blocking forever.
+/// safe for every op, because nothing was transmitted yet. Each call is
+/// then sent exactly once; a failure drops the connection and is returned
+/// (wrap the client's URL in a [`crate::FailoverClient`] to retry). Every
+/// socket phase is bounded by [`HttpClientConfig`] timeouts, so a hung
+/// server costs one timeout and surfaces as a distinguishable "timed out"
+/// [`ErrorCode::Transport`] error instead of blocking forever.
 pub struct HttpClient {
     addr: SocketAddr,
     /// Everything of a request head that precedes the body length,
@@ -878,82 +838,47 @@ impl HttpClient {
         }
     }
 
-    /// The server address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn round_trip_once(
-        &self,
-        conn: &mut Option<BufReader<TcpStream>>,
-        body: &str,
-    ) -> Result<(u16, String), IoFailure> {
-        if conn.is_none() {
-            let stream = (|| {
-                let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(self.config.read_timeout))?;
-                stream.set_write_timeout(Some(self.config.write_timeout))?;
-                Ok(stream)
-            })()
-            .map_err(IoFailure::Connect)?;
-            *conn = Some(BufReader::new(stream));
-        }
-        let reader = conn.as_mut().expect("connection just ensured");
-        write_request(reader.get_mut(), &self.request_head, body).map_err(IoFailure::AfterSend)?;
-        read_response(reader).map_err(IoFailure::AfterSend)
-    }
-
-    /// One keep-alive round trip, resent at most once.
+    /// One keep-alive round trip, sent exactly once.
     ///
     /// A pooled connection is preflighted first: if the server already
     /// closed it (on a restart, say) it is replaced before anything is
-    /// sent — a transparent reconnect that is safe for *all* ops. A send
-    /// that then fails on the pooled connection is repeated once on a fresh
-    /// one when `resend` allows it for the failure; a send that failed on a
-    /// fresh connection is final, since a retry would meet the same server.
-    fn round_trip(
-        &self,
-        body: &str,
-        resend: impl Fn(&CallError) -> bool,
-    ) -> Result<(u16, String), CallError> {
+    /// sent — a transparent reconnect that is safe for *all* ops. Any
+    /// failure drops the connection, so the next call starts on a fresh one.
+    fn round_trip(&self, body: &str) -> Result<(u16, String), CallError> {
         let mut conn = self.conn.lock();
         if conn.as_mut().is_some_and(connection_is_stale) {
             *conn = None;
         }
-        let pooled = conn.is_some();
-        let mut result = self
-            .round_trip_once(&mut conn, body)
-            .map_err(IoFailure::into_call_error);
-        if matches!(&result, Err(error) if pooled && resend(error)) {
-            *conn = None;
-            result = self
-                .round_trip_once(&mut conn, body)
-                .map_err(IoFailure::into_call_error);
-        }
+        let reader = match &mut *conn {
+            Some(reader) => reader,
+            None => {
+                let stream = (|| {
+                    let stream =
+                        TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(self.config.io_timeout))?;
+                    stream.set_write_timeout(Some(self.config.io_timeout))?;
+                    Ok(stream)
+                })()
+                .map_err(|e| CallError::transport(false, "connect", e))?;
+                conn.insert(BufReader::new(stream))
+            }
+        };
+        let result = write_request(reader.get_mut(), &self.request_head, body)
+            .and_then(|()| read_response(reader))
+            .map_err(|e| CallError::transport(true, "round trip", e));
         if result.is_err() {
             *conn = None;
         }
         result
     }
 
-    /// Send one v2 op exactly once: one [`crate::FailoverClient`] attempt,
-    /// so its attempt and deadline budget bounds the requests actually sent.
-    pub(crate) fn send_once<T>(&self, op: &str, body: Option<&dyn ToJson>) -> Result<T, CallError>
-    where
-        T: for<'a> FromJson<'a>,
-    {
-        self.send(op, body, |_| false)
-    }
-
-    /// Send one v2 op, resending it once on a fresh connection when a
-    /// pooled connection failed and `resend` allows it for the failure,
-    /// and decode the success body into `T` while the response text lives.
-    fn send<T: for<'a> FromJson<'a>>(
+    /// Send one v2 op exactly once and decode the success body into `T`
+    /// while the response text lives.
+    pub(crate) fn send<T: for<'a> FromJson<'a>>(
         &self,
         op: &str,
         body: Option<&dyn ToJson>,
-        resend: impl Fn(&CallError) -> bool,
     ) -> Result<T, CallError> {
         // The members of a `RequestEnvelope`, the body encoding itself in
         // place; on the way back the body moves out of the parsed tree.
@@ -963,7 +888,7 @@ impl HttpClient {
             .member("op", op)
             .member("body", &body)
             .end();
-        let (status, text) = self.round_trip(&envelope, resend)?;
+        let (status, text) = self.round_trip(&envelope)?;
         let decoded = Json::parse(&text).ok().and_then(|mut json| {
             let body = Some(json.take("body"));
             Some(ResponseEnvelope {
@@ -1027,22 +952,20 @@ pub(crate) trait WireCall: Send + Sync {
     /// Send `op` with `body` and decode the success body into `T` (or
     /// return the decoded error). `one_time`: the op may burn a one-time
     /// counter index, so it must not be replayed once the request may have
-    /// gone out; every other op may be (`CallError::replayable`, the one
-    /// replay rule).
+    /// gone out; only [`crate::FailoverClient`], the one client that
+    /// re-sends, reads it.
     fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<T, ApiError>
     where
         T: for<'a> FromJson<'a>;
 }
 
 impl WireCall for HttpClient {
-    /// One send, and one resend on a fresh connection after a pooled one
-    /// failed, when the replay rule (`CallError::replayable`) allows it.
-    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, one_time: bool) -> Result<T, ApiError>
+    /// Exactly one send, whatever the op.
+    fn call<T>(&self, op: &str, body: Option<&dyn ToJson>, _one_time: bool) -> Result<T, ApiError>
     where
         T: for<'a> FromJson<'a>,
     {
-        self.send(op, body, |error| error.replayable(one_time))
-            .map_err(CallError::into_api)
+        self.send(op, body).map_err(CallError::into_api)
     }
 }
 
@@ -1504,16 +1427,35 @@ mod tests {
     }
 
     #[test]
-    fn expiry_issue_with_a_lost_answer_is_resent_on_a_fresh_connection() {
-        // An expiry issue burns no index and a re-mint is byte-identical,
-        // so the replay rule resends it after its answer is lost on the
-        // pooled connection.
-        let (server, faults) = serve_truncating();
-        let client = HttpClient::connect(server.addr());
-        let unfaulted = client.issue(&request(2)).unwrap();
-        faults.truncate_responses(1);
-        let resent = client.issue(&request(2)).unwrap();
-        assert_eq!(resent.to_bytes(), unfaulted.to_bytes());
+    fn a_hung_server_costs_one_read_timeout() {
+        // The answer on a pooled connection never comes in time: the call
+        // fails after one read timeout and is not re-sent to the same hung
+        // server, whatever the op.
+        const TIMEOUT: Duration = Duration::from_millis(300);
+        let faults = FaultPlan::new();
+        let server = serve(HttpServerConfig {
+            faults: Some(faults.clone()),
+            ..HttpServerConfig::default()
+        });
+        let client = HttpClient::connect_with(
+            server.addr(),
+            HttpClientConfig {
+                connect_timeout: TIMEOUT,
+                io_timeout: TIMEOUT,
+            },
+        );
+        client.ping().unwrap();
+        faults.delay_responses(Duration::from_secs(1));
+        let start = Instant::now();
+        let err = client.ping().unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(err.code, ErrorCode::Transport);
+        assert!(err.message.contains("timed out"), "{}", err.message);
+        assert!(
+            elapsed < Duration::from_millis(450),
+            "one read timeout bounds the wait, took {elapsed:?}"
+        );
+        faults.clear();
         server.shutdown();
     }
 

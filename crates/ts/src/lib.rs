@@ -142,21 +142,22 @@
 //!   whose record the disk tore cannot be re-issued while a quorum
 //!   remembers it.
 //!
-//! - **What is retried.** Both wire clients, [`HttpClient`] and
-//!   [`failover::FailoverClient`], follow one replay rule, decided in one
-//!   place from how far the round trip got and whether the op may burn a
+//! - **What is retried.** One layer re-sends a request:
+//!   [`failover::FailoverClient`], over one URL or many. [`HttpClient`]
+//!   sends each call exactly once (it only replaces, before sending, a
+//!   pooled connection the server already closed), so a hung server
+//!   costs one socket timeout, and so does a replica's vote to a hung
+//!   peer. The failover client's replay rule is decided in one place
+//!   from how far the round trip got and whether the op may burn a
 //!   one-time counter index. A *connect-phase* failure transmitted
 //!   nothing and is always replayed. Once the request may have been
 //!   sent, every op that cannot burn an index is replayed: `ping` and
 //!   `discover` (reads), `set_rules` (replaying a whole-book replacement
 //!   converges), and issuance *without* the one-time property (a re-mint
-//!   is byte-identical). [`HttpClient`] replays by resending once on a
-//!   fresh connection after its pooled one failed. The failover client
-//!   sends each attempt exactly once and replays on the next replica,
-//!   backing off exponentially with jitter, bounded by an attempt budget
-//!   and a per-call deadline that therefore count real sends;
-//!   per-endpoint circuit breakers stop paying a dead replica's timeout
-//!   on every call.
+//!   is byte-identical). Each attempt goes to the next replica, backing
+//!   off exponentially with jitter, bounded by an attempt budget and a
+//!   per-call deadline that count real sends; per-endpoint circuit
+//!   breakers stop paying a dead replica's timeout on every call.
 //!
 //! - **What is at-most-once.** A one-time issue whose *answer* was lost
 //!   (timeout, truncated response, connection drop after send) is

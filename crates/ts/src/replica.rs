@@ -58,7 +58,7 @@
 //! that accepted each of them.
 
 use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
-use crate::http::{HttpClient, WireCall};
+use crate::http::HttpClient;
 use crate::wal::{Recovery, Wal};
 use parking_lot::Mutex;
 use std::io;
@@ -358,9 +358,10 @@ pub(crate) enum Member {
 
 impl Member {
     /// Deliver `vote` and wait for the reply; `None`: unreachable. Over
-    /// the wire a prepare is a read and may be resent, while a commit
-    /// may burn an index and never is: a lost commit ack surfaces as
-    /// unreachable instead of coming back `accepted: false`.
+    /// the wire a vote is sent exactly once, so a prepare or a commit
+    /// whose reply is lost reads as unreachable (a lost commit ack never
+    /// comes back `accepted: false`); the protocol already treats any vote
+    /// as possibly lost.
     pub(crate) fn send(&self, vote: Vote) -> Option<Reply> {
         let client = match self {
             Member::Local(node) => return node.handle(vote),
@@ -368,7 +369,7 @@ impl Member {
         };
         match vote {
             Vote::Prepare => {
-                let state: CounterStateBody = client.call("counter_prepare", None, false).ok()?;
+                let state: CounterStateBody = client.send("counter_prepare", None).ok()?;
                 Some(Reply {
                     accepted: false,
                     committed: state.committed,
@@ -376,8 +377,7 @@ impl Member {
             }
             Vote::Commit(value) => {
                 let body = CounterCommitBody { value };
-                let vote: CounterVoteBody =
-                    client.call("counter_commit", Some(&body), true).ok()?;
+                let vote: CounterVoteBody = client.send("counter_commit", Some(&body)).ok()?;
                 Some(Reply {
                     accepted: vote.accepted,
                     committed: vote.committed,

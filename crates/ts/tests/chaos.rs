@@ -67,8 +67,7 @@ fn fast_client(set: &ReplicaSet) -> FailoverClient {
         set.addrs(),
         HttpClientConfig {
             connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(500),
-            write_timeout: Duration::from_millis(500),
+            io_timeout: Duration::from_millis(500),
         },
         RetryPolicy {
             attempts: 6,
@@ -218,8 +217,7 @@ fn hung_replica_surfaces_a_read_timeout() {
         vec![set.addrs()[0]],
         HttpClientConfig {
             connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_millis(500),
+            io_timeout: Duration::from_millis(200),
         },
         RetryPolicy {
             attempts: 1,
@@ -256,8 +254,7 @@ fn circuit_breaker_sheds_a_dead_replica() {
         set.addrs(),
         HttpClientConfig {
             connect_timeout: Duration::from_millis(400),
-            read_timeout: Duration::from_millis(400),
-            write_timeout: Duration::from_millis(400),
+            io_timeout: Duration::from_millis(400),
         },
         RetryPolicy {
             attempts: 6,
@@ -417,9 +414,11 @@ fn discovered_directory_survives_kill_and_recovery() {
 
     // Bootstrap from one seed replica, as a wallet would.
     let seed = HttpClient::connect(set.addrs()[1]);
-    let client = FailoverClient::discover_replicas(&seed, contract())
+    let metadata = seed
+        .discover(contract())
         .unwrap()
         .expect("directory published");
+    let client = FailoverClient::from_urls(&metadata.service_urls).expect("usable service URLs");
     assert_eq!(client.endpoint_count(), set.len());
 
     client.issue(&request(70)).unwrap();

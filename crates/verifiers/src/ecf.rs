@@ -117,16 +117,13 @@ fn analyse_outer_frame(frame: &TraceFrame, contract: Address, out: &mut Vec<EcfV
         let post_writes: HashSet<H256> = frame.events[event_idx + 1..]
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Access(StorageAccess::Write { slot, .. }) => Some(*slot),
+                TraceEvent::Access(StorageAccess::Write { slot }) => Some(*slot),
                 _ => None,
             })
             .collect();
         for inner in &reentrant_frames {
             for access in inner.accesses() {
-                let slot = match access {
-                    StorageAccess::Read { slot } => *slot,
-                    StorageAccess::Write { slot, .. } => *slot,
-                };
+                let (StorageAccess::Read { slot } | StorageAccess::Write { slot }) = *access;
                 if pre_reads.contains(&slot) && post_writes.contains(&slot) {
                     out.push(EcfViolation {
                         contract,
