@@ -5,12 +5,13 @@ use smacs_crypto::{keccak256, recover_batch, Keypair};
 use smacs_primitives::pool::WorkerPool;
 use smacs_primitives::rlp::{self, Item, ToRlp};
 use smacs_primitives::{Address, Bytes};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::block::{Block, BlockEnv};
 use crate::contract::{Contract, ContractRegistry, DeployedContract};
-use crate::exec::{Executor, MessageCall, Recovery, VmError};
+use crate::exec::{Executor, MessageCall, Recoveries, VmError};
 use crate::gas::{GasBreakdown, SCHEDULE};
 use crate::receipt::{ExecStatus, Receipt};
 use crate::state::WorldState;
@@ -81,17 +82,21 @@ pub enum BlockMode<'p> {
     /// A signature prepass on the given pool, then the sequential loop:
     /// the block is cut into one chunk per pool thread, and each chunk
     /// derives its transactions' hashes and senders and then recovers the
-    /// signatures their contracts hint at ([`Contract::recover_hints`]),
-    /// as two batches ([`smacs_crypto::recover_batch`]) each sharing one
-    /// scalar and one field inversion; a hinted known signer gets the
-    /// cheaper comb check. Execution serves the hints from that memo.
-    /// Results are bit-identical to [`BlockMode::Sequential`].
+    /// signatures their contracts hint at ([`Contract::recover_hints`])
+    /// that the chain's `ecrecover` memo lacks, as two batches
+    /// ([`smacs_crypto::recover_batch`]) each sharing one scalar and one
+    /// field inversion; a hinted known signer gets the cheaper comb check.
+    /// The answers go into the memo, which execution then serves
+    /// [`crate::CallContext::ecrecover`] from. Results are bit-identical
+    /// to [`BlockMode::Sequential`].
     Parallel(&'p WorkerPool),
 }
 
 /// The simulated chain: state, contracts, blocks, and the pending block.
 /// Receipts go to the caller of [`Chain::submit`], [`Chain::deploy`] and
-/// [`Chain::execute_block_with`]; the chain keeps none.
+/// [`Chain::execute_block_with`]; the chain keeps none. Its bounded memo
+/// of the `ecrecover` answers its contracts have asked for (see
+/// [`crate::CallContext::ecrecover`]) changes only what a call costs.
 ///
 /// Transactions submitted with [`Chain::submit`] execute immediately into
 /// the pending block; [`Chain::seal_block`] closes it and advances the
@@ -107,6 +112,7 @@ pub struct Chain {
     pending: Vec<SignedTransaction>,
     pending_timestamp: u64,
     genesis_accounts: Vec<(Address, u128)>,
+    recoveries: Recoveries,
 }
 
 impl Chain {
@@ -119,6 +125,7 @@ impl Chain {
             pending: Vec::new(),
             pending_timestamp: GENESIS_TIMESTAMP + BLOCK_TIME,
             genesis_accounts: Vec::new(),
+            recoveries: Recoveries::default(),
         }
     }
 
@@ -212,7 +219,7 @@ impl Chain {
         let signed = tx.sign(owner);
         let address = Self::contract_address(sender, nonce);
         self.registry.insert(address, logic.clone());
-        match self.execute_transaction(&signed, &[]) {
+        match self.execute_transaction(&signed) {
             Ok(receipt) if receipt.status.is_success() => {
                 Ok((DeployedContract { address, logic }, receipt))
             }
@@ -230,7 +237,7 @@ impl Chain {
     /// Submit a signed transaction: validate, execute into the pending
     /// block, and return the receipt.
     pub fn submit(&mut self, signed: SignedTransaction) -> Result<Receipt, ChainError> {
-        self.execute_transaction(&signed, &[])
+        self.execute_transaction(&signed)
     }
 
     /// Build, sign, and submit a call transaction from `from` in one step.
@@ -248,13 +255,8 @@ impl Chain {
 
     /// Execute one transaction into the pending block: validate, buy gas,
     /// run the call or creation, refund, commit the state's journal, and
-    /// return the receipt. `recovered` is the block prepass's memo for this
-    /// transaction (empty outside [`BlockMode::Parallel`]).
-    fn execute_transaction(
-        &mut self,
-        signed: &SignedTransaction,
-        recovered: &[Recovery],
-    ) -> Result<Receipt, ChainError> {
+    /// return the receipt.
+    fn execute_transaction(&mut self, signed: &SignedTransaction) -> Result<Receipt, ChainError> {
         let sender = signed.sender().ok_or(ChainError::InvalidSignature)?;
         let tx = &signed.tx;
         let env = self.pending_env();
@@ -282,8 +284,8 @@ impl Chain {
         state.commit();
 
         let registry = &self.registry;
-        let mut executor = Executor::new(state, registry, env, sender, tx.gas_limit);
-        executor.recovered = recovered;
+        let recoveries = &mut self.recoveries;
+        let mut executor = Executor::new(state, registry, recoveries, env, sender, tx.gas_limit);
         executor
             .meter
             .charge(intrinsic)
@@ -361,7 +363,7 @@ impl Chain {
         match mode {
             BlockMode::Sequential => txs
                 .iter()
-                .map(|signed| self.execute_transaction(signed, &[]))
+                .map(|signed| self.execute_transaction(signed))
                 .collect(),
             BlockMode::Parallel(pool) => self.execute_block_parallel(txs, pool),
         }
@@ -387,39 +389,47 @@ impl Chain {
     /// `SignedTransaction::senders`, which memoizes each transaction's
     /// hash and sender, then [`recover_batch`] over the `(digest,
     /// signature, expected signer)` hints each target contract gives for its
-    /// top-level call — the hints come second because their digests name
-    /// the recovered origin. The chain memoizes every hint's answer from
-    /// the pair itself, so a wrong pair or signer costs one wasted
-    /// recovery and never changes a result; a recovery nobody hinted (a
-    /// callee reached through a nested call) simply runs live.
+    /// top-level call that the chain's `ecrecover` memo lacks, once per
+    /// pair — the hints come second because their digests name the
+    /// recovered origin. Every answer is recorded in the memo from the pair
+    /// itself before the sequential loop, so a wrong pair or signer costs
+    /// one wasted recovery and never changes a result; a recovery nobody
+    /// hinted (a callee reached through a nested call) runs live and is
+    /// recorded then.
     fn execute_block_parallel(
         &mut self,
         txs: &[SignedTransaction],
         pool: &WorkerPool,
     ) -> Vec<Result<Receipt, ChainError>> {
-        let registry = &self.registry;
-        let memos: Vec<Vec<Recovery>> = pool.map_chunks(txs, PREPASS_CHUNK_MIN, |chunk| {
+        let (registry, memo) = (&self.registry, &self.recoveries);
+        let answers = pool.map_chunks(txs, PREPASS_CHUNK_MIN, |chunk| {
             let senders = SignedTransaction::senders(chunk);
-            let mut hints: Vec<Vec<Recovery>> = chunk
+            let mut seen = HashSet::new();
+            let hints: Vec<_> = chunk
                 .iter()
                 .zip(senders)
-                .map(|(signed, origin)| match (origin, signed.tx.to) {
-                    (Some(origin), Some(to)) => registry.get(to).map_or_else(Vec::new, |logic| {
-                        logic.recover_hints(origin, to, &signed.tx.data)
-                    }),
-                    _ => Vec::new(),
+                .filter_map(|(signed, origin)| {
+                    let (origin, to) = (origin?, signed.tx.to?);
+                    Some(registry.get(to)?.recover_hints(origin, to, &signed.tx.data))
+                })
+                .flatten()
+                .filter(|(digest, signature, _)| {
+                    memo.get(digest, signature).is_none() && seen.insert((*digest, *signature))
                 })
                 .collect();
             // Each hint's expected signer gives way to the exact answer.
-            let mut answers = recover_batch(&hints.concat()).into_iter();
-            for (_, _, slot) in hints.iter_mut().flatten() {
-                *slot = answers.next().expect("one answer per hint");
-            }
+            let answers = recover_batch(&hints);
             hints
+                .into_iter()
+                .zip(answers)
+                .map(|((digest, signature, _), answer)| (digest, signature, answer))
+                .collect::<Vec<_>>()
         });
+        for (digest, signature, answer) in answers {
+            self.recoveries.insert(digest, signature, answer);
+        }
         txs.iter()
-            .zip(&memos)
-            .map(|(signed, memo)| self.execute_transaction(signed, memo))
+            .map(|signed| self.execute_transaction(signed))
             .collect()
     }
 
@@ -449,7 +459,14 @@ impl Chain {
     ) -> (Result<Bytes, VmError>, u64, CallTrace, GasBreakdown) {
         let snapshot = self.state.snapshot();
         let env = self.pending_env();
-        let mut executor = Executor::new(&mut self.state, &self.registry, env, from, 10_000_000);
+        let mut executor = Executor::new(
+            &mut self.state,
+            &self.registry,
+            &mut self.recoveries,
+            env,
+            from,
+            10_000_000,
+        );
         let result = executor.call(MessageCall {
             caller: from,
             callee: to,
@@ -466,7 +483,8 @@ impl Chain {
     /// Deep-copy the chain — the "local testnet" a Token Service runs its
     /// runtime-verification tools on (§V). Contract logic is shared
     /// (immutable); the state, the blocks, the pending transactions and the
-    /// genesis alloc are copied, so a fork costs O(history).
+    /// genesis alloc are copied, so a fork costs O(history). The fork's
+    /// `ecrecover` memo starts empty.
     pub fn fork(&self) -> Chain {
         Chain {
             state: self.state.fork(),
@@ -475,6 +493,7 @@ impl Chain {
             pending: self.pending.clone(),
             pending_timestamp: self.pending_timestamp,
             genesis_accounts: self.genesis_accounts.clone(),
+            recoveries: Recoveries::default(),
         }
     }
 
@@ -675,22 +694,66 @@ mod tests {
         (chain, txs)
     }
 
+    /// Off the wire: nothing memoized.
+    fn cold(txs: &[SignedTransaction]) -> Vec<SignedTransaction> {
+        txs.iter()
+            .map(|s| SignedTransaction::from_parts(s.tx.clone(), s.signature))
+            .collect()
+    }
+
+    /// The `ecrecover` memo a block leaves behind, in either mode, holds
+    /// exact answers only (the liar's garbage pairs recorded as `None`)
+    /// and no transaction sender; a fork starts without it, and a dry run
+    /// answers from it and records into it.
+    #[test]
+    fn the_memo_holds_exact_answers_and_a_fork_starts_empty() {
+        let pool = WorkerPool::new(2, 64);
+        for mode in [BlockMode::Sequential, BlockMode::Parallel(&pool)] {
+            let (mut chain, txs) = world();
+            chain.execute_block_with(&cold(&txs), mode);
+            let entries = chain.recoveries.entries();
+            assert!(entries.iter().any(|(_, _, answer)| answer.is_none()));
+            assert!(entries.iter().any(|(_, _, answer)| answer.is_some()));
+            for (digest, signature, answer) in entries {
+                assert_eq!(answer, smacs_crypto::recover_address(&digest, &signature));
+            }
+            for signed in &txs {
+                let key = (signed.tx.signing_digest(), signed.signature);
+                assert_eq!(chain.recoveries.get(&key.0, &key.1), None);
+            }
+            assert_eq!(chain.fork().recoveries.len(), 0);
+
+            let liar = txs[0].tx.to.expect("a call");
+            let signer = Keypair::from_seed(99);
+            let digest = keccak256(b"dry run");
+            let body = call_data(&[(digest, signer.sign_digest(&digest))]);
+            let before = chain.recoveries.len();
+            let (result, ..) = chain.dry_run(Address::ZERO, liar, 0, body.clone());
+            assert_eq!(
+                &result.expect("dry run")[12..32],
+                signer.address().as_bytes()
+            );
+            assert_eq!(chain.recoveries.len(), before + 1);
+            let (again, ..) = chain.dry_run(Address::ZERO, liar, 0, body);
+            assert_eq!(
+                &again.expect("dry run")[12..32],
+                signer.address().as_bytes()
+            );
+            assert_eq!(chain.recoveries.len(), before + 1);
+        }
+        pool.shutdown();
+    }
+
     /// On 2 threads the prepass cuts the block into txs 0–3 and 4–7, so
     /// each chunk batches a liar's hints; on 3, into 0–1, 2–4 and 5–7.
     #[test]
     fn lying_hints_change_nothing() {
         let (mut seq, txs) = world();
-        // Nothing memoized, as off the wire.
-        let cold = || -> Vec<SignedTransaction> {
-            txs.iter()
-                .map(|s| SignedTransaction::from_parts(s.tx.clone(), s.signature))
-                .collect()
-        };
-        let seq_results = seq.execute_block_with(&cold(), BlockMode::Sequential);
+        let seq_results = seq.execute_block_with(&cold(&txs), BlockMode::Sequential);
         for threads in [2, 3] {
             let pool = WorkerPool::new(threads, 64);
             let (mut par, _) = world();
-            let par_results = par.execute_block_with(&cold(), BlockMode::Parallel(&pool));
+            let par_results = par.execute_block_with(&cold(&txs), BlockMode::Parallel(&pool));
             assert_eq!(seq_results, par_results, "{threads} threads");
             assert_eq!(seq.state().state_digest(), par.state().state_digest());
             pool.shutdown();

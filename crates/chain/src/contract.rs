@@ -47,11 +47,11 @@ pub trait Contract: Send + Sync {
     /// The `(digest, signature, expected signer)` triples a top-level call
     /// from `origin` to this contract at `this` with `calldata` will pass
     /// to [`CallContext::ecrecover`]. [`crate::BlockMode::Parallel`]
-    /// recovers them across its pool before the block runs, checking a
-    /// known expected signer without a full recovery. A hint is only ever
-    /// a prediction: the chain recovers each pair itself and memoizes the
-    /// exact address, so a wrong or missing hint costs time, never
-    /// correctness.
+    /// recovers those its `ecrecover` memo lacks across its pool before
+    /// the block runs, checking a known expected signer without a full
+    /// recovery. A hint is only ever a prediction: the chain recovers each
+    /// pair itself and memoizes the exact address, so a wrong or missing
+    /// hint costs time, never correctness.
     fn recover_hints(
         &self,
         _origin: Address,

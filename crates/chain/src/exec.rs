@@ -36,6 +36,7 @@
 
 use smacs_crypto::{keccak256, recover_batch, Signature};
 use smacs_primitives::{Address, Bytes, H256, U256};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -132,27 +133,66 @@ pub struct Executor<'a> {
     /// `tx.origin` — the externally owned account that signed the
     /// transaction, constant along the whole call chain.
     pub origin: Address,
-    /// `(digest, signature, recovered)` triples computed ahead of execution
-    /// by the block prepass, in its chunk's batched
-    /// [`smacs_crypto::recover_batch`], whose every answer equals the lone
-    /// hinted recovery [`CallContext::ecrecover`] runs. `ecrecover` serves
-    /// a matching pair from here instead of recovering it again; every
-    /// entry was computed from its own pair, and a hint never changes a
-    /// result, so a hit returns exactly what a live recovery would.
-    pub(crate) recovered: &'a [Recovery],
+    /// The chain's `ecrecover` memo, which [`CallContext::ecrecover`]
+    /// answers from and records into.
+    recoveries: &'a mut Recoveries,
     logs: Vec<Log>,
     finished_root: Option<TraceFrame>,
 }
 
-/// One precomputed signature recovery: `(digest, signature, recovered)`,
-/// where `recovered` is the exact address `ecrecover` yields for the pair.
-pub(crate) type Recovery = (H256, Signature, Option<Address>);
+/// The `ecrecover` answers a chain has computed, keyed by the exact
+/// `(digest, signature)` pair. `ecrecover` is a pure function of the pair,
+/// whatever signer a caller expects, so a hit is exactly what a live
+/// recovery returns: the memo is a cache, not state. A fork starts with an
+/// empty one, and it empties itself when it reaches `RECOVERIES_CAP`
+/// entries. Transaction senders never enter it.
+#[derive(Default)]
+pub(crate) struct Recoveries(HashMap<(H256, Signature), Option<Address>>);
+
+/// The entries a [`Recoveries`] holds before it empties itself (a table of
+/// ≈ 1 MB): a block-sized working set of reused tokens many times over.
+const RECOVERIES_CAP: usize = 4_096;
+
+impl Recoveries {
+    /// The recorded answer for the pair, if any.
+    pub(crate) fn get(&self, digest: &H256, signature: &Signature) -> Option<Option<Address>> {
+        self.0.get(&(*digest, *signature)).copied()
+    }
+
+    /// Record `answer`, the recovery of the pair.
+    pub(crate) fn insert(&mut self, digest: H256, signature: Signature, answer: Option<Address>) {
+        if self.0.len() >= RECOVERIES_CAP {
+            self.0.clear();
+        }
+        self.0.insert((digest, signature), answer);
+    }
+
+    /// `ecrecover` of the pair: the recorded answer, else a live recovery
+    /// (which `expected` only makes cheaper), recorded.
+    fn recover(
+        &mut self,
+        digest: H256,
+        signature: &Signature,
+        expected: Option<Address>,
+    ) -> Option<Address> {
+        if let Some(answer) = self.get(&digest, signature) {
+            return answer;
+        }
+        let answer = recover_batch(&[(digest, *signature, expected)])
+            .pop()
+            .flatten();
+        self.insert(digest, *signature, answer);
+        answer
+    }
+}
 
 impl<'a> Executor<'a> {
-    /// Create an executor for one transaction.
-    pub fn new(
+    /// Create an executor for one transaction, answering `ecrecover` from
+    /// and into `recoveries`.
+    pub(crate) fn new(
         state: &'a mut WorldState,
         registry: &'a ContractRegistry,
+        recoveries: &'a mut Recoveries,
         block: BlockEnv,
         origin: Address,
         gas_limit: u64,
@@ -163,7 +203,7 @@ impl<'a> Executor<'a> {
             block,
             meter: GasMeter::new(gas_limit),
             origin,
-            recovered: &[],
+            recoveries,
             logs: Vec::new(),
             finished_root: None,
         }
@@ -470,9 +510,18 @@ impl<'e, 'a> CallContext<'e, 'a> {
     /// or `None` for invalid signatures (Solidity's zero address).
     /// `expected` is the signer the caller will compare against, if it has
     /// one: a hint that lets a known signer be checked without a full
-    /// recovery ([`smacs_crypto::recover_expecting`]). A pair the block
-    /// prepass already recovered is served from its memo. Gas and result
-    /// are the same on every path, whatever the hint.
+    /// recovery ([`smacs_crypto::recover_expecting`]).
+    ///
+    /// After charging, the answer comes from the chain's memo of the
+    /// recoveries it has computed (on every path: [`Chain::submit`], either
+    /// [`BlockMode`], [`Chain::dry_run`]), or is computed and recorded
+    /// there. So a reusable token's TS signature is checked once per chain
+    /// while the memo keeps it. Gas and result are the same on every path,
+    /// whatever the hint and whether the memo hits.
+    ///
+    /// [`Chain::submit`]: crate::Chain::submit
+    /// [`Chain::dry_run`]: crate::Chain::dry_run
+    /// [`BlockMode`]: crate::BlockMode
     pub fn ecrecover(
         &mut self,
         digest: H256,
@@ -480,17 +529,7 @@ impl<'e, 'a> CallContext<'e, 'a> {
         expected: Option<Address>,
     ) -> Result<Option<Address>, VmError> {
         self.charge(SCHEDULE.ecrecover)?;
-        let memo = self
-            .exec
-            .recovered
-            .iter()
-            .find(|(d, s, _)| *d == digest && s == signature);
-        Ok(match memo {
-            Some(&(_, _, recovered)) => recovered,
-            None => recover_batch(&[(digest, *signature, expected)])
-                .pop()
-                .flatten(),
-        })
+        Ok(self.exec.recoveries.recover(digest, signature, expected))
     }
 
     // ---- Accounts and calls ----
@@ -633,9 +672,11 @@ mod tests {
         data: Vec<u8>,
     ) -> (Result<Bytes, VmError>, CallTrace, u64) {
         let origin = Address::from_low_u64(1);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             state,
             registry,
+            &mut memo,
             BlockEnv::genesis(1_000_000),
             origin,
             1_000_000,
@@ -701,9 +742,11 @@ mod tests {
         let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
         let dest = Address::from_low_u64(2);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             &mut state,
             &registry,
+            &mut memo,
             BlockEnv::genesis(0),
             origin,
             1_000_000,
@@ -724,9 +767,11 @@ mod tests {
     fn insufficient_balance_fails_and_reverts() {
         let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             &mut state,
             &registry,
+            &mut memo,
             BlockEnv::genesis(0),
             origin,
             1_000_000,
@@ -745,9 +790,11 @@ mod tests {
     fn out_of_gas_reverts() {
         let (mut state, registry) = setup();
         let origin = Address::from_low_u64(1);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             &mut state,
             &registry,
+            &mut memo,
             BlockEnv::genesis(0),
             origin,
             100, // far below an SSTORE
@@ -835,16 +882,20 @@ mod tests {
         let mut other = signature;
         other.s[0] ^= 1;
 
-        let mut run = |memo: &[Recovery], data: &[u8]| {
+        let mut run = |entries: &[(H256, Signature, Option<Address>)], data: &[u8]| {
             let origin = Address::from_low_u64(1);
+            let mut memo = Recoveries::default();
+            for &(digest, signature, answer) in entries {
+                memo.insert(digest, signature, answer);
+            }
             let mut executor = Executor::new(
                 &mut state,
                 &registry,
+                &mut memo,
                 BlockEnv::genesis(0),
                 origin,
                 1_000_000,
             );
-            executor.recovered = memo;
             let out = executor
                 .call(MessageCall {
                     caller: origin,
@@ -882,6 +933,83 @@ mod tests {
         }
     }
 
+    impl Recoveries {
+        pub(crate) fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        pub(crate) fn entries(&self) -> Vec<(H256, Signature, Option<Address>)> {
+            self.0.iter().map(|(&(d, s), &a)| (d, s, a)).collect()
+        }
+    }
+
+    /// Every answer the memo gives, hit or miss, is `recover_address`'s on
+    /// the same pair, `None` for an invalid signature included; the same
+    /// signature over another digest misses; and past the capacity the
+    /// memo empties itself, so its size stays bounded while its answers
+    /// stay exact.
+    #[test]
+    fn recoveries_are_exact_and_bounded() {
+        let signer = smacs_crypto::Keypair::from_seed(5);
+        let digest = keccak256(b"memo");
+        let good = signer.sign_digest(&digest);
+        let mut forged = good;
+        forged.s[31] ^= 1;
+        let mut invalid = good;
+        invalid.v = 0;
+        let zero_r = Signature { r: [0; 32], ..good };
+        let pairs = [
+            (digest, good),
+            (digest, forged),
+            (digest, invalid),
+            (digest, zero_r),
+            (keccak256(b"another digest"), good),
+        ];
+        let want: Vec<_> = pairs
+            .iter()
+            .map(|(d, s)| smacs_crypto::recover_address(d, s))
+            .collect();
+        assert_eq!(want[0], Some(signer.address()));
+        assert_eq!(want[2..4], [None, None]);
+        assert_ne!(want[4], want[0]);
+
+        let mut memo = Recoveries::default();
+        // Misses, recorded; the same signature over another digest misses.
+        for ((d, s), want) in pairs.iter().zip(&want) {
+            assert_eq!(memo.get(d, s), None);
+            assert_eq!(memo.recover(*d, s, Some(signer.address())), *want);
+            assert_eq!(memo.get(d, s), Some(*want));
+        }
+        // Hits, whatever the expected signer.
+        for expected in [None, Some(signer.address()), Some(Address::ZERO)] {
+            for ((d, s), want) in pairs.iter().zip(&want) {
+                assert_eq!(memo.recover(*d, s, expected), *want);
+            }
+        }
+        assert_eq!(memo.len(), pairs.len());
+
+        // Fill past the capacity with cheap pairs (`s = 0` is refused
+        // before any curve work); every answer stays exact and the size
+        // stays bounded.
+        let refused = Signature { s: [0; 32], ..good };
+        for i in 0..RECOVERIES_CAP + 10 {
+            let d = keccak256(&i.to_be_bytes());
+            assert_eq!(memo.recover(d, &refused, None), None);
+            assert!(memo.len() <= RECOVERIES_CAP, "{}", memo.len());
+            if i % 1_000 == 0 {
+                let (pair, want) = (
+                    &pairs[i / 1_000 % pairs.len()],
+                    want[i / 1_000 % pairs.len()],
+                );
+                assert_eq!(memo.recover(pair.0, &pair.1, None), want);
+            }
+        }
+        assert!(memo.len() < RECOVERIES_CAP);
+        for ((d, s), want) in pairs.iter().zip(&want) {
+            assert_eq!(memo.recover(*d, s, None), *want);
+        }
+    }
+
     #[test]
     fn caller_branches_on_the_childs_real_result() {
         let (mut state, mut registry) = setup();
@@ -898,9 +1026,11 @@ mod tests {
         exec_call(&mut state, &registry, set).0.unwrap();
 
         let origin = Address::from_low_u64(1);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             &mut state,
             &registry,
+            &mut memo,
             BlockEnv::genesis(0),
             origin,
             1_000_000,
@@ -972,9 +1102,11 @@ mod tests {
         state.set_contract(diver, 100);
         registry.insert(diver, Arc::new(Diver { panic }));
         let origin = Address::from_low_u64(1);
+        let mut memo = Recoveries::default();
         let mut executor = Executor::new(
             &mut state,
             &registry,
+            &mut memo,
             BlockEnv::genesis(0),
             origin,
             u64::MAX / 2,

@@ -9,8 +9,8 @@
 //! from the signature — the `tx.origin` seen by every frame of the call
 //! chain.
 
-use smacs_crypto::{keccak256, recover_batch, Keypair, Signature};
-use smacs_primitives::rlp::{self, Item, ToRlp};
+use smacs_crypto::{recover_batch, Keccak256, Keypair, Signature};
+use smacs_primitives::rlp;
 use smacs_primitives::{Address, Bytes, H256};
 use std::fmt;
 use std::sync::Mutex;
@@ -47,34 +47,68 @@ impl Transaction {
         }
     }
 
-    fn rlp_body(&self) -> Item {
-        Item::List(vec![
-            self.nonce.to_rlp(),
-            self.gas_price.to_rlp(),
-            self.gas_limit.to_rlp(),
-            match self.to {
-                Some(addr) => addr.to_rlp(),
-                None => Item::Bytes(vec![]),
-            },
-            self.value.to_rlp(),
-            self.data.to_rlp(),
-        ])
+    /// The RLP encodings of the body's six fields, concatenated: the
+    /// payload of the body list, which the signing digest hashes and the
+    /// transaction hash nests.
+    fn rlp_fields(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + self.data.len());
+        rlp::append_uint(&mut out, self.nonce.into());
+        rlp::append_uint(&mut out, self.gas_price);
+        rlp::append_uint(&mut out, self.gas_limit.into());
+        rlp::append_bytes(&mut out, self.to.as_ref().map_or(&[], |to| to.as_bytes()));
+        rlp::append_uint(&mut out, self.value);
+        rlp::append_bytes(&mut out, &self.data);
+        out
     }
 
     /// The digest an EOA signs: `keccak256(rlp(body))`.
     pub fn signing_digest(&self) -> H256 {
-        keccak256(&rlp::encode(&self.rlp_body()))
+        keccak_list(&[&self.rlp_fields()])
     }
 
-    /// Sign with `keypair`, producing a [`SignedTransaction`]. The signer's
-    /// address is pre-seeded into the memo, so the common path (sign
+    /// Sign with `keypair`, producing a [`SignedTransaction`]. The memo is
+    /// seeded with the digest signed, the hash (both from one encoding of
+    /// the body) and the signer's address, so the common path (sign
     /// locally, submit, execute) never runs `ecrecover` at all.
     pub fn sign(self, keypair: &Keypair) -> SignedTransaction {
-        let signature = keypair.sign_digest(&self.signing_digest());
-        let signed = SignedTransaction::from_parts(self, signature);
-        signed.with_memo(|memo| memo.sender = Some(Some(keypair.address())));
-        signed
+        let fields = self.rlp_fields();
+        let digest = keccak_list(&[&fields]);
+        let signature = keypair.sign_digest(&digest);
+        let memo = Memo {
+            hash: tx_hash(&fields, &signature),
+            digest,
+            sender: Some(Some(keypair.address())),
+            tx: self.clone(),
+            signature,
+        };
+        SignedTransaction {
+            tx: self,
+            signature,
+            memo: Mutex::new(Some(memo)),
+        }
     }
+}
+
+/// `keccak256` of the RLP list whose payload is `parts`, concatenated.
+fn keccak_list(parts: &[&[u8]]) -> H256 {
+    let mut header = Vec::with_capacity(9);
+    rlp::append_list_header(&mut header, parts.iter().map(|part| part.len()).sum());
+    let mut hasher = Keccak256::new();
+    hasher.update(&header);
+    for part in parts {
+        hasher.update(part);
+    }
+    hasher.finalize()
+}
+
+/// The transaction hash, `keccak256(rlp([body, signature]))`, from the
+/// body's [`Transaction::rlp_fields`].
+fn tx_hash(fields: &[u8], signature: &Signature) -> H256 {
+    let mut body_header = Vec::with_capacity(9);
+    rlp::append_list_header(&mut body_header, fields.len());
+    let mut signature_item = Vec::with_capacity(Signature::SIZE + 2);
+    rlp::append_bytes(&mut signature_item, &signature.to_bytes());
+    keccak_list(&[&body_header, fields, &signature_item])
 }
 
 /// A signed transaction ready for submission.
@@ -89,11 +123,12 @@ pub struct SignedTransaction {
     memo: Mutex<Option<Memo>>,
 }
 
-/// The hash and sender of one `(tx, signature)` pair.
+/// The signing digest, hash and sender of one `(tx, signature)` pair.
 #[derive(Clone)]
 struct Memo {
     tx: Transaction,
     signature: Signature,
+    digest: H256,
     hash: H256,
     /// `None` until recovered (`ecrecover` is by far the most expensive
     /// step of transaction intake).
@@ -147,20 +182,20 @@ impl SignedTransaction {
     /// in the sequential loop that needs it (for the receipt and
     /// `Block::hash`).
     pub(crate) fn senders(txs: &[SignedTransaction]) -> Vec<Option<Address>> {
-        let known: Vec<Option<Option<Address>>> = txs
+        let known: Vec<(Option<Option<Address>>, H256)> = txs
             .iter()
-            .map(|signed| signed.with_memo(|memo| memo.sender))
+            .map(|signed| signed.with_memo(|memo| (memo.sender, memo.digest)))
             .collect();
         let queries: Vec<_> = txs
             .iter()
             .zip(&known)
-            .filter(|(_, known)| known.is_none())
-            .map(|(signed, _)| (signed.tx.signing_digest(), signed.signature, None))
+            .filter(|(_, (sender, _))| sender.is_none())
+            .map(|(signed, &(_, digest))| (digest, signed.signature, None))
             .collect();
         let mut recovered = recover_batch(&queries).into_iter();
         txs.iter()
             .zip(known)
-            .map(|(signed, known)| {
+            .map(|(signed, (known, _))| {
                 known.unwrap_or_else(|| {
                     let sender = recovered.next().expect("one per cold memo");
                     signed.with_memo(|memo| memo.sender = Some(sender));
@@ -178,23 +213,22 @@ impl SignedTransaction {
         self.with_memo(|memo| memo.hash)
     }
 
-    /// `f` of the memo of the current fields, made afresh (hash derived,
-    /// sender not yet recovered) if any of them changed since the last
-    /// one. `Bytes` compares by pointer before content, so an unchanged
-    /// transaction costs a few scalar comparisons.
+    /// `f` of the memo of the current fields, made afresh (digest and
+    /// hash derived from one encoding of the body, sender not yet
+    /// recovered) if any of them changed since the last one. `Bytes`
+    /// compares by pointer before content, so an unchanged transaction
+    /// costs a few scalar comparisons.
     fn with_memo<T>(&self, f: impl FnOnce(&mut Memo) -> T) -> T {
         let mut memo = self.memo.lock().expect("memo lock");
         let memo = match &mut *memo {
             Some(memo) if memo.tx == self.tx && memo.signature == self.signature => memo,
             stale => {
-                let item = Item::List(vec![
-                    self.tx.rlp_body(),
-                    Item::Bytes(self.signature.to_bytes().to_vec()),
-                ]);
+                let fields = self.tx.rlp_fields();
                 stale.insert(Memo {
                     tx: self.tx.clone(),
                     signature: self.signature,
-                    hash: keccak256(&rlp::encode(&item)),
+                    digest: keccak_list(&[&fields]),
+                    hash: tx_hash(&fields, &self.signature),
                     sender: None,
                 })
             }
@@ -325,6 +359,54 @@ mod tests {
         for (name, mutate) in MUTATIONS {
             let [(before, _), (after, _)] = answers_around(&kp, name, mutate);
             assert_ne!(after, before, "{name}");
+        }
+    }
+
+    /// The digest and hash, from one encoding of the body, equal those of
+    /// the `Item`-tree encoding, `keccak256(rlp(body))` and
+    /// `keccak256(rlp([body, signature]))`, across zero and full-width
+    /// scalars, a creation, and calldata on both sides of every header
+    /// size; whether signed here or assembled from parts.
+    #[test]
+    fn digest_and_hash_match_the_item_tree_encoding() {
+        use smacs_crypto::keccak256;
+        use smacs_primitives::rlp::{Item, ToRlp};
+        let reference = |tx: &Transaction, signature: &Signature| {
+            let body = Item::List(vec![
+                tx.nonce.to_rlp(),
+                tx.gas_price.to_rlp(),
+                tx.gas_limit.to_rlp(),
+                tx.to.map_or(Item::Bytes(vec![]), |to| to.to_rlp()),
+                tx.value.to_rlp(),
+                tx.data.to_rlp(),
+            ]);
+            let digest = keccak256(&rlp::encode(&body));
+            let signed = Item::List(vec![body, Item::Bytes(signature.to_bytes().to_vec())]);
+            (digest, keccak256(&rlp::encode(&signed)))
+        };
+        let kp = Keypair::from_seed(106);
+        for len in [0, 1, 2, 54, 55, 56, 114, 255, 256, 70_000] {
+            for (nonce, to, value) in [
+                (0, Some(Address::from_low_u64(9)), 0),
+                (u64::MAX, None, u128::MAX),
+                (0x7f, Some(Address::ZERO), 0x80),
+            ] {
+                let tx = Transaction {
+                    nonce,
+                    gas_price: 1 << 70,
+                    gas_limit: 21_000,
+                    to,
+                    value,
+                    data: Bytes::from(vec![0x80; len]),
+                };
+                let signed = tx.clone().sign(&kp);
+                let (digest, hash) = reference(&tx, &signed.signature);
+                assert_eq!(tx.signing_digest(), digest, "{len}");
+                assert_eq!(signed.hash(), hash, "{len}");
+                let parsed = SignedTransaction::from_parts(tx, signed.signature);
+                assert_eq!(parsed.hash(), hash, "{len}");
+                assert_eq!(parsed.sender(), Some(kp.address()), "{len}");
+            }
         }
     }
 

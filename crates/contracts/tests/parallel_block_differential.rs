@@ -1,6 +1,7 @@
 //! Differential suite: `BlockMode::Parallel` — a signature prepass across a
-//! worker pool, then the sequential loop serving those recoveries from a
-//! memo — must be bit-identical to `BlockMode::Sequential`: same receipts
+//! worker pool that fills the chain's `ecrecover` memo, then the sequential
+//! loop, which answers from that memo as `BlockMode::Sequential` does —
+//! must be bit-identical to `BlockMode::Sequential`: same receipts
 //! (status, gas, logs, return data, full call traces), same per-tx errors,
 //! same final state digest. Every block runs with no sender memoized, as it
 //! would arrive off the wire, so the prepass recovers every sender.
@@ -26,7 +27,12 @@
 //! Because the prepass recovers each chunk of a block as one batch, the
 //! regime also runs on pools of 1, 2 and 4 threads with a forged TS
 //! signature and a non-recovering sender pinned first, last and beside
-//! every chunk boundary.
+//! every chunk boundary. A multi-block sequence spends the same reusable
+//! tokens (and one forged token) in every block, so later blocks are
+//! answered from the memo, on the same three pools. Since both modes share
+//! the memo, its exactness is pinned without this differential, by
+//! `smacs-chain`'s `recoveries_are_exact_and_bounded` and
+//! `the_memo_holds_exact_answers_and_a_fork_starts_empty`.
 //!
 //! Same deterministic-PRNG approach as `state_differential.rs` in the
 //! chain crate, lifted to whole blocks.
@@ -615,6 +621,79 @@ fn shielded_chunk_boundaries_match_sequential() {
                 let (mut seq, mut par) = (base.fork(), base.fork());
                 run_shielded_block(&mut seq, &mut par, &pool, seed, len, &forced);
             }
+        }
+        pool.shutdown();
+    }
+}
+
+/// Reusable tokens across blocks, as a token fetcher reuses them: each
+/// sender's super, method and argument tokens for the AMM and one forged
+/// token are signed once and spent in every block of a sequence, so from
+/// the second block on the chain's `ecrecover` memo answers their TS
+/// signatures and the prepass recovers none of them. On pools of 1, 2 and
+/// 4 threads every block matches Sequential, receipt for receipt and in
+/// its state digest, and each reused token keeps its outcome.
+#[test]
+fn reused_tokens_across_blocks_match_sequential() {
+    let base = shielded_fixture(6);
+    let (ts, amm) = (&base.ts, base.amm);
+    let expire = (base.chain.pending_env().timestamp + LIFETIME) as u32;
+    let fixed_swap = SmacsAmm::swap_payload(700, 0);
+    let tokens: Vec<[Token; 3]> = base
+        .senders
+        .iter()
+        .map(|kp| {
+            let token =
+                |ttype| sign_token(ts, ttype, amm, kp.address(), &fixed_swap, NO_INDEX, expire);
+            [TokenType::Super, TokenType::Method, TokenType::Argument].map(token)
+        })
+        .collect();
+    let forger = Keypair::from_seed(0xF0F1);
+    let forged_for = base.senders[0].address();
+    let forged = sign_token(
+        &forger,
+        TokenType::Method,
+        amm,
+        forged_for,
+        &fixed_swap,
+        NO_INDEX,
+        expire,
+    );
+    for threads in [1, 2, 4] {
+        let pool = WorkerPool::new(threads, 64);
+        let (mut seq, mut par) = (base.fork(), base.fork());
+        for block in 0..4u64 {
+            let mut nonces = Nonces::of(&seq.chain, &seq.senders);
+            let mut txs = Vec::new();
+            for (i, kp) in seq.senders.iter().enumerate() {
+                // Super and method tokens bind no calldata, so their swaps
+                // vary; an argument token binds its swap.
+                let kind = (block as usize + i) % 3;
+                let swap = match kind {
+                    2 => fixed_swap.clone(),
+                    _ => SmacsAmm::swap_payload(100 + 97 * block + i as u64, 0),
+                };
+                let data = build_call_data(&swap, amm, tokens[i][kind]);
+                let nonce = nonces.take(kp.address());
+                txs.push(Transaction::call(nonce, amm, 0, data).sign(kp));
+            }
+            let data = build_call_data(&fixed_swap, amm, forged);
+            let nonce = nonces.take(forged_for);
+            txs.push(Transaction::call(nonce, amm, 0, data).sign(&seq.senders[0]));
+
+            let seed = 10 * threads as u64 + block;
+            let results = assert_modes_agree(&mut seq.chain, &mut par.chain, &txs, &pool, seed);
+            let (forged_result, honest) = results.split_last().expect("a block");
+            for (i, result) in honest.iter().enumerate() {
+                assert!(
+                    matches!(result, Ok(r) if r.status.is_success()),
+                    "tx {i} of block {block} on {threads} threads: {result:?}"
+                );
+            }
+            assert!(
+                matches!(forged_result, Ok(r) if matches!(&r.status, ExecStatus::Reverted(why) if why.contains("invalid token signature"))),
+                "{forged_result:?}"
+            );
         }
         pool.shutdown();
     }

@@ -42,9 +42,9 @@
 //!   additions); the batch inverts every `r` and normalizes every result
 //!   together.
 //! - `verify_known_batch`: whether each signature recovers to a key whose
-//!   `Comb` is at hand. Per item ≤ 32 + 64 mixed additions over `G`'s comb
-//!   and the key's; the batch inverts every `s` and normalizes every
-//!   result together.
+//!   `KeyComb` is at hand. Per item ≤ 32 + 32 mixed additions: 32 over
+//!   `G`'s comb, 16 over the key's for each GLV half; the batch inverts
+//!   every `s` and normalizes every result together.
 //!
 //! Range checks, `lift_x` and infinity checks run per item before
 //! anything enters a shared product, so an invalid item never poisons
@@ -52,11 +52,13 @@
 //!
 //! Every scalar multiplication is one of two: a comb walk for a fixed
 //! base, or `Point::mul`'s GLV ladder for a variable one. `G` and every
-//! known key share one comb type (`Comb`) and one walk, at two widths:
-//! `G`'s 8-bit comb (≈ 510 KB, built once per process on the first
-//! `mul_g`, ≈ 5 ms) and the 4-bit `KeyComb` of a learned key (≈ 61 KB,
-//! ≈ 0.5 ms). Learned keys stay at 4 bits because an 8-bit comb per key
-//! would cost 8 MB at the known-signer cap of 16.
+//! known key share one comb type (`Comb`) and one walk, with 8-bit
+//! windows over two scalar widths: `G`'s comb covers 256 bits (≈ 510 KB,
+//! built once per process on the first `mul_g`, ≈ 5 ms), and a learned
+//! key's `KeyComb` covers the ≈ 128-bit halves of the GLV split, read once
+//! as it is and once through the endomorphism (≈ 255 KB, 4 MB at the
+//! known-signer cap of 16). A 256-bit 8-bit comb per key would cost twice
+//! that for the same 32 additions.
 
 /// 256-bit value as little-endian 64-bit limbs.
 pub type U256L = [u64; 4];
@@ -909,32 +911,38 @@ fn wnaf(scalar: &U256L, w: u32, negate: bool) -> ([i8; 257], usize) {
 // Every ECDSA sign, every key derivation and every recovery multiplies
 // the *generator* by a scalar, and `verify_known_batch` multiplies both
 // `G` and a known public key. A one-time table of `j·2^(W·i)·B`
-// (`256/W` windows `i` of `W` bits, digits `j` in `1..2^W`) turns `k·B`
-// from 256 doubles + ~128 general adds into at most `256/W` mixed
-// additions. `G`'s table is 8 bits wide (≈ 510 KB, built lazily on the
-// first `mul_g` in ≈ 5 ms, amortized forever); a learned key's is 4 bits
-// wide (≈ 61 KB, ≈ 0.5 ms), see `KeyComb`.
+// (`BITS/W` windows `i` of `W` bits, digits `j` in `1..2^W`) turns `k·B`
+// for a `BITS`-bit `k` into at most `BITS/W` mixed additions, with no
+// doubling. `G`'s table covers 256-bit scalars (≈ 510 KB, built lazily on
+// the first `mul_g` in ≈ 5 ms, amortized forever); a learned key's covers
+// the ≈ 128-bit halves of the GLV split (≈ 255 KB, ≈ 2 ms), see
+// `KeyComb`.
 
-/// A fixed-base comb `W` bits wide (`W` divides 64, so a digit never
-/// straddles two limbs): the affine multiples `j·2^(W·i)·B` of one base
-/// point.
-pub(crate) struct Comb<const W: usize>(Vec<Affine>);
+/// A fixed-base comb of `W`-bit windows over `BITS`-bit scalars (`W`
+/// divides 64, so a digit never straddles two limbs): the affine multiples
+/// `j·2^(W·i)·B` of one base point.
+pub(crate) struct Comb<const W: usize, const BITS: usize>(Vec<Affine>);
 
-/// The comb of a learned public key. 4 bits, not `G`'s 8: an 8-bit comb
-/// is 510 KB per key, 8 MB at the known-signer cap of 16.
-pub(crate) type KeyComb = Comb<4>;
+/// The comb of a learned public key `Q`: 16 windows of 8 bits, 255 points
+/// each (261,120 B). `k·Q` splits as `k1·Q + k2·λQ` with `|k1|, |k2| <
+/// 2^128` (`glv_split`, the split libsecp256k1 proves that bound for, and
+/// `glv_split_recombines_with_short_halves` checks), and `λ·(j·2^(8i)·Q)`
+/// is the same entry with `x` times `β`, so one table serves both halves:
+/// 16 + 16 mixed additions, where a 256-bit comb of 4-bit windows needs 64
+/// and one of 8-bit windows twice the memory.
+pub(crate) type KeyComb = Comb<8, 128>;
 
-impl<const W: usize> Comb<W> {
+impl<const W: usize, const BITS: usize> Comb<W, BITS> {
     const WINDOWS: usize = {
-        assert!(64 % W == 0 && W <= 8);
-        256 / W
+        assert!(64 % W == 0 && W <= 8 && BITS.is_multiple_of(W) && BITS <= 256);
+        BITS / W
     };
     /// Non-zero digits per window.
     const ENTRIES: usize = (1 << W) - 1;
 
-    /// Build the comb of a finite point: `256/W · (2^W − 1)` general
+    /// Build the comb of a finite point: `BITS/W · (2^W − 1)` general
     /// additions, normalized ~256 points per inversion so that no Jacobian
-    /// scratch array the size of the table (≈ 780 KB at 8 bits) is live.
+    /// scratch array the size of the table (≈ 780 KB for `G`'s) is live.
     pub(crate) fn new(base: &Affine) -> Self {
         let mut table = Vec::with_capacity(Self::WINDOWS * Self::ENTRIES);
         let mut jac = Vec::with_capacity(256);
@@ -954,22 +962,49 @@ impl<const W: usize> Comb<W> {
         Comb(table)
     }
 
-    /// `acc + k·B`: ≤ `256/W` mixed additions (8M + 3S each), no
-    /// doublings.
-    fn mul_add(&self, k: &U256L, mut acc: Point) -> Point {
+    /// `acc + k·map(B)` for `k < 2^BITS`, where `map` is a group
+    /// homomorphism applied to each entry read (the identity, a negation
+    /// or `φ`): ≤ `BITS/W` mixed additions (8M + 3S each), no doublings.
+    fn walk(&self, k: &U256L, mut acc: Point, map: impl Fn(&Affine) -> Affine) -> Point {
+        debug_assert!(k[BITS / 64..].iter().all(|&limb| limb == 0), "k ≥ 2^{BITS}");
         for w in 0..Self::WINDOWS {
             let digit = ((k[w * W / 64] >> (w * W % 64)) as usize) & Self::ENTRIES;
             if digit != 0 {
-                acc = acc.add_affine(&self.0[w * Self::ENTRIES + digit - 1]);
+                acc = acc.add_affine(&map(&self.0[w * Self::ENTRIES + digit - 1]));
             }
         }
         acc
     }
+
+    /// `acc + k·B` for `k < 2^BITS`.
+    fn mul_add(&self, k: &U256L, acc: Point) -> Point {
+        self.walk(k, acc, |p| *p)
+    }
 }
 
-fn g_comb() -> &'static Comb<8> {
+impl KeyComb {
+    /// `acc + k·Q` for any scalar `k`, over the GLV split: the `k1` half
+    /// reads the table as it is, the `k2` half through `φ` (`x` times
+    /// `β`), each negated when its half is.
+    fn glv_mul_add(&self, k: &U256L, acc: Point) -> Point {
+        let [(k1, neg1), (k2, neg2)] = glv_split(k);
+        let signed = |p: &Affine, neg: bool| if neg { p.neg() } else { *p };
+        let acc = self.walk(&k1, acc, |p| signed(p, neg1));
+        self.walk(&k2, acc, |p| {
+            signed(
+                &Affine {
+                    x: fmul(&p.x, &BETA),
+                    y: p.y,
+                },
+                neg2,
+            )
+        })
+    }
+}
+
+fn g_comb() -> &'static Comb<8, 256> {
     use std::sync::OnceLock;
-    static COMB: OnceLock<Comb<8>> = OnceLock::new();
+    static COMB: OnceLock<Comb<8, 256>> = OnceLock::new();
     COMB.get_or_init(|| Comb::new(&Affine { x: GX, y: GY }))
 }
 
@@ -1034,6 +1069,14 @@ pub fn mul_g(k: &U256L) -> Point {
 }
 
 impl Affine {
+    /// `−self`.
+    fn neg(&self) -> Affine {
+        Affine {
+            x: self.x,
+            y: fneg(&self.y),
+        }
+    }
+
     /// Whether `y² = x³ + 7` holds.
     pub fn is_on_curve(&self) -> bool {
         let y2 = fsqr(&self.y);
@@ -1232,9 +1275,11 @@ pub fn recover_batch(items: &[(U256L, RawSignature)]) -> Vec<Option<Affine>> {
 /// Same range checks as `recover`, applied per item before the shared
 /// products.
 ///
-/// Costs two comb walks per item into one accumulator (≤ 32 + 64 mixed
-/// additions), one scalar inversion (every `s⁻¹`) and one field inversion
-/// (every `to_affine`): no square root, no doubling.
+/// Costs, per item, one GLV split of `r·s⁻¹` and three comb walks into
+/// one accumulator: `G`'s over `z·s⁻¹` and the key's over both halves
+/// (≤ 32 + 16 + 16 mixed additions, and 16 products for `φ`); and for the
+/// batch one scalar inversion (every `s⁻¹`) and one field inversion (every
+/// `to_affine`): no square root, no doubling.
 pub(crate) fn verify_known_batch(items: &[(U256L, RawSignature, &KeyComb)]) -> Vec<bool> {
     let valid: Vec<usize> = (0..items.len())
         .filter(|&i| scalar_is_valid(&items[i].1.r) && scalar_is_valid(&items[i].1.s))
@@ -1246,7 +1291,7 @@ pub(crate) fn verify_known_batch(items: &[(U256L, RawSignature, &KeyComb)]) -> V
         .zip(sinvs)
         .map(|(&i, sinv)| {
             let (z, sig, q) = &items[i];
-            q.mul_add(&nmul(&sig.r, &sinv), mul_g(&nmul(z, &sinv)))
+            q.glv_mul_add(&nmul(&sig.r, &sinv), mul_g(&nmul(z, &sinv)))
         })
         .collect();
     let mut out = vec![false; items.len()];
@@ -1521,9 +1566,9 @@ mod tests {
         }
         for k in scalars {
             let [(k1, neg1), (k2, neg2)] = glv_split(&k);
-            // |k1|, |k2| < 2^129 (in fact < 2^128).
-            assert!(k1[2] < 2 && k1[3] == 0, "k1 of {k:x?}");
-            assert!(k2[2] < 2 && k2[3] == 0, "k2 of {k:x?}");
+            // |k1|, |k2| < 2^128: `KeyComb` covers 128 bits.
+            assert!(k1[2] == 0 && k1[3] == 0, "k1 of {k:x?}");
+            assert!(k2[2] == 0 && k2[3] == 0, "k2 of {k:x?}");
             let signed = |v: U256L, neg| if neg { sub_mod(&ZERO, &v, &N) } else { v };
             let sum = add_mod(
                 &signed(k1, neg1),
@@ -1695,25 +1740,138 @@ mod tests {
         }
     }
 
-    /// Both comb widths: `G`'s 8-bit comb through `mul_g`, and a 4-bit
-    /// comb of `G` (the learned-key width) walked directly.
+    /// Every comb shape: `G`'s 8-bit comb through `mul_g`, the GLV
+    /// `KeyComb` of `G` (the learned-key shape), and a 4-bit comb of `G`
+    /// over 256-bit scalars, walked directly.
     #[test]
     fn fixed_base_mul_matches_binary_ladder() {
         let g = Point::generator();
-        let g4 = KeyComb::new(&Affine { x: GX, y: GY });
+        let base = Affine { x: GX, y: GY };
+        let (key, g4) = (KeyComb::new(&base), Comb::<4, 256>::new(&base));
         for (k, _) in pairs(&scalar_edges(), 6) {
             let want = mul_binary(&g, &k).to_affine();
             assert_eq!(mul_g(&k).to_affine(), want, "k {k:x?}");
-            assert_eq!(
-                g4.mul_add(&k, Point::INFINITY).to_affine(),
-                want,
-                "k {k:x?}"
-            );
+            let glv = key.glv_mul_add(&k, Point::INFINITY);
+            assert_eq!(glv.to_affine(), want, "k {k:x?}");
+            let four = g4.mul_add(&k, Point::INFINITY);
+            assert_eq!(four.to_affine(), want, "k {k:x?}");
         }
         for k in [N, ZERO] {
             assert!(mul_g(&k).is_infinity());
+            assert!(key.glv_mul_add(&k, Point::INFINITY).is_infinity());
             assert!(g4.mul_add(&k, Point::INFINITY).is_infinity());
         }
+    }
+
+    /// A learned key's GLV comb at the scalars where a split or a window
+    /// is degenerate: `u2` of 0, 1, 2, n − 1, λ, n − λ and 2^128, halves
+    /// of each sign pair, a zero half, and an all-zero 8-bit window in
+    /// either half. Each product is checked against the binary ladder and
+    /// against the 4-bit comb of 256-bit scalars that learned keys used
+    /// before (kept here as a reference); each signature built on it
+    /// (`u1·G + u2·Q = R`, `r = R.x`, `s = r·u2⁻¹`, `z = u1·s`) is checked
+    /// through `verify_known_batch` against `recover`, honest, forged and
+    /// under a wrong key, one at a time and as one batch.
+    #[test]
+    fn glv_key_comb_matches_ladder_and_recover_at_the_edges() {
+        let (g, q) = (Point::generator(), pubkey(&[0x1234_5678, 9, 10, 11]));
+        let (comb, reference) = (KeyComb::new(&q), Comb::<4, 256>::new(&q));
+        let stranger = KeyComb::new(&pubkey(&[0xBAD, 1, 2, 3]));
+        let two_128 = [0, 0, 1, 0];
+        let mut u2s = vec![
+            ZERO,
+            ONE,
+            [2, 0, 0, 0],
+            n_minus(1),
+            LAMBDA,
+            sub_raw(&N, &LAMBDA).0,
+            two_128,
+            sub_raw(&two_128, &ONE).0,
+        ];
+        let halves = |k: &U256L| glv_split(k);
+        assert!(u2s.iter().any(|k| is_zero(&halves(k)[0].0)), "a zero k1");
+        assert!(u2s.iter().any(|k| is_zero(&halves(k)[1].0)), "a zero k2");
+        // Seeded scalars until each sign pair of the halves, and a zero
+        // window inside each half (below its top non-zero window), has
+        // turned up.
+        let zero_window = |k: &U256L| {
+            let top = (0..16)
+                .rev()
+                .find(|w| (k[w / 8] >> (w % 8 * 8)) & 0xFF != 0);
+            top.is_some_and(|top| (0..top).any(|w| (k[w / 8] >> (w % 8 * 8)) & 0xFF == 0))
+        };
+        // Kinds 0–3: the sign pair; 4 and 5: a zero window in k1, in k2.
+        let kinds = |h: [(U256L, bool); 2]| {
+            let mut kinds = vec![2 * h[0].1 as usize + h[1].1 as usize];
+            kinds.extend((0..2).filter(|&i| zero_window(&h[i].0)).map(|i| 4 + i));
+            kinds
+        };
+        let mut rng = XorShift(0x61A5);
+        let mut found = [false; 6];
+        while found.contains(&false) {
+            let k = rng.u256();
+            let new: Vec<usize> = kinds(halves(&k))
+                .into_iter()
+                .filter(|&k| !found[k])
+                .collect();
+            if !new.is_empty() {
+                new.iter().for_each(|&kind| found[kind] = true);
+                u2s.push(k);
+            }
+        }
+
+        // What `verify_known_batch` answers, from the 4-bit reference.
+        let reference_verify = |z: &U256L, sig: &RawSignature| {
+            let sinv = modinv(&sig.s, &N_MOD);
+            let point = reference.mul_add(&nmul(&sig.r, &sinv), mul_g(&nmul(z, &sinv)));
+            point
+                .to_affine()
+                .is_some_and(|p| p.x == sig.r && (p.y[0] & 1 == 1) == sig.y_odd)
+        };
+        let mut batch = Vec::new();
+        for u2 in &u2s {
+            let want = mul_binary(&Point::from_affine(&q), u2);
+            for u1 in [ZERO, rng.u256()] {
+                let sum = mul_binary(&g, &u1).add(&want).to_affine();
+                let acc = mul_g(&u1);
+                assert_eq!(comb.glv_mul_add(u2, acc).to_affine(), sum, "u2 {u2:x?}");
+                assert_eq!(reference.mul_add(u2, acc).to_affine(), sum, "u2 {u2:x?}");
+                let Some(rp) = sum.filter(|rp| scalar_is_valid(&rp.x) && !is_zero(u2)) else {
+                    continue;
+                };
+                let s = nmul(&rp.x, &modinv(&reduce_once(*u2, &N), &N_MOD));
+                let sig = RawSignature {
+                    r: rp.x,
+                    s,
+                    y_odd: rp.y[0] & 1 == 1,
+                };
+                let z = nmul(&reduce_once(u1, &N), &s);
+                let forged_z = add_mod(&z, &ONE, &N);
+                let flipped = RawSignature {
+                    y_odd: !sig.y_odd,
+                    ..sig
+                };
+                for (z, sig, key, honest) in [
+                    (z, sig, &comb, true),
+                    (forged_z, sig, &comb, false),
+                    (z, flipped, &comb, false),
+                    (z, sig, &stranger, false),
+                ] {
+                    let fast = verify_known_batch(&[(z, sig, key)])[0];
+                    assert_eq!(fast, honest, "u2 {u2:x?} u1 {u1:x?}");
+                    if std::ptr::eq(key, &comb) {
+                        assert_eq!(fast, reference_verify(&z, &sig), "u2 {u2:x?}");
+                        assert_eq!(recover(&z, &sig) == Some(q), honest, "u2 {u2:x?}");
+                    }
+                    batch.push(((z, sig, key), honest));
+                }
+            }
+        }
+        // Every non-zero `u2` made a signature with each `u1`.
+        let honest = batch.iter().filter(|(_, honest)| *honest).count();
+        assert_eq!(honest, 2 * (u2s.len() - 1));
+        let (items, want): (Vec<_>, Vec<bool>) = batch.into_iter().unzip();
+        assert_eq!(verify_known_batch(&items), want);
     }
 
     #[test]

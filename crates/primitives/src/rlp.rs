@@ -18,37 +18,52 @@ pub enum Item {
 /// Encode an item to its RLP byte representation.
 pub fn encode(item: &Item) -> Vec<u8> {
     match item {
-        Item::Bytes(bytes) => encode_bytes(bytes),
+        Item::Bytes(bytes) => {
+            let mut out = Vec::with_capacity(bytes.len() + 9);
+            append_bytes(&mut out, bytes);
+            out
+        }
         Item::List(items) => {
             let payload: Vec<u8> = items.iter().flat_map(encode).collect();
-            let mut out = length_prefix(payload.len(), 0xc0);
+            let mut out = Vec::with_capacity(payload.len() + 9);
+            append_list_header(&mut out, payload.len());
             out.extend_from_slice(&payload);
             out
         }
     }
 }
 
-fn encode_bytes(bytes: &[u8]) -> Vec<u8> {
+/// Append the RLP encoding of the byte string `bytes` to `out`.
+pub fn append_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     if bytes.len() == 1 && bytes[0] < 0x80 {
-        return vec![bytes[0]];
+        out.push(bytes[0]);
+        return;
     }
-    let mut out = length_prefix(bytes.len(), 0x80);
+    append_header(out, bytes.len(), 0x80);
     out.extend_from_slice(bytes);
-    out
 }
 
-fn length_prefix(len: usize, offset: u8) -> Vec<u8> {
+/// Append the RLP encoding of the unsigned integer `value`: its
+/// big-endian bytes without leading zeros, so zero is the empty string.
+pub fn append_uint(out: &mut Vec<u8>, value: u128) {
+    let bytes = value.to_be_bytes();
+    append_bytes(out, &bytes[value.leading_zeros() as usize / 8..]);
+}
+
+/// Append the header of a list whose items encode to `payload_len` bytes
+/// in all; the items follow it.
+pub fn append_list_header(out: &mut Vec<u8>, payload_len: usize) {
+    append_header(out, payload_len, 0xc0);
+}
+
+fn append_header(out: &mut Vec<u8>, len: usize, offset: u8) {
     if len <= 55 {
-        vec![offset + len as u8]
+        out.push(offset + len as u8);
     } else {
-        let len_bytes: Vec<u8> = len
-            .to_be_bytes()
-            .into_iter()
-            .skip_while(|&b| b == 0)
-            .collect();
-        let mut out = vec![offset + 55 + len_bytes.len() as u8];
-        out.extend_from_slice(&len_bytes);
-        out
+        let len_bytes = len.to_be_bytes();
+        let first = len.leading_zeros() as usize / 8;
+        out.push(offset + 55 + (len_bytes.len() - first) as u8);
+        out.extend_from_slice(&len_bytes[first..]);
     }
 }
 
@@ -124,6 +139,40 @@ mod tests {
         assert_eq!(enc[0], 0xb8);
         assert_eq!(enc[1], 56);
         assert_eq!(&enc[2..], &s[..]);
+    }
+
+    /// The appending encoders write what `encode` writes for the same
+    /// value, across every header size.
+    #[test]
+    fn appenders_match_encode() {
+        for value in [
+            0u128,
+            1,
+            0x7f,
+            0x80,
+            0xff,
+            0x100,
+            u64::MAX as u128,
+            u128::MAX,
+        ] {
+            let mut out = Vec::new();
+            append_uint(&mut out, value);
+            assert_eq!(out, encode(&value.to_rlp()), "{value}");
+        }
+        for len in [0, 1, 55, 56, 255, 256, 70_000] {
+            for byte in [0x00, 0x80] {
+                let bytes = vec![byte; len];
+                let mut out = Vec::new();
+                append_bytes(&mut out, &bytes);
+                assert_eq!(out, encode(&Item::Bytes(bytes.clone())), "{len}");
+                let list = Item::List(vec![Item::Bytes(bytes)]);
+                let payload = out.len();
+                let mut header = Vec::new();
+                append_list_header(&mut header, payload);
+                header.extend_from_slice(&out);
+                assert_eq!(header, encode(&list), "{len}");
+            }
+        }
     }
 
     #[test]
